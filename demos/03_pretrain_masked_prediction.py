@@ -7,6 +7,7 @@ predict them at masked frame positions. A warm start from a checkpoint
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
 cfg = PretrainConfig(epochs=10**6, lr=1e-3, batch_seconds=2.0, k=4, n_mfcc=6)
 
 print("\npretraining from scratch for 200 steps...")
-encoder, history = continued_pretrain(dataset, cfg, enc_cfg, seed=5, max_steps=200)
+encoder, history = continued_pretrain(dataset, replace(cfg, max_steps=200), enc_cfg, seed=5)
 print(f"loss: {history[0][1]:.3f} (step 1) -> {history[-1][1]:.3f} (step {history[-1][0]})")
 
 ckpt = workdir / "encoder.ckpt"
@@ -47,8 +48,9 @@ save_encoder(encoder, ckpt)
 print(f"checkpoint saved to {ckpt}")
 
 print("\ncontinued pretraining (warm weights, fresh optimizer) vs scratch, 100 steps each:")
-warm, _ = continued_pretrain(dataset, cfg, enc_cfg, seed=5, init_checkpoint=ckpt, max_steps=100)
-cold, _ = continued_pretrain(dataset, cfg, enc_cfg, seed=5, max_steps=100)
+cfg100 = replace(cfg, max_steps=100)
+warm, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5, init_checkpoint=ckpt)
+cold, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5)
 _, labels = initial_labels(dataset, cfg, cold, seed=5)
 print(f"   warm start loss @100: {evaluate_masked_loss(warm, dataset, labels):.4f}")
 print(f"   from scratch loss @100: {evaluate_masked_loss(cold, dataset, labels):.4f}")

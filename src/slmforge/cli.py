@@ -3,30 +3,34 @@
 Workflow order: curate -> pretrain -> finetune-asr -> transcribe ->
 build-sft -> train-aligner -> infer -> eval / report.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. Configuration merges
-defaults < --config JSON < flags; the seed comes from SLMFORGE_SEED and is
-overridden by --seed. Every artifact-producing subcommand embeds the fully
-resolved config and its hash in the output, so identical config + seed
-reproduce outputs byte-for-byte in deterministic mode.
+Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
+``pretrain``, ``finetune-asr`` and ``train-aligner`` read a flat JSON
+``--config`` whose keys are listed per subcommand in ``CONFIG_KEYS``; each
+key sets one dataclass field, whose default applies when the key is absent,
+and any other key is an error. The training subcommands take their seed from
+``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing subcommand
+embeds the fully resolved config and its hash in the output, so identical
+config + seed reproduce outputs byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .audio import SpectralConfig, log_mel, read_wav, resample, standardize
+from .config import config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
-from .metrics import MetricRow, cer, chrf, render_report, wer
+# wer stays bound here although cmd_eval scores through compute_report:
+# bench/test_bench.py checks that span patching reaches from-imported names
+from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
 from .pretrain import (
     MaskSpec,
     PretrainConfig,
@@ -48,28 +52,69 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _same_names(cls, *names) -> dict:
+    return {name: (cls, name) for name in names}
+
+
+# Config-file keys per subcommand: key -> (dataclass, field it sets).
+CONFIG_KEYS = {
+    "curate": _same_names(PipelineConfig, *(f.name for f in fields(PipelineConfig))),
+    "pretrain": {
+        **_same_names(SpectralConfig, "n_mels"),
+        **_same_names(SpeechEncoderConfig, "dim", "n_layers", "n_heads"),
+        **_same_names(PretrainConfig, "epochs", "lr", "batch_seconds", "target_layer",
+                      "k", "refresh_schedule", "max_steps"),
+        **_same_names(MaskSpec, "mask_prob", "span_len"),
+    },
+    "finetune-asr": _same_names(asr_mod.FinetuneConfig, "steps", "lr", "batch_size",
+                                "freeze_encoder_steps", "eval_every"),
+    "train-aligner": {
+        "d_lm": (slm_mod.CausalLMConfig, "dim"),
+        "lm_layers": (slm_mod.CausalLMConfig, "n_layers"),
+        "lm_heads": (slm_mod.CausalLMConfig, "n_heads"),
+        **_same_names(slm_mod.FusionTrainConfig, "lm_steps", "lm_lr", "aligner_hidden",
+                      "steps", "lr", "batch_size"),
+    },
+}
+
+
+def _config_fields(args) -> dict:
+    """Read ``args.config`` into {dataclass: {field: value}}, rejecting unknown keys."""
+    keys = CONFIG_KEYS[args.command]
+    fields_by_class = {cls: {} for cls, _ in keys.values()}
+    if args.config is None:
+        return fields_by_class
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return cfg
+        raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))} in {args.config}; "
+            f"{args.command} accepts {', '.join(sorted(keys))}"
+        )
+    for key, value in raw.items():
+        cls, name = keys[key]
+        fields_by_class[cls][name] = value
+    return fields_by_class
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SLMFORGE_SEED")
     return int(env) if env else 0
 
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _resolved_metadata(seed: int, *configs) -> dict:
+    """Checkpoint metadata holding every field of ``configs`` plus the seed."""
+    resolved = {type(cfg).__name__: asdict(cfg) for cfg in configs}
+    resolved["seed"] = seed
+    return {"config": json.dumps(resolved, sort_keys=True),
+            "config_hash": config_hash(resolved)}
 
 
 def _records_with_audio(manifest: Manifest, spectral: SpectralConfig):
@@ -95,16 +140,10 @@ def _wav_features(path, sample_rate: int, spectral: SpectralConfig):
 
 
 def cmd_curate(args) -> int:
-    overrides = _load_config(args.config)
+    overrides = _config_fields(args)[PipelineConfig]
     if args.sample_rate is not None:
         overrides["sample_rate"] = args.sample_rate
-    allowed = set(PipelineConfig.__dataclass_fields__)
-    unknown = [k for k in overrides if k not in allowed]
-    if unknown:
-        raise ConfigError(f"unknown curate config keys: {unknown}")
-    cfg = PipelineConfig(**overrides)
-    jobs = 1 if args.deterministic else args.jobs
-    manifest = run_pipeline(args.paths, cfg, jobs=jobs)
+    manifest = run_pipeline(args.paths, PipelineConfig(**overrides), jobs=args.jobs)
     manifest.write(args.out)
     h = manifest.header
     print(
@@ -116,51 +155,29 @@ def cmd_curate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg_raw = _load_config(args.config)
+    given = _config_fields(args)
     seed = _resolve_seed(args)
-    spectral = SpectralConfig(n_mels=cfg_raw.get("n_mels", 40))
+    spectral = SpectralConfig(**given[SpectralConfig])
+    encoder_cfg = SpeechEncoderConfig(input_dim=spectral.n_mels, **given[SpeechEncoderConfig])
+    train_cfg = PretrainConfig(mask=MaskSpec(**given[MaskSpec]), **given[PretrainConfig])
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
     dataset = [features for _, features in _records_with_audio(manifest, spectral)]
 
-    encoder_cfg = SpeechEncoderConfig(
-        input_dim=spectral.n_mels,
-        dim=cfg_raw.get("dim", 32),
-        n_layers=cfg_raw.get("n_layers", 2),
-        n_heads=cfg_raw.get("n_heads", 2),
-    )
-    train_cfg = PretrainConfig(
-        epochs=cfg_raw.get("epochs", 33),
-        lr=cfg_raw.get("lr", 0.0005),
-        batch_seconds=cfg_raw.get("batch_seconds", 87.5),
-        target_layer=cfg_raw.get("target_layer", 1),
-        k=cfg_raw.get("k", 32),
-        refresh_schedule=(tuple(cfg_raw["refresh_schedule"])
-                          if "refresh_schedule" in cfg_raw else None),
-        mask=MaskSpec(
-            mask_prob=cfg_raw.get("mask_prob", 0.065),
-            span_len=cfg_raw.get("span_len", 10),
-        ),
-    )
     encoder, history = continued_pretrain(
-        dataset, train_cfg, encoder_cfg, seed=seed,
-        init_checkpoint=args.init, max_steps=cfg_raw.get("max_steps"),
+        dataset, train_cfg, encoder_cfg, seed=seed, init_checkpoint=args.init,
     )
-    resolved = {"config": cfg_raw, "seed": seed}
-    save_encoder(
-        encoder, args.out,
-        {"config": json.dumps(resolved, sort_keys=True),
-         "config_hash": _config_hash(resolved)},
-    )
+    save_encoder(encoder, args.out,
+                 _resolved_metadata(seed, spectral, encoder_cfg, train_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"pretrain: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
 
 
 def cmd_finetune_asr(args) -> int:
-    cfg_raw = _load_config(args.config)
     seed = _resolve_seed(args)
+    cfg = asr_mod.FinetuneConfig(seed=seed, **_config_fields(args)[asr_mod.FinetuneConfig])
     encoder = load_encoder(args.encoder)
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
@@ -179,22 +196,9 @@ def cmd_finetune_asr(args) -> int:
 
     vocab = (asr_mod.Vocab.from_file(args.vocab) if args.vocab
              else asr_mod.Vocab.from_texts([t for _, t in train + heldout]))
-    cfg = asr_mod.FinetuneConfig(
-        steps=cfg_raw.get("steps", 2000),
-        lr=cfg_raw.get("lr", 3e-3),
-        batch_size=cfg_raw.get("batch_size", 2),
-        freeze_encoder_steps=cfg_raw.get("freeze_encoder_steps", 0),
-        eval_every=cfg_raw.get("eval_every", 50),
-        seed=seed,
-    )
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
                                           heldout=heldout or None)
-    resolved = {"config": cfg_raw, "seed": seed}
-    asr_mod.save_asr_model(
-        model, args.out,
-        {"config": json.dumps(resolved, sort_keys=True),
-         "config_hash": _config_hash(resolved)},
-    )
+    asr_mod.save_asr_model(model, args.out, _resolved_metadata(seed, cfg))
     evals = [(s, w) for s, _, w in history if w is not None]
     tail = f", train WER {evals[-1][1]:.3f}" if evals else ""
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
@@ -218,15 +222,16 @@ def cmd_build_sft(args) -> int:
     resolved = {"modes": modes}
     slm_mod.write_instruction_dataset(
         args.out, examples, tokenizer,
-        {"config_hash": _config_hash(resolved), "modes": modes},
+        {"config_hash": config_hash(resolved), "modes": modes},
     )
     print(f"build-sft: {len(examples)} examples, {len(skipped)} skipped -> {args.out}")
     return 0
 
 
 def cmd_train_aligner(args) -> int:
-    cfg_raw = _load_config(args.config)
+    given = _config_fields(args)
     seed = _resolve_seed(args)
+    fusion_cfg = slm_mod.FusionTrainConfig(seed=seed, **given[slm_mod.FusionTrainConfig])
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
@@ -246,38 +251,23 @@ def cmd_train_aligner(args) -> int:
             raise ConfigError(f"sft example references unknown audio id {ex.audio_id!r}")
         pairs.append((feature_cache[ex.audio_id], ex))
 
-    lm_cfg = slm_mod.CausalLMConfig(
-        vocab_size=tokenizer.vocab_size,
-        dim=cfg_raw.get("d_lm", 64),
-        n_layers=cfg_raw.get("lm_layers", 2),
-        n_heads=cfg_raw.get("lm_heads", 2),
-    )
+    lm_cfg = slm_mod.CausalLMConfig(vocab_size=tokenizer.vocab_size,
+                                    **given[slm_mod.CausalLMConfig])
     lm = slm_mod.CausalLM(lm_cfg, seed=seed)
-    lm_steps = cfg_raw.get("lm_steps", 300)
-    if lm_steps:
+    if fusion_cfg.lm_steps:
         corpus = slm_mod.lm_stand_in_sequences(
             examples, tokenizer, lambda aid: feature_cache[aid].shape[0]
         )
-        slm_mod.train_lm(lm, corpus, steps=lm_steps,
-                         lr=cfg_raw.get("lm_lr", 3e-3), seed=seed)
+        slm_mod.train_lm(lm, corpus, steps=fusion_cfg.lm_steps,
+                         lr=fusion_cfg.lm_lr, seed=seed)
     lm.freeze()
 
     d_in = pairs[0][0].shape[1]
     aligner = slm_mod.SpeechAligner(d_in, lm_cfg.dim,
-                                    hidden=cfg_raw.get("aligner_hidden"), seed=seed + 1)
-    fusion_cfg = slm_mod.FusionTrainConfig(
-        steps=cfg_raw.get("steps", 3000),
-        lr=cfg_raw.get("lr", 1e-4),
-        batch_size=cfg_raw.get("batch_size", 2),
-        seed=seed,
-    )
+                                    hidden=fusion_cfg.aligner_hidden, seed=seed + 1)
     history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg)
-    resolved = {"config": cfg_raw, "seed": seed}
-    slm_mod.save_fusion(
-        lm, aligner, tokenizer, args.out,
-        metadata_extra={"config": json.dumps(resolved, sort_keys=True),
-                        "config_hash": _config_hash(resolved)},
-    )
+    slm_mod.save_fusion(lm, aligner, tokenizer, args.out,
+                        metadata_extra=_resolved_metadata(seed, lm_cfg, fusion_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"train-aligner: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
@@ -339,14 +329,7 @@ def cmd_eval(args) -> int:
     unknown = [m for m in metrics if m not in ("wer", "cer", "chrf")]
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}")
-    row = MetricRow(name=args.name, n_utterances=len(refs),
-                    n_ref_words=sum(len(r.split()) for r in refs))
-    if "wer" in metrics:
-        row.wer = wer(refs, hyps)
-    if "cer" in metrics:
-        row.cer = cer(refs, hyps)
-    if "chrf" in metrics:
-        row.chrf = chrf(refs, hyps)
+    row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:
         scores = json.loads(Path(args.external_scores).read_text(encoding="utf-8"))
         if "bs_f1" not in scores:
@@ -358,7 +341,7 @@ def cmd_eval(args) -> int:
         resolved = {"metrics": metrics, "normalize": not args.no_normalize}
         payload = {
             "config": resolved,
-            "config_hash": _config_hash(resolved),
+            "config_hash": config_hash(resolved),
             "rows": json.loads(render_report([row], fmt="json")),
         }
         Path(args.out).write_text(
@@ -394,30 +377,32 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"slmforge {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p):
+    def config_flag(p):
+        p.add_argument("--config", default=None,
+                       help="JSON config file; unknown keys are an error")
+
+    def training_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override SLMFORGE_SEED (default 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded deterministic mode")
-        p.add_argument("--config", default=None, help="JSON config file")
+        config_flag(p)
 
     p = sub.add_parser("curate", help="filter raw audio into a manifest of utterances")
-    common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    config_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--sample-rate", type=int, default=None)
     p.add_argument("paths", nargs="+", metavar="WAV")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("pretrain", help="masked-prediction pretraining of the encoder")
-    common(p)
+    training_flags(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--init", default=None, help="checkpoint for continued pretraining")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune-asr", help="CTC fine-tuning on transcribed segments")
-    common(p)
+    training_flags(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--vocab", default=None, help="symbol-per-line vocab file")
@@ -427,7 +412,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_finetune_asr)
 
     p = sub.add_parser("transcribe", help="decode one WAV with a fine-tuned model")
-    common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--beam", type=int, default=1)
@@ -435,14 +419,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_transcribe)
 
     p = sub.add_parser("build-sft", help="render chain-of-thought instruction data")
-    common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--modes", default="transcribe")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_sft)
 
     p = sub.add_parser("train-aligner", help="fusion training of the speech aligner")
-    common(p)
+    training_flags(p)
     p.add_argument("--sft", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--encoder", required=True)
@@ -450,7 +433,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_aligner)
 
     p = sub.add_parser("infer", help="run the fused speech LM on one WAV")
-    common(p)
     p.add_argument("--fusion", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--wav", required=True)
@@ -462,7 +444,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score hypothesis lines against references")
-    common(p)
     p.add_argument("--refs", required=True)
     p.add_argument("--hyps", required=True)
     p.add_argument("--metrics", default="wer,cer,chrf")
@@ -476,7 +457,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a metric table from row data")
-    common(p)
     p.add_argument("--rows", required=True, help="JSON array of row objects")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--out", default=None)

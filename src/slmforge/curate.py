@@ -14,7 +14,6 @@ on stdout, exiting 0 on success.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shlex
 import subprocess
@@ -34,6 +33,7 @@ from .audio import (
     resample,
     wav_bytes,
 )
+from .config import config_hash
 from .errors import ConfigError, SlmforgeError, StageError
 
 PIPELINE_VERSION = "1"
@@ -140,10 +140,6 @@ class PipelineConfig:
             raise ConfigError("min_dur_s must be below max_dur_s")
         if not (1.0 <= self.quality_threshold <= 5.0):
             raise ConfigError("quality_threshold must lie in [1, 5]")
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ def run_pipeline(input_paths, cfg: PipelineConfig = PipelineConfig(),
     manifest = Manifest(records=kept)
     manifest.header = {
         "pipeline_version": PIPELINE_VERSION,
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash(asdict(cfg)),
         "config": asdict(cfg),
         "n_input_files": len(input_paths),
         "n_candidates": len(candidates),

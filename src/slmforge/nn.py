@@ -102,6 +102,21 @@ class Module:
         return sum(p.data.size for p in self.parameters())
 
 
+class ModuleList(Module):
+    """Submodules registered as "0", "1", ... and iterated in that order."""
+
+    def __init__(self, modules):
+        super().__init__()
+        for i, mod in enumerate(modules):
+            setattr(self, str(i), mod)
+
+    def __iter__(self):
+        return iter(self._modules.values())
+
+    def __len__(self):
+        return len(self._modules)
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) with rejection outside two standard deviations."""
     out = rng.normal(0.0, std, size=shape)

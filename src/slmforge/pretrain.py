@@ -26,10 +26,12 @@ from .nn import (
     LayerNorm,
     Linear,
     Module,
+    ModuleList,
     Parameter,
     TransformerLayer,
-    checkpoint_bytes,
     load_checkpoint,
+    read_checkpoint,
+    save_checkpoint,
     sinusoidal_positions,
     trunc_normal,
 )
@@ -71,13 +73,10 @@ class Codebook:
             "iters": str(self.iters),
             "inertia": repr(self.inertia),
         }
-        with open(path, "wb") as fh:
-            fh.write(checkpoint_bytes({"centroids": self.centroids}, meta))
+        save_checkpoint({"centroids": self.centroids}, path, meta)
 
     @classmethod
     def load(cls, path) -> "Codebook":
-        from .nn import read_checkpoint
-
         arrays, meta = read_checkpoint(path)
         return cls(
             arrays["centroids"].astype(np.float64).copy(),
@@ -221,7 +220,7 @@ class SpeechEncoder(Module):
         object.__setattr__(self, "n_classes", n_classes)
         self.conv = Conv1d(cfg.input_dim, cfg.dim, cfg.conv_kernel, cfg.conv_stride, rng)
         self.mask_embed = Parameter(trunc_normal(rng, (cfg.dim,)))
-        self.layers = _ModuleList(
+        self.layers = ModuleList(
             TransformerLayer(cfg.dim, cfg.n_heads, cfg.ff_mult, causal=False, rng=rng)
             for _ in range(cfg.n_layers)
         )
@@ -269,24 +268,7 @@ class SpeechEncoder(Module):
         return self.head(self.final_norm(states[-1]))
 
 
-class _ModuleList(Module):
-    def __init__(self, modules):
-        super().__init__()
-        items = list(modules)
-        for i, mod in enumerate(items):
-            setattr(self, str(i), mod)
-        object.__setattr__(self, "_items", items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-
 def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = None) -> None:
-    from .nn import save_checkpoint
-
     meta = {
         "kind": "encoder",
         "encoder_cfg": encoder.cfg.to_json(),
@@ -297,8 +279,6 @@ def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = Non
 
 
 def load_encoder(path) -> SpeechEncoder:
-    from .nn import read_checkpoint
-
     _, meta = read_checkpoint(path)
     if meta.get("kind") != "encoder":
         raise ConfigError(f"checkpoint kind {meta.get('kind')!r} is not an encoder")
@@ -381,6 +361,7 @@ class PretrainConfig:
     refresh_schedule: tuple | None = None  # None -> one refresh at mid-training
     mask: MaskSpec = field(default_factory=MaskSpec)
     n_mfcc: int = 13
+    max_steps: int | None = None  # None -> run every epoch
 
     def __post_init__(self):
         if self.batch_seconds <= 0:
@@ -425,8 +406,7 @@ def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int
 
 def continued_pretrain(dataset, cfg: PretrainConfig,
                        encoder_cfg: SpeechEncoderConfig | None = None,
-                       seed: int = 0, init_checkpoint=None,
-                       max_steps: int | None = None):
+                       seed: int = 0, init_checkpoint=None):
     """Train (or continue training) the masked-prediction encoder.
 
     ``dataset`` is a list of FeatureMatrix (or raw (T, D) arrays). When
@@ -495,7 +475,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
                 opt.step()
                 step += 1
                 history.append((step, loss.item()))
-                if max_steps is not None and step >= max_steps:
+                if cfg.max_steps is not None and step >= cfg.max_steps:
                     return encoder, history
             batch = []
             batch_dur = 0.0

@@ -24,6 +24,7 @@ from .nn import (
     LayerNorm,
     Linear,
     Module,
+    ModuleList,
     TransformerLayer,
     sinusoidal_positions,
 )
@@ -319,7 +320,7 @@ class CausalLM(Module):
         rng = np.random.default_rng(seed)
         object.__setattr__(self, "cfg", cfg)
         self.embed = Embedding(cfg.vocab_size, cfg.dim, rng)
-        self.blocks = _LMBlocks(
+        self.blocks = ModuleList(
             TransformerLayer(cfg.dim, cfg.n_heads, cfg.ff_mult, causal=True, rng=rng)
             for _ in range(cfg.n_layers)
         )
@@ -335,18 +336,6 @@ class CausalLM(Module):
 
     def forward_tokens(self, ids) -> Tensor:
         return self.forward_embeddings(self.embed(ids))
-
-
-class _LMBlocks(Module):
-    def __init__(self, modules):
-        super().__init__()
-        items = list(modules)
-        for i, mod in enumerate(items):
-            setattr(self, str(i), mod)
-        object.__setattr__(self, "_items", items)
-
-    def __iter__(self):
-        return iter(self._items)
 
 
 def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, t_prime_lookup) -> list:
@@ -519,6 +508,11 @@ class FusionTrainConfig:
     lr: float = 1e-4
     batch_size: int = 2
     seed: int = 0
+    # read by the train-aligner command around train_aligner: stand-in LM
+    # pretraining steps and rate, and the aligner width (None -> 4 * LM dim)
+    lm_steps: int = 300
+    lm_lr: float = 3e-3
+    aligner_hidden: int | None = None
 
 
 def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,

@@ -6,9 +6,11 @@ lines. Every tolerance and runtime budget is asserted in the test itself.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,7 @@ from slmforge.synth import concat_buffers, silence, sine, tone_sequence
 from slmforge.tensor import Tensor
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _passed(n, started, limit_s, detail):
@@ -343,13 +346,13 @@ def test_criterion_06_continued_pretraining_benefit(tmp_path):
     enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
     cfg = PretrainConfig(epochs=10**6, lr=1e-3, batch_seconds=2.0, k=4, n_mfcc=6)
 
-    enc_a, _ = continued_pretrain(dataset, cfg, enc_cfg, seed=5, max_steps=200)
+    enc_a, _ = continued_pretrain(dataset, replace(cfg, max_steps=200), enc_cfg, seed=5)
     ckpt = tmp_path / "warm.ckpt"
     save_encoder(enc_a, ckpt)
 
-    enc_warm, _ = continued_pretrain(dataset, cfg, enc_cfg, seed=5,
-                                     init_checkpoint=ckpt, max_steps=100)
-    enc_cold, _ = continued_pretrain(dataset, cfg, enc_cfg, seed=5, max_steps=100)
+    cfg100 = replace(cfg, max_steps=100)
+    enc_warm, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5, init_checkpoint=ckpt)
+    enc_cold, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5)
 
     _, labels = initial_labels(dataset, cfg, enc_cold, seed=5)
     loss_warm = evaluate_masked_loss(enc_warm, dataset, labels)
@@ -553,9 +556,12 @@ def test_criterion_11_report_fixtures_byte_exact():
 
 
 def _cli(*args, cwd):
+    # cwd is a temp dir, so a relative PYTHONPATH entry would not resolve
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "slmforge", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
     assert proc.returncode == 0, (
         f"slmforge {args[0]} exited {proc.returncode}\n"
@@ -575,7 +581,7 @@ def test_criterion_12_end_to_end_smoke(tmp_path):
         wavs.append(p)
 
     manifest_path = tmp_path / "manifest.jsonl"
-    _cli("curate", "--deterministic", "--out", manifest_path, *wavs, cwd=tmp_path)
+    _cli("curate", "--out", manifest_path, *wavs, cwd=tmp_path)
 
     # attach transcripts (stands in for human annotation)
     manifest = Manifest.read(manifest_path)

@@ -3,9 +3,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
-from slmforge.audio import write_wav
+import pytest
+
+from slmforge.audio import SpectralConfig, write_wav
 from slmforge.cli import main
+from slmforge.config import config_hash
+from slmforge.nn import read_checkpoint
+from slmforge.pretrain import PretrainConfig, SpeechEncoderConfig
 from slmforge.synth import concat_buffers, silence, sine
 
 ALL_COMMANDS = (
@@ -76,8 +82,8 @@ def test_curate_reproducible_byte_identical(tmp_path):
     wav = tmp_path / "in.wav"
     _speechy(wav)
     out1, out2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-    assert main(["curate", "--deterministic", "--out", str(out1), str(wav)]) == 0
-    assert main(["curate", "--deterministic", "--out", str(out2), str(wav)]) == 0
+    assert main(["curate", "--out", str(out1), str(wav)]) == 0
+    assert main(["curate", "--out", str(out2), str(wav)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -148,10 +154,73 @@ def test_report_renders_rows_file(tmp_path, capsys):
     assert "35.65" in out and "39.48" in out and "hours" in out
 
 
-def test_seed_env_override(tmp_path, monkeypatch, capsys):
-    # SLMFORGE_SEED is honored; --seed overrides it (probed via curate determinism)
-    wav = tmp_path / "in.wav"
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("curated")
+    wav = root / "in.wav"
     _speechy(wav)
-    monkeypatch.setenv("SLMFORGE_SEED", "7")
-    out = tmp_path / "m.jsonl"
+    out = root / "m.jsonl"
     assert main(["curate", "--out", str(out), str(wav)]) == 0
+    return out
+
+
+def _tiny_pretrain(tmp_path, manifest, *flags):
+    """Run a one-step pretrain and return its checkpoint metadata."""
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text('{"max_steps": 1, "k": 4}')
+    out = tmp_path / "enc.ckpt"
+    assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
+                 "--out", str(out), *flags]) == 0
+    return read_checkpoint(out)[1]
+
+
+def test_seed_env_override(tmp_path, monkeypatch, manifest):
+    monkeypatch.setenv("SLMFORGE_SEED", "7")
+    assert json.loads(_tiny_pretrain(tmp_path, manifest)["config"])["seed"] == 7
+    meta = _tiny_pretrain(tmp_path, manifest, "--seed", "3")
+    assert json.loads(meta["config"])["seed"] == 3
+
+
+def test_checkpoint_embeds_resolved_config_and_its_hash(tmp_path, monkeypatch, manifest):
+    monkeypatch.delenv("SLMFORGE_SEED", raising=False)
+    meta = _tiny_pretrain(tmp_path, manifest)
+    embedded = json.loads(meta["config"])
+    expected = {
+        "SpectralConfig": asdict(SpectralConfig()),
+        "SpeechEncoderConfig": asdict(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels)),
+        "PretrainConfig": asdict(PretrainConfig(max_steps=1, k=4)),
+        "seed": 0,
+    }
+    assert embedded == json.loads(json.dumps(expected))
+    assert embedded["PretrainConfig"]["epochs"] == 33  # a default the file did not set
+    assert meta["config_hash"] == config_hash(embedded)
+
+
+NEEDED_ARGS = {
+    "pretrain": ["--manifest", "m.jsonl", "--out", "enc.ckpt"],
+    "finetune-asr": ["--manifest", "m.jsonl", "--encoder", "enc.ckpt", "--out", "asr.ckpt"],
+    "train-aligner": ["--sft", "sft.jsonl", "--manifest", "m.jsonl",
+                      "--encoder", "enc.ckpt", "--out", "fusion.ckpt"],
+}
+
+
+# "seed" too: the seed comes only from --seed or SLMFORGE_SEED
+@pytest.mark.parametrize("key", ["epochz", "seed"])
+@pytest.mark.parametrize("command", sorted(NEEDED_ARGS))
+def test_misspelt_config_key_is_runtime_error_naming_it(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    # the config is checked before any input is opened
+    assert main([command, "--config", str(cfg), *NEEDED_ARGS[command]]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transcribe", "--jobs", "2", "--ckpt", "asr.ckpt", "--wav", "in.wav"],
+    ["eval", "--seed", "1", "--refs", "refs.txt", "--hyps", "hyps.txt"],
+    ["curate", "--seed", "1", "--out", "m.jsonl", "in.wav"],
+    ["curate", "--deterministic", "--out", "m.jsonl", "in.wav"],
+    ["pretrain", "--jobs", "2", "--manifest", "m.jsonl", "--out", "enc.ckpt"],
+])
+def test_dropped_flag_is_usage_error(argv):
+    assert main(argv) == 1

@@ -1,5 +1,7 @@
 """KMeans codebooks, span masking, masked prediction, and pretraining runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -294,8 +296,9 @@ def test_downsample_labels_uses_patch_start():
 
 def test_continued_pretrain_epochs_zero_bit_equal(tmp_path):
     dataset = _toy_dataset()
-    cfg = PretrainConfig(epochs=1, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4)
-    enc, _ = continued_pretrain(dataset, cfg, TOY_CFG, seed=0, max_steps=3)
+    cfg = PretrainConfig(epochs=1, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4,
+                         max_steps=3)
+    enc, _ = continued_pretrain(dataset, cfg, TOY_CFG, seed=0)
     path = tmp_path / "enc.ckpt"
     save_encoder(enc, path)
 
@@ -309,9 +312,10 @@ def test_continued_pretrain_epochs_zero_bit_equal(tmp_path):
 
 def test_continued_pretrain_same_seed_identical_checkpoint():
     dataset = _toy_dataset()
-    cfg = PretrainConfig(epochs=100, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4)
-    enc1, h1 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2, max_steps=10)
-    enc2, h2 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2, max_steps=10)
+    cfg = PretrainConfig(epochs=100, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4,
+                         max_steps=10)
+    enc1, h1 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2)
+    enc2, h2 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2)
     assert h1 == h2
     for (_, a), (_, b) in zip(enc1.named_parameters(), enc2.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -320,11 +324,11 @@ def test_continued_pretrain_same_seed_identical_checkpoint():
 def test_toy_overfit_halves_masked_loss():
     dataset = _toy_dataset(n_utts=8, t=40, seed=1)
     cfg = PretrainConfig(epochs=1000, lr=3e-3, batch_seconds=2.0, k=4, n_mfcc=4)
-    enc0, _ = continued_pretrain(dataset, cfg, TOY_CFG, seed=4, max_steps=1)
+    enc0, _ = continued_pretrain(dataset, replace(cfg, max_steps=1), TOY_CFG, seed=4)
     _, labels = initial_labels(dataset, cfg, enc0, seed=4)
     initial = evaluate_masked_loss(enc0, dataset, labels)
 
-    enc, history = continued_pretrain(dataset, cfg, TOY_CFG, seed=4, max_steps=200)
+    enc, history = continued_pretrain(dataset, replace(cfg, max_steps=200), TOY_CFG, seed=4)
     final = evaluate_masked_loss(enc, dataset, labels)
     assert final < 0.5 * initial, f"loss went {initial:.4f} -> {final:.4f}"
 
