@@ -4,6 +4,13 @@ The CTC loss is the standard forward algorithm in log space over the
 blank-interleaved target; its gradient with respect to the log-probability
 lattice is the negated state-posterior, computed by the alpha-beta
 recursion, so it plugs directly into the autodiff graph as a custom op.
+Both recursions (Graves et al., ICML 2006) step over frames and are
+vectorised over the lattice states: each frame is a few array operations on
+the previous row, with the states that may skip a blank found once. Each
+state adds its stay/advance term first and its skip term second, the
+association order of a scalar per-state loop, so alpha, beta, the loss and
+its gradient are bit-identical to that loop's (the tests keep it as the
+reference).
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
+from .fileio import atomic_open
 from .metrics import wer
 from .nn import Adam, Linear, Module
 from .pretrain import SpeechEncoder, SpeechEncoderConfig
-from .tensor import Tensor
+from .tensor import Tensor, _accumulate, _make
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +68,8 @@ class Vocab:
         return cls(lines)
 
     def to_file(self, path) -> None:
-        Path(path).write_text("\n".join(self.symbols) + "\n", encoding="utf-8")
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(self.symbols) + "\n")
 
     def encode(self, text: str) -> list:
         index = {s: i for i, s in enumerate(self.symbols)}
@@ -93,37 +102,40 @@ def ctc_required_frames(target) -> int:
     return len(target) + repeats
 
 
+def _skip_states(ext) -> np.ndarray:
+    """Indices of the states that may also be entered from two states back:
+    a symbol that differs from the symbol before the blank between them."""
+    ext = np.asarray(ext)
+    return np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2])) + 2
+
+
 def _ctc_alpha(logp: np.ndarray, ext) -> np.ndarray:
-    t_len, s_len = logp.shape[0], len(ext)
+    lp = logp[:, ext]
+    t_len, s_len = lp.shape
+    skip = _skip_states(ext)
     alpha = np.full((t_len, s_len), _NEG_INF)
-    alpha[0, 0] = logp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = logp[0, ext[1]]
+    alpha[0, :2] = lp[0, :2]
     for t in range(1, t_len):
-        for s in range(s_len):
-            acc = alpha[t - 1, s]
-            if s >= 1:
-                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
-            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
-                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
-            alpha[t, s] = acc + logp[t, ext[s]]
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(prev[1:], prev[:-1])
+        acc[skip] = np.logaddexp(acc[skip], prev[skip - 2])
+        alpha[t] = acc + lp[t]
     return alpha
 
 
 def _ctc_beta(logp: np.ndarray, ext) -> np.ndarray:
-    t_len, s_len = logp.shape[0], len(ext)
+    lp = logp[:, ext]
+    t_len, s_len = lp.shape
+    skip = _skip_states(ext)
     beta = np.full((t_len, s_len), _NEG_INF)
-    beta[t_len - 1, s_len - 1] = 0.0
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = 0.0
+    beta[t_len - 1, -2:] = 0.0
     for t in range(t_len - 2, -1, -1):
-        for s in range(s_len):
-            acc = beta[t + 1, s] + logp[t + 1, ext[s]]
-            if s + 1 < s_len:
-                acc = np.logaddexp(acc, beta[t + 1, s + 1] + logp[t + 1, ext[s + 1]])
-            if s + 2 < s_len and ext[s + 2] != BLANK and ext[s + 2] != ext[s]:
-                acc = np.logaddexp(acc, beta[t + 1, s + 2] + logp[t + 1, ext[s + 2]])
-            beta[t, s] = acc
+        nxt = beta[t + 1] + lp[t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(nxt[:-1], nxt[1:])
+        acc[skip - 2] = np.logaddexp(acc[skip - 2], nxt[skip])
+        beta[t] = acc
     return beta
 
 
@@ -160,18 +172,12 @@ def ctc_loss(log_probs: Tensor, target) -> Tensor:
     loss = -total
 
     def backward(grad):
-        if not log_probs.requires_grad:
-            return
         beta = _ctc_beta(logp, ext)
         occupancy = alpha + beta - total  # log posterior per (t, state)
         gamma = np.zeros_like(logp)
         for s, sym in enumerate(ext):
             gamma[:, sym] += np.exp(occupancy[:, s])
-        if log_probs.grad is None:
-            log_probs.grad = np.zeros_like(logp)
-        log_probs.grad += grad * (-gamma)
-
-    from .tensor import _make
+        _accumulate(log_probs, grad * (-gamma))
 
     return _make(np.asarray(loss), (log_probs,), backward, "ctc_loss")
 

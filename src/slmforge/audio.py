@@ -16,6 +16,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .errors import ConfigError, TruncatedWavError, UnsupportedWavError
+from .fileio import atomic_open
 
 FEATURE_KINDS = ("logmel", "mfcc", "hidden")
 
@@ -203,7 +204,7 @@ def wav_bytes(buf: AudioBuffer, encoding: str = "pcm16") -> bytes:
 
 
 def write_wav(path, buf: AudioBuffer, encoding: str = "pcm16") -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(wav_bytes(buf, encoding))
 
 

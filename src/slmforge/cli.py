@@ -28,6 +28,7 @@ from .audio import SpectralConfig, log_mel, read_wav, resample, standardize
 from .config import config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
+from .fileio import atomic_open
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
 from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
@@ -344,9 +345,8 @@ def cmd_eval(args) -> int:
             "config_hash": config_hash(resolved),
             "rows": json.loads(render_report([row], fmt="json")),
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -362,7 +362,8 @@ def cmd_report(args) -> int:
         rows.append(MetricRow(extra=extra, **known))
     text = render_report(rows, fmt=args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return 0

@@ -35,6 +35,7 @@ from .audio import (
 )
 from .config import config_hash
 from .errors import ConfigError, SlmforgeError, StageError
+from .fileio import atomic_open
 
 PIPELINE_VERSION = "1"
 
@@ -101,7 +102,8 @@ class Manifest:
         header["__header__"] = True
         lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
         lines.extend(r.to_json() for r in self.records)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def read(cls, path) -> "Manifest":

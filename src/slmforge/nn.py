@@ -28,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, GraphError
+from .fileio import atomic_open
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -378,7 +379,7 @@ def save_checkpoint(module_or_arrays, path, metadata: dict | None = None) -> Non
         arrays = module_or_arrays.state_arrays()
     else:
         arrays = module_or_arrays
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(checkpoint_bytes(arrays, metadata))
 
 

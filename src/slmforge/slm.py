@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
+from .fileio import atomic_open
 from .nn import (
     Adam,
     Embedding,
@@ -269,7 +270,7 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
     header.update(header_extra or {})
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
     lines.extend(ex.to_json() for ex in examples)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

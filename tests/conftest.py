@@ -1,8 +1,23 @@
 """Shared test helpers: finite-difference oracle and synthetic signals."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from slmforge.tensor import Tensor, tsum
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env():
+    """Environment for a ``python -m slmforge`` subprocess.
+
+    The checkout's ``src`` goes first on PYTHONPATH by absolute path, so the
+    package imports from any cwd and without being installed.
+    """
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
 
 
 def finite_diff_grad(f, x, h=1e-5):

@@ -6,7 +6,6 @@ lines. Every tolerance and runtime budget is asserted in the test itself.
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_grad_against_fd, finite_diff_grad, max_rel_error
+from conftest import check_grad_against_fd, cli_env, finite_diff_grad, max_rel_error
 from test_asr import random_lattice
 from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
 
@@ -65,7 +64,6 @@ from slmforge.synth import concat_buffers, silence, sine, tone_sequence
 from slmforge.tensor import Tensor
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _passed(n, started, limit_s, detail):
@@ -556,12 +554,9 @@ def test_criterion_11_report_fixtures_byte_exact():
 
 
 def _cli(*args, cwd):
-    # cwd is a temp dir, so a relative PYTHONPATH entry would not resolve
-    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "slmforge", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
     assert proc.returncode == 0, (
         f"slmforge {args[0]} exited {proc.returncode}\n"

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import finite_diff_grad, max_rel_error
 
+from slmforge import asr
 from slmforge.asr import (
     BLANK,
     FinetuneConfig,
@@ -119,6 +120,90 @@ def test_ctc_rejects_blank_in_target():
     logp = np.full((3, 3), np.log(1 / 3))
     with pytest.raises(ConfigError):
         ctc_loss(Tensor(logp), [BLANK, 1])
+
+
+# ---------------------------------------------------------------------------
+# Vectorised recursion against the scalar per-(frame, state) loops it replaced
+
+
+def scalar_ctc_alpha(logp, ext):
+    t_len, s_len = logp.shape[0], len(ext)
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, 0] = logp[0, ext[0]]
+    if s_len > 1:
+        alpha[0, 1] = logp[0, ext[1]]
+    for t in range(1, t_len):
+        for s in range(s_len):
+            acc = alpha[t - 1, s]
+            if s >= 1:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
+            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = acc + logp[t, ext[s]]
+    return alpha
+
+
+def scalar_ctc_beta(logp, ext):
+    t_len, s_len = logp.shape[0], len(ext)
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[t_len - 1, s_len - 1] = 0.0
+    if s_len > 1:
+        beta[t_len - 1, s_len - 2] = 0.0
+    for t in range(t_len - 2, -1, -1):
+        for s in range(s_len):
+            acc = beta[t + 1, s] + logp[t + 1, ext[s]]
+            if s + 1 < s_len:
+                acc = np.logaddexp(acc, beta[t + 1, s + 1] + logp[t + 1, ext[s + 1]])
+            if s + 2 < s_len and ext[s + 2] != BLANK and ext[s + 2] != ext[s]:
+                acc = np.logaddexp(acc, beta[t + 1, s + 2] + logp[t + 1, ext[s + 2]])
+            beta[t, s] = acc
+    return beta
+
+
+def _loss_and_grad(logp, target):
+    x = Tensor(logp.copy(), requires_grad=True)
+    loss = ctc_loss(x, target)
+    loss.backward()
+    return loss.data, x.grad
+
+
+def assert_bit_identical_to_scalar(monkeypatch, logp, target):
+    ext = asr._extend_with_blanks(target)
+    assert np.array_equal(asr._ctc_alpha(logp, ext), scalar_ctc_alpha(logp, ext))
+    assert np.array_equal(asr._ctc_beta(logp, ext), scalar_ctc_beta(logp, ext))
+    loss, grad = _loss_and_grad(logp, target)
+    monkeypatch.setattr(asr, "_ctc_alpha", scalar_ctc_alpha)
+    monkeypatch.setattr(asr, "_ctc_beta", scalar_ctc_beta)
+    ref_loss, ref_grad = _loss_and_grad(logp, target)
+    assert np.array_equal(loss, ref_loss)
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize(
+    "t_len, v, target",
+    [
+        (5, 4, []),  # empty target: a single blank state
+        (1, 4, [2]),  # one frame
+        (1, 3, []),
+        (9, 2, [1, 1, 1]),  # two-symbol vocab, repeats
+        (7, 2, [1]),
+        (12, 5, [1, 1, 2, 2, 3]),  # adjacent repeats disable the skip
+        (6, 6, [1, 2, 2, 3, 1]),  # exactly ctc_required_frames
+        (3, 4, [3, 3]),
+        (40, 8, [1, 2, 3, 1, 2, 3, 7, 7, 6]),
+    ],
+)
+def test_ctc_recursion_bit_identical_to_scalar_loops(monkeypatch, t_len, v, target):
+    assert t_len >= ctc_required_frames(target)
+    rng = np.random.default_rng(1000 * t_len + 10 * v + len(target))
+    assert_bit_identical_to_scalar(monkeypatch, random_lattice(rng, t_len, v), target)
+
+
+def test_ctc_recursion_bit_identical_to_scalar_loops_large(monkeypatch):
+    rng = np.random.default_rng(7)
+    target = [int(c) for c in rng.integers(1, 30, size=60)]
+    target[10:13] = [5, 5, 5]  # some skips disabled
+    assert_bit_identical_to_scalar(monkeypatch, random_lattice(rng, 200, 30), target)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from dataclasses import asdict
 
 import pytest
 
+from conftest import cli_env
+
 from slmforge.audio import SpectralConfig, write_wav
 from slmforge.cli import main
 from slmforge.config import config_hash
@@ -31,7 +33,7 @@ def _speechy(path, freq=440.0, bursts=10):
 def test_help_lists_all_subcommands_exit_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "slmforge", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env(),
     )
     assert proc.returncode == 0
     for command in ALL_COMMANDS:
@@ -42,7 +44,7 @@ def test_every_subcommand_has_help():
     for command in ALL_COMMANDS:
         proc = subprocess.run(
             [sys.executable, "-m", "slmforge", command, "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 0, command
         assert "usage" in proc.stdout.lower()
@@ -51,7 +53,7 @@ def test_every_subcommand_has_help():
 def test_bogus_subcommand_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "slmforge", "bogus"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env(),
     )
     assert proc.returncode == 1
 
