@@ -28,7 +28,8 @@ from . import tensor as T
 from .errors import ConfigError, GraphError
 from .fileio import atomic_open
 from .metrics import wer
-from .nn import Adam, Linear, Module
+from .nn import (Adam, Linear, Module, load_arrays, read_checkpoint, save_checkpoint,
+                 train_step)
 from .pretrain import SpeechEncoder, SpeechEncoderConfig
 from .tensor import Tensor, _accumulate, _make
 
@@ -364,8 +365,6 @@ class CtcModel(Module):
 
 
 def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) -> None:
-    from .nn import save_checkpoint
-
     meta = {
         "kind": "asr",
         "encoder_cfg": model.encoder.cfg.to_json(),
@@ -377,16 +376,12 @@ def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) ->
 
 
 def load_asr_model(path) -> CtcModel:
-    from .nn import load_checkpoint, read_checkpoint
-
-    _, meta = read_checkpoint(path)
-    if meta.get("kind") != "asr":
-        raise ConfigError(f"checkpoint kind {meta.get('kind')!r} is not an asr model")
+    arrays, meta = read_checkpoint(path, "asr")
     encoder = SpeechEncoder(
         SpeechEncoderConfig.from_json(meta["encoder_cfg"]), int(meta["n_classes"])
     )
     model = CtcModel(encoder, Vocab(json.loads(meta["vocab"])))
-    load_checkpoint(path, model, strict=True)
+    load_arrays(model, arrays)
     return model
 
 
@@ -431,18 +426,8 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
             model.unfreeze_encoder()
         picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
                            replace=False)
-        losses = []
-        for i in picks:
-            features, _, ids = encoded[i]
-            lattice = model.log_probs(features)
-            losses.append(ctc_loss(lattice, ids))
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = loss + extra
-        loss = loss / len(losses)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        loss = train_step(opt, [ctc_loss(model.log_probs(encoded[i][0]), encoded[i][2])
+                                for i in picks])
         step += 1
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -453,9 +438,9 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
                 held_refs = [t for _, t in heldout]
                 held_hyps = [model.transcribe(np.asarray(f)) for f, _ in heldout]
                 log.info("step %d heldout WER %.3f", step, wer(held_refs, held_hyps))
-            history.append((step, loss.item(), train_wer))
+            history.append((step, loss, train_wer))
             if stop_at_zero_wer and train_wer == 0.0:
                 break
         else:
-            history.append((step, loss.item(), None))
+            history.append((step, loss, None))
     return model, history

@@ -355,11 +355,11 @@ def cmd_report(args) -> int:
     if not isinstance(raw, list):
         raise ConfigError("rows file must hold a JSON array of row objects")
     rows = []
-    for d in raw:
-        known = {k: d[k] for k in ("name", "wer", "cer", "chrf", "bs_f1") if k in d}
-        extra = {k: v for k, v in d.items()
-                 if k not in ("name", "wer", "cer", "chrf", "bs_f1")}
-        rows.append(MetricRow(extra=extra, **known))
+    for i, d in enumerate(raw):
+        try:
+            rows.append(MetricRow.from_dict(d))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.rows} row {i}: {exc}") from None
     text = render_report(rows, fmt=args.format)
     if args.out:
         with atomic_open(args.out, "w", encoding="utf-8") as fh:

@@ -6,15 +6,14 @@ candidate segments (hard-splitting anything over the duration ceiling) ->
 score -> filter. Stages are pure, so files can be fanned out to a worker
 pool; results are merged back in input order to keep output deterministic.
 
-Neural stages (separation, quality scoring, speaker embeddings) are
-pluggable: a deterministic built-in proxy, or an external subprocess that
-reads WAV on stdin and writes WAV (separator) or a decimal score (scorer)
-on stdout, exiting 0 on success.
+Separation and quality scoring are pluggable: a deterministic built-in
+proxy, or an external subprocess that reads WAV on stdin and writes WAV
+(separator) or a decimal score (scorer) on stdout, exiting 0 on success.
+Speaker embeddings for diarization are built-in log-mel statistics.
 """
 
 from __future__ import annotations
 
-import json
 import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +34,7 @@ from .audio import (
 )
 from .config import config_hash
 from .errors import ConfigError, SlmforgeError, StageError
-from .fileio import atomic_open
+from .fileio import read_jsonl, write_jsonl
 
 PIPELINE_VERSION = "1"
 
@@ -74,13 +73,6 @@ class SegmentRecord:
     translation: str | None = None
     split: str = "unsplit"
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SegmentRecord":
-        return cls(**{k: d.get(k) for k in cls.__dataclass_fields__})
-
 
 @dataclass
 class Manifest:
@@ -98,28 +90,11 @@ class Manifest:
 
     def write(self, path) -> None:
         self.validate()
-        header = dict(self.header)
-        header["__header__"] = True
-        lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-        lines.extend(r.to_json() for r in self.records)
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_jsonl(path, self.header, self.records)
 
     @classmethod
     def read(cls, path) -> "Manifest":
-        header = {}
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                d = json.loads(line)
-                if i == 0 and d.get("__header__"):
-                    d.pop("__header__")
-                    header = d
-                else:
-                    records.append(SegmentRecord.from_dict(d))
+        header, records = read_jsonl(path, SegmentRecord)
         return cls(records, header)
 
 
@@ -339,20 +314,17 @@ def _average_linkage_clusters(vectors: np.ndarray, threshold: float) -> np.ndarr
     return labels
 
 
-def diarize(buf: AudioBuffer, spans, embedder=None,
-            cfg: PipelineConfig = PipelineConfig()) -> list:
+def diarize(buf: AudioBuffer, spans, cfg: PipelineConfig = PipelineConfig()) -> list:
     """Label spans by speaker via clustered sliding-window embeddings.
 
     Windows of ``window_s`` (hop = half a window) are cut inside each span
-    and embedded to unit-norm vectors; average-linkage clustering under
+    and embedded by ``logmel_stats_embedder``; average-linkage clustering under
     cosine distance is cut at ``cluster_distance_threshold``. Each span takes
     the majority cluster of its windows. Labels are "S0", "S1", ... in order
     of first appearance.
     """
     if not spans:
         return []
-    if embedder is None:
-        embedder = logmel_stats_embedder
 
     window_vecs = []
     owners = []
@@ -367,7 +339,7 @@ def diarize(buf: AudioBuffer, spans, embedder=None,
             starts = [span.start_s]
         for s in starts:
             e = min(s + cfg.window_s, span.end_s)
-            window_vecs.append(embedder(buf.slice_seconds(s, e)))
+            window_vecs.append(logmel_stats_embedder(buf.slice_seconds(s, e)))
             owners.append(si)
 
     vectors = np.stack(window_vecs)
@@ -467,7 +439,7 @@ def split_long_span(span: Span, max_dur_s: float) -> list:
     return out
 
 
-def _process_file(file_idx: int, path: str, cfg: PipelineConfig, embedder):
+def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
     try:
         buf = read_wav(path)
     except (OSError, SlmforgeError) as exc:
@@ -475,7 +447,7 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig, embedder):
     buf = resample(buf, cfg.sample_rate)
     buf = separate_sources(buf, cfg.separator)
     spans = vad_segments(buf, cfg)
-    spans = diarize(buf, spans, embedder, cfg)
+    spans = diarize(buf, spans, cfg)
 
     candidates = []
     for span in spans:
@@ -501,7 +473,7 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig, embedder):
 
 
 def run_pipeline(input_paths, cfg: PipelineConfig = PipelineConfig(),
-                 embedder=None, jobs: int = 1) -> Manifest:
+                 jobs: int = 1) -> Manifest:
     """Run the full curation pipeline over input WAV paths.
 
     Unreadable files become manifest-level warnings rather than failures.
@@ -513,14 +485,12 @@ def run_pipeline(input_paths, cfg: PipelineConfig = PipelineConfig(),
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(
-                    lambda args: _process_file(args[0], args[1], cfg, embedder),
+                    lambda args: _process_file(args[0], args[1], cfg),
                     enumerate(input_paths),
                 )
             )
     else:
-        results = [
-            _process_file(i, p, cfg, embedder) for i, p in enumerate(input_paths)
-        ]
+        results = [_process_file(i, p, cfg) for i, p in enumerate(input_paths)]
 
     warnings = []
     candidates = []

@@ -1,9 +1,15 @@
-"""Artifact writes that never leave a half-written file behind."""
+"""Artifact writes that never leave a half-written file behind, and the
+header-JSONL format of manifests and instruction (SFT) sets: one JSON object
+per line with sorted keys, line 1 a header tagged ``"__header__": true``."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
+from dataclasses import MISSING, asdict, fields
+
+from .errors import ConfigError
 
 
 @contextmanager
@@ -16,7 +22,8 @@ def atomic_open(path, mode: str = "wb", encoding: str | None = None):
     rename) raises, the temporary file is removed and ``path`` is untouched.
     A symlinked target is written through its link. A target that exists but
     is not a regular file (a FIFO, ``/dev/stdout``) cannot be renamed over,
-    so it is written in place.
+    so it is written in place. An error creating the temporary file (a
+    missing directory, no write permission) names ``path``.
     """
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
@@ -26,7 +33,10 @@ def atomic_open(path, mode: str = "wb", encoding: str | None = None):
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
@@ -34,3 +44,44 @@ def atomic_open(path, mode: str = "wb", encoding: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_jsonl(path, header: dict, rows) -> None:
+    """Atomically write ``header`` and one line per dataclass in ``rows``."""
+    objs = [{**header, "__header__": True}] + [asdict(row) for row in rows]
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(d, sort_keys=True, ensure_ascii=False) + "\n"
+                         for d in objs))
+
+
+def read_jsonl(path, row_type):
+    """Return (header, rows) of a header-JSONL file, rows as ``row_type``.
+
+    The header comes back without its tag, or empty when line 1 has none.
+    Blank lines are skipped, keys that are not fields are ignored and an
+    absent field takes its default. Invalid JSON, a line that is not an
+    object, or a missing required field raises ConfigError naming the path
+    and line.
+    """
+    known = {f.name for f in fields(row_type)}
+    required = [f.name for f in fields(row_type)
+                if f.default is MISSING and f.default_factory is MISSING]
+    header, rows = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path} line {n}: invalid JSON: {exc}") from None
+            if not isinstance(d, dict):
+                raise ConfigError(f"{path} line {n}: not a JSON object")
+            if n == 1 and d.pop("__header__", False):
+                header = d
+                continue
+            missing = [k for k in required if k not in d]
+            if missing:
+                raise ConfigError(f"{path} line {n}: missing field(s) {', '.join(missing)}")
+            rows.append(row_type(**{k: v for k, v in d.items() if k in known}))
+    return header, rows

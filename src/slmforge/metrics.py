@@ -12,6 +12,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 METRIC_COLUMNS = (
     ("wer", "WER", "down"),
     ("cer", "CER", "down"),
@@ -129,6 +131,19 @@ class MetricRow:
     n_utterances: int | None = None
     n_ref_words: int | None = None
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_dict(cls, d) -> "MetricRow":
+        """Row from one report JSON object: ``name`` and the metric columns
+        are typed fields, every other key goes to ``extra``."""
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+            raise ConfigError("not a JSON object with a string 'name'")
+        metrics = {key: d[key] for key, _, _ in METRIC_COLUMNS if key in d}
+        for key, value in metrics.items():
+            if value is not None and not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} must be a number or null, got {value!r}")
+        extra = {k: v for k, v in d.items() if k != "name" and k not in metrics}
+        return cls(name=d["name"], extra=extra, **metrics)
 
 
 def compute_report(name: str, refs, hyps, metrics=("wer", "cer", "chrf")) -> MetricRow:

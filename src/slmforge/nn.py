@@ -1,8 +1,10 @@
-"""Parameter/module tree, neural layers, Adam, and checkpoint serialization.
+"""Parameter/module tree, neural layers, Adam, the training step, and
+checkpoint serialization.
 
 Parameters carry a ``frozen`` flag: frozen parameters receive no gradients
 and are never touched by the optimizer, which is how encoder/LM freezing
-during fusion training is enforced.
+during fusion training is enforced. Every trainer updates its weights
+through ``train_step``.
 
 Checkpoint byte layout (little-endian throughout):
 
@@ -16,22 +18,20 @@ Checkpoint byte layout (little-endian throughout):
                        dims   rank x u32
     payload          raw little-endian tensor bytes, directory order
 
-Loading restores weights only; optimizer state always starts fresh.
+Loading is strict (names and shapes must match the module tree exactly) and
+restores weights only; optimizer state always starts fresh.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, GraphError
+from .errors import CheckpointError, ConfigError, GraphError
 from .fileio import atomic_open
 from .tensor import Tensor
-
-log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"SLMF"
 CHECKPOINT_VERSION = 1
@@ -291,6 +291,23 @@ class Adam:
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def train_step(opt: Adam, losses) -> float:
+    """One optimizer step on the mean of ``losses``; returns that mean.
+
+    The losses are added left to right and then divided by their count
+    (division by 1 is exact). Callers pass the list without keeping it, so
+    the graph is freed before the next step builds its own.
+    """
+    loss = losses[0]
+    for extra in losses[1:]:
+        loss = loss + extra
+    loss = loss / len(losses)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return loss.item()
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -383,39 +400,43 @@ def save_checkpoint(module_or_arrays, path, metadata: dict | None = None) -> Non
         fh.write(checkpoint_bytes(arrays, metadata))
 
 
-def read_checkpoint(path):
-    """Return (arrays, metadata) without touching any module."""
+def read_checkpoint(path, kind: str | None = None):
+    """Return (arrays, metadata) from one read of ``path``; parse errors
+    name the path. A given ``kind`` must match the metadata's."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return parse_checkpoint_bytes(raw)
+    try:
+        arrays, metadata = parse_checkpoint_bytes(raw)
+    except (CheckpointError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if kind is not None and metadata.get("kind") != kind:
+        raise ConfigError(
+            f"{path}: checkpoint kind {metadata.get('kind')!r} is not {kind!r}"
+        )
+    return arrays, metadata
 
 
-def load_checkpoint(path, module: Module, strict: bool = True) -> dict:
-    """Copy checkpoint tensors into matching module parameters.
-
-    Strict mode requires an exact match between file tensors and tree
-    parameters (names and shapes); permissive mode skips mismatches with a
-    log line. Optimizer state is never restored.
-    """
-    arrays, metadata = read_checkpoint(path)
+def load_arrays(module: Module, arrays: dict) -> None:
+    """Copy ``arrays`` into the module parameters of the same names; a
+    name or shape mismatch raises CheckpointError naming the parameter."""
     params = dict(module.named_parameters())
     for name, arr in arrays.items():
         p = params.pop(name, None)
         if p is None:
-            if strict:
-                raise CheckpointError(f"checkpoint tensor '{name}' not in module tree")
-            log.warning("skipping checkpoint tensor %r: not in module tree", name)
-            continue
+            raise CheckpointError(f"checkpoint tensor '{name}' not in module tree")
         if tuple(arr.shape) != tuple(p.data.shape):
-            if strict:
-                raise CheckpointError(
-                    f"shape mismatch for parameter '{name}': "
-                    f"checkpoint {tuple(arr.shape)} vs module {tuple(p.data.shape)}"
-                )
-            log.warning("skipping checkpoint tensor %r: shape mismatch", name)
-            continue
-        p.data = arr.astype(np.float64).copy()
-    if params and strict:
+            raise CheckpointError(
+                f"shape mismatch for parameter '{name}': "
+                f"checkpoint {tuple(arr.shape)} vs module {tuple(p.data.shape)}"
+            )
+        p.data = arr.astype(np.float64)
+    if params:
         missing = ", ".join(sorted(params))
         raise CheckpointError(f"checkpoint missing parameters: {missing}")
+
+
+def load_checkpoint(path, module: Module) -> dict:
+    """Load checkpoint weights into ``module``; return the metadata."""
+    arrays, metadata = read_checkpoint(path)
+    load_arrays(module, arrays)
     return metadata

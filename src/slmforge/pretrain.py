@@ -29,10 +29,12 @@ from .nn import (
     ModuleList,
     Parameter,
     TransformerLayer,
+    load_arrays,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
     sinusoidal_positions,
+    train_step,
     trunc_normal,
 )
 from .tensor import Tensor
@@ -77,9 +79,9 @@ class Codebook:
 
     @classmethod
     def load(cls, path) -> "Codebook":
-        arrays, meta = read_checkpoint(path)
+        arrays, meta = read_checkpoint(path, "codebook")
         return cls(
-            arrays["centroids"].astype(np.float64).copy(),
+            arrays["centroids"].astype(np.float64),
             kind=meta.get("feature_kind", "mfcc"),
             iters=int(meta.get("iters", "0")),
             inertia=float(meta.get("inertia", "0.0")),
@@ -279,12 +281,10 @@ def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = Non
 
 
 def load_encoder(path) -> SpeechEncoder:
-    _, meta = read_checkpoint(path)
-    if meta.get("kind") != "encoder":
-        raise ConfigError(f"checkpoint kind {meta.get('kind')!r} is not an encoder")
+    arrays, meta = read_checkpoint(path, "encoder")
     cfg = SpeechEncoderConfig.from_json(meta["encoder_cfg"])
     encoder = SpeechEncoder(cfg, int(meta["n_classes"]))
-    load_checkpoint(path, encoder, strict=True)
+    load_arrays(encoder, arrays)
     return encoder
 
 
@@ -423,7 +423,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
     )
     encoder = SpeechEncoder(encoder_cfg, cfg.k, seed=seed)
     if init_checkpoint is not None:
-        load_checkpoint(init_checkpoint, encoder, strict=True)
+        load_checkpoint(init_checkpoint, encoder)
 
     _, labels = initial_labels(dataset, cfg, encoder, seed)
 
@@ -455,7 +455,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
             last = pos == len(order) - 1
             if batch_dur < cfg.batch_seconds and not last:
                 continue
-            losses = []
+            masked = []
             for i in batch:
                 data = _feature_data(dataset[i])
                 t_out = encoder.output_len(data.shape[0])
@@ -464,17 +464,11 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
                                     seed=cfg.mask.seed + 7919 * step + i)
                 )
                 if mask.any():
-                    losses.append(masked_prediction_loss(encoder, data, labels[i], mask))
-            if losses:
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = loss + extra
-                loss = loss / len(losses)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+                    masked.append((data, labels[i], mask))
+            if masked:
                 step += 1
-                history.append((step, loss.item()))
+                history.append((step, train_step(
+                    opt, [masked_prediction_loss(encoder, *utt) for utt in masked])))
                 if cfg.max_steps is not None and step >= cfg.max_steps:
                     return encoder, history
             batch = []

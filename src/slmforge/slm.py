@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
-from .fileio import atomic_open
+from .fileio import read_jsonl, write_jsonl
 from .nn import (
     Adam,
     Embedding,
@@ -27,7 +27,11 @@ from .nn import (
     Module,
     ModuleList,
     TransformerLayer,
+    load_arrays,
+    read_checkpoint,
+    save_checkpoint,
     sinusoidal_positions,
+    train_step,
 )
 from .pretrain import SpeechEncoder
 from .tensor import Tensor
@@ -136,13 +140,6 @@ class InstructionExample:
     text: str
     loss_mask: list
     final: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstructionExample":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 def render_chat(template: ChatTemplate, instruction: str, steps, final: str) -> str:
@@ -262,31 +259,13 @@ def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTempl
 
 def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
                               header_extra: dict | None = None) -> None:
-    header = {
-        "__header__": True,
-        "charset": tokenizer.charset(),
-        "template": asdict(tokenizer.template),
-    }
+    header = {"charset": tokenizer.charset(), "template": asdict(tokenizer.template)}
     header.update(header_extra or {})
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-    lines.extend(ex.to_json() for ex in examples)
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_jsonl(path, header, examples)
 
 
 def read_instruction_dataset(path):
-    examples = []
-    header = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if i == 0 and d.get("__header__"):
-                header = d
-            else:
-                examples.append(InstructionExample.from_dict(d))
+    header, examples = read_jsonl(path, InstructionExample)
     template = ChatTemplate(**header.get("template", {}))
     tokenizer = CharTokenizer(header.get("charset", ""), template)
     return examples, tokenizer, header
@@ -372,12 +351,8 @@ def train_lm(lm: CausalLM, token_seqs, steps: int, lr: float = 1e-3,
         raise ConfigError("train_lm needs sequences of at least two tokens")
     for step in range(steps):
         ids = seqs[rng.integers(len(seqs))]
-        logits = lm.forward_tokens(ids[:-1])
-        loss = T.cross_entropy(logits, ids[1:])
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        history.append((step + 1, loss.item()))
+        loss = train_step(opt, [T.cross_entropy(lm.forward_tokens(ids[:-1]), ids[1:])])
+        history.append((step + 1, loss))
     return history
 
 
@@ -538,18 +513,9 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
     for step in range(cfg.steps):
         picks = rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
                            replace=False)
-        losses = []
-        for i in picks:
-            features, ids, mask = prepared[i]
-            losses.append(fusion_loss(lm, aligner, features, ids, mask, tokenizer))
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = loss + extra
-        loss = loss / len(losses)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        history.append((step + 1, loss.item()))
+        loss = train_step(opt, [fusion_loss(lm, aligner, *prepared[i], tokenizer)
+                                for i in picks])
+        history.append((step + 1, loss))
     return history
 
 
@@ -568,8 +534,6 @@ class FusionModel(Module):
 
 def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
                 path, layer_sel=None, metadata_extra: dict | None = None) -> None:
-    from .nn import save_checkpoint
-
     meta = {
         "kind": "fusion",
         "lm_cfg": lm.cfg.to_json(),
@@ -586,18 +550,13 @@ def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
 
 def load_fusion(path):
     """Return (lm, aligner, tokenizer, layer_sel) from a fusion checkpoint."""
-    from .nn import load_checkpoint, read_checkpoint
-
-    _, meta = read_checkpoint(path)
-    if meta.get("kind") != "fusion":
-        raise ConfigError(f"checkpoint kind {meta.get('kind')!r} is not a fusion model")
+    arrays, meta = read_checkpoint(path, "fusion")
     lm = CausalLM(CausalLMConfig.from_json(meta["lm_cfg"]))
     aligner = SpeechAligner(
         int(meta["aligner_d_in"]), int(meta["aligner_d_lm"]),
         hidden=int(meta["aligner_hidden"]),
     )
-    bundle = FusionModel(lm, aligner)
-    load_checkpoint(path, bundle, strict=True)
+    load_arrays(FusionModel(lm, aligner), arrays)
     template = ChatTemplate(**json.loads(meta["template"]))
     tokenizer = CharTokenizer(meta["charset"], template)
     layer_sel = json.loads(meta["layer_sel"])

@@ -526,13 +526,7 @@ def test_criterion_11_report_fixtures_byte_exact():
              "report_rows_cot_translation")
     for stem in stems:
         raw = json.loads((FIXTURES / f"{stem}.json").read_text(encoding="utf-8"))
-        rows = []
-        for d in raw:
-            known = {k: d[k] for k in ("name", "wer", "cer", "chrf", "bs_f1")
-                     if k in d}
-            extra = {k: v for k, v in d.items()
-                     if k not in ("name", "wer", "cer", "chrf", "bs_f1")}
-            rows.append(MetricRow(extra=extra, **known))
+        rows = [MetricRow.from_dict(d) for d in raw]
         got = render_report(rows)
         want = (FIXTURES / f"expected_{stem}.txt").read_text(encoding="utf-8")
         assert got == want, f"{stem} drifted from frozen rendering"

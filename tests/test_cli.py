@@ -156,6 +156,40 @@ def test_report_renders_rows_file(tmp_path, capsys):
     assert "35.65" in out and "39.48" in out and "hours" in out
 
 
+@pytest.mark.parametrize("row, cause", [
+    ({"wer": 1.0}, "string 'name'"),
+    (["ours", 1.0], "not a JSON object"),
+    ({"name": "ours", "wer": "x"}, "wer must be a number"),
+])
+def test_report_bad_row_is_runtime_error_naming_its_index(tmp_path, capsys, row, cause):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([{"name": "fine", "wer": 2.0}, row]))
+    assert main(["report", "--rows", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} row 1: " in err and cause in err
+
+
+def test_eval_out_into_missing_directory_names_the_given_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("refs.txt", "hyps.txt"):
+        (tmp_path / name).write_text("waaw\n")
+    assert main(["eval", "--refs", "refs.txt", "--hyps", "hyps.txt",
+                 "--out", "nodir/x.json"]) == 2
+    err = capsys.readouterr().err
+    assert "nodir/x.json" in err and ".tmp" not in err
+
+
+def test_train_aligner_sft_example_without_final_is_runtime_error(tmp_path, capsys):
+    sft = tmp_path / "sft.jsonl"
+    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1]}
+    sft.write_text(json.dumps({"__header__": True, "charset": "ab"}) + "\n"
+                   + json.dumps(example) + "\n")
+    assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
+                 "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{sft} line 2: missing field(s) final" in err
+
+
 @pytest.fixture(scope="module")
 def manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("curated")

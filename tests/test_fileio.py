@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,9 +13,15 @@ from slmforge import fileio
 from slmforge.asr import Vocab
 from slmforge.audio import AudioBuffer, wav_bytes, write_wav
 from slmforge.cli import main
-from slmforge.curate import Manifest
+from slmforge.curate import Manifest, SegmentRecord
+from slmforge.errors import ConfigError
 from slmforge.nn import checkpoint_bytes, save_checkpoint
-from slmforge.slm import CharTokenizer, write_instruction_dataset
+from slmforge.slm import (
+    CharTokenizer,
+    InstructionExample,
+    read_instruction_dataset,
+    write_instruction_dataset,
+)
 
 OLD = b"old artifact bytes\n"
 
@@ -128,3 +135,91 @@ def test_writers_produce_the_same_bytes_as_their_serialisers(tmp_path):
     assert (tmp_path / "a.wav").read_bytes() == wav_bytes(buf)
     Vocab(["<blank>", "a", "é"]).to_file(tmp_path / "vocab.txt")
     assert (tmp_path / "vocab.txt").read_bytes() == "<blank>\na\né\n".encode("utf-8")
+
+
+def test_missing_directory_error_names_the_target_not_the_temp_file(tmp_path):
+    path = tmp_path / "nodir" / "x.json"
+    with pytest.raises(FileNotFoundError) as info:
+        with fileio.atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("{}")
+    assert info.value.filename == str(path)
+    assert ".tmp" not in str(info.value)
+    assert not (tmp_path / "nodir").exists()
+
+
+# ---------------------------------------------------------------------------
+# Header-JSONL: manifests and SFT sets
+
+
+RECORD = SegmentRecord("rec-é", "a.wav", 0.5, 3.25, "S0", 4.1, 16000, "waaw", None, "train")
+SECOND = SegmentRecord(**{**asdict(RECORD), "id": "b"})
+EXAMPLE = InstructionExample("rec-é", "transcribe", "<|user|>ab", [0, 1], "ab")
+
+
+def _write_manifest(path):
+    Manifest([RECORD, SECOND], {"v": 1, "name": "naïve"}).write(path)
+    return Manifest.read, "duration_s"
+
+
+def _write_sft(path):
+    write_instruction_dataset(path, [EXAMPLE, EXAMPLE], CharTokenizer("ab"), {"v": 1})
+    return read_instruction_dataset, "final"
+
+
+JSONL_WRITERS = {"manifest": _write_manifest, "sft": _write_sft}
+
+
+def _old_jsonl_bytes(header, rows):
+    """The serialisation both writers used before sharing fileio.write_jsonl."""
+    lines = [json.dumps(d, sort_keys=True, ensure_ascii=False)
+             for d in [header] + [asdict(r) for r in rows]]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_jsonl_writers_keep_their_bytes(tmp_path):
+    _write_manifest(tmp_path / "m.jsonl")
+    want = _old_jsonl_bytes({"__header__": True, "v": 1, "name": "naïve"}, [RECORD, SECOND])
+    assert (tmp_path / "m.jsonl").read_bytes() == want
+    _write_sft(tmp_path / "s.jsonl")
+    header = {"__header__": True, "charset": "ab", "v": 1,
+              "template": asdict(CharTokenizer("ab").template)}
+    assert (tmp_path / "s.jsonl").read_bytes() == _old_jsonl_bytes(header, [EXAMPLE] * 2)
+
+
+def _truncate_last(lines):
+    return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
+
+
+def _drop_field(key):
+    def edit(lines):
+        row = json.loads(lines[2])
+        del row[key]
+        return lines[:2] + [json.dumps(row)]
+    return edit
+
+
+@pytest.mark.parametrize("fmt", sorted(JSONL_WRITERS))
+@pytest.mark.parametrize("defect, line", [("truncated", 3), ("missing", 3),
+                                          ("not_object", 2)])
+def test_jsonl_readers_name_path_and_line_of_a_bad_line(tmp_path, fmt, defect, line):
+    path = tmp_path / "data.jsonl"
+    read, required = JSONL_WRITERS[fmt](path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit = {"truncated": _truncate_last, "missing": _drop_field(required),
+            "not_object": lambda ls: [ls[0], "[1, 2]", ls[2]]}[defect]
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"line {line}: ") as info:
+        read(path)
+    assert str(info.value).startswith(f"{path} line {line}: ")
+    if defect == "missing":
+        assert required in str(info.value)
+
+
+def test_manifest_reader_defaults_optional_fields_and_ignores_unknown_keys(tmp_path):
+    path = tmp_path / "m.jsonl"
+    row = {k: v for k, v in asdict(RECORD).items() if k not in ("translation", "split")}
+    path.write_text(json.dumps({"__header__": True, "v": 1}) + "\n\n"
+                    + json.dumps({**row, "extra": 5}) + "\n", encoding="utf-8")
+    back = Manifest.read(path)
+    assert back.header == {"v": 1}
+    assert back.records == [SegmentRecord(**{**row, "split": "unsplit"})]
