@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
-from .fileio import atomic_open
+from .fileio import atomic_open, parse_field
 from .metrics import wer
 from .nn import (Adam, Linear, Module, load_arrays, read_checkpoint, save_checkpoint,
                  train_step)
@@ -262,23 +262,22 @@ class NormalizationRules:
     lowercase: bool = True
     punctuation: str = DEFAULT_PUNCTUATION
     lexicon: dict = field(default_factory=dict)
-    language: str = "en"
 
 
-def load_lexicon(path, language: str = "en") -> NormalizationRules:
+def load_lexicon(path) -> NormalizationRules:
     """Load a digit-string -> words lexicon (plain JSON object)."""
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
     bad = [k for k in entries if not k.isdigit()]
     if bad:
         raise ConfigError(f"lexicon keys must be digit strings, got {bad[:3]}")
-    return NormalizationRules(lexicon=dict(entries), language=language)
+    return NormalizationRules(lexicon=dict(entries))
 
 
 def builtin_rules(language: str = "en") -> NormalizationRules:
     path = Path(__file__).parent / "data" / f"number_lexicon_{language}.json"
     if not path.exists():
         raise ConfigError(f"no built-in lexicon for language {language!r}")
-    return load_lexicon(path, language)
+    return load_lexicon(path)
 
 
 def _verbalize_run(run: str, lexicon: dict) -> str:
@@ -334,17 +333,9 @@ class CtcModel(Module):
         object.__setattr__(self, "vocab", vocab)
         self._freeze_pretrain_only()
 
-    def _pretrain_only(self):
-        for name, p in self.encoder.named_parameters():
-            if name == "mask_embed" or name.startswith("head."):
-                yield p
-
     def _freeze_pretrain_only(self):
-        for p in self._pretrain_only():
-            p.freeze()
-
-    def freeze_encoder(self):
-        self.encoder.freeze()
+        self.encoder.mask_embed.freeze()
+        self.encoder.head.freeze()
 
     def unfreeze_encoder(self):
         self.encoder.unfreeze()
@@ -357,11 +348,7 @@ class CtcModel(Module):
     def transcribe(self, features: np.ndarray, beam_width: int = 1) -> str:
         with T.no_grad():
             lattice = self.log_probs(features)
-        if beam_width <= 1:
-            ids = ctc_greedy_decode(lattice)
-        else:
-            ids = ctc_beam_decode(lattice, beam_width)
-        return self.vocab.decode(ids)
+        return self.vocab.decode(ctc_beam_decode(lattice, beam_width))
 
 
 def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) -> None:
@@ -378,9 +365,11 @@ def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) ->
 def load_asr_model(path) -> CtcModel:
     arrays, meta = read_checkpoint(path, "asr")
     encoder = SpeechEncoder(
-        SpeechEncoderConfig.from_json(meta["encoder_cfg"]), int(meta["n_classes"])
+        parse_field(path, meta, "encoder_cfg", SpeechEncoderConfig.from_json),
+        parse_field(path, meta, "n_classes", int),
     )
-    model = CtcModel(encoder, Vocab(json.loads(meta["vocab"])))
+    model = CtcModel(encoder, parse_field(path, meta, "vocab",
+                                          lambda v: Vocab(json.loads(v))))
     load_arrays(model, arrays)
     return model
 
@@ -417,7 +406,7 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
     opt = Adam(model, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     if cfg.freeze_encoder_steps > 0:
-        model.freeze_encoder()
+        model.encoder.freeze()
 
     history = []
     step = 0

@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 ``pretrain``, ``finetune-asr`` and ``train-aligner`` read a flat JSON
 ``--config`` whose keys are listed per subcommand in ``CONFIG_KEYS``; each
 key sets one dataclass field, whose default applies when the key is absent,
-and any other key is an error. The training subcommands take their seed from
+and any other key, or a value whose JSON type does not fit the field, is an
+error. The training subcommands take their seed from
 ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing subcommand
 embeds the fully resolved config and its hash in the output, so identical
 config + seed reproduce outputs byte-for-byte.
@@ -20,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -79,8 +81,19 @@ CONFIG_KEYS = {
 }
 
 
+# JSON name and exact JSON value types that fit a field of each annotated type
+_JSON_TYPES = {
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    str: ("string", (str,)),
+    tuple: ("array", (list,)),
+    type(None): ("null", (type(None),)),
+}
+
+
 def _config_fields(args) -> dict:
-    """Read ``args.config`` into {dataclass: {field: value}}, rejecting unknown keys."""
+    """Read ``args.config`` into {dataclass: {field: value}}, rejecting unknown
+    keys and values of the wrong JSON type; valid values are kept as given."""
     keys = CONFIG_KEYS[args.command]
     fields_by_class = {cls: {} for cls, _ in keys.values()}
     if args.config is None:
@@ -99,6 +112,13 @@ def _config_fields(args) -> dict:
         )
     for key, value in raw.items():
         cls, name = keys[key]
+        # exact types: a bool is no integer, and null fits only a None default
+        hint = typing.get_type_hints(cls)[name]
+        kinds = [_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,)]
+        if not any(type(value) in types for _, types in kinds):
+            expected = " or ".join(json_name for json_name, _ in kinds)
+            raise ConfigError(f"config {args.config}: {key!r} must be {expected}, "
+                              f"got {json.dumps(value)}")
         fields_by_class[cls][name] = value
     return fields_by_class
 
@@ -144,7 +164,7 @@ def cmd_curate(args) -> int:
     overrides = _config_fields(args)[PipelineConfig]
     if args.sample_rate is not None:
         overrides["sample_rate"] = args.sample_rate
-    manifest = run_pipeline(args.paths, PipelineConfig(**overrides), jobs=args.jobs)
+    manifest = run_pipeline(args.paths, PipelineConfig(**overrides))
     manifest.write(args.out)
     h = manifest.header
     print(
@@ -183,7 +203,7 @@ def cmd_finetune_asr(args) -> int:
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
 
-    rules = (asr_mod.load_lexicon(args.lexicon, args.language) if args.lexicon
+    rules = (asr_mod.load_lexicon(args.lexicon) if args.lexicon
              else asr_mod.builtin_rules(args.language))
     train, heldout = [], []
     for rec, features in _records_with_audio(manifest, spectral):
@@ -239,7 +259,6 @@ def cmd_train_aligner(args) -> int:
     encoder = load_encoder(args.encoder)
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
-    by_id = {rec.id: rec for rec in manifest.records}
 
     feature_cache = {}
     for rec, features in _records_with_audio(manifest, spectral):
@@ -248,7 +267,7 @@ def cmd_train_aligner(args) -> int:
         )
     pairs = []
     for ex in examples:
-        if ex.audio_id not in by_id:
+        if ex.audio_id not in feature_cache:
             raise ConfigError(f"sft example references unknown audio id {ex.audio_id!r}")
         pairs.append((feature_cache[ex.audio_id], ex))
 
@@ -287,10 +306,9 @@ def cmd_infer(args) -> int:
     encoder = load_encoder(args.encoder)
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     features = _wav_features(args.wav, args.sample_rate, spectral)
-    result = slm_mod.generate_from_encoder(
-        lm, aligner, encoder, features.data, mode, tokenizer,
-        max_tokens=args.max_tokens, layer_sel=layer_sel,
-    )
+    speech = slm_mod.extract_multilayer_features(encoder, features.data, layer_sel)
+    result = slm_mod.generate(lm, aligner, speech, mode, tokenizer,
+                              max_tokens=args.max_tokens)
     parsed = slm_mod.parse_cot_output(result.text, mode)
     looping = slm_mod.detect_repetition_loop(result.text)
     print(f"RAW: {result.text!r}")
@@ -321,7 +339,7 @@ def cmd_eval(args) -> int:
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"
         )
     if not args.no_normalize:
-        rules = (asr_mod.load_lexicon(args.lexicon, args.language) if args.lexicon
+        rules = (asr_mod.load_lexicon(args.lexicon) if args.lexicon
                  else asr_mod.builtin_rules(args.language))
         refs = [asr_mod.normalize_text(t, rules) for t in refs]
         hyps = [asr_mod.normalize_text(t, rules) for t in hyps]
@@ -388,7 +406,6 @@ def build_parser() -> _Parser:
         config_flag(p)
 
     p = sub.add_parser("curate", help="filter raw audio into a manifest of utterances")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     config_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--sample-rate", type=int, default=None)

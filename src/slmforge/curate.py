@@ -3,8 +3,8 @@ filtering, and the manifest of surviving utterances.
 
 Stage order per input file: separate -> VAD -> diarize -> cut spans into
 candidate segments (hard-splitting anything over the duration ceiling) ->
-score -> filter. Stages are pure, so files can be fanned out to a worker
-pool; results are merged back in input order to keep output deterministic.
+score -> filter. Files run one after another in input order, so the
+manifest is byte-deterministic for given inputs and config.
 
 Separation and quality scoring are pluggable: a deterministic built-in
 proxy, or an external subprocess that reads WAV on stdin and writes WAV
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -472,25 +471,15 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
     return records, None
 
 
-def run_pipeline(input_paths, cfg: PipelineConfig = PipelineConfig(),
-                 jobs: int = 1) -> Manifest:
+def run_pipeline(input_paths, cfg: PipelineConfig = PipelineConfig()) -> Manifest:
     """Run the full curation pipeline over input WAV paths.
 
     Unreadable files become manifest-level warnings rather than failures.
-    Output order is (input order, span order) regardless of ``jobs``, and is
-    byte-deterministic for a given (inputs, config).
+    Output order is (input order, span order), byte-deterministic for a
+    given (inputs, config).
     """
     input_paths = [str(p) for p in input_paths]
-    if jobs > 1 and len(input_paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda args: _process_file(args[0], args[1], cfg),
-                    enumerate(input_paths),
-                )
-            )
-    else:
-        results = [_process_file(i, p, cfg) for i, p in enumerate(input_paths)]
+    results = [_process_file(i, p, cfg) for i, p in enumerate(input_paths)]
 
     warnings = []
     candidates = []

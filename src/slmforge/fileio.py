@@ -1,6 +1,7 @@
-"""Artifact writes that never leave a half-written file behind, and the
-header-JSONL format of manifests and instruction (SFT) sets: one JSON object
-per line with sorted keys, line 1 a header tagged ``"__header__": true``."""
+"""Artifact writes that never leave a half-written file behind, the
+header-JSONL format of manifests and instruction (SFT) sets (one JSON object
+per line with sorted keys, line 1 a header tagged ``"__header__": true``),
+and the one reader of a keyed value in checkpoint metadata or a header."""
 
 from __future__ import annotations
 
@@ -85,3 +86,17 @@ def read_jsonl(path, row_type):
                 raise ConfigError(f"{path} line {n}: missing field(s) {', '.join(missing)}")
             rows.append(row_type(**{k: v for k, v in d.items() if k in known}))
     return header, rows
+
+
+def parse_field(path, record: dict, key: str, parse, default=MISSING):
+    """``parse(record[key])``, or ``default`` (if given) for an absent key. A
+    missing key without a default, or a value ``parse`` rejects with
+    TypeError or ValueError, is a ConfigError naming ``path`` and ``key``."""
+    if key not in record:
+        if default is MISSING:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        return default
+    try:
+        return parse(record[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None

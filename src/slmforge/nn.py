@@ -1,10 +1,10 @@
 """Parameter/module tree, neural layers, Adam, the training step, and
 checkpoint serialization.
 
-Parameters carry a ``frozen`` flag: frozen parameters receive no gradients
-and are never touched by the optimizer, which is how encoder/LM freezing
-during fusion training is enforced. Every trainer updates its weights
-through ``train_step``.
+A parameter's ``requires_grad`` is its only trainability flag: ``freeze``
+clears it, so the parameter receives no gradients and the optimizer skips
+it, which is how encoder/LM freezing during fusion training is enforced.
+Every trainer updates its weights through ``train_step``.
 
 Checkpoint byte layout (little-endian throughout):
 
@@ -13,7 +13,7 @@ Checkpoint byte layout (little-endian throughout):
     n_meta  u32      then n_meta x (key, value) strings, each u32 length + UTF-8
     n_tens  u32      then the tensor directory:
                        name   u32 length + UTF-8
-                       dtype  u8   (0 = float64, 1 = float32)
+                       dtype  u8   (0 = float64, the only code)
                        rank   u8
                        dims   rank x u32
     payload          raw little-endian tensor bytes, directory order
@@ -35,24 +35,25 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SLMF"
 CHECKPOINT_VERSION = 1
-_DTYPE_CODES = {0: "<f8", 1: "<f4"}
+_DTYPE_CODES = {0: "<f8"}
 
 
 class Parameter(Tensor):
-    __slots__ = ("frozen",)
+    """A trainable leaf tensor; ``freeze``/``unfreeze`` set ``requires_grad``
+    and clear any gradient."""
 
-    def __init__(self, data, frozen: bool = False):
-        super().__init__(data, requires_grad=not frozen)
-        self.frozen = frozen
+    __slots__ = ()
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
     def freeze(self):
-        self.frozen = True
         self.requires_grad = False
         self.grad = None
 
     def unfreeze(self):
-        self.frozen = False
         self.requires_grad = True
+        self.grad = None
 
 
 class Module:
@@ -98,9 +99,6 @@ class Module:
 
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
 
 class ModuleList(Module):
@@ -252,7 +250,8 @@ class TransformerLayer(Module):
 
 
 class Adam:
-    """Bias-corrected Adam over a module tree; frozen parameters are skipped.
+    """Bias-corrected Adam over a module tree; parameters without
+    ``requires_grad`` are skipped.
 
     Update: m_hat = m / (1 - b1^t); v_hat = v / (1 - b2^t);
     p -= lr * m_hat / (sqrt(v_hat) + eps). A fresh state has m = v = 0, t = 0.
@@ -277,10 +276,10 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.module.named_parameters():
-            if p.frozen:
+            if not p.requires_grad:
                 continue
             if p.grad is None:
-                raise GraphError(f"missing grad on non-frozen parameter '{name}'")
+                raise GraphError(f"missing grad on trainable parameter '{name}'")
             m = self._m.get(name)
             if m is None:
                 m = self._m[name] = np.zeros_like(p.data)
@@ -350,16 +349,12 @@ def checkpoint_bytes(arrays: dict, metadata: dict | None = None) -> bytes:
     payloads = []
     for name, arr in arrays.items():
         arr = np.asarray(arr)
-        if arr.dtype == np.float64:
-            code, dt = 0, "<f8"
-        elif arr.dtype == np.float32:
-            code, dt = 1, "<f4"
-        else:
+        if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for tensor '{name}'")
         parts.append(_pack_str(name))
-        parts.append(struct.pack("<BB", code, arr.ndim))
+        parts.append(struct.pack("<BB", 0, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        payloads.append(arr.astype(dt).tobytes())
+        payloads.append(arr.astype("<f8").tobytes())
     return b"".join(parts) + b"".join(payloads)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .audio import FeatureMatrix, mfcc
 from .errors import ConfigError, GraphError
+from .fileio import parse_field
 from .nn import (
     Adam,
     Conv1d,
@@ -50,7 +51,6 @@ log = logging.getLogger(__name__)
 class Codebook:
     centroids: np.ndarray
     kind: str = "mfcc"
-    iters: int = 0
     inertia: float = 0.0
 
     def __post_init__(self):
@@ -61,31 +61,8 @@ class Codebook:
             raise ValueError("centroids contain non-finite values")
 
     @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-    def save(self, path) -> None:
-        meta = {
-            "kind": "codebook",
-            "feature_kind": self.kind,
-            "iters": str(self.iters),
-            "inertia": repr(self.inertia),
-        }
-        save_checkpoint({"centroids": self.centroids}, path, meta)
-
-    @classmethod
-    def load(cls, path) -> "Codebook":
-        arrays, meta = read_checkpoint(path, "codebook")
-        return cls(
-            arrays["centroids"].astype(np.float64),
-            kind=meta.get("feature_kind", "mfcc"),
-            iters=int(meta.get("iters", "0")),
-            inertia=float(meta.get("inertia", "0.0")),
-        )
 
 
 def _pairwise_sq_dist(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -126,15 +103,13 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0,
 
     labels = None
     inertia = float(closest.sum())
-    done = 0
-    for it in range(iters):
+    for _ in range(iters):
         dists = _pairwise_sq_dist(features, centroids)
         new_labels = dists.argmin(axis=1)
         inertia = float(dists[np.arange(n), new_labels].sum())
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        done = it + 1
         for j in range(k):
             members = labels == j
             if members.any():
@@ -142,7 +117,7 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0,
             else:
                 worst = int(dists[np.arange(n), labels].argmax())
                 centroids[j] = features[worst]
-    return Codebook(centroids, kind=kind, iters=done, inertia=inertia)
+    return Codebook(centroids, kind=kind, inertia=inertia)
 
 
 def assign_labels(codebook: Codebook, features: np.ndarray) -> np.ndarray:
@@ -229,10 +204,6 @@ class SpeechEncoder(Module):
         self.final_norm = LayerNorm(cfg.dim)
         self.head = Linear(cfg.dim, n_classes, rng)
 
-    @property
-    def total_stride(self) -> int:
-        return self.cfg.conv_stride
-
     def output_len(self, t_in: int) -> int:
         if t_in < self.cfg.conv_kernel:
             return 0
@@ -282,8 +253,10 @@ def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = Non
 
 def load_encoder(path) -> SpeechEncoder:
     arrays, meta = read_checkpoint(path, "encoder")
-    cfg = SpeechEncoderConfig.from_json(meta["encoder_cfg"])
-    encoder = SpeechEncoder(cfg, int(meta["n_classes"]))
+    encoder = SpeechEncoder(
+        parse_field(path, meta, "encoder_cfg", SpeechEncoderConfig.from_json),
+        parse_field(path, meta, "n_classes", int),
+    )
     load_arrays(encoder, arrays)
     return encoder
 

@@ -3,7 +3,8 @@ chain-of-thought instruction data, generation, and output parsing.
 
 Speech enters the LM as a block of aligner-projected embeddings spliced in
 place of a single audio-placeholder token; the fused sequence is therefore
-text_tokens - 1 + T' positions long. During fusion training the encoder and
+text_tokens - 1 + T' positions long, and ``_fused_sequence`` builds it for
+both the fusion loss and generation. During fusion training the encoder and
 LM stay frozen and the loss covers assistant-completion tokens only.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import parse_field, read_jsonl, write_jsonl
 from .nn import (
     Adam,
     Embedding,
@@ -172,10 +173,6 @@ def identity_phonemizer(text: str) -> str:
     return text
 
 
-def identity_paraphraser(text: str) -> str:
-    return text
-
-
 def rule_table_phonemizer(table: dict):
     """Grapheme -> phoneme rewriting by longest-match table lookup."""
 
@@ -199,20 +196,20 @@ def rule_table_phonemizer(table: dict):
 
 def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTemplate(),
                               tokenizer: CharTokenizer | None = None,
-                              phonemizer=None, paraphraser=None):
+                              phonemizer=None):
     """Render one InstructionExample per record x mode.
 
     Records missing a field a mode requires are skipped with a logged
     reason, never fatally. Returns (examples, tokenizer, skipped); the
-    tokenizer is built from the rendered texts when not supplied.
+    tokenizer is built from the rendered texts when not supplied. The
+    paraphrase step restates the transcript as it is.
     """
     phonemizer = phonemizer or identity_phonemizer
-    paraphraser = paraphraser or identity_paraphraser
     step_tools = {
         "phonemize": lambda rec: phonemizer(rec.transcript),
         "translate": lambda rec: rec.translation,
         "transcribe": lambda rec: rec.transcript,
-        "paraphrase": lambda rec: paraphraser(rec.transcript),
+        "paraphrase": lambda rec: rec.transcript,
     }
 
     rendered = []
@@ -266,8 +263,10 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 
 def read_instruction_dataset(path):
     header, examples = read_jsonl(path, InstructionExample)
-    template = ChatTemplate(**header.get("template", {}))
-    tokenizer = CharTokenizer(header.get("charset", ""), template)
+    template = parse_field(path, header, "template", lambda t: ChatTemplate(**t),
+                           ChatTemplate())
+    tokenizer = parse_field(path, header, "charset", lambda c: CharTokenizer(c, template),
+                            CharTokenizer("", template))
     return examples, tokenizer, header
 
 
@@ -382,9 +381,6 @@ class SpeechAligner(Module):
             )
         return self.fc2(T.relu(self.fc1(x)))
 
-    def __call__(self, features) -> Tensor:
-        return self.align(features)
-
 
 def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray,
                                 layer_sel=None) -> np.ndarray:
@@ -404,13 +400,22 @@ def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray,
     return np.concatenate([states[layer].data for layer in layer_sel], axis=1)
 
 
-def _splice_positions(ids, placeholder_id: int):
+def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int, tail=()):
+    """Return ([embed(before), speech, embed(after + tail)], placeholder
+    position) for the one audio placeholder in ``ids``, empty text parts left
+    out. ``tail`` (generated tokens) is not searched for a placeholder."""
     positions = [i for i, t in enumerate(ids) if t == placeholder_id]
     if len(positions) != 1:
         raise GraphError(
             f"example must contain exactly one audio placeholder, found {len(positions)}"
         )
-    return positions[0]
+    p = positions[0]
+    before, after = ids[:p], ids[p + 1 :] + list(tail)
+    parts = [lm.embed(np.asarray(before, dtype=np.int64))] if before else []
+    parts.append(speech)
+    if after:
+        parts.append(lm.embed(np.asarray(after, dtype=np.int64)))
+    return T.concat(parts, axis=0), p
 
 
 def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
@@ -429,16 +434,10 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     loss_mask = list(loss_mask)
     if len(ids) != len(loss_mask):
         raise GraphError("ids and loss_mask lengths differ")
-    placeholder = tokenizer.token_id(tokenizer.template.audio_marker)
-    p = _splice_positions(ids, placeholder)
-
     speech = aligner.align(speech_features)
     t_prime = speech.data.shape[0]
-    before = lm.embed(np.asarray(ids[:p], dtype=np.int64)) if p else None
-    after_ids = np.asarray(ids[p + 1 :], dtype=np.int64)
-    after = lm.embed(after_ids) if len(after_ids) else None
-    parts = [x for x in (before, speech, after) if x is not None]
-    fused = T.concat(parts, axis=0)
+    fused, p = _fused_sequence(lm, speech, ids,
+                               tokenizer.token_id(tokenizer.template.audio_marker))
     logits = lm.forward_embeddings(fused)
 
     targets = list(targets_override) if targets_override is not None else ids
@@ -458,24 +457,6 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     picked = T.embedding_lookup(logits, np.asarray(rows, dtype=np.int64))
     return T.cross_entropy(picked, np.asarray(target_ids, dtype=np.int64),
                            np.asarray(mask, dtype=np.float64))
-
-
-def fusion_loss_on_example(lm: CausalLM, aligner: SpeechAligner,
-                           encoder: SpeechEncoder, example: InstructionExample,
-                           encoder_input: np.ndarray, tokenizer: CharTokenizer,
-                           layer_sel=None) -> Tensor:
-    """Fusion loss straight from encoder-input features for one example."""
-    speech = extract_multilayer_features(encoder, encoder_input, layer_sel)
-    return fusion_loss(lm, aligner, speech, tokenizer.encode(example.text),
-                       example.loss_mask, tokenizer)
-
-
-def generate_from_encoder(lm: CausalLM, aligner: SpeechAligner,
-                          encoder: SpeechEncoder, encoder_input: np.ndarray,
-                          mode: str, tokenizer: CharTokenizer,
-                          max_tokens: int = 200, layer_sel=None) -> "GenerationResult":
-    speech = extract_multilayer_features(encoder, encoder_input, layer_sel)
-    return generate(lm, aligner, speech, mode, tokenizer, max_tokens)
 
 
 @dataclass
@@ -500,9 +481,9 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
     speech features precomputed by extract_multilayer_features. Returns a
     history of (step, loss).
     """
-    frozen = [name for name, p in lm.named_parameters() if not p.frozen]
-    if frozen:
-        raise ConfigError(f"LM must be frozen during fusion training: {frozen[:3]}")
+    trainable = [name for name, p in lm.named_parameters() if p.requires_grad]
+    if trainable:
+        raise ConfigError(f"LM must be frozen during fusion training: {trainable[:3]}")
     prepared = []
     for features, ex in examples:
         prepared.append((np.asarray(features), tokenizer.encode(ex.text), ex.loss_mask))
@@ -551,16 +532,14 @@ def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
 def load_fusion(path):
     """Return (lm, aligner, tokenizer, layer_sel) from a fusion checkpoint."""
     arrays, meta = read_checkpoint(path, "fusion")
-    lm = CausalLM(CausalLMConfig.from_json(meta["lm_cfg"]))
-    aligner = SpeechAligner(
-        int(meta["aligner_d_in"]), int(meta["aligner_d_lm"]),
-        hidden=int(meta["aligner_hidden"]),
-    )
+    lm = CausalLM(parse_field(path, meta, "lm_cfg", CausalLMConfig.from_json))
+    aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int),
+                            parse_field(path, meta, "aligner_d_lm", int),
+                            hidden=parse_field(path, meta, "aligner_hidden", int))
     load_arrays(FusionModel(lm, aligner), arrays)
-    template = ChatTemplate(**json.loads(meta["template"]))
-    tokenizer = CharTokenizer(meta["charset"], template)
-    layer_sel = json.loads(meta["layer_sel"])
-    return lm, aligner, tokenizer, layer_sel
+    template = parse_field(path, meta, "template", lambda t: ChatTemplate(**json.loads(t)))
+    tokenizer = parse_field(path, meta, "charset", lambda c: CharTokenizer(c, template))
+    return lm, aligner, tokenizer, parse_field(path, meta, "layer_sel", json.loads)
 
 
 @dataclass
@@ -585,20 +564,13 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
     prompt_ids = tokenizer.encode(prompt)
     placeholder = tokenizer.token_id(template.audio_marker)
     end_id = tokenizer.token_id(template.end_marker)
-    p = _splice_positions(prompt_ids, placeholder)
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        before = lm.embed(np.asarray(prompt_ids[:p], dtype=np.int64))
-        after_ids = list(prompt_ids[p + 1 :])
         generated = []
         truncated = True
         for _ in range(max_tokens):
-            parts = [before, speech]
-            tail = after_ids + generated
-            if tail:
-                parts.append(lm.embed(np.asarray(tail, dtype=np.int64)))
-            fused = T.concat(parts, axis=0)
+            fused, _ = _fused_sequence(lm, speech, prompt_ids, placeholder, generated)
             logits = lm.forward_embeddings(fused)
             nxt = int(np.argmax(logits.data[-1]))
             if nxt == end_id:

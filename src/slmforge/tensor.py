@@ -228,10 +228,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), backward, "concat")
 
 
-def concat_last_dim(tensors) -> Tensor:
-    return concat(tensors, axis=-1)
-
-
 def tsum(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
 
@@ -239,16 +235,6 @@ def tsum(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(grad, a.data.shape).copy())
 
     return _make(out, (a,), backward, "sum")
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def backward(grad):
-        _accumulate(a, np.broadcast_to(grad / n, a.data.shape).copy())
-
-    return _make(out, (a,), backward, "mean")
 
 
 # ---------------------------------------------------------------------------

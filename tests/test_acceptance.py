@@ -53,7 +53,6 @@ from slmforge.slm import (
     build_instruction_dataset,
     extract_multilayer_features,
     fusion_loss,
-    fusion_loss_on_example,
     generate,
     lm_stand_in_sequences,
     parse_cot_output,
@@ -132,7 +131,7 @@ def test_criterion_02_autodiff_suite():
         "transpose": lambda rng: ([u(rng, 3, 4)], lambda a: T.transpose(a, (1, 0))),
         "reshape": lambda rng: ([u(rng, 3, 4)], lambda a: T.reshape(a, (2, 6))),
         "concat_last_dim": lambda rng: (
-            [u(rng, 3, 2), u(rng, 3, 3)], lambda a, b: T.concat_last_dim([a, b])),
+            [u(rng, 3, 2), u(rng, 3, 3)], lambda a, b: T.concat([a, b], axis=-1)),
         "softmax": lambda rng: ([u(rng, 4, 5)], T.softmax),
         "log_softmax": lambda rng: ([u(rng, 4, 5)], T.log_softmax),
         "relu": lambda rng: ([_away_from_kink(u(rng, 4, 5))], T.relu),
@@ -316,8 +315,8 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
     opt = Adam(bundle, lr=1e-3)
     for step in range(100):
         ex = examples[step % len(examples)]
-        loss = fusion_loss_on_example(lm, aligner, encoder, ex,
-                                      feats[ex.audio_id], tok)
+        speech = extract_multilayer_features(encoder, feats[ex.audio_id])
+        loss = fusion_loss(lm, aligner, speech, tok.encode(ex.text), ex.loss_mask, tok)
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, subcommand wiring, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -10,10 +11,17 @@ import pytest
 from conftest import cli_env
 
 from slmforge.audio import SpectralConfig, write_wav
-from slmforge.cli import main
+from slmforge.asr import CtcModel, Vocab, save_asr_model
+from slmforge.cli import _config_fields, main
 from slmforge.config import config_hash
-from slmforge.nn import read_checkpoint
-from slmforge.pretrain import PretrainConfig, SpeechEncoderConfig
+from slmforge.nn import read_checkpoint, save_checkpoint
+from slmforge.pretrain import (
+    MaskSpec,
+    PretrainConfig,
+    SpeechEncoder,
+    SpeechEncoderConfig,
+    save_encoder,
+)
 from slmforge.synth import concat_buffers, silence, sine
 
 ALL_COMMANDS = (
@@ -190,6 +198,53 @@ def test_train_aligner_sft_example_without_final_is_runtime_error(tmp_path, caps
     assert f"{sft} line 2: missing field(s) final" in err
 
 
+def _encoder_checkpoint(path, edit):
+    """An encoder checkpoint whose metadata ``edit`` has changed."""
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3), path)
+    arrays, meta = read_checkpoint(path)
+    edit(meta)
+    save_checkpoint(arrays, path, meta)
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda meta: meta.pop("encoder_cfg"), "missing key 'encoder_cfg'"),
+    (lambda meta: meta.pop("n_classes"), "missing key 'n_classes'"),
+    (lambda meta: meta.update(encoder_cfg='{"foo": 1}'), "bad value for 'encoder_cfg'"),
+])
+def test_finetune_asr_bad_encoder_metadata_is_runtime_error(tmp_path, capsys, edit, cause):
+    enc = tmp_path / "enc.ckpt"
+    _encoder_checkpoint(enc, edit)
+    assert main(["finetune-asr", "--manifest", "none.jsonl", "--encoder", str(enc),
+                 "--out", str(tmp_path / "asr.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{enc}: {cause}" in err
+
+
+@pytest.mark.parametrize("template", [{"foo": 1}, "plain", ["<|user|>"]])
+def test_train_aligner_sft_bad_template_is_runtime_error(tmp_path, capsys, template):
+    sft = tmp_path / "sft.jsonl"
+    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1],
+               "final": "ab"}
+    sft.write_text(json.dumps({"__header__": True, "charset": "ab", "template": template})
+                   + "\n" + json.dumps(example) + "\n")
+    assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
+                 "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{sft}: bad value for 'template'" in err
+
+
+@pytest.mark.parametrize("beam", ["0", "-1"])
+def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
+    ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
+    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
+                                                dim=8, n_layers=1), 3)
+    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt)
+    _speechy(wav, bursts=3)
+    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
+                 "--beam", beam]) == 2
+    assert f"beam_width must be >= 1, got {beam}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("curated")
@@ -251,8 +306,44 @@ def test_misspelt_config_key_is_runtime_error_naming_it(tmp_path, capsys, comman
     assert repr(key) in capsys.readouterr().err
 
 
+# (key, value, expected JSON type) per training subcommand
+BAD_TYPES = {
+    "pretrain": [("epochs", "3", "integer"), ("epochs", True, "integer"),
+                 ("epochs", None, "integer"), ("lr", "0.1", "number"),
+                 ("refresh_schedule", 3, "array or null"),
+                 ("max_steps", 1.0, "integer or null")],
+    "finetune-asr": [("steps", "3", "integer"), ("lr", False, "number"),
+                     ("batch_size", [2], "integer")],
+    "train-aligner": [("steps", "3", "integer"), ("aligner_hidden", "8", "integer or null"),
+                      ("d_lm", 16.0, "integer")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_TYPES))
+def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
+        tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    for key, value, expected in BAD_TYPES[command]:
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfg), *NEEDED_ARGS[command]]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} must be {expected}, got {json.dumps(value)}" in err
+
+
+def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    given = {"epochs": 2, "lr": 1, "batch_seconds": 2.5, "refresh_schedule": [1],
+             "max_steps": None, "mask_prob": 0}
+    cfg.write_text(json.dumps(given))
+    got = _config_fields(argparse.Namespace(command="pretrain", config=str(cfg)))
+    merged = {**got[PretrainConfig], **got[MaskSpec]}
+    assert merged == given
+    assert [type(merged[k]) for k in given] == [type(v) for v in given.values()]
+
+
 @pytest.mark.parametrize("argv", [
     ["transcribe", "--jobs", "2", "--ckpt", "asr.ckpt", "--wav", "in.wav"],
+    ["curate", "--jobs", "2", "--out", "m.jsonl", "in.wav"],
     ["eval", "--seed", "1", "--refs", "refs.txt", "--hyps", "hyps.txt"],
     ["curate", "--seed", "1", "--out", "m.jsonl", "in.wav"],
     ["curate", "--deterministic", "--out", "m.jsonl", "in.wav"],

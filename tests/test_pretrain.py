@@ -112,16 +112,6 @@ def test_assign_labels_dim_mismatch():
         assign_labels(Codebook(np.zeros((2, 3))), np.zeros((4, 5)))
 
 
-def test_codebook_round_trip(tmp_path):
-    book = Codebook(np.random.default_rng(0).standard_normal((4, 6)),
-                    kind="mfcc", iters=3, inertia=1.25)
-    path = tmp_path / "book.ckpt"
-    book.save(path)
-    back = Codebook.load(path)
-    assert np.array_equal(back.centroids, book.centroids)
-    assert back.kind == "mfcc" and back.iters == 3 and back.inertia == 1.25
-
-
 # ---------------------------------------------------------------------------
 # Masking
 

@@ -8,8 +8,11 @@ from conftest import finite_diff_grad, max_rel_error
 from slmforge.curate import SegmentRecord
 from slmforge.errors import ConfigError, GraphError
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
+from slmforge import tensor as T
 from slmforge.slm import (
+    _MODE_TABLE,
     MODES,
+    _fused_sequence,
     CausalLM,
     CausalLMConfig,
     CharTokenizer,
@@ -21,7 +24,6 @@ from slmforge.slm import (
     detect_repetition_loop,
     extract_multilayer_features,
     fusion_loss,
-    fusion_loss_on_example,
     generate,
     load_fusion,
     parse_cot_output,
@@ -309,8 +311,139 @@ def test_fusion_loss_on_example_runs_through_encoder():
     lm.freeze()
     aligner = SpeechAligner(2 * 16, 16, hidden=8, seed=2)
     feats = np.random.default_rng(3).standard_normal((20, 8))
-    loss = fusion_loss_on_example(lm, aligner, enc, examples[0], feats, tok)
+    speech = extract_multilayer_features(enc, feats)
+    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text),
+                       examples[0].loss_mask, tok)
     assert np.isfinite(loss.item())
+
+
+# ---------------------------------------------------------------------------
+# The fused-sequence builder against the two assemblies it replaced
+
+
+def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer):
+    """fusion_loss as it assembled the fused sequence before _fused_sequence."""
+    ids = list(ids)
+    loss_mask = list(loss_mask)
+    placeholder = tokenizer.token_id(tokenizer.template.audio_marker)
+    positions = [i for i, t in enumerate(ids) if t == placeholder]
+    assert len(positions) == 1
+    p = positions[0]
+    speech = aligner.align(speech_features)
+    t_prime = speech.data.shape[0]
+    before = lm.embed(np.asarray(ids[:p], dtype=np.int64)) if p else None
+    after_ids = np.asarray(ids[p + 1 :], dtype=np.int64)
+    after = lm.embed(after_ids) if len(after_ids) else None
+    parts = [x for x in (before, speech, after) if x is not None]
+    logits = lm.forward_embeddings(T.concat(parts, axis=0))
+    rows, target_ids, mask = [], [], []
+    for j in range(1, len(ids)):
+        if j == p:
+            continue
+        rows.append((j if j < p else j + t_prime - 1) - 1)
+        target_ids.append(ids[j])
+        mask.append(loss_mask[j])
+    picked = T.embedding_lookup(logits, np.asarray(rows, dtype=np.int64))
+    return T.cross_entropy(picked, np.asarray(target_ids, dtype=np.int64),
+                           np.asarray(mask, dtype=np.float64))
+
+
+def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
+    """One step of generate's loop before _fused_sequence."""
+    p = prompt_ids.index(placeholder)
+    parts = [lm.embed(np.asarray(prompt_ids[:p], dtype=np.int64)), speech]
+    tail = list(prompt_ids[p + 1 :]) + generated
+    if tail:
+        parts.append(lm.embed(np.asarray(tail, dtype=np.int64)))
+    return lm.forward_embeddings(T.concat(parts, axis=0))
+
+
+def _reference_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
+    """generate's loop before _fused_sequence."""
+    template = tokenizer.template
+    prompt_ids = tokenizer.encode(f"{template.user_marker}{template.audio_marker} "
+                                  f"{_MODE_TABLE[mode][0]}{template.assistant_marker}")
+    placeholder = tokenizer.token_id(template.audio_marker)
+    end_id = tokenizer.token_id(template.end_marker)
+    with T.no_grad():
+        speech = aligner.align(np.asarray(speech_features))
+        generated, truncated = [], True
+        for _ in range(max_tokens):
+            logits = _reference_generate_logits(lm, speech, prompt_ids, placeholder,
+                                                generated)
+            nxt = int(np.argmax(logits.data[-1]))
+            if nxt == end_id:
+                truncated = False
+                break
+            generated.append(nxt)
+    return tokenizer.decode(generated), truncated
+
+
+def _loss_and_aligner_grads(loss_fn, aligner, *args):
+    aligner.zero_grad()
+    loss = loss_fn(*args)
+    loss.backward()
+    return loss.data.tobytes(), [p.grad.tobytes() for p in aligner.parameters()]
+
+
+# normal, placeholder at position 0, and nothing after the placeholder
+FUSION_TEXTS = [
+    None,
+    "<|audio|> Transcribe the audio.<|assistant|>FINAL: waaw<|end|>",
+    "<|user|>FINAL: waaw<|end|><|assistant|><|audio|>",
+]
+
+
+@pytest.mark.parametrize("case", range(len(FUSION_TEXTS)))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fusion_loss_bit_identical_to_reference_assembly(case, seed):
+    lm, aligner, tok, examples, speech = _fusion_setup(seed=seed)
+    text = FUSION_TEXTS[case] or examples[1].text
+    ids = tok.encode(text)
+    mask = [1] * len(ids)
+    args = (lm, aligner, speech, ids, mask, tok)
+    got = _loss_and_aligner_grads(fusion_loss, aligner, *args)
+    want = _loss_and_aligner_grads(_reference_fusion_loss, aligner, *args)
+    assert got == want
+
+
+@pytest.mark.parametrize("prompt", [
+    "<|user|><|audio|> ab<|assistant|>",  # normal
+    "<|audio|> ab<|assistant|>",  # placeholder at position 0
+    "<|user|>ab<|audio|>",  # nothing after the placeholder
+])
+@pytest.mark.parametrize("generated", [[], [4, 5, 4]])
+def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, generated):
+    lm, aligner, tok, _, speech = _fusion_setup(seed=2)
+    prompt_ids = tok.encode(prompt)
+    placeholder = tok.token_id("<|audio|>")
+    generated = generated + [placeholder]  # generated tokens are never a placeholder
+    with T.no_grad():
+        aligned = aligner.align(speech)
+        fused, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder, generated)
+        got = lm.forward_embeddings(fused).data
+        want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder, generated)
+    assert got.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_generate_matches_reference_loop(seed):
+    lm, aligner, tok, _, speech = _fusion_setup(seed=seed)
+    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=12)
+    assert (got.text, got.truncated) == _reference_generate(lm, aligner, speech,
+                                                            "transcribe", tok, 12)
+
+
+@pytest.mark.parametrize("forced", ["<|end|>", "<|audio|>"])
+def test_generate_matches_reference_loop_when_one_token_dominates(forced):
+    """The end marker stops generation at once; a generated audio marker is an
+    ordinary token, not a second placeholder."""
+    lm, aligner, tok, _, speech = _fusion_setup(seed=4)
+    lm.head.bias.data[tok.token_id(forced)] = 1e3
+    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=5)
+    want = _reference_generate(lm, aligner, speech, "transcribe", tok, 5)
+    assert (got.text, got.truncated) == want
+    assert got.truncated == (forced == "<|audio|>")
 
 
 def test_lm_causality_future_tokens_do_not_change_past_logits():
@@ -343,6 +476,16 @@ def test_train_aligner_requires_frozen_lm():
     with pytest.raises(ConfigError, match="frozen"):
         train_aligner(lm, aligner, [(speech, examples[0])], tok,
                       FusionTrainConfig(steps=1))
+
+
+def test_train_aligner_names_the_first_trainable_lm_parameters():
+    lm, aligner, tok, examples, speech = _fusion_setup()
+    lm.final_norm.unfreeze()
+    lm.head.bias.requires_grad = True
+    with pytest.raises(ConfigError) as info:
+        train_aligner(lm, aligner, [(speech, examples[0])], tok,
+                      FusionTrainConfig(steps=1))
+    assert "['final_norm.gain', 'final_norm.bias', 'head.bias']" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from slmforge.nn import (
     train_step,
 )
 from slmforge.pretrain import (
-    Codebook,
     SpeechEncoder,
     SpeechEncoderConfig,
     load_encoder,
@@ -82,7 +81,7 @@ def test_matmul_shape_error_names_both_shapes():
 def test_concat_last_dim_shape():
     a = Tensor(np.zeros((5, 3)))
     b = Tensor(np.zeros((5, 4)))
-    assert T.concat_last_dim([a, b]).data.shape == (5, 7)
+    assert T.concat([a, b], axis=-1).data.shape == (5, 7)
 
 
 def test_softmax_rows_sum_to_one():
@@ -180,7 +179,7 @@ def test_op_gradients_match_finite_differences(op_name):
                 lambda a: T.reshape(a, (2, 6)), [rand(rng, 3, 4)], seed=trial))
         elif op_name == "concat_last_dim":
             worst = max(worst, check_grad_against_fd(
-                lambda a, b: T.concat_last_dim([a, b]),
+                lambda a, b: T.concat([a, b], axis=-1),
                 [rand(rng, 3, 2), rand(rng, 3, 3)], seed=trial))
         elif op_name == "softmax":
             worst = max(worst, check_grad_against_fd(
@@ -279,6 +278,29 @@ def test_adam_skips_frozen_and_errors_on_missing_grad():
     assert mod.b.data[0] == 1.0
 
 
+def test_adam_skips_parameter_without_requires_grad():
+    mod = Module()
+    mod.a = Parameter(np.array([1.0]))
+    mod.b = Parameter(np.array([1.0]))
+    mod.b.requires_grad = False
+    for p in mod.parameters():
+        p.grad = np.array([1.0])
+    Adam(mod, lr=0.1).step()
+    assert mod.a.data[0] != 1.0
+    assert mod.b.data[0] == 1.0
+
+
+def test_freeze_and_unfreeze_set_requires_grad_and_clear_grad():
+    net = _Net()
+    for p in net.parameters():
+        p.grad = np.ones_like(p.data)
+    net.fc1.freeze()
+    assert [p.requires_grad for p in net.parameters()] == [False, False, True, True]
+    assert [p.grad is None for p in net.parameters()] == [True, True, False, False]
+    net.freeze().unfreeze()
+    assert all(p.requires_grad and p.grad is None for p in net.parameters())
+
+
 def test_frozen_parameter_gets_no_grad():
     w = Parameter(np.array([[2.0]]))
     w.freeze()
@@ -359,15 +381,10 @@ def _save_fusion(path):
     save_fusion(lm, SpeechAligner(6, 8, hidden=4), tok, path)
 
 
-def _save_codebook(path):
-    Codebook(np.eye(3)).save(path)
-
-
 LOADERS = {
     "encoder": (_save_encoder, load_encoder),
     "asr": (_save_asr, load_asr_model),
     "fusion": (_save_fusion, load_fusion),
-    "codebook": (_save_codebook, Codebook.load),
 }
 
 
@@ -392,6 +409,54 @@ def test_model_loaders_read_once_and_check_kind(tmp_path, monkeypatch, kind):
     with pytest.raises(ConfigError, match=f"'{other}' is not '{kind}'") as info:
         load(wrong)
     assert str(wrong) in str(info.value)
+
+
+# the metadata entry holding each kind's model config as JSON
+CONFIG_META = {"encoder": "encoder_cfg", "asr": "encoder_cfg", "fusion": "lm_cfg"}
+
+
+def _resave(path, edit):
+    arrays, meta = read_checkpoint(path)
+    edit(meta)
+    save_checkpoint(arrays, path, meta)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_model_loaders_reject_a_missing_metadata_key_naming_it(tmp_path, kind):
+    save, load = LOADERS[kind]
+    reference = tmp_path / "reference.ckpt"
+    save(reference)
+    keys = [k for k in read_checkpoint(reference)[1] if k != "kind"]
+    assert CONFIG_META[kind] in keys
+    for key in keys:
+        path = tmp_path / f"no-{key}.ckpt"
+        save(path)
+        _resave(path, lambda meta: meta.pop(key))
+        with pytest.raises(ConfigError, match=f"missing key '{key}'") as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("blob", ['{"foo": 1}', "[1, 2]", "not json"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_model_loaders_reject_a_bad_config_naming_its_key(tmp_path, kind, blob):
+    save, load = LOADERS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save(path)
+    _resave(path, lambda meta: meta.update({CONFIG_META[kind]: blob}))
+    with pytest.raises(ConfigError, match=f"bad value for '{CONFIG_META[kind]}'") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+def test_float32_tensors_are_not_checkpointed_and_code_1_is_unknown():
+    with pytest.raises(CheckpointError, match="unsupported dtype float32"):
+        nn.checkpoint_bytes({"w": np.ones(2, dtype=np.float32)})
+    raw = nn.checkpoint_bytes({"w": np.ones(2)})
+    code_at = raw.index(b"w") + 1  # the dtype byte follows the tensor's name
+    raw = raw[:code_at] + b"\x01" + raw[code_at + 1 :]
+    with pytest.raises(CheckpointError, match="unknown dtype code 1 for tensor 'w'"):
+        nn.parse_checkpoint_bytes(raw)
 
 
 def _losses(net, n):
@@ -446,7 +511,7 @@ def test_seeded_init_reproducible_training_trajectory():
         losses = []
         for _ in range(5):
             out = net.fc2(T.relu(net.fc1(Tensor(xs))))
-            loss = T.tmean(out * out)
+            loss = T.tsum(out * out) / out.data.size
             opt.zero_grad()
             loss.backward()
             opt.step()
