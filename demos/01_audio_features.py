@@ -26,7 +26,7 @@ freqs = np.fft.rfftfreq(len(down.samples), d=1 / 16000)
 print(f"dominant frequency after resampling: {freqs[np.argmax(spectrum)]:.1f} Hz")
 
 # log-mel features: 25 ms Hann frames, 10 ms hop, 40 triangular mel bands
-cfg = SpectralConfig(n_mels=40, n_mfcc=13)
+cfg = SpectralConfig(n_mels=40)
 feats = log_mel(down, cfg)
 print(f"log-mel matrix: {feats.data.shape} (frames x mels), hop {feats.frame_hop_s*1000:.0f} ms")
 mid = feats.data[feats.num_frames // 2]

@@ -28,7 +28,7 @@ for text in ("Hello, World!", "We saw 23 birds."):
 # ten utterances: three tone segments each, one tone per character
 alphabet = "abcde"
 freqs = [400.0, 800.0, 1200.0, 1600.0, 2000.0]
-spectral = SpectralConfig(n_mels=16, n_mfcc=8)
+spectral = SpectralConfig(n_mels=16)
 rng = np.random.default_rng(2024)
 examples, seen = [], set()
 while len(examples) < 10:

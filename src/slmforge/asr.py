@@ -19,12 +19,13 @@ import json
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
+from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import atomic_open, parse_field
 from .metrics import wer
@@ -331,15 +332,8 @@ class CtcModel(Module):
         self.encoder = encoder
         self.head = Linear(encoder.cfg.dim, len(vocab), np.random.default_rng(seed + 17))
         object.__setattr__(self, "vocab", vocab)
-        self._freeze_pretrain_only()
-
-    def _freeze_pretrain_only(self):
-        self.encoder.mask_embed.freeze()
-        self.encoder.head.freeze()
-
-    def unfreeze_encoder(self):
-        self.encoder.unfreeze()
-        self._freeze_pretrain_only()
+        encoder.mask_embed.freeze()
+        encoder.head.freeze()
 
     def log_probs(self, features: np.ndarray) -> Tensor:
         states = self.encoder.forward(features, mask=None)
@@ -354,7 +348,7 @@ class CtcModel(Module):
 def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) -> None:
     meta = {
         "kind": "asr",
-        "encoder_cfg": model.encoder.cfg.to_json(),
+        "encoder_cfg": json.dumps(asdict(model.encoder.cfg), sort_keys=True),
         "n_classes": str(model.encoder.n_classes),
         "vocab": json.dumps(model.vocab.symbols, ensure_ascii=False),
     }
@@ -365,7 +359,8 @@ def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) ->
 def load_asr_model(path) -> CtcModel:
     arrays, meta = read_checkpoint(path, "asr")
     encoder = SpeechEncoder(
-        parse_field(path, meta, "encoder_cfg", SpeechEncoderConfig.from_json),
+        parse_field(path, meta, "encoder_cfg",
+                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
         parse_field(path, meta, "n_classes", int),
     )
     model = CtcModel(encoder, parse_field(path, meta, "vocab",
@@ -379,7 +374,6 @@ class FinetuneConfig:
     steps: int = 2000
     lr: float = 3e-3
     batch_size: int = 2
-    freeze_encoder_steps: int = 0
     eval_every: int = 50
     seed: int = 0
 
@@ -400,24 +394,14 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
         encoded.append((np.asarray(features, dtype=np.float64), transcript, ids))
 
     model = CtcModel(encoder, vocab, seed=cfg.seed)
-    if cfg.steps == 0:
-        return model, []
-
     opt = Adam(model, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.freeze_encoder_steps > 0:
-        model.encoder.freeze()
-
     history = []
-    step = 0
-    while step < cfg.steps:
-        if step == cfg.freeze_encoder_steps and cfg.freeze_encoder_steps > 0:
-            model.unfreeze_encoder()
+    for step in range(1, cfg.steps + 1):
         picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
                            replace=False)
         loss = train_step(opt, [ctc_loss(model.log_probs(encoded[i][0]), encoded[i][2])
                                 for i in picks])
-        step += 1
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
             refs = [t for _, t, _ in encoded]

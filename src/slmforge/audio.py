@@ -80,7 +80,6 @@ class SpectralConfig:
     hop_ms: float = 10.0
     fft_size: int = 512
     n_mels: int = 40
-    n_mfcc: int = 13
     fmin_hz: float = 0.0
     fmax_hz: float | None = None  # None -> sample_rate / 2
     log_floor: float = 1e-10
@@ -105,8 +104,6 @@ class SpectralConfig:
             raise ConfigError(
                 f"need 0 <= fmin < fmax <= rate/2, got fmin={self.fmin_hz}, fmax={fmax}"
             )
-        if self.n_mfcc > self.n_mels:
-            raise ConfigError(f"n_mfcc {self.n_mfcc} exceeds n_mels {self.n_mels}")
         if self.log_floor <= 0.0:
             raise ConfigError("log_floor must be positive")
 

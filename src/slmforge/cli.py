@@ -6,12 +6,13 @@ build-sft -> train-aligner -> infer -> eval / report.
 Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 ``pretrain``, ``finetune-asr`` and ``train-aligner`` read a flat JSON
 ``--config`` whose keys are listed per subcommand in ``CONFIG_KEYS``; each
-key sets one dataclass field, whose default applies when the key is absent,
-and any other key, or a value whose JSON type does not fit the field, is an
-error. The training subcommands take their seed from
-``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing subcommand
-embeds the fully resolved config and its hash in the output, so identical
-config + seed reproduce outputs byte-for-byte.
+key sets one dataclass field, whose default applies when the key is absent.
+Any other key is an error naming it, and so is a value whose JSON type
+does not fit the field (``config.config_fields``, the one config reader,
+names the file, key and field). The training subcommands take their seed
+from ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing
+subcommand embeds the fully resolved config and its hash in the output, so
+identical config + seed reproduce outputs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import json
 import logging
 import os
 import sys
-import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .audio import SpectralConfig, log_mel, read_wav, resample, standardize
-from .config import config_hash
+from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
 from .fileio import atomic_open
@@ -70,7 +70,7 @@ CONFIG_KEYS = {
         **_same_names(MaskSpec, "mask_prob", "span_len"),
     },
     "finetune-asr": _same_names(asr_mod.FinetuneConfig, "steps", "lr", "batch_size",
-                                "freeze_encoder_steps", "eval_every"),
+                                "eval_every"),
     "train-aligner": {
         "d_lm": (slm_mod.CausalLMConfig, "dim"),
         "lm_layers": (slm_mod.CausalLMConfig, "n_layers"),
@@ -81,19 +81,9 @@ CONFIG_KEYS = {
 }
 
 
-# JSON name and exact JSON value types that fit a field of each annotated type
-_JSON_TYPES = {
-    int: ("integer", (int,)),
-    float: ("number", (int, float)),
-    str: ("string", (str,)),
-    tuple: ("array", (list,)),
-    type(None): ("null", (type(None),)),
-}
-
-
 def _config_fields(args) -> dict:
-    """Read ``args.config`` into {dataclass: {field: value}}, rejecting unknown
-    keys and values of the wrong JSON type; valid values are kept as given."""
+    """Read ``args.config`` into {dataclass: {field: value}}: each key is
+    routed by ``CONFIG_KEYS`` and its value checked by ``config_fields``."""
     keys = CONFIG_KEYS[args.command]
     fields_by_class = {cls: {} for cls, _ in keys.values()}
     if args.config is None:
@@ -110,16 +100,13 @@ def _config_fields(args) -> dict:
             f"unknown config key(s) {', '.join(map(repr, unknown))} in {args.config}; "
             f"{args.command} accepts {', '.join(sorted(keys))}"
         )
-    for key, value in raw.items():
-        cls, name = keys[key]
-        # exact types: a bool is no integer, and null fits only a None default
-        hint = typing.get_type_hints(cls)[name]
-        kinds = [_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,)]
-        if not any(type(value) in types for _, types in kinds):
-            expected = " or ".join(json_name for json_name, _ in kinds)
-            raise ConfigError(f"config {args.config}: {key!r} must be {expected}, "
-                              f"got {json.dumps(value)}")
-        fields_by_class[cls][name] = value
+    for cls in fields_by_class:
+        routed = {key: name for key, (owner, name) in keys.items() if owner is cls}
+        try:
+            fields_by_class[cls] = config_fields(
+                cls, {key: value for key, value in raw.items() if key in routed}, routed)
+        except ConfigError as exc:
+            raise ConfigError(f"config {args.config}: {exc}") from None
     return fields_by_class
 
 

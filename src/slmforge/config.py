@@ -1,9 +1,62 @@
-"""The one hash of a resolved configuration that artifacts embed."""
+"""The one typed reader of config records from JSON (``--config`` files, the
+model configs and chat templates in checkpoints and instruction-set headers)
+and the one hash of a resolved configuration that artifacts embed."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
+
+from .errors import ConfigError
+
+# JSON name and exact JSON value types that fit a field of each annotated type
+_JSON_TYPES = {
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    str: ("string", (str,)),
+    tuple: ("array", (list,)),
+    type(None): ("null", (type(None),)),
+}
+
+
+def config_fields(cls, obj, keys: dict | None = None) -> dict:
+    """{field: value} of dataclass ``cls`` from the JSON object ``obj``, whose
+    keys ``keys`` maps to fields (default: the field names). Types are exact:
+    an int field takes an int but not a bool, a float field an int or a
+    float, a tuple field a list, a dataclass field an object, and null only
+    a field whose annotation allows None; values are stored as given. A
+    non-object, an unknown key or a misfit is a ConfigError naming the key
+    and the field."""
+    if keys is None:
+        keys = {f.name: f.name for f in dataclasses.fields(cls)}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                          f"for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, value in obj.items():
+        name = keys[key]
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            out[name] = read_config(hint, value)
+            continue
+        kinds = [_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,)]
+        if not any(type(value) in types for _, types in kinds):
+            expected = " or ".join(json_name for json_name, _ in kinds)
+            raise ConfigError(f"{key!r} must be {expected}, got {json.dumps(value)} "
+                              f"({cls.__name__}.{name})")
+        out[name] = value
+    return out
+
+
+def read_config(cls, obj):
+    """``cls`` from the JSON object ``obj``; absent fields take defaults."""
+    return cls(**config_fields(cls, obj))
 
 
 def config_hash(cfg: dict) -> str:

@@ -91,12 +91,13 @@ def read_jsonl(path, row_type):
 def parse_field(path, record: dict, key: str, parse, default=MISSING):
     """``parse(record[key])``, or ``default`` (if given) for an absent key. A
     missing key without a default, or a value ``parse`` rejects with
-    TypeError or ValueError, is a ConfigError naming ``path`` and ``key``."""
+    TypeError, ValueError or ConfigError, is a ConfigError naming ``path``
+    and ``key``."""
     if key not in record:
         if default is MISSING:
             raise ConfigError(f"{path}: missing key {key!r}")
         return default
     try:
         return parse(record[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .audio import FeatureMatrix, mfcc
+from .audio import mfcc
+from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import parse_field
 from .nn import (
@@ -50,7 +51,6 @@ log = logging.getLogger(__name__)
 @dataclass
 class Codebook:
     centroids: np.ndarray
-    kind: str = "mfcc"
     inertia: float = 0.0
 
     def __post_init__(self):
@@ -76,8 +76,7 @@ def _pairwise_sq_dist(features: np.ndarray, centroids: np.ndarray) -> np.ndarray
     return out
 
 
-def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0,
-               kind: str = "mfcc") -> Codebook:
+def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Codebook:
     """Seeded k-means++ init then Lloyd iterations until assignments settle.
 
     Empty clusters are re-seeded with the point farthest from its assigned
@@ -117,7 +116,7 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0,
             else:
                 worst = int(dists[np.arange(n), labels].argmax())
                 centroids[j] = features[worst]
-    return Codebook(centroids, kind=kind, inertia=inertia)
+    return Codebook(centroids, inertia=inertia)
 
 
 def assign_labels(codebook: Codebook, features: np.ndarray) -> np.ndarray:
@@ -173,13 +172,6 @@ class SpeechEncoderConfig:
     conv_kernel: int = 2
     conv_stride: int = 2
     conv_activation: str = "gelu"  # or "none"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "SpeechEncoderConfig":
-        return cls(**json.loads(blob))
 
 
 class SpeechEncoder(Module):
@@ -244,7 +236,7 @@ class SpeechEncoder(Module):
 def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = None) -> None:
     meta = {
         "kind": "encoder",
-        "encoder_cfg": encoder.cfg.to_json(),
+        "encoder_cfg": json.dumps(asdict(encoder.cfg), sort_keys=True),
         "n_classes": str(encoder.n_classes),
     }
     meta.update(metadata_extra or {})
@@ -254,7 +246,8 @@ def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = Non
 def load_encoder(path) -> SpeechEncoder:
     arrays, meta = read_checkpoint(path, "encoder")
     encoder = SpeechEncoder(
-        parse_field(path, meta, "encoder_cfg", SpeechEncoderConfig.from_json),
+        parse_field(path, meta, "encoder_cfg",
+                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
         parse_field(path, meta, "n_classes", int),
     )
     load_arrays(encoder, arrays)
@@ -312,16 +305,12 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
     collected = []
     with T.no_grad():
         for features in dataset:
-            states = encoder.forward(_feature_data(features), mask=None)
+            states = encoder.forward(features.data, mask=None)
             collected.append(states[target_layer].data)
     stacked = np.concatenate(collected, axis=0)
-    codebook = kmeans_fit(stacked, k, seed=seed, kind="hidden")
+    codebook = kmeans_fit(stacked, k, seed=seed)
     labels = [assign_labels(codebook, states) for states in collected]
     return codebook, labels
-
-
-def _feature_data(features) -> np.ndarray:
-    return features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
 
 
 @dataclass
@@ -345,14 +334,9 @@ class PretrainConfig:
 
 
 def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: int):
-    """First-iteration pseudo-labels: KMeans over MFCCs of the input features."""
-    mats = []
-    for features in dataset:
-        fm = features if isinstance(features, FeatureMatrix) else FeatureMatrix(
-            np.asarray(features), 0.01, "logmel"
-        )
-        mats.append(mfcc(fm, cfg.n_mfcc).data)
-    codebook = kmeans_fit(np.concatenate(mats, axis=0), cfg.k, seed=seed, kind="mfcc")
+    """First-iteration pseudo-labels: KMeans over MFCCs of the log-mel inputs."""
+    mats = [mfcc(features, cfg.n_mfcc).data for features in dataset]
+    codebook = kmeans_fit(np.concatenate(mats, axis=0), cfg.k, seed=seed)
     labels = [
         downsample_labels(assign_labels(codebook, m), encoder) for m in mats
     ]
@@ -362,19 +346,16 @@ def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: i
 def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int = 9999) -> float:
     """Mean masked-prediction loss over the corpus with a fixed mask seed."""
     total = 0.0
-    count = 0
     with T.no_grad():
         for i, features in enumerate(dataset):
-            data = _feature_data(features)
-            t_out = encoder.output_len(data.shape[0])
+            t_out = encoder.output_len(features.num_frames)
             mask = span_mask(t_out, MaskSpec(seed=mask_seed + i))
             if not mask.any():
                 mask = np.zeros(t_out, dtype=bool)
                 mask[: max(1, t_out // 10)] = True
-            loss = masked_prediction_loss(encoder, data, labels[i], mask)
+            loss = masked_prediction_loss(encoder, features.data, labels[i], mask)
             total += loss.item()
-            count += 1
-    return total / max(count, 1)
+    return total / max(len(dataset), 1)
 
 
 def continued_pretrain(dataset, cfg: PretrainConfig,
@@ -382,7 +363,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
                        seed: int = 0, init_checkpoint=None):
     """Train (or continue training) the masked-prediction encoder.
 
-    ``dataset`` is a list of FeatureMatrix (or raw (T, D) arrays). When
+    ``dataset`` is a list of log-mel FeatureMatrix. When
     ``init_checkpoint`` is given, weights are loaded strictly and the
     optimizer still starts fresh. Batches greedily fill utterances until
     ``batch_seconds`` is reached; the loss is the mean of per-utterance
@@ -391,21 +372,14 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
     """
     if len(dataset) == 0:
         raise ValueError("continued_pretrain needs a non-empty dataset")
-    encoder_cfg = encoder_cfg or SpeechEncoderConfig(
-        input_dim=_feature_data(dataset[0]).shape[1]
-    )
+    encoder_cfg = encoder_cfg or SpeechEncoderConfig(input_dim=dataset[0].dim)
     encoder = SpeechEncoder(encoder_cfg, cfg.k, seed=seed)
     if init_checkpoint is not None:
         load_checkpoint(init_checkpoint, encoder)
 
     _, labels = initial_labels(dataset, cfg, encoder, seed)
 
-    durations = []
-    for features in dataset:
-        if isinstance(features, FeatureMatrix):
-            durations.append(features.num_frames * features.frame_hop_s)
-        else:
-            durations.append(np.asarray(features).shape[0] * 0.01)
+    durations = [features.num_frames * features.frame_hop_s for features in dataset]
 
     opt = Adam(encoder, lr=cfg.lr)
     rng = np.random.default_rng(seed + 1)
@@ -430,7 +404,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
                 continue
             masked = []
             for i in batch:
-                data = _feature_data(dataset[i])
+                data = dataset[i].data
                 t_out = encoder.output_len(data.shape[0])
                 mask = span_mask(
                     t_out, MaskSpec(cfg.mask.mask_prob, cfg.mask.span_len,

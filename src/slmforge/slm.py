@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
+from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_jsonl, write_jsonl
 from .nn import (
@@ -48,6 +49,10 @@ MODES = (
     "paraphrase_translate",
 )
 
+# the record field each CoT step restates
+_STEP_FIELDS = {"phonemize": "transcript", "translate": "translation",
+                "transcribe": "transcript", "paraphrase": "transcript"}
+
 # (instruction text, CoT step names, final-answer source field)
 _MODE_TABLE = {
     "transcribe": ("Transcribe the audio.", (), "transcript"),
@@ -73,6 +78,12 @@ class ChatTemplate:
     assistant_marker: str = "<|assistant|>"
     end_marker: str = "<|end|>"
     audio_marker: str = "<|audio|>"
+
+    def __post_init__(self):
+        # an empty marker would match everywhere and never advance encode
+        for name, marker in asdict(self).items():
+            if not isinstance(marker, str) or not marker:
+                raise ConfigError(f"{name!r} must be a non-empty string, got {marker!r}")
 
     @property
     def specials(self):
@@ -143,13 +154,17 @@ class InstructionExample:
     final: str
 
 
+def chat_prompt(template: ChatTemplate, instruction: str) -> str:
+    """User turn and assistant marker: the prefix of every example, and the
+    prompt generation continues."""
+    return (f"{template.user_marker}{template.audio_marker} {instruction}"
+            f"{template.assistant_marker}")
+
+
 def render_chat(template: ChatTemplate, instruction: str, steps, final: str) -> str:
     """Assemble one chat example; exactly one audio placeholder, FINAL last."""
     body = "".join(f"STEP[{name}]: {text}\n" for name, text in steps)
-    return (
-        f"{template.user_marker}{template.audio_marker} {instruction}"
-        f"{template.assistant_marker}{body}FINAL: {final}{template.end_marker}"
-    )
+    return f"{chat_prompt(template, instruction)}{body}FINAL: {final}{template.end_marker}"
 
 
 def completion_mask(ids, tokenizer: CharTokenizer) -> list:
@@ -205,12 +220,10 @@ def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTempl
     paraphrase step restates the transcript as it is.
     """
     phonemizer = phonemizer or identity_phonemizer
-    step_tools = {
-        "phonemize": lambda rec: phonemizer(rec.transcript),
-        "translate": lambda rec: rec.translation,
-        "transcribe": lambda rec: rec.transcript,
-        "paraphrase": lambda rec: rec.transcript,
-    }
+
+    def step_text(name, rec):
+        text = getattr(rec, _STEP_FIELDS[name])
+        return phonemizer(text) if name == "phonemize" else text
 
     rendered = []
     skipped = []
@@ -219,19 +232,13 @@ def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTempl
             if mode not in _MODE_TABLE:
                 raise ConfigError(f"unknown mode {mode!r}")
             instruction, step_names, final_field = _MODE_TABLE[mode]
-            needs_transcript = final_field == "transcript" or any(
-                s in ("phonemize", "transcribe", "paraphrase") for s in step_names
-            )
-            needs_translation = final_field == "translation" or "translate" in step_names
-            if needs_transcript and not rec.transcript:
-                skipped.append((rec.id, mode, "missing transcript"))
-                log.info("skipping %s/%s: missing transcript", rec.id, mode)
+            needed = {final_field} | {_STEP_FIELDS[name] for name in step_names}
+            missing = [name for name in sorted(needed) if not getattr(rec, name)]
+            if missing:
+                skipped.append((rec.id, mode, f"missing {missing[0]}"))
+                log.info("skipping %s/%s: missing %s", rec.id, mode, missing[0])
                 continue
-            if needs_translation and not rec.translation:
-                skipped.append((rec.id, mode, "missing translation"))
-                log.info("skipping %s/%s: missing translation", rec.id, mode)
-                continue
-            steps = [(name, step_tools[name](rec)) for name in step_names]
+            steps = [(name, step_text(name, rec)) for name in step_names]
             final = getattr(rec, final_field)
             text = render_chat(template, instruction, steps, final)
             rendered.append((rec.id, mode, text, final))
@@ -263,8 +270,8 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 
 def read_instruction_dataset(path):
     header, examples = read_jsonl(path, InstructionExample)
-    template = parse_field(path, header, "template", lambda t: ChatTemplate(**t),
-                           ChatTemplate())
+    template = parse_field(path, header, "template",
+                           lambda t: read_config(ChatTemplate, t), ChatTemplate())
     tokenizer = parse_field(path, header, "charset", lambda c: CharTokenizer(c, template),
                             CharTokenizer("", template))
     return examples, tokenizer, header
@@ -281,13 +288,6 @@ class CausalLMConfig:
     n_layers: int = 2
     n_heads: int = 2
     ff_mult: int = 4
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "CausalLMConfig":
-        return cls(**json.loads(blob))
 
 
 class CausalLM(Module):
@@ -517,7 +517,7 @@ def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
                 path, layer_sel=None, metadata_extra: dict | None = None) -> None:
     meta = {
         "kind": "fusion",
-        "lm_cfg": lm.cfg.to_json(),
+        "lm_cfg": json.dumps(asdict(lm.cfg), sort_keys=True),
         "charset": tokenizer.charset(),
         "template": json.dumps(asdict(tokenizer.template), sort_keys=True),
         "aligner_d_in": str(aligner.d_in),
@@ -532,12 +532,14 @@ def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
 def load_fusion(path):
     """Return (lm, aligner, tokenizer, layer_sel) from a fusion checkpoint."""
     arrays, meta = read_checkpoint(path, "fusion")
-    lm = CausalLM(parse_field(path, meta, "lm_cfg", CausalLMConfig.from_json))
+    lm = CausalLM(parse_field(path, meta, "lm_cfg",
+                              lambda blob: read_config(CausalLMConfig, json.loads(blob))))
     aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int),
                             parse_field(path, meta, "aligner_d_lm", int),
                             hidden=parse_field(path, meta, "aligner_hidden", int))
     load_arrays(FusionModel(lm, aligner), arrays)
-    template = parse_field(path, meta, "template", lambda t: ChatTemplate(**json.loads(t)))
+    template = parse_field(path, meta, "template",
+                           lambda blob: read_config(ChatTemplate, json.loads(blob)))
     tokenizer = parse_field(path, meta, "charset", lambda c: CharTokenizer(c, template))
     return lm, aligner, tokenizer, parse_field(path, meta, "layer_sel", json.loads)
 
@@ -557,11 +559,8 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
-    instruction = _MODE_TABLE[mode][0]
     template = tokenizer.template
-    prompt = (f"{template.user_marker}{template.audio_marker} {instruction}"
-              f"{template.assistant_marker}")
-    prompt_ids = tokenizer.encode(prompt)
+    prompt_ids = tokenizer.encode(chat_prompt(template, _MODE_TABLE[mode][0]))
     placeholder = tokenizer.token_id(template.audio_marker)
     end_id = tokenizer.token_id(template.end_marker)
 

@@ -367,7 +367,7 @@ def test_criterion_07_toy_asr_overfit_wer_zero():
     started = time.monotonic()
     alphabet = "abcde"
     freqs = [400.0, 800.0, 1200.0, 1600.0, 2000.0]
-    spectral = SpectralConfig(n_mels=16, n_mfcc=8)
+    spectral = SpectralConfig(n_mels=16)
 
     rng = np.random.default_rng(2024)
     seen, examples = set(), []

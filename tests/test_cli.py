@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,9 @@ from conftest import cli_env
 
 from slmforge.audio import SpectralConfig, write_wav
 from slmforge.asr import CtcModel, Vocab, save_asr_model
-from slmforge.cli import _config_fields, main
+from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
+from slmforge.curate import Manifest
 from slmforge.nn import read_checkpoint, save_checkpoint
 from slmforge.pretrain import (
     MaskSpec,
@@ -351,3 +354,77 @@ def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
 ])
 def test_dropped_flag_is_usage_error(argv):
     assert main(argv) == 1
+
+
+def test_freeze_encoder_steps_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"freeze_encoder_steps": 5}))
+    argv = ["finetune-asr", "--config", str(cfg), *NEEDED_ARGS["finetune-asr"]]
+    assert main(argv) == 2
+    assert "unknown config key(s) 'freeze_encoder_steps'" in capsys.readouterr().err
+
+
+def _transcribed(manifest, path):
+    """A copy of ``manifest`` at ``path`` whose records all read "ab"."""
+    m = Manifest.read(manifest)
+    for rec in m.records:
+        rec.transcript = "ab"
+    m.write(path)
+    return m.records[0].id
+
+
+def test_finetune_asr_on_an_encoder_with_fewer_mels_than_13(tmp_path, manifest):
+    man, enc, cfg = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "ft.json"
+    _transcribed(manifest, man)
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=8, n_layers=1), 3), enc)
+    cfg.write_text(json.dumps({"steps": 1}))
+    assert main(["finetune-asr", "--manifest", str(man), "--encoder", str(enc),
+                 "--config", str(cfg), "--out", str(tmp_path / "asr.ckpt")]) == 0
+
+
+def test_train_aligner_on_an_empty_chat_marker_exits_2_without_hanging(tmp_path, manifest):
+    man, enc, sft = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "sft.jsonl"
+    audio_id = _transcribed(manifest, man)
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
+                                                   dim=8, n_layers=1), 3), enc)
+    # every input is valid, so only the marker stands between this run and
+    # tokenizing the examples, which an empty marker never finishes
+    example = {"audio_id": audio_id, "mode": "transcribe", "final": "ab",
+               "text": "<|user|><|audio|> ab<|assistant|>FINAL: ab<|end|>",
+               "loss_mask": [0, 1]}
+    sft.write_text(json.dumps({"__header__": True, "charset": " :ABFILNab",
+                               "template": {"user_marker": ""}})
+                   + "\n" + json.dumps(example) + "\n")
+    cfg = tmp_path / "aligner.json"
+    cfg.write_text(json.dumps({"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slmforge", "train-aligner", "--sft", str(sft),
+         "--manifest", str(man), "--encoder", str(enc), "--config", str(cfg),
+         "--out", str(tmp_path / "f.ckpt")],
+        capture_output=True, text=True, env=cli_env(), timeout=20,
+    )
+    assert proc.returncode == 2
+    assert f"{sft}: bad value for 'template': 'user_marker' must be a non-empty" in proc.stderr
+
+
+def _readme_config_keys():
+    """{subcommand: {key: (dataclass name, field)}} from README's key table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | keys | dataclass |") + 2
+    table, command = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first, keys, owner = (cell.strip() for cell in line.strip("|").split("|"))
+        command = first.strip("`") or command
+        keys, _, renamed = keys.partition("(its ")
+        keys, names = re.findall(r"`(\w+)`", keys), re.findall(r"`(\w+)`", renamed)
+        for key, name in zip(keys, names or keys):
+            table.setdefault(command, {})[key] = (owner.strip("`"), name)
+    return table
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune-asr", "train-aligner"])
+def test_readme_config_key_table_lists_exactly_the_accepted_keys(command):
+    accepted = {key: (cls.__name__, name) for key, (cls, name) in CONFIG_KEYS[command].items()}
+    assert _readme_config_keys()[command] == accepted

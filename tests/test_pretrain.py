@@ -246,9 +246,10 @@ def test_refresh_layer0_identity_conv_reproduces_input_labels():
 
     rng = np.random.default_rng(7)
     dataset = [rng.standard_normal((15, 6)) for _ in range(3)]
-    book, labels = refresh_targets(enc, dataset, target_layer=0, k=4, seed=9)
+    book, labels = refresh_targets(enc, [FeatureMatrix(d, 0.01, "logmel") for d in dataset],
+                                   target_layer=0, k=4, seed=9)
 
-    direct = kmeans_fit(np.concatenate(dataset), 4, seed=9, kind="hidden")
+    direct = kmeans_fit(np.concatenate(dataset), 4, seed=9)
     for data, lab in zip(dataset, labels):
         assert np.array_equal(lab, assign_labels(direct, data))
 
@@ -257,8 +258,9 @@ def test_refresh_deterministic_and_shapes():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=1)
     rng = np.random.default_rng(8)
     dataset = [rng.standard_normal((20 + 2 * i, 8)) for i in range(3)]
-    book1, labels1 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
-    book2, labels2 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
+    matrices = [FeatureMatrix(d, 0.01, "logmel") for d in dataset]
+    book1, labels1 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
+    book2, labels2 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
     assert np.array_equal(book1.centroids, book2.centroids)
     for a, b, data in zip(labels1, labels2, dataset):
         assert np.array_equal(a, b)

@@ -112,6 +112,30 @@ def test_missing_translation_skips_with_reason():
     assert skipped == [("r0", "translate_transcribe", "missing translation")]
 
 
+def _reference_skip_reason(mode, rec):
+    """build_instruction_dataset's skip rule before the step -> field table."""
+    _, step_names, final_field = _MODE_TABLE[mode]
+    needs_transcript = final_field == "transcript" or any(
+        s in ("phonemize", "transcribe", "paraphrase") for s in step_names
+    )
+    needs_translation = final_field == "translation" or "translate" in step_names
+    if needs_transcript and not rec.transcript:
+        return "missing transcript"
+    if needs_translation and not rec.translation:
+        return "missing translation"
+    return None
+
+
+@pytest.mark.parametrize("transcript, translation", [
+    ("waaw", "yes"), (None, "yes"), ("waaw", None), (None, None), ("", ""),
+])
+def test_skip_reasons_match_the_rule_the_step_table_replaced(transcript, translation):
+    rec = _record(transcript=transcript, translation=translation)
+    _, _, skipped = build_instruction_dataset([rec], list(MODES))
+    reasons = [(mode, _reference_skip_reason(mode, rec)) for mode in MODES]
+    assert skipped == [("r0", mode, why) for mode, why in reasons if why]
+
+
 def test_six_modes_one_complete_record_six_examples():
     examples, _, skipped = build_instruction_dataset([_record()], list(MODES))
     assert len(examples) == 6
