@@ -19,19 +19,18 @@ import json
 import logging
 import re
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import atomic_open, parse_field
 from .metrics import wer
 from .nn import (Adam, Linear, Module, load_arrays, read_checkpoint, save_checkpoint,
                  train_step)
-from .pretrain import SpeechEncoder, SpeechEncoderConfig
+from .pretrain import SpeechEncoder, encoder_from_record, encoder_record
 from .tensor import Tensor, _accumulate, _make
 
 log = logging.getLogger(__name__)
@@ -348,8 +347,7 @@ class CtcModel(Module):
 def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) -> None:
     meta = {
         "kind": "asr",
-        "encoder_cfg": json.dumps(asdict(model.encoder.cfg), sort_keys=True),
-        "n_classes": str(model.encoder.n_classes),
+        **encoder_record(model.encoder),
         "vocab": json.dumps(model.vocab.symbols, ensure_ascii=False),
     }
     meta.update(metadata_extra or {})
@@ -358,13 +356,8 @@ def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) ->
 
 def load_asr_model(path) -> CtcModel:
     arrays, meta = read_checkpoint(path, "asr")
-    encoder = SpeechEncoder(
-        parse_field(path, meta, "encoder_cfg",
-                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
-        parse_field(path, meta, "n_classes", int),
-    )
-    model = CtcModel(encoder, parse_field(path, meta, "vocab",
-                                          lambda v: Vocab(json.loads(v))))
+    model = CtcModel(encoder_from_record(path, meta),
+                     parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))))
     load_arrays(model, arrays)
     return model
 

@@ -136,6 +136,14 @@ def _records_with_audio(manifest: Manifest, spectral: SpectralConfig):
         yield rec, standardize(log_mel(seg, spectral))
 
 
+def _normalization_rules(args):
+    """The rules of ``--lexicon``, else of the built-in ``--language`` table
+    (English when neither is given); the parser makes them exclusive."""
+    if args.lexicon:
+        return asr_mod.load_lexicon(args.lexicon)
+    return asr_mod.builtin_rules(args.language or "en")
+
+
 def _wav_features(path, sample_rate: int, spectral: SpectralConfig):
     # trim to the speech extent so decode-time features match the curated
     # segments models were trained on
@@ -148,10 +156,7 @@ def _wav_features(path, sample_rate: int, spectral: SpectralConfig):
 
 
 def cmd_curate(args) -> int:
-    overrides = _config_fields(args)[PipelineConfig]
-    if args.sample_rate is not None:
-        overrides["sample_rate"] = args.sample_rate
-    manifest = run_pipeline(args.paths, PipelineConfig(**overrides))
+    manifest = run_pipeline(args.paths, PipelineConfig(**_config_fields(args)[PipelineConfig]))
     manifest.write(args.out)
     h = manifest.header
     print(
@@ -168,6 +173,9 @@ def cmd_pretrain(args) -> int:
     spectral = SpectralConfig(**given[SpectralConfig])
     encoder_cfg = SpeechEncoderConfig(input_dim=spectral.n_mels, **given[SpeechEncoderConfig])
     train_cfg = PretrainConfig(mask=MaskSpec(**given[MaskSpec]), **given[PretrainConfig])
+    if spectral.n_mels < train_cfg.n_mfcc:
+        raise ConfigError(f"config {args.config}: 'n_mels' {spectral.n_mels} is below the "
+                          f"{train_cfg.n_mfcc} MFCCs the pretraining targets need")
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
@@ -190,8 +198,7 @@ def cmd_finetune_asr(args) -> int:
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
 
-    rules = (asr_mod.load_lexicon(args.lexicon) if args.lexicon
-             else asr_mod.builtin_rules(args.language))
+    rules = _normalization_rules(args)
     train, heldout = [], []
     for rec, features in _records_with_audio(manifest, spectral):
         if not rec.transcript:
@@ -289,11 +296,11 @@ def cmd_infer(args) -> int:
         raise ConfigError(
             f"no mode for task {args.task!r} with CoT step {args.cot!r}"
         )
-    lm, aligner, tokenizer, layer_sel = slm_mod.load_fusion(args.fusion)
+    lm, aligner, tokenizer = slm_mod.load_fusion(args.fusion)
     encoder = load_encoder(args.encoder)
     spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     features = _wav_features(args.wav, args.sample_rate, spectral)
-    speech = slm_mod.extract_multilayer_features(encoder, features.data, layer_sel)
+    speech = slm_mod.extract_multilayer_features(encoder, features.data)
     result = slm_mod.generate(lm, aligner, speech, mode, tokenizer,
                               max_tokens=args.max_tokens)
     parsed = slm_mod.parse_cot_output(result.text, mode)
@@ -326,8 +333,7 @@ def cmd_eval(args) -> int:
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"
         )
     if not args.no_normalize:
-        rules = (asr_mod.load_lexicon(args.lexicon) if args.lexicon
-                 else asr_mod.builtin_rules(args.language))
+        rules = _normalization_rules(args)
         refs = [asr_mod.normalize_text(t, rules) for t in refs]
         hyps = [asr_mod.normalize_text(t, rules) for t in hyps]
 
@@ -387,6 +393,14 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None,
                        help="JSON config file; unknown keys are an error")
 
+    def normalization_flags(p):
+        # one source of normalization rules; eval adds --no-normalize here
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--lexicon", default=None, help="digit verbalization lexicon JSON")
+        group.add_argument("--language", default=None,
+                           help="built-in number lexicon (default en)")
+        return group
+
     def training_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override SLMFORGE_SEED (default 0)")
@@ -395,7 +409,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("curate", help="filter raw audio into a manifest of utterances")
     config_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", type=int, default=None)
     p.add_argument("paths", nargs="+", metavar="WAV")
     p.set_defaults(func=cmd_curate)
 
@@ -411,8 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--vocab", default=None, help="symbol-per-line vocab file")
-    p.add_argument("--lexicon", default=None, help="digit verbalization lexicon JSON")
-    p.add_argument("--language", default="en")
+    normalization_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune_asr)
 
@@ -455,9 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--external-scores", default=None,
                    help="JSON file supplying a bs_f1 value")
     p.add_argument("--out", default=None, help="write a JSON report here")
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--language", default="en")
+    normalization_flags(p).add_argument("--no-normalize", action="store_true")
     p.add_argument("--name", default="system")
     p.set_defaults(func=cmd_eval)
 

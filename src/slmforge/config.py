@@ -1,6 +1,6 @@
-"""The one typed reader of config records from JSON (``--config`` files, the
-model configs and chat templates in checkpoints and instruction-set headers)
-and the one hash of a resolved configuration that artifacts embed."""
+"""The one typed reader of config records from JSON (``--config`` files and
+the model configs in checkpoints) and the one hash of a resolved
+configuration that artifacts embed."""
 
 from __future__ import annotations
 

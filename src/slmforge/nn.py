@@ -430,8 +430,9 @@ def load_arrays(module: Module, arrays: dict) -> None:
         raise CheckpointError(f"checkpoint missing parameters: {missing}")
 
 
-def load_checkpoint(path, module: Module) -> dict:
-    """Load checkpoint weights into ``module``; return the metadata."""
-    arrays, metadata = read_checkpoint(path)
+def load_checkpoint(path, module: Module, kind: str | None = None) -> dict:
+    """Load checkpoint weights into ``module``; return the metadata. A given
+    ``kind`` must match the metadata's, as in ``read_checkpoint``."""
+    arrays, metadata = read_checkpoint(path, kind)
     load_arrays(module, arrays)
     return metadata

@@ -233,23 +233,32 @@ class SpeechEncoder(Module):
         return self.head(self.final_norm(states[-1]))
 
 
+def encoder_record(encoder: SpeechEncoder) -> dict:
+    """The checkpoint metadata entries that rebuild ``encoder``'s module tree:
+    ``encoder_cfg`` then ``n_classes``. Encoder and ASR checkpoints hold them."""
+    return {"encoder_cfg": json.dumps(asdict(encoder.cfg), sort_keys=True),
+            "n_classes": str(encoder.n_classes)}
+
+
+def encoder_from_record(path, meta: dict) -> SpeechEncoder:
+    """An untrained SpeechEncoder built from the ``encoder_record`` entries of
+    checkpoint ``path``'s metadata; errors name the path and the entry."""
+    return SpeechEncoder(
+        parse_field(path, meta, "encoder_cfg",
+                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
+        parse_field(path, meta, "n_classes", int),
+    )
+
+
 def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = None) -> None:
-    meta = {
-        "kind": "encoder",
-        "encoder_cfg": json.dumps(asdict(encoder.cfg), sort_keys=True),
-        "n_classes": str(encoder.n_classes),
-    }
+    meta = {"kind": "encoder", **encoder_record(encoder)}
     meta.update(metadata_extra or {})
     save_checkpoint(encoder, path, meta)
 
 
 def load_encoder(path) -> SpeechEncoder:
     arrays, meta = read_checkpoint(path, "encoder")
-    encoder = SpeechEncoder(
-        parse_field(path, meta, "encoder_cfg",
-                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
-        parse_field(path, meta, "n_classes", int),
-    )
+    encoder = encoder_from_record(path, meta)
     load_arrays(encoder, arrays)
     return encoder
 
@@ -364,10 +373,10 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
     """Train (or continue training) the masked-prediction encoder.
 
     ``dataset`` is a list of log-mel FeatureMatrix. When
-    ``init_checkpoint`` is given, weights are loaded strictly and the
-    optimizer still starts fresh. Batches greedily fill utterances until
-    ``batch_seconds`` is reached; the loss is the mean of per-utterance
-    losses (no padding across utterances). Returns (encoder, history) where
+    ``init_checkpoint`` is given, it must be an encoder checkpoint; its
+    weights are loaded strictly and the optimizer still starts fresh.
+    Batches greedily fill utterances until ``batch_seconds`` is reached; the
+    loss is the mean of per-utterance losses (no padding across utterances). Returns (encoder, history) where
     history maps step -> loss.
     """
     if len(dataset) == 0:
@@ -375,7 +384,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig,
     encoder_cfg = encoder_cfg or SpeechEncoderConfig(input_dim=dataset[0].dim)
     encoder = SpeechEncoder(encoder_cfg, cfg.k, seed=seed)
     if init_checkpoint is not None:
-        load_checkpoint(init_checkpoint, encoder)
+        load_checkpoint(init_checkpoint, encoder, "encoder")
 
     _, labels = initial_labels(dataset, cfg, encoder, seed)
 

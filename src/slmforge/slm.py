@@ -4,8 +4,12 @@ chain-of-thought instruction data, generation, and output parsing.
 Speech enters the LM as a block of aligner-projected embeddings spliced in
 place of a single audio-placeholder token; the fused sequence is therefore
 text_tokens - 1 + T' positions long, and ``_fused_sequence`` builds it for
-both the fusion loss and generation. During fusion training the encoder and
-LM stay frozen and the loss covers assistant-completion tokens only.
+both the fusion loss and generation. The speech features are the hidden
+states of every encoder transformer layer, concatenated per frame. The chat
+markers are fixed (``ChatTemplate``), so instruction sets and fusion
+checkpoints store only the tokenizer's charset. During fusion training the
+encoder and LM stay frozen and the loss covers assistant-completion tokens
+only.
 """
 
 from __future__ import annotations
@@ -72,43 +76,33 @@ _MODE_TABLE = {
 # Tokenizer and chat template
 
 
-@dataclass(frozen=True)
 class ChatTemplate:
-    user_marker: str = "<|user|>"
-    assistant_marker: str = "<|assistant|>"
-    end_marker: str = "<|end|>"
-    audio_marker: str = "<|audio|>"
+    """The package's one fixed set of chat markers."""
 
-    def __post_init__(self):
-        # an empty marker would match everywhere and never advance encode
-        for name, marker in asdict(self).items():
-            if not isinstance(marker, str) or not marker:
-                raise ConfigError(f"{name!r} must be a non-empty string, got {marker!r}")
-
-    @property
-    def specials(self):
-        return (self.user_marker, self.assistant_marker, self.end_marker,
-                self.audio_marker)
+    user_marker = "<|user|>"
+    assistant_marker = "<|assistant|>"
+    end_marker = "<|end|>"
+    audio_marker = "<|audio|>"
+    specials = (user_marker, assistant_marker, end_marker, audio_marker)
 
 
 class CharTokenizer:
-    """Character tokenizer whose special markers are single atomic tokens."""
+    """Character tokenizer whose chat markers are single atomic tokens, the
+    first ids of its vocabulary."""
 
-    def __init__(self, charset: str, template: ChatTemplate = ChatTemplate()):
-        self.template = template
-        self.specials = list(template.specials)
+    def __init__(self, charset: str):
         self.chars = sorted(set(charset))
-        self.symbols = self.specials + self.chars
+        self.symbols = list(ChatTemplate.specials) + self.chars
         self._index = {s: i for i, s in enumerate(self.symbols)}
 
     @classmethod
-    def from_texts(cls, texts, template: ChatTemplate = ChatTemplate()) -> "CharTokenizer":
+    def from_texts(cls, texts) -> "CharTokenizer":
         stripped = []
         for text in texts:
-            for marker in template.specials:
+            for marker in ChatTemplate.specials:
                 text = text.replace(marker, "")
             stripped.append(text)
-        return cls("".join(stripped), template)
+        return cls("".join(stripped))
 
     @property
     def vocab_size(self) -> int:
@@ -121,7 +115,7 @@ class CharTokenizer:
         ids = []
         pos = 0
         while pos < len(text):
-            for marker in self.specials:
+            for marker in ChatTemplate.specials:
                 if text.startswith(marker, pos):
                     ids.append(self._index[marker])
                     pos += len(marker)
@@ -154,24 +148,24 @@ class InstructionExample:
     final: str
 
 
-def chat_prompt(template: ChatTemplate, instruction: str) -> str:
+def chat_prompt(instruction: str) -> str:
     """User turn and assistant marker: the prefix of every example, and the
     prompt generation continues."""
-    return (f"{template.user_marker}{template.audio_marker} {instruction}"
-            f"{template.assistant_marker}")
+    return (f"{ChatTemplate.user_marker}{ChatTemplate.audio_marker} {instruction}"
+            f"{ChatTemplate.assistant_marker}")
 
 
-def render_chat(template: ChatTemplate, instruction: str, steps, final: str) -> str:
+def render_chat(instruction: str, steps, final: str) -> str:
     """Assemble one chat example; exactly one audio placeholder, FINAL last."""
     body = "".join(f"STEP[{name}]: {text}\n" for name, text in steps)
-    return f"{chat_prompt(template, instruction)}{body}FINAL: {final}{template.end_marker}"
+    return f"{chat_prompt(instruction)}{body}FINAL: {final}{ChatTemplate.end_marker}"
 
 
 def completion_mask(ids, tokenizer: CharTokenizer) -> list:
     """1 exactly on assistant-completion positions (after the assistant
     marker, through the end marker inclusive)."""
-    assistant = tokenizer.token_id(tokenizer.template.assistant_marker)
-    end = tokenizer.token_id(tokenizer.template.end_marker)
+    assistant = tokenizer.token_id(ChatTemplate.assistant_marker)
+    end = tokenizer.token_id(ChatTemplate.end_marker)
     mask = [0] * len(ids)
     try:
         start = ids.index(assistant) + 1
@@ -209,15 +203,13 @@ def rule_table_phonemizer(table: dict):
     return phonemize
 
 
-def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTemplate(),
-                              tokenizer: CharTokenizer | None = None,
-                              phonemizer=None):
+def build_instruction_dataset(records, modes, phonemizer=None):
     """Render one InstructionExample per record x mode.
 
     Records missing a field a mode requires are skipped with a logged
     reason, never fatally. Returns (examples, tokenizer, skipped); the
-    tokenizer is built from the rendered texts when not supplied. The
-    paraphrase step restates the transcript as it is.
+    tokenizer is built from the rendered texts. The paraphrase step restates
+    the transcript as it is.
     """
     phonemizer = phonemizer or identity_phonemizer
 
@@ -240,12 +232,10 @@ def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTempl
                 continue
             steps = [(name, step_text(name, rec)) for name in step_names]
             final = getattr(rec, final_field)
-            text = render_chat(template, instruction, steps, final)
+            text = render_chat(instruction, steps, final)
             rendered.append((rec.id, mode, text, final))
 
-    if tokenizer is None:
-        tokenizer = CharTokenizer.from_texts([text for _, _, text, _ in rendered],
-                                             template)
+    tokenizer = CharTokenizer.from_texts([text for _, _, text, _ in rendered])
     examples = []
     for audio_id, mode, text, final in rendered:
         try:
@@ -263,17 +253,14 @@ def build_instruction_dataset(records, modes, template: ChatTemplate = ChatTempl
 
 def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
                               header_extra: dict | None = None) -> None:
-    header = {"charset": tokenizer.charset(), "template": asdict(tokenizer.template)}
+    header = {"charset": tokenizer.charset()}
     header.update(header_extra or {})
     write_jsonl(path, header, examples)
 
 
 def read_instruction_dataset(path):
     header, examples = read_jsonl(path, InstructionExample)
-    template = parse_field(path, header, "template",
-                           lambda t: read_config(ChatTemplate, t), ChatTemplate())
-    tokenizer = parse_field(path, header, "charset", lambda c: CharTokenizer(c, template),
-                            CharTokenizer("", template))
+    tokenizer = parse_field(path, header, "charset", CharTokenizer, CharTokenizer(""))
     return examples, tokenizer, header
 
 
@@ -325,7 +312,7 @@ def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, t_prime_lookup) ->
     fused one and the LM learns to read the block the aligner later fills.
     ``t_prime_lookup`` maps an example's audio_id to its frame count.
     """
-    audio_id = tokenizer.token_id(tokenizer.template.audio_marker)
+    audio_id = tokenizer.token_id(ChatTemplate.audio_marker)
     seqs = []
     for ex in examples:
         t_prime = int(t_prime_lookup(ex.audio_id))
@@ -371,7 +358,6 @@ class SpeechAligner(Module):
         self.fc1 = Linear(d_in, hidden, rng)
         self.fc2 = Linear(hidden, d_lm, rng)
         object.__setattr__(self, "d_in", d_in)
-        object.__setattr__(self, "d_lm", d_lm)
 
     def align(self, features) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
@@ -382,22 +368,13 @@ class SpeechAligner(Module):
         return self.fc2(T.relu(self.fc1(x)))
 
 
-def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray,
-                                layer_sel=None) -> np.ndarray:
-    """Concatenate hidden states of the selected encoder layers per frame.
-
-    Default selection is every transformer layer (1..L); layer 0 addresses
-    the conv front-end output. No further time downsampling is applied.
-    """
-    n_layers = encoder.cfg.n_layers
-    if layer_sel is None:
-        layer_sel = list(range(1, n_layers + 1))
-    for layer in layer_sel:
-        if not (0 <= layer <= n_layers):
-            raise ConfigError(f"layer index {layer} outside [0, {n_layers}]")
+def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) -> np.ndarray:
+    """Concatenate the hidden states of every encoder transformer layer
+    (1..L, not the conv front-end) per frame. No further time downsampling
+    is applied."""
     with T.no_grad():
         states = encoder.forward(np.asarray(features, dtype=np.float64), mask=None)
-    return np.concatenate([states[layer].data for layer in layer_sel], axis=1)
+    return np.concatenate([state.data for state in states[1:]], axis=1)
 
 
 def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int, tail=()):
@@ -437,7 +414,7 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     speech = aligner.align(speech_features)
     t_prime = speech.data.shape[0]
     fused, p = _fused_sequence(lm, speech, ids,
-                               tokenizer.token_id(tokenizer.template.audio_marker))
+                               tokenizer.token_id(ChatTemplate.audio_marker))
     logits = lm.forward_embeddings(fused)
 
     targets = list(targets_override) if targets_override is not None else ids
@@ -514,34 +491,28 @@ class FusionModel(Module):
 
 
 def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
-                path, layer_sel=None, metadata_extra: dict | None = None) -> None:
+                path, metadata_extra: dict | None = None) -> None:
     meta = {
         "kind": "fusion",
         "lm_cfg": json.dumps(asdict(lm.cfg), sort_keys=True),
         "charset": tokenizer.charset(),
-        "template": json.dumps(asdict(tokenizer.template), sort_keys=True),
         "aligner_d_in": str(aligner.d_in),
-        "aligner_d_lm": str(aligner.d_lm),
         "aligner_hidden": str(aligner.fc1.bias.data.shape[0]),
-        "layer_sel": json.dumps(list(layer_sel) if layer_sel is not None else None),
     }
     meta.update(metadata_extra or {})
     save_checkpoint(FusionModel(lm, aligner), path, meta)
 
 
 def load_fusion(path):
-    """Return (lm, aligner, tokenizer, layer_sel) from a fusion checkpoint."""
+    """Return (lm, aligner, tokenizer) from a fusion checkpoint; the aligner
+    projects into the LM's embedding width."""
     arrays, meta = read_checkpoint(path, "fusion")
     lm = CausalLM(parse_field(path, meta, "lm_cfg",
                               lambda blob: read_config(CausalLMConfig, json.loads(blob))))
-    aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int),
-                            parse_field(path, meta, "aligner_d_lm", int),
+    aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int), lm.cfg.dim,
                             hidden=parse_field(path, meta, "aligner_hidden", int))
     load_arrays(FusionModel(lm, aligner), arrays)
-    template = parse_field(path, meta, "template",
-                           lambda blob: read_config(ChatTemplate, json.loads(blob)))
-    tokenizer = parse_field(path, meta, "charset", lambda c: CharTokenizer(c, template))
-    return lm, aligner, tokenizer, parse_field(path, meta, "layer_sel", json.loads)
+    return lm, aligner, parse_field(path, meta, "charset", CharTokenizer)
 
 
 @dataclass
@@ -559,10 +530,9 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
-    template = tokenizer.template
-    prompt_ids = tokenizer.encode(chat_prompt(template, _MODE_TABLE[mode][0]))
-    placeholder = tokenizer.token_id(template.audio_marker)
-    end_id = tokenizer.token_id(template.end_marker)
+    prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
+    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    end_id = tokenizer.token_id(ChatTemplate.end_marker)
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))

@@ -25,6 +25,7 @@ from slmforge.pretrain import (
     SpeechEncoderConfig,
     save_encoder,
 )
+from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, SpeechAligner, save_fusion
 from slmforge.synth import concat_buffers, silence, sine
 
 ALL_COMMANDS = (
@@ -223,19 +224,6 @@ def test_finetune_asr_bad_encoder_metadata_is_runtime_error(tmp_path, capsys, ed
     assert f"{enc}: {cause}" in err
 
 
-@pytest.mark.parametrize("template", [{"foo": 1}, "plain", ["<|user|>"]])
-def test_train_aligner_sft_bad_template_is_runtime_error(tmp_path, capsys, template):
-    sft = tmp_path / "sft.jsonl"
-    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1],
-               "final": "ab"}
-    sft.write_text(json.dumps({"__header__": True, "charset": "ab", "template": template})
-                   + "\n" + json.dumps(example) + "\n")
-    assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
-                 "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
-    err = capsys.readouterr().err
-    assert f"{sft}: bad value for 'template'" in err
-
-
 @pytest.mark.parametrize("beam", ["0", "-1"])
 def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
@@ -351,9 +339,35 @@ def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
     ["curate", "--seed", "1", "--out", "m.jsonl", "in.wav"],
     ["curate", "--deterministic", "--out", "m.jsonl", "in.wav"],
     ["pretrain", "--jobs", "2", "--manifest", "m.jsonl", "--out", "enc.ckpt"],
+    ["curate", "--sample-rate", "8000", "--out", "m.jsonl", "in.wav"],
 ])
 def test_dropped_flag_is_usage_error(argv):
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("finetune-asr", ["--lexicon", "lex.json", "--language", "en"]),
+    ("eval", ["--lexicon", "lex.json", "--language", "en"]),
+    ("eval", ["--no-normalize", "--lexicon", "lex.json"]),
+    ("eval", ["--no-normalize", "--language", "en"]),
+])
+def test_competing_normalization_flags_are_a_usage_error(capsys, command, flags):
+    needed = {"finetune-asr": NEEDED_ARGS["finetune-asr"],
+              "eval": ["--refs", "refs.txt", "--hyps", "hyps.txt"]}[command]
+    assert main([command, *needed, *flags]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_eval_language_flag_selects_the_builtin_lexicon(tmp_path, capsys):
+    refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+    refs.write_text("2 ab\n")
+    hyps.write_text("two ab\n")
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", "wer",
+                 "--language", "en"]) == 0
+    assert "0.00" in capsys.readouterr().out
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", "wer",
+                 "--language", "xx"]) == 2
+    assert "no built-in lexicon for language 'xx'" in capsys.readouterr().err
 
 
 def test_freeze_encoder_steps_is_an_unknown_config_key(tmp_path, capsys):
@@ -382,29 +396,84 @@ def test_finetune_asr_on_an_encoder_with_fewer_mels_than_13(tmp_path, manifest):
                  "--config", str(cfg), "--out", str(tmp_path / "asr.ckpt")]) == 0
 
 
-def test_train_aligner_on_an_empty_chat_marker_exits_2_without_hanging(tmp_path, manifest):
-    man, enc, sft = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "sft.jsonl"
-    audio_id = _transcribed(manifest, man)
+def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest):
+    # older SFT headers held the chat markers; an empty one made encode hang
+    man, enc, sft = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "plain.jsonl"
+    _transcribed(manifest, man)
     save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
                                                    dim=8, n_layers=1), 3), enc)
-    # every input is valid, so only the marker stands between this run and
-    # tokenizing the examples, which an empty marker never finishes
-    example = {"audio_id": audio_id, "mode": "transcribe", "final": "ab",
-               "text": "<|user|><|audio|> ab<|assistant|>FINAL: ab<|end|>",
-               "loss_mask": [0, 1]}
-    sft.write_text(json.dumps({"__header__": True, "charset": " :ABFILNab",
-                               "template": {"user_marker": ""}})
-                   + "\n" + json.dumps(example) + "\n")
+    assert main(["build-sft", "--manifest", str(man), "--out", str(sft)]) == 0
+    header, *rows = sft.read_text().splitlines(keepends=True)
+    stale = json.loads(header)
+    stale["template"] = {"user_marker": ""}
+    (tmp_path / "stale.jsonl").write_text(json.dumps(stale) + "\n" + "".join(rows))
     cfg = tmp_path / "aligner.json"
     cfg.write_text(json.dumps({"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "slmforge", "train-aligner", "--sft", str(sft),
-         "--manifest", str(man), "--encoder", str(enc), "--config", str(cfg),
-         "--out", str(tmp_path / "f.ckpt")],
-        capture_output=True, text=True, env=cli_env(), timeout=20,
-    )
-    assert proc.returncode == 2
-    assert f"{sft}: bad value for 'template': 'user_marker' must be a non-empty" in proc.stderr
+    outputs = []
+    for name in ("plain", "stale"):
+        sft, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "slmforge", "train-aligner", "--sft", str(sft),
+             "--manifest", str(man), "--encoder", str(enc), "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsys):
+    enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
+                                                   dim=8, n_layers=1), 3), enc)
+    tok = CharTokenizer("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    save_fusion(lm, SpeechAligner(8, 8, hidden=4), tok, fusion)
+    argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
+            Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
+            "--max-tokens", "5"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    # entries older fusion checkpoints held, with values their readers rejected
+    arrays, meta = read_checkpoint(fusion)
+    meta.update(template=json.dumps({"user_marker": ""}), aligner_d_lm="x",
+                layer_sel=json.dumps(["a"]))
+    save_checkpoint(arrays, fusion, meta)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_pretrain_with_fewer_mels_than_mfccs_fails_before_reading_audio(
+        tmp_path, monkeypatch, capsys, manifest):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    monkeypatch.setattr("slmforge.cli.read_wav", no_read)
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text(json.dumps({"n_mels": 8, "max_steps": 1, "k": 4}))
+    assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
+                 "--out", str(tmp_path / "enc.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"config {cfg}: 'n_mels' 8 is below the 13 MFCCs" in err
+
+
+@pytest.mark.parametrize("kind", ["asr", "fusion"])
+def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
+        tmp_path, capsys, manifest, kind):
+    init = tmp_path / f"{kind}.ckpt"
+    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels), 4)
+    if kind == "asr":
+        save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), init)
+    else:
+        tok = CharTokenizer("ab")
+        lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+        save_fusion(lm, SpeechAligner(64, 8, hidden=4), tok, init)
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text('{"max_steps": 1, "k": 4}')
+    assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
+                 "--init", str(init), "--out", str(tmp_path / "enc.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{init}: checkpoint kind {kind!r} is not 'encoder'" in err
 
 
 def _readme_config_keys():
@@ -428,3 +497,39 @@ def _readme_config_keys():
 def test_readme_config_key_table_lists_exactly_the_accepted_keys(command):
     accepted = {key: (cls.__name__, name) for key, (cls, name) in CONFIG_KEYS[command].items()}
     assert _readme_config_keys()[command] == accepted
+
+
+def _readme_artifact_entries():
+    """{artifact: [entry, ...]} from README's table of stored entries."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| artifact | entries |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        artifact, entries = (cell.strip() for cell in line.strip("|").split("|"))
+        table[artifact] = re.findall(r"`(\w+)`", entries)
+    return table
+
+
+def test_readme_lists_exactly_the_entries_each_artifact_holds(tmp_path, monkeypatch,
+                                                             manifest):
+    monkeypatch.chdir(tmp_path)
+    _transcribed(manifest, "m.jsonl")
+    Path("pre.json").write_text('{"max_steps": 1, "k": 4, "dim": 8, "n_layers": 1}')
+    Path("ft.json").write_text('{"steps": 1}')
+    Path("al.json").write_text('{"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}')
+    for argv in (
+        ["pretrain", "--config", "pre.json", "--out", "encoder.ckpt"],
+        ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json",
+         "--out", "asr.ckpt"],
+        ["build-sft", "--out", "sft.jsonl"],
+        ["train-aligner", "--sft", "sft.jsonl", "--encoder", "encoder.ckpt",
+         "--config", "al.json", "--out", "fusion.ckpt"],
+    ):
+        assert main([*argv, "--manifest", "m.jsonl"]) == 0
+    written = {f"`{kind}` checkpoint": list(read_checkpoint(f"{kind}.ckpt")[1])
+               for kind in ("encoder", "asr", "fusion")}
+    header = json.loads(Path("sft.jsonl").read_text().splitlines()[0])
+    written["instruction-set header"] = [key for key in header if key != "__header__"]
+    assert _readme_artifact_entries() == written

@@ -24,10 +24,8 @@ from slmforge.slm import (
     CausalLM,
     CausalLMConfig,
     CharTokenizer,
-    ChatTemplate,
     FusionTrainConfig,
     SpeechAligner,
-    read_instruction_dataset,
     save_fusion,
 )
 
@@ -45,8 +43,6 @@ CONFIGS = [
     CausalLMConfig(vocab_size=12),
     FusionTrainConfig(),
     FusionTrainConfig(aligner_hidden=16),
-    ChatTemplate(),
-    ChatTemplate(user_marker="U:", end_marker="#"),
     PipelineConfig(),
     PipelineConfig(separator="external:cat", sample_rate=8000),
 ]
@@ -90,12 +86,6 @@ def test_routed_keys_name_the_key_given_and_the_field_set():
         config_fields(CausalLMConfig, {"dim": 8}, {"d_lm": "dim"})
 
 
-@pytest.mark.parametrize("marker", ["", 5, None])
-def test_chat_template_rejects_a_marker_that_is_not_a_non_empty_string(marker):
-    with pytest.raises(ConfigError, match="'end_marker' must be a non-empty string"):
-        ChatTemplate(end_marker=marker)
-
-
 # ---------------------------------------------------------------------------
 # Every reader site, through the CLI
 
@@ -133,15 +123,6 @@ def _config_file(tmp_path, obj):
     return path
 
 
-def _sft_header(tmp_path, template):
-    path = tmp_path / "sft.jsonl"
-    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1],
-               "final": "ab"}
-    path.write_text(json.dumps({"__header__": True, "charset": "ab", "template": template})
-                    + "\n" + json.dumps(example) + "\n")
-    return path
-
-
 # site -> (write a file holding the record, argv reading that file, key naming
 # the record, config class, a field of that class and its JSON key, and values
 # of the wrong type for it: a string and a bool where an integer is due, or an
@@ -162,14 +143,6 @@ SITES = {
                   lambda p: ["infer", "--fusion", p, "--encoder", "enc.ckpt",
                              "--wav", "in.wav", "--task", "transcribe"],
                   "lm_cfg", "CausalLMConfig", "vocab_size", "vocab_size", ("6", True)),
-    "fusion-template": (_checkpoint_site(_save_fusion, "template"),
-                        lambda p: ["infer", "--fusion", p, "--encoder", "enc.ckpt",
-                                   "--wav", "in.wav", "--task", "transcribe"],
-                        "template", "ChatTemplate", "user_marker", "user_marker", (5, True)),
-    "sft-header": (_sft_header,
-                   lambda p: ["train-aligner", "--sft", p, "--manifest", "m.jsonl",
-                              "--encoder", "enc.ckpt", "--out", "f.ckpt"],
-                   "template", "ChatTemplate", "user_marker", "user_marker", (5, True)),
 }
 
 CASES = ["wrong-type", "bool", "unknown-key", "non-object"]
@@ -196,8 +169,3 @@ def test_every_reader_site_exits_2_naming_file_key_and_field(
     if case == "unknown-key":
         assert "'foo'" in err
 
-
-def test_sft_header_template_reader_accepts_the_written_template(tmp_path):
-    path = _sft_header(tmp_path, {"user_marker": "U:"})
-    _, tokenizer, _ = read_instruction_dataset(path)
-    assert tokenizer.template == ChatTemplate(user_marker="U:")

@@ -181,8 +181,7 @@ def test_jsonl_writers_keep_their_bytes(tmp_path):
     want = _old_jsonl_bytes({"__header__": True, "v": 1, "name": "naïve"}, [RECORD, SECOND])
     assert (tmp_path / "m.jsonl").read_bytes() == want
     _write_sft(tmp_path / "s.jsonl")
-    header = {"__header__": True, "charset": "ab", "v": 1,
-              "template": asdict(CharTokenizer("ab").template)}
+    header = {"__header__": True, "charset": "ab", "v": 1}
     assert (tmp_path / "s.jsonl").read_bytes() == _old_jsonl_bytes(header, [EXAMPLE] * 2)
 
 

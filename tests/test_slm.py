@@ -68,20 +68,18 @@ def test_tokenizer_unknown_char_errors():
 
 
 def test_render_contains_exactly_one_placeholder_and_final():
-    text = render_chat(ChatTemplate(), "Transcribe the audio.",
-                       [("translate", "hello")], "waaw")
+    text = render_chat("Transcribe the audio.", [("translate", "hello")], "waaw")
     assert text.count("<|audio|>") == 1
     assert "STEP[translate]: hello\n" in text
     assert "FINAL: waaw<|end|>" in text
 
 
 def test_completion_mask_covers_assistant_tokens_only():
-    template = ChatTemplate()
-    text = render_chat(template, "Transcribe the audio.", [], "waaw")
+    text = render_chat("Transcribe the audio.", [], "waaw")
     tok = _tok([text])
     ids = tok.encode(text)
     mask = completion_mask(ids, tok)
-    start = ids.index(tok.token_id(template.assistant_marker))
+    start = ids.index(tok.token_id(ChatTemplate.assistant_marker))
     assert all(m == 0 for m in mask[: start + 1])
     assert all(m == 1 for m in mask[start + 1 :])
     assert tok.decode([i for i, m in zip(ids, mask) if m]) == "FINAL: waaw<|end|>"
@@ -220,18 +218,24 @@ ENC_CFG = SpeechEncoderConfig(input_dim=8, dim=16, n_layers=3, n_heads=2)
 
 
 def test_multilayer_feature_dim_is_layers_times_dim():
+    # the features are the transformer layers' hidden states side by side
     enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
     feats = np.random.default_rng(0).standard_normal((30, 8))
-    out = extract_multilayer_features(enc, feats, layer_sel=[0, 1, 2, 3])
-    assert out.shape == (enc.output_len(30), 4 * 16)
+    out = extract_multilayer_features(enc, feats)
+    states = enc.forward(feats)
+    assert np.array_equal(out, np.concatenate([s.data for s in states[1:]], axis=1))
 
 
 def test_single_layer_selection_equals_hidden_states():
+    # each layer's block of columns is that layer's hidden states, unchanged
     enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
     feats = np.random.default_rng(1).standard_normal((30, 8))
-    out = extract_multilayer_features(enc, feats, layer_sel=[2])
+    out = extract_multilayer_features(enc, feats)
     states = enc.forward(feats)
-    assert np.array_equal(out, states[2].data)
+    dim = ENC_CFG.dim
+    for layer in range(1, ENC_CFG.n_layers + 1):
+        block = out[:, (layer - 1) * dim : layer * dim]
+        assert np.array_equal(block, states[layer].data)
 
 
 def test_default_selection_all_transformer_layers_no_extra_downsampling():
@@ -239,12 +243,6 @@ def test_default_selection_all_transformer_layers_no_extra_downsampling():
     feats = np.random.default_rng(2).standard_normal((30, 8))
     out = extract_multilayer_features(enc, feats)
     assert out.shape == (enc.output_len(30), ENC_CFG.n_layers * 16)
-
-
-def test_invalid_layer_index():
-    enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
-    with pytest.raises(ConfigError):
-        extract_multilayer_features(enc, np.zeros((30, 8)), layer_sel=[7])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +347,7 @@ def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     """fusion_loss as it assembled the fused sequence before _fused_sequence."""
     ids = list(ids)
     loss_mask = list(loss_mask)
-    placeholder = tokenizer.token_id(tokenizer.template.audio_marker)
+    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
     positions = [i for i, t in enumerate(ids) if t == placeholder]
     assert len(positions) == 1
     p = positions[0]
@@ -384,11 +382,9 @@ def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
 
 def _reference_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
     """generate's loop before _fused_sequence."""
-    template = tokenizer.template
-    prompt_ids = tokenizer.encode(f"{template.user_marker}{template.audio_marker} "
-                                  f"{_MODE_TABLE[mode][0]}{template.assistant_marker}")
-    placeholder = tokenizer.token_id(template.audio_marker)
-    end_id = tokenizer.token_id(template.end_marker)
+    prompt_ids = tokenizer.encode(f"<|user|><|audio|> {_MODE_TABLE[mode][0]}<|assistant|>")
+    placeholder = tokenizer.token_id("<|audio|>")
+    end_id = tokenizer.token_id("<|end|>")
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
         generated, truncated = [], True
@@ -586,9 +582,8 @@ def test_repetition_loop_validates_params():
 def test_fusion_save_load_round_trip(tmp_path):
     lm, aligner, tok, examples, speech = _fusion_setup(seed=11)
     path = tmp_path / "fusion.ckpt"
-    save_fusion(lm, aligner, tok, path, layer_sel=[1])
-    lm2, aligner2, tok2, layer_sel = load_fusion(path)
-    assert layer_sel == [1]
+    save_fusion(lm, aligner, tok, path)
+    lm2, aligner2, tok2 = load_fusion(path)
     assert tok2.symbols == tok.symbols
     a = generate(lm, aligner, speech, "transcribe", tok, max_tokens=8)
     b = generate(lm2, aligner2, speech, "transcribe", tok2, max_tokens=8)
