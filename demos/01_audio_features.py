@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from slmforge.audio import SpectralConfig, log_mel, mfcc, read_wav, resample, write_wav
+from slmforge.audio import (FRAME_MS, HOP_MS, analysis_frame, fft_length, log_mel, mfcc,
+                            read_wav, resample, write_wav)
 from slmforge.synth import sine
 
 workdir = Path(tempfile.mkdtemp(prefix="slmforge-demo-"))
@@ -25,9 +26,12 @@ spectrum = np.abs(np.fft.rfft(down.samples))
 freqs = np.fft.rfftfreq(len(down.samples), d=1 / 16000)
 print(f"dominant frequency after resampling: {freqs[np.argmax(spectrum)]:.1f} Hz")
 
-# log-mel features: 25 ms Hann frames, 10 ms hop, 40 triangular mel bands
-cfg = SpectralConfig(n_mels=40)
-feats = log_mel(down, cfg)
+# log-mel features: the one fixed front end, with the mel count (here 40) as
+# its only argument; frame, hop and FFT length follow from the sample rate
+frame, hop = analysis_frame(down.sample_rate)
+print(f"{FRAME_MS:g} ms Hann frames every {HOP_MS:g} ms: {frame} and {hop} samples "
+      f"@ {down.sample_rate} Hz, {fft_length(frame)}-point FFT")
+feats = log_mel(down, 40)
 print(f"log-mel matrix: {feats.data.shape} (frames x mels), hop {feats.frame_hop_s*1000:.0f} ms")
 mid = feats.data[feats.num_frames // 2]
 print(f"hottest mel band at frame {feats.num_frames // 2}: {int(np.argmax(mid))}")

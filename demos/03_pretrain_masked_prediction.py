@@ -16,10 +16,12 @@ from slmforge.audio import FeatureMatrix
 from slmforge.pretrain import (
     MaskSpec,
     PretrainConfig,
+    SpeechEncoder,
     SpeechEncoderConfig,
     continued_pretrain,
     evaluate_masked_loss,
     initial_labels,
+    load_encoder,
     save_encoder,
     span_mask,
 )
@@ -31,7 +33,7 @@ rng = np.random.default_rng(606)
 dataset = []
 for _ in range(8):
     base = rng.standard_normal(12)
-    dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01, "logmel"))
+    dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01))
 
 mask = span_mask(25, MaskSpec(mask_prob=0.065, span_len=10, seed=0))
 print(f"span mask over 25 frames: {mask.astype(int)}")
@@ -40,7 +42,8 @@ enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
 cfg = PretrainConfig(epochs=10**6, lr=1e-3, batch_seconds=2.0, k=4, n_mfcc=6)
 
 print("\npretraining from scratch for 200 steps...")
-encoder, history = continued_pretrain(dataset, replace(cfg, max_steps=200), enc_cfg, seed=5)
+encoder, history = continued_pretrain(dataset, replace(cfg, max_steps=200),
+                                      SpeechEncoder(enc_cfg, cfg.k, seed=5), seed=5)
 print(f"loss: {history[0][1]:.3f} (step 1) -> {history[-1][1]:.3f} (step {history[-1][0]})")
 
 ckpt = workdir / "encoder.ckpt"
@@ -49,8 +52,8 @@ print(f"checkpoint saved to {ckpt}")
 
 print("\ncontinued pretraining (warm weights, fresh optimizer) vs scratch, 100 steps each:")
 cfg100 = replace(cfg, max_steps=100)
-warm, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5, init_checkpoint=ckpt)
-cold, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5)
+warm, _ = continued_pretrain(dataset, cfg100, load_encoder(ckpt), seed=5)
+cold, _ = continued_pretrain(dataset, cfg100, SpeechEncoder(enc_cfg, cfg.k, seed=5), seed=5)
 _, labels = initial_labels(dataset, cfg, cold, seed=5)
 print(f"   warm start loss @100: {evaluate_masked_loss(warm, dataset, labels):.4f}")
 print(f"   from scratch loss @100: {evaluate_masked_loss(cold, dataset, labels):.4f}")

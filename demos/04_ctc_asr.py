@@ -16,7 +16,7 @@ from slmforge.asr import (
     finetune_ctc,
     normalize_text,
 )
-from slmforge.audio import SpectralConfig, log_mel
+from slmforge.audio import log_mel
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.synth import tone_sequence
 
@@ -28,7 +28,7 @@ for text in ("Hello, World!", "We saw 23 birds."):
 # ten utterances: three tone segments each, one tone per character
 alphabet = "abcde"
 freqs = [400.0, 800.0, 1200.0, 1600.0, 2000.0]
-spectral = SpectralConfig(n_mels=16)
+n_mels = 16  # log-mel bands: the encoder's input width
 rng = np.random.default_rng(2024)
 examples, seen = [], set()
 while len(examples) < 10:
@@ -37,13 +37,13 @@ while len(examples) < 10:
         continue
     seen.add(idx)
     text = "".join(alphabet[i] for i in idx)
-    feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), spectral)
+    feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), n_mels)
     examples.append((feats.data, text))
 print(f"\ntraining set: {[t for _, t in examples]}")
 
 vocab = Vocab.from_texts([t for _, t in examples])
 encoder = SpeechEncoder(
-    SpeechEncoderConfig(input_dim=16, dim=24, n_layers=2, n_heads=2),
+    SpeechEncoderConfig(input_dim=n_mels, dim=24, n_layers=2, n_heads=2),
     n_classes=8, seed=7,
 )
 cfg = FinetuneConfig(steps=2000, lr=3e-3, batch_size=2, eval_every=50, seed=7)

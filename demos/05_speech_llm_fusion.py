@@ -8,7 +8,7 @@ answers transcription requests, and the CoT parser reads the output.
 
 import numpy as np
 
-from slmforge.audio import SpectralConfig, log_mel
+from slmforge.audio import log_mel
 from slmforge.curate import SegmentRecord
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
@@ -29,10 +29,10 @@ from slmforge.synth import sine
 
 alphabet = "abcde"
 freqs = [350.0, 700.0, 1200.0, 1900.0, 2800.0]
-spectral = SpectralConfig(n_mels=16)
+n_mels = 16  # log-mel bands: the encoder's input width
 
 encoder = SpeechEncoder(
-    SpeechEncoderConfig(input_dim=16, dim=24, n_layers=2, n_heads=2),
+    SpeechEncoderConfig(input_dim=n_mels, dim=24, n_layers=2, n_heads=2),
     n_classes=8, seed=3,
 ).freeze()
 
@@ -42,7 +42,7 @@ for i, ch in enumerate(alphabet):
                         duration_s=0.5, speaker="S0", quality_score=5.0,
                         sample_rate=16000, transcript=ch)
     records.append(rec)
-    audio = log_mel(sine(freqs[i], 0.5), spectral)
+    audio = log_mel(sine(freqs[i], 0.5), n_mels)
     feats[rec.id] = extract_multilayer_features(encoder, audio.data)
 print(f"multi-layer speech features per clip: {feats['u0'].shape} "
       "(frames x concatenated layers)")

@@ -9,7 +9,15 @@ evaluate with WER / CER / chrF.
 
 __version__ = "0.1.0"
 
-from .audio import AudioBuffer, FeatureMatrix, SpectralConfig, log_mel, mfcc, read_wav, resample, standardize, write_wav
+import os
+
+# One BLAS thread unless the caller chose otherwise: a threaded BLAS splits
+# sums differently, so artifact bytes would depend on the host's cores. Set
+# before the first numpy import, which is when BLAS reads these variables.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .audio import AudioBuffer, FeatureMatrix, log_mel, mfcc, read_wav, resample, standardize, write_wav
 from .curate import Manifest, PipelineConfig, SegmentRecord, Span, run_pipeline
 from .metrics import cer, chrf, render_report, wer
 from .tensor import Tensor, no_grad
@@ -18,7 +26,6 @@ __all__ = [
     "__version__",
     "AudioBuffer",
     "FeatureMatrix",
-    "SpectralConfig",
     "log_mel",
     "mfcc",
     "read_wav",

@@ -1,10 +1,17 @@
-"""Audio I/O, resampling, framing and spectral features (STFT, log-mel, MFCC).
+"""Audio I/O, resampling, framing and the one speech front end (log-mel, MFCC).
 
 Everything here is pure: functions never mutate their inputs, so buffers and
 feature matrices can be shared read-only across threads.
 
 WAV support covers RIFF little-endian containers with PCM16 or IEEE float32
 samples. Multichannel files are downmixed by averaging, never rejected.
+
+The front end is fixed: Hann-windowed frames of ``FRAME_MS`` every
+``HOP_MS`` (``analysis_frame`` gives their sample counts, for log-mel and
+curation's VAD alike), an FFT of ``fft_length(frame)`` points, a triangular
+mel bank from 0 Hz to the Nyquist rate, and a log floored at ``LOG_FLOOR``.
+The mel count is the only free number; callers take it from the encoder's
+input width.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ from scipy.fft import dct
 from .errors import ConfigError, TruncatedWavError, UnsupportedWavError
 from .fileio import atomic_open
 
-FEATURE_KINDS = ("logmel", "mfcc", "hidden")
+FRAME_MS = 25.0
+HOP_MS = 10.0
+MIN_FFT_SIZE = 512
+LOG_FLOOR = 1e-10
 
 
 @dataclass
@@ -54,7 +64,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     frame_hop_s: float
-    kind: str
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -62,8 +71,6 @@ class FeatureMatrix:
             raise ValueError(f"feature data must be 2-D, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature data contains non-finite values")
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
 
     @property
     def num_frames(self) -> int:
@@ -72,40 +79,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    frame_len_ms: float = 25.0
-    hop_ms: float = 10.0
-    fft_size: int = 512
-    n_mels: int = 40
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # None -> sample_rate / 2
-    log_floor: float = 1e-10
-
-    def frame_samples(self, sample_rate: int) -> int:
-        return int(round(self.frame_len_ms * sample_rate / 1000.0))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
-
-    def validate(self, sample_rate: int) -> None:
-        frame = self.frame_samples(sample_rate)
-        hop = self.hop_samples(sample_rate)
-        if frame <= 0 or hop <= 0:
-            raise ConfigError("frame and hop must be at least one sample")
-        if self.fft_size < frame:
-            raise ConfigError(
-                f"fft_size {self.fft_size} smaller than frame of {frame} samples"
-            )
-        fmax = self.fmax_hz if self.fmax_hz is not None else sample_rate / 2.0
-        if not (0.0 <= self.fmin_hz < fmax <= sample_rate / 2.0):
-            raise ConfigError(
-                f"need 0 <= fmin < fmax <= rate/2, got fmin={self.fmin_hz}, fmax={fmax}"
-            )
-        if self.log_floor <= 0.0:
-            raise ConfigError("log_floor must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +202,24 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(out, target_rate)
 
 
+def analysis_frame(sample_rate: int) -> tuple:
+    """(frame, hop) sample counts of the ``FRAME_MS`` window and ``HOP_MS``
+    hop at ``sample_rate``; a ConfigError naming the rate when the hop
+    rounds to no sample."""
+    frame = int(round(FRAME_MS * sample_rate / 1000.0))
+    hop = int(round(HOP_MS * sample_rate / 1000.0))
+    if hop < 1:
+        raise ConfigError(f"sample rate {sample_rate} Hz is too low: its {HOP_MS:g} ms "
+                          f"hop rounds to {hop} samples")
+    return frame, hop
+
+
+def fft_length(frame: int) -> int:
+    """FFT length for ``frame``-sample windows: the larger of ``MIN_FFT_SIZE``
+    and the next power of two at or above ``frame``."""
+    return max(MIN_FFT_SIZE, 1 << (frame - 1).bit_length())
+
+
 def frame_signal(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     """Slice a 1-D signal into (T, frame) rows; T = 1 + (n - frame) // hop."""
     n = len(samples)
@@ -247,11 +238,10 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int, fft_size: int, sample_rate: int, fmin: float, fmax: float
-) -> np.ndarray:
-    """Triangular mel filterbank over rfft bins, shape (n_mels, fft_size//2 + 1)."""
-    mel_points = np.linspace(mel_scale(fmin), mel_scale(fmax), n_mels + 2)
+def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filterbank from 0 Hz to the Nyquist rate over rfft bins,
+    shape (n_mels, fft_size//2 + 1)."""
+    mel_points = np.linspace(0.0, mel_scale(sample_rate / 2.0), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     bank = np.zeros((n_mels, len(bin_freqs)))
@@ -271,20 +261,17 @@ def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> 
     return np.abs(np.fft.rfft(frames * window, n=fft_size, axis=1))
 
 
-def log_mel(buf: AudioBuffer, cfg: SpectralConfig = SpectralConfig()) -> FeatureMatrix:
-    """Hann-windowed magnitude STFT through a triangular mel bank, floored log.
+def log_mel(buf: AudioBuffer, n_mels: int) -> FeatureMatrix:
+    """Hann-windowed magnitude STFT through an ``n_mels``-band triangular mel
+    bank, log floored at ``LOG_FLOOR``.
 
     A buffer shorter than one frame yields an empty (0 x n_mels) matrix.
     """
-    cfg.validate(buf.sample_rate)
-    frame = cfg.frame_samples(buf.sample_rate)
-    hop = cfg.hop_samples(buf.sample_rate)
-    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else buf.sample_rate / 2.0
-    mag = stft_magnitude(buf.samples, frame, hop, cfg.fft_size)
-    bank = mel_filterbank(cfg.n_mels, cfg.fft_size, buf.sample_rate, cfg.fmin_hz, fmax)
-    mel_energy = mag @ bank.T
-    out = np.log(np.maximum(mel_energy, cfg.log_floor))
-    return FeatureMatrix(out, hop / buf.sample_rate, "logmel")
+    frame, hop = analysis_frame(buf.sample_rate)
+    n_fft = fft_length(frame)
+    mag = stft_magnitude(buf.samples, frame, hop, n_fft)
+    mel_energy = mag @ mel_filterbank(n_mels, n_fft, buf.sample_rate).T
+    return FeatureMatrix(np.log(np.maximum(mel_energy, LOG_FLOOR)), hop / buf.sample_rate)
 
 
 def standardize(features: FeatureMatrix, eps: float = 1e-8) -> FeatureMatrix:
@@ -296,20 +283,17 @@ def standardize(features: FeatureMatrix, eps: float = 1e-8) -> FeatureMatrix:
     """
     data = features.data
     if data.shape[0] == 0:
-        return FeatureMatrix(data.copy(), features.frame_hop_s, features.kind)
+        return FeatureMatrix(data.copy(), features.frame_hop_s)
     mean = data.mean(axis=0)
     std = data.std(axis=0)
-    return FeatureMatrix((data - mean) / (std + eps), features.frame_hop_s,
-                         features.kind)
+    return FeatureMatrix((data - mean) / (std + eps), features.frame_hop_s)
 
 
 def mfcc(logmel_matrix: FeatureMatrix, n_mfcc: int) -> FeatureMatrix:
     """First n_mfcc coefficients of an orthonormal type-II DCT per log-mel frame."""
-    if logmel_matrix.kind != "logmel":
-        raise ConfigError(f"mfcc input must be logmel, got {logmel_matrix.kind!r}")
     if n_mfcc > logmel_matrix.dim:
         raise ConfigError(
             f"n_mfcc {n_mfcc} exceeds mel dimension {logmel_matrix.dim}"
         )
     coeffs = dct(logmel_matrix.data, type=2, norm="ortho", axis=1)[:, :n_mfcc]
-    return FeatureMatrix(coeffs, logmel_matrix.frame_hop_s, "mfcc")
+    return FeatureMatrix(coeffs, logmel_matrix.frame_hop_s)

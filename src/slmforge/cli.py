@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 key sets one dataclass field, whose default applies when the key is absent.
 Any other key is an error naming it, and so is a value whose JSON type
 does not fit the field (``config.config_fields``, the one config reader,
-names the file, key and field). The training subcommands take their seed
+names the file, key and field). The audio front end is fixed
+(``audio.log_mel``); its mel count is the encoder's input width, which
+``pretrain`` takes from the ``n_mels`` key and every later subcommand from
+the encoder checkpoint. The training subcommands take their seed
 from ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing
 subcommand embeds the fully resolved config and its hash in the output, so
 identical config + seed reproduce outputs byte-for-byte.
@@ -26,17 +29,19 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .audio import SpectralConfig, log_mel, read_wav, resample, standardize
+from .audio import log_mel, read_wav, resample, standardize
 from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
 from .fileio import atomic_open
+from .nn import load_checkpoint
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
 from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
 from .pretrain import (
     MaskSpec,
     PretrainConfig,
+    SpeechEncoder,
     SpeechEncoderConfig,
     continued_pretrain,
     load_encoder,
@@ -63,7 +68,7 @@ def _same_names(cls, *names) -> dict:
 CONFIG_KEYS = {
     "curate": _same_names(PipelineConfig, *(f.name for f in fields(PipelineConfig))),
     "pretrain": {
-        **_same_names(SpectralConfig, "n_mels"),
+        "n_mels": (SpeechEncoderConfig, "input_dim"),
         **_same_names(SpeechEncoderConfig, "dim", "n_layers", "n_heads"),
         **_same_names(PretrainConfig, "epochs", "lr", "batch_seconds", "target_layer",
                       "k", "refresh_schedule", "max_steps"),
@@ -125,15 +130,16 @@ def _resolved_metadata(seed: int, *configs) -> dict:
             "config_hash": config_hash(resolved)}
 
 
-def _records_with_audio(manifest: Manifest, spectral: SpectralConfig):
-    """Yield (record, standardized logmel FeatureMatrix) per manifest record."""
+def _records_with_audio(manifest: Manifest, n_mels: int):
+    """Yield (record, standardized ``n_mels``-band log-mel FeatureMatrix) per
+    manifest record."""
     cache = {}
     for rec in manifest.records:
         if rec.source_path not in cache:
             cache[rec.source_path] = read_wav(rec.source_path)
         buf = resample(cache[rec.source_path], rec.sample_rate)
         seg = buf.slice_seconds(rec.offset_s, rec.offset_s + rec.duration_s)
-        yield rec, standardize(log_mel(seg, spectral))
+        yield rec, standardize(log_mel(seg, n_mels))
 
 
 def _normalization_rules(args):
@@ -144,11 +150,11 @@ def _normalization_rules(args):
     return asr_mod.builtin_rules(args.language or "en")
 
 
-def _wav_features(path, sample_rate: int, spectral: SpectralConfig):
+def _wav_features(path, sample_rate: int, n_mels: int):
     # trim to the speech extent so decode-time features match the curated
     # segments models were trained on
     buf = trim_to_speech(resample(read_wav(path), sample_rate))
-    return standardize(log_mel(buf, spectral))
+    return standardize(log_mel(buf, n_mels))
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +176,22 @@ def cmd_curate(args) -> int:
 def cmd_pretrain(args) -> int:
     given = _config_fields(args)
     seed = _resolve_seed(args)
-    spectral = SpectralConfig(**given[SpectralConfig])
-    encoder_cfg = SpeechEncoderConfig(input_dim=spectral.n_mels, **given[SpeechEncoderConfig])
+    encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
     train_cfg = PretrainConfig(mask=MaskSpec(**given[MaskSpec]), **given[PretrainConfig])
-    if spectral.n_mels < train_cfg.n_mfcc:
-        raise ConfigError(f"config {args.config}: 'n_mels' {spectral.n_mels} is below the "
-                          f"{train_cfg.n_mfcc} MFCCs the pretraining targets need")
+    if encoder_cfg.input_dim < train_cfg.n_mfcc:
+        raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
+                          f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
+    encoder = SpeechEncoder(encoder_cfg, train_cfg.k, seed=seed)
+    if args.init is not None:
+        load_checkpoint(args.init, encoder, "encoder")
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
-    dataset = [features for _, features in _records_with_audio(manifest, spectral)]
+    dataset = [features for _, features in
+               _records_with_audio(manifest, encoder_cfg.input_dim)]
 
-    encoder, history = continued_pretrain(
-        dataset, train_cfg, encoder_cfg, seed=seed, init_checkpoint=args.init,
-    )
-    save_encoder(encoder, args.out,
-                 _resolved_metadata(seed, spectral, encoder_cfg, train_cfg))
+    encoder, history = continued_pretrain(dataset, train_cfg, encoder, seed=seed)
+    save_encoder(encoder, args.out, _resolved_metadata(seed, encoder_cfg, train_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"pretrain: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
@@ -195,12 +201,11 @@ def cmd_finetune_asr(args) -> int:
     seed = _resolve_seed(args)
     cfg = asr_mod.FinetuneConfig(seed=seed, **_config_fields(args)[asr_mod.FinetuneConfig])
     encoder = load_encoder(args.encoder)
-    spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
 
     rules = _normalization_rules(args)
     train, heldout = [], []
-    for rec, features in _records_with_audio(manifest, spectral):
+    for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
         if not rec.transcript:
             continue
         text = asr_mod.normalize_text(rec.transcript, rules)
@@ -222,8 +227,7 @@ def cmd_finetune_asr(args) -> int:
 
 def cmd_transcribe(args) -> int:
     model = asr_mod.load_asr_model(args.ckpt)
-    spectral = SpectralConfig(n_mels=model.encoder.cfg.input_dim)
-    features = _wav_features(args.wav, args.sample_rate, spectral)
+    features = _wav_features(args.wav, args.sample_rate, model.encoder.cfg.input_dim)
     print(model.transcribe(features.data, beam_width=args.beam))
     return 0
 
@@ -251,11 +255,10 @@ def cmd_train_aligner(args) -> int:
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
     encoder = load_encoder(args.encoder)
-    spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
     manifest = Manifest.read(args.manifest)
 
     feature_cache = {}
-    for rec, features in _records_with_audio(manifest, spectral):
+    for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
         feature_cache[rec.id] = slm_mod.extract_multilayer_features(
             encoder, features.data
         )
@@ -298,8 +301,7 @@ def cmd_infer(args) -> int:
         )
     lm, aligner, tokenizer = slm_mod.load_fusion(args.fusion)
     encoder = load_encoder(args.encoder)
-    spectral = SpectralConfig(n_mels=encoder.cfg.input_dim)
-    features = _wav_features(args.wav, args.sample_rate, spectral)
+    features = _wav_features(args.wav, args.sample_rate, encoder.cfg.input_dim)
     speech = slm_mod.extract_multilayer_features(encoder, features.data)
     result = slm_mod.generate(lm, aligner, speech, mode, tokenizer,
                               max_tokens=args.max_tokens)

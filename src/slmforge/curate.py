@@ -9,7 +9,10 @@ manifest is byte-deterministic for given inputs and config.
 Separation and quality scoring are pluggable: a deterministic built-in
 proxy, or an external subprocess that reads WAV on stdin and writes WAV
 (separator) or a decimal score (scorer) on stdout, exiting 0 on success.
-Speaker embeddings for diarization are built-in log-mel statistics.
+Speaker embeddings for diarization are built-in log-mel statistics. VAD and
+scoring frame the signal with the package's one analysis frame
+(``audio.analysis_frame``), so ``PipelineConfig`` rejects a ``sample_rate``
+too low to hold a hop before any file is read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .audio import (
     AudioBuffer,
-    SpectralConfig,
+    analysis_frame,
     frame_signal,
     log_mel,
     parse_wav_bytes,
@@ -37,8 +40,6 @@ from .fileio import read_jsonl, write_jsonl
 
 PIPELINE_VERSION = "1"
 
-VAD_FRAME_MS = 25.0
-VAD_HOP_MS = 10.0
 _ENERGY_FLOOR = 1e-12
 
 REJECT_REASONS = ("too_short", "too_long", "low_quality")
@@ -116,6 +117,10 @@ class PipelineConfig:
             raise ConfigError("min_dur_s must be below max_dur_s")
         if not (1.0 <= self.quality_threshold <= 5.0):
             raise ConfigError("quality_threshold must lie in [1, 5]")
+        try:
+            analysis_frame(self.sample_rate)
+        except ConfigError as exc:
+            raise ConfigError(f"'sample_rate': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +212,7 @@ def separate_sources(buf: AudioBuffer, separator: str = "passthrough") -> AudioB
 
 
 def _frame_energies_db(buf: AudioBuffer):
-    frame = int(round(VAD_FRAME_MS * buf.sample_rate / 1000.0))
-    hop = int(round(VAD_HOP_MS * buf.sample_rate / 1000.0))
+    frame, hop = analysis_frame(buf.sample_rate)
     frames = frame_signal(buf.samples, frame, hop)
     if frames.shape[0] == 0:
         return np.zeros(0), frame / buf.sample_rate, hop / buf.sample_rate
@@ -216,8 +220,13 @@ def _frame_energies_db(buf: AudioBuffer):
     return 10.0 * np.log10(energy + _ENERGY_FLOOR), frame / buf.sample_rate, hop / buf.sample_rate
 
 
+def _speech_frames(e_db: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Frames whose log energy exceeds the 10th percentile by ``energy_threshold_db``."""
+    return e_db > np.percentile(e_db, 10) + cfg.energy_threshold_db
+
+
 def vad_segments(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> list:
-    """Energy VAD over 25 ms / 10 ms frames.
+    """Energy VAD over the analysis frames of ``audio.analysis_frame``.
 
     A frame is speech when its log energy exceeds the buffer's 10th-percentile
     energy by ``energy_threshold_db``. Gaps shorter than ``hangover_ms`` are
@@ -227,8 +236,7 @@ def vad_segments(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> li
     e_db, frame_s, hop_s = _frame_energies_db(buf)
     if e_db.size == 0:
         return []
-    threshold = np.percentile(e_db, 10) + cfg.energy_threshold_db
-    speech = e_db > threshold
+    speech = _speech_frames(e_db, cfg)
 
     spans = []
     start = None
@@ -274,8 +282,8 @@ def trim_to_speech(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> 
 
 
 def logmel_stats_embedder(buf: AudioBuffer) -> np.ndarray:
-    """Built-in proxy speaker embedding: per-band log-mel mean and std, L2-normalized."""
-    feats = log_mel(buf, SpectralConfig())
+    """Built-in proxy speaker embedding: 40-band log-mel mean and std, L2-normalized."""
+    feats = log_mel(buf, 40)
     if feats.num_frames == 0:
         vec = np.zeros(2 * feats.dim)
     else:
@@ -387,8 +395,7 @@ def quality_score(buf: AudioBuffer, scorer: str = "snr-proxy",
     if e_db.size == 0:
         snr_db = 0.0
     else:
-        threshold = np.percentile(e_db, 10) + cfg.energy_threshold_db
-        speech = e_db > threshold
+        speech = _speech_frames(e_db, cfg)
         if not speech.any() or speech.all():
             snr_db = 0.0
         else:

@@ -42,18 +42,24 @@ def _check_paired(refs, hyps):
         raise ValueError(f"got {len(refs)} references but {len(hyps)} hypotheses")
 
 
-def wer(refs, hyps) -> float:
-    """Corpus word error rate: sum of word edit distances / total ref words."""
+def _corpus_rate(refs, hyps, tokens, unit: str) -> float:
+    """Sum of edit distances over the sum of reference lengths, both counted
+    in the tokens ``tokens(text)`` returns; ``unit`` names them in errors."""
     _check_paired(refs, hyps)
     total_dist = 0
-    total_words = 0
+    total_len = 0
     for ref, hyp in zip(refs, hyps):
-        r, h = ref.split(), hyp.split()
+        r, h = tokens(ref), tokens(hyp)
         total_dist += edit_distance(r, h)
-        total_words += len(r)
-    if total_words == 0:
-        raise ValueError("references contain no words")
-    return total_dist / total_words
+        total_len += len(r)
+    if total_len == 0:
+        raise ValueError(f"references contain no {unit}")
+    return total_dist / total_len
+
+
+def wer(refs, hyps) -> float:
+    """Corpus word error rate: sum of word edit distances / total ref words."""
+    return _corpus_rate(refs, hyps, str.split, "words")
 
 
 def _char_tokens(text: str):
@@ -63,16 +69,7 @@ def _char_tokens(text: str):
 
 def cer(refs, hyps) -> float:
     """Corpus character error rate over whitespace-collapsed character tokens."""
-    _check_paired(refs, hyps)
-    total_dist = 0
-    total_chars = 0
-    for ref, hyp in zip(refs, hyps):
-        r, h = _char_tokens(ref), _char_tokens(hyp)
-        total_dist += edit_distance(r, h)
-        total_chars += len(r)
-    if total_chars == 0:
-        raise ValueError("references contain no characters")
-    return total_dist / total_chars
+    return _corpus_rate(refs, hyps, _char_tokens, "characters")
 
 
 def _ngram_counts(chars: str, n: int) -> Counter:

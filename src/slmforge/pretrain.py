@@ -5,8 +5,9 @@ features, later refreshed from an intermediate transformer layer of the
 partially trained encoder. Training minimizes cross-entropy of the
 prediction head against those pseudo-labels at masked frame positions only.
 
-Continued pretraining loads encoder weights from a checkpoint but always
-starts the optimizer from a fresh state.
+Continued pretraining trains an encoder whose weights the caller built or
+loaded from a checkpoint, but always starts the optimizer from a fresh
+state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .nn import (
     Parameter,
     TransformerLayer,
     load_arrays,
-    load_checkpoint,
     read_checkpoint,
     save_checkpoint,
     sinusoidal_positions,
@@ -367,24 +367,18 @@ def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int
     return total / max(len(dataset), 1)
 
 
-def continued_pretrain(dataset, cfg: PretrainConfig,
-                       encoder_cfg: SpeechEncoderConfig | None = None,
-                       seed: int = 0, init_checkpoint=None):
-    """Train (or continue training) the masked-prediction encoder.
+def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
+                       seed: int = 0):
+    """Train ``encoder`` (with ``cfg.k`` classes) in place by masked prediction.
 
-    ``dataset`` is a list of log-mel FeatureMatrix. When
-    ``init_checkpoint`` is given, it must be an encoder checkpoint; its
-    weights are loaded strictly and the optimizer still starts fresh.
-    Batches greedily fill utterances until ``batch_seconds`` is reached; the
-    loss is the mean of per-utterance losses (no padding across utterances). Returns (encoder, history) where
-    history maps step -> loss.
+    ``dataset`` is a list of log-mel FeatureMatrix. The encoder is fresh or
+    holds weights loaded from a checkpoint; either way the optimizer starts
+    fresh. Batches greedily fill utterances until ``batch_seconds`` is
+    reached; the loss is the mean of per-utterance losses (no padding across
+    utterances). Returns (encoder, history) where history maps step -> loss.
     """
     if len(dataset) == 0:
         raise ValueError("continued_pretrain needs a non-empty dataset")
-    encoder_cfg = encoder_cfg or SpeechEncoderConfig(input_dim=dataset[0].dim)
-    encoder = SpeechEncoder(encoder_cfg, cfg.k, seed=seed)
-    if init_checkpoint is not None:
-        load_checkpoint(init_checkpoint, encoder, "encoder")
 
     _, labels = initial_labels(dataset, cfg, encoder, seed)
 

@@ -27,7 +27,7 @@ from slmforge.asr import (
     ctc_required_frames,
     finetune_ctc,
 )
-from slmforge.audio import FeatureMatrix, SpectralConfig, log_mel, write_wav
+from slmforge.audio import FeatureMatrix, log_mel, write_wav
 from slmforge.curate import Manifest, PipelineConfig, run_pipeline
 from slmforge.metrics import MetricRow, cer, chrf, edit_distance, render_report, wer
 from slmforge.nn import Adam, checkpoint_bytes
@@ -40,6 +40,7 @@ from slmforge.pretrain import (
     evaluate_masked_loss,
     initial_labels,
     kmeans_fit,
+    load_encoder,
     masked_prediction_loss,
     save_encoder,
     span_mask,
@@ -338,18 +339,19 @@ def test_criterion_06_continued_pretraining_benefit(tmp_path):
     dataset = []
     for _ in range(8):
         base = rng.standard_normal(12)
-        dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)),
-                                     0.01, "logmel"))
+        dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01))
     enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
     cfg = PretrainConfig(epochs=10**6, lr=1e-3, batch_seconds=2.0, k=4, n_mfcc=6)
 
-    enc_a, _ = continued_pretrain(dataset, replace(cfg, max_steps=200), enc_cfg, seed=5)
+    enc_a, _ = continued_pretrain(dataset, replace(cfg, max_steps=200),
+                                  SpeechEncoder(enc_cfg, cfg.k, seed=5), seed=5)
     ckpt = tmp_path / "warm.ckpt"
     save_encoder(enc_a, ckpt)
 
     cfg100 = replace(cfg, max_steps=100)
-    enc_warm, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5, init_checkpoint=ckpt)
-    enc_cold, _ = continued_pretrain(dataset, cfg100, enc_cfg, seed=5)
+    enc_warm, _ = continued_pretrain(dataset, cfg100, load_encoder(ckpt), seed=5)
+    enc_cold, _ = continued_pretrain(dataset, cfg100, SpeechEncoder(enc_cfg, cfg.k, seed=5),
+                                     seed=5)
 
     _, labels = initial_labels(dataset, cfg, enc_cold, seed=5)
     loss_warm = evaluate_masked_loss(enc_warm, dataset, labels)
@@ -367,7 +369,6 @@ def test_criterion_07_toy_asr_overfit_wer_zero():
     started = time.monotonic()
     alphabet = "abcde"
     freqs = [400.0, 800.0, 1200.0, 1600.0, 2000.0]
-    spectral = SpectralConfig(n_mels=16)
 
     rng = np.random.default_rng(2024)
     seen, examples = set(), []
@@ -377,7 +378,7 @@ def test_criterion_07_toy_asr_overfit_wer_zero():
             continue
         seen.add(idx)
         text = "".join(alphabet[i] for i in idx)
-        feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), spectral)
+        feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), 16)
         examples.append((feats.data, text))
 
     vocab = Vocab.from_texts([t for _, t in examples])
@@ -402,7 +403,6 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
 
     alphabet = "abcde"
     freqs = [350.0, 700.0, 1200.0, 1900.0, 2800.0]
-    spectral = SpectralConfig(n_mels=16)
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=16, dim=24, n_layers=2,
                                                 n_heads=2), n_classes=8, seed=3)
     encoder.freeze()
@@ -413,7 +413,7 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
                             duration_s=0.5, speaker="S0", quality_score=5.0,
                             sample_rate=16000, transcript=ch)
         records.append(rec)
-        audio = log_mel(sine(freqs[i], 0.5), spectral)
+        audio = log_mel(sine(freqs[i], 0.5), 16)
         feats[rec.id] = extract_multilayer_features(encoder, audio.data)
 
     examples, tok, _ = build_instruction_dataset(records, ["transcribe"])

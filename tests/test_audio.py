@@ -7,9 +7,11 @@ import pytest
 from scipy.fft import idct
 
 from slmforge.audio import (
+    LOG_FLOOR,
     AudioBuffer,
     FeatureMatrix,
-    SpectralConfig,
+    analysis_frame,
+    fft_length,
     log_mel,
     mel_filterbank,
     mel_scale,
@@ -124,37 +126,40 @@ def test_resample_rejects_bad_rate():
 
 
 def test_log_mel_zero_signal_hits_log_floor():
-    cfg = SpectralConfig()
     buf = AudioBuffer(np.zeros(16000), 16000)
-    feats = log_mel(buf, cfg)
-    assert np.all(feats.data == np.log(cfg.log_floor))
+    feats = log_mel(buf, 40)
+    assert np.all(feats.data == np.log(1e-10))
+    assert LOG_FLOOR == 1e-10
 
 
 def test_log_mel_frame_count_formula():
+    # 25 ms frames every 10 ms: 400 and 160 samples at 16 kHz
+    assert analysis_frame(16000) == (400, 160)
     buf = AudioBuffer(np.zeros(16000), 16000)
-    feats = log_mel(buf, SpectralConfig(frame_len_ms=25.0, hop_ms=10.0))
+    feats = log_mel(buf, 40)
     assert feats.num_frames == 98
+    assert feats.frame_hop_s == 0.01
 
 
 def test_log_mel_short_buffer_gives_empty_matrix():
     buf = AudioBuffer(np.zeros(100), 16000)
-    feats = log_mel(buf, SpectralConfig())
+    feats = log_mel(buf, 40)
     assert feats.num_frames == 0
 
 
 def test_log_mel_peak_bin_matches_mel_arithmetic_oracle():
-    cfg = SpectralConfig(n_mels=40)
+    n_mels = 40
     buf = sine(1000.0, 1.0, 16000)
-    feats = log_mel(buf, cfg)
+    feats = log_mel(buf, n_mels)
     mid = feats.data[feats.num_frames // 2]
     got = int(np.argmax(mid))
 
     # oracle: the triangle whose response at 1 kHz is largest, from the
     # mel-point arithmetic alone
-    mel_points = np.linspace(mel_scale(cfg.fmin_hz), mel_scale(8000.0), cfg.n_mels + 2)
+    mel_points = np.linspace(mel_scale(0.0), mel_scale(8000.0), n_mels + 2)
     hz = 700.0 * (10.0 ** (mel_points / 2595.0) - 1.0)
     responses = []
-    for m in range(cfg.n_mels):
+    for m in range(n_mels):
         left, center, right = hz[m], hz[m + 1], hz[m + 2]
         up = (1000.0 - left) / (center - left)
         down = (right - 1000.0) / (right - center)
@@ -163,12 +168,11 @@ def test_log_mel_peak_bin_matches_mel_arithmetic_oracle():
 
 
 def test_log_mel_translation_consistency_one_hop_shift():
-    cfg = SpectralConfig()
     rng = np.random.default_rng(8)
     base = 0.3 * rng.standard_normal(16000)
-    hop = cfg.hop_samples(16000)
-    a = log_mel(AudioBuffer(np.clip(base, -1, 1), 16000), cfg)
-    b = log_mel(AudioBuffer(np.clip(np.concatenate([np.zeros(hop), base]), -1, 1), 16000), cfg)
+    _, hop = analysis_frame(16000)
+    a = log_mel(AudioBuffer(np.clip(base, -1, 1), 16000), 40)
+    b = log_mel(AudioBuffer(np.clip(np.concatenate([np.zeros(hop), base]), -1, 1), 16000), 40)
     assert np.max(np.abs(b.data[1 : a.num_frames] - a.data[: a.num_frames - 1])) < 1e-6
 
 
@@ -179,8 +183,63 @@ def test_stft_of_zero_signal_is_identically_zero():
 
 
 def test_filterbank_shape():
-    bank = mel_filterbank(40, 512, 16000, 0.0, 8000.0)
+    bank = mel_filterbank(40, 512, 16000)
     assert bank.shape == (40, 257)
+
+
+def _log_mel_with_512_point_fft(buf, n_mels):
+    """The front end as it was with a fixed 512-point FFT: 25 ms / 10 ms
+    Hann frames, a mel bank from 0 Hz to the Nyquist rate, log floor 1e-10."""
+    rate = buf.sample_rate
+    frame, hop = int(round(25.0 * rate / 1000.0)), int(round(10.0 * rate / 1000.0))
+    mag = stft_magnitude(buf.samples, frame, hop, 512)
+    hz_points = 700.0 * (10.0 ** (np.linspace(mel_scale(0.0), mel_scale(rate / 2.0),
+                                              n_mels + 2) / 2595.0) - 1.0)
+    bin_freqs = np.arange(257) * rate / 512
+    bank = np.zeros((n_mels, 257))
+    for m in range(n_mels):
+        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        up = (bin_freqs - left) / max(center - left, 1e-12)
+        down = (right - bin_freqs) / max(right - center, 1e-12)
+        bank[m] = np.maximum(0.0, np.minimum(up, down))
+    return np.log(np.maximum(mag @ bank.T, 1e-10))
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 20480])
+@pytest.mark.parametrize("n_mels", [16, 40])
+def test_log_mel_is_bit_equal_to_the_fixed_512_point_front_end(rate, n_mels):
+    rng = np.random.default_rng(rate + n_mels)
+    buf = AudioBuffer(np.clip(0.3 * rng.standard_normal(rate // 2), -1, 1), rate)
+    feats = log_mel(buf, n_mels)
+    assert feats.data.tobytes() == _log_mel_with_512_point_fft(buf, n_mels).tobytes()
+
+
+@pytest.mark.parametrize("rate, frame, n_fft", [
+    (8000, 200, 512), (16000, 400, 512), (20480, 512, 512), (20500, 512, 512),
+    (20520, 513, 1024), (22050, 551, 1024), (44100, 1102, 2048), (48000, 1200, 2048),
+])
+def test_fft_length_is_the_next_power_of_two_of_the_frame_and_at_least_512(
+        rate, frame, n_fft):
+    assert analysis_frame(rate)[0] == frame
+    assert fft_length(frame) == n_fft
+
+
+@pytest.mark.parametrize("rate", [22050, 44100, 48000])
+def test_log_mel_at_high_rates_peaks_in_the_tone_band(rate):
+    feats = log_mel(sine(1000.0, 0.5, rate), 40)
+    frame, hop = analysis_frame(rate)
+    assert feats.num_frames == 1 + (rate // 2 - frame) // hop
+    assert feats.frame_hop_s == hop / rate
+    bank = mel_filterbank(40, fft_length(frame), rate)
+    peak_bin = int(round(1000.0 * fft_length(frame) / rate))
+    assert int(np.argmax(feats.data[feats.num_frames // 2])) == int(np.argmax(bank[:, peak_bin]))
+
+
+@pytest.mark.parametrize("rate", [40, 0, -8000])
+def test_analysis_frame_rejects_a_rate_whose_hop_has_no_sample(rate):
+    with pytest.raises(ConfigError, match=f"sample rate {rate} Hz"):
+        analysis_frame(rate)
+    assert analysis_frame(100) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +247,7 @@ def test_filterbank_shape():
 
 
 def _logmel_fixture(data):
-    return FeatureMatrix(np.asarray(data, dtype=np.float64), 0.01, "logmel")
+    return FeatureMatrix(np.asarray(data, dtype=np.float64), 0.01)
 
 
 def test_mfcc_constant_frame_dct_of_constant():
@@ -236,7 +295,7 @@ def test_standardize_zero_mean_unit_variance_per_band():
     out = standardize(feats)
     assert np.max(np.abs(out.data.mean(axis=0))) < 1e-9
     assert np.max(np.abs(out.data.std(axis=0) - 1.0)) < 1e-6
-    assert out.kind == feats.kind
+    assert out.frame_hop_s == feats.frame_hop_s
 
 
 def test_standardize_constant_band_stays_near_zero():
@@ -249,9 +308,3 @@ def test_standardize_constant_band_stays_near_zero():
 def test_standardize_empty_matrix():
     out = standardize(_logmel_fixture(np.zeros((0, 4))))
     assert out.num_frames == 0
-
-
-def test_mfcc_rejects_non_logmel_input():
-    feats = FeatureMatrix(np.zeros((2, 8)), 0.01, "hidden")
-    with pytest.raises(ConfigError):
-        mfcc(feats, 4)

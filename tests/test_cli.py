@@ -12,7 +12,7 @@ import pytest
 
 from conftest import cli_env
 
-from slmforge.audio import SpectralConfig, write_wav
+from slmforge.audio import write_wav
 from slmforge.asr import CtcModel, Vocab, save_asr_model
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
@@ -109,6 +109,54 @@ def test_curate_bad_config_key_is_runtime_error(tmp_path):
     rc = main(["curate", "--config", str(cfg), "--out",
                str(tmp_path / "m.jsonl"), str(wav)])
     assert rc == 2
+
+
+def test_curate_too_low_sample_rate_exits_2_naming_the_key_before_reading(
+        tmp_path, monkeypatch, capsys):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    monkeypatch.setattr("slmforge.curate.read_wav", no_read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_rate": 40}))
+    assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
+                 str(tmp_path / "in.wav")]) == 2
+    err = capsys.readouterr().err
+    assert "'sample_rate': sample rate 40 Hz is too low" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate", [22050, 48000])
+def test_curate_at_rates_whose_frame_exceeds_512_samples(tmp_path, rate):
+    wav, out, cfg = tmp_path / "in.wav", tmp_path / "m.jsonl", tmp_path / "cfg.json"
+    _speechy(wav)
+    cfg.write_text(json.dumps({"sample_rate": rate}))
+    assert main(["curate", "--config", str(cfg), "--out", str(out), str(wav)]) == 0
+    records = Manifest.read(out).records
+    assert records and all(r.sample_rate == rate for r in records)
+
+
+def test_transcribe_at_22050_hz(tmp_path, capsys):
+    ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
+    encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
+    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt)
+    _speechy(wav, bursts=3)
+    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
+                 "--sample-rate", "22050"]) == 0
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_pins_blas_threads_unless_set(preset):
+    env = {k: v for k, v in cli_env().items() if k not in BLAS_VARS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, slmforge; "
+            f"print(' '.join(os.environ[k] for k in {BLAS_VARS!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == [preset or "1", "1", "1"]
 
 
 def test_eval_and_report_round_trip(tmp_path, capsys):
@@ -227,8 +275,7 @@ def test_finetune_asr_bad_encoder_metadata_is_runtime_error(tmp_path, capsys, ed
 @pytest.mark.parametrize("beam", ["0", "-1"])
 def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
-    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
-                                                dim=8, n_layers=1), 3)
+    encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
     save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt)
     _speechy(wav, bursts=3)
     assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
@@ -268,8 +315,7 @@ def test_checkpoint_embeds_resolved_config_and_its_hash(tmp_path, monkeypatch, m
     meta = _tiny_pretrain(tmp_path, manifest)
     embedded = json.loads(meta["config"])
     expected = {
-        "SpectralConfig": asdict(SpectralConfig()),
-        "SpeechEncoderConfig": asdict(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels)),
+        "SpeechEncoderConfig": asdict(SpeechEncoderConfig()),
         "PretrainConfig": asdict(PretrainConfig(max_steps=1, k=4)),
         "seed": 0,
     }
@@ -400,8 +446,7 @@ def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest)
     # older SFT headers held the chat markers; an empty one made encode hang
     man, enc, sft = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "plain.jsonl"
     _transcribed(manifest, man)
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
-                                                   dim=8, n_layers=1), 3), enc)
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc)
     assert main(["build-sft", "--manifest", str(man), "--out", str(sft)]) == 0
     header, *rows = sft.read_text().splitlines(keepends=True)
     stale = json.loads(header)
@@ -425,8 +470,7 @@ def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest)
 
 def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsys):
     enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels,
-                                                   dim=8, n_layers=1), 3), enc)
+    save_encoder(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc)
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
     save_fusion(lm, SpeechAligner(8, 8, hidden=4), tok, fusion)
@@ -459,9 +503,9 @@ def test_pretrain_with_fewer_mels_than_mfccs_fails_before_reading_audio(
 
 @pytest.mark.parametrize("kind", ["asr", "fusion"])
 def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
-        tmp_path, capsys, manifest, kind):
+        tmp_path, monkeypatch, capsys, manifest, kind):
     init = tmp_path / f"{kind}.ckpt"
-    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=SpectralConfig().n_mels), 4)
+    encoder = SpeechEncoder(SpeechEncoderConfig(), 4)
     if kind == "asr":
         save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), init)
     else:
@@ -470,6 +514,11 @@ def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
         save_fusion(lm, SpeechAligner(64, 8, hidden=4), tok, init)
     cfg = tmp_path / "pretrain.json"
     cfg.write_text('{"max_steps": 1, "k": 4}')
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    # the --init checkpoint is checked before the corpus is read
+    monkeypatch.setattr("slmforge.cli.read_wav", no_read)
     assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
                  "--init", str(init), "--out", str(tmp_path / "enc.ckpt")]) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 from slmforge.audio import FeatureMatrix
 from slmforge.errors import ConfigError
+from slmforge.nn import load_checkpoint
 from slmforge.pretrain import (
     Codebook,
     MaskSpec,
@@ -35,7 +36,7 @@ def _toy_dataset(n_utts=4, t=40, dim=8, seed=0):
     for i in range(n_utts):
         base = rng.standard_normal(dim)
         data = base + 0.3 * rng.standard_normal((t, dim))
-        out.append(FeatureMatrix(data, 0.01, "logmel"))
+        out.append(FeatureMatrix(data, 0.01))
     return out
 
 
@@ -246,7 +247,7 @@ def test_refresh_layer0_identity_conv_reproduces_input_labels():
 
     rng = np.random.default_rng(7)
     dataset = [rng.standard_normal((15, 6)) for _ in range(3)]
-    book, labels = refresh_targets(enc, [FeatureMatrix(d, 0.01, "logmel") for d in dataset],
+    book, labels = refresh_targets(enc, [FeatureMatrix(d, 0.01) for d in dataset],
                                    target_layer=0, k=4, seed=9)
 
     direct = kmeans_fit(np.concatenate(dataset), 4, seed=9)
@@ -258,7 +259,7 @@ def test_refresh_deterministic_and_shapes():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=1)
     rng = np.random.default_rng(8)
     dataset = [rng.standard_normal((20 + 2 * i, 8)) for i in range(3)]
-    matrices = [FeatureMatrix(d, 0.01, "logmel") for d in dataset]
+    matrices = [FeatureMatrix(d, 0.01) for d in dataset]
     book1, labels1 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
     book2, labels2 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
     assert np.array_equal(book1.centroids, book2.centroids)
@@ -290,13 +291,14 @@ def test_continued_pretrain_epochs_zero_bit_equal(tmp_path):
     dataset = _toy_dataset()
     cfg = PretrainConfig(epochs=1, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4,
                          max_steps=3)
-    enc, _ = continued_pretrain(dataset, cfg, TOY_CFG, seed=0)
+    enc, _ = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3), seed=0)
     path = tmp_path / "enc.ckpt"
     save_encoder(enc, path)
 
     cfg0 = PretrainConfig(epochs=0, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4)
-    enc2, history = continued_pretrain(dataset, cfg0, TOY_CFG, seed=5,
-                                       init_checkpoint=path)
+    warm = SpeechEncoder(TOY_CFG, 3, seed=5)
+    load_checkpoint(path, warm, "encoder")
+    enc2, history = continued_pretrain(dataset, cfg0, warm, seed=5)
     assert history == []
     for (_, a), (_, b) in zip(enc.named_parameters(), enc2.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -306,8 +308,8 @@ def test_continued_pretrain_same_seed_identical_checkpoint():
     dataset = _toy_dataset()
     cfg = PretrainConfig(epochs=100, lr=1e-3, batch_seconds=1.0, k=3, n_mfcc=4,
                          max_steps=10)
-    enc1, h1 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2)
-    enc2, h2 = continued_pretrain(dataset, cfg, TOY_CFG, seed=2)
+    enc1, h1 = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=2), seed=2)
+    enc2, h2 = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=2), seed=2)
     assert h1 == h2
     for (_, a), (_, b) in zip(enc1.named_parameters(), enc2.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -316,11 +318,13 @@ def test_continued_pretrain_same_seed_identical_checkpoint():
 def test_toy_overfit_halves_masked_loss():
     dataset = _toy_dataset(n_utts=8, t=40, seed=1)
     cfg = PretrainConfig(epochs=1000, lr=3e-3, batch_seconds=2.0, k=4, n_mfcc=4)
-    enc0, _ = continued_pretrain(dataset, replace(cfg, max_steps=1), TOY_CFG, seed=4)
+    enc0, _ = continued_pretrain(dataset, replace(cfg, max_steps=1),
+                                 SpeechEncoder(TOY_CFG, 4, seed=4), seed=4)
     _, labels = initial_labels(dataset, cfg, enc0, seed=4)
     initial = evaluate_masked_loss(enc0, dataset, labels)
 
-    enc, history = continued_pretrain(dataset, replace(cfg, max_steps=200), TOY_CFG, seed=4)
+    enc, history = continued_pretrain(dataset, replace(cfg, max_steps=200),
+                                      SpeechEncoder(TOY_CFG, 4, seed=4), seed=4)
     final = evaluate_masked_loss(enc, dataset, labels)
     assert final < 0.5 * initial, f"loss went {initial:.4f} -> {final:.4f}"
 
@@ -335,8 +339,8 @@ def test_training_with_refresh_cycle_runs_and_stays_deterministic():
     dataset = _toy_dataset(n_utts=4, t=40)
     cfg = PretrainConfig(epochs=6, lr=1e-3, batch_seconds=1.0, k=3,
                          refresh_schedule=(3,), n_mfcc=4)
-    enc1, h1 = continued_pretrain(dataset, cfg, TOY_CFG, seed=8)
-    enc2, h2 = continued_pretrain(dataset, cfg, TOY_CFG, seed=8)
+    enc1, h1 = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=8), seed=8)
+    enc2, h2 = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=8), seed=8)
     assert h1 == h2
     assert len(h1) > 0
     for (_, a), (_, b) in zip(enc1.named_parameters(), enc2.named_parameters()):
