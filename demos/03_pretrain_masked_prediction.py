@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from slmforge.audio import FeatureMatrix
+from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import (
     MaskSpec,
     PretrainConfig,
@@ -21,8 +22,6 @@ from slmforge.pretrain import (
     continued_pretrain,
     evaluate_masked_loss,
     initial_labels,
-    load_encoder,
-    save_encoder,
     span_mask,
 )
 
@@ -35,7 +34,7 @@ for _ in range(8):
     base = rng.standard_normal(12)
     dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01))
 
-mask = span_mask(25, MaskSpec(mask_prob=0.065, span_len=10, seed=0))
+mask = span_mask(25, MaskSpec(mask_prob=0.065, span_len=10), seed=0)
 print(f"span mask over 25 frames: {mask.astype(int)}")
 
 enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
@@ -47,12 +46,12 @@ encoder, history = continued_pretrain(dataset, replace(cfg, max_steps=200),
 print(f"loss: {history[0][1]:.3f} (step 1) -> {history[-1][1]:.3f} (step {history[-1][0]})")
 
 ckpt = workdir / "encoder.ckpt"
-save_encoder(encoder, ckpt)
+save_checkpoint(encoder, ckpt, {"note": "demo 03"})
 print(f"checkpoint saved to {ckpt}")
 
 print("\ncontinued pretraining (warm weights, fresh optimizer) vs scratch, 100 steps each:")
 cfg100 = replace(cfg, max_steps=100)
-warm, _ = continued_pretrain(dataset, cfg100, load_encoder(ckpt), seed=5)
+warm, _ = continued_pretrain(dataset, cfg100, load_checkpoint(ckpt, SpeechEncoder), seed=5)
 cold, _ = continued_pretrain(dataset, cfg100, SpeechEncoder(enc_cfg, cfg.k, seed=5), seed=5)
 _, labels = initial_labels(dataset, cfg, cold, seed=5)
 print(f"   warm start loss @100: {evaluate_masked_loss(warm, dataset, labels):.4f}")

@@ -46,8 +46,8 @@ encoder = SpeechEncoder(
     SpeechEncoderConfig(input_dim=n_mels, dim=24, n_layers=2, n_heads=2),
     n_classes=8, seed=7,
 )
-cfg = FinetuneConfig(steps=2000, lr=3e-3, batch_size=2, eval_every=50, seed=7)
-model, history = finetune_ctc(encoder, examples, vocab, cfg, stop_at_zero_wer=True)
+cfg = FinetuneConfig(steps=2000, lr=3e-3, batch_size=2, eval_every=50)
+model, history = finetune_ctc(encoder, examples, vocab, cfg, stop_at_zero_wer=True, seed=7)
 evals = [(s, w) for s, _, w in history if w is not None]
 print("train WER by step:", [(s, round(w, 2)) for s, w in evals])
 

@@ -3,17 +3,23 @@
 
 A frozen random encoder embeds five tones; a tiny causal LM is pretrained on
 text-only stand-ins and frozen; only the MLP aligner trains. Generation then
-answers transcription requests, and the CoT parser reads the output.
+answers transcription requests, and the CoT parser reads the output. The
+LM, aligner and tokenizer go into one fusion checkpoint and come back from it.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from slmforge.audio import log_mel
 from slmforge.curate import SegmentRecord
+from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CausalLM,
     CausalLMConfig,
+    FusionModel,
     FusionTrainConfig,
     SpeechAligner,
     build_instruction_dataset,
@@ -60,7 +66,7 @@ lm.freeze()
 aligner = SpeechAligner(feats["u0"].shape[1], 48, seed=12)
 pairs = [(feats[ex.audio_id], ex) for ex in examples]
 hist = train_aligner(lm, aligner, pairs, tok,
-                     FusionTrainConfig(steps=300, lr=1e-3, batch_size=2, seed=100))
+                     FusionTrainConfig(steps=300, lr=1e-3, batch_size=2), seed=100)
 print(f"aligner-only fusion loss: {hist[0][1]:.3f} -> {hist[-1][1]:.3f}")
 
 print("\ngeneration (greedy until <|end|>):")
@@ -72,3 +78,14 @@ for ex in examples:
     correct += parsed.final == ex.final
     print(f"   want {ex.final!r} -> raw {out.text!r} -> FINAL {parsed.final!r}{flag}")
 print(f"FINAL accuracy: {correct}/{len(examples)}")
+
+ckpt = Path(tempfile.mkdtemp(prefix="slmforge-demo-")) / "fusion.ckpt"
+save_checkpoint(FusionModel(lm, aligner, tok), ckpt, {"note": "demo 05"})
+back = load_checkpoint(ckpt, FusionModel)
+same = all(
+    generate(back.lm, back.aligner, feats[ex.audio_id], "transcribe", back.tokenizer,
+             max_tokens=30).text
+    == generate(lm, aligner, feats[ex.audio_id], "transcribe", tok, max_tokens=30).text
+    for ex in examples
+)
+print(f"\nfusion checkpoint {ckpt}: reloaded model generates the same text: {same}")

@@ -11,6 +11,10 @@ state adds its stay/advance term first and its skip term second, the
 association order of a scalar per-state loop, so alpha, beta, the loss and
 its gradient are bit-identical to that loop's (the tests keep it as the
 reference).
+
+A fine-tuned ``CtcModel`` is saved and loaded by ``nn.save_checkpoint`` and
+``nn.load_checkpoint(path, CtcModel)``; its checkpoint record is the
+encoder's followed by the vocabulary.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from . import tensor as T
 from .errors import ConfigError, GraphError
 from .fileio import atomic_open, parse_field
 from .metrics import wer
-from .nn import (Adam, Linear, Module, load_arrays, read_checkpoint, save_checkpoint,
-                 train_step)
-from .pretrain import SpeechEncoder, encoder_from_record, encoder_record
+from .nn import Adam, Linear, Module, train_step
+from .pretrain import SpeechEncoder
 from .tensor import Tensor, _accumulate, _make
 
 log = logging.getLogger(__name__)
@@ -326,6 +329,8 @@ class CtcModel(Module):
     head) take no part in fine-tuning and stay frozen.
     """
 
+    kind = "asr"
+
     def __init__(self, encoder: SpeechEncoder, vocab: Vocab, seed: int = 0):
         super().__init__()
         self.encoder = encoder
@@ -343,23 +348,15 @@ class CtcModel(Module):
             lattice = self.log_probs(features)
         return self.vocab.decode(ctc_beam_decode(lattice, beam_width))
 
+    def record(self) -> dict:
+        """The encoder's checkpoint record, then ``vocab``, the CTC symbol list."""
+        return {**self.encoder.record(),
+                "vocab": json.dumps(self.vocab.symbols, ensure_ascii=False)}
 
-def save_asr_model(model: CtcModel, path, metadata_extra: dict | None = None) -> None:
-    meta = {
-        "kind": "asr",
-        **encoder_record(model.encoder),
-        "vocab": json.dumps(model.vocab.symbols, ensure_ascii=False),
-    }
-    meta.update(metadata_extra or {})
-    save_checkpoint(model, path, meta)
-
-
-def load_asr_model(path) -> CtcModel:
-    arrays, meta = read_checkpoint(path, "asr")
-    model = CtcModel(encoder_from_record(path, meta),
-                     parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))))
-    load_arrays(model, arrays)
-    return model
+    @classmethod
+    def from_record(cls, path, meta: dict) -> "CtcModel":
+        return cls(SpeechEncoder.from_record(path, meta),
+                   parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))))
 
 
 @dataclass
@@ -368,27 +365,27 @@ class FinetuneConfig:
     lr: float = 3e-3
     batch_size: int = 2
     eval_every: int = 50
-    seed: int = 0
 
 
 def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
                  cfg: FinetuneConfig = FinetuneConfig(), heldout=None,
-                 stop_at_zero_wer: bool = False):
+                 stop_at_zero_wer: bool = False, seed: int = 0):
     """CTC fine-tuning over (features, transcript) pairs.
 
     Transcripts must already be normalized; a symbol outside the vocab is an
     error naming it. ``heldout`` pairs, when given, are scored with WER at
-    every evaluation point. Returns (model, history) with history rows of
-    (step, loss, train_wer_or_None).
+    every evaluation point. ``seed`` draws the CTC head and the batches.
+    Returns (model, history) with history rows of (step, loss,
+    train_wer_or_None).
     """
     encoded = []
     for features, transcript in examples:
         ids = vocab.encode(transcript)  # raises naming any unknown symbol
         encoded.append((np.asarray(features, dtype=np.float64), transcript, ids))
 
-    model = CtcModel(encoder, vocab, seed=cfg.seed)
+    model = CtcModel(encoder, vocab, seed=seed)
     opt = Adam(model, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     history = []
     for step in range(1, cfg.steps + 1):
         picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),

@@ -12,7 +12,10 @@ does not fit the field (``config.config_fields``, the one config reader,
 names the file, key and field). The audio front end is fixed
 (``audio.log_mel``); its mel count is the encoder's input width, which
 ``pretrain`` takes from the ``n_mels`` key and every later subcommand from
-the encoder checkpoint. The training subcommands take their seed
+the encoder checkpoint. Every checkpoint is written by
+``nn.save_checkpoint`` and read by ``nn.load_checkpoint``; the encoder that
+``pretrain --init`` loads must have exactly the model config and class
+count (``k``) the config resolves to. The training subcommands take their seed
 from ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing
 subcommand embeds the fully resolved config and its hash in the output, so
 identical config + seed reproduce outputs byte-for-byte.
@@ -29,12 +32,12 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .audio import log_mel, read_wav, resample, standardize
+from .audio import analysis_frame, log_mel, read_wav, resample, standardize
 from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
 from .fileio import atomic_open
-from .nn import load_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
 from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
@@ -44,8 +47,6 @@ from .pretrain import (
     SpeechEncoder,
     SpeechEncoderConfig,
     continued_pretrain,
-    load_encoder,
-    save_encoder,
 )
 from . import asr as asr_mod
 from . import slm as slm_mod
@@ -150,6 +151,15 @@ def _normalization_rules(args):
     return asr_mod.builtin_rules(args.language or "en")
 
 
+def _check_sample_rate(sample_rate: int) -> None:
+    """Reject a ``--sample-rate`` the analysis frame cannot use, before any
+    file is opened."""
+    try:
+        analysis_frame(sample_rate)
+    except ConfigError as exc:
+        raise ConfigError(f"--sample-rate: {exc}") from None
+
+
 def _wav_features(path, sample_rate: int, n_mels: int):
     # trim to the speech extent so decode-time features match the curated
     # segments models were trained on
@@ -181,9 +191,15 @@ def cmd_pretrain(args) -> int:
     if encoder_cfg.input_dim < train_cfg.n_mfcc:
         raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
                           f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
-    encoder = SpeechEncoder(encoder_cfg, train_cfg.k, seed=seed)
-    if args.init is not None:
-        load_checkpoint(args.init, encoder, "encoder")
+    if args.init is None:
+        encoder = SpeechEncoder(encoder_cfg, train_cfg.k, seed=seed)
+    else:
+        encoder = load_checkpoint(args.init, SpeechEncoder)
+        loaded = {**asdict(encoder.cfg), "n_classes": encoder.n_classes}
+        for name, want in {**asdict(encoder_cfg), "n_classes": train_cfg.k}.items():
+            if loaded[name] != want:
+                raise ConfigError(f"{args.init}: encoder {name} {loaded[name]!r} differs "
+                                  f"from the config's {want!r}")
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
@@ -191,7 +207,7 @@ def cmd_pretrain(args) -> int:
                _records_with_audio(manifest, encoder_cfg.input_dim)]
 
     encoder, history = continued_pretrain(dataset, train_cfg, encoder, seed=seed)
-    save_encoder(encoder, args.out, _resolved_metadata(seed, encoder_cfg, train_cfg))
+    save_checkpoint(encoder, args.out, _resolved_metadata(seed, encoder_cfg, train_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"pretrain: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
@@ -199,8 +215,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune_asr(args) -> int:
     seed = _resolve_seed(args)
-    cfg = asr_mod.FinetuneConfig(seed=seed, **_config_fields(args)[asr_mod.FinetuneConfig])
-    encoder = load_encoder(args.encoder)
+    cfg = asr_mod.FinetuneConfig(**_config_fields(args)[asr_mod.FinetuneConfig])
+    encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
     rules = _normalization_rules(args)
@@ -217,8 +233,8 @@ def cmd_finetune_asr(args) -> int:
     vocab = (asr_mod.Vocab.from_file(args.vocab) if args.vocab
              else asr_mod.Vocab.from_texts([t for _, t in train + heldout]))
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
-                                          heldout=heldout or None)
-    asr_mod.save_asr_model(model, args.out, _resolved_metadata(seed, cfg))
+                                          heldout=heldout or None, seed=seed)
+    save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
     evals = [(s, w) for s, _, w in history if w is not None]
     tail = f", train WER {evals[-1][1]:.3f}" if evals else ""
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
@@ -226,7 +242,8 @@ def cmd_finetune_asr(args) -> int:
 
 
 def cmd_transcribe(args) -> int:
-    model = asr_mod.load_asr_model(args.ckpt)
+    _check_sample_rate(args.sample_rate)
+    model = load_checkpoint(args.ckpt, asr_mod.CtcModel)
     features = _wav_features(args.wav, args.sample_rate, model.encoder.cfg.input_dim)
     print(model.transcribe(features.data, beam_width=args.beam))
     return 0
@@ -250,11 +267,11 @@ def cmd_build_sft(args) -> int:
 def cmd_train_aligner(args) -> int:
     given = _config_fields(args)
     seed = _resolve_seed(args)
-    fusion_cfg = slm_mod.FusionTrainConfig(seed=seed, **given[slm_mod.FusionTrainConfig])
+    fusion_cfg = slm_mod.FusionTrainConfig(**given[slm_mod.FusionTrainConfig])
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
-    encoder = load_encoder(args.encoder)
+    encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
     feature_cache = {}
@@ -282,15 +299,16 @@ def cmd_train_aligner(args) -> int:
     d_in = pairs[0][0].shape[1]
     aligner = slm_mod.SpeechAligner(d_in, lm_cfg.dim,
                                     hidden=fusion_cfg.aligner_hidden, seed=seed + 1)
-    history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg)
-    slm_mod.save_fusion(lm, aligner, tokenizer, args.out,
-                        metadata_extra=_resolved_metadata(seed, lm_cfg, fusion_cfg))
+    history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg, seed=seed)
+    save_checkpoint(slm_mod.FusionModel(lm, aligner, tokenizer), args.out,
+                    _resolved_metadata(seed, lm_cfg, fusion_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"train-aligner: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
 
 
 def cmd_infer(args) -> int:
+    _check_sample_rate(args.sample_rate)
     if args.cot in (None, "", "none"):
         mode = args.task
     else:
@@ -299,11 +317,11 @@ def cmd_infer(args) -> int:
         raise ConfigError(
             f"no mode for task {args.task!r} with CoT step {args.cot!r}"
         )
-    lm, aligner, tokenizer = slm_mod.load_fusion(args.fusion)
-    encoder = load_encoder(args.encoder)
+    fusion = load_checkpoint(args.fusion, slm_mod.FusionModel)
+    encoder = load_checkpoint(args.encoder, SpeechEncoder)
     features = _wav_features(args.wav, args.sample_rate, encoder.cfg.input_dim)
     speech = slm_mod.extract_multilayer_features(encoder, features.data)
-    result = slm_mod.generate(lm, aligner, speech, mode, tokenizer,
+    result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)
     parsed = slm_mod.parse_cot_output(result.text, mode)
     looping = slm_mod.detect_repetition_loop(result.text)

@@ -18,8 +18,14 @@ Checkpoint byte layout (little-endian throughout):
                        dims   rank x u32
     payload          raw little-endian tensor bytes, directory order
 
-Loading is strict (names and shapes must match the module tree exactly) and
-restores weights only; optimizer state always starts fresh.
+A checkpointed model class (``pretrain.SpeechEncoder``, ``asr.CtcModel``,
+``slm.FusionModel``) holds its ``kind``, a ``record()`` of the metadata
+entries that rebuild it and a ``from_record(path, metadata)`` classmethod
+that builds it untrained. ``save_checkpoint`` and ``load_checkpoint`` are
+the one save and load path of every kind. Loading checks the kind, is
+strict (names and shapes must match the module tree exactly), names the
+file in every error and restores weights only; optimizer state always
+starts fresh.
 """
 
 from __future__ import annotations
@@ -386,53 +392,51 @@ def parse_checkpoint_bytes(raw: bytes):
     return arrays, metadata
 
 
-def save_checkpoint(module_or_arrays, path, metadata: dict | None = None) -> None:
-    if isinstance(module_or_arrays, Module):
-        arrays = module_or_arrays.state_arrays()
-    else:
-        arrays = module_or_arrays
+def save_checkpoint(model: Module, path, provenance: dict) -> None:
+    """Write ``model``'s checkpoint: metadata ``kind``, then the entries of
+    ``model.record()``, then ``provenance``; tensors in parameter order."""
+    metadata = {"kind": model.kind, **model.record(), **provenance}
     with atomic_open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(arrays, metadata))
+        fh.write(checkpoint_bytes(model.state_arrays(), metadata))
 
 
-def read_checkpoint(path, kind: str | None = None):
+def read_checkpoint(path):
     """Return (arrays, metadata) from one read of ``path``; parse errors
-    name the path. A given ``kind`` must match the metadata's."""
+    name the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        arrays, metadata = parse_checkpoint_bytes(raw)
+        return parse_checkpoint_bytes(raw)
     except (CheckpointError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    if kind is not None and metadata.get("kind") != kind:
+
+
+def load_checkpoint(path, cls):
+    """The ``cls`` model stored at ``path``.
+
+    The file's ``kind`` entry must be ``cls.kind``; ``cls.from_record(path,
+    metadata)`` builds the untrained module, and the file's tensors must
+    match its parameters exactly in names and shapes. Every error names
+    ``path``.
+    """
+    arrays, metadata = read_checkpoint(path)
+    if metadata.get("kind") != cls.kind:
         raise ConfigError(
-            f"{path}: checkpoint kind {metadata.get('kind')!r} is not {kind!r}"
+            f"{path}: checkpoint kind {metadata.get('kind')!r} is not {cls.kind!r}"
         )
-    return arrays, metadata
-
-
-def load_arrays(module: Module, arrays: dict) -> None:
-    """Copy ``arrays`` into the module parameters of the same names; a
-    name or shape mismatch raises CheckpointError naming the parameter."""
-    params = dict(module.named_parameters())
+    model = cls.from_record(path, metadata)
+    params = dict(model.named_parameters())
     for name, arr in arrays.items():
         p = params.pop(name, None)
         if p is None:
-            raise CheckpointError(f"checkpoint tensor '{name}' not in module tree")
+            raise CheckpointError(f"{path}: checkpoint tensor '{name}' not in module tree")
         if tuple(arr.shape) != tuple(p.data.shape):
             raise CheckpointError(
-                f"shape mismatch for parameter '{name}': "
+                f"{path}: shape mismatch for parameter '{name}': "
                 f"checkpoint {tuple(arr.shape)} vs module {tuple(p.data.shape)}"
             )
         p.data = arr.astype(np.float64)
     if params:
-        missing = ", ".join(sorted(params))
-        raise CheckpointError(f"checkpoint missing parameters: {missing}")
-
-
-def load_checkpoint(path, module: Module, kind: str | None = None) -> dict:
-    """Load checkpoint weights into ``module``; return the metadata. A given
-    ``kind`` must match the metadata's, as in ``read_checkpoint``."""
-    arrays, metadata = read_checkpoint(path, kind)
-    load_arrays(module, arrays)
-    return metadata
+        raise CheckpointError(f"{path}: checkpoint missing parameters: "
+                              f"{', '.join(sorted(params))}")
+    return model

@@ -6,8 +6,8 @@ partially trained encoder. Training minimizes cross-entropy of the
 prediction head against those pseudo-labels at masked frame positions only.
 
 Continued pretraining trains an encoder whose weights the caller built or
-loaded from a checkpoint, but always starts the optimizer from a fresh
-state.
+loaded from a checkpoint (``nn.load_checkpoint(path, SpeechEncoder)``), but
+always starts the optimizer from a fresh state.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .nn import (
     ModuleList,
     Parameter,
     TransformerLayer,
-    load_arrays,
-    read_checkpoint,
-    save_checkpoint,
     sinusoidal_positions,
     train_step,
     trunc_normal,
@@ -139,7 +136,6 @@ def assign_labels(codebook: Codebook, features: np.ndarray) -> np.ndarray:
 class MaskSpec:
     mask_prob: float = 0.065
     span_len: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.mask_prob <= 1.0):
@@ -148,9 +144,10 @@ class MaskSpec:
             raise ConfigError(f"span_len must be >= 1, got {self.span_len}")
 
 
-def span_mask(t: int, spec: MaskSpec) -> np.ndarray:
-    """Boolean mask of length t: i.i.d. span starts, spans unioned."""
-    rng = np.random.default_rng(spec.seed)
+def span_mask(t: int, spec: MaskSpec, seed: int) -> np.ndarray:
+    """Boolean mask of length t: i.i.d. span starts drawn from ``seed``, spans
+    unioned."""
+    rng = np.random.default_rng(seed)
     starts = rng.random(t) < spec.mask_prob
     mask = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(starts):
@@ -181,6 +178,8 @@ class SpeechEncoder(Module):
     output, index l (1..n_layers) the output of transformer layer l. Output
     frame rate is the input rate divided by the conv stride.
     """
+
+    kind = "encoder"
 
     def __init__(self, cfg: SpeechEncoderConfig, n_classes: int, seed: int = 0):
         super().__init__()
@@ -232,35 +231,21 @@ class SpeechEncoder(Module):
     def logits(self, states) -> Tensor:
         return self.head(self.final_norm(states[-1]))
 
+    def record(self) -> dict:
+        """The checkpoint metadata entries that rebuild this module tree:
+        ``encoder_cfg`` then ``n_classes``. ASR checkpoints hold them too."""
+        return {"encoder_cfg": json.dumps(asdict(self.cfg), sort_keys=True),
+                "n_classes": str(self.n_classes)}
 
-def encoder_record(encoder: SpeechEncoder) -> dict:
-    """The checkpoint metadata entries that rebuild ``encoder``'s module tree:
-    ``encoder_cfg`` then ``n_classes``. Encoder and ASR checkpoints hold them."""
-    return {"encoder_cfg": json.dumps(asdict(encoder.cfg), sort_keys=True),
-            "n_classes": str(encoder.n_classes)}
-
-
-def encoder_from_record(path, meta: dict) -> SpeechEncoder:
-    """An untrained SpeechEncoder built from the ``encoder_record`` entries of
-    checkpoint ``path``'s metadata; errors name the path and the entry."""
-    return SpeechEncoder(
-        parse_field(path, meta, "encoder_cfg",
-                    lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
-        parse_field(path, meta, "n_classes", int),
-    )
-
-
-def save_encoder(encoder: SpeechEncoder, path, metadata_extra: dict | None = None) -> None:
-    meta = {"kind": "encoder", **encoder_record(encoder)}
-    meta.update(metadata_extra or {})
-    save_checkpoint(encoder, path, meta)
-
-
-def load_encoder(path) -> SpeechEncoder:
-    arrays, meta = read_checkpoint(path, "encoder")
-    encoder = encoder_from_record(path, meta)
-    load_arrays(encoder, arrays)
-    return encoder
+    @classmethod
+    def from_record(cls, path, meta: dict) -> "SpeechEncoder":
+        """An untrained encoder built from the ``record`` entries of checkpoint
+        ``path``'s metadata; errors name the path and the entry."""
+        return cls(
+            parse_field(path, meta, "encoder_cfg",
+                        lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
+            parse_field(path, meta, "n_classes", int),
+        )
 
 
 def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
@@ -358,7 +343,7 @@ def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int
     with T.no_grad():
         for i, features in enumerate(dataset):
             t_out = encoder.output_len(features.num_frames)
-            mask = span_mask(t_out, MaskSpec(seed=mask_seed + i))
+            mask = span_mask(t_out, MaskSpec(), mask_seed + i)
             if not mask.any():
                 mask = np.zeros(t_out, dtype=bool)
                 mask[: max(1, t_out // 10)] = True
@@ -409,10 +394,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
             for i in batch:
                 data = dataset[i].data
                 t_out = encoder.output_len(data.shape[0])
-                mask = span_mask(
-                    t_out, MaskSpec(cfg.mask.mask_prob, cfg.mask.span_len,
-                                    seed=cfg.mask.seed + 7919 * step + i)
-                )
+                mask = span_mask(t_out, cfg.mask, 7919 * step + i)
                 if mask.any():
                     masked.append((data, labels[i], mask))
             if masked:

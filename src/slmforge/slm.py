@@ -9,7 +9,8 @@ states of every encoder transformer layer, concatenated per frame. The chat
 markers are fixed (``ChatTemplate``), so instruction sets and fusion
 checkpoints store only the tokenizer's charset. During fusion training the
 encoder and LM stay frozen and the loss covers assistant-completion tokens
-only.
+only. ``FusionModel`` bundles the LM, the aligner and the tokenizer into the
+one model that ``nn.save_checkpoint`` and ``nn.load_checkpoint`` store.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .nn import (
     Module,
     ModuleList,
     TransformerLayer,
-    load_arrays,
-    read_checkpoint,
-    save_checkpoint,
     sinusoidal_positions,
     train_step,
 )
@@ -441,7 +439,6 @@ class FusionTrainConfig:
     steps: int = 3000
     lr: float = 1e-4
     batch_size: int = 2
-    seed: int = 0
     # read by the train-aligner command around train_aligner: stand-in LM
     # pretraining steps and rate, and the aligner width (None -> 4 * LM dim)
     lm_steps: int = 300
@@ -451,12 +448,12 @@ class FusionTrainConfig:
 
 def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
                   tokenizer: CharTokenizer,
-                  cfg: FusionTrainConfig = FusionTrainConfig()):
+                  cfg: FusionTrainConfig = FusionTrainConfig(), seed: int = 0):
     """Aligner-only fusion training; the LM must already be frozen.
 
     ``examples`` are (speech_features, InstructionExample) pairs with
-    speech features precomputed by extract_multilayer_features. Returns a
-    history of (step, loss).
+    speech features precomputed by extract_multilayer_features; ``seed``
+    draws the batches. Returns a history of (step, loss).
     """
     trainable = [name for name, p in lm.named_parameters() if p.requires_grad]
     if trainable:
@@ -466,7 +463,7 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
         prepared.append((np.asarray(features), tokenizer.encode(ex.text), ex.loss_mask))
 
     opt = Adam(aligner, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     history = []
     for step in range(cfg.steps):
         picks = rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
@@ -482,37 +479,35 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
 
 
 class FusionModel(Module):
-    """LM + aligner bundle so both serialize into one checkpoint."""
+    """LM + aligner bundle, and the tokenizer that reads the LM's ids, so all
+    three serialize into one checkpoint."""
 
-    def __init__(self, lm: CausalLM, aligner: SpeechAligner):
+    kind = "fusion"
+
+    def __init__(self, lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer):
         super().__init__()
         self.lm = lm
         self.aligner = aligner
+        object.__setattr__(self, "tokenizer", tokenizer)
 
+    def record(self) -> dict:
+        """The checkpoint metadata entries that rebuild this bundle: ``lm_cfg``,
+        ``charset``, ``aligner_d_in`` and ``aligner_hidden``."""
+        return {
+            "lm_cfg": json.dumps(asdict(self.lm.cfg), sort_keys=True),
+            "charset": self.tokenizer.charset(),
+            "aligner_d_in": str(self.aligner.d_in),
+            "aligner_hidden": str(self.aligner.fc1.bias.data.shape[0]),
+        }
 
-def save_fusion(lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer,
-                path, metadata_extra: dict | None = None) -> None:
-    meta = {
-        "kind": "fusion",
-        "lm_cfg": json.dumps(asdict(lm.cfg), sort_keys=True),
-        "charset": tokenizer.charset(),
-        "aligner_d_in": str(aligner.d_in),
-        "aligner_hidden": str(aligner.fc1.bias.data.shape[0]),
-    }
-    meta.update(metadata_extra or {})
-    save_checkpoint(FusionModel(lm, aligner), path, meta)
-
-
-def load_fusion(path):
-    """Return (lm, aligner, tokenizer) from a fusion checkpoint; the aligner
-    projects into the LM's embedding width."""
-    arrays, meta = read_checkpoint(path, "fusion")
-    lm = CausalLM(parse_field(path, meta, "lm_cfg",
-                              lambda blob: read_config(CausalLMConfig, json.loads(blob))))
-    aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int), lm.cfg.dim,
-                            hidden=parse_field(path, meta, "aligner_hidden", int))
-    load_arrays(FusionModel(lm, aligner), arrays)
-    return lm, aligner, parse_field(path, meta, "charset", CharTokenizer)
+    @classmethod
+    def from_record(cls, path, meta: dict) -> "FusionModel":
+        """An untrained bundle whose aligner projects into the LM's width."""
+        lm = CausalLM(parse_field(path, meta, "lm_cfg",
+                                  lambda blob: read_config(CausalLMConfig, json.loads(blob))))
+        aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int), lm.cfg.dim,
+                                hidden=parse_field(path, meta, "aligner_hidden", int))
+        return cls(lm, aligner, parse_field(path, meta, "charset", CharTokenizer))
 
 
 @dataclass

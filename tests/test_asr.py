@@ -10,6 +10,7 @@ from conftest import finite_diff_grad, max_rel_error
 from slmforge import asr
 from slmforge.asr import (
     BLANK,
+    CtcModel,
     FinetuneConfig,
     NormalizationRules,
     Vocab,
@@ -20,11 +21,10 @@ from slmforge.asr import (
     ctc_loss,
     ctc_required_frames,
     finetune_ctc,
-    load_asr_model,
     normalize_text,
-    save_asr_model,
 )
 from slmforge.errors import ConfigError
+from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.tensor import Tensor
 
@@ -404,13 +404,13 @@ def test_finetune_small_overfit_reaches_zero_wer(tmp_path):
     examples = _toy_asr_set(4, seed=1)
     vocab = Vocab.from_texts([t for _, t in examples])
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=1)
-    cfg = FinetuneConfig(steps=800, lr=3e-3, batch_size=2, eval_every=25, seed=1)
-    model, history = finetune_ctc(enc, examples, vocab, cfg, stop_at_zero_wer=True)
+    cfg = FinetuneConfig(steps=800, lr=3e-3, batch_size=2, eval_every=25)
+    model, history = finetune_ctc(enc, examples, vocab, cfg, stop_at_zero_wer=True, seed=1)
     evals = [w for _, _, w in history if w is not None]
     assert evals[-1] == 0.0, f"train WER stuck at {evals[-1]}"
 
     path = tmp_path / "asr.ckpt"
-    save_asr_model(model, path)
-    back = load_asr_model(path)
+    save_checkpoint(model, path, {})
+    back = load_checkpoint(path, CtcModel)
     feats, text = examples[0]
     assert back.transcribe(feats) == text

@@ -13,19 +13,13 @@ import pytest
 from conftest import cli_env
 
 from slmforge.audio import write_wav
-from slmforge.asr import CtcModel, Vocab, save_asr_model
+from slmforge.asr import CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
 from slmforge.curate import Manifest
-from slmforge.nn import read_checkpoint, save_checkpoint
-from slmforge.pretrain import (
-    MaskSpec,
-    PretrainConfig,
-    SpeechEncoder,
-    SpeechEncoderConfig,
-    save_encoder,
-)
-from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, SpeechAligner, save_fusion
+from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
+from slmforge.pretrain import MaskSpec, PretrainConfig, SpeechEncoder, SpeechEncoderConfig
+from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
 from slmforge.synth import concat_buffers, silence, sine
 
 ALL_COMMANDS = (
@@ -138,10 +132,28 @@ def test_curate_at_rates_whose_frame_exceeds_512_samples(tmp_path, rate):
 def test_transcribe_at_22050_hz(tmp_path, capsys):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
     encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
-    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt)
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt, {})
     _speechy(wav, bursts=3)
     assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
                  "--sample-rate", "22050"]) == 0
+
+
+def _no_read(path, *args):
+    raise AssertionError(f"read {path}")
+
+
+@pytest.mark.parametrize("rate", ["40", "0"])
+@pytest.mark.parametrize("argv", [
+    ["transcribe", "--ckpt", "asr.ckpt", "--wav", "in.wav"],
+    ["infer", "--fusion", "fusion.ckpt", "--encoder", "enc.ckpt", "--wav", "in.wav",
+     "--task", "transcribe"],
+], ids=["transcribe", "infer"])
+def test_unusable_sample_rate_exits_2_naming_the_flag_before_opening_a_file(
+        monkeypatch, capsys, argv, rate):
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", _no_read)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    assert main([*argv, "--sample-rate", rate]) == 2
+    assert f"--sample-rate: sample rate {rate} Hz is too low" in capsys.readouterr().err
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -252,10 +264,11 @@ def test_train_aligner_sft_example_without_final_is_runtime_error(tmp_path, caps
 
 def _encoder_checkpoint(path, edit):
     """An encoder checkpoint whose metadata ``edit`` has changed."""
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3), path)
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3),
+                    path, {})
     arrays, meta = read_checkpoint(path)
     edit(meta)
-    save_checkpoint(arrays, path, meta)
+    path.write_bytes(checkpoint_bytes(arrays, meta))
 
 
 @pytest.mark.parametrize("edit, cause", [
@@ -276,7 +289,7 @@ def test_finetune_asr_bad_encoder_metadata_is_runtime_error(tmp_path, capsys, ed
 def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
     encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
-    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt)
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt, {})
     _speechy(wav, bursts=3)
     assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
                  "--beam", beam]) == 2
@@ -436,7 +449,8 @@ def _transcribed(manifest, path):
 def test_finetune_asr_on_an_encoder_with_fewer_mels_than_13(tmp_path, manifest):
     man, enc, cfg = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "ft.json"
     _transcribed(manifest, man)
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=8, n_layers=1), 3), enc)
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=8, n_layers=1), 3),
+                    enc, {})
     cfg.write_text(json.dumps({"steps": 1}))
     assert main(["finetune-asr", "--manifest", str(man), "--encoder", str(enc),
                  "--config", str(cfg), "--out", str(tmp_path / "asr.ckpt")]) == 0
@@ -446,7 +460,7 @@ def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest)
     # older SFT headers held the chat markers; an empty one made encode hang
     man, enc, sft = tmp_path / "m.jsonl", tmp_path / "enc.ckpt", tmp_path / "plain.jsonl"
     _transcribed(manifest, man)
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc)
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     assert main(["build-sft", "--manifest", str(man), "--out", str(sft)]) == 0
     header, *rows = sft.read_text().splitlines(keepends=True)
     stale = json.loads(header)
@@ -470,10 +484,10 @@ def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest)
 
 def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsys):
     enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc)
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_fusion(lm, SpeechAligner(8, 8, hidden=4), tok, fusion)
+    save_checkpoint(FusionModel(lm, SpeechAligner(8, 8, hidden=4), tok), fusion, {})
     argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
             Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
             "--max-tokens", "5"]
@@ -483,16 +497,14 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     arrays, meta = read_checkpoint(fusion)
     meta.update(template=json.dumps({"user_marker": ""}), aligner_d_lm="x",
                 layer_sel=json.dumps(["a"]))
-    save_checkpoint(arrays, fusion, meta)
+    fusion.write_bytes(checkpoint_bytes(arrays, meta))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
 
 
 def test_pretrain_with_fewer_mels_than_mfccs_fails_before_reading_audio(
         tmp_path, monkeypatch, capsys, manifest):
-    def no_read(path):
-        raise AssertionError(f"read {path}")
-    monkeypatch.setattr("slmforge.cli.read_wav", no_read)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     cfg = tmp_path / "pretrain.json"
     cfg.write_text(json.dumps({"n_mels": 8, "max_steps": 1, "k": 4}))
     assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
@@ -507,22 +519,37 @@ def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
     init = tmp_path / f"{kind}.ckpt"
     encoder = SpeechEncoder(SpeechEncoderConfig(), 4)
     if kind == "asr":
-        save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), init)
+        model = CtcModel(encoder, Vocab.from_texts(["ab"]))
     else:
         tok = CharTokenizer("ab")
         lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-        save_fusion(lm, SpeechAligner(64, 8, hidden=4), tok, init)
+        model = FusionModel(lm, SpeechAligner(64, 8, hidden=4), tok)
+    save_checkpoint(model, init, {})
     cfg = tmp_path / "pretrain.json"
     cfg.write_text('{"max_steps": 1, "k": 4}')
-
-    def no_read(path):
-        raise AssertionError(f"read {path}")
     # the --init checkpoint is checked before the corpus is read
-    monkeypatch.setattr("slmforge.cli.read_wav", no_read)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
                  "--init", str(init), "--out", str(tmp_path / "enc.ckpt")]) == 2
     err = capsys.readouterr().err
     assert f"{init}: checkpoint kind {kind!r} is not 'encoder'" in err
+
+
+@pytest.mark.parametrize("config, field, stored, resolved", [
+    ({"n_mels": 20}, "input_dim", 40, 20),
+    ({"k": 5}, "n_classes", 4, 5),
+])
+def test_pretrain_init_whose_model_differs_from_the_config_names_file_and_field(
+        tmp_path, monkeypatch, capsys, manifest, config, field, stored, resolved):
+    init = tmp_path / "init.ckpt"
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(), 4), init, {})
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text(json.dumps({"max_steps": 1, "k": 4, **config}))
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
+                 "--init", str(init), "--out", str(tmp_path / "enc.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{init}: encoder {field} {stored} differs from the config's {resolved}" in err
 
 
 def _readme_config_keys():
@@ -561,22 +588,63 @@ def _readme_artifact_entries():
     return table
 
 
-def test_readme_lists_exactly_the_entries_each_artifact_holds(tmp_path, monkeypatch,
-                                                             manifest):
-    monkeypatch.chdir(tmp_path)
-    _transcribed(manifest, "m.jsonl")
-    Path("pre.json").write_text('{"max_steps": 1, "k": 4, "dim": 8, "n_layers": 1}')
-    Path("ft.json").write_text('{"steps": 1}')
-    Path("al.json").write_text('{"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}')
-    for argv in (
-        ["pretrain", "--config", "pre.json", "--out", "encoder.ckpt"],
-        ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json",
-         "--out", "asr.ckpt"],
-        ["build-sft", "--out", "sft.jsonl"],
-        ["train-aligner", "--sft", "sft.jsonl", "--encoder", "encoder.ckpt",
-         "--config", "al.json", "--out", "fusion.ckpt"],
+# the artifact-producing subcommands, run in one directory on tiny models
+TRAINING_ARGV = (
+    ["pretrain", "--config", "pre.json", "--out", "encoder.ckpt"],
+    ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json", "--out", "asr.ckpt"],
+    ["build-sft", "--out", "sft.jsonl"],
+    ["train-aligner", "--sft", "sft.jsonl", "--encoder", "encoder.ckpt",
+     "--config", "al.json", "--out", "fusion.ckpt"],
+)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, manifest):
+    """A directory holding m.jsonl, the tiny configs and every artifact the
+    training subcommands write from them."""
+    root = tmp_path_factory.mktemp("trained")
+    _transcribed(manifest, root / "m.jsonl")
+    (root / "pre.json").write_text('{"max_steps": 1, "k": 4, "dim": 8, "n_layers": 1}')
+    (root / "ft.json").write_text('{"steps": 1}')
+    (root / "al.json").write_text('{"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}')
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in TRAINING_ARGV:
+            assert main([*argv, "--manifest", "m.jsonl"]) == 0
+    return root
+
+
+def test_every_checkpoint_read_is_one_load_checkpoint_call(trained, monkeypatch):
+    monkeypatch.chdir(trained)
+    wav = Manifest.read("m.jsonl").records[0].source_path
+    loads = []
+
+    def counting_load(path, cls):
+        loads.append((path, cls.__name__))
+        return load_checkpoint(path, cls)
+
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", counting_load)
+    encoder = ("encoder.ckpt", "SpeechEncoder")
+    for argv, want in (
+        (["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
+          "--config", "ft.json", "--out", "asr2.ckpt"], [encoder]),
+        (["train-aligner", "--sft", "sft.jsonl", "--manifest", "m.jsonl",
+          "--encoder", "encoder.ckpt", "--config", "al.json", "--out", "fusion2.ckpt"],
+         [encoder]),
+        (["transcribe", "--ckpt", "asr.ckpt", "--wav", wav], [("asr.ckpt", "CtcModel")]),
+        (["infer", "--fusion", "fusion.ckpt", "--encoder", "encoder.ckpt", "--wav", wav,
+          "--task", "transcribe", "--max-tokens", "2"],
+         [("fusion.ckpt", "FusionModel"), encoder]),
+        (["pretrain", "--manifest", "m.jsonl", "--config", "pre.json",
+          "--init", "encoder.ckpt", "--out", "warm.ckpt"], [encoder]),
     ):
-        assert main([*argv, "--manifest", "m.jsonl"]) == 0
+        loads.clear()
+        assert main(argv) == 0, argv[0]
+        assert loads == want, argv[0]
+
+
+def test_readme_lists_exactly_the_entries_each_artifact_holds(trained, monkeypatch):
+    monkeypatch.chdir(trained)
     written = {f"`{kind}` checkpoint": list(read_checkpoint(f"{kind}.ckpt")[1])
                for kind in ("encoder", "asr", "fusion")}
     header = json.loads(Path("sft.jsonl").read_text().splitlines()[0])

@@ -6,37 +6,31 @@ from dataclasses import asdict
 
 import pytest
 
-from slmforge.asr import CtcModel, FinetuneConfig, Vocab, save_asr_model
+from slmforge.asr import CtcModel, FinetuneConfig, Vocab
 from slmforge.cli import main
 from slmforge.config import config_fields, read_config
 from slmforge.curate import PipelineConfig
 from slmforge.errors import ConfigError
-from slmforge.nn import read_checkpoint, save_checkpoint
-from slmforge.pretrain import (
-    MaskSpec,
-    PretrainConfig,
-    SpeechEncoder,
-    SpeechEncoderConfig,
-    save_encoder,
-)
+from slmforge.nn import checkpoint_bytes, read_checkpoint, save_checkpoint
+from slmforge.pretrain import MaskSpec, PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CausalLM,
     CausalLMConfig,
     CharTokenizer,
+    FusionModel,
     FusionTrainConfig,
     SpeechAligner,
-    save_fusion,
 )
 
 CONFIGS = [
     SpeechEncoderConfig(),
     SpeechEncoderConfig(input_dim=8, dim=16, conv_activation="none"),
     PretrainConfig(),
-    PretrainConfig(epochs=4, refresh_schedule=(1, 3), mask=MaskSpec(0.5, 2, 7),
+    PretrainConfig(epochs=4, refresh_schedule=(1, 3), mask=MaskSpec(0.5, 2),
                    max_steps=9),
     MaskSpec(),
     FinetuneConfig(),
-    FinetuneConfig(steps=5, lr=0.5, seed=3),
+    FinetuneConfig(steps=5, lr=0.5, batch_size=3),
     CausalLMConfig(vocab_size=12),
     FusionTrainConfig(),
     FusionTrainConfig(aligner_hidden=16),
@@ -95,24 +89,25 @@ def _checkpoint_site(save, meta_key):
         save(path)
         arrays, meta = read_checkpoint(path)
         meta[meta_key] = json.dumps(obj)
-        save_checkpoint(arrays, path, meta)
+        path.write_bytes(checkpoint_bytes(arrays, meta))
         return path
     return build
 
 
 def _save_encoder(path):
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3), path)
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3),
+                    path, {})
 
 
 def _save_asr(path):
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3)
-    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), path)
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), path, {})
 
 
 def _save_fusion(path):
     tok = CharTokenizer("ab")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_fusion(lm, SpeechAligner(6, 8, hidden=4), tok, path)
+    save_checkpoint(FusionModel(lm, SpeechAligner(6, 8, hidden=4), tok), path, {})
 
 
 def _config_file(tmp_path, obj):

@@ -16,6 +16,7 @@ from slmforge.cli import main
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError
 from slmforge.nn import checkpoint_bytes, save_checkpoint
+from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CharTokenizer,
     InstructionExample,
@@ -24,6 +25,10 @@ from slmforge.slm import (
 )
 
 OLD = b"old artifact bytes\n"
+
+
+def _encoder():
+    return SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3)
 
 
 def test_exception_mid_write_keeps_old_bytes_and_leaves_no_temp(tmp_path):
@@ -102,7 +107,7 @@ def _raises(write):
 
 WRITERS = {
     "save_checkpoint": _raises(
-        lambda p: save_checkpoint({"w": np.ones(3)}, p, {"k": "v"})),
+        lambda p: save_checkpoint(_encoder(), p, {"k": "v"})),
     "write_wav": _raises(
         lambda p: write_wav(p, AudioBuffer(np.zeros(16), 16000))),
     "manifest": _raises(lambda p: Manifest([], {"v": 1}).write(p)),
@@ -127,9 +132,10 @@ def test_every_artifact_writer_is_atomic(tmp_path, monkeypatch, capsys, writer):
 
 
 def test_writers_produce_the_same_bytes_as_their_serialisers(tmp_path):
-    arrays = {"w": np.arange(6.0).reshape(2, 3)}
-    save_checkpoint(arrays, tmp_path / "a.ckpt", {"k": "v"})
-    assert (tmp_path / "a.ckpt").read_bytes() == checkpoint_bytes(arrays, {"k": "v"})
+    encoder = _encoder()
+    save_checkpoint(encoder, tmp_path / "a.ckpt", {"k": "v"})
+    assert (tmp_path / "a.ckpt").read_bytes() == checkpoint_bytes(
+        encoder.state_arrays(), {"kind": "encoder", **encoder.record(), "k": "v"})
     buf = AudioBuffer(np.linspace(-1, 1, 32), 16000)
     write_wav(tmp_path / "a.wav", buf)
     assert (tmp_path / "a.wav").read_bytes() == wav_bytes(buf)

@@ -7,6 +7,7 @@ from conftest import finite_diff_grad, max_rel_error
 
 from slmforge.curate import SegmentRecord
 from slmforge.errors import ConfigError, GraphError
+from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge import tensor as T
 from slmforge.slm import (
@@ -17,6 +18,7 @@ from slmforge.slm import (
     CausalLMConfig,
     CharTokenizer,
     ChatTemplate,
+    FusionModel,
     FusionTrainConfig,
     SpeechAligner,
     build_instruction_dataset,
@@ -25,12 +27,10 @@ from slmforge.slm import (
     extract_multilayer_features,
     fusion_loss,
     generate,
-    load_fusion,
     parse_cot_output,
     read_instruction_dataset,
     render_chat,
     rule_table_phonemizer,
-    save_fusion,
     train_aligner,
     train_lm,
     write_instruction_dataset,
@@ -582,9 +582,9 @@ def test_repetition_loop_validates_params():
 def test_fusion_save_load_round_trip(tmp_path):
     lm, aligner, tok, examples, speech = _fusion_setup(seed=11)
     path = tmp_path / "fusion.ckpt"
-    save_fusion(lm, aligner, tok, path)
-    lm2, aligner2, tok2 = load_fusion(path)
-    assert tok2.symbols == tok.symbols
+    save_checkpoint(FusionModel(lm, aligner, tok), path, {})
+    back = load_checkpoint(path, FusionModel)
+    assert back.tokenizer.symbols == tok.symbols
     a = generate(lm, aligner, speech, "transcribe", tok, max_tokens=8)
-    b = generate(lm2, aligner2, speech, "transcribe", tok2, max_tokens=8)
+    b = generate(back.lm, back.aligner, speech, "transcribe", back.tokenizer, max_tokens=8)
     assert a.text == b.text

@@ -1,5 +1,7 @@
 """Autodiff core: op gradients vs finite differences, Adam, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import check_grad_against_fd, finite_diff_grad, max_rel_error
 
 from slmforge import nn
 from slmforge import tensor as T
-from slmforge.asr import CtcModel, Vocab, load_asr_model, save_asr_model
+from slmforge.asr import CtcModel, Vocab
 from slmforge.errors import CheckpointError, ConfigError, GraphError, NonFiniteError
 from slmforge.nn import (
     Adam,
@@ -15,25 +17,14 @@ from slmforge.nn import (
     Module,
     Parameter,
     TransformerLayer,
+    checkpoint_bytes,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
     train_step,
 )
-from slmforge.pretrain import (
-    SpeechEncoder,
-    SpeechEncoderConfig,
-    load_encoder,
-    save_encoder,
-)
-from slmforge.slm import (
-    CausalLM,
-    CausalLMConfig,
-    CharTokenizer,
-    SpeechAligner,
-    load_fusion,
-    save_fusion,
-)
+from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
+from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
 from slmforge.tensor import Tensor
 
 
@@ -316,38 +307,46 @@ def test_frozen_parameter_gets_no_grad():
 
 
 class _Net(Module):
+    kind = "test"
+
     def __init__(self, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.fc1 = Linear(4, 8, rng)
         self.fc2 = Linear(8, 2, rng)
 
+    def record(self):
+        return {}
+
+    @classmethod
+    def from_record(cls, path, meta):
+        return cls(seed=99)
+
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     net = _Net(seed=3)
     path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path, {"kind": "test", "note": "hello"})
-    fresh = _Net(seed=99)
-    meta = load_checkpoint(path, fresh)
-    assert meta["note"] == "hello"
+    save_checkpoint(net, path, {"note": "hello"})
+    assert read_checkpoint(path)[1] == {"kind": "test", "note": "hello"}
+    fresh = load_checkpoint(path, _Net)
     for (_, a), (_, b) in zip(net.named_parameters(), fresh.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_checkpoint_strict_shape_mismatch_names_parameter(tmp_path):
-    net = _Net()
     path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path)
+    save_checkpoint(_Net(), path, {})
 
-    class Other(Module):
-        def __init__(self):
-            super().__init__()
-            rng = np.random.default_rng(0)
+    class Other(_Net):
+        def __init__(self, seed=0):
+            Module.__init__(self)
+            rng = np.random.default_rng(seed)
             self.fc1 = Linear(4, 9, rng)
             self.fc2 = Linear(9, 2, rng)
 
-    with pytest.raises(CheckpointError, match="fc1.weight"):
-        load_checkpoint(path, Other())
+    with pytest.raises(CheckpointError, match="fc1.weight") as info:
+        load_checkpoint(path, Other)
+    assert str(path) in str(info.value)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -359,40 +358,92 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_truncated_checkpoint_error_names_path(tmp_path):
     path = tmp_path / "net.ckpt"
-    save_checkpoint(_Net(), path)
+    save_checkpoint(_Net(), path, {})
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(CheckpointError, match="truncated") as info:
-        load_checkpoint(path, _Net())
+        load_checkpoint(path, _Net)
     assert str(path) in str(info.value)
 
 
-def _save_encoder(path):
-    save_encoder(SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3), path)
+def _encoder():
+    return SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3, seed=1)
 
 
-def _save_asr(path):
-    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3)
-    save_asr_model(CtcModel(encoder, Vocab.from_texts(["ab"])), path)
+def _asr():
+    return CtcModel(_encoder(), Vocab.from_texts(["ab"]), seed=2)
 
 
-def _save_fusion(path):
+def _fusion():
     tok = CharTokenizer("ab")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_fusion(lm, SpeechAligner(6, 8, hidden=4), tok, path)
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1), seed=3)
+    return FusionModel(lm, SpeechAligner(6, 8, hidden=4, seed=4), tok)
 
 
-LOADERS = {
-    "encoder": (_save_encoder, load_encoder),
-    "asr": (_save_asr, load_asr_model),
-    "fusion": (_save_fusion, load_fusion),
+# kind -> (model class, a small model of it, the metadata entry holding its
+# model config as JSON, the config entry its CLI command wrote before the
+# seed left the config dataclasses)
+MODELS = {
+    "encoder": (SpeechEncoder, _encoder, "encoder_cfg", {
+        "PretrainConfig": {"batch_seconds": 13.0, "epochs": 1000, "k": 16, "lr": 0.01,
+                           "mask": {"mask_prob": 0.065, "seed": 0, "span_len": 10},
+                           "max_steps": 6, "n_mfcc": 13, "refresh_schedule": [1],
+                           "target_layer": 1},
+        "SpeechEncoderConfig": {"conv_activation": "gelu", "conv_kernel": 2,
+                                "conv_stride": 2, "dim": 8, "ff_mult": 4, "input_dim": 4,
+                                "n_heads": 2, "n_layers": 1},
+        "seed": 0}),
+    "asr": (CtcModel, _asr, "encoder_cfg", {
+        "FinetuneConfig": {"batch_size": 4, "eval_every": 6, "lr": 0.01, "seed": 0,
+                           "steps": 6},
+        "seed": 0}),
+    "fusion": (FusionModel, _fusion, "lm_cfg", {
+        "CausalLMConfig": {"dim": 8, "ff_mult": 4, "n_heads": 2, "n_layers": 1,
+                           "vocab_size": 6},
+        "FusionTrainConfig": {"aligner_hidden": None, "batch_size": 4, "lm_lr": 0.01,
+                              "lm_steps": 30, "lr": 0.01, "seed": 0, "steps": 4},
+        "seed": 0}),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LOADERS))
-def test_model_loaders_read_once_and_check_kind(tmp_path, monkeypatch, kind):
-    save, load = LOADERS[kind]
+def _save(kind, path, provenance=None):
+    model = MODELS[kind][1]()
+    save_checkpoint(model, path, provenance or {})
+    return model
+
+
+def _assert_same_model(a, b):
+    assert a.record() == b.record()
+    names = [name for name, _ in a.named_parameters()]
+    assert names and names == [name for name, _ in b.named_parameters()]
+    for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+        assert pa.data.tobytes() == pb.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_model_round_trip_rebuilds_the_record_and_the_exact_weights(tmp_path, kind):
+    cls = MODELS[kind][0]
     path = tmp_path / f"{kind}.ckpt"
-    save(path)
+    model = _save(kind, path, {"note": "hi"})
+    assert cls.kind == kind
+    assert read_checkpoint(path)[1] == {"kind": kind, **model.record(), "note": "hi"}
+    _assert_same_model(model, load_checkpoint(path, cls))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_a_checkpoint_with_a_seed_in_its_config_dataclasses_still_loads(tmp_path, kind):
+    # the `config` entry is provenance that no loader reads
+    cls, _, _, config = MODELS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    model = _save(kind, path, {"config": json.dumps(config, sort_keys=True),
+                               "config_hash": "0123456789abcdef"})
+    _assert_same_model(model, load_checkpoint(path, cls))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_model_loaders_read_once_and_check_kind(tmp_path, monkeypatch, kind):
+    cls = MODELS[kind][0]
+    path = tmp_path / f"{kind}.ckpt"
+    _save(kind, path)
     opened = []
 
     def counting_open(*args, **kwargs):
@@ -400,52 +451,67 @@ def test_model_loaders_read_once_and_check_kind(tmp_path, monkeypatch, kind):
         return open(*args, **kwargs)
 
     monkeypatch.setattr(nn, "open", counting_open, raising=False)
-    load(path)
+    load_checkpoint(path, cls)
     assert opened == [path]
 
     other = "asr" if kind == "encoder" else "encoder"
     wrong = tmp_path / "wrong.ckpt"
-    LOADERS[other][0](wrong)
+    _save(other, wrong)
     with pytest.raises(ConfigError, match=f"'{other}' is not '{kind}'") as info:
-        load(wrong)
+        load_checkpoint(wrong, cls)
     assert str(wrong) in str(info.value)
 
 
-# the metadata entry holding each kind's model config as JSON
-CONFIG_META = {"encoder": "encoder_cfg", "asr": "encoder_cfg", "fusion": "lm_cfg"}
-
-
 def _resave(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit(arrays, metadata)``."""
     arrays, meta = read_checkpoint(path)
-    edit(meta)
-    save_checkpoint(arrays, path, meta)
+    edit(arrays, meta)
+    path.write_bytes(checkpoint_bytes(arrays, meta))
 
 
-@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("kind", sorted(MODELS))
 def test_model_loaders_reject_a_missing_metadata_key_naming_it(tmp_path, kind):
-    save, load = LOADERS[kind]
+    cls = MODELS[kind][0]
     reference = tmp_path / "reference.ckpt"
-    save(reference)
+    _save(kind, reference)
     keys = [k for k in read_checkpoint(reference)[1] if k != "kind"]
-    assert CONFIG_META[kind] in keys
+    assert MODELS[kind][2] in keys
     for key in keys:
         path = tmp_path / f"no-{key}.ckpt"
-        save(path)
-        _resave(path, lambda meta: meta.pop(key))
+        _save(kind, path)
+        _resave(path, lambda arrays, meta: meta.pop(key))
         with pytest.raises(ConfigError, match=f"missing key '{key}'") as info:
-            load(path)
+            load_checkpoint(path, cls)
         assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1, 2]", "not json"])
-@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("kind", sorted(MODELS))
 def test_model_loaders_reject_a_bad_config_naming_its_key(tmp_path, kind, blob):
-    save, load = LOADERS[kind]
+    cls, _, entry, _ = MODELS[kind]
     path = tmp_path / f"{kind}.ckpt"
-    save(path)
-    _resave(path, lambda meta: meta.update({CONFIG_META[kind]: blob}))
-    with pytest.raises(ConfigError, match=f"bad value for '{CONFIG_META[kind]}'") as info:
-        load(path)
+    _save(kind, path)
+    _resave(path, lambda arrays, meta: meta.update({entry: blob}))
+    with pytest.raises(ConfigError, match=f"bad value for '{entry}'") as info:
+        load_checkpoint(path, cls)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_a_missing_or_misshapen_tensor_names_the_file(tmp_path, kind):
+    cls = MODELS[kind][0]
+    path = tmp_path / f"{kind}.ckpt"
+    _save(kind, path)
+    name = list(read_checkpoint(path)[0])[-1]
+    _resave(path, lambda arrays, meta: arrays.pop(name))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path, cls)
+    assert str(info.value) == f"{path}: checkpoint missing parameters: {name}"
+
+    _save(kind, path)
+    _resave(path, lambda arrays, meta: arrays.update({name: np.zeros(7)}))
+    with pytest.raises(CheckpointError, match=f"shape mismatch for parameter '{name}'") as info:
+        load_checkpoint(path, cls)
     assert str(path) in str(info.value)
 
 
@@ -493,11 +559,9 @@ def test_load_never_restores_optimizer_state(tmp_path):
         p.grad = np.ones_like(p.data)
     opt.step()
     path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path)
+    save_checkpoint(net, path, {})
 
-    fresh = _Net(seed=6)
-    load_checkpoint(path, fresh)
-    fresh_opt = Adam(fresh, lr=1e-3)
+    fresh_opt = Adam(load_checkpoint(path, _Net), lr=1e-3)
     assert fresh_opt.t == 0
     assert fresh_opt._m == {} and fresh_opt._v == {}
 
