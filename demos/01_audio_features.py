@@ -32,11 +32,11 @@ frame, hop = analysis_frame(down.sample_rate)
 print(f"{FRAME_MS:g} ms Hann frames every {HOP_MS:g} ms: {frame} and {hop} samples "
       f"@ {down.sample_rate} Hz, {fft_length(frame)}-point FFT")
 feats = log_mel(down, 40)
-print(f"log-mel matrix: {feats.data.shape} (frames x mels), hop {feats.frame_hop_s*1000:.0f} ms")
-mid = feats.data[feats.num_frames // 2]
-print(f"hottest mel band at frame {feats.num_frames // 2}: {int(np.argmax(mid))}")
+print(f"log-mel array: {feats.shape} (frames x mels), one row per {HOP_MS:g} ms hop")
+mid = feats[len(feats) // 2]
+print(f"hottest mel band at frame {len(feats) // 2}: {int(np.argmax(mid))}")
 
 # MFCCs are the orthonormal DCT of each log-mel frame
 coeffs = mfcc(feats, 13)
-print(f"mfcc matrix: {coeffs.data.shape}")
-print(f"first frame, first four coefficients: {np.round(coeffs.data[0, :4], 3)}")
+print(f"mfcc array: {coeffs.shape}")
+print(f"first frame, first four coefficients: {np.round(coeffs[0, :4], 3)}")

@@ -12,10 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from slmforge.audio import FeatureMatrix
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import (
-    MaskSpec,
     PretrainConfig,
     SpeechEncoder,
     SpeechEncoderConfig,
@@ -32,9 +30,9 @@ rng = np.random.default_rng(606)
 dataset = []
 for _ in range(8):
     base = rng.standard_normal(12)
-    dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01))
+    dataset.append(base + 0.3 * rng.standard_normal((50, 12)))
 
-mask = span_mask(25, MaskSpec(mask_prob=0.065, span_len=10), seed=0)
+mask = span_mask(25, PretrainConfig(mask_prob=0.065, span_len=10), seed=0)
 print(f"span mask over 25 frames: {mask.astype(int)}")
 
 enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)

@@ -38,7 +38,7 @@ while len(examples) < 10:
     seen.add(idx)
     text = "".join(alphabet[i] for i in idx)
     feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), n_mels)
-    examples.append((feats.data, text))
+    examples.append((feats, text))
 print(f"\ntraining set: {[t for _, t in examples]}")
 
 vocab = Vocab.from_texts([t for _, t in examples])

@@ -49,7 +49,7 @@ for i, ch in enumerate(alphabet):
                         sample_rate=16000, transcript=ch)
     records.append(rec)
     audio = log_mel(sine(freqs[i], 0.5), n_mels)
-    feats[rec.id] = extract_multilayer_features(encoder, audio.data)
+    feats[rec.id] = extract_multilayer_features(encoder, audio)
 print(f"multi-layer speech features per clip: {feats['u0'].shape} "
       "(frames x concatenated layers)")
 

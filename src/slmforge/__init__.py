@@ -17,7 +17,7 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-from .audio import AudioBuffer, FeatureMatrix, log_mel, mfcc, read_wav, resample, standardize, write_wav
+from .audio import AudioBuffer, log_mel, mfcc, read_wav, resample, standardize, write_wav
 from .curate import Manifest, PipelineConfig, SegmentRecord, Span, run_pipeline
 from .metrics import cer, chrf, render_report, wer
 from .tensor import Tensor, no_grad
@@ -25,7 +25,6 @@ from .tensor import Tensor, no_grad
 __all__ = [
     "__version__",
     "AudioBuffer",
-    "FeatureMatrix",
     "log_mel",
     "mfcc",
     "read_wav",

@@ -268,12 +268,16 @@ class NormalizationRules:
 
 
 def load_lexicon(path) -> NormalizationRules:
-    """Load a digit-string -> words lexicon (plain JSON object)."""
+    """Load a digit-string -> words lexicon (plain JSON object); errors name
+    the file and the offending keys."""
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    bad = [k for k in entries if not k.isdigit()]
+    if not isinstance(entries, dict):
+        raise ConfigError(f"lexicon {path} must hold a JSON object, got {json.dumps(entries)}")
+    bad = [k for k, words in entries.items() if not (k.isdigit() and isinstance(words, str))]
     if bad:
-        raise ConfigError(f"lexicon keys must be digit strings, got {bad[:3]}")
-    return NormalizationRules(lexicon=dict(entries))
+        raise ConfigError(f"lexicon {path}: entries must map digit strings to words, "
+                          f"got {bad[:3]}")
+    return NormalizationRules(lexicon=entries)
 
 
 def builtin_rules(language: str = "en") -> NormalizationRules:

@@ -1,7 +1,7 @@
 """Audio I/O, resampling, framing and the one speech front end (log-mel, MFCC).
 
 Everything here is pure: functions never mutate their inputs, so buffers and
-feature matrices can be shared read-only across threads.
+feature arrays can be shared read-only across threads.
 
 WAV support covers RIFF little-endian containers with PCM16 or IEEE float32
 samples. Multichannel files are downmixed by averaging, never rejected.
@@ -56,29 +56,6 @@ class AudioBuffer:
         i0 = max(0, int(round(start_s * self.sample_rate)))
         i1 = min(len(self.samples), int(round(end_s * self.sample_rate)))
         return AudioBuffer(self.samples[i0:i1].copy(), self.sample_rate)
-
-
-@dataclass
-class FeatureMatrix:
-    """T x D feature frames with the hop (seconds per frame) that produced them."""
-
-    data: np.ndarray
-    frame_hop_s: float
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"feature data must be 2-D, got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature data contains non-finite values")
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,39 +238,33 @@ def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> 
     return np.abs(np.fft.rfft(frames * window, n=fft_size, axis=1))
 
 
-def log_mel(buf: AudioBuffer, n_mels: int) -> FeatureMatrix:
+def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
     """Hann-windowed magnitude STFT through an ``n_mels``-band triangular mel
-    bank, log floored at ``LOG_FLOOR``.
+    bank, log floored at ``LOG_FLOOR``: a (T, n_mels) array, one row per hop.
 
-    A buffer shorter than one frame yields an empty (0 x n_mels) matrix.
+    A buffer shorter than one frame yields an empty (0, n_mels) array.
     """
     frame, hop = analysis_frame(buf.sample_rate)
     n_fft = fft_length(frame)
     mag = stft_magnitude(buf.samples, frame, hop, n_fft)
     mel_energy = mag @ mel_filterbank(n_mels, n_fft, buf.sample_rate).T
-    return FeatureMatrix(np.log(np.maximum(mel_energy, LOG_FLOOR)), hop / buf.sample_rate)
+    return np.log(np.maximum(mel_energy, LOG_FLOOR))
 
 
-def standardize(features: FeatureMatrix, eps: float = 1e-8) -> FeatureMatrix:
+def standardize(features: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Per-utterance, per-band standardization over time (speech CMVN).
 
     Raw log-mel sits far from zero (silence pinned at the log floor), which
     saturates randomly initialized front-ends; training pipelines apply this
     before the encoder. Constant bands come out (numerically) zero.
     """
-    data = features.data
-    if data.shape[0] == 0:
-        return FeatureMatrix(data.copy(), features.frame_hop_s)
-    mean = data.mean(axis=0)
-    std = data.std(axis=0)
-    return FeatureMatrix((data - mean) / (std + eps), features.frame_hop_s)
+    if features.shape[0] == 0:
+        return features.copy()
+    return (features - features.mean(axis=0)) / (features.std(axis=0) + eps)
 
 
-def mfcc(logmel_matrix: FeatureMatrix, n_mfcc: int) -> FeatureMatrix:
+def mfcc(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
     """First n_mfcc coefficients of an orthonormal type-II DCT per log-mel frame."""
-    if n_mfcc > logmel_matrix.dim:
-        raise ConfigError(
-            f"n_mfcc {n_mfcc} exceeds mel dimension {logmel_matrix.dim}"
-        )
-    coeffs = dct(logmel_matrix.data, type=2, norm="ortho", axis=1)[:, :n_mfcc]
-    return FeatureMatrix(coeffs, logmel_matrix.frame_hop_s)
+    if n_mfcc > logmel.shape[1]:
+        raise ConfigError(f"n_mfcc {n_mfcc} exceeds mel dimension {logmel.shape[1]}")
+    return dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]

@@ -10,12 +10,12 @@ key sets one dataclass field, whose default applies when the key is absent.
 Any other key is an error naming it, and so is a value whose JSON type
 does not fit the field (``config.config_fields``, the one config reader,
 names the file, key and field). The audio front end is fixed
-(``audio.log_mel``); its mel count is the encoder's input width, which
-``pretrain`` takes from the ``n_mels`` key and every later subcommand from
-the encoder checkpoint. Every checkpoint is written by
-``nn.save_checkpoint`` and read by ``nn.load_checkpoint``; the encoder that
-``pretrain --init`` loads must have exactly the model config and class
-count (``k``) the config resolves to. The training subcommands take their seed
+(``audio.log_mel``, a plain (T, n_mels) array per utterance); its mel count
+is the encoder's input width, which ``pretrain`` takes from the ``n_mels``
+key and every later subcommand from the encoder checkpoint. Every checkpoint
+is written by ``nn.save_checkpoint`` and read by ``nn.load_checkpoint``; the
+encoder that ``pretrain --init`` loads must have exactly the model config and
+class count (``k``) the config resolves to. The training subcommands take their seed
 from ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing
 subcommand embeds the fully resolved config and its hash in the output, so
 identical config + seed reproduce outputs byte-for-byte.
@@ -41,13 +41,7 @@ from .nn import load_checkpoint, save_checkpoint
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
 from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
-from .pretrain import (
-    MaskSpec,
-    PretrainConfig,
-    SpeechEncoder,
-    SpeechEncoderConfig,
-    continued_pretrain,
-)
+from .pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig, continued_pretrain
 from . import asr as asr_mod
 from . import slm as slm_mod
 
@@ -72,8 +66,7 @@ CONFIG_KEYS = {
         "n_mels": (SpeechEncoderConfig, "input_dim"),
         **_same_names(SpeechEncoderConfig, "dim", "n_layers", "n_heads"),
         **_same_names(PretrainConfig, "epochs", "lr", "batch_seconds", "target_layer",
-                      "k", "refresh_schedule", "max_steps"),
-        **_same_names(MaskSpec, "mask_prob", "span_len"),
+                      "k", "refresh_schedule", "max_steps", "mask_prob", "span_len"),
     },
     "finetune-asr": _same_names(asr_mod.FinetuneConfig, "steps", "lr", "batch_size",
                                 "eval_every"),
@@ -132,8 +125,8 @@ def _resolved_metadata(seed: int, *configs) -> dict:
 
 
 def _records_with_audio(manifest: Manifest, n_mels: int):
-    """Yield (record, standardized ``n_mels``-band log-mel FeatureMatrix) per
-    manifest record."""
+    """Yield (record, standardized (T, ``n_mels``) log-mel array) per manifest
+    record."""
     cache = {}
     for rec in manifest.records:
         if rec.source_path not in cache:
@@ -161,8 +154,9 @@ def _check_sample_rate(sample_rate: int) -> None:
 
 
 def _wav_features(path, sample_rate: int, n_mels: int):
-    # trim to the speech extent so decode-time features match the curated
-    # segments models were trained on
+    """Standardized (T, ``n_mels``) log-mel array of one WAV trimmed to its
+    speech extent, so decode-time features match the curated segments models
+    were trained on."""
     buf = trim_to_speech(resample(read_wav(path), sample_rate))
     return standardize(log_mel(buf, n_mels))
 
@@ -187,7 +181,7 @@ def cmd_pretrain(args) -> int:
     given = _config_fields(args)
     seed = _resolve_seed(args)
     encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
-    train_cfg = PretrainConfig(mask=MaskSpec(**given[MaskSpec]), **given[PretrainConfig])
+    train_cfg = PretrainConfig(**given[PretrainConfig])
     if encoder_cfg.input_dim < train_cfg.n_mfcc:
         raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
                           f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
@@ -226,7 +220,7 @@ def cmd_finetune_asr(args) -> int:
             continue
         text = asr_mod.normalize_text(rec.transcript, rules)
         target = (heldout if rec.split == "test" else train)
-        target.append((features.data, text))
+        target.append((features, text))
     if not train:
         raise ConfigError("no records with transcripts to fine-tune on")
 
@@ -245,7 +239,7 @@ def cmd_transcribe(args) -> int:
     _check_sample_rate(args.sample_rate)
     model = load_checkpoint(args.ckpt, asr_mod.CtcModel)
     features = _wav_features(args.wav, args.sample_rate, model.encoder.cfg.input_dim)
-    print(model.transcribe(features.data, beam_width=args.beam))
+    print(model.transcribe(features, beam_width=args.beam))
     return 0
 
 
@@ -276,9 +270,7 @@ def cmd_train_aligner(args) -> int:
 
     feature_cache = {}
     for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
-        feature_cache[rec.id] = slm_mod.extract_multilayer_features(
-            encoder, features.data
-        )
+        feature_cache[rec.id] = slm_mod.extract_multilayer_features(encoder, features)
     pairs = []
     for ex in examples:
         if ex.audio_id not in feature_cache:
@@ -320,10 +312,10 @@ def cmd_infer(args) -> int:
     fusion = load_checkpoint(args.fusion, slm_mod.FusionModel)
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     features = _wav_features(args.wav, args.sample_rate, encoder.cfg.input_dim)
-    speech = slm_mod.extract_multilayer_features(encoder, features.data)
+    speech = slm_mod.extract_multilayer_features(encoder, features)
     result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)
-    parsed = slm_mod.parse_cot_output(result.text, mode)
+    parsed = slm_mod.parse_cot_output(result.text)
     looping = slm_mod.detect_repetition_loop(result.text)
     print(f"RAW: {result.text!r}")
     for name, text in parsed.steps.items():
@@ -364,9 +356,11 @@ def cmd_eval(args) -> int:
     row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:
         scores = json.loads(Path(args.external_scores).read_text(encoding="utf-8"))
-        if "bs_f1" not in scores:
-            raise ConfigError("external scores file must provide a 'bs_f1' value")
-        row.bs_f1 = float(scores["bs_f1"])
+        bs_f1 = scores.get("bs_f1") if isinstance(scores, dict) else None
+        if type(bs_f1) not in (int, float):
+            raise ConfigError(f"{args.external_scores}: external scores must be a JSON "
+                              f"object with a number 'bs_f1', got {json.dumps(scores)}")
+        row.bs_f1 = float(bs_f1)
 
     print(render_report([row]), end="")
     if args.out:

@@ -1,10 +1,11 @@
-"""The one typed reader of config records from JSON (``--config`` files and
-the model configs in checkpoints) and the one hash of a resolved
-configuration that artifacts embed."""
+"""The one typed reader of flat records from JSON (``--config`` files, the
+model configs in checkpoints, and manifest and SFT rows) and the one hash of
+a resolved configuration that artifacts embed."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing
@@ -17,16 +18,20 @@ _JSON_TYPES = {
     float: ("number", (int, float)),
     str: ("string", (str,)),
     tuple: ("array", (list,)),
+    list: ("array", (list,)),
     type(None): ("null", (type(None),)),
 }
+
+# evaluated once per class: the JSONL readers check every row
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def config_fields(cls, obj, keys: dict | None = None) -> dict:
     """{field: value} of dataclass ``cls`` from the JSON object ``obj``, whose
     keys ``keys`` maps to fields (default: the field names). Types are exact:
     an int field takes an int but not a bool, a float field an int or a
-    float, a tuple field a list, a dataclass field an object, and null only
-    a field whose annotation allows None; values are stored as given. A
+    float, a tuple or list field a list, and null only a field whose
+    annotation allows None; values are stored as given. A
     non-object, an unknown key or a misfit is a ConfigError naming the key
     and the field."""
     if keys is None:
@@ -37,14 +42,11 @@ def config_fields(cls, obj, keys: dict | None = None) -> dict:
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
                           f"for {cls.__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     out = {}
     for key, value in obj.items():
         name = keys[key]
         hint = hints[name]
-        if dataclasses.is_dataclass(hint):
-            out[name] = read_config(hint, value)
-            continue
         kinds = [_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,)]
         if not any(type(value) in types for _, types in kinds):
             expected = " or ".join(json_name for json_name, _ in kinds)
@@ -55,8 +57,13 @@ def config_fields(cls, obj, keys: dict | None = None) -> dict:
 
 
 def read_config(cls, obj):
-    """``cls`` from the JSON object ``obj``; absent fields take defaults."""
-    return cls(**config_fields(cls, obj))
+    """``cls`` from the JSON object ``obj``; an absent field takes its default."""
+    given = config_fields(cls, obj)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in given
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing field(s) {', '.join(missing)}")
+    return cls(**given)
 
 
 def config_hash(cfg: dict) -> str:

@@ -284,10 +284,10 @@ def trim_to_speech(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> 
 def logmel_stats_embedder(buf: AudioBuffer) -> np.ndarray:
     """Built-in proxy speaker embedding: 40-band log-mel mean and std, L2-normalized."""
     feats = log_mel(buf, 40)
-    if feats.num_frames == 0:
-        vec = np.zeros(2 * feats.dim)
+    if feats.shape[0] == 0:
+        vec = np.zeros(2 * feats.shape[1])
     else:
-        vec = np.concatenate([feats.data.mean(axis=0), feats.data.std(axis=0)])
+        vec = np.concatenate([feats.mean(axis=0), feats.std(axis=0)])
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
 

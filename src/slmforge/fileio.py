@@ -10,6 +10,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 
+from .config import read_config
 from .errors import ConfigError
 
 
@@ -59,14 +60,12 @@ def read_jsonl(path, row_type):
     """Return (header, rows) of a header-JSONL file, rows as ``row_type``.
 
     The header comes back without its tag, or empty when line 1 has none.
-    Blank lines are skipped, keys that are not fields are ignored and an
-    absent field takes its default. Invalid JSON, a line that is not an
-    object, or a missing required field raises ConfigError naming the path
-    and line.
+    Blank lines are skipped, keys that are not fields are ignored, and each
+    row is read by ``config.read_config``. Invalid JSON, a line that is not
+    an object, or a row that reader rejects (a missing required field, a
+    wrong JSON type) raises ConfigError naming the path, line and key.
     """
     known = {f.name for f in fields(row_type)}
-    required = [f.name for f in fields(row_type)
-                if f.default is MISSING and f.default_factory is MISSING]
     header, rows = {}, []
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -81,10 +80,10 @@ def read_jsonl(path, row_type):
             if n == 1 and d.pop("__header__", False):
                 header = d
                 continue
-            missing = [k for k in required if k not in d]
-            if missing:
-                raise ConfigError(f"{path} line {n}: missing field(s) {', '.join(missing)}")
-            rows.append(row_type(**{k: v for k, v in d.items() if k in known}))
+            try:
+                rows.append(read_config(row_type, {k: v for k, v in d.items() if k in known}))
+            except ConfigError as exc:
+                raise ConfigError(f"{path} line {n}: {exc}") from None
     return header, rows
 
 

@@ -4,6 +4,7 @@ Discrete targets come from KMeans codebooks: first over MFCCs of the input
 features, later refreshed from an intermediate transformer layer of the
 partially trained encoder. Training minimizes cross-entropy of the
 prediction head against those pseudo-labels at masked frame positions only.
+One flat ``PretrainConfig`` holds every setting, span masking's included.
 
 Continued pretraining trains an encoder whose weights the caller built or
 loaded from a checkpoint (``nn.load_checkpoint(path, SpeechEncoder)``), but
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
-from .audio import mfcc
+from .audio import HOP_MS, mfcc
 from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import parse_field
@@ -132,26 +133,15 @@ def assign_labels(codebook: Codebook, features: np.ndarray) -> np.ndarray:
 # Span masking
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    mask_prob: float = 0.065
-    span_len: int = 10
-
-    def __post_init__(self):
-        if not (0.0 <= self.mask_prob <= 1.0):
-            raise ConfigError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
-        if self.span_len < 1:
-            raise ConfigError(f"span_len must be >= 1, got {self.span_len}")
-
-
-def span_mask(t: int, spec: MaskSpec, seed: int) -> np.ndarray:
-    """Boolean mask of length t: i.i.d. span starts drawn from ``seed``, spans
-    unioned."""
+def span_mask(t: int, cfg: PretrainConfig, seed: int) -> np.ndarray:
+    """Boolean mask of length t: i.i.d. span starts with probability
+    ``cfg.mask_prob`` drawn from ``seed``, each ``cfg.span_len`` frames long,
+    spans unioned."""
     rng = np.random.default_rng(seed)
-    starts = rng.random(t) < spec.mask_prob
+    starts = rng.random(t) < cfg.mask_prob
     mask = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(starts):
-        mask[i : i + spec.span_len] = True
+        mask[i : i + cfg.span_len] = True
     return mask
 
 
@@ -299,8 +289,7 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
     collected = []
     with T.no_grad():
         for features in dataset:
-            states = encoder.forward(features.data, mask=None)
-            collected.append(states[target_layer].data)
+            collected.append(encoder.forward(features)[target_layer].data)
     stacked = np.concatenate(collected, axis=0)
     codebook = kmeans_fit(stacked, k, seed=seed)
     labels = [assign_labels(codebook, states) for states in collected]
@@ -315,13 +304,18 @@ class PretrainConfig:
     target_layer: int = 1
     k: int = 32
     refresh_schedule: tuple | None = None  # None -> one refresh at mid-training
-    mask: MaskSpec = field(default_factory=MaskSpec)
+    mask_prob: float = 0.065
+    span_len: int = 10
     n_mfcc: int = 13
     max_steps: int | None = None  # None -> run every epoch
 
     def __post_init__(self):
         if self.batch_seconds <= 0:
             raise ConfigError("batch_seconds must be positive")
+        if not (0.0 <= self.mask_prob <= 1.0):
+            raise ConfigError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
+        if self.span_len < 1:
+            raise ConfigError(f"span_len must be >= 1, got {self.span_len}")
         if self.refresh_schedule is None:
             self.refresh_schedule = (self.epochs // 2,) if self.epochs >= 2 else ()
         self.refresh_schedule = tuple(self.refresh_schedule)
@@ -329,7 +323,7 @@ class PretrainConfig:
 
 def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: int):
     """First-iteration pseudo-labels: KMeans over MFCCs of the log-mel inputs."""
-    mats = [mfcc(features, cfg.n_mfcc).data for features in dataset]
+    mats = [mfcc(features, cfg.n_mfcc) for features in dataset]
     codebook = kmeans_fit(np.concatenate(mats, axis=0), cfg.k, seed=seed)
     labels = [
         downsample_labels(assign_labels(codebook, m), encoder) for m in mats
@@ -342,12 +336,12 @@ def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int
     total = 0.0
     with T.no_grad():
         for i, features in enumerate(dataset):
-            t_out = encoder.output_len(features.num_frames)
-            mask = span_mask(t_out, MaskSpec(), mask_seed + i)
+            t_out = encoder.output_len(len(features))
+            mask = span_mask(t_out, PretrainConfig(), mask_seed + i)
             if not mask.any():
                 mask = np.zeros(t_out, dtype=bool)
                 mask[: max(1, t_out // 10)] = True
-            loss = masked_prediction_loss(encoder, features.data, labels[i], mask)
+            loss = masked_prediction_loss(encoder, features, labels[i], mask)
             total += loss.item()
     return total / max(len(dataset), 1)
 
@@ -356,9 +350,9 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
                        seed: int = 0):
     """Train ``encoder`` (with ``cfg.k`` classes) in place by masked prediction.
 
-    ``dataset`` is a list of log-mel FeatureMatrix. The encoder is fresh or
-    holds weights loaded from a checkpoint; either way the optimizer starts
-    fresh. Batches greedily fill utterances until ``batch_seconds`` is
+    ``dataset`` is a list of log-mel arrays, one row per ``HOP_MS`` hop. The
+    encoder is fresh or holds weights loaded from a checkpoint; either way
+    the optimizer starts fresh. Batches greedily fill utterances until ``batch_seconds`` is
     reached; the loss is the mean of per-utterance losses (no padding across
     utterances). Returns (encoder, history) where history maps step -> loss.
     """
@@ -366,9 +360,6 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
         raise ValueError("continued_pretrain needs a non-empty dataset")
 
     _, labels = initial_labels(dataset, cfg, encoder, seed)
-
-    durations = [features.num_frames * features.frame_hop_s for features in dataset]
-
     opt = Adam(encoder, lr=cfg.lr)
     rng = np.random.default_rng(seed + 1)
     history = []
@@ -386,17 +377,16 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
         batch_dur = 0.0
         for pos, utt in enumerate(order):
             batch.append(int(utt))
-            batch_dur += durations[utt]
+            batch_dur += len(dataset[utt]) * (HOP_MS / 1000.0)
             last = pos == len(order) - 1
             if batch_dur < cfg.batch_seconds and not last:
                 continue
             masked = []
             for i in batch:
-                data = dataset[i].data
-                t_out = encoder.output_len(data.shape[0])
-                mask = span_mask(t_out, cfg.mask, 7919 * step + i)
+                t_out = encoder.output_len(len(dataset[i]))
+                mask = span_mask(t_out, cfg, 7919 * step + i)
                 if mask.any():
-                    masked.append((data, labels[i], mask))
+                    masked.append((dataset[i], labels[i], mask))
             if masked:
                 step += 1
                 history.append((step, train_step(

@@ -502,12 +502,18 @@ class FusionModel(Module):
 
     @classmethod
     def from_record(cls, path, meta: dict) -> "FusionModel":
-        """An untrained bundle whose aligner projects into the LM's width."""
+        """An untrained bundle whose aligner projects into the LM's width and
+        whose ``charset`` tokenizer has the LM's ``vocab_size`` symbols."""
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
                                   lambda blob: read_config(CausalLMConfig, json.loads(blob))))
         aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int), lm.cfg.dim,
                                 hidden=parse_field(path, meta, "aligner_hidden", int))
-        return cls(lm, aligner, parse_field(path, meta, "charset", CharTokenizer))
+        tokenizer = parse_field(path, meta, "charset", CharTokenizer)
+        if tokenizer.vocab_size != lm.cfg.vocab_size:
+            raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
+                              f"{tokenizer.vocab_size} symbols, but lm_cfg has vocab_size "
+                              f"{lm.cfg.vocab_size}")
+        return cls(lm, aligner, tokenizer)
 
 
 @dataclass
@@ -555,7 +561,7 @@ _STEP_RE = re.compile(r"^STEP\[(.+?)\]:\s?(.*)$")
 _FINAL_RE = re.compile(r"^FINAL:\s?(.*)$")
 
 
-def parse_cot_output(text: str, mode: str | None = None) -> ParsedCot:
+def parse_cot_output(text: str) -> ParsedCot:
     """Parse STEP/FINAL lines; diagnostics instead of exceptions.
 
     The final answer is the content of the last FINAL line; with no FINAL

@@ -27,12 +27,11 @@ from slmforge.asr import (
     ctc_required_frames,
     finetune_ctc,
 )
-from slmforge.audio import FeatureMatrix, log_mel, write_wav
+from slmforge.audio import log_mel, write_wav
 from slmforge.curate import Manifest, PipelineConfig, run_pipeline
 from slmforge.metrics import MetricRow, cer, chrf, edit_distance, render_report, wer
 from slmforge.nn import Adam, checkpoint_bytes, load_checkpoint, save_checkpoint
 from slmforge.pretrain import (
-    MaskSpec,
     PretrainConfig,
     SpeechEncoder,
     SpeechEncoderConfig,
@@ -224,7 +223,7 @@ def test_criterion_04_masking_contracts_bit_invariance():
         feats = rng.standard_normal((24, 8))
         t_out = enc.output_len(24)
         labels = rng.integers(0, 4, size=t_out)
-        mask = span_mask(t_out, MaskSpec(0.3, 2), trial)
+        mask = span_mask(t_out, PretrainConfig(mask_prob=0.3, span_len=2), trial)
         if not mask.any() or mask.all():
             mask[0], mask[-1] = True, False
 
@@ -337,7 +336,7 @@ def test_criterion_06_continued_pretraining_benefit(tmp_path):
     dataset = []
     for _ in range(8):
         base = rng.standard_normal(12)
-        dataset.append(FeatureMatrix(base + 0.3 * rng.standard_normal((50, 12)), 0.01))
+        dataset.append(base + 0.3 * rng.standard_normal((50, 12)))
     enc_cfg = SpeechEncoderConfig(input_dim=12, dim=24, n_layers=2, n_heads=2)
     cfg = PretrainConfig(epochs=10**6, lr=1e-3, batch_seconds=2.0, k=4, n_mfcc=6)
 
@@ -378,7 +377,7 @@ def test_criterion_07_toy_asr_overfit_wer_zero():
         seen.add(idx)
         text = "".join(alphabet[i] for i in idx)
         feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), 16)
-        examples.append((feats.data, text))
+        examples.append((feats, text))
 
     vocab = Vocab.from_texts([t for _, t in examples])
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=16, dim=24, n_layers=2,
@@ -413,7 +412,7 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
                             sample_rate=16000, transcript=ch)
         records.append(rec)
         audio = log_mel(sine(freqs[i], 0.5), 16)
-        feats[rec.id] = extract_multilayer_features(encoder, audio.data)
+        feats[rec.id] = extract_multilayer_features(encoder, audio)
 
     examples, tok, _ = build_instruction_dataset(records, ["transcribe"])
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,

@@ -9,7 +9,6 @@ from scipy.fft import idct
 from slmforge.audio import (
     LOG_FLOOR,
     AudioBuffer,
-    FeatureMatrix,
     analysis_frame,
     fft_length,
     log_mel,
@@ -128,7 +127,7 @@ def test_resample_rejects_bad_rate():
 def test_log_mel_zero_signal_hits_log_floor():
     buf = AudioBuffer(np.zeros(16000), 16000)
     feats = log_mel(buf, 40)
-    assert np.all(feats.data == np.log(1e-10))
+    assert np.all(feats == np.log(1e-10))
     assert LOG_FLOOR == 1e-10
 
 
@@ -137,21 +136,20 @@ def test_log_mel_frame_count_formula():
     assert analysis_frame(16000) == (400, 160)
     buf = AudioBuffer(np.zeros(16000), 16000)
     feats = log_mel(buf, 40)
-    assert feats.num_frames == 98
-    assert feats.frame_hop_s == 0.01
+    assert len(feats) == 98
 
 
 def test_log_mel_short_buffer_gives_empty_matrix():
     buf = AudioBuffer(np.zeros(100), 16000)
     feats = log_mel(buf, 40)
-    assert feats.num_frames == 0
+    assert len(feats) == 0
 
 
 def test_log_mel_peak_bin_matches_mel_arithmetic_oracle():
     n_mels = 40
     buf = sine(1000.0, 1.0, 16000)
     feats = log_mel(buf, n_mels)
-    mid = feats.data[feats.num_frames // 2]
+    mid = feats[len(feats) // 2]
     got = int(np.argmax(mid))
 
     # oracle: the triangle whose response at 1 kHz is largest, from the
@@ -173,7 +171,7 @@ def test_log_mel_translation_consistency_one_hop_shift():
     _, hop = analysis_frame(16000)
     a = log_mel(AudioBuffer(np.clip(base, -1, 1), 16000), 40)
     b = log_mel(AudioBuffer(np.clip(np.concatenate([np.zeros(hop), base]), -1, 1), 16000), 40)
-    assert np.max(np.abs(b.data[1 : a.num_frames] - a.data[: a.num_frames - 1])) < 1e-6
+    assert np.max(np.abs(b[1 : len(a)] - a[: len(a) - 1])) < 1e-6
 
 
 def test_stft_of_zero_signal_is_identically_zero():
@@ -211,7 +209,7 @@ def test_log_mel_is_bit_equal_to_the_fixed_512_point_front_end(rate, n_mels):
     rng = np.random.default_rng(rate + n_mels)
     buf = AudioBuffer(np.clip(0.3 * rng.standard_normal(rate // 2), -1, 1), rate)
     feats = log_mel(buf, n_mels)
-    assert feats.data.tobytes() == _log_mel_with_512_point_fft(buf, n_mels).tobytes()
+    assert feats.tobytes() == _log_mel_with_512_point_fft(buf, n_mels).tobytes()
 
 
 @pytest.mark.parametrize("rate, frame, n_fft", [
@@ -228,11 +226,10 @@ def test_fft_length_is_the_next_power_of_two_of_the_frame_and_at_least_512(
 def test_log_mel_at_high_rates_peaks_in_the_tone_band(rate):
     feats = log_mel(sine(1000.0, 0.5, rate), 40)
     frame, hop = analysis_frame(rate)
-    assert feats.num_frames == 1 + (rate // 2 - frame) // hop
-    assert feats.frame_hop_s == hop / rate
+    assert len(feats) == 1 + (rate // 2 - frame) // hop
     bank = mel_filterbank(40, fft_length(frame), rate)
     peak_bin = int(round(1000.0 * fft_length(frame) / rate))
-    assert int(np.argmax(feats.data[feats.num_frames // 2])) == int(np.argmax(bank[:, peak_bin]))
+    assert int(np.argmax(feats[len(feats) // 2])) == int(np.argmax(bank[:, peak_bin]))
 
 
 @pytest.mark.parametrize("rate", [40, 0, -8000])
@@ -247,7 +244,7 @@ def test_analysis_frame_rejects_a_rate_whose_hop_has_no_sample(rate):
 
 
 def _logmel_fixture(data):
-    return FeatureMatrix(np.asarray(data, dtype=np.float64), 0.01)
+    return np.asarray(data, dtype=np.float64)
 
 
 def test_mfcc_constant_frame_dct_of_constant():
@@ -255,15 +252,15 @@ def test_mfcc_constant_frame_dct_of_constant():
     c = 0.7
     feats = _logmel_fixture(np.full((3, n_mels), c))
     out = mfcc(feats, n_mels)
-    assert out.data[0, 0] == pytest.approx(c * np.sqrt(n_mels), abs=1e-9)
-    assert np.max(np.abs(out.data[:, 1:])) < 1e-9
+    assert out[0, 0] == pytest.approx(c * np.sqrt(n_mels), abs=1e-9)
+    assert np.max(np.abs(out[:, 1:])) < 1e-9
 
 
 def test_mfcc_orthonormal_reconstruction():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((5, 12))
     out = mfcc(_logmel_fixture(data), 12)
-    back = idct(out.data, type=2, norm="ortho", axis=1)
+    back = idct(out, type=2, norm="ortho", axis=1)
     assert np.max(np.abs(back - data)) < 1e-6
 
 
@@ -271,7 +268,7 @@ def test_mfcc_matches_naive_dct_oracle():
     rng = np.random.default_rng(10)
     n = 10
     frame = rng.standard_normal(n)
-    out = mfcc(_logmel_fixture(frame[None, :]), n).data[0]
+    out = mfcc(_logmel_fixture(frame[None, :]), n)[0]
 
     # direct-summation orthonormal DCT-II
     oracle = np.zeros(n)
@@ -293,18 +290,17 @@ def test_standardize_zero_mean_unit_variance_per_band():
     rng = np.random.default_rng(12)
     feats = _logmel_fixture(5.0 + 3.0 * rng.standard_normal((50, 6)))
     out = standardize(feats)
-    assert np.max(np.abs(out.data.mean(axis=0))) < 1e-9
-    assert np.max(np.abs(out.data.std(axis=0) - 1.0)) < 1e-6
-    assert out.frame_hop_s == feats.frame_hop_s
+    assert np.max(np.abs(out.mean(axis=0))) < 1e-9
+    assert np.max(np.abs(out.std(axis=0) - 1.0)) < 1e-6
 
 
 def test_standardize_constant_band_stays_near_zero():
     data = np.zeros((10, 3))
     data[:, 1] = 4.2
     out = standardize(_logmel_fixture(data))
-    assert np.max(np.abs(out.data[:, 1])) < 1e-6
+    assert np.max(np.abs(out[:, 1])) < 1e-6
 
 
 def test_standardize_empty_matrix():
     out = standardize(_logmel_fixture(np.zeros((0, 4))))
-    assert out.num_frames == 0
+    assert len(out) == 0

@@ -18,7 +18,7 @@ from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
 from slmforge.curate import Manifest
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
-from slmforge.pretrain import MaskSpec, PretrainConfig, SpeechEncoder, SpeechEncoderConfig
+from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
 from slmforge.synth import concat_buffers, silence, sine
 
@@ -216,6 +216,22 @@ def test_eval_external_scores_adds_bs_column(tmp_path, capsys):
     assert "BS-F1" in out and "79.78" in out
 
 
+@pytest.mark.parametrize("content", [
+    '{"bs_f1": null}', '{"bs_f1": true}', '{"bs_f1": "79.78"}', '{}', '[79.78]',
+])
+def test_eval_external_scores_without_a_number_bs_f1_names_file_and_key(
+        tmp_path, capsys, content):
+    refs = tmp_path / "refs.txt"
+    refs.write_text("waaw\n")
+    scores = tmp_path / "bs.json"
+    scores.write_text(content)
+    assert main(["eval", "--refs", str(refs), "--hyps", str(refs),
+                 "--external-scores", str(scores)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{scores}: " in captured.err and "'bs_f1'" in captured.err
+
+
 def test_report_renders_rows_file(tmp_path, capsys):
     rows = [
         {"name": "ours", "wer": 35.65, "hours": "960 -> 860"},
@@ -260,6 +276,35 @@ def test_train_aligner_sft_example_without_final_is_runtime_error(tmp_path, caps
                  "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
     err = capsys.readouterr().err
     assert f"{sft} line 2: missing field(s) final" in err
+
+
+MANIFEST_RUN = ["pretrain", "--manifest", "rows.jsonl", "--out", "enc.ckpt"]
+SFT_RUN = ["train-aligner", "--sft", "rows.jsonl", "--manifest", "none.jsonl",
+           "--encoder", "none.ckpt", "--out", "f.ckpt"]
+
+
+@pytest.mark.parametrize("argv, key, value, expected", [
+    (MANIFEST_RUN, "offset_s", "abc", "number"),
+    (MANIFEST_RUN, "sample_rate", "16000", "integer"),
+    (MANIFEST_RUN, "duration_s", None, "number"),
+    (SFT_RUN, "text", 5, "string"),
+    (SFT_RUN, "audio_id", ["a"], "string"),
+])
+def test_mistyped_manifest_or_sft_row_exits_2_naming_file_line_and_key(
+        tmp_path, monkeypatch, capsys, manifest, argv, key, value, expected):
+    monkeypatch.chdir(tmp_path)
+    if argv is MANIFEST_RUN:
+        header, row = manifest.read_text().splitlines()[:2]
+        row = json.loads(row)
+    else:
+        header = json.dumps({"__header__": True, "charset": "ab"})
+        row = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1],
+               "final": "ab"}
+    row[key] = value
+    Path("rows.jsonl").write_text(header + "\n" + json.dumps(row) + "\n")
+    assert main(argv) == 2
+    assert (f"rows.jsonl line 2: {key!r} must be {expected}, got {json.dumps(value)}"
+            in capsys.readouterr().err)
 
 
 def _encoder_checkpoint(path, edit):
@@ -386,7 +431,7 @@ def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
              "max_steps": None, "mask_prob": 0}
     cfg.write_text(json.dumps(given))
     got = _config_fields(argparse.Namespace(command="pretrain", config=str(cfg)))
-    merged = {**got[PretrainConfig], **got[MaskSpec]}
+    merged = got[PretrainConfig]
     assert merged == given
     assert [type(merged[k]) for k in given] == [type(v) for v in given.values()]
 
@@ -415,6 +460,23 @@ def test_competing_normalization_flags_are_a_usage_error(capsys, command, flags)
               "eval": ["--refs", "refs.txt", "--hyps", "hyps.txt"]}[command]
     assert main([command, *needed, *flags]) == 1
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lexicon, named", [
+    ({"1": 5}, "'1'"),
+    ({"1": ["one"]}, "'1'"),
+    ({"1": "one", "x": "ex"}, "'x'"),
+    (["1"], "JSON object"),
+])
+def test_eval_lexicon_that_is_not_digits_to_words_names_file_and_key(
+        tmp_path, capsys, lexicon, named):
+    refs, lex = tmp_path / "refs.txt", tmp_path / "lex.json"
+    refs.write_text("waaw 1\n")
+    lex.write_text(json.dumps(lexicon))
+    assert main(["eval", "--refs", str(refs), "--hyps", str(refs),
+                 "--lexicon", str(lex)]) == 2
+    err = capsys.readouterr().err
+    assert f"lexicon {lex}" in err and named in err
 
 
 def test_eval_language_flag_selects_the_builtin_lexicon(tmp_path, capsys):
@@ -500,6 +562,27 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     fusion.write_bytes(checkpoint_bytes(arrays, meta))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("extra", ["ÀÁÂÃÄÅÆÇÈÉ", "0123456789"])
+def test_infer_on_a_charset_that_does_not_fit_the_lm_names_file_and_charset(
+        tmp_path, manifest, capsys, extra):
+    enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
+    tok = CharTokenizer("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    save_checkpoint(FusionModel(lm, SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+    arrays, meta = read_checkpoint(fusion)
+    meta["charset"] += extra
+    fusion.write_bytes(checkpoint_bytes(arrays, meta))
+    assert main(["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
+                 Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
+                 "--max-tokens", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{fusion}: bad value for 'charset': its tokenizer has "
+            f"{tok.vocab_size + len(extra)} symbols, but lm_cfg has vocab_size "
+            f"{tok.vocab_size}") in captured.err
 
 
 def test_pretrain_with_fewer_mels_than_mfccs_fails_before_reading_audio(

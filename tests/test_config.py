@@ -12,7 +12,7 @@ from slmforge.config import config_fields, read_config
 from slmforge.curate import PipelineConfig
 from slmforge.errors import ConfigError
 from slmforge.nn import checkpoint_bytes, read_checkpoint, save_checkpoint
-from slmforge.pretrain import MaskSpec, PretrainConfig, SpeechEncoder, SpeechEncoderConfig
+from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CausalLM,
     CausalLMConfig,
@@ -26,9 +26,8 @@ CONFIGS = [
     SpeechEncoderConfig(),
     SpeechEncoderConfig(input_dim=8, dim=16, conv_activation="none"),
     PretrainConfig(),
-    PretrainConfig(epochs=4, refresh_schedule=(1, 3), mask=MaskSpec(0.5, 2),
+    PretrainConfig(epochs=4, refresh_schedule=(1, 3), mask_prob=0.5, span_len=2,
                    max_steps=9),
-    MaskSpec(),
     FinetuneConfig(),
     FinetuneConfig(steps=5, lr=0.5, batch_size=3),
     CausalLMConfig(vocab_size=12),
@@ -58,11 +57,12 @@ def test_fitting_values_are_stored_as_given_and_absent_fields_default():
     (FinetuneConfig, {"steps": None}, "'steps' must be integer, got null"),
     (FusionTrainConfig, {"aligner_hidden": 8.0}, "must be integer or null, got 8.0"),
     (PretrainConfig, {"refresh_schedule": 3}, "must be array or null, got 3"),
-    (PretrainConfig, {"mask": {"span_len": "2"}}, "(MaskSpec.span_len)"),
+    (PretrainConfig, {"span_len": "2"}, "(PretrainConfig.span_len)"),
     (SpeechEncoderConfig, {"conv_activation": 1}, "must be string, got 1"),
     (SpeechEncoderConfig, {"dim": 8, "foo": 1, "bar": 2},
      "unknown key(s) 'bar', 'foo' for SpeechEncoderConfig"),
     (SpeechEncoderConfig, [1, 2], "SpeechEncoderConfig must be a JSON object, got [1, 2]"),
+    (CausalLMConfig, {"dim": 8}, "missing field(s) vocab_size"),
 ])
 def test_misfits_are_config_errors_naming_key_and_field(cls, obj, message):
     with pytest.raises(ConfigError) as info:

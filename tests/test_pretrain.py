@@ -5,12 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slmforge.audio import FeatureMatrix
 from slmforge.errors import ConfigError
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import (
     Codebook,
-    MaskSpec,
     PretrainConfig,
     SpeechEncoder,
     SpeechEncoderConfig,
@@ -34,7 +32,7 @@ def _toy_dataset(n_utts=4, t=40, dim=8, seed=0):
     for i in range(n_utts):
         base = rng.standard_normal(dim)
         data = base + 0.3 * rng.standard_normal((t, dim))
-        out.append(FeatureMatrix(data, 0.01))
+        out.append(data)
     return out
 
 
@@ -116,33 +114,33 @@ def test_assign_labels_dim_mismatch():
 
 
 def test_span_mask_p_zero_all_false():
-    assert not span_mask(50, MaskSpec(mask_prob=0.0), 0).any()
+    assert not span_mask(50, PretrainConfig(mask_prob=0.0), 0).any()
 
 
 def test_span_mask_p_one_l_one_all_true():
-    assert span_mask(50, MaskSpec(mask_prob=1.0, span_len=1), 0).all()
+    assert span_mask(50, PretrainConfig(mask_prob=1.0, span_len=1), 0).all()
 
 
 def test_span_mask_coverage_matches_expectation():
     # masked fraction ~ 1 - (1 - p)^l for iid span starts
     t, p, l = 10000, 0.065, 10
-    frac = span_mask(t, MaskSpec(p, l), 0).mean()
+    frac = span_mask(t, PretrainConfig(mask_prob=p, span_len=l), 0).mean()
     expected = 1.0 - (1.0 - p) ** l
     assert abs(frac - expected) <= 0.03
 
 
 def test_span_mask_deterministic_per_seed():
-    a = span_mask(100, MaskSpec(0.2, 3), 5)
-    b = span_mask(100, MaskSpec(0.2, 3), 5)
+    a = span_mask(100, PretrainConfig(mask_prob=0.2, span_len=3), 5)
+    b = span_mask(100, PretrainConfig(mask_prob=0.2, span_len=3), 5)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, span_mask(100, MaskSpec(0.2, 3), 6))
+    assert not np.array_equal(a, span_mask(100, PretrainConfig(mask_prob=0.2, span_len=3), 6))
 
 
 def test_mask_spec_validation():
     with pytest.raises(ConfigError):
-        MaskSpec(mask_prob=1.5)
+        PretrainConfig(mask_prob=1.5)
     with pytest.raises(ConfigError):
-        MaskSpec(span_len=0)
+        PretrainConfig(span_len=0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def test_refresh_layer0_identity_conv_reproduces_input_labels():
 
     rng = np.random.default_rng(7)
     dataset = [rng.standard_normal((15, 6)) for _ in range(3)]
-    book, labels = refresh_targets(enc, [FeatureMatrix(d, 0.01) for d in dataset],
+    book, labels = refresh_targets(enc, dataset,
                                    target_layer=0, k=4, seed=9)
 
     direct = kmeans_fit(np.concatenate(dataset), 4, seed=9)
@@ -258,9 +256,8 @@ def test_refresh_deterministic_and_shapes():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=1)
     rng = np.random.default_rng(8)
     dataset = [rng.standard_normal((20 + 2 * i, 8)) for i in range(3)]
-    matrices = [FeatureMatrix(d, 0.01) for d in dataset]
-    book1, labels1 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
-    book2, labels2 = refresh_targets(enc, matrices, target_layer=1, k=4, seed=3)
+    book1, labels1 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
+    book2, labels2 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
     assert np.array_equal(book1.centroids, book2.centroids)
     for a, b, data in zip(labels1, labels2, dataset):
         assert np.array_equal(a, b)

@@ -551,7 +551,7 @@ def test_parse_of_render_is_identity_for_every_mode():
     examples, tok, _ = build_instruction_dataset(records, list(MODES))
     for ex in examples:
         assistant = ex.text.split("<|assistant|>")[1].replace("<|end|>", "")
-        parsed = parse_cot_output(assistant, ex.mode)
+        parsed = parse_cot_output(assistant)
         assert not parsed.malformed
         assert parsed.final == ex.final
 
