@@ -4,7 +4,8 @@
 A frozen random encoder embeds five tones; a tiny causal LM is pretrained on
 text-only stand-ins and frozen; only the MLP aligner trains. Generation then
 answers transcription requests, and the CoT parser reads the output. The
-LM, aligner and tokenizer go into one fusion checkpoint and come back from it.
+encoder, LM, aligner and tokenizer go into one fusion checkpoint and come back
+from it.
 """
 
 import tempfile
@@ -80,7 +81,7 @@ for ex in examples:
 print(f"FINAL accuracy: {correct}/{len(examples)}")
 
 ckpt = Path(tempfile.mkdtemp(prefix="slmforge-demo-")) / "fusion.ckpt"
-save_checkpoint(FusionModel(lm, aligner, tok), ckpt, {"note": "demo 05"})
+save_checkpoint(FusionModel(encoder, lm, aligner, tok), ckpt, {"note": "demo 05"})
 back = load_checkpoint(ckpt, FusionModel)
 same = all(
     generate(back.lm, back.aligner, feats[ex.audio_id], "transcribe", back.tokenizer,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
-from .fileio import atomic_open, parse_field
+from .fileio import atomic_open, parse_field, read_json
 from .metrics import wer
 from .nn import Adam, Linear, Module, train_step
 from .pretrain import SpeechEncoder
@@ -66,10 +66,11 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines = lines[:-1]
-        return cls(lines)
+        lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+        try:
+            return cls(lines)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8") as fh:
@@ -270,7 +271,7 @@ class NormalizationRules:
 def load_lexicon(path) -> NormalizationRules:
     """Load a digit-string -> words lexicon (plain JSON object); errors name
     the file and the offending keys."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = read_json(path)
     if not isinstance(entries, dict):
         raise ConfigError(f"lexicon {path} must hold a JSON object, got {json.dumps(entries)}")
     bad = [k for k, words in entries.items() if not (k.isdigit() and isinstance(words, str))]

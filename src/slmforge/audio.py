@@ -251,7 +251,7 @@ def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
     return np.log(np.maximum(mel_energy, LOG_FLOOR))
 
 
-def standardize(features: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def standardize(features: np.ndarray) -> np.ndarray:
     """Per-utterance, per-band standardization over time (speech CMVN).
 
     Raw log-mel sits far from zero (silence pinned at the log floor), which
@@ -260,7 +260,7 @@ def standardize(features: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """
     if features.shape[0] == 0:
         return features.copy()
-    return (features - features.mean(axis=0)) / (features.std(axis=0) + eps)
+    return (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-8)
 
 
 def mfcc(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:

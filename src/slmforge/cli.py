@@ -7,18 +7,20 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 ``pretrain``, ``finetune-asr`` and ``train-aligner`` read a flat JSON
 ``--config`` whose keys are listed per subcommand in ``CONFIG_KEYS``; each
 key sets one dataclass field, whose default applies when the key is absent.
-Any other key is an error naming it, and so is a value whose JSON type
-does not fit the field (``config.config_fields``, the one config reader,
-names the file, key and field). The audio front end is fixed
-(``audio.log_mel``, a plain (T, n_mels) array per utterance); its mel count
-is the encoder's input width, which ``pretrain`` takes from the ``n_mels``
-key and every later subcommand from the encoder checkpoint. Every checkpoint
-is written by ``nn.save_checkpoint`` and read by ``nn.load_checkpoint``; the
-encoder that ``pretrain --init`` loads must have exactly the model config and
-class count (``k``) the config resolves to. The training subcommands take their seed
-from ``--seed``, else SLMFORGE_SEED, else 0. Every artifact-producing
-subcommand embeds the fully resolved config and its hash in the output, so
-identical config + seed reproduce outputs byte-for-byte.
+Any other key, or a value whose JSON type does not fit the field, is an
+error naming the file, key and field (``config.config_fields``). The audio
+front end is fixed (``audio.log_mel``, a plain (T, n_mels) array per
+utterance); its mel count is the encoder's input width, which ``pretrain``
+takes from the ``n_mels`` key and every later subcommand from the checkpoint
+holding the encoder. Every checkpoint is written by ``nn.save_checkpoint``
+and read by ``nn.load_checkpoint``; the encoder that ``pretrain --init``
+loads must have exactly the model config and class count (``k``) the config
+resolves to. ``train-aligner`` stores the encoder it was given in the fusion
+checkpoint, which ``infer`` runs; an ``infer --encoder`` file must hold that
+same encoder. The training subcommands take their seed from ``--seed``, else
+SLMFORGE_SEED, else 0. Every artifact-producing subcommand embeds the fully
+resolved config and its hash in the output, so identical config + seed
+reproduce outputs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .audio import analysis_frame, log_mel, read_wav, resample, standardize
 from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
-from .fileio import atomic_open
-from .nn import load_checkpoint, save_checkpoint
+from .fileio import atomic_open, read_json
+from .nn import checkpoint_bytes, load_checkpoint, save_checkpoint
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
 from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
@@ -87,10 +89,7 @@ def _config_fields(args) -> dict:
     fields_by_class = {cls: {} for cls, _ in keys.values()}
     if args.config is None:
         return fields_by_class
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+    raw = read_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigError(f"config {args.config} must hold a JSON object")
     unknown = sorted(set(raw) - set(keys))
@@ -288,11 +287,10 @@ def cmd_train_aligner(args) -> int:
                          lr=fusion_cfg.lm_lr, seed=seed)
     lm.freeze()
 
-    d_in = pairs[0][0].shape[1]
-    aligner = slm_mod.SpeechAligner(d_in, lm_cfg.dim,
+    aligner = slm_mod.SpeechAligner(encoder.cfg.dim * encoder.cfg.n_layers, lm_cfg.dim,
                                     hidden=fusion_cfg.aligner_hidden, seed=seed + 1)
     history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg, seed=seed)
-    save_checkpoint(slm_mod.FusionModel(lm, aligner, tokenizer), args.out,
+    save_checkpoint(slm_mod.FusionModel(encoder, lm, aligner, tokenizer), args.out,
                     _resolved_metadata(seed, lm_cfg, fusion_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"train-aligner: {len(history)} steps, final loss {last:.4f} -> {args.out}")
@@ -310,9 +308,13 @@ def cmd_infer(args) -> int:
             f"no mode for task {args.task!r} with CoT step {args.cot!r}"
         )
     fusion = load_checkpoint(args.fusion, slm_mod.FusionModel)
-    encoder = load_checkpoint(args.encoder, SpeechEncoder)
-    features = _wav_features(args.wav, args.sample_rate, encoder.cfg.input_dim)
-    speech = slm_mod.extract_multilayer_features(encoder, features)
+    if args.encoder is not None:
+        given = load_checkpoint(args.encoder, SpeechEncoder)
+        if checkpoint_bytes(given.state_arrays(), given.record()) != checkpoint_bytes(
+                fusion.encoder.state_arrays(), fusion.encoder.record()):
+            raise ConfigError(f"{args.encoder} is not the encoder in {args.fusion}")
+    features = _wav_features(args.wav, args.sample_rate, fusion.encoder.cfg.input_dim)
+    speech = slm_mod.extract_multilayer_features(fusion.encoder, features)
     result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)
     parsed = slm_mod.parse_cot_output(result.text)
@@ -333,13 +335,9 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_lines(path):
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def cmd_eval(args) -> int:
-    refs = _read_lines(args.refs)
-    hyps = _read_lines(args.hyps)
+    refs = Path(args.refs).read_text(encoding="utf-8").splitlines()
+    hyps = Path(args.hyps).read_text(encoding="utf-8").splitlines()
     if len(refs) != len(hyps):
         raise ConfigError(
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"
@@ -355,7 +353,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown metrics: {unknown}")
     row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:
-        scores = json.loads(Path(args.external_scores).read_text(encoding="utf-8"))
+        scores = read_json(args.external_scores)
         bs_f1 = scores.get("bs_f1") if isinstance(scores, dict) else None
         if type(bs_f1) not in (int, float):
             raise ConfigError(f"{args.external_scores}: external scores must be a JSON "
@@ -376,9 +374,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    raw = json.loads(Path(args.rows).read_text(encoding="utf-8"))
+    raw = read_json(args.rows)
     if not isinstance(raw, list):
-        raise ConfigError("rows file must hold a JSON array of row objects")
+        raise ConfigError(f"{args.rows}: rows file must hold a JSON array of row objects")
     rows = []
     for i, d in enumerate(raw):
         try:
@@ -465,7 +463,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", help="run the fused speech LM on one WAV")
     p.add_argument("--fusion", required=True)
-    p.add_argument("--encoder", required=True)
+    p.add_argument("--encoder", help="optional; must equal the encoder --fusion holds")
     p.add_argument("--wav", required=True)
     p.add_argument("--task", required=True, choices=["transcribe", "translate"])
     p.add_argument("--cot", default="none",

@@ -83,13 +83,10 @@ class Manifest:
     def total_hours(self) -> float:
         return sum(r.duration_s for r in self.records) / 3600.0
 
-    def validate(self) -> None:
+    def write(self, path) -> None:
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError("manifest ids are not unique")
-
-    def write(self, path) -> None:
-        self.validate()
         write_jsonl(path, self.header, self.records)
 
     @classmethod
@@ -140,19 +137,17 @@ def _run_external(command: str, buf: AudioBuffer) -> bytes:
         raise StageError(
             f"external tool {argv[0]!r} exited {proc.returncode}: {excerpt}",
             exit_code=proc.returncode,
-            stderr=excerpt,
         )
     return proc.stdout
 
 
-def spectral_gate(buf: AudioBuffer, highpass_hz: float = 80.0,
-                  gate_mult: float = 2.5, attenuation: float = 0.1) -> AudioBuffer:
+def spectral_gate(buf: AudioBuffer) -> AudioBuffer:
     """Built-in noise suppressor: high-pass plus noise-floor gating.
 
     The noise floor is the 20th percentile of STFT magnitudes over all
     time-frequency cells (robust while tonal content is sparse); cells under
-    ``gate_mult`` times the floor are attenuated, and everything below
-    ``highpass_hz`` is removed. Output keeps the input duration and rate.
+    2.5 times the floor are scaled by 0.1, and everything below 80 Hz is
+    removed. Output keeps the input duration and rate.
     """
     n = len(buf.samples)
     frame, hop = 512, 128
@@ -167,9 +162,9 @@ def spectral_gate(buf: AudioBuffer, highpass_hz: float = 80.0,
     mag = np.abs(spec)
 
     floor = np.percentile(mag, 20)
-    gain = np.where(mag >= gate_mult * floor, 1.0, attenuation)
+    gain = np.where(mag >= 2.5 * floor, 1.0, 0.1)
     bin_freqs = np.arange(spec.shape[1]) * buf.sample_rate / frame
-    gain[:, bin_freqs < highpass_hz] = 0.0
+    gain[:, bin_freqs < 80.0] = 0.0
 
     frames_out = np.fft.irfft(spec * gain, n=frame, axis=1) * window
     out = np.zeros_like(padded)
@@ -268,14 +263,14 @@ def vad_segments(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> li
 # Stage: diarization
 
 
-def trim_to_speech(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> AudioBuffer:
+def trim_to_speech(buf: AudioBuffer) -> AudioBuffer:
     """Cut a buffer down to its overall speech extent (first to last VAD span).
 
     Decoding paths use this so ad-hoc input files see the same geometry as
     the curated segments models were trained on. A buffer with no detected
     speech is returned unchanged.
     """
-    spans = vad_segments(buf, cfg)
+    spans = vad_segments(buf)
     if not spans:
         return AudioBuffer(buf.samples.copy(), buf.sample_rate)
     return buf.slice_seconds(spans[0].start_s, spans[-1].end_s)

@@ -20,14 +20,13 @@ class ConfigError(SlmforgeError):
 class StageError(SlmforgeError):
     """A processing stage (external tool or built-in) failed.
 
-    Carries the exit code and a stderr excerpt when an external
-    subprocess was involved.
+    Carries the exit code when an external subprocess was involved; the
+    message holds an excerpt of its stderr.
     """
 
-    def __init__(self, message, exit_code=None, stderr=""):
+    def __init__(self, message, exit_code=None):
         super().__init__(message)
         self.exit_code = exit_code
-        self.stderr = stderr
 
 
 class GraphError(SlmforgeError):

@@ -9,6 +9,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 from .config import read_config
 from .errors import ConfigError
@@ -46,6 +47,14 @@ def atomic_open(path, mode: str = "wb", encoding: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_json(path):
+    """The JSON value in ``path``; invalid JSON is a ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_jsonl(path, header: dict, rows) -> None:

@@ -2,7 +2,7 @@
 
 WER and CER are corpus-level: total edit distance over total reference
 length, not an average of per-utterance rates. chrF is the character
-n-gram F-beta score (n = 1..6, beta = 2 by default) on whitespace-stripped
+n-gram F-beta score (n = 1..6, beta = 2) on whitespace-stripped
 text, aggregated over the corpus by summing n-gram counts.
 """
 
@@ -76,7 +76,7 @@ def _ngram_counts(chars: str, n: int) -> Counter:
     return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
 
 
-def chrf(refs, hyps, max_n: int = 6, beta: float = 2.0) -> float:
+def chrf(refs, hyps) -> float:
     """Character n-gram F-beta score in [0, 100].
 
     Whitespace is stripped before counting. Corpus aggregation sums match /
@@ -84,6 +84,7 @@ def chrf(refs, hyps, max_n: int = 6, beta: float = 2.0) -> float:
     any n-grams are skipped, so identical pairs score exactly 100.
     """
     _check_paired(refs, hyps)
+    max_n, beta = 6, 2.0  # chrF2 over character orders 1..6
     matches = [0] * (max_n + 1)
     hyp_total = [0] * (max_n + 1)
     ref_total = [0] * (max_n + 1)

@@ -21,7 +21,8 @@ Checkpoint byte layout (little-endian throughout):
 A checkpointed model class (``pretrain.SpeechEncoder``, ``asr.CtcModel``,
 ``slm.FusionModel``) holds its ``kind``, a ``record()`` of the metadata
 entries that rebuild it and a ``from_record(path, metadata)`` classmethod
-that builds it untrained. ``save_checkpoint`` and ``load_checkpoint`` are
+that builds it untrained; a ``CtcModel`` or ``FusionModel`` record starts
+with its ``SpeechEncoder``'s. ``save_checkpoint`` and ``load_checkpoint`` are
 the one save and load path of every kind. Loading checks the kind, is
 strict (names and shapes must match the module tree exactly), names the
 file in every error and restores weights only; optimizer state always
@@ -118,12 +119,10 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self._modules.values())
 
-    def __len__(self):
-        return len(self._modules)
 
-
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with rejection outside two standard deviations."""
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) with rejection outside two standard deviations."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while np.any(bad):
@@ -147,14 +146,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-8):
+    def __init__(self, dim: int):
         super().__init__()
         self.gain = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
-        object.__setattr__(self, "eps", eps)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class Embedding(Module):
@@ -263,13 +261,11 @@ class Adam:
     p -= lr * m_hat / (sqrt(v_hat) + eps). A fresh state has m = v = 0, t = 0.
     """
 
-    def __init__(self, module: Module, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, module: Module, lr: float):
         self.module = module
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {}
         self._v = {}

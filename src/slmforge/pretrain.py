@@ -331,13 +331,13 @@ def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: i
     return codebook, labels
 
 
-def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels, mask_seed: int = 9999) -> float:
-    """Mean masked-prediction loss over the corpus with a fixed mask seed."""
+def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels) -> float:
+    """Mean masked-prediction loss over the corpus; mask seeds are 9999 + index."""
     total = 0.0
     with T.no_grad():
         for i, features in enumerate(dataset):
             t_out = encoder.output_len(len(features))
-            mask = span_mask(t_out, PretrainConfig(), mask_seed + i)
+            mask = span_mask(t_out, PretrainConfig(), 9999 + i)
             if not mask.any():
                 mask = np.zeros(t_out, dtype=bool)
                 mask[: max(1, t_out // 10)] = True

@@ -9,8 +9,8 @@ states of every encoder transformer layer, concatenated per frame. The chat
 markers are fixed (``ChatTemplate``), so instruction sets and fusion
 checkpoints store only the tokenizer's charset. During fusion training the
 encoder and LM stay frozen and the loss covers assistant-completion tokens
-only. ``FusionModel`` bundles the LM, the aligner and the tokenizer into the
-one model that ``nn.save_checkpoint`` and ``nn.load_checkpoint`` store.
+only. ``FusionModel`` bundles the encoder, LM, aligner and tokenizer into
+the one model that ``nn.save_checkpoint`` and ``nn.load_checkpoint`` store.
 """
 
 from __future__ import annotations
@@ -176,10 +176,6 @@ def completion_mask(ids, tokenizer: CharTokenizer) -> list:
     return mask
 
 
-def identity_phonemizer(text: str) -> str:
-    return text
-
-
 def rule_table_phonemizer(table: dict):
     """Grapheme -> phoneme rewriting by longest-match table lookup."""
 
@@ -206,14 +202,13 @@ def build_instruction_dataset(records, modes, phonemizer=None):
 
     Records missing a field a mode requires are skipped with a logged
     reason, never fatally. Returns (examples, tokenizer, skipped); the
-    tokenizer is built from the rendered texts. The paraphrase step restates
-    the transcript as it is.
+    tokenizer is built from the rendered texts. The paraphrase step (and the
+    phonemize step without a ``phonemizer``) restates the transcript as it is.
     """
-    phonemizer = phonemizer or identity_phonemizer
 
     def step_text(name, rec):
         text = getattr(rec, _STEP_FIELDS[name])
-        return phonemizer(text) if name == "phonemize" else text
+        return phonemizer(text) if name == "phonemize" and phonemizer else text
 
     rendered = []
     skipped = []
@@ -479,41 +474,47 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
 
 
 class FusionModel(Module):
-    """LM + aligner bundle, and the tokenizer that reads the LM's ids, so all
-    three serialize into one checkpoint."""
+    """The Speech LLM: encoder, LM, the aligner between them, and the tokenizer
+    that reads the LM's ids, so all four serialize into one checkpoint."""
 
     kind = "fusion"
 
-    def __init__(self, lm: CausalLM, aligner: SpeechAligner, tokenizer: CharTokenizer):
+    def __init__(self, encoder: SpeechEncoder, lm: CausalLM, aligner: SpeechAligner,
+                 tokenizer: CharTokenizer):
         super().__init__()
+        self.encoder = encoder
         self.lm = lm
         self.aligner = aligner
         object.__setattr__(self, "tokenizer", tokenizer)
 
     def record(self) -> dict:
-        """The checkpoint metadata entries that rebuild this bundle: ``lm_cfg``,
-        ``charset``, ``aligner_d_in`` and ``aligner_hidden``."""
+        """The encoder's checkpoint record, then ``lm_cfg``, ``charset`` and
+        ``aligner_hidden``."""
         return {
+            **self.encoder.record(),
             "lm_cfg": json.dumps(asdict(self.lm.cfg), sort_keys=True),
             "charset": self.tokenizer.charset(),
-            "aligner_d_in": str(self.aligner.d_in),
             "aligner_hidden": str(self.aligner.fc1.bias.data.shape[0]),
         }
 
     @classmethod
     def from_record(cls, path, meta: dict) -> "FusionModel":
-        """An untrained bundle whose aligner projects into the LM's width and
-        whose ``charset`` tokenizer has the LM's ``vocab_size`` symbols."""
+        """An untrained bundle whose aligner maps the encoder's layers into the
+        LM's width and whose tokenizer has the LM's ``vocab_size`` symbols."""
+        if "encoder_cfg" not in meta:
+            raise ConfigError(f"{path}: missing key 'encoder_cfg'; re-run train-aligner to "
+                              "write a fusion checkpoint that holds its encoder")
+        encoder = SpeechEncoder.from_record(path, meta)
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
                                   lambda blob: read_config(CausalLMConfig, json.loads(blob))))
-        aligner = SpeechAligner(parse_field(path, meta, "aligner_d_in", int), lm.cfg.dim,
+        aligner = SpeechAligner(encoder.cfg.dim * encoder.cfg.n_layers, lm.cfg.dim,
                                 hidden=parse_field(path, meta, "aligner_hidden", int))
         tokenizer = parse_field(path, meta, "charset", CharTokenizer)
         if tokenizer.vocab_size != lm.cfg.vocab_size:
             raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
                               f"{tokenizer.vocab_size} symbols, but lm_cfg has vocab_size "
                               f"{lm.cfg.vocab_size}")
-        return cls(lm, aligner, tokenizer)
+        return cls(encoder, lm, aligner, tokenizer)
 
 
 @dataclass

@@ -288,8 +288,8 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), backward, "log_softmax")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-8), then affine."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise GraphError(
@@ -298,7 +298,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
         )
     mean = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-8)
     xhat = (a.data - mean) * inv
     out = gain.data * xhat + bias.data
 

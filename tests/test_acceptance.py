@@ -308,8 +308,7 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
     lm_before = checkpoint_bytes(lm.state_arrays())
     aligner_before = checkpoint_bytes(aligner.state_arrays())
 
-    bundle = FusionModel(lm, aligner, tok)
-    bundle.encoder = encoder
+    bundle = FusionModel(encoder, lm, aligner, tok)
     opt = Adam(bundle, lr=1e-3)
     for step in range(100):
         ex = examples[step % len(examples)]

@@ -8,6 +8,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cli_env
@@ -549,7 +550,8 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_checkpoint(FusionModel(lm, SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+    save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
+                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
     argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
             Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
             "--max-tokens", "5"]
@@ -571,7 +573,8 @@ def test_infer_on_a_charset_that_does_not_fit_the_lm_names_file_and_charset(
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_checkpoint(FusionModel(lm, SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+    save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
+                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
     arrays, meta = read_checkpoint(fusion)
     meta["charset"] += extra
     fusion.write_bytes(checkpoint_bytes(arrays, meta))
@@ -606,7 +609,7 @@ def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
     else:
         tok = CharTokenizer("ab")
         lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-        model = FusionModel(lm, SpeechAligner(64, 8, hidden=4), tok)
+        model = FusionModel(encoder, lm, SpeechAligner(64, 8, hidden=4), tok)
     save_checkpoint(model, init, {})
     cfg = tmp_path / "pretrain.json"
     cfg.write_text('{"max_steps": 1, "k": 4}')
@@ -733,3 +736,99 @@ def test_readme_lists_exactly_the_entries_each_artifact_holds(trained, monkeypat
     header = json.loads(Path("sft.jsonl").read_text().splitlines()[0])
     written["instruction-set header"] = [key for key in header if key != "__header__"]
     assert _readme_artifact_entries() == written
+
+
+def _infer_argv(fusion, *encoder):
+    wav = Manifest.read("m.jsonl").records[0].source_path
+    return ["infer", "--fusion", fusion, *encoder, "--wav", wav, "--task", "transcribe",
+            "--max-tokens", "5"]
+
+
+def test_infer_reads_its_encoder_from_the_fusion_checkpoint(trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    assert main(_infer_argv("fusion.ckpt", "--encoder", "encoder.ckpt")) == 0
+    want = capsys.readouterr().out
+    loads = []
+
+    def counting_load(path, cls):
+        loads.append(path)
+        return load_checkpoint(path, cls)
+
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", counting_load)
+    assert main(_infer_argv("fusion.ckpt")) == 0
+    assert capsys.readouterr().out == want
+    assert loads == ["fusion.ckpt"]
+
+
+def _other_seed(arrays, meta):
+    encoder = SpeechEncoder.from_record("encoder.ckpt", meta)
+    arrays.update(SpeechEncoder(encoder.cfg, encoder.n_classes, seed=7).state_arrays())
+
+
+def _one_weight_nudged(arrays, meta):
+    name = next(iter(arrays))
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = np.nextafter(arrays[name].flat[0], np.inf)
+
+
+def _same_weights_other_record(arrays, meta):
+    cfg = json.loads(meta["encoder_cfg"])
+    meta["encoder_cfg"] = json.dumps({**cfg, "conv_activation": "none"}, sort_keys=True)
+
+
+@pytest.mark.parametrize("edit", [_other_seed, _one_weight_nudged, _same_weights_other_record])
+def test_infer_with_an_encoder_the_fusion_model_was_not_trained_with_names_both_files(
+        trained, monkeypatch, capsys, edit):
+    monkeypatch.chdir(trained)
+    arrays, meta = read_checkpoint("encoder.ckpt")
+    edit(arrays, meta)
+    Path("other.ckpt").write_bytes(checkpoint_bytes(arrays, meta))
+    assert main(_infer_argv("fusion.ckpt", "--encoder", "other.ckpt")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "other.ckpt is not the encoder in fusion.ckpt" in captured.err
+
+
+@pytest.mark.parametrize("encoder", [(), ("--encoder", "encoder.ckpt")])
+def test_infer_on_a_fusion_checkpoint_without_its_encoder_says_to_retrain(
+        trained, monkeypatch, capsys, encoder):
+    monkeypatch.chdir(trained)
+    arrays, meta = read_checkpoint("fusion.ckpt")
+    # the entries and tensors fusion checkpoints held before they held their encoder
+    old = {"kind": "fusion", "lm_cfg": meta["lm_cfg"], "charset": meta["charset"],
+           "aligner_d_in": str(arrays["aligner.fc1.weight"].shape[0]),
+           "aligner_hidden": meta["aligner_hidden"], "config": meta["config"],
+           "config_hash": meta["config_hash"]}
+    Path("old.ckpt").write_bytes(checkpoint_bytes(
+        {name: a for name, a in arrays.items() if not name.startswith("encoder.")}, old))
+    assert main(_infer_argv("old.ckpt", *encoder)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "old.ckpt: missing key 'encoder_cfg'; re-run train-aligner" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--external-scores", "--rows", "--lexicon"])
+def test_a_json_input_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, flag):
+    bad, lines = tmp_path / "bad.json", tmp_path / "lines.txt"
+    bad.write_text("{bad")
+    lines.write_text("one two\n")
+    argv = {
+        "--config": ["pretrain", "--manifest", str(lines), "--out", str(tmp_path / "e.ckpt")],
+        "--external-scores": ["eval", "--refs", str(lines), "--hyps", str(lines)],
+        "--rows": ["report"],
+        "--lexicon": ["eval", "--refs", str(lines), "--hyps", str(lines)],
+    }[flag]
+    assert main([*argv, flag, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: invalid JSON: Expecting property name" in captured.err
+
+
+def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monkeypatch,
+                                                                   capsys):
+    monkeypatch.chdir(trained)
+    Path("bad.vocab").write_text("a\nb\n")
+    assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
+                 "--config", "ft.json", "--vocab", "bad.vocab", "--out", "v.ckpt"]) == 2
+    assert "bad.vocab: vocab must start with '<blank>'" in capsys.readouterr().err
+    assert not Path("v.ckpt").exists()

@@ -107,7 +107,8 @@ def _save_asr(path):
 def _save_fusion(path):
     tok = CharTokenizer("ab")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    save_checkpoint(FusionModel(lm, SpeechAligner(6, 8, hidden=4), tok), path, {})
+    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=6, n_layers=1), 3)
+    save_checkpoint(FusionModel(encoder, lm, SpeechAligner(6, 8, hidden=4), tok), path, {})
 
 
 def _config_file(tmp_path, obj):

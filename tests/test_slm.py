@@ -582,7 +582,8 @@ def test_repetition_loop_validates_params():
 def test_fusion_save_load_round_trip(tmp_path):
     lm, aligner, tok, examples, speech = _fusion_setup(seed=11)
     path = tmp_path / "fusion.ckpt"
-    save_checkpoint(FusionModel(lm, aligner, tok), path, {})
+    encoder = SpeechEncoder(SpeechEncoderConfig(dim=12, n_layers=1), 3)
+    save_checkpoint(FusionModel(encoder, lm, aligner, tok), path, {})
     back = load_checkpoint(path, FusionModel)
     assert back.tokenizer.symbols == tok.symbols
     a = generate(lm, aligner, speech, "transcribe", tok, max_tokens=8)
