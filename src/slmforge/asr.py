@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, GraphError
-from .fileio import atomic_open, parse_field, read_json
+from .fileio import atomic_open, parse_field, read_json, read_text
 from .metrics import wer
 from .nn import Adam, Linear, Module, train_step
 from .pretrain import SpeechEncoder
@@ -66,7 +66,7 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+        lines = read_text(path).removesuffix("\n").split("\n")
         try:
             return cls(lines)
         except ConfigError as exc:

@@ -31,14 +31,13 @@ import logging
 import os
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from . import __version__
 from .audio import analysis_frame, log_mel, read_wav, resample, standardize
 from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
-from .fileio import atomic_open, read_json
+from .fileio import atomic_open, read_json, read_text
 from .nn import checkpoint_bytes, load_checkpoint, save_checkpoint
 # wer stays bound here although cmd_eval scores through compute_report:
 # bench/test_bench.py checks that span patching reaches from-imported names
@@ -213,18 +212,29 @@ def cmd_finetune_asr(args) -> int:
     manifest = Manifest.read(args.manifest)
 
     rules = _normalization_rules(args)
-    train, heldout = [], []
+    train, heldout, train_ids = [], [], []
     for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
         if not rec.transcript:
             continue
         text = asr_mod.normalize_text(rec.transcript, rules)
-        target = (heldout if rec.split == "test" else train)
-        target.append((features, text))
+        if rec.split == "test":
+            heldout.append((features, text))
+        else:
+            train.append((features, text))
+            train_ids.append(rec.id)
     if not train:
         raise ConfigError("no records with transcripts to fine-tune on")
 
-    vocab = (asr_mod.Vocab.from_file(args.vocab) if args.vocab
-             else asr_mod.Vocab.from_texts([t for _, t in train + heldout]))
+    if args.vocab:
+        vocab = asr_mod.Vocab.from_file(args.vocab)
+        for rec_id, (_, text) in zip(train_ids, train):
+            try:
+                vocab.encode(text)
+            except ConfigError as exc:
+                raise ConfigError(f"{args.vocab}: {exc}, in the transcript of record "
+                                  f"{rec_id!r}") from None
+    else:
+        vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout])
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
                                           heldout=heldout or None, seed=seed)
     save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
@@ -336,8 +346,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    refs = Path(args.refs).read_text(encoding="utf-8").splitlines()
-    hyps = Path(args.hyps).read_text(encoding="utf-8").splitlines()
+    refs = read_text(args.refs).splitlines()
+    hyps = read_text(args.hyps).splitlines()
     if len(refs) != len(hyps):
         raise ConfigError(
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"

@@ -292,24 +292,34 @@ def _average_linkage_clusters(vectors: np.ndarray, threshold: float) -> np.ndarr
 
     Merging continues while the smallest average inter-cluster distance is
     at most ``threshold``; ties pick the lexicographically smallest pair.
+
+    The pair means are stored (Müllner, arXiv:1109.2378): ``means[a, b]``
+    for ``a < b`` is the mean distance between clusters ``a`` and ``b``, and
+    every other entry is ``+inf``. ``np.argmin`` scans in row-major order,
+    so it returns the lexicographically first smallest pair. Merging ``b``
+    into ``a`` deletes row and column ``b`` and recomputes only the means
+    that involve ``a``, each as ``np.mean`` over the same block of distances
+    in the same order, so every stored mean is the double a full recompute
+    gives. A Lance-Williams update of the means would round differently and
+    could flip a merge, so there is none.
     """
     n = len(vectors)
     sims = vectors @ vectors.T
     dist = 1.0 - sims
     clusters = [[i] for i in range(n)]
+    # a one-member pair's mean is its distance exactly
+    means = np.where(np.triu(np.ones((n, n), dtype=bool), 1), dist, np.inf)
     while len(clusters) > 1:
-        best = None
-        best_d = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = float(np.mean(dist[np.ix_(clusters[a], clusters[b])]))
-                if best_d is None or d < best_d:
-                    best_d, best = d, (a, b)
-        if best_d is None or best_d > threshold:
+        a, b = divmod(int(np.argmin(means)), len(clusters))
+        if means[a, b] > threshold:
             break
-        a, b = best
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
+        means = np.delete(np.delete(means, b, axis=0), b, axis=1)
+        for other in range(len(clusters)):
+            if other != a:
+                lo, hi = min(a, other), max(a, other)
+                means[lo, hi] = float(np.mean(dist[np.ix_(clusters[lo], clusters[hi])]))
     labels = np.zeros(n, dtype=int)
     for ci, members in enumerate(clusters):
         labels[members] = ci

@@ -1,10 +1,12 @@
 """Artifact writes that never leave a half-written file behind, the
 header-JSONL format of manifests and instruction (SFT) sets (one JSON object
 per line with sorted keys, line 1 a header tagged ``"__header__": true``),
-and the one reader of a keyed value in checkpoint metadata or a header."""
+the one reader of text files, and the one reader of a keyed value in
+checkpoint metadata or a header."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -49,10 +51,26 @@ def atomic_open(path, mode: str = "wb", encoding: str | None = None):
         raise
 
 
+def read_text(path) -> str:
+    """The UTF-8 text in ``path``, newlines read as ``open`` reads them.
+
+    Bytes that are not UTF-8 are a ConfigError naming the path and the line
+    that holds the first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path} line {line}: not UTF-8: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_json(path):
     """The JSON value in ``path``; invalid JSON is a ConfigError naming it."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
@@ -70,29 +88,29 @@ def read_jsonl(path, row_type):
 
     The header comes back without its tag, or empty when line 1 has none.
     Blank lines are skipped, keys that are not fields are ignored, and each
-    row is read by ``config.read_config``. Invalid JSON, a line that is not
-    an object, or a row that reader rejects (a missing required field, a
-    wrong JSON type) raises ConfigError naming the path, line and key.
+    row is read by ``config.read_config``. Bytes that are not UTF-8 (see
+    ``read_text``), invalid JSON, a line that is not an object, or a row that
+    reader rejects (a missing required field, a wrong JSON type) raises
+    ConfigError naming the path, line and key.
     """
     known = {f.name for f in fields(row_type)}
     header, rows = {}, []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} line {n}: invalid JSON: {exc}") from None
-            if not isinstance(d, dict):
-                raise ConfigError(f"{path} line {n}: not a JSON object")
-            if n == 1 and d.pop("__header__", False):
-                header = d
-                continue
-            try:
-                rows.append(read_config(row_type, {k: v for k, v in d.items() if k in known}))
-            except ConfigError as exc:
-                raise ConfigError(f"{path} line {n}: {exc}") from None
+    for n, line in enumerate(io.StringIO(read_text(path)), 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} line {n}: invalid JSON: {exc}") from None
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path} line {n}: not a JSON object")
+        if n == 1 and d.pop("__header__", False):
+            header = d
+            continue
+        try:
+            rows.append(read_config(row_type, {k: v for k, v in d.items() if k in known}))
+        except ConfigError as exc:
+            raise ConfigError(f"{path} line {n}: {exc}") from None
     return header, rows
 
 

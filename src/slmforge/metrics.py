@@ -25,16 +25,40 @@ _ARROWS = {"down": "↓", "up": "↑"}
 
 
 def edit_distance(ref, hyp) -> int:
-    """Unit-cost Levenshtein distance between two token sequences."""
-    n, m = len(ref), len(hyp)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[m]
+    """Unit-cost Levenshtein distance between two token sequences.
+
+    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's Levenshtein form:
+    bit ``i`` of a Python int stands for reference token ``i``, and each
+    hypothesis token updates one column of the dynamic-programming table
+    as positive and negative vertical deltas (``pv``, ``mv``). ``peq`` maps
+    each reference token to the bitmask of its positions, so tokens must be
+    hashable (callers pass ``str`` characters or words).
+    """
+    m = len(ref)
+    if m == 0:
+        return len(hyp)
+    peq = {}
+    for i, token in enumerate(ref):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for token in hyp:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the table is 0, 1, 2, ...: a +1 horizontal delta enters at the top
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _check_paired(refs, hyps):

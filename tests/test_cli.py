@@ -832,3 +832,41 @@ def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monk
                  "--config", "ft.json", "--vocab", "bad.vocab", "--out", "v.ckpt"]) == 2
     assert "bad.vocab: vocab must start with '<blank>'" in capsys.readouterr().err
     assert not Path("v.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--refs", "--hyps", "--manifest", "--sft", "--vocab",
+                                  "--config"])
+def test_an_input_file_that_is_not_utf8_exits_2_naming_it(trained, tmp_path, monkeypatch,
+                                                          capsys, flag):
+    monkeypatch.chdir(trained)
+    bad, lines, out = tmp_path / "bad.txt", tmp_path / "lines.txt", tmp_path / "out"
+    bad.write_bytes(b"\xff\xfeh\x00i\x00\n\x00")  # UTF-16 with its byte-order mark
+    lines.write_text("hi\n")
+    argv = {
+        "--refs": ["eval", "--refs", bad, "--hyps", lines, "--out", out],
+        "--hyps": ["eval", "--refs", lines, "--hyps", bad, "--out", out],
+        "--manifest": ["build-sft", "--manifest", bad, "--out", out],
+        "--sft": ["train-aligner", "--sft", bad, "--manifest", "m.jsonl",
+                  "--encoder", "encoder.ckpt", "--config", "al.json", "--out", out],
+        "--vocab": ["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
+                    "--config", "ft.json", "--vocab", bad, "--out", out],
+        "--config": ["pretrain", "--manifest", "m.jsonl", "--config", bad, "--out", out],
+    }[flag]
+    assert main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad} line 1: not UTF-8: 'utf-8' codec can't decode byte 0xff" in captured.err
+    assert not out.exists()
+
+
+def test_finetune_asr_vocab_missing_a_transcript_symbol_names_the_file_and_record(
+        trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    Path("a.vocab").write_text("<blank>\na\n")
+    first = Manifest.read("m.jsonl").records[0].id  # every transcript reads "ab"
+    assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
+                 "--config", "ft.json", "--vocab", "a.vocab", "--out", "v.ckpt"]) == 2
+    err = capsys.readouterr().err
+    assert (f"a.vocab: symbol 'b' not in vocab, in the transcript of record {first!r}"
+            in err)
+    assert not Path("v.ckpt").exists()

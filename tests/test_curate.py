@@ -4,6 +4,7 @@ and end-to-end pipeline determinism."""
 import numpy as np
 import pytest
 
+from slmforge import curate
 from slmforge.audio import write_wav
 from slmforge.curate import (
     Manifest,
@@ -184,6 +185,78 @@ def test_diarize_max_threshold_merges_everything():
 
 def test_diarize_empty_spans():
     assert diarize(sine(100.0, 1.0), []) == []
+
+
+def _reference_average_linkage_clusters(vectors: np.ndarray, threshold: float) -> np.ndarray:
+    """The clustering before pair means were stored: every cluster pair is
+    recomputed after every merge (kept verbatim as the equivalence reference)."""
+    n = len(vectors)
+    sims = vectors @ vectors.T
+    dist = 1.0 - sims
+    clusters = [[i] for i in range(n)]
+    while len(clusters) > 1:
+        best = None
+        best_d = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = float(np.mean(dist[np.ix_(clusters[a], clusters[b])]))
+                if best_d is None or d < best_d:
+                    best_d, best = d, (a, b)
+        if best_d is None or best_d > threshold:
+            break
+        a, b = best
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+    labels = np.zeros(n, dtype=int)
+    for ci, members in enumerate(clusters):
+        labels[members] = ci
+    return labels
+
+
+def _grid_vectors(rng, n):
+    """``n`` L2-normalised rows on a small integer grid, so distances tie
+    exactly and rows repeat; the last row is the zero vector."""
+    v = rng.integers(-1, 2, size=(n, 3)).astype(float)
+    v[-1] = 0.0
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.where(norms > 0, norms, 1.0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.15, 1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 25, 40, 60])
+def test_linkage_labels_equal_the_full_recompute(n, threshold):
+    vectors = _grid_vectors(np.random.default_rng(n), n)
+    want = _reference_average_linkage_clusters(vectors, threshold)
+    assert np.array_equal(curate._average_linkage_clusters(vectors, threshold), want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linkage_labels_equal_the_full_recompute_on_gaussian_rows(seed):
+    rng = np.random.default_rng(100 + seed)
+    vectors = rng.normal(size=(int(rng.integers(5, 45)), 4))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    threshold = float(rng.uniform(0.0, 2.5))
+    want = _reference_average_linkage_clusters(vectors, threshold)
+    assert np.array_equal(curate._average_linkage_clusters(vectors, threshold), want)
+
+
+@pytest.mark.parametrize("threshold", [0.15, 0.5])
+def test_diarize_spans_equal_those_of_the_full_recompute(monkeypatch, threshold):
+    rng = np.random.default_rng(5)
+    parts, spans, t = [], [], 0.0
+    for i in range(8):
+        dur = float(rng.uniform(1.0, 3.0))
+        tone = sine(220.0 if i % 2 else 1800.0, dur, amplitude=0.4)
+        parts.append(mix(tone, white_noise(dur, amplitude=0.02, seed=i)))
+        spans.append(Span(t, t + dur))
+        t += dur
+    buf = concat_buffers(parts)
+    cfg = PipelineConfig(cluster_distance_threshold=threshold)
+    got = diarize(buf, spans, cfg)
+    monkeypatch.setattr(curate, "_average_linkage_clusters",
+                        _reference_average_linkage_clusters)
+    assert got == diarize(buf, spans, cfg)
+    assert len({s.speaker for s in got}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -228,3 +228,29 @@ def test_manifest_reader_defaults_optional_fields_and_ignores_unknown_keys(tmp_p
     back = Manifest.read(path)
     assert back.header == {"v": 1}
     assert back.records == [SegmentRecord(**{**row, "split": "unsplit"})]
+
+
+def test_read_text_reads_newlines_as_open_does(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\r\nb\rc\nnaïve\u2028d\r\n".encode("utf-8"))
+    assert fileio.read_text(path) == path.read_text(encoding="utf-8") == "a\nb\nc\nnaïve\u2028d\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(JSONL_WRITERS))
+def test_jsonl_readers_name_the_line_holding_bytes_that_are_not_utf8(tmp_path, fmt):
+    path = tmp_path / "data.jsonl"
+    read, _ = JSONL_WRITERS[fmt](path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"\xc3\xa9", b"\xe9")  # "é" in Latin-1
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path} line 2: not UTF-8: 'utf-8' codec can't decode")
+
+
+def test_jsonl_rows_keep_line_separators_that_are_not_newlines(tmp_path):
+    path = tmp_path / "m.jsonl"
+    record = SegmentRecord(**{**asdict(RECORD), "transcript": "a\u2028b\x85c\x0cd"})
+    Manifest([record], {"v": 1}).write(path)
+    assert "\u2028".encode("utf-8") in path.read_bytes()  # written raw, not escaped
+    assert Manifest.read(path).records == [record]

@@ -77,6 +77,20 @@ def random_string(rng, max_len=8, alphabet="abcd"):
     return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=n))
 
 
+def reference_edit_distance(ref, hyp) -> int:
+    """The row-by-row dynamic program edit_distance used before the
+    bit-vector form (kept verbatim as the equivalence reference)."""
+    n, m = len(ref), len(hyp)
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        for j in range(1, m + 1):
+            sub = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
+            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[m]
+
+
 # ---------------------------------------------------------------------------
 # WER
 
@@ -121,6 +135,43 @@ def test_edit_distance_matches_memoized_recursive_oracle():
         a = random_string(rng)
         b = random_string(rng)
         assert edit_distance(list(a), list(b)) == recursive_edit_distance(a, b)
+
+
+EDIT_LENGTHS = (0, 1, 63, 64, 65, 200)
+WORDS = ("the", "a", "cat", "sat", "on", "mat", "ünïcode", "日本")
+
+
+def _token_sequences(kind, rng, n_ref, n_hyp):
+    """A (ref, hyp) pair of ``kind`` tokens with ``n_ref`` and ``n_hyp`` tokens.
+    Small alphabets make matches, and so ties between edit scripts, common."""
+    pools = {"char": list("abc "), "word": list(WORDS), "non_ascii": list("éßж中😀a"),
+             "repeated": ["a", "b"]}
+    pool = pools[kind]
+    ref = ["a"] * n_ref if kind == "repeated" else [
+        pool[i] for i in rng.integers(0, len(pool), size=n_ref)]
+    hyp = [pool[i] for i in rng.integers(0, len(pool), size=n_hyp)]
+    return ref, hyp
+
+
+@pytest.mark.parametrize("kind", ["char", "word", "non_ascii", "repeated"])
+def test_edit_distance_equals_the_dynamic_program(kind):
+    rng = np.random.default_rng(len(kind))
+    for n_ref in EDIT_LENGTHS:
+        for n_hyp in EDIT_LENGTHS:
+            ref, hyp = _token_sequences(kind, rng, n_ref, n_hyp)
+            got = edit_distance(ref, hyp)
+            assert type(got) is int
+            assert got == reference_edit_distance(ref, hyp), (n_ref, n_hyp)
+
+
+def test_edit_distance_equals_the_dynamic_program_on_strings_and_near_copies():
+    rng = np.random.default_rng(7)
+    for n in EDIT_LENGTHS:
+        ref = random_string(rng, max_len=n, alphabet="ab c")
+        for hyp in (ref, ref[1:], ref[::-1], ref + "x", ref.replace("a", "b", 3)):
+            assert edit_distance(ref, hyp) == reference_edit_distance(ref, hyp)
+            assert edit_distance(ref.split(), hyp.split()) == reference_edit_distance(
+                ref.split(), hyp.split())
 
 
 def test_wer_symmetry_in_edit_units():
