@@ -55,6 +55,7 @@ class Vocab:
             raise ConfigError(f"vocab must start with {BLANK_SYMBOL!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigError("vocab symbols are not unique")
+        self._index = {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self):
         return len(self.symbols)
@@ -77,12 +78,11 @@ class Vocab:
             fh.write("\n".join(self.symbols) + "\n")
 
     def encode(self, text: str) -> list:
-        index = {s: i for i, s in enumerate(self.symbols)}
         out = []
         for ch in text:
-            if ch not in index:
+            if ch not in self._index:
                 raise ConfigError(f"symbol {ch!r} not in vocab")
-            out.append(index[ch])
+            out.append(self._index[ch])
         return out
 
     def decode(self, ids) -> str:
@@ -340,7 +340,7 @@ class CtcModel(Module):
         super().__init__()
         self.encoder = encoder
         self.head = Linear(encoder.cfg.dim, len(vocab), np.random.default_rng(seed + 17))
-        object.__setattr__(self, "vocab", vocab)
+        self.vocab = vocab
         encoder.mask_embed.freeze()
         encoder.head.freeze()
 

@@ -309,6 +309,8 @@ def cmd_train_aligner(args) -> int:
 
 def cmd_infer(args) -> int:
     _check_sample_rate(args.sample_rate)
+    if args.max_tokens < 1:
+        raise ConfigError(f"--max-tokens must be at least 1, got {args.max_tokens}")
     if args.cot in (None, "", "none"):
         mode = args.task
     else:
@@ -346,6 +348,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ConfigError("--metrics names no metric; choose from wer, cer, chrf")
+    unknown = [m for m in metrics if m not in ("wer", "cer", "chrf")]
+    if unknown:
+        raise ConfigError(f"--metrics: unknown metrics: {unknown}")
     refs = read_text(args.refs).splitlines()
     hyps = read_text(args.hyps).splitlines()
     if len(refs) != len(hyps):
@@ -357,10 +365,6 @@ def cmd_eval(args) -> int:
         refs = [asr_mod.normalize_text(t, rules) for t in refs]
         hyps = [asr_mod.normalize_text(t, rules) for t in hyps]
 
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    unknown = [m for m in metrics if m not in ("wer", "cer", "chrf")]
-    if unknown:
-        raise ConfigError(f"unknown metrics: {unknown}")
     row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:
         scores = read_json(args.external_scores)

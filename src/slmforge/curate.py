@@ -134,10 +134,7 @@ def _run_external(command: str, buf: AudioBuffer) -> bytes:
         raise StageError(f"failed to launch external tool {argv[0]!r}: {exc}") from exc
     if proc.returncode != 0:
         excerpt = proc.stderr.decode("utf-8", "replace")[:500]
-        raise StageError(
-            f"external tool {argv[0]!r} exited {proc.returncode}: {excerpt}",
-            exit_code=proc.returncode,
-        )
+        raise StageError(f"external tool {argv[0]!r} exited {proc.returncode}: {excerpt}")
     return proc.stdout
 
 

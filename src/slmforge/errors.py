@@ -20,13 +20,9 @@ class ConfigError(SlmforgeError):
 class StageError(SlmforgeError):
     """A processing stage (external tool or built-in) failed.
 
-    Carries the exit code when an external subprocess was involved; the
-    message holds an excerpt of its stderr.
+    When an external subprocess was involved, the message holds its exit
+    code and an excerpt of its stderr.
     """
-
-    def __init__(self, message, exit_code=None):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 class GraphError(SlmforgeError):

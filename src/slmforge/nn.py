@@ -71,8 +71,8 @@ class Module:
     """
 
     def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_modules", {})
+        self._params = {}
+        self._modules = {}
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -170,8 +170,8 @@ class Conv1d(Module):
         super().__init__()
         self.weight = Parameter(trunc_normal(rng, (c_out, c_in, kernel)))
         self.bias = Parameter(np.zeros(c_out))
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "kernel", kernel)
+        self.stride = stride
+        self.kernel = kernel
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, self.stride)
@@ -198,8 +198,8 @@ class MultiHeadSelfAttention(Module):
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
-        object.__setattr__(self, "n_heads", n_heads)
-        object.__setattr__(self, "causal", causal)
+        self.n_heads = n_heads
+        self.causal = causal
 
     def __call__(self, x: Tensor) -> Tensor:
         t, d = x.data.shape

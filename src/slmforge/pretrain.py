@@ -2,7 +2,9 @@
 
 Discrete targets come from KMeans codebooks: first over MFCCs of the input
 features, later refreshed from an intermediate transformer layer of the
-partially trained encoder. Training minimizes cross-entropy of the
+partially trained encoder. Each codebook is fitted on the stacked frames of
+the whole corpus, and the fit's own labels (nearest centroid, lowest index on
+ties) are split back per utterance. Training minimizes cross-entropy of the
 prediction head against those pseudo-labels at masked frame positions only.
 One flat ``PretrainConfig`` holds every setting, span masking's included.
 
@@ -49,18 +51,8 @@ log = logging.getLogger(__name__)
 @dataclass
 class Codebook:
     centroids: np.ndarray
-    inertia: float = 0.0
-
-    def __post_init__(self):
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.centroids.ndim != 2 or self.centroids.shape[0] < 1:
-            raise ValueError(f"centroids must be (K, D) with K >= 1, got {self.centroids.shape}")
-        if not np.all(np.isfinite(self.centroids)):
-            raise ValueError("centroids contain non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
+    labels: np.ndarray  # per fitted row: its nearest centroid's index
+    inertia: float
 
 
 def _pairwise_sq_dist(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -77,9 +69,12 @@ def _pairwise_sq_dist(features: np.ndarray, centroids: np.ndarray) -> np.ndarray
 def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Codebook:
     """Seeded k-means++ init then Lloyd iterations until assignments settle.
 
-    Empty clusters are re-seeded with the point farthest from its assigned
-    centroid. Inertia is non-increasing across iterations. Raises when the
-    data holds fewer than k distinct vectors.
+    The codebook's ``labels`` are each row's nearest returned centroid, ties
+    going to the lowest index: Lloyd's own last assignment when it settles,
+    else one more assignment after the ``iters`` cap. Empty clusters are
+    re-seeded with the point farthest from its assigned centroid. Inertia is
+    non-increasing across iterations. Raises when the data holds fewer than
+    k distinct vectors.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -105,7 +100,7 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> 
         new_labels = dists.argmin(axis=1)
         inertia = float(dists[np.arange(n), new_labels].sum())
         if labels is not None and np.array_equal(new_labels, labels):
-            break
+            return Codebook(centroids, new_labels, inertia)
         labels = new_labels
         for j in range(k):
             members = labels == j
@@ -114,19 +109,8 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> 
             else:
                 worst = int(dists[np.arange(n), labels].argmax())
                 centroids[j] = features[worst]
-    return Codebook(centroids, inertia=inertia)
-
-
-def assign_labels(codebook: Codebook, features: np.ndarray) -> np.ndarray:
-    """Per-frame argmin-distance centroid index, lowest index breaking ties."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != codebook.dim:
-        raise ValueError(
-            f"feature dim {features.shape} does not match codebook dim {codebook.dim}"
-        )
-    if features.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return _pairwise_sq_dist(features, codebook.centroids).argmin(axis=1)
+    # the cap ended Lloyd after a centroid update
+    return Codebook(centroids, _pairwise_sq_dist(features, centroids).argmin(axis=1), inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +158,8 @@ class SpeechEncoder(Module):
     def __init__(self, cfg: SpeechEncoderConfig, n_classes: int, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "n_classes", n_classes)
+        self.cfg = cfg
+        self.n_classes = n_classes
         self.conv = Conv1d(cfg.input_dim, cfg.dim, cfg.conv_kernel, cfg.conv_stride, rng)
         self.mask_embed = Parameter(trunc_normal(rng, (cfg.dim,)))
         self.layers = ModuleList(
@@ -277,8 +261,9 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
     """Fit a fresh codebook on an intermediate layer and relabel the dataset.
 
     Runs the encoder without masking, collects hidden states at
-    ``target_layer`` (0 = conv front-end output), fits KMeans, and assigns
-    per-frame labels for every utterance. Deterministic under the seed.
+    ``target_layer`` (0 = conv front-end output), fits KMeans on them all,
+    and splits the fit's labels back into per-frame labels for every
+    utterance. Deterministic under the seed.
     """
     if len(dataset) == 0:
         raise ValueError("refresh_targets needs a non-empty dataset")
@@ -290,10 +275,8 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
     with T.no_grad():
         for features in dataset:
             collected.append(encoder.forward(features)[target_layer].data)
-    stacked = np.concatenate(collected, axis=0)
-    codebook = kmeans_fit(stacked, k, seed=seed)
-    labels = [assign_labels(codebook, states) for states in collected]
-    return codebook, labels
+    codebook = kmeans_fit(np.concatenate(collected, axis=0), k, seed=seed)
+    return codebook, np.split(codebook.labels, np.cumsum([len(c) for c in collected])[:-1])
 
 
 @dataclass
@@ -325,10 +308,8 @@ def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: i
     """First-iteration pseudo-labels: KMeans over MFCCs of the log-mel inputs."""
     mats = [mfcc(features, cfg.n_mfcc) for features in dataset]
     codebook = kmeans_fit(np.concatenate(mats, axis=0), cfg.k, seed=seed)
-    labels = [
-        downsample_labels(assign_labels(codebook, m), encoder) for m in mats
-    ]
-    return codebook, labels
+    per_utt = np.split(codebook.labels, np.cumsum([len(m) for m in mats])[:-1])
+    return codebook, [downsample_labels(labels, encoder) for labels in per_utt]
 
 
 def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels) -> float:

@@ -42,15 +42,6 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
-MODES = (
-    "transcribe",
-    "phonemize_transcribe",
-    "translate_transcribe",
-    "translate",
-    "transcribe_translate",
-    "paraphrase_translate",
-)
-
 # the record field each CoT step restates
 _STEP_FIELDS = {"phonemize": "transcript", "translate": "translation",
                 "transcribe": "transcript", "paraphrase": "transcript"}
@@ -68,6 +59,8 @@ _MODE_TABLE = {
     "paraphrase_translate": (
         "Paraphrase the audio, then translate it.", ("paraphrase",), "translation"),
 }
+
+MODES = tuple(_MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +270,7 @@ class CausalLM(Module):
     def __init__(self, cfg: CausalLMConfig, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        object.__setattr__(self, "cfg", cfg)
+        self.cfg = cfg
         self.embed = Embedding(cfg.vocab_size, cfg.dim, rng)
         self.blocks = ModuleList(
             TransformerLayer(cfg.dim, cfg.n_heads, cfg.ff_mult, causal=True, rng=rng)
@@ -350,7 +343,7 @@ class SpeechAligner(Module):
         hidden = hidden or 4 * d_lm
         self.fc1 = Linear(d_in, hidden, rng)
         self.fc2 = Linear(hidden, d_lm, rng)
-        object.__setattr__(self, "d_in", d_in)
+        self.d_in = d_in
 
     def align(self, features) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
@@ -370,17 +363,16 @@ def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) ->
     return np.concatenate([state.data for state in states[1:]], axis=1)
 
 
-def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int, tail=()):
-    """Return ([embed(before), speech, embed(after + tail)], placeholder
-    position) for the one audio placeholder in ``ids``, empty text parts left
-    out. ``tail`` (generated tokens) is not searched for a placeholder."""
+def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int):
+    """Return ([embed(before), speech, embed(after)], placeholder position)
+    for the one audio placeholder in ``ids``, empty text parts left out."""
     positions = [i for i, t in enumerate(ids) if t == placeholder_id]
     if len(positions) != 1:
         raise GraphError(
             f"example must contain exactly one audio placeholder, found {len(positions)}"
         )
     p = positions[0]
-    before, after = ids[:p], ids[p + 1 :] + list(tail)
+    before, after = ids[:p], ids[p + 1 :]
     parts = [lm.embed(np.asarray(before, dtype=np.int64))] if before else []
     parts.append(speech)
     if after:
@@ -401,7 +393,6 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     mask-0 positions.
     """
     ids = list(ids)
-    loss_mask = list(loss_mask)
     if len(ids) != len(loss_mask):
         raise GraphError("ids and loss_mask lengths differ")
     speech = aligner.align(speech_features)
@@ -410,23 +401,18 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
                                tokenizer.token_id(ChatTemplate.audio_marker))
     logits = lm.forward_embeddings(fused)
 
-    targets = list(targets_override) if targets_override is not None else ids
+    targets = np.asarray(targets_override if targets_override is not None else ids,
+                         dtype=np.int64)
     if len(targets) != len(ids):
         raise GraphError("targets length differs from ids")
 
-    rows = []
-    target_ids = []
-    mask = []
-    for j in range(1, len(ids)):
-        if j == p:
-            continue
-        fused_index = j if j < p else j + t_prime - 1
-        rows.append(fused_index - 1)
-        target_ids.append(targets[j])
-        mask.append(loss_mask[j])
-    picked = T.embedding_lookup(logits, np.asarray(rows, dtype=np.int64))
-    return T.cross_entropy(picked, np.asarray(target_ids, dtype=np.int64),
-                           np.asarray(mask, dtype=np.float64))
+    # every position but the first and the placeholder is predicted by the
+    # fused row before it; rows after the placeholder sit T' - 1 further on
+    j = np.arange(1, len(ids))
+    j = j[j != p]
+    rows = np.where(j < p, j - 1, j + t_prime - 2)
+    picked = T.embedding_lookup(logits, rows)
+    return T.cross_entropy(picked, targets[j], np.asarray(loss_mask, dtype=np.float64)[j])
 
 
 @dataclass
@@ -485,7 +471,7 @@ class FusionModel(Module):
         self.encoder = encoder
         self.lm = lm
         self.aligner = aligner
-        object.__setattr__(self, "tokenizer", tokenizer)
+        self.tokenizer = tokenizer
 
     def record(self) -> dict:
         """The encoder's checkpoint record, then ``lm_cfg``, ``charset`` and
@@ -527,8 +513,11 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
              mode: str, tokenizer: CharTokenizer, max_tokens: int = 200) -> GenerationResult:
     """Greedy decoding of the assistant turn until the end marker.
 
-    Deterministic for fixed inputs. Returns the raw assistant text; the
-    truncated flag is set when max_tokens ran out before the end marker.
+    The fused prompt is built once; each generated token's embedding is
+    appended to it, so a generated audio marker is an ordinary token, and
+    every step runs the LM over the whole sequence so far. Deterministic for
+    fixed inputs. Returns the raw assistant text; the truncated flag is set
+    when max_tokens ran out before the end marker.
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -538,16 +527,16 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
+        fused, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
         generated = []
         truncated = True
         for _ in range(max_tokens):
-            fused, _ = _fused_sequence(lm, speech, prompt_ids, placeholder, generated)
-            logits = lm.forward_embeddings(fused)
-            nxt = int(np.argmax(logits.data[-1]))
+            nxt = int(np.argmax(lm.forward_embeddings(fused).data[-1]))
             if nxt == end_id:
                 truncated = False
                 break
             generated.append(nxt)
+            fused = T.concat([fused, lm.embed([nxt])], axis=0)
     return GenerationResult(tokenizer.decode(generated), truncated)
 
 

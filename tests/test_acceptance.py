@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Every tolerance and runtime budget is asserted in the test itself.
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -30,7 +31,13 @@ from slmforge.asr import (
 from slmforge.audio import log_mel, write_wav
 from slmforge.curate import Manifest, PipelineConfig, run_pipeline
 from slmforge.metrics import MetricRow, cer, chrf, edit_distance, render_report, wer
-from slmforge.nn import Adam, checkpoint_bytes, load_checkpoint, save_checkpoint
+from slmforge.nn import (
+    Adam,
+    checkpoint_bytes,
+    load_checkpoint,
+    read_checkpoint,
+    save_checkpoint,
+)
 from slmforge.pretrain import (
     PretrainConfig,
     SpeechEncoder,
@@ -555,7 +562,11 @@ def _cli(*args, cwd):
     return proc.stdout
 
 
-def test_criterion_12_end_to_end_smoke(tmp_path):
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """One seeded pass of all nine subcommands. Criterion 12 checks that it
+    ran; the numerics fingerprint test digests what it wrote."""
+    tmp_path = tmp_path_factory.mktemp("smoke")
     started = time.monotonic()
     freqs = {"a": 400.0, "b": 900.0, "c": 1600.0}
     texts = ["aba", "cbc", "bab"]
@@ -592,7 +603,6 @@ def test_criterion_12_end_to_end_smoke(tmp_path):
          "--config", ft_cfg, "--seed", "0", "--out", asr_ckpt, cwd=tmp_path)
 
     hyp = _cli("transcribe", "--ckpt", asr_ckpt, "--wav", wavs[0], cwd=tmp_path)
-    assert hyp is not None  # decoding ran; content quality not asserted at 50 steps
 
     sft_path = tmp_path / "sft.jsonl"
     _cli("build-sft", "--manifest", manifest_path, "--modes", "transcribe",
@@ -610,7 +620,6 @@ def test_criterion_12_end_to_end_smoke(tmp_path):
     infer_out = _cli("infer", "--fusion", fusion_ckpt, "--encoder", enc_ckpt,
                      "--wav", wavs[0], "--task", "transcribe",
                      "--max-tokens", "40", cwd=tmp_path)
-    assert "FINAL:" in infer_out
 
     refs = tmp_path / "refs.txt"
     hyps = tmp_path / "hyps.txt"
@@ -619,10 +628,71 @@ def test_criterion_12_end_to_end_smoke(tmp_path):
     report_json = tmp_path / "report.json"
     eval_out = _cli("eval", "--refs", refs, "--hyps", hyps,
                     "--metrics", "wer,cer,chrf", "--out", report_json, cwd=tmp_path)
-    assert "WER" in eval_out
-    assert json.loads(report_json.read_text())["rows"][0]["wer"] == 0.0
 
     _cli("report", "--rows", FIXTURES / "report_rows_asr_baselines.json",
          cwd=tmp_path)
-    _passed(12, started, 900, "curate -> pretrain -> finetune -> transcribe -> "
+    return {"started": started, "dir": tmp_path, "transcribe": hyp, "infer": infer_out,
+            "eval": eval_out, "report_json": report_json}
+
+
+def test_criterion_12_end_to_end_smoke(smoke_run):
+    assert smoke_run["transcribe"] is not None  # content not asserted at 50 steps
+    assert "FINAL:" in smoke_run["infer"]
+    assert "WER" in smoke_run["eval"]
+    assert json.loads(smoke_run["report_json"].read_text())["rows"][0]["wer"] == 0.0
+    _passed(12, smoke_run["started"], 900, "curate -> pretrain -> finetune -> transcribe -> "
             "build-sft -> train-aligner -> infer -> eval -> report all exit 0")
+
+
+# ---------------------------------------------------------------------------
+# Numerics fingerprint of the criterion-12 run
+
+FINGERPRINTS = FIXTURES / "numerics_fingerprints.json"
+
+
+def _numerics_host():
+    """numpy version and BLAS build line: BLAS kernels round differently per
+    build and CPU, so expected digests are kept per host."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25 only prints its configuration
+        blas = {}
+    line = blas.get("openblas configuration", blas.get("name", "unknown BLAS"))
+    return f"numpy {np.__version__}; {line}"
+
+
+def _tensor_digest(path):
+    """SHA-256 over each checkpoint tensor's name, shape and float64 bytes, in
+    file order; metadata (provenance, paths) is left out."""
+    arrays, _ = read_checkpoint(path)
+    digest = hashlib.sha256()
+    for name, arr in arrays.items():
+        digest.update(f"{name}{arr.shape}".encode())
+        digest.update(arr.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_numerics_fingerprint_of_the_smoke_run(smoke_run):
+    """The seeded criterion-12 run writes the same tensors, SFT file and
+    decodes as the committed digests. A change that moves numerics updates
+    the fixture in the same commit and says why."""
+    run_dir = smoke_run["dir"]
+
+    def sha(text_or_bytes):
+        data = text_or_bytes.encode() if isinstance(text_or_bytes, str) else text_or_bytes
+        return hashlib.sha256(data).hexdigest()
+
+    digests = {
+        **{name: _tensor_digest(run_dir / name)
+           for name in ("encoder.ckpt", "asr.ckpt", "fusion.ckpt")},
+        "sft.jsonl": sha((run_dir / "sft.jsonl").read_bytes()),
+        "transcribe stdout": sha(smoke_run["transcribe"]),
+        "infer stdout": sha(smoke_run["infer"]),
+    }
+    host = _numerics_host()
+    expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+    if host not in expected:
+        print(json.dumps({host: digests}, indent=2))
+        pytest.skip(f"no committed numerics fingerprint for host {host!r}; "
+                    "its digests are printed above")
+    assert digests == expected[host]

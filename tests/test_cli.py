@@ -47,14 +47,11 @@ def test_help_lists_all_subcommands_exit_zero():
         assert command in proc.stdout
 
 
-def test_every_subcommand_has_help():
+def test_every_subcommand_has_help(capsys):
+    # in process; test_help_lists_all_subcommands_exit_zero covers the entry point
     for command in ALL_COMMANDS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "slmforge", command, "--help"],
-            capture_output=True, text=True, env=cli_env(),
-        )
-        assert proc.returncode == 0, command
-        assert "usage" in proc.stdout.lower()
+        assert main([command, "--help"]) == 0, command
+        assert "usage" in capsys.readouterr().out.lower(), command
 
 
 def test_bogus_subcommand_exit_one():
@@ -155,6 +152,33 @@ def test_unusable_sample_rate_exits_2_naming_the_flag_before_opening_a_file(
     monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     assert main([*argv, "--sample-rate", rate]) == 2
     assert f"--sample-rate: sample rate {rate} Hz is too low" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens", ["0", "-3"])
+def test_infer_max_tokens_below_one_exits_2_naming_the_flag_before_opening_a_file(
+        monkeypatch, capsys, tokens):
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", _no_read)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    assert main(["infer", "--fusion", "fusion.ckpt", "--wav", "in.wav", "--task",
+                 "transcribe", "--max-tokens", tokens]) == 2
+    captured = capsys.readouterr()
+    assert f"--max-tokens must be at least 1, got {tokens}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("metrics, cause", [
+    ("", "--metrics names no metric"),
+    (" , ", "--metrics names no metric"),
+    ("wer,bleu", "--metrics: unknown metrics: ['bleu']"),
+])
+def test_eval_metrics_naming_no_known_metric_exits_2_naming_the_flag(
+        monkeypatch, capsys, metrics, cause):
+    monkeypatch.setattr("slmforge.cli.read_text", _no_read)
+    assert main(["eval", "--refs", "refs.txt", "--hyps", "hyps.txt",
+                 "--metrics", metrics]) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err
+    assert captured.out == ""
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slmforge import tensor as T
+from slmforge.audio import mfcc
 from slmforge.errors import ConfigError
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import (
-    Codebook,
     PretrainConfig,
     SpeechEncoder,
     SpeechEncoderConfig,
-    assign_labels,
     continued_pretrain,
     downsample_labels,
     evaluate_masked_loss,
@@ -36,6 +36,17 @@ def _toy_dataset(n_utts=4, t=40, dim=8, seed=0):
     return out
 
 
+def reference_assign_labels(centroids, features):
+    """``pretrain.assign_labels`` as it was before ``kmeans_fit`` returned its
+    labels, less its feature-width check: per-row argmin of explicit squared
+    differences, lowest index breaking ties."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    diff = features[:, None, :] - centroids[None, :, :]
+    return (diff * diff).sum(axis=2).argmin(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # KMeans
 
@@ -45,6 +56,7 @@ def test_kmeans_n_equals_k_zero_inertia():
     book = kmeans_fit(points, 3, seed=0)
     assert book.inertia == pytest.approx(0.0, abs=1e-12)
     assert sorted(map(tuple, book.centroids)) == sorted(map(tuple, points))
+    assert np.array_equal(book.centroids[book.labels], points)
 
 
 def test_kmeans_recovers_two_blobs_within_tolerance():
@@ -84,29 +96,58 @@ def test_kmeans_seeded_reproducible():
 
 
 def test_assign_labels_exact_centroid():
-    book = Codebook(np.eye(4))
-    assert assign_labels(book, np.eye(4)[3][None, :])[0] == 3
+    assert reference_assign_labels(np.eye(4), np.eye(4)[3][None, :])[0] == 3
 
 
 def test_assign_labels_tie_breaks_to_lowest_index():
     centroids = np.array([[9.0, 9.0], [0.0, 0.0], [4.0, 4.0], [9.0, 0.0], [2.0, 0.0]])
     feature = np.array([[1.0, 0.0]])  # exactly 1.0 from centroids 1 and 4
-    assert assign_labels(Codebook(centroids), feature)[0] == 1
+    assert reference_assign_labels(centroids, feature)[0] == 1
 
 
 def test_assign_labels_matches_exhaustive_scan():
     rng = np.random.default_rng(6)
-    book = Codebook(rng.standard_normal((7, 5)))
+    centroids = rng.standard_normal((7, 5))
     feats = rng.standard_normal((30, 5))
-    got = assign_labels(book, feats)
+    got = reference_assign_labels(centroids, feats)
     for i, f in enumerate(feats):
-        dists = [np.sum((f - c) ** 2) for c in book.centroids]
+        dists = [np.sum((f - c) ** 2) for c in centroids]
         assert got[i] == int(np.argmin(dists))
 
 
-def test_assign_labels_dim_mismatch():
-    with pytest.raises(ValueError):
-        assign_labels(Codebook(np.zeros((2, 3))), np.zeros((4, 5)))
+@pytest.mark.parametrize("iters", [0, 1, 2, 50])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kmeans_labels_equal_the_reference_on_the_returned_centroids(iters, seed):
+    """Caps 0, 1 and 2 stop Lloyd after a centroid update; 50 lets it settle
+    (these fits take 9 to 13 iterations)."""
+    data = np.random.default_rng(seed).standard_normal((120, 3))
+    book = kmeans_fit(data, 5, iters=iters, seed=seed)
+    assert np.array_equal(book.labels, reference_assign_labels(book.centroids, data))
+    settled = kmeans_fit(data, 5, iters=1000, seed=seed)
+    assert (iters == 50) == np.array_equal(book.centroids, settled.centroids)
+
+
+# duplicate rows whose returned centroids leave rows exactly equidistant from
+# two centroids: (data, k, seed, iters); the cap-0 case ties at k-means++ picks
+_TIED_FITS = [
+    ([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]], 2, 0, 0),
+    ([[-1.0], [-1.0], [1.0], [1.0], [2.0], [2.0]], 2, 1, 1),
+    ([[-1.0], [-1.0], [1.0], [1.0], [2.0], [2.0]], 2, 1, 2),
+    ([[-1.0], [-1.0], [1.0], [1.0], [2.0], [2.0]], 2, 1, 50),
+]
+
+
+@pytest.mark.parametrize("data, k, seed, iters", _TIED_FITS)
+def test_kmeans_labels_on_duplicate_rows_and_exact_ties(data, k, seed, iters):
+    data = np.asarray(data)
+    book = kmeans_fit(data, k, iters=iters, seed=seed)
+    diff = data[:, None, :] - book.centroids[None, :, :]
+    dists = (diff * diff).sum(axis=2)
+    tied = (dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied.any()
+    assert np.array_equal(book.labels, reference_assign_labels(book.centroids, data))
+    for row in np.flatnonzero(tied):
+        assert book.labels[row] == np.flatnonzero(dists[row] == dists[row].min())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +290,31 @@ def test_refresh_layer0_identity_conv_reproduces_input_labels():
 
     direct = kmeans_fit(np.concatenate(dataset), 4, seed=9)
     for data, lab in zip(dataset, labels):
-        assert np.array_equal(lab, assign_labels(direct, data))
+        assert np.array_equal(lab, reference_assign_labels(direct.centroids, data))
+
+
+@pytest.mark.parametrize("target_layer", [0, 1, 2])
+def test_refresh_labels_equal_the_reference_per_utterance(target_layer):
+    enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=2)
+    rng = np.random.default_rng(10)
+    dataset = [rng.standard_normal((n, 8)) for n in (12, 31, 20, 9)]
+    book, labels = refresh_targets(enc, dataset, target_layer, k=4, seed=6)
+    assert len(labels) == len(dataset)
+    with T.no_grad():
+        for features, lab in zip(dataset, labels):
+            states = enc.forward(features)[target_layer].data
+            assert np.array_equal(lab, reference_assign_labels(book.centroids, states))
+
+
+def test_initial_labels_equal_the_reference_per_utterance():
+    enc = SpeechEncoder(TOY_CFG, n_classes=3, seed=0)
+    dataset = _toy_dataset(n_utts=3, t=30, seed=4) + _toy_dataset(n_utts=2, t=17, seed=5)
+    cfg = PretrainConfig(k=3, n_mfcc=4)
+    book, labels = initial_labels(dataset, cfg, enc, seed=7)
+    assert len(labels) == len(dataset)
+    for features, lab in zip(dataset, labels):
+        want = reference_assign_labels(book.centroids, mfcc(features, cfg.n_mfcc))
+        assert np.array_equal(lab, downsample_labels(want, enc))
 
 
 def test_refresh_deterministic_and_shapes():

@@ -437,13 +437,18 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
     lm, aligner, tok, _, speech = _fusion_setup(seed=2)
     prompt_ids = tok.encode(prompt)
     placeholder = tok.token_id("<|audio|>")
-    generated = generated + [placeholder]  # generated tokens are never a placeholder
+    generated = generated + [placeholder]  # a generated audio marker is an ordinary token
     with T.no_grad():
         aligned = aligner.align(speech)
-        fused, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder, generated)
-        got = lm.forward_embeddings(fused).data
-        want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder, generated)
-    assert got.tobytes() == want.data.tobytes()
+        # as generate does: the fused prompt once, then one embedding per token
+        fused, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        for step in range(len(generated) + 1):
+            got = lm.forward_embeddings(fused).data
+            want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder,
+                                              generated[:step])
+            assert got.tobytes() == want.data.tobytes(), step
+            if step < len(generated):
+                fused = T.concat([fused, lm.embed([generated[step]])], axis=0)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
