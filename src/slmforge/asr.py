@@ -211,47 +211,62 @@ def ctc_beam_decode(log_probs, beam_width: int) -> list:
     """Prefix beam search over labelings; probabilities sum over all paths.
 
     beam_width = 1 is defined as the greedy decode of the collapsed best
-    path. Ties at any pruning or at the end go to the lexicographically
-    smaller prefix.
+    path. Each frame scores every live beam staying as it is and every
+    extension of every beam by every non-blank symbol in a few array
+    operations over (beams, symbols) (Hannun et al., arXiv:1408.2873). An
+    extension that is itself a live beam merges into that beam: each
+    probability is then the log-sum of at most two terms, and logaddexp is
+    symmetric, so the order of the merges does not matter. The candidates
+    whose total reaches the beam_width-th best are sorted by (-total,
+    prefix), so ties at any pruning or at the end go to the
+    lexicographically smaller prefix.
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
     if beam_width == 1:
         return ctc_greedy_decode(log_probs)
     data = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    t_len, v = data.shape
+    symbols = np.arange(1, data.shape[1])
 
-    # prefix -> (log P ending in blank, log P ending in its last symbol)
-    beams = {(): (0.0, _NEG_INF)}
-    for t in range(t_len):
-        nxt = {}
+    # live beams, best first: prefix, log P ending in blank, in its last symbol
+    prefixes = [()]
+    pb = np.zeros(1)
+    pnb = np.full(1, _NEG_INF)
+    for row in data:
+        last = np.array([p[-1] if p else BLANK for p in prefixes])
+        total = np.logaddexp(pb, pnb)
+        stay_pb = total + row[BLANK]
+        stay_pnb = np.where(last != BLANK, pnb + row[last], _NEG_INF)
+        # extending by the beam's last symbol needs a blank in between
+        ext = np.where(symbols == last[:, None], pb[:, None], total[:, None]) + row[1:]
+        fresh = np.ones(ext.shape, dtype=bool)
+        index = {p: i for i, p in enumerate(prefixes)}
+        for i, p in enumerate(prefixes):
+            j = index.get(p[:-1]) if p else None
+            if j is not None:
+                stay_pnb[i] = np.logaddexp(stay_pnb[i], ext[j, p[-1] - 1])
+                fresh[j, p[-1] - 1] = False
 
-        def bump(prefix, pb=None, pnb=None):
-            old_pb, old_pnb = nxt.get(prefix, (_NEG_INF, _NEG_INF))
-            if pb is not None:
-                old_pb = np.logaddexp(old_pb, pb)
-            if pnb is not None:
-                old_pnb = np.logaddexp(old_pnb, pnb)
-            nxt[prefix] = (old_pb, old_pnb)
+        n_live = len(prefixes)
+        ext_beam, ext_col = np.nonzero(fresh)
+        cand_pb = np.concatenate([stay_pb, np.full(ext_beam.size, _NEG_INF)])
+        cand_pnb = np.concatenate([stay_pnb, ext[fresh]])
+        cost = -np.logaddexp(cand_pb, cand_pnb)
+        keep = np.arange(cost.size)
+        if cost.size > beam_width:
+            keep = np.flatnonzero(cost <= np.partition(cost, beam_width - 1)[beam_width - 1])
 
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            bump(prefix, pb=total + data[t, BLANK])
-            if prefix:
-                bump(prefix, pnb=pnb + data[t, prefix[-1]])
-            for c in range(1, v):
-                if prefix and c == prefix[-1]:
-                    bump(prefix + (c,), pnb=pb + data[t, c])
-                else:
-                    bump(prefix + (c,), pnb=total + data[t, c])
+        def prefix(k):
+            if k < n_live:
+                return prefixes[k]
+            e = k - n_live
+            return prefixes[ext_beam[e]] + (int(ext_col[e]) + 1,)
 
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam_width])
-
-    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-    return list(best[0])
+        ranked = sorted((cost[k], prefix(k), k) for k in keep.tolist())[:beam_width]
+        prefixes = [p for _, p, _ in ranked]
+        kept = [k for _, _, k in ranked]
+        pb, pnb = cand_pb[kept], cand_pnb[kept]
+    return list(prefixes[0])
 
 
 # ---------------------------------------------------------------------------

@@ -253,8 +253,14 @@ def cmd_transcribe(args) -> int:
 
 
 def cmd_build_sft(args) -> int:
-    manifest = Manifest.read(args.manifest)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    choices = ", ".join(slm_mod.MODES)
+    if not modes:
+        raise ConfigError(f"--modes names no mode; choose from {choices}")
+    unknown = [m for m in modes if m not in slm_mod.MODES]
+    if unknown:
+        raise ConfigError(f"--modes: unknown modes: {unknown}; choose from {choices}")
+    manifest = Manifest.read(args.manifest)
     examples, tokenizer, skipped = slm_mod.build_instruction_dataset(
         manifest.records, modes
     )

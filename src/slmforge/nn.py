@@ -177,9 +177,10 @@ class Conv1d(Module):
         return T.conv1d(x, self.weight, self.bias, self.stride)
 
 
-def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos position table, shape (n, dim)."""
-    pos = np.arange(n)[:, None]
+def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
+    """Rows ``start .. start + n`` of the fixed sin/cos position table, shape
+    (n, dim); a row's values do not depend on ``n`` or ``start``."""
+    pos = np.arange(start, start + n)[:, None]
     half = (dim + 1) // 2
     i = np.arange(half)[None, :]
     angles = pos / np.power(10000.0, 2.0 * i / dim)
@@ -201,7 +202,11 @@ class MultiHeadSelfAttention(Module):
         self.n_heads = n_heads
         self.causal = causal
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cache=None) -> Tensor:
+        """Self-attention over the rows of ``x``. Given a ``cache`` (a list,
+        empty at first), the rows of ``x`` follow those of earlier calls with
+        that cache and attend to their keys and values too; the cache then
+        holds ``[k, v]`` of every row so far, each (heads, rows, head dim)."""
         t, d = x.data.shape
         h = self.n_heads
         dh = d // h
@@ -212,10 +217,16 @@ class MultiHeadSelfAttention(Module):
         q = split_heads(self.wq(x))
         k = split_heads(self.wk(x))
         v = split_heads(self.wv(x))
+        if cache is not None:
+            if cache:
+                k = T.concat([cache[0], k], axis=1)
+                v = T.concat([cache[1], v], axis=1)
+            cache[:] = [k, v]
+        t_all = k.data.shape[1]
         scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(dh))
-        if self.causal:
+        if self.causal and t > 1:
             # large negative bias keeps every intermediate value finite
-            bias = np.triu(np.full((t, t), -1e9), k=1)
+            bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
             scores = scores + Tensor(bias)
         attn = T.softmax(scores)
         ctx = T.matmul(attn, v)  # (h, t, dh)
@@ -244,8 +255,8 @@ class TransformerLayer(Module):
         self.ln2 = LayerNorm(dim)
         self.ff = FeedForward(dim, ff_mult * dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
+    def __call__(self, x: Tensor, cache=None) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache)
         return x + self.ff(self.ln2(x))
 
 

@@ -279,11 +279,18 @@ class CausalLM(Module):
         self.final_norm = LayerNorm(cfg.dim)
         self.head = Linear(cfg.dim, cfg.vocab_size, rng)
 
-    def forward_embeddings(self, emb: Tensor) -> Tensor:
-        """Logits from raw input embeddings; positions are added here."""
-        h = emb + Tensor(sinusoidal_positions(emb.data.shape[0], self.cfg.dim))
-        for block in self.blocks:
-            h = block(h)
+    def forward_embeddings(self, emb: Tensor, caches=None) -> Tensor:
+        """Logits from raw input embeddings; positions are added here.
+
+        ``caches``, one list per layer (empty at first), keeps each layer's
+        keys and values across calls: the rows of ``emb`` then follow the
+        rows of earlier calls, take the positions after theirs and attend to
+        them, so a sequence fed in pieces gives the logits of the whole.
+        """
+        start = caches[0][0].data.shape[1] if caches and caches[0] else 0
+        h = emb + Tensor(sinusoidal_positions(emb.data.shape[0], self.cfg.dim, start))
+        for block, cache in zip(self.blocks, caches or [None] * self.cfg.n_layers):
+            h = block(h, cache)
         return self.head(self.final_norm(h))
 
     def forward_tokens(self, ids) -> Tensor:
@@ -513,11 +520,12 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
              mode: str, tokenizer: CharTokenizer, max_tokens: int = 200) -> GenerationResult:
     """Greedy decoding of the assistant turn until the end marker.
 
-    The fused prompt is built once; each generated token's embedding is
-    appended to it, so a generated audio marker is an ordinary token, and
-    every step runs the LM over the whole sequence so far. Deterministic for
-    fixed inputs. Returns the raw assistant text; the truncated flag is set
-    when max_tokens ran out before the end marker.
+    The first step runs the LM over the fused prompt (the prefill) and
+    keeps every layer's keys and values; each later step runs it over the
+    last generated token's embedding alone, against that cache, so a
+    generated audio marker is an ordinary token. Deterministic for fixed
+    inputs. Returns the raw assistant text; the truncated flag is set when
+    max_tokens ran out before the end marker.
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -527,16 +535,17 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        fused, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        rows, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        caches = [[] for _ in lm.blocks]
         generated = []
         truncated = True
         for _ in range(max_tokens):
-            nxt = int(np.argmax(lm.forward_embeddings(fused).data[-1]))
+            nxt = int(np.argmax(lm.forward_embeddings(rows, caches).data[-1]))
             if nxt == end_id:
                 truncated = False
                 break
             generated.append(nxt)
-            fused = T.concat([fused, lm.embed([nxt])], axis=0)
+            rows = lm.embed([nxt])
     return GenerationResult(tokenizer.decode(generated), truncated)
 
 

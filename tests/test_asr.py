@@ -295,6 +295,72 @@ def test_beam_tie_breaks_to_lexicographically_smaller_prefix():
     assert ctc_beam_decode(logp2, beam_width=8) == [1]
 
 
+def _reference_ctc_beam_decode(log_probs, beam_width):
+    """ctc_beam_decode as it grew prefixes in dicts, one symbol at a time."""
+    data = np.asarray(log_probs)
+    t_len, v = data.shape
+    beams = {(): (0.0, -np.inf)}
+    for t in range(t_len):
+        nxt = {}
+
+        def bump(prefix, pb=None, pnb=None):
+            old_pb, old_pnb = nxt.get(prefix, (-np.inf, -np.inf))
+            if pb is not None:
+                old_pb = np.logaddexp(old_pb, pb)
+            if pnb is not None:
+                old_pnb = np.logaddexp(old_pnb, pnb)
+            nxt[prefix] = (old_pb, old_pnb)
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            bump(prefix, pb=total + data[t, BLANK])
+            if prefix:
+                bump(prefix, pnb=pnb + data[t, prefix[-1]])
+            for c in range(1, v):
+                if prefix and c == prefix[-1]:
+                    bump(prefix + (c,), pnb=pb + data[t, c])
+                else:
+                    bump(prefix + (c,), pnb=total + data[t, c])
+
+        ranked = sorted(
+            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
+        )
+        beams = dict(ranked[:beam_width])
+
+    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
+    return list(best[0])
+
+
+def _tied_lattice(rng, t_len, v, scale):
+    """A log-softmax lattice of logits rounded to whole numbers, so symbols,
+    paths and prefixes tie often."""
+    logits = np.round(rng.standard_normal((t_len, v)) * scale)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(8))
+def test_beam_equals_the_dict_reference_on_tied_random_lattices(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        t_len, v = int(rng.integers(1, 201)), int(rng.integers(2, 31))
+        width = int(rng.integers(2, 9))
+        logp = _tied_lattice(rng, t_len, v, scale=float(rng.choice([0.5, 1.0, 3.0])))
+        assert ctc_beam_decode(logp, width) == _reference_ctc_beam_decode(logp, width), \
+            (t_len, v, width)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_len, v, width", [
+    (1, 2, 2), (1, 30, 8), (200, 2, 8), (3, 5, 125), (40, 30, 2), (7, 4, 4),
+])
+def test_beam_equals_the_dict_reference_at_the_edges(t_len, v, width):
+    rng = np.random.default_rng(t_len * 1000 + v * 10 + width)
+    for logp in (random_lattice(rng, t_len, v), _tied_lattice(rng, t_len, v, 1.0),
+                 np.full((t_len, v), -np.log(v))):
+        assert ctc_beam_decode(logp, width) == _reference_ctc_beam_decode(logp, width)
+
+
 def test_beam_rejects_zero_width():
     with pytest.raises(ConfigError):
         ctc_beam_decode(np.zeros((2, 2)), 0)

@@ -20,7 +20,9 @@ from slmforge.config import config_hash
 from slmforge.curate import Manifest
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
-from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
+from slmforge.slm import (
+    MODES, CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner,
+)
 from slmforge.synth import concat_buffers, silence, sine
 
 ALL_COMMANDS = (
@@ -178,6 +180,22 @@ def test_eval_metrics_naming_no_known_metric_exits_2_naming_the_flag(
                  "--metrics", metrics]) == 2
     captured = capsys.readouterr()
     assert cause in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("modes, cause", [
+    ("", "--modes names no mode"),
+    (" , ", "--modes names no mode"),
+    ("transcribe,x", "--modes: unknown modes: ['x']"),
+])
+def test_build_sft_modes_naming_no_known_mode_exits_2_naming_the_flag(
+        monkeypatch, capsys, modes, cause):
+    monkeypatch.setattr("slmforge.cli.Manifest.read", _no_read)
+    assert main(["build-sft", "--manifest", "m.jsonl", "--out", "sft.jsonl",
+                 "--modes", modes]) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err
+    assert "choose from " + ", ".join(MODES) in captured.err
     assert captured.out == ""
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import finite_diff_grad, max_rel_error
 
 from slmforge.curate import SegmentRecord
-from slmforge.errors import ConfigError, GraphError
+from slmforge.errors import ConfigError, GraphError, NonFiniteError
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge import tensor as T
@@ -22,6 +22,7 @@ from slmforge.slm import (
     FusionTrainConfig,
     SpeechAligner,
     build_instruction_dataset,
+    chat_prompt,
     completion_mask,
     detect_repetition_loop,
     extract_multilayer_features,
@@ -440,7 +441,7 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
     generated = generated + [placeholder]  # a generated audio marker is an ordinary token
     with T.no_grad():
         aligned = aligner.align(speech)
-        # as generate does: the fused prompt once, then one embedding per token
+        # the fused prompt once, then one embedding appended per token
         fused, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder)
         for step in range(len(generated) + 1):
             got = lm.forward_embeddings(fused).data
@@ -469,6 +470,100 @@ def test_generate_matches_reference_loop_when_one_token_dominates(forced):
     want = _reference_generate(lm, aligner, speech, "transcribe", tok, 5)
     assert (got.text, got.truncated) == want
     assert got.truncated == (forced == "<|audio|>")
+
+
+# ---------------------------------------------------------------------------
+# The key/value cache against recomputing the whole sequence
+#
+# A cached step multiplies one row where the full pass multiplies a matrix,
+# and BLAS rounds the two differently (gemv against gemm, and gemm rows by
+# their place in its blocks), so cached logits match to 1e-12, not bit for
+# bit; greedy tokens must be the same.
+
+
+def _cache_setup(seed):
+    """A two-layer LM and 40 aligned speech frames, so both the cache of a
+    later layer and BLAS's matrix kernels take part."""
+    tok = _tok([chat_prompt(_MODE_TABLE["transcribe"][0])])
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=2,
+                                 n_heads=4), seed=seed)
+    lm.freeze()
+    aligner = SpeechAligner(12, 32, hidden=16, seed=seed + 1)
+    speech = np.random.default_rng(seed).standard_normal((40, 12))
+    return lm, aligner, tok, speech
+
+
+def _fresh_caches(lm):
+    return [[] for _ in lm.blocks]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
+    lm, aligner, tok, speech = _cache_setup(seed)
+    prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
+    with T.no_grad():
+        fused, _ = _fused_sequence(lm, aligner.align(speech), prompt_ids,
+                                   tok.token_id("<|audio|>"))
+        want = lm.forward_embeddings(fused).data
+        got = lm.forward_embeddings(fused, _fresh_caches(lm)).data
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_cached_steps_match_the_reference_logits(seed):
+    lm, aligner, tok, speech = _cache_setup(seed)
+    prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
+    placeholder = tok.token_id("<|audio|>")
+    rng = np.random.default_rng(seed)
+    generated = [int(t) for t in rng.integers(0, tok.vocab_size, 15)] + [placeholder]
+    with T.no_grad():
+        aligned = aligner.align(speech)
+        rows, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        caches = _fresh_caches(lm)
+        for step in range(len(generated) + 1):
+            got = lm.forward_embeddings(rows, caches).data[-1]
+            want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder,
+                                              generated[:step]).data[-1]
+            if step == 0:  # the prefill is the full pass
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.argmax(got) == np.argmax(want), step
+            if step < len(generated):
+                rows = lm.embed([generated[step]])
+
+
+def test_a_sequence_fed_in_pieces_gives_the_logits_of_the_whole():
+    """Pieces of several rows after cached ones get the offset causal mask."""
+    lm, _, tok, _ = _cache_setup(5)
+    emb = lm.embed(np.random.default_rng(5).integers(0, tok.vocab_size, 30))
+    caches = _fresh_caches(lm)
+    with T.no_grad():
+        whole = lm.forward_embeddings(emb).data
+        pieces = [lm.forward_embeddings(Tensor(emb.data[lo:hi]), caches).data
+                  for lo, hi in [(0, 11), (11, 14), (14, 15), (15, 30)]]
+    np.testing.assert_allclose(np.concatenate(pieces), whole, rtol=0, atol=1e-12)
+    assert [layer[0].data.shape for layer in caches] == [(4, 30, 8)] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generate_with_a_larger_lm_matches_reference_loop(seed):
+    lm, aligner, tok, speech = _cache_setup(seed)
+    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=30)
+    assert (got.text, got.truncated) == _reference_generate(lm, aligner, speech,
+                                                            "transcribe", tok, 30)
+
+
+def test_a_non_finite_cached_key_raises_naming_the_op():
+    lm, aligner, tok, speech = _cache_setup(2)
+    prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
+    caches = _fresh_caches(lm)
+    with T.no_grad():
+        fused, _ = _fused_sequence(lm, aligner.align(speech), prompt_ids,
+                                   tok.token_id("<|audio|>"))
+        lm.forward_embeddings(fused, caches)
+        caches[1][0].data[0, 3] = np.nan  # one key row of layer 1, head 0
+        with pytest.raises(NonFiniteError, match="op 'concat'"):
+            lm.forward_embeddings(lm.embed([4]), caches)
 
 
 def test_lm_causality_future_tokens_do_not_change_past_logits():
