@@ -108,10 +108,13 @@ def _config_fields(args) -> dict:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SLMFORGE_SEED")
-    return int(env) if env else 0
+    """``--seed``, else SLMFORGE_SEED, else 0; a value that is not a
+    non-negative integer is a ConfigError naming its source and the value."""
+    source = "SLMFORGE_SEED" if args.seed is None else "--seed"
+    value = (os.environ.get(source) or "0") if args.seed is None else str(args.seed)
+    if not (value.isascii() and value.isdigit()):
+        raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _resolved_metadata(seed: int, *configs) -> dict:
@@ -176,8 +179,8 @@ def cmd_curate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    given = _config_fields(args)
     seed = _resolve_seed(args)
+    given = _config_fields(args)
     encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
     train_cfg = PretrainConfig(**given[PretrainConfig])
     if encoder_cfg.input_dim < train_cfg.n_mfcc:
@@ -274,8 +277,8 @@ def cmd_build_sft(args) -> int:
 
 
 def cmd_train_aligner(args) -> int:
-    given = _config_fields(args)
     seed = _resolve_seed(args)
+    given = _config_fields(args)
     fusion_cfg = slm_mod.FusionTrainConfig(**given[slm_mod.FusionTrainConfig])
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:

@@ -18,7 +18,6 @@ _JSON_TYPES = {
     float: ("number", (int, float)),
     str: ("string", (str,)),
     tuple: ("array", (list,)),
-    list: ("array", (list,)),
     type(None): ("null", (type(None),)),
 }
 
@@ -30,7 +29,7 @@ def config_fields(cls, obj, keys: dict | None = None) -> dict:
     """{field: value} of dataclass ``cls`` from the JSON object ``obj``, whose
     keys ``keys`` maps to fields (default: the field names). Types are exact:
     an int field takes an int but not a bool, a float field an int or a
-    float, a tuple or list field a list, and null only a field whose
+    float, a tuple field a list, and null only a field whose
     annotation allows None; values are stored as given. A
     non-object, an unknown key or a misfit is a ConfigError naming the key
     and the field."""

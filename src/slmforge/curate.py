@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -84,15 +85,22 @@ class Manifest:
         return sum(r.duration_s for r in self.records) / 3600.0
 
     def write(self, path) -> None:
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("manifest ids are not unique")
+        _check_unique_ids(path, self.records)
         write_jsonl(path, self.header, self.records)
 
     @classmethod
     def read(cls, path) -> "Manifest":
         header, records = read_jsonl(path, SegmentRecord)
+        _check_unique_ids(path, records)
         return cls(records, header)
+
+
+def _check_unique_ids(path, records) -> None:
+    """Reject two records of manifest ``path`` with one id, naming the file
+    and the id: features and SFT examples are keyed by record id."""
+    shared = [i for i, n in Counter(rec.id for rec in records).items() if n > 1]
+    if shared:
+        raise ConfigError(f"{path}: more than one record has id {shared[0]!r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import read_config
@@ -114,15 +114,12 @@ def read_jsonl(path, row_type):
     return header, rows
 
 
-def parse_field(path, record: dict, key: str, parse, default=MISSING):
-    """``parse(record[key])``, or ``default`` (if given) for an absent key. A
-    missing key without a default, or a value ``parse`` rejects with
-    TypeError, ValueError or ConfigError, is a ConfigError naming ``path``
-    and ``key``."""
+def parse_field(path, record: dict, key: str, parse):
+    """``parse(record[key])``. A missing key, or a value ``parse`` rejects
+    with TypeError, ValueError or ConfigError, is a ConfigError naming
+    ``path`` and ``key``."""
     if key not in record:
-        if default is MISSING:
-            raise ConfigError(f"{path}: missing key {key!r}")
-        return default
+        raise ConfigError(f"{path}: missing key {key!r}")
     try:
         return parse(record[key])
     except (TypeError, ValueError, ConfigError) as exc:

@@ -164,19 +164,6 @@ class Embedding(Module):
         return T.embedding_lookup(self.table, ids)
 
 
-class Conv1d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.weight = Parameter(trunc_normal(rng, (c_out, c_in, kernel)))
-        self.bias = Parameter(np.zeros(c_out))
-        self.stride = stride
-        self.kernel = kernel
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, self.stride)
-
-
 def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
     """Rows ``start .. start + n`` of the fixed sin/cos position table, shape
     (n, dim); a row's values do not depend on ``n`` or ``start``."""
@@ -235,10 +222,12 @@ class MultiHeadSelfAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+    """GELU MLP with one hidden layer 4 * ``dim`` wide."""
+
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.fc1 = Linear(dim, hidden, rng)
-        self.fc2 = Linear(hidden, dim, rng)
+        self.fc1 = Linear(dim, 4 * dim, rng)
+        self.fc2 = Linear(4 * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
@@ -247,13 +236,12 @@ class FeedForward(Module):
 class TransformerLayer(Module):
     """Pre-norm transformer block with residual connections."""
 
-    def __init__(self, dim: int, n_heads: int, ff_mult: int, causal: bool,
-                 rng: np.random.Generator):
+    def __init__(self, dim: int, n_heads: int, causal: bool, rng: np.random.Generator):
         super().__init__()
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadSelfAttention(dim, n_heads, causal, rng)
         self.ln2 = LayerNorm(dim)
-        self.ff = FeedForward(dim, ff_mult * dim, rng)
+        self.ff = FeedForward(dim, rng)
 
     def __call__(self, x: Tensor, cache=None) -> Tensor:
         x = x + self.attn(self.ln1(x), cache)

@@ -28,7 +28,6 @@ from .errors import ConfigError, GraphError
 from .fileio import parse_field
 from .nn import (
     Adam,
-    Conv1d,
     LayerNorm,
     Linear,
     Module,
@@ -139,18 +138,15 @@ class SpeechEncoderConfig:
     dim: int = 32
     n_layers: int = 2
     n_heads: int = 2
-    ff_mult: int = 4
-    conv_kernel: int = 2
-    conv_stride: int = 2
-    conv_activation: str = "gelu"  # or "none"
 
 
 class SpeechEncoder(Module):
-    """Conv front-end + transformer encoder with a masked-prediction head.
+    """Frame-pair front end + transformer encoder with a masked-prediction head.
 
-    Hidden states are retrievable per layer: index 0 is the conv front-end
-    output, index l (1..n_layers) the output of transformer layer l. Output
-    frame rate is the input rate divided by the conv stride.
+    The front end (``conv``) is GELU of one ``Linear`` over input frames 2j
+    and 2j+1 stacked, so the output frame rate is half the input rate (an
+    odd last frame is dropped). Hidden states are retrievable per layer:
+    index 0 is the front-end output, index l (1..n_layers) layer l's output.
     """
 
     kind = "encoder"
@@ -160,32 +156,36 @@ class SpeechEncoder(Module):
         rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.n_classes = n_classes
-        self.conv = Conv1d(cfg.input_dim, cfg.dim, cfg.conv_kernel, cfg.conv_stride, rng)
+        self.conv = Linear(2 * cfg.input_dim, cfg.dim, rng)
+        # read the draw as a (dim, input_dim, 2) kernel over the pair; this
+        # layout fixes the initial function each seed gives
+        kernel = self.conv.weight.data.reshape(cfg.dim, cfg.input_dim, 2)
+        self.conv.weight.data = kernel.transpose(2, 1, 0).reshape(2 * cfg.input_dim, cfg.dim)
         self.mask_embed = Parameter(trunc_normal(rng, (cfg.dim,)))
         self.layers = ModuleList(
-            TransformerLayer(cfg.dim, cfg.n_heads, cfg.ff_mult, causal=False, rng=rng)
+            TransformerLayer(cfg.dim, cfg.n_heads, causal=False, rng=rng)
             for _ in range(cfg.n_layers)
         )
         self.final_norm = LayerNorm(cfg.dim)
         self.head = Linear(cfg.dim, n_classes, rng)
 
-    def output_len(self, t_in: int) -> int:
-        if t_in < self.cfg.conv_kernel:
-            return 0
-        return 1 + (t_in - self.cfg.conv_kernel) // self.cfg.conv_stride
+    @staticmethod
+    def output_len(t_in: int) -> int:
+        return t_in // 2
 
     def forward(self, features: np.ndarray, mask: np.ndarray | None = None) -> list:
-        """Return hidden states [conv_out, layer_1, ..., layer_L].
+        """Return hidden states [front_end_out, layer_1, ..., layer_L].
 
         When ``mask`` is given, masked output-frame positions are replaced by
-        the learned mask embedding before entering the transformer.
+        the learned mask embedding before entering the transformer. Fewer
+        than two input frames is a GraphError.
         """
         features = np.asarray(features, dtype=np.float64)
-        h = self.conv(Tensor(features))
-        if self.cfg.conv_activation == "gelu":
-            h = T.gelu(h)
+        t_out = self.output_len(len(features))
+        if t_out == 0:
+            raise GraphError(f"the encoder needs at least 2 input frames, got {len(features)}")
+        h = T.gelu(self.conv(Tensor(features[: 2 * t_out].reshape(t_out, -1))))
         states = [h]
-        t_out = h.data.shape[0]
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (t_out,):
@@ -250,10 +250,9 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
 
 
 def downsample_labels(labels: np.ndarray, encoder: SpeechEncoder) -> np.ndarray:
-    """Map input-frame labels to output-frame labels (first frame of each patch)."""
-    t_out = encoder.output_len(len(labels))
-    idx = encoder.cfg.conv_stride * np.arange(t_out)
-    return np.asarray(labels)[idx]
+    """Map input-frame labels to output-frame labels: the label of frame 2j,
+    the first of output frame j's pair."""
+    return np.asarray(labels)[: 2 * encoder.output_len(len(labels)) : 2]
 
 
 def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
@@ -261,7 +260,7 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
     """Fit a fresh codebook on an intermediate layer and relabel the dataset.
 
     Runs the encoder without masking, collects hidden states at
-    ``target_layer`` (0 = conv front-end output), fits KMeans on them all,
+    ``target_layer`` (0 = front-end output), fits KMeans on them all,
     and splits the fit's labels back into per-frame labels for every
     utterance. Deterministic under the seed.
     """

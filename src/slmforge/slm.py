@@ -135,7 +135,6 @@ class InstructionExample:
     audio_id: str
     mode: str
     text: str
-    loss_mask: list
     final: str
 
 
@@ -225,15 +224,12 @@ def build_instruction_dataset(records, modes, phonemizer=None):
     examples = []
     for audio_id, mode, text, final in rendered:
         try:
-            ids = tokenizer.encode(text)
+            tokenizer.encode(text)
         except ConfigError as exc:
             skipped.append((audio_id, mode, str(exc)))
             log.info("skipping %s/%s: %s", audio_id, mode, exc)
             continue
-        examples.append(
-            InstructionExample(audio_id, mode, text, completion_mask(ids, tokenizer),
-                               final)
-        )
+        examples.append(InstructionExample(audio_id, mode, text, final))
     return examples, tokenizer, skipped
 
 
@@ -245,8 +241,10 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 
 
 def read_instruction_dataset(path):
+    """(examples, tokenizer, header) of an instruction-set file; a header
+    without ``charset`` is a ConfigError naming the file and the key."""
     header, examples = read_jsonl(path, InstructionExample)
-    tokenizer = parse_field(path, header, "charset", CharTokenizer, CharTokenizer(""))
+    tokenizer = parse_field(path, header, "charset", CharTokenizer)
     return examples, tokenizer, header
 
 
@@ -260,7 +258,6 @@ class CausalLMConfig:
     dim: int = 64
     n_layers: int = 2
     n_heads: int = 2
-    ff_mult: int = 4
 
 
 class CausalLM(Module):
@@ -273,7 +270,7 @@ class CausalLM(Module):
         self.cfg = cfg
         self.embed = Embedding(cfg.vocab_size, cfg.dim, rng)
         self.blocks = ModuleList(
-            TransformerLayer(cfg.dim, cfg.n_heads, cfg.ff_mult, causal=True, rng=rng)
+            TransformerLayer(cfg.dim, cfg.n_heads, causal=True, rng=rng)
             for _ in range(cfg.n_layers)
         )
         self.final_norm = LayerNorm(cfg.dim)
@@ -363,7 +360,7 @@ class SpeechAligner(Module):
 
 def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) -> np.ndarray:
     """Concatenate the hidden states of every encoder transformer layer
-    (1..L, not the conv front-end) per frame. No further time downsampling
+    (1..L, not the front end) per frame. No further time downsampling
     is applied."""
     with T.no_grad():
         states = encoder.forward(np.asarray(features, dtype=np.float64), mask=None)
@@ -440,15 +437,17 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
     """Aligner-only fusion training; the LM must already be frozen.
 
     ``examples`` are (speech_features, InstructionExample) pairs with
-    speech features precomputed by extract_multilayer_features; ``seed``
-    draws the batches. Returns a history of (step, loss).
+    speech features precomputed by extract_multilayer_features; each
+    example's loss mask is the ``completion_mask`` of its encoded text.
+    ``seed`` draws the batches. Returns a history of (step, loss).
     """
     trainable = [name for name, p in lm.named_parameters() if p.requires_grad]
     if trainable:
         raise ConfigError(f"LM must be frozen during fusion training: {trainable[:3]}")
     prepared = []
     for features, ex in examples:
-        prepared.append((np.asarray(features), tokenizer.encode(ex.text), ex.loss_mask))
+        ids = tokenizer.encode(ex.text)
+        prepared.append((np.asarray(features), ids, completion_mask(ids, tokenizer)))
 
     opt = Adam(aligner, lr=cfg.lr)
     rng = np.random.default_rng(seed)

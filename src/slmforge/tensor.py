@@ -129,7 +129,7 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values in output of op '{op}'")
     out = Tensor(data)
     out._op = op
@@ -315,7 +315,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Lookup, convolution, loss
+# Lookup and loss
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -336,39 +336,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             np.add.at(table.grad, ids, grad)
 
     return _make(out, (table,), backward, "embedding_lookup")
-
-
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid 1-D convolution over frames.
-
-    x: (T, C_in); weight: (C_out, C_in, k); bias: (C_out,).
-    Output: (T', C_out) with T' = 1 + (T - k) // stride.
-    """
-    t_in, c_in = x.data.shape
-    c_out, c_in_w, k = weight.data.shape
-    if c_in != c_in_w:
-        raise GraphError(
-            f"conv1d channel mismatch: input {x.data.shape} vs weight {weight.data.shape}"
-        )
-    if t_in < k:
-        raise GraphError(f"conv1d input of {t_in} frames shorter than kernel {k}")
-    t_out = 1 + (t_in - k) // stride
-    idx = np.arange(k)[None, :] + stride * np.arange(t_out)[:, None]
-    patches = x.data[idx]  # (T', k, C_in)
-    out = np.einsum("tkc,ock->to", patches, weight.data) + bias.data
-
-    def backward(grad):
-        if weight.requires_grad:
-            _accumulate(weight, np.einsum("to,tkc->ock", grad, patches))
-        if bias.requires_grad:
-            _accumulate(bias, grad.sum(axis=0))
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for j in range(k):
-                gx[j : j + (t_out - 1) * stride + 1 : stride] += grad @ weight.data[:, :, j]
-            _accumulate(x, gx)
-
-    return _make(out, (x, weight, bias), backward, "conv1d")
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

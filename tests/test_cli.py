@@ -312,13 +312,43 @@ def test_eval_out_into_missing_directory_names_the_given_path(tmp_path, monkeypa
 
 def test_train_aligner_sft_example_without_final_is_runtime_error(tmp_path, capsys):
     sft = tmp_path / "sft.jsonl"
-    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1]}
+    example = {"audio_id": "a", "mode": "transcribe", "text": "ab"}
     sft.write_text(json.dumps({"__header__": True, "charset": "ab"}) + "\n"
                    + json.dumps(example) + "\n")
     assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
                  "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
     err = capsys.readouterr().err
     assert f"{sft} line 2: missing field(s) final" in err
+
+
+@pytest.mark.parametrize("header", [
+    [json.dumps({"__header__": True, "modes": ["transcribe"]})],  # no charset
+    [],  # no header line
+])
+def test_train_aligner_sft_without_a_charset_exits_2_naming_file_and_key(
+        tmp_path, capsys, header):
+    sft = tmp_path / "sft.jsonl"
+    example = {"audio_id": "a", "mode": "transcribe", "text": "ab", "final": "ab"}
+    sft.write_text("\n".join([*header, json.dumps(example)]) + "\n")
+    assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
+                 "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
+    assert capsys.readouterr().err == f"slmforge train-aligner: {sft}: missing key 'charset'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-sft", "--out", "sft.jsonl"],
+    ["pretrain", "--out", "enc.ckpt"],
+])
+def test_a_manifest_with_two_records_of_one_id_exits_2_naming_file_and_id(
+        tmp_path, monkeypatch, capsys, manifest, argv):
+    monkeypatch.chdir(tmp_path)
+    header, row = manifest.read_text().splitlines()[:2]
+    rows = [json.loads(row), {**json.loads(row), "offset_s": 0.0}]
+    Path("dup.jsonl").write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
+    assert main([*argv, "--manifest", "dup.jsonl"]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge {argv[0]}: dup.jsonl: more than one record has id {rows[0]['id']!r}\n")
+    assert not Path(argv[-1]).exists()
 
 
 MANIFEST_RUN = ["pretrain", "--manifest", "rows.jsonl", "--out", "enc.ckpt"]
@@ -341,8 +371,7 @@ def test_mistyped_manifest_or_sft_row_exits_2_naming_file_line_and_key(
         row = json.loads(row)
     else:
         header = json.dumps({"__header__": True, "charset": "ab"})
-        row = {"audio_id": "a", "mode": "transcribe", "text": "ab", "loss_mask": [0, 1],
-               "final": "ab"}
+        row = {"audio_id": "a", "mode": "transcribe", "text": "ab", "final": "ab"}
     row[key] = value
     Path("rows.jsonl").write_text(header + "\n" + json.dumps(row) + "\n")
     assert main(argv) == 2
@@ -371,6 +400,18 @@ def test_finetune_asr_bad_encoder_metadata_is_runtime_error(tmp_path, capsys, ed
                  "--out", str(tmp_path / "asr.ckpt")]) == 2
     err = capsys.readouterr().err
     assert f"{enc}: {cause}" in err
+
+
+def test_an_encoder_written_while_its_front_end_was_a_convolution_exits_2(tmp_path, capsys):
+    enc = tmp_path / "enc.ckpt"
+    _encoder_checkpoint(enc, lambda meta: meta.update(encoder_cfg=json.dumps(
+        {**json.loads(meta["encoder_cfg"]), "conv_activation": "gelu", "conv_kernel": 2,
+         "conv_stride": 2, "ff_mult": 4})))
+    assert main(["finetune-asr", "--manifest", "none.jsonl", "--encoder", str(enc),
+                 "--out", str(tmp_path / "asr.ckpt")]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge finetune-asr: {enc}: bad value for 'encoder_cfg': unknown key(s) "
+        "'conv_activation', 'conv_kernel', 'conv_stride', 'ff_mult' for SpeechEncoderConfig\n")
 
 
 @pytest.mark.parametrize("beam", ["0", "-1"])
@@ -409,6 +450,23 @@ def test_seed_env_override(tmp_path, monkeypatch, manifest):
     assert json.loads(_tiny_pretrain(tmp_path, manifest)["config"])["seed"] == 7
     meta = _tiny_pretrain(tmp_path, manifest, "--seed", "3")
     assert json.loads(meta["config"])["seed"] == 3
+
+
+@pytest.mark.parametrize("flag, env, shown", [
+    (["--seed", "-1"], None, "--seed must be a non-negative integer, got '-1'"),
+    ([], "abc", "SLMFORGE_SEED must be a non-negative integer, got 'abc'"),
+    ([], "-2", "SLMFORGE_SEED must be a non-negative integer, got '-2'"),
+    ([], "1.5", "SLMFORGE_SEED must be a non-negative integer, got '1.5'"),
+])
+@pytest.mark.parametrize("command", ["pretrain", "finetune-asr", "train-aligner"])
+def test_a_bad_seed_exits_2_naming_its_source_before_any_file_is_read(
+        tmp_path, monkeypatch, capsys, command, flag, env, shown):
+    monkeypatch.chdir(tmp_path)  # none of the files NEEDED_ARGS names exists here
+    monkeypatch.delenv("SLMFORGE_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SLMFORGE_SEED", env)
+    assert main([command, *NEEDED_ARGS[command], "--config", "none.json", *flag]) == 2
+    assert capsys.readouterr().err == f"slmforge {command}: {shown}\n"
 
 
 def test_checkpoint_embeds_resolved_config_and_its_hash(tmp_path, monkeypatch, manifest):
@@ -815,7 +873,7 @@ def _one_weight_nudged(arrays, meta):
 
 def _same_weights_other_record(arrays, meta):
     cfg = json.loads(meta["encoder_cfg"])
-    meta["encoder_cfg"] = json.dumps({**cfg, "conv_activation": "none"}, sort_keys=True)
+    meta["encoder_cfg"] = json.dumps({**cfg, "n_heads": 1}, sort_keys=True)
 
 
 @pytest.mark.parametrize("edit", [_other_seed, _one_weight_nudged, _same_weights_other_record])

@@ -24,7 +24,7 @@ from slmforge.slm import (
 
 CONFIGS = [
     SpeechEncoderConfig(),
-    SpeechEncoderConfig(input_dim=8, dim=16, conv_activation="none"),
+    SpeechEncoderConfig(input_dim=8, dim=16, n_heads=4),
     PretrainConfig(),
     PretrainConfig(epochs=4, refresh_schedule=(1, 3), mask_prob=0.5, span_len=2,
                    max_steps=9),
@@ -58,11 +58,12 @@ def test_fitting_values_are_stored_as_given_and_absent_fields_default():
     (FusionTrainConfig, {"aligner_hidden": 8.0}, "must be integer or null, got 8.0"),
     (PretrainConfig, {"refresh_schedule": 3}, "must be array or null, got 3"),
     (PretrainConfig, {"span_len": "2"}, "(PretrainConfig.span_len)"),
-    (SpeechEncoderConfig, {"conv_activation": 1}, "must be string, got 1"),
+    (SpeechEncoderConfig, {"n_heads": "2"}, "must be integer, got \"2\""),
     (SpeechEncoderConfig, {"dim": 8, "foo": 1, "bar": 2},
      "unknown key(s) 'bar', 'foo' for SpeechEncoderConfig"),
     (SpeechEncoderConfig, [1, 2], "SpeechEncoderConfig must be a JSON object, got [1, 2]"),
     (CausalLMConfig, {"dim": 8}, "missing field(s) vocab_size"),
+    (PipelineConfig, {"separator": 1}, "must be string, got 1"),
 ])
 def test_misfits_are_config_errors_naming_key_and_field(cls, obj, message):
     with pytest.raises(ConfigError) as info:

@@ -418,9 +418,11 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_rejects_duplicate_ids(tmp_path):
     rec = _record(5.0, 4.0)
-    manifest = Manifest([rec, rec])
-    with pytest.raises(ValueError):
-        manifest.write(tmp_path / "m.jsonl")
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ConfigError) as info:
+        Manifest([rec, rec]).write(path)
+    assert str(info.value) == f"{path}: more than one record has id {rec.id!r}"
+    assert not path.exists()
 
 
 def test_emitted_manifest_revalidates_thresholds(tmp_path):

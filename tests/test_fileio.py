@@ -159,7 +159,7 @@ def test_missing_directory_error_names_the_target_not_the_temp_file(tmp_path):
 
 RECORD = SegmentRecord("rec-é", "a.wav", 0.5, 3.25, "S0", 4.1, 16000, "waaw", None, "train")
 SECOND = SegmentRecord(**{**asdict(RECORD), "id": "b"})
-EXAMPLE = InstructionExample("rec-é", "transcribe", "<|user|>ab", [0, 1], "ab")
+EXAMPLE = InstructionExample("rec-é", "transcribe", "<|user|>ab", "ab")
 
 
 def _write_manifest(path):

@@ -7,8 +7,8 @@ import pytest
 
 from slmforge import tensor as T
 from slmforge.audio import mfcc
-from slmforge.errors import ConfigError
-from slmforge.nn import load_checkpoint, save_checkpoint
+from slmforge.errors import ConfigError, GraphError
+from slmforge.nn import load_checkpoint, save_checkpoint, trunc_normal
 from slmforge.pretrain import (
     PretrainConfig,
     SpeechEncoder,
@@ -22,6 +22,7 @@ from slmforge.pretrain import (
     refresh_targets,
     span_mask,
 )
+from slmforge.tensor import Tensor
 
 TOY_CFG = SpeechEncoderConfig(input_dim=8, dim=16, n_layers=2, n_heads=2)
 
@@ -199,6 +200,93 @@ def test_encoder_hidden_state_shapes():
     assert enc.logits(states).data.shape == (t_out, 6)
 
 
+def _reference_conv1d(x, weight, bias, stride=1):
+    """The encoder front end's op before it became a Linear over frame pairs:
+    valid 1-D convolution of x (T, C_in) with weight (C_out, C_in, k) and
+    bias (C_out,), giving (1 + (T - k) // stride, C_out)."""
+    t_in, c_in = x.data.shape
+    c_out, c_in_w, k = weight.data.shape
+    if c_in != c_in_w:
+        raise GraphError(
+            f"conv1d channel mismatch: input {x.data.shape} vs weight {weight.data.shape}"
+        )
+    if t_in < k:
+        raise GraphError(f"conv1d input of {t_in} frames shorter than kernel {k}")
+    t_out = 1 + (t_in - k) // stride
+    idx = np.arange(k)[None, :] + stride * np.arange(t_out)[:, None]
+    patches = x.data[idx]  # (T', k, C_in)
+    out = np.einsum("tkc,ock->to", patches, weight.data) + bias.data
+
+    def backward(grad):
+        if weight.requires_grad:
+            T._accumulate(weight, np.einsum("to,tkc->ock", grad, patches))
+        if bias.requires_grad:
+            T._accumulate(bias, grad.sum(axis=0))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for j in range(k):
+                gx[j : j + (t_out - 1) * stride + 1 : stride] += grad @ weight.data[:, :, j]
+            T._accumulate(x, gx)
+
+    return T._make(out, (x, weight, bias), backward, "conv1d")
+
+
+def _relaid(kernel):
+    """A (dim, input_dim, 2) kernel as the (2 * input_dim, dim) weight of the
+    front end's Linear over stacked frame pairs."""
+    dim, input_dim, _ = kernel.shape
+    return kernel.transpose(2, 1, 0).reshape(2 * input_dim, dim)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("t", [2, 3, 9, 150])
+def test_front_end_equals_the_stride_2_convolution_with_the_relaid_kernel(t):
+    rng = np.random.default_rng(t)
+    enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=t)
+    kernel = rng.standard_normal((TOY_CFG.dim, TOY_CFG.input_dim, 2))
+    bias = rng.standard_normal(TOY_CFG.dim)
+    enc.conv.weight.data = _relaid(kernel)
+    enc.conv.bias.data = bias.copy()
+    feats = rng.standard_normal((t, TOY_CFG.input_dim))
+    cotangent = Tensor(rng.standard_normal((t // 2, TOY_CFG.dim)))
+
+    got = enc.forward(feats)[0]
+    T.tsum(got * cotangent).backward()
+    ref_w, ref_b = Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)
+    want = T.gelu(_reference_conv1d(Tensor(feats), ref_w, ref_b, stride=2))
+    T.tsum(want * cotangent).backward()
+
+    assert got.data.shape == want.data.shape == (t // 2, TOY_CFG.dim)
+    assert _rel_err(got.data, want.data) < 1e-12
+    assert _rel_err(enc.conv.weight.grad, _relaid(ref_w.grad)) < 1e-12
+    assert _rel_err(enc.conv.bias.grad, ref_b.grad) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_front_end_init_is_the_seeds_convolution_kernel_relaid(seed):
+    enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=seed)
+    rng = np.random.default_rng(seed)
+    kernel = trunc_normal(rng, (TOY_CFG.dim, TOY_CFG.input_dim, 2))
+    assert enc.conv.weight.data.tobytes() == _relaid(kernel).tobytes()
+    assert enc.conv.bias.data.tobytes() == np.zeros(TOY_CFG.dim).tobytes()
+    # the draws after the front end's are unchanged too
+    assert enc.mask_embed.data.tobytes() == trunc_normal(rng, (TOY_CFG.dim,)).tobytes()
+
+
+@pytest.mark.parametrize("shape, cause", [
+    ((0, 8), "at least 2 input frames, got 0"),
+    ((1, 8), "at least 2 input frames, got 1"),
+    ((6, 7), "matmul shape mismatch"),
+])
+def test_encoder_rejects_too_few_frames_or_the_wrong_width(shape, cause):
+    enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=0)
+    with pytest.raises(GraphError, match=cause):
+        enc.forward(np.zeros(shape))
+
+
 def test_masked_loss_uniform_head_is_log_k():
     enc = SpeechEncoder(TOY_CFG, n_classes=5, seed=0)
     # zero head makes logits uniform regardless of the encoder body
@@ -252,11 +340,10 @@ def test_masked_loss_invariant_to_unmasked_labels_and_masked_features():
     assert loss2 == base_loss
     assert np.array_equal(base_grads, grads2)
 
-    # perturb features inside conv patches feeding masked output frames only
+    # perturb the frame pairs 2j, 2j+1 feeding masked output frames only
     feats3 = feats.copy()
-    stride, kernel = TOY_CFG.conv_stride, TOY_CFG.conv_kernel
     for j in np.flatnonzero(mask):
-        feats3[j * stride : j * stride + kernel] += rng.standard_normal((kernel, 8))
+        feats3[2 * j : 2 * j + 2] += rng.standard_normal((2, 8))
     loss3, grads3 = run(feats3, labels)
     assert loss3 == base_loss
     assert np.array_equal(base_grads, grads3)
@@ -274,23 +361,6 @@ def test_masked_loss_all_false_mask_is_zero():
 
 # ---------------------------------------------------------------------------
 # Target refresh
-
-
-def test_refresh_layer0_identity_conv_reproduces_input_labels():
-    cfg = SpeechEncoderConfig(input_dim=6, dim=6, n_layers=1, n_heads=1,
-                              conv_kernel=1, conv_stride=1, conv_activation="none")
-    enc = SpeechEncoder(cfg, n_classes=4, seed=0)
-    enc.conv.weight.data[:] = np.eye(6)[:, :, None]
-    enc.conv.bias.data[:] = 0.0
-
-    rng = np.random.default_rng(7)
-    dataset = [rng.standard_normal((15, 6)) for _ in range(3)]
-    book, labels = refresh_targets(enc, dataset,
-                                   target_layer=0, k=4, seed=9)
-
-    direct = kmeans_fit(np.concatenate(dataset), 4, seed=9)
-    for data, lab in zip(dataset, labels):
-        assert np.array_equal(lab, reference_assign_labels(direct.centroids, data))
 
 
 @pytest.mark.parametrize("target_layer", [0, 1, 2])
@@ -339,9 +409,8 @@ def test_refresh_rejects_empty_dataset_and_bad_layer():
 
 def test_downsample_labels_uses_patch_start():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=0)
-    labels = np.arange(20)
-    down = downsample_labels(labels, enc)
-    assert np.array_equal(down, np.arange(0, 20, 2)[: enc.output_len(20)])
+    for n in (20, 21):  # an odd last frame has no output frame
+        assert np.array_equal(downsample_labels(np.arange(n), enc), np.arange(0, 20, 2))
 
 
 # ---------------------------------------------------------------------------

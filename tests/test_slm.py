@@ -1,5 +1,7 @@
 """Fusion model: instruction data, aligner, splicing, generation, parsing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,9 +100,8 @@ def test_transcribe_mode_renders_final_line_by_hand():
     expected = ("<|user|><|audio|> Transcribe the audio.<|assistant|>"
                 "FINAL: waaw<|end|>")
     assert ex.text == expected
-    masked_text = tok.decode(
-        [i for i, m in zip(tok.encode(ex.text), ex.loss_mask) if m]
-    )
+    ids = tok.encode(ex.text)
+    masked_text = tok.decode([i for i, m in zip(ids, completion_mask(ids, tok)) if m])
     assert masked_text == "FINAL: waaw<|end|>"
 
 
@@ -167,6 +168,21 @@ def test_dataset_file_round_trip(tmp_path):
     assert [ex.text for ex in back] == [ex.text for ex in examples]
     assert tok2.symbols == tok.symbols
     assert header["modes"] == ["transcribe", "translate"]
+
+
+def test_rows_that_still_hold_a_loss_mask_read_as_rows_without_one(tmp_path):
+    # SFT rows stored their completion mask before train_aligner derived it
+    examples, tok, _ = build_instruction_dataset([_record()], ["transcribe", "translate"])
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    write_instruction_dataset(new, examples, tok, {"modes": ["transcribe", "translate"]})
+    header, *rows = [json.loads(line) for line in new.read_text().splitlines()]
+    for row in rows:
+        row["loss_mask"] = completion_mask(tok.encode(row["text"]), tok)
+    old.write_text("".join(json.dumps(d) + "\n" for d in [header, *rows]))
+    back_new, tok_new, header_new = read_instruction_dataset(new)
+    back_old, tok_old, header_old = read_instruction_dataset(old)
+    assert back_old == back_new == examples
+    assert tok_old.symbols == tok_new.symbols and header_old == header_new
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +301,8 @@ def test_fused_sequence_length_arithmetic():
 def test_fusion_loss_trains_only_aligner():
     lm, aligner, tok, examples, speech = _fusion_setup()
     enc_before = {n: p.data.copy() for n, p in lm.named_parameters()}
-    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text),
-                       examples[0].loss_mask, tok)
+    ids = tok.encode(examples[0].text)
+    loss = fusion_loss(lm, aligner, speech, ids, completion_mask(ids, tok), tok)
     loss.backward()
     for name, p in lm.named_parameters():
         assert p.grad is None
@@ -297,7 +313,7 @@ def test_fusion_loss_trains_only_aligner():
 def test_fusion_loss_bit_invariant_to_masked_out_targets():
     lm, aligner, tok, examples, speech = _fusion_setup(seed=3)
     ids = tok.encode(examples[0].text)
-    mask = examples[0].loss_mask
+    mask = completion_mask(ids, tok)
 
     def run(targets):
         aligner.zero_grad()
@@ -335,8 +351,8 @@ def test_fusion_loss_on_example_runs_through_encoder():
     aligner = SpeechAligner(2 * 16, 16, hidden=8, seed=2)
     feats = np.random.default_rng(3).standard_normal((20, 8))
     speech = extract_multilayer_features(enc, feats)
-    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text),
-                       examples[0].loss_mask, tok)
+    ids = tok.encode(examples[0].text)
+    loss = fusion_loss(lm, aligner, speech, ids, completion_mask(ids, tok), tok)
     assert np.isfinite(loss.item())
 
 

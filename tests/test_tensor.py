@@ -145,7 +145,7 @@ def test_backward_requires_scalar():
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "matmul", "transpose", "reshape", "concat_last_dim",
     "softmax", "log_softmax", "relu", "gelu", "layer_norm",
-    "embedding_lookup", "conv1d", "cross_entropy",
+    "embedding_lookup", "cross_entropy",
 ])
 def test_op_gradients_match_finite_differences(op_name):
     """Every layer op: analytic vs central differences, seeded trials."""
@@ -193,10 +193,6 @@ def test_op_gradients_match_finite_differences(op_name):
             ids = rng.integers(0, 5, size=7)
             worst = max(worst, check_grad_against_fd(
                 lambda t: T.embedding_lookup(t, ids), [rand(rng, 5, 4)], seed=trial))
-        elif op_name == "conv1d":
-            worst = max(worst, check_grad_against_fd(
-                lambda x, w, b: T.conv1d(x, w, b, stride=2),
-                [rand(rng, 9, 3), rand(rng, 4, 3, 2), rand(rng, 4)], seed=trial))
         elif op_name == "cross_entropy":
             targets = rng.integers(0, 5, size=6)
             mask = (rng.random(6) < 0.7).astype(np.float64)
@@ -497,6 +493,29 @@ def test_model_loaders_reject_a_bad_config_naming_its_key(tmp_path, kind, blob):
     assert str(path) in str(info.value)
 
 
+# entry -> (its config dataclass, the fields it held before the encoder front
+# end became a Linear over frame pairs)
+OLD_FIELDS = {
+    "encoder_cfg": ("SpeechEncoderConfig", {"conv_activation": "gelu", "conv_kernel": 2,
+                                            "conv_stride": 2, "ff_mult": 4}),
+    "lm_cfg": ("CausalLMConfig", {"ff_mult": 4}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_a_model_config_with_removed_fields_names_file_entry_and_keys(tmp_path, kind):
+    cls, _, entry, _ = MODELS[kind]
+    owner, old = OLD_FIELDS[entry]
+    path = tmp_path / f"{kind}.ckpt"
+    _save(kind, path)
+    _resave(path, lambda arrays, meta: meta.update(
+        {entry: json.dumps({**json.loads(meta[entry]), **old})}))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(path, cls)
+    keys = ", ".join(map(repr, sorted(old)))
+    assert str(info.value) == f"{path}: bad value for {entry!r}: unknown key(s) {keys} for {owner}"
+
+
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_a_missing_or_misshapen_tensor_names_the_file(tmp_path, kind):
     cls = MODELS[kind][0]
@@ -587,7 +606,7 @@ def test_seeded_init_reproducible_training_trajectory():
 
 def test_transformer_layer_gradients_flow():
     rng = np.random.default_rng(13)
-    layer = TransformerLayer(8, 2, 2, causal=True, rng=rng)
+    layer = TransformerLayer(8, 2, causal=True, rng=rng)
     x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
     loss = T.tsum(layer(x))
     loss.backward()
