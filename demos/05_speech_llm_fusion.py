@@ -59,7 +59,7 @@ print(f"rendered example: {examples[0].text!r}")
 
 lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,
                              n_heads=2), seed=11)
-corpus = lm_stand_in_sequences(examples, tok, lambda aid: feats[aid].shape[0])
+corpus = lm_stand_in_sequences(examples, tok, feats)
 hist = train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)
 print(f"LM pretraining loss: {hist[0][1]:.2f} -> {hist[-1][1]:.2f}; freezing the LM")
 lm.freeze()

@@ -9,18 +9,21 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 key sets one dataclass field, whose default applies when the key is absent.
 Any other key, or a value whose JSON type does not fit the field, is an
 error naming the file, key and field (``config.config_fields``). The audio
-front end is fixed (``audio.log_mel``, a plain (T, n_mels) array per
-utterance); its mel count is the encoder's input width, which ``pretrain``
-takes from the ``n_mels`` key and every later subcommand from the checkpoint
-holding the encoder. Every checkpoint is written by ``nn.save_checkpoint``
-and read by ``nn.load_checkpoint``; the encoder that ``pretrain --init``
-loads must have exactly the model config and class count (``k``) the config
-resolves to. ``train-aligner`` stores the encoder it was given in the fusion
-checkpoint, which ``infer`` runs; an ``infer --encoder`` file must hold that
-same encoder. The training subcommands take their seed from ``--seed``, else
-SLMFORGE_SEED, else 0. Every artifact-producing subcommand embeds the fully
-resolved config and its hash in the output, so identical config + seed
-reproduce outputs byte-for-byte.
+front end is fixed: ``_encoder_input`` resamples audio to the encoder's
+sample rate and standardizes its ``audio.log_mel``, a plain (T, n_mels)
+array per utterance. The encoder's record holds both numbers: ``pretrain``
+takes the mel count from the ``n_mels`` key and the rate from the manifest,
+whose records must share one, and every later subcommand takes both from
+the checkpoint holding the encoder. Every checkpoint is written by
+``nn.save_checkpoint`` and read by ``nn.load_checkpoint``; the encoder that
+``pretrain --init`` loads must have exactly the model config and class count
+(``k``) the config and manifest resolve to. ``train-aligner`` stores the
+encoder it was given in the fusion checkpoint, which ``infer`` runs; an
+``infer --encoder`` file must hold that same encoder. The training
+subcommands take their seed from ``--seed``, else SLMFORGE_SEED, else 0.
+Every artifact-producing subcommand embeds the fully resolved config and its
+hash in the output, so identical config + seed reproduce outputs
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import __version__
-from .audio import analysis_frame, log_mel, read_wav, resample, standardize
+from .audio import log_mel, read_wav, resample, standardize
 from .config import config_fields, config_hash
 from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
@@ -125,16 +128,31 @@ def _resolved_metadata(seed: int, *configs) -> dict:
             "config_hash": config_hash(resolved)}
 
 
-def _records_with_audio(manifest: Manifest, n_mels: int):
-    """Yield (record, standardized (T, ``n_mels``) log-mel array) per manifest
-    record."""
-    cache = {}
+def _encoder_input(buf, cfg: SpeechEncoderConfig, span=None):
+    """The encoder's input from audio, a standardized (T, ``input_dim``)
+    log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` and cut
+    to ``span`` (start_s, end_s), or without a span to its speech extent, so
+    that a decoded file matches the curated segments models trained on."""
+    buf = resample(buf, cfg.sample_rate)
+    buf = trim_to_speech(buf) if span is None else buf.slice_seconds(*span)
+    return standardize(log_mel(buf, cfg.input_dim))
+
+
+def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
+    """Yield (record, encoder input) per record of manifest ``path``; a record
+    whose span gives the encoder no output frame is a ConfigError naming the
+    manifest and the record."""
+    wavs = {}
     for rec in manifest.records:
-        if rec.source_path not in cache:
-            cache[rec.source_path] = read_wav(rec.source_path)
-        buf = resample(cache[rec.source_path], rec.sample_rate)
-        seg = buf.slice_seconds(rec.offset_s, rec.offset_s + rec.duration_s)
-        yield rec, standardize(log_mel(seg, n_mels))
+        if rec.source_path not in wavs:
+            wavs[rec.source_path] = read_wav(rec.source_path)
+        features = _encoder_input(wavs[rec.source_path], cfg,
+                                  (rec.offset_s, rec.offset_s + rec.duration_s))
+        if not SpeechEncoder.output_len(len(features)):
+            raise ConfigError(f"manifest {path}: record {rec.id!r} gives {len(features)} "
+                              f"log-mel frames at {cfg.sample_rate} Hz; the encoder needs "
+                              "at least 2")
+        yield rec, features
 
 
 def _normalization_rules(args):
@@ -145,21 +163,18 @@ def _normalization_rules(args):
     return asr_mod.builtin_rules(args.language or "en")
 
 
-def _check_sample_rate(sample_rate: int) -> None:
-    """Reject a ``--sample-rate`` the analysis frame cannot use, before any
-    file is opened."""
-    try:
-        analysis_frame(sample_rate)
-    except ConfigError as exc:
-        raise ConfigError(f"--sample-rate: {exc}") from None
-
-
-def _wav_features(path, sample_rate: int, n_mels: int):
-    """Standardized (T, ``n_mels``) log-mel array of one WAV trimmed to its
-    speech extent, so decode-time features match the curated segments models
-    were trained on."""
-    buf = trim_to_speech(resample(read_wav(path), sample_rate))
-    return standardize(log_mel(buf, n_mels))
+def _choices(flag: str, value: str, choices) -> list:
+    """The names that ``value``, the comma-separated list given to ``flag``,
+    holds. None, or one not in ``choices``, is a ConfigError naming the flag
+    and listing the choices; the flag's name less its final "s" names one."""
+    names = [name.strip() for name in value.split(",") if name.strip()]
+    noun, listed = flag[2:-1], ", ".join(choices)
+    if not names:
+        raise ConfigError(f"{flag} names no {noun}; choose from {listed}")
+    unknown = [name for name in names if name not in choices]
+    if unknown:
+        raise ConfigError(f"{flag}: unknown {noun}s: {unknown}; choose from {listed}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +196,20 @@ def cmd_curate(args) -> int:
 def cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
     given = _config_fields(args)
-    encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
     train_cfg = PretrainConfig(**given[PretrainConfig])
+    manifest = Manifest.read(args.manifest)
+    if not manifest.records:
+        raise ConfigError(f"manifest {args.manifest} has no records")
+    rate = manifest.records[0].sample_rate
+    other = next((rec for rec in manifest.records if rec.sample_rate != rate), None)
+    if other is not None:
+        raise ConfigError(f"manifest {args.manifest}: record {other.id!r} is at "
+                          f"{other.sample_rate} Hz, record {manifest.records[0].id!r} at "
+                          f"{rate} Hz; an encoder is trained at one sample rate")
+    try:
+        encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig], sample_rate=rate)
+    except ConfigError as exc:
+        raise ConfigError(f"manifest {args.manifest}: {exc}") from None
     if encoder_cfg.input_dim < train_cfg.n_mfcc:
         raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
                           f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
@@ -193,13 +220,11 @@ def cmd_pretrain(args) -> int:
         loaded = {**asdict(encoder.cfg), "n_classes": encoder.n_classes}
         for name, want in {**asdict(encoder_cfg), "n_classes": train_cfg.k}.items():
             if loaded[name] != want:
+                source = f"manifest {args.manifest}'s" if name == "sample_rate" else "config's"
                 raise ConfigError(f"{args.init}: encoder {name} {loaded[name]!r} differs "
-                                  f"from the config's {want!r}")
-    manifest = Manifest.read(args.manifest)
-    if not manifest.records:
-        raise ConfigError(f"manifest {args.manifest} has no records")
+                                  f"from the {source} {want!r}")
     dataset = [features for _, features in
-               _records_with_audio(manifest, encoder_cfg.input_dim)]
+               _records_with_audio(args.manifest, manifest, encoder_cfg)]
 
     encoder, history = continued_pretrain(dataset, train_cfg, encoder, seed=seed)
     save_checkpoint(encoder, args.out, _resolved_metadata(seed, encoder_cfg, train_cfg))
@@ -216,7 +241,7 @@ def cmd_finetune_asr(args) -> int:
 
     rules = _normalization_rules(args)
     train, heldout, train_ids = [], [], []
-    for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
+    for rec, features in _records_with_audio(args.manifest, manifest, encoder.cfg):
         if not rec.transcript:
             continue
         text = asr_mod.normalize_text(rec.transcript, rules)
@@ -248,21 +273,14 @@ def cmd_finetune_asr(args) -> int:
 
 
 def cmd_transcribe(args) -> int:
-    _check_sample_rate(args.sample_rate)
     model = load_checkpoint(args.ckpt, asr_mod.CtcModel)
-    features = _wav_features(args.wav, args.sample_rate, model.encoder.cfg.input_dim)
+    features = _encoder_input(read_wav(args.wav), model.encoder.cfg)
     print(model.transcribe(features, beam_width=args.beam))
     return 0
 
 
 def cmd_build_sft(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    choices = ", ".join(slm_mod.MODES)
-    if not modes:
-        raise ConfigError(f"--modes names no mode; choose from {choices}")
-    unknown = [m for m in modes if m not in slm_mod.MODES]
-    if unknown:
-        raise ConfigError(f"--modes: unknown modes: {unknown}; choose from {choices}")
+    modes = _choices("--modes", args.modes, slm_mod.MODES)
     manifest = Manifest.read(args.manifest)
     examples, tokenizer, skipped = slm_mod.build_instruction_dataset(
         manifest.records, modes
@@ -287,7 +305,7 @@ def cmd_train_aligner(args) -> int:
     manifest = Manifest.read(args.manifest)
 
     feature_cache = {}
-    for rec, features in _records_with_audio(manifest, encoder.cfg.input_dim):
+    for rec, features in _records_with_audio(args.manifest, manifest, encoder.cfg):
         feature_cache[rec.id] = slm_mod.extract_multilayer_features(encoder, features)
     pairs = []
     for ex in examples:
@@ -299,14 +317,12 @@ def cmd_train_aligner(args) -> int:
                                     **given[slm_mod.CausalLMConfig])
     lm = slm_mod.CausalLM(lm_cfg, seed=seed)
     if fusion_cfg.lm_steps:
-        corpus = slm_mod.lm_stand_in_sequences(
-            examples, tokenizer, lambda aid: feature_cache[aid].shape[0]
-        )
+        corpus = slm_mod.lm_stand_in_sequences(examples, tokenizer, feature_cache)
         slm_mod.train_lm(lm, corpus, steps=fusion_cfg.lm_steps,
                          lr=fusion_cfg.lm_lr, seed=seed)
     lm.freeze()
 
-    aligner = slm_mod.SpeechAligner(encoder.cfg.dim * encoder.cfg.n_layers, lm_cfg.dim,
+    aligner = slm_mod.SpeechAligner(slm_mod.speech_feature_dim(encoder), lm_cfg.dim,
                                     hidden=fusion_cfg.aligner_hidden, seed=seed + 1)
     history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg, seed=seed)
     save_checkpoint(slm_mod.FusionModel(encoder, lm, aligner, tokenizer), args.out,
@@ -317,7 +333,6 @@ def cmd_train_aligner(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _check_sample_rate(args.sample_rate)
     if args.max_tokens < 1:
         raise ConfigError(f"--max-tokens must be at least 1, got {args.max_tokens}")
     if args.cot in (None, "", "none"):
@@ -334,7 +349,7 @@ def cmd_infer(args) -> int:
         if checkpoint_bytes(given.state_arrays(), given.record()) != checkpoint_bytes(
                 fusion.encoder.state_arrays(), fusion.encoder.record()):
             raise ConfigError(f"{args.encoder} is not the encoder in {args.fusion}")
-    features = _wav_features(args.wav, args.sample_rate, fusion.encoder.cfg.input_dim)
+    features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg)
     speech = slm_mod.extract_multilayer_features(fusion.encoder, features)
     result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)
@@ -357,12 +372,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not metrics:
-        raise ConfigError("--metrics names no metric; choose from wer, cer, chrf")
-    unknown = [m for m in metrics if m not in ("wer", "cer", "chrf")]
-    if unknown:
-        raise ConfigError(f"--metrics: unknown metrics: {unknown}")
+    metrics = _choices("--metrics", args.metrics, ("wer", "cer", "chrf"))
     refs = read_text(args.refs).splitlines()
     hyps = read_text(args.hyps).splitlines()
     if len(refs) != len(hyps):
@@ -467,7 +477,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--sample-rate", type=int, default=16000)
     p.set_defaults(func=cmd_transcribe)
 
     p = sub.add_parser("build-sft", help="render chain-of-thought instruction data")
@@ -492,7 +501,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cot", default="none",
                    help="CoT step before the task: none|phonemize|translate|transcribe|paraphrase")
     p.add_argument("--max-tokens", type=int, default=200)
-    p.add_argument("--sample-rate", type=int, default=16000)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score hypothesis lines against references")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .audio import HOP_MS, mfcc
+from .audio import HOP_MS, analysis_frame, mfcc
 from .config import read_config
 from .errors import ConfigError, GraphError
 from .fileio import parse_field
@@ -138,6 +138,15 @@ class SpeechEncoderConfig:
     dim: int = 32
     n_layers: int = 2
     n_heads: int = 2
+    # the rate the log-mel inputs are computed at; ``pretrain`` takes it from
+    # the manifest, and checkpoints without it were trained at 16 kHz
+    sample_rate: int = 16000
+
+    def __post_init__(self):
+        try:
+            analysis_frame(self.sample_rate)
+        except ConfigError as exc:
+            raise ConfigError(f"'sample_rate': {exc}") from None
 
 
 class SpeechEncoder(Module):

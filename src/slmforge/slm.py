@@ -192,17 +192,17 @@ def rule_table_phonemizer(table: dict):
 def build_instruction_dataset(records, modes, phonemizer=None):
     """Render one InstructionExample per record x mode.
 
-    Records missing a field a mode requires are skipped with a logged
-    reason, never fatally. Returns (examples, tokenizer, skipped); the
-    tokenizer is built from the rendered texts. The paraphrase step (and the
-    phonemize step without a ``phonemizer``) restates the transcript as it is.
+    A record x mode is skipped with a logged reason, never fatally, when a
+    field the mode needs is missing or holds a chat marker, which the
+    tokenizer would read as the marker. Returns (examples, tokenizer,
+    skipped); the tokenizer is built from the rendered texts and encodes
+    each, since the template puts ``": "`` before a field and a newline or
+    the end marker after it, so no marker forms across a boundary. The
+    paraphrase step (and the phonemize step without a ``phonemizer``)
+    restates the transcript as it is.
     """
 
-    def step_text(name, rec):
-        text = getattr(rec, _STEP_FIELDS[name])
-        return phonemizer(text) if name == "phonemize" and phonemizer else text
-
-    rendered = []
+    examples = []
     skipped = []
     for rec in records:
         for mode in modes:
@@ -212,24 +212,23 @@ def build_instruction_dataset(records, modes, phonemizer=None):
             needed = {final_field} | {_STEP_FIELDS[name] for name in step_names}
             missing = [name for name in sorted(needed) if not getattr(rec, name)]
             if missing:
-                skipped.append((rec.id, mode, f"missing {missing[0]}"))
-                log.info("skipping %s/%s: missing %s", rec.id, mode, missing[0])
+                reason = f"missing {missing[0]}"
+            else:
+                steps = [(name, getattr(rec, _STEP_FIELDS[name])) for name in step_names]
+                if phonemizer:
+                    steps = [(name, phonemizer(text) if name == "phonemize" else text)
+                             for name, text in steps]
+                final = getattr(rec, final_field)
+                texts = [text for _, text in steps] + [final]
+                held = [m for m in ChatTemplate.specials if any(m in t for t in texts)]
+                reason = f"holds chat marker {held[0]!r}" if held else None
+            if reason:
+                skipped.append((rec.id, mode, reason))
+                log.info("skipping %s/%s: %s", rec.id, mode, reason)
                 continue
-            steps = [(name, step_text(name, rec)) for name in step_names]
-            final = getattr(rec, final_field)
-            text = render_chat(instruction, steps, final)
-            rendered.append((rec.id, mode, text, final))
-
-    tokenizer = CharTokenizer.from_texts([text for _, _, text, _ in rendered])
-    examples = []
-    for audio_id, mode, text, final in rendered:
-        try:
-            tokenizer.encode(text)
-        except ConfigError as exc:
-            skipped.append((audio_id, mode, str(exc)))
-            log.info("skipping %s/%s: %s", audio_id, mode, exc)
-            continue
-        examples.append(InstructionExample(audio_id, mode, text, final))
+            examples.append(InstructionExample(
+                rec.id, mode, render_chat(instruction, steps, final), final))
+    tokenizer = CharTokenizer.from_texts([ex.text for ex in examples])
     return examples, tokenizer, skipped
 
 
@@ -294,18 +293,19 @@ class CausalLM(Module):
         return self.forward_embeddings(self.embed(ids))
 
 
-def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, t_prime_lookup) -> list:
+def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, speech) -> list:
     """Text-only pretraining corpus for the toy stand-in LM.
 
     Each example's audio placeholder is replaced by its final-answer tokens
     tiled to that audio's frame count, so the sequence geometry matches the
     fused one and the LM learns to read the block the aligner later fills.
-    ``t_prime_lookup`` maps an example's audio_id to its frame count.
+    ``speech`` maps an example's audio_id to its speech features, one row
+    per frame.
     """
     audio_id = tokenizer.token_id(ChatTemplate.audio_marker)
     seqs = []
     for ex in examples:
-        t_prime = int(t_prime_lookup(ex.audio_id))
+        t_prime = len(speech[ex.audio_id])
         fill = tokenizer.encode(ex.final) or [audio_id]
         tiled = (fill * (t_prime // len(fill) + 1))[:t_prime]
         ids = tokenizer.encode(ex.text)
@@ -365,6 +365,12 @@ def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) ->
     with T.no_grad():
         states = encoder.forward(np.asarray(features, dtype=np.float64), mask=None)
     return np.concatenate([state.data for state in states[1:]], axis=1)
+
+
+def speech_feature_dim(encoder: SpeechEncoder) -> int:
+    """Width of an ``extract_multilayer_features`` row, the aligner's input:
+    ``dim`` per transformer layer."""
+    return encoder.cfg.dim * encoder.cfg.n_layers
 
 
 def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int):
@@ -499,7 +505,7 @@ class FusionModel(Module):
         encoder = SpeechEncoder.from_record(path, meta)
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
                                   lambda blob: read_config(CausalLMConfig, json.loads(blob))))
-        aligner = SpeechAligner(encoder.cfg.dim * encoder.cfg.n_layers, lm.cfg.dim,
+        aligner = SpeechAligner(speech_feature_dim(encoder), lm.cfg.dim,
                                 hidden=parse_field(path, meta, "aligner_hidden", int))
         tokenizer = parse_field(path, meta, "charset", CharTokenizer)
         if tokenizer.vocab_size != lm.cfg.vocab_size:

@@ -8,9 +8,9 @@ from .audio import AudioBuffer
 
 
 def sine(freq_hz: float, duration_s: float, sample_rate: int = 16000,
-         amplitude: float = 0.5, phase: float = 0.0) -> AudioBuffer:
+         amplitude: float = 0.5) -> AudioBuffer:
     t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
-    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq_hz * t + phase), sample_rate)
+    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq_hz * t), sample_rate)
 
 
 def silence(duration_s: float, sample_rate: int = 16000) -> AudioBuffer:

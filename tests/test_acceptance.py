@@ -420,8 +420,7 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
     examples, tok, _ = build_instruction_dataset(records, ["transcribe"])
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,
                                  n_heads=2), seed=11)
-    corpus = lm_stand_in_sequences(examples, tok,
-                                   lambda aid: feats[aid].shape[0])
+    corpus = lm_stand_in_sequences(examples, tok, feats)
     train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)
     lm.freeze()
 

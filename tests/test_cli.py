@@ -1,6 +1,8 @@
 """CLI surface: exit codes, subcommand wiring, reproducibility."""
 
 import argparse
+import ast
+import inspect
 import json
 import re
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 from conftest import cli_env
 
-from slmforge.audio import write_wav
+from slmforge import cli
+from slmforge.audio import log_mel, write_wav
 from slmforge.asr import CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
@@ -129,31 +132,31 @@ def test_curate_at_rates_whose_frame_exceeds_512_samples(tmp_path, rate):
     assert records and all(r.sample_rate == rate for r in records)
 
 
-def test_transcribe_at_22050_hz(tmp_path, capsys):
+def _log_mel_rates(monkeypatch):
+    """The sample rates of the buffers the CLI's ``log_mel`` is given, as a
+    list that fills while the test runs."""
+    rates = []
+
+    def spy(buf, n_mels):
+        rates.append(buf.sample_rate)
+        return log_mel(buf, n_mels)
+
+    monkeypatch.setattr("slmforge.cli.log_mel", spy)
+    return rates
+
+
+def test_transcribe_at_22050_hz(tmp_path, monkeypatch):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
-    encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
+    encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1, sample_rate=22050), 3)
     save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt, {})
     _speechy(wav, bursts=3)
-    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
-                 "--sample-rate", "22050"]) == 0
+    rates = _log_mel_rates(monkeypatch)
+    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav)]) == 0
+    assert rates == [22050]
 
 
 def _no_read(path, *args):
     raise AssertionError(f"read {path}")
-
-
-@pytest.mark.parametrize("rate", ["40", "0"])
-@pytest.mark.parametrize("argv", [
-    ["transcribe", "--ckpt", "asr.ckpt", "--wav", "in.wav"],
-    ["infer", "--fusion", "fusion.ckpt", "--encoder", "enc.ckpt", "--wav", "in.wav",
-     "--task", "transcribe"],
-], ids=["transcribe", "infer"])
-def test_unusable_sample_rate_exits_2_naming_the_flag_before_opening_a_file(
-        monkeypatch, capsys, argv, rate):
-    monkeypatch.setattr("slmforge.cli.load_checkpoint", _no_read)
-    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
-    assert main([*argv, "--sample-rate", rate]) == 2
-    assert f"--sample-rate: sample rate {rate} Hz is too low" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tokens", ["0", "-3"])
@@ -414,6 +417,13 @@ def test_an_encoder_written_while_its_front_end_was_a_convolution_exits_2(tmp_pa
         "'conv_activation', 'conv_kernel', 'conv_stride', 'ff_mult' for SpeechEncoderConfig\n")
 
 
+def test_an_encoder_written_before_it_held_a_sample_rate_loads_at_16_khz(tmp_path):
+    enc = tmp_path / "enc.ckpt"
+    _encoder_checkpoint(enc, lambda meta: meta.update(encoder_cfg=json.dumps(
+        {k: v for k, v in json.loads(meta["encoder_cfg"]).items() if k != "sample_rate"})))
+    assert load_checkpoint(enc, SpeechEncoder).cfg.sample_rate == 16000
+
+
 @pytest.mark.parametrize("beam", ["0", "-1"])
 def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
@@ -545,6 +555,9 @@ def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
     ["curate", "--deterministic", "--out", "m.jsonl", "in.wav"],
     ["pretrain", "--jobs", "2", "--manifest", "m.jsonl", "--out", "enc.ckpt"],
     ["curate", "--sample-rate", "8000", "--out", "m.jsonl", "in.wav"],
+    ["transcribe", "--ckpt", "asr.ckpt", "--wav", "in.wav", "--sample-rate", "16000"],
+    ["infer", "--fusion", "fusion.ckpt", "--wav", "in.wav", "--task", "transcribe",
+     "--sample-rate", "16000"],
 ])
 def test_dropped_flag_is_usage_error(argv):
     assert main(argv) == 1
@@ -970,3 +983,162 @@ def test_finetune_asr_vocab_missing_a_transcript_symbol_names_the_file_and_recor
     assert (f"a.vocab: symbol 'b' not in vocab, in the transcript of record {first!r}"
             in err)
     assert not Path("v.ckpt").exists()
+
+
+@pytest.mark.parametrize("metrics", ["", "wer,bleu"])
+def test_eval_metrics_error_lists_the_metrics(monkeypatch, capsys, metrics):
+    monkeypatch.setattr("slmforge.cli.read_text", _no_read)
+    assert main(["eval", "--refs", "refs.txt", "--hyps", "hyps.txt",
+                 "--metrics", metrics]) == 2
+    assert "; choose from wer, cer, chrf" in capsys.readouterr().err
+
+
+def _args_read(fn, seen):
+    """The names ``fn`` reads as ``args.<name>``, with those of every ``cli``
+    function it passes ``args`` to."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            helper = getattr(cli, node.func.id, None)
+            if inspect.getmodule(helper) is cli and helper not in seen:
+                seen.add(helper)
+                names |= _args_read(helper, seen)
+    return names
+
+
+def test_no_subcommand_takes_a_flag_it_ignores():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        unread = dests - _args_read(parser.get_default("func"), set())
+        assert not unread, f"{command} never reads {sorted(unread)}"
+
+
+def _with_rates(manifest, path, rates):
+    """A copy of ``manifest``'s first record at ``path``, one record per rate."""
+    header, row = manifest.read_text().splitlines()[:2]
+    rows = [{**json.loads(row), "id": f"r{i}", "sample_rate": rate}
+            for i, rate in enumerate(rates)]
+    Path(path).write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
+
+
+@pytest.mark.parametrize("rate", [40, 0])
+def test_pretrain_on_a_manifest_at_an_unusable_rate_names_it_and_the_key_before_reading(
+        tmp_path, monkeypatch, capsys, manifest, rate):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    _with_rates(manifest, "low.jsonl", [rate])
+    assert main(["pretrain", "--manifest", "low.jsonl", "--out", "enc.ckpt"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"slmforge pretrain: manifest low.jsonl: 'sample_rate': sample rate {rate} Hz is "
+        "too low")
+
+
+@pytest.mark.parametrize("rate", [40, 0])
+@pytest.mark.parametrize("kind", ["asr", "fusion"])
+def test_a_checkpoint_whose_encoder_rate_is_unusable_names_it_and_the_key(
+        trained, tmp_path, monkeypatch, capsys, kind, rate):
+    monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    arrays, meta = read_checkpoint(f"{kind}.ckpt")
+    meta["encoder_cfg"] = json.dumps({**json.loads(meta["encoder_cfg"]), "sample_rate": rate})
+    low = tmp_path / "low.ckpt"
+    low.write_bytes(checkpoint_bytes(arrays, meta))
+    argv = {"asr": ["transcribe", "--ckpt", str(low), "--wav", "in.wav"],
+            "fusion": ["infer", "--fusion", str(low), "--wav", "in.wav",
+                       "--task", "transcribe"]}[kind]
+    assert main(argv) == 2
+    assert (f"{low}: bad value for 'encoder_cfg': 'sample_rate': sample rate {rate} Hz is "
+            "too low") in capsys.readouterr().err
+
+
+def test_pretrain_on_a_manifest_of_two_rates_names_it_and_the_record_before_reading(
+        tmp_path, monkeypatch, capsys, manifest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    _with_rates(manifest, "mixed.jsonl", [16000, 16000, 22050, 8000])
+    assert main(["pretrain", "--manifest", "mixed.jsonl", "--out", "enc.ckpt"]) == 2
+    assert capsys.readouterr().err == (
+        "slmforge pretrain: manifest mixed.jsonl: record 'r2' is at 22050 Hz, record 'r0' "
+        "at 16000 Hz; an encoder is trained at one sample rate\n")
+
+
+def test_pretrain_init_at_another_rate_than_the_manifest_names_sample_rate(
+        tmp_path, monkeypatch, capsys, manifest):
+    init = tmp_path / "init.ckpt"
+    save_checkpoint(SpeechEncoder(SpeechEncoderConfig(sample_rate=22050), 4), init, {})
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text(json.dumps({"max_steps": 1, "k": 4}))
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    assert main(["pretrain", "--manifest", str(manifest), "--config", str(cfg),
+                 "--init", str(init), "--out", str(tmp_path / "enc.ckpt")]) == 2
+    assert (f"{init}: encoder sample_rate 22050 differs from the manifest {manifest}'s "
+            "16000") in capsys.readouterr().err
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("argv", TRAINING_ARGV[:2] + TRAINING_ARGV[3:],
+                         ids=lambda argv: argv[0])
+def test_a_record_past_the_end_of_its_wav_exits_2_naming_manifest_and_record(
+        trained, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(trained)
+    for trainer in ("slmforge.cli.continued_pretrain", "slmforge.asr.finetune_ctc",
+                    "slmforge.slm.train_lm", "slmforge.slm.train_aligner"):
+        monkeypatch.setattr(trainer, _no_training)
+    m = Manifest.read("m.jsonl")
+    m.records[0].offset_s = 1000.0
+    past = tmp_path / "past.jsonl"
+    m.write(past)
+    out = tmp_path / "out.ckpt"
+    assert main([*argv[:-1], str(out), "--manifest", str(past)]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge {argv[0]}: manifest {past}: record {m.records[0].id!r} gives 0 log-mel "
+        "frames at 16000 Hz; the encoder needs at least 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", TRAINING_ARGV[1::2], ids=lambda argv: argv[0])
+def test_finetune_asr_and_train_aligner_compute_features_at_the_encoders_rate(
+        trained, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(trained)
+    arrays, meta = read_checkpoint("encoder.ckpt")
+    meta["encoder_cfg"] = json.dumps({**json.loads(meta["encoder_cfg"]), "sample_rate": 22050})
+    enc, out = tmp_path / "enc.ckpt", tmp_path / "out.ckpt"
+    enc.write_bytes(checkpoint_bytes(arrays, meta))
+    argv = [str(enc) if a == "encoder.ckpt" else a for a in argv[:-1]] + [str(out)]
+    rates = _log_mel_rates(monkeypatch)
+    assert main([*argv, "--manifest", "m.jsonl"]) == 0
+    assert {rec.sample_rate for rec in Manifest.read("m.jsonl").records} == {16000}
+    assert rates and set(rates) == {22050}
+    assert json.loads(read_checkpoint(out)[1]["encoder_cfg"])["sample_rate"] == 22050
+
+
+def test_an_encoder_pretrained_at_22050_hz_carries_its_rate_to_decoding(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _speechy(tmp_path / "in.wav")
+    Path("curate.json").write_text(json.dumps({"sample_rate": 22050}))
+    assert main(["curate", "--config", "curate.json", "--out", "raw.jsonl", "in.wav"]) == 0
+    _transcribed("raw.jsonl", "m.jsonl")
+    Path("pre.json").write_text('{"max_steps": 1, "k": 4, "dim": 8, "n_layers": 1}')
+    Path("ft.json").write_text('{"steps": 1}')
+    Path("al.json").write_text('{"steps": 1, "lm_steps": 1, "d_lm": 8, "lm_layers": 1}')
+    for argv in TRAINING_ARGV:
+        assert main([*argv, "--manifest", "m.jsonl"]) == 0
+    for kind in ("encoder", "asr", "fusion"):
+        cfg = json.loads(read_checkpoint(f"{kind}.ckpt")[1]["encoder_cfg"])
+        assert cfg["sample_rate"] == 22050, kind
+    rates = _log_mel_rates(monkeypatch)
+    assert main(["transcribe", "--ckpt", "asr.ckpt", "--wav", "in.wav"]) == 0
+    assert main(["infer", "--fusion", "fusion.ckpt", "--wav", "in.wav", "--task",
+                 "transcribe", "--max-tokens", "2"]) == 0
+    assert rates == [22050, 22050]

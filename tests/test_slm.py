@@ -136,6 +136,31 @@ def test_skip_reasons_match_the_rule_the_step_table_replaced(transcript, transla
     assert skipped == [("r0", mode, why) for mode, why in reasons if why]
 
 
+@pytest.mark.parametrize("transcript", ["ab<|", "|>ab", "a<|end"])
+def test_a_field_holding_a_marker_fragment_is_kept_and_encodes(transcript):
+    modes = ["transcribe", "phonemize_transcribe"]
+    examples, tok, skipped = build_instruction_dataset([_record(transcript=transcript)], modes)
+    assert skipped == []
+    assert [ex.mode for ex in examples] == modes
+    for ex in examples:
+        ids = tok.encode(ex.text)
+        assert tok.decode(ids) == ex.text
+        completion = tok.decode([i for i, m in zip(ids, completion_mask(ids, tok)) if m])
+        assert completion.endswith(f"FINAL: {transcript}<|end|>")
+
+
+@pytest.mark.parametrize("transcript, marker", [
+    ("ab<|end|>cd", "<|end|>"),
+    ("x<|a<|user|>udio|>", "<|user|>"),
+])
+def test_a_field_holding_a_chat_marker_is_skipped_with_the_reason(transcript, marker):
+    examples, _, skipped = build_instruction_dataset(
+        [_record(transcript=transcript)], ["transcribe", "translate", "transcribe_translate"])
+    assert [ex.mode for ex in examples] == ["translate"]
+    reason = f"holds chat marker {marker!r}"
+    assert skipped == [("r0", "transcribe", reason), ("r0", "transcribe_translate", reason)]
+
+
 def test_six_modes_one_complete_record_six_examples():
     examples, _, skipped = build_instruction_dataset([_record()], list(MODES))
     assert len(examples) == 6
