@@ -128,31 +128,35 @@ def _resolved_metadata(seed: int, *configs) -> dict:
             "config_hash": config_hash(resolved)}
 
 
-def _encoder_input(buf, cfg: SpeechEncoderConfig, span=None):
+def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None):
     """The encoder's input from audio, a standardized (T, ``input_dim``)
-    log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` and cut
-    to ``span`` (start_s, end_s), or without a span to its speech extent, so
-    that a decoded file matches the curated segments models trained on."""
-    buf = resample(buf, cfg.sample_rate)
+    log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` (unless
+    it is at that rate already) and cut to ``span`` (start_s, end_s), or
+    without a span to its speech extent, so that a decoded file matches the
+    curated segments models trained on. Audio that gives the encoder no
+    output frame is a ConfigError naming ``source``."""
+    if buf.sample_rate != cfg.sample_rate:
+        buf = resample(buf, cfg.sample_rate)
     buf = trim_to_speech(buf) if span is None else buf.slice_seconds(*span)
-    return standardize(log_mel(buf, cfg.input_dim))
+    features = standardize(log_mel(buf, cfg.input_dim))
+    if not SpeechEncoder.output_len(len(features)):
+        raise ConfigError(f"{source} gives {len(features)} log-mel frames at "
+                          f"{cfg.sample_rate} Hz; the encoder needs at least 2")
+    return features
 
 
 def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
-    """Yield (record, encoder input) per record of manifest ``path``; a record
-    whose span gives the encoder no output frame is a ConfigError naming the
-    manifest and the record."""
+    """Yield (record, encoder input) per record of manifest ``path``, reading
+    and resampling each source WAV once; a record whose span gives the
+    encoder no output frame is a ConfigError naming the manifest and the
+    record."""
     wavs = {}
     for rec in manifest.records:
         if rec.source_path not in wavs:
-            wavs[rec.source_path] = read_wav(rec.source_path)
-        features = _encoder_input(wavs[rec.source_path], cfg,
+            wavs[rec.source_path] = resample(read_wav(rec.source_path), cfg.sample_rate)
+        yield rec, _encoder_input(wavs[rec.source_path], cfg,
+                                  f"manifest {path}: record {rec.id!r}",
                                   (rec.offset_s, rec.offset_s + rec.duration_s))
-        if not SpeechEncoder.output_len(len(features)):
-            raise ConfigError(f"manifest {path}: record {rec.id!r} gives {len(features)} "
-                              f"log-mel frames at {cfg.sample_rate} Hz; the encoder needs "
-                              "at least 2")
-        yield rec, features
 
 
 def _normalization_rules(args):
@@ -274,7 +278,7 @@ def cmd_finetune_asr(args) -> int:
 
 def cmd_transcribe(args) -> int:
     model = load_checkpoint(args.ckpt, asr_mod.CtcModel)
-    features = _encoder_input(read_wav(args.wav), model.encoder.cfg)
+    features = _encoder_input(read_wav(args.wav), model.encoder.cfg, f"--wav {args.wav}")
     print(model.transcribe(features, beam_width=args.beam))
     return 0
 
@@ -349,7 +353,7 @@ def cmd_infer(args) -> int:
         if checkpoint_bytes(given.state_arrays(), given.record()) != checkpoint_bytes(
                 fusion.encoder.state_arrays(), fusion.encoder.record()):
             raise ConfigError(f"{args.encoder} is not the encoder in {args.fusion}")
-    features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg)
+    features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg, f"--wav {args.wav}")
     speech = slm_mod.extract_multilayer_features(fusion.encoder, features)
     result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)

@@ -209,14 +209,12 @@ class MultiHeadSelfAttention(Module):
                 k = T.concat([cache[0], k], axis=1)
                 v = T.concat([cache[1], v], axis=1)
             cache[:] = [k, v]
-        t_all = k.data.shape[1]
-        scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(dh))
+        bias = None
         if self.causal and t > 1:
             # large negative bias keeps every intermediate value finite
+            t_all = k.data.shape[1]
             bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
-            scores = scores + Tensor(bias)
-        attn = T.softmax(scores)
-        ctx = T.matmul(attn, v)  # (h, t, dh)
+        ctx = T.attention(q, k, v, bias)  # (h, t, dh)
         merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (t, d))
         return self.wo(merged)
 
@@ -295,8 +293,9 @@ def train_step(opt: Adam, losses) -> float:
     """One optimizer step on the mean of ``losses``; returns that mean.
 
     The losses are added left to right and then divided by their count
-    (division by 1 is exact). Callers pass the list without keeping it, so
-    the graph is freed before the next step builds its own.
+    (division by 1 is exact). ``backward`` frees the graph as it walks it:
+    only the parameters keep their gradients, no interior gradient is kept,
+    and a second ``backward`` through any of ``losses`` is a GraphError.
     """
     loss = losses[0]
     for extra in losses[1:]:

@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array plus an optional gradient. Ops record a dynamic
-graph; ``backward`` on a scalar loss walks it in reverse topological order.
+graph; ``backward`` on a scalar loss walks it in reverse topological order
+and frees it as it goes, so one graph is walked once.
 Any op producing NaN/Inf aborts immediately with an error naming the op.
 
 Gradient flow stops at tensors with ``requires_grad=False``; frozen model
@@ -89,9 +90,16 @@ class Tensor:
 
     # backward -------------------------------------------------------------
     def backward(self) -> None:
-        """Populate grads of every reachable requires_grad tensor.
+        """Populate grads of every reachable requires_grad leaf tensor.
 
-        The receiver must be a scalar (size-1) loss.
+        The receiver must be a scalar (size-1) loss. The graph is released as
+        the walk goes: once an op node has passed its gradient on, its
+        ``grad``, backward closure and parents are dropped, so interior
+        gradients are not kept and the forward arrays are freed as soon as
+        nothing else holds them. Leaves (parameters, inputs) keep their
+        gradients. A later ``backward()`` that reaches a released node (the
+        same loss again, or another loss built on a shared subgraph) is a
+        GraphError.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -105,15 +113,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is None and node.requires_grad and node._op != "leaf":
+                raise GraphError(
+                    f"backward() reached the output of op '{node._op}', whose graph an "
+                    "earlier backward() already released; build the loss again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
+                node._backward_fn = None
+                node._parents = ()
 
 
 def _wrap(value) -> Tensor:
@@ -274,6 +291,36 @@ def softmax(a: Tensor) -> Tensor:
         _accumulate(a, out * (grad - dot))
 
     return _make(out, (a,), backward, "softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:
+    """Scaled dot-product attention over (heads, rows, head dim) tensors:
+    softmax(q kᵀ / sqrt(head dim) + ``bias``) v, with ``bias`` an optional
+    (rows of q, rows of k) array added to every head's scores.
+
+    One graph node that saves only the probabilities P, in place of the six
+    nodes of its composition (matmul, transpose, scale, bias add, softmax,
+    matmul); each array operation runs in that composition's order, so
+    outputs and gradients are bit-identical to it.
+    """
+    scale = np.asarray(1.0 / np.sqrt(q.data.shape[-1]))
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v.data)
+
+    def backward(grad):
+        d_v = np.matmul(np.swapaxes(p, -1, -2), grad)
+        d_p = np.matmul(grad, np.swapaxes(v.data, -1, -2))
+        d_s = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True)) * scale
+        _accumulate(q, np.matmul(d_s, k.data))
+        _accumulate(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), d_s), -1, -2))
+        _accumulate(v, d_v)
+
+    return _make(out, (q, k, v), backward, "attention")
 
 
 def log_softmax(a: Tensor) -> Tensor:

@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Every tolerance and runtime budget is asserted in the test itself.
 """
 
+import ast
 import hashlib
 import itertools
 import json
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,48 +125,85 @@ def test_criterion_01_ctc_oracle_equivalence():
 # 2. Autodiff suite
 
 
+def _u(rng, *shape):
+    return rng.uniform(-2.0, 2.0, size=shape)
+
+
+# One row per graph op (a row named ``op`` or ``op_<variant>``); see
+# test_every_graph_op_has_a_finite_difference_check.
+AUTODIFF_CHECKS = {
+    "add": lambda rng: ([_u(rng, 3, 4), _u(rng, 4)], T.add),
+    "mul": lambda rng: ([_u(rng, 3, 4), _u(rng, 3, 4)], T.mul),
+    "matmul": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2)], T.matmul),
+    "transpose": lambda rng: ([_u(rng, 3, 4)], lambda a: T.transpose(a, (1, 0))),
+    "reshape": lambda rng: ([_u(rng, 3, 4)], lambda a: T.reshape(a, (2, 6))),
+    "concat_last_dim": lambda rng: (
+        [_u(rng, 3, 2), _u(rng, 3, 3)], lambda a, b: T.concat([a, b], axis=-1)),
+    "softmax": lambda rng: ([_u(rng, 4, 5)], T.softmax),
+    "log_softmax": lambda rng: ([_u(rng, 4, 5)], T.log_softmax),
+    "relu": lambda rng: ([_away_from_kink(_u(rng, 4, 5))], T.relu),
+    "gelu": lambda rng: ([_u(rng, 4, 5)], T.gelu),
+    "layer_norm": lambda rng: ([_u(rng, 3, 6), _u(rng, 6), _u(rng, 6)], T.layer_norm),
+    "attention": lambda rng: (
+        [_u(rng, 2, 3, 2), _u(rng, 2, 4, 2), _u(rng, 2, 4, 2)], T.attention),
+    "attention_causal": lambda rng: (
+        [_u(rng, 2, 4, 2), _u(rng, 2, 4, 2), _u(rng, 2, 4, 2)],
+        lambda q, k, v: T.attention(q, k, v, np.triu(np.full((4, 4), -1e9), k=1))),
+    "embedding_lookup": lambda rng: (
+        [_u(rng, 5, 4)],
+        lambda t, ids=tuple(rng.integers(0, 5, size=7)): T.embedding_lookup(t, list(ids))),
+    "cross_entropy": lambda rng: (
+        [_u(rng, 6, 5)],
+        lambda lg, tg=tuple(rng.integers(0, 5, size=6)),
+               mk=tuple((rng.random(6) < 0.7).astype(float)):
+            T.cross_entropy(lg, list(tg), np.maximum(mk, _one_hot_first(mk)))),
+}
+
+# Graph ops with no AUTODIFF_CHECKS row, each with the test that checks its
+# gradient against finite differences.
+AUTODIFF_CHECKED_ELSEWHERE = {
+    "ctc_loss": "test_criterion_01_ctc_oracle_equivalence",
+    "sum": "conftest.check_grad_against_fd, whose loss is tsum(op(...) * W)",
+}
+
+
 def test_criterion_02_autodiff_suite():
     started = time.monotonic()
     trials = 100
-
-    def u(rng, *shape):
-        return rng.uniform(-2.0, 2.0, size=shape)
-
-    checks = {
-        "add": lambda rng: ([u(rng, 3, 4), u(rng, 4)], T.add),
-        "mul": lambda rng: ([u(rng, 3, 4), u(rng, 3, 4)], T.mul),
-        "matmul": lambda rng: ([u(rng, 3, 4), u(rng, 4, 2)], T.matmul),
-        "transpose": lambda rng: ([u(rng, 3, 4)], lambda a: T.transpose(a, (1, 0))),
-        "reshape": lambda rng: ([u(rng, 3, 4)], lambda a: T.reshape(a, (2, 6))),
-        "concat_last_dim": lambda rng: (
-            [u(rng, 3, 2), u(rng, 3, 3)], lambda a, b: T.concat([a, b], axis=-1)),
-        "softmax": lambda rng: ([u(rng, 4, 5)], T.softmax),
-        "log_softmax": lambda rng: ([u(rng, 4, 5)], T.log_softmax),
-        "relu": lambda rng: ([_away_from_kink(u(rng, 4, 5))], T.relu),
-        "gelu": lambda rng: ([u(rng, 4, 5)], T.gelu),
-        "layer_norm": lambda rng: ([u(rng, 3, 6), u(rng, 6), u(rng, 6)], T.layer_norm),
-        "embedding_lookup": lambda rng: (
-            [u(rng, 5, 4)],
-            lambda t, ids=tuple(rng.integers(0, 5, size=7)): T.embedding_lookup(t, list(ids))),
-        "cross_entropy": lambda rng: (
-            [u(rng, 6, 5)],
-            lambda lg, tg=tuple(rng.integers(0, 5, size=6)),
-                   mk=tuple((rng.random(6) < 0.7).astype(float)):
-                T.cross_entropy(lg, list(tg), np.maximum(mk, _one_hot_first(mk)))),
-    }
-
     worst = {}
-    for name, make in checks.items():
+    for name, make in AUTODIFF_CHECKS.items():
         w = 0.0
         for trial in range(trials):
-            rng = np.random.default_rng(20_000 + 131 * trial + hash(name) % 997)
+            rng = np.random.default_rng(20_000 + 131 * trial + zlib.crc32(name.encode()) % 997)
             arrays, op = make(rng)
             w = max(w, check_grad_against_fd(op, arrays, seed=trial))
         worst[name] = w
         assert w < 1e-4, f"{name}: worst relative error {w}"
     summary = max(worst, key=worst.get)
     _passed(2, started, 60,
-            f"{len(checks)} ops x {trials} trials; worst {summary}={worst[summary]:.2e}")
+            f"{len(AUTODIFF_CHECKS)} ops x {trials} trials; worst {summary}={worst[summary]:.2e}")
+
+
+def _graph_op_names():
+    """Every op name passed to ``_make`` under src/slmforge, by AST."""
+    names = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "slmforge").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_make"):
+                op = node.args[3] if len(node.args) > 3 else next(
+                    kw.value for kw in node.keywords if kw.arg == "op")
+                names.add(op.value)
+    return names
+
+
+def test_every_graph_op_has_a_finite_difference_check():
+    ops = _graph_op_names()
+    assert {"add", "attention", "ctc_loss", "sum"} <= ops
+    unchecked = {op for op in ops - set(AUTODIFF_CHECKED_ELSEWHERE)
+                 if not any(row == op or row.startswith(op + "_") for row in AUTODIFF_CHECKS)}
+    assert not unchecked, f"graph ops without a criterion-2 row: {sorted(unchecked)}"
+    assert set(AUTODIFF_CHECKED_ELSEWHERE) <= ops, "an exemption names no graph op"
 
 
 def _away_from_kink(x):

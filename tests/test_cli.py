@@ -7,7 +7,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from conftest import cli_env
 
 from slmforge import cli
-from slmforge.audio import log_mel, write_wav
+from slmforge.audio import log_mel, read_wav, resample, write_wav
 from slmforge.asr import CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
@@ -1142,3 +1142,39 @@ def test_an_encoder_pretrained_at_22050_hz_carries_its_rate_to_decoding(
     assert main(["infer", "--fusion", "fusion.ckpt", "--wav", "in.wav", "--task",
                  "transcribe", "--max-tokens", "2"]) == 0
     assert rates == [22050, 22050]
+
+
+def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
+        manifest, monkeypatch):
+    first = Manifest.read(manifest).records[0]
+    three = Manifest([replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
+                      for i, lo in enumerate((0.4, 1.0, 1.7))])
+    cfg = SpeechEncoderConfig(sample_rate=22050)
+    want = [cli._encoder_input(read_wav(first.source_path), cfg, rec.id,
+                               (rec.offset_s, rec.offset_s + rec.duration_s))
+            for rec in three.records]
+    calls = []
+
+    def counting_resample(buf, rate):
+        calls.append(rate)
+        return resample(buf, rate)
+
+    monkeypatch.setattr("slmforge.cli.resample", counting_resample)
+    got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
+    assert calls == [22050]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("argv", [["transcribe", "--ckpt", "asr.ckpt"],
+                                  ["infer", "--fusion", "fusion.ckpt", "--task", "transcribe"]],
+                         ids=lambda argv: argv[0])
+def test_a_wav_too_short_for_the_encoder_exits_2_naming_the_flag_and_file(
+        trained, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(trained)
+    wav = tmp_path / "short.wav"
+    write_wav(wav, sine(440.0, 0.015))
+    assert main([*argv, "--wav", str(wav)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"slmforge {argv[0]}: --wav {wav} gives 0 log-mel frames at "
+                            "16000 Hz; the encoder needs at least 2\n")

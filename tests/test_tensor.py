@@ -1,6 +1,7 @@
 """Autodiff core: op gradients vs finite differences, Adam, checkpoints."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_op_gradients_match_finite_differences(op_name):
     trials = 10
     worst = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng(hash(op_name) % (2**32) + trial)
+        rng = np.random.default_rng(zlib.crc32(op_name.encode()) + trial)
         if op_name == "add":
             worst = max(worst, check_grad_against_fd(
                 T.add, [rand(rng, 3, 4), rand(rng, 3, 4)], seed=trial))
@@ -613,3 +614,164 @@ def test_transformer_layer_gradients_flow():
     assert x.grad is not None and np.all(np.isfinite(x.grad))
     for _, p in layer.named_parameters():
         assert p.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# The attention op against the six-node composition it replaced
+
+
+def _reference_attention(q, k, v, bias=None):
+    """The composition ``T.attention`` replaced: matmul, transpose, scale,
+    bias add, softmax and matmul, one graph node each."""
+    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(q.data.shape[-1]))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    return T.matmul(T.softmax(scores), v)
+
+
+def _heads(rng, t, h, dh=3):
+    """A (h, t, dh) leaf laid out as ``MultiHeadSelfAttention`` splits its
+    heads: a transposed view of a (t, h * dh) array."""
+    return Tensor(np.transpose(rng.standard_normal((t, h * dh)).reshape(t, h, dh), (1, 0, 2)),
+                  requires_grad=True)
+
+
+def _causal_bias(t):
+    return np.triu(np.full((t, t), -1e9), k=1) if t > 1 else None
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 7, 33])
+def test_attention_is_byte_equal_to_the_six_node_composition(t, h, causal):
+    results = []
+    for op in (T.attention, _reference_attention):
+        rng = np.random.default_rng(1000 * t + 10 * h + causal)
+        q, k, v = (_heads(rng, t, h) for _ in range(3))
+        out = op(q, k, v, _causal_bias(t) if causal else None)
+        T.tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+        results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
+    assert results[0] == results[1]
+
+
+def _layer_grads(seed, causal, steps=2):
+    """Parameter and input bytes after ``steps`` Adam steps of one
+    transformer layer on two losses each."""
+    rng = np.random.default_rng(seed)
+    layer = TransformerLayer(8, 2, causal=causal, rng=rng)
+    opt = Adam(layer, lr=1e-2)
+    xs = [Tensor(rng.standard_normal((t, 8)), requires_grad=True) for t in (5, 9)]
+    for _ in range(steps):
+        train_step(opt, [T.tsum(layer(x) * layer(x)) for x in xs])
+    return ([p.data.tobytes() for p in layer.parameters()]
+            + [x.grad.tobytes() for x in xs])
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+def test_transformer_training_is_byte_equal_to_the_six_node_composition(monkeypatch, causal):
+    got = _layer_grads(3, causal)
+    monkeypatch.setattr(T, "attention", _reference_attention)
+    assert got == _layer_grads(3, causal)
+
+
+def _cached_rows(seed):
+    """A causal layer's output for a 6-row prefill, then 4 single rows, with
+    a cache, under no_grad."""
+    rng = np.random.default_rng(seed)
+    layer = TransformerLayer(8, 2, causal=True, rng=rng)
+    x = rng.standard_normal((10, 8))
+    cache = []
+    with T.no_grad():
+        outs = [layer(Tensor(x[:6]), cache).data]
+        outs += [layer(Tensor(x[i:i + 1]), cache).data for i in range(6, 10)]
+    return [o.tobytes() for o in outs]
+
+
+def test_cached_prefill_and_single_rows_are_byte_equal_to_the_composition(monkeypatch):
+    got = _cached_rows(8)
+    monkeypatch.setattr(T, "attention", _reference_attention)
+    assert got == _cached_rows(8)
+
+
+def test_non_finite_attention_input_names_attention():
+    rng = np.random.default_rng(0)
+    q, k, v = (_heads(rng, 4, 2) for _ in range(3))
+    q.data[0, 1, 2] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="'attention'"):
+        T.attention(q, k, v)
+
+
+# ---------------------------------------------------------------------------
+# Tensor.backward releases the graph it walks
+
+
+def _retaining_backward(self):
+    """``Tensor.backward`` as it was before it released the graph."""
+    topo, seen, stack = [], set(), [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    self.grad = np.ones_like(self.data)
+    for node in reversed(topo):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    h = T.gelu(x)
+    loss = T.tsum(h * h)
+    loss.backward()
+    assert x.grad is not None
+    for node in (h, loss):
+        assert node.grad is None and node._backward_fn is None and node._parents == ()
+
+
+def test_a_second_backward_on_the_same_loss_is_a_graph_error():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    loss = T.tsum(x * x)
+    loss.backward()
+    with pytest.raises(GraphError, match="op 'sum'.*already released"):
+        loss.backward()
+
+
+def test_a_second_loss_on_a_released_shared_subgraph_is_a_graph_error():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    shared = T.relu(x)
+    T.tsum(shared).backward()
+    with pytest.raises(GraphError, match="op 'relu'.*already released"):
+        T.tsum(shared * shared).backward()
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+def test_released_training_gives_the_retained_leaf_gradients(monkeypatch, causal):
+    got = _layer_grads(4, causal)
+    monkeypatch.setattr(Tensor, "backward", _retaining_backward)
+    assert got == _layer_grads(4, causal)
+
+
+def _two_losses_own_graphs():
+    """Leaf gradients of two losses over shared leaves, each loss with its
+    own graph, accumulated by two walks."""
+    rng = np.random.default_rng(6)
+    layer = TransformerLayer(8, 2, causal=True, rng=rng)
+    x = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
+    T.tsum(layer(x)).backward()
+    T.tsum(T.gelu(layer(x))).backward()
+    return [p.grad.tobytes() for p in layer.parameters()] + [x.grad.tobytes()]
+
+
+def test_two_losses_with_their_own_graphs_give_the_retained_gradients(monkeypatch):
+    got = _two_losses_own_graphs()
+    monkeypatch.setattr(Tensor, "backward", _retaining_backward)
+    assert got == _two_losses_own_graphs()
