@@ -19,6 +19,7 @@ encoder's followed by the vocabulary.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -319,6 +320,12 @@ def _verbalize_run(run: str, lexicon: dict) -> str:
     return " ".join(words)
 
 
+@functools.lru_cache(maxsize=None)
+def _deletion_table(chars: str) -> dict:
+    """The ``str.translate`` table that deletes ``chars``, built once per string."""
+    return str.maketrans("", "", chars)
+
+
 def normalize_text(text: str, rules: NormalizationRules) -> str:
     """Lowercase, strip punctuation, verbalize digit runs, collapse whitespace.
 
@@ -329,7 +336,7 @@ def normalize_text(text: str, rules: NormalizationRules) -> str:
     if rules.lowercase:
         text = text.lower()
     if rules.punctuation:
-        text = text.translate(str.maketrans("", "", rules.punctuation))
+        text = text.translate(_deletion_table(rules.punctuation))
 
     def sub(match):
         return " " + _verbalize_run(match.group(0), rules.lexicon) + " "

@@ -1,7 +1,11 @@
 """Audio I/O, resampling, framing and the one speech front end (log-mel, MFCC).
 
 Everything here is pure: functions never mutate their inputs, so buffers and
-feature arrays can be shared read-only across threads.
+feature arrays can be shared read-only across threads. The front end's fixed
+arrays are built once and shared read-only (``flags.writeable`` off): the mel
+bank per (n_mels, FFT size, rate) in ``mel_filterbank`` and the Hann window
+per frame length. ``frame_signal`` returns a read-only view of its input, not
+a copy.
 
 WAV support covers RIFF little-endian containers with PCM16 or IEEE float32
 samples. Multichannel files are downmixed by averaging, never rejected.
@@ -16,10 +20,12 @@ input width.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .errors import ConfigError, TruncatedWavError, UnsupportedWavError
@@ -198,13 +204,13 @@ def fft_length(frame: int) -> int:
 
 
 def frame_signal(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Slice a 1-D signal into (T, frame) rows; T = 1 + (n - frame) // hop."""
-    n = len(samples)
-    if n < frame:
+    """Slice a 1-D signal into (T, frame) rows; T = 1 + (n - frame) // hop.
+
+    The rows are a read-only strided view of ``samples``, not a copy.
+    """
+    if len(samples) < frame:
         return np.zeros((0, frame))
-    n_frames = 1 + (n - frame) // hop
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    return samples[idx]
+    return sliding_window_view(samples, frame)[::hop]
 
 
 def mel_scale(hz):
@@ -215,9 +221,11 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank from 0 Hz to the Nyquist rate over rfft bins,
-    shape (n_mels, fft_size//2 + 1)."""
+    shape (n_mels, fft_size//2 + 1); built once per argument triple and
+    returned read-only."""
     mel_points = np.linspace(0.0, mel_scale(sample_rate / 2.0), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
@@ -227,15 +235,23 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
         up = (bin_freqs - left) / max(center - left, 1e-12)
         down = (right - bin_freqs) / max(right - center, 1e-12)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    bank.flags.writeable = False
     return bank
+
+
+@functools.lru_cache(maxsize=None)
+def _hann_window(frame: int) -> np.ndarray:
+    """``np.hanning(frame)``, built once per length and returned read-only."""
+    window = np.hanning(frame)
+    window.flags.writeable = False
+    return window
 
 
 def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> np.ndarray:
     frames = frame_signal(samples, frame, hop)
     if frames.shape[0] == 0:
         return np.zeros((0, fft_size // 2 + 1))
-    window = np.hanning(frame)
-    return np.abs(np.fft.rfft(frames * window, n=fft_size, axis=1))
+    return np.abs(np.fft.rfft(frames * _hann_window(frame), n=fft_size, axis=1))
 
 
 def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
@@ -247,6 +263,8 @@ def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
     frame, hop = analysis_frame(buf.sample_rate)
     n_fft = fft_length(frame)
     mag = stft_magnitude(buf.samples, frame, hop, n_fft)
+    # the .T view of the cached (n_mels, bins) bank, as built: a transposed
+    # contiguous copy sends the product down another BLAS path and moves bits
     mel_energy = mag @ mel_filterbank(n_mels, n_fft, buf.sample_rate).T
     return np.log(np.maximum(mel_energy, LOG_FLOOR))
 

@@ -147,13 +147,16 @@ def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None):
 
 def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
     """Yield (record, encoder input) per record of manifest ``path``, reading
-    and resampling each source WAV once; a record whose span gives the
-    encoder no output frame is a ConfigError naming the manifest and the
-    record."""
+    each source WAV once and resampling it once if it is not at the encoder's
+    rate; a record whose span gives the encoder no output frame is a
+    ConfigError naming the manifest and the record."""
     wavs = {}
     for rec in manifest.records:
         if rec.source_path not in wavs:
-            wavs[rec.source_path] = resample(read_wav(rec.source_path), cfg.sample_rate)
+            buf = read_wav(rec.source_path)
+            if buf.sample_rate != cfg.sample_rate:
+                buf = resample(buf, cfg.sample_rate)
+            wavs[rec.source_path] = buf
         yield rec, _encoder_input(wavs[rec.source_path], cfg,
                                   f"manifest {path}: record {rec.id!r}",
                                   (rec.offset_s, rec.offset_s + rec.duration_s))

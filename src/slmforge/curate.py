@@ -460,7 +460,8 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
         buf = read_wav(path)
     except (OSError, SlmforgeError) as exc:
         return None, f"{path}: {exc}"
-    buf = resample(buf, cfg.sample_rate)
+    if buf.sample_rate != cfg.sample_rate:
+        buf = resample(buf, cfg.sample_rate)
     buf = separate_sources(buf, cfg.separator)
     spans = vad_segments(buf, cfg)
     spans = diarize(buf, spans, cfg)

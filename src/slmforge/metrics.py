@@ -4,13 +4,22 @@ WER and CER are corpus-level: total edit distance over total reference
 length, not an average of per-utterance rates. chrF is the character
 n-gram F-beta score (n = 1..6, beta = 2) on whitespace-stripped
 text, aggregated over the corpus by summing n-gram counts.
+
+chrF counts in integer arrays over the whole corpus at once. Each character
+gets a dense code; each order-n key is the order-(n-1) key times the
+alphabet size plus the next code, renumbered densely so that it stays below
+the corpus length. The n-grams that fit inside their line are tagged with
+their pair and side (hypothesis or reference) and sorted once per order;
+each (n-gram, pair) run gives its two counts, and the matches are the sum of
+their minima. These are the integer counts that per-line counters give.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -96,10 +105,6 @@ def cer(refs, hyps) -> float:
     return _corpus_rate(refs, hyps, _char_tokens, "characters")
 
 
-def _ngram_counts(chars: str, n: int) -> Counter:
-    return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
-
-
 def chrf(refs, hyps) -> float:
     """Character n-gram F-beta score in [0, 100].
 
@@ -109,18 +114,38 @@ def chrf(refs, hyps) -> float:
     """
     _check_paired(refs, hyps)
     max_n, beta = 6, 2.0  # chrF2 over character orders 1..6
+    # segment 2i is reference i and 2i + 1 hypothesis i, so a segment's low
+    # bit is its side (1 = hypothesis) and the rest of it is its pair
+    texts = []
+    for ref, hyp in zip(refs, hyps):
+        texts += ["".join(ref.split()), "".join(hyp.split())]
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    alphabet, codes = np.unique(points, return_inverse=True)
+    segment = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    # characters from each position to the end of its segment, itself included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
     matches = [0] * (max_n + 1)
     hyp_total = [0] * (max_n + 1)
     ref_total = [0] * (max_n + 1)
-    for ref, hyp in zip(refs, hyps):
-        r = "".join(ref.split())
-        h = "".join(hyp.split())
-        for n in range(1, max_n + 1):
-            rc = _ngram_counts(r, n)
-            hc = _ngram_counts(h, n)
-            matches[n] += sum(min(c, rc[g]) for g, c in hc.items())
-            hyp_total[n] += sum(hc.values())
-            ref_total[n] += sum(rc.values())
+    keys = codes.astype(np.int64)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            # extend each (n-1)-gram key by one character and renumber densely,
+            # so keys stay below the position count and the product cannot overflow
+            keys = np.unique(keys[:-1] * len(alphabet) + codes[n - 1:], return_inverse=True)[1]
+        inside = room[: len(keys)] >= n
+        comp = np.sort(keys[inside] * len(texts) + segment[: len(keys)][inside])
+        if comp.size == 0:
+            continue
+        side = comp & 1
+        group = comp >> 1  # (n-gram, pair)
+        starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+        hyp_count = np.add.reduceat(side, starts)
+        ref_count = np.diff(np.append(starts, comp.size)) - hyp_count
+        matches[n] = int(np.minimum(hyp_count, ref_count).sum())
+        hyp_total[n] = int(side.sum())
+        ref_total[n] = comp.size - hyp_total[n]
 
     precisions = []
     recalls = []

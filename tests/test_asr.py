@@ -375,6 +375,14 @@ def test_normalize_lowercase_and_punctuation():
     assert normalize_text("Hello, World!", rules) == "hello world"
 
 
+def test_normalize_deletes_the_punctuation_of_each_rule_set_in_turn():
+    commas, bangs = NormalizationRules(punctuation=","), NormalizationRules(punctuation="!¡")
+    for _ in range(2):
+        assert normalize_text("¡Hi, there!", commas) == "¡hi there!"
+        assert normalize_text("¡Hi, there!", bangs) == "hi, there"
+        assert normalize_text("¡Hi, there!", NormalizationRules(punctuation="")) == "¡hi, there!"
+
+
 def test_normalize_digits_via_lexicon():
     rules = NormalizationRules(lexicon={"23": "twenty three", "2": "two", "3": "three"})
     assert normalize_text("23", rules) == "twenty three"

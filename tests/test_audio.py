@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from scipy.fft import idct
 
+from slmforge import audio
 from slmforge.audio import (
     LOG_FLOOR,
     AudioBuffer,
     analysis_frame,
     fft_length,
+    frame_signal,
     log_mel,
     mel_filterbank,
     mel_scale,
+    mel_to_hz,
     mfcc,
     parse_wav_bytes,
     read_wav,
@@ -230,6 +233,88 @@ def test_log_mel_at_high_rates_peaks_in_the_tone_band(rate):
     bank = mel_filterbank(40, fft_length(frame), rate)
     peak_bin = int(round(1000.0 * fft_length(frame) / rate))
     assert int(np.argmax(feats[len(feats) // 2])) == int(np.argmax(bank[:, peak_bin]))
+
+
+def _uncached_log_mel(buf, n_mels):
+    """The front end as it was before its arrays were cached: frames copied
+    out by a fancy index, and the Hann window and mel bank built per call."""
+    frame, hop = analysis_frame(buf.sample_rate)
+    n_fft = fft_length(frame)
+    n = len(buf.samples)
+    if n < frame:
+        mag = np.zeros((0, n_fft // 2 + 1))
+    else:
+        idx = np.arange(frame)[None, :] + hop * np.arange(1 + (n - frame) // hop)[:, None]
+        mag = np.abs(np.fft.rfft(buf.samples[idx] * np.hanning(frame), n=n_fft, axis=1))
+    hz_points = mel_to_hz(np.linspace(0.0, mel_scale(buf.sample_rate / 2.0), n_mels + 2))
+    bin_freqs = np.arange(n_fft // 2 + 1) * buf.sample_rate / n_fft
+    bank = np.zeros((n_mels, len(bin_freqs)))
+    for m in range(n_mels):
+        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        up = (bin_freqs - left) / max(center - left, 1e-12)
+        down = (right - bin_freqs) / max(right - center, 1e-12)
+        bank[m] = np.maximum(0.0, np.minimum(up, down))
+    return np.log(np.maximum(mag @ bank.T, LOG_FLOOR))
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+@pytest.mark.parametrize("n_mels", [13, 40, 64, 80])
+def test_log_mel_is_byte_equal_to_the_uncached_front_end(rate, n_mels):
+    frame, hop = analysis_frame(rate)
+    rng = np.random.default_rng([rate, n_mels])
+    for n in (0, frame - 1, frame, frame + hop - 1, frame + hop, frame + 4 * hop + 3,
+              rate // 3, 3 * rate):
+        buf = AudioBuffer(np.clip(0.3 * rng.standard_normal(n), -1, 1), rate)
+        feats = log_mel(buf, n_mels)
+        want = _uncached_log_mel(buf, n_mels)
+        assert feats.shape == want.shape == (max(0, 1 + (n - frame) // hop), n_mels)
+        assert feats.tobytes() == want.tobytes()
+
+
+def test_the_cached_front_end_arrays_and_the_frames_are_read_only():
+    samples = np.linspace(-1.0, 1.0, 1000)
+    frames = frame_signal(samples, 400, 160)
+    assert frames.shape == (4, 400) and frames[3, 0] == samples[480]
+    with pytest.raises(ValueError, match="read-only"):
+        frames[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        mel_filterbank(40, 512, 16000)[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        audio._hann_window(400)[0] = 1.0
+    assert audio._hann_window(400).tobytes() == np.hanning(400).tobytes()
+    assert samples.flags.writeable
+
+
+def test_log_mel_leaves_its_input_samples_unchanged():
+    rng = np.random.default_rng(3)
+    buf = AudioBuffer(np.clip(0.3 * rng.standard_normal(8000), -1, 1), 16000)
+    before = buf.samples.copy()
+    log_mel(buf, 40)
+    log_mel(buf, 40)
+    assert buf.samples.tobytes() == before.tobytes()
+    assert buf.samples.flags.writeable
+
+
+def test_repeated_log_mel_calls_build_the_mel_bank_once_per_key(monkeypatch):
+    builds = []
+
+    def counting_mel_to_hz(mel):
+        builds.append(len(mel))
+        return mel_to_hz(mel)
+
+    monkeypatch.setattr(audio, "mel_to_hz", counting_mel_to_hz)
+    mel_filterbank.cache_clear()
+    try:
+        buf = sine(440.0, 0.2, 16000)
+        first = log_mel(buf, 40)
+        assert log_mel(buf, 40).tobytes() == first.tobytes()
+        log_mel(sine(220.0, 0.3, 16000), 40)
+        assert builds == [42]
+        log_mel(buf, 41)
+        log_mel(sine(440.0, 0.2, 22050), 40)
+        assert builds == [42, 43, 42]
+    finally:
+        mel_filterbank.cache_clear()
 
 
 @pytest.mark.parametrize("rate", [40, 0, -8000])

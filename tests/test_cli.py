@@ -1165,6 +1165,29 @@ def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def test_records_already_at_the_encoder_rate_make_no_resample_call(manifest, monkeypatch):
+    first = Manifest.read(manifest).records[0]
+    three = Manifest([replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
+                      for i, lo in enumerate((0.4, 1.0, 1.7))])
+    cfg = SpeechEncoderConfig()
+    wav = read_wav(first.source_path)
+    assert wav.sample_rate == cfg.sample_rate == first.sample_rate
+    # the features of the resampled copy every WAV used to go through
+    want = [cli._encoder_input(resample(wav, cfg.sample_rate), cfg, rec.id,
+                               (rec.offset_s, rec.offset_s + rec.duration_s))
+            for rec in three.records]
+    calls = []
+
+    def counting_resample(buf, rate):
+        calls.append(rate)
+        return resample(buf, rate)
+
+    monkeypatch.setattr("slmforge.cli.resample", counting_resample)
+    got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
+    assert calls == []
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("argv", [["transcribe", "--ckpt", "asr.ckpt"],
                                   ["infer", "--fusion", "fusion.ckpt", "--task", "transcribe"]],
                          ids=lambda argv: argv[0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slmforge import curate
-from slmforge.audio import write_wav
+from slmforge.audio import read_wav, resample, write_wav
 from slmforge.curate import (
     Manifest,
     PipelineConfig,
@@ -398,6 +398,22 @@ def test_pipeline_deterministic_byte_identical(tmp_path):
     run_pipeline(paths, PipelineConfig()).write(out1)
     run_pipeline(paths, PipelineConfig()).write(out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_pipeline_resamples_only_the_files_off_its_rate(tmp_path, monkeypatch):
+    at_rate, off_rate = tmp_path / "at.wav", tmp_path / "off.wav"
+    _write_speechy_wav(at_rate)
+    write_wav(off_rate, resample(read_wav(at_rate), 22050))
+    calls = []
+
+    def counting_resample(buf, rate):
+        calls.append((buf.sample_rate, rate))
+        return resample(buf, rate)
+
+    monkeypatch.setattr(curate, "resample", counting_resample)
+    manifest = run_pipeline([at_rate, off_rate], PipelineConfig())
+    assert calls == [(22050, 16000)]
+    assert [rec.source_path for rec in manifest.records] == [str(at_rate), str(off_rate)]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -229,6 +229,106 @@ def test_chrf_permutation_invariant_over_pairs():
     assert chrf(refs[::-1], hyps[::-1]) == pytest.approx(base, abs=1e-12)
 
 
+def _counter_ngrams(chars, n):
+    return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
+
+
+def counter_chrf(refs, hyps):
+    """chrF as it was computed with one ``Counter`` per line, order and side;
+    the array counting must give the very same float."""
+    max_n, beta = 6, 2.0
+    matches = [0] * (max_n + 1)
+    hyp_total = [0] * (max_n + 1)
+    ref_total = [0] * (max_n + 1)
+    for ref, hyp in zip(refs, hyps):
+        r = "".join(ref.split())
+        h = "".join(hyp.split())
+        for n in range(1, max_n + 1):
+            rc = _counter_ngrams(r, n)
+            hc = _counter_ngrams(h, n)
+            matches[n] += sum(min(c, rc[g]) for g, c in hc.items())
+            hyp_total[n] += sum(hc.values())
+            ref_total[n] += sum(rc.values())
+    precisions = []
+    recalls = []
+    for n in range(1, max_n + 1):
+        if hyp_total[n] == 0 and ref_total[n] == 0:
+            continue
+        precisions.append(matches[n] / hyp_total[n] if hyp_total[n] else 0.0)
+        recalls.append(matches[n] / ref_total[n] if ref_total[n] else 0.0)
+    if not precisions:
+        return 0.0
+    p = sum(precisions) / len(precisions)
+    r = sum(recalls) / len(recalls)
+    denom = beta * beta * p + r
+    if denom == 0.0:
+        return 0.0
+    return 100.0 * (1.0 + beta * beta) * p * r / denom
+
+
+def _edited(rng, line, alphabet):
+    """``line`` with one character replaced, deleted or inserted, or as is."""
+    i = int(rng.integers(len(line) + 1))
+    c = alphabet[int(rng.integers(len(alphabet)))]
+    return (line, line[:i] + c + line[i + 1:], line[:i] + line[i + 1:],
+            line[:i] + c + line[i:])[int(rng.integers(4))]
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abcd ", "aé字 \t\n", "xyzé中\U0001F600 \u00a0",
+                                      "a\ud800 b"],
+                         ids=["ab", "ascii", "cjk", "astral", "lone-surrogate"])
+def test_chrf_equals_the_counter_chrf_on_random_corpora(alphabet):
+    # empty lines and lines shorter than the top order (6) included
+    rng = np.random.default_rng(len(alphabet))
+    for _ in range(150):
+        lines = int(rng.integers(1, 9))
+        refs = [random_string(rng, 14, alphabet) for _ in range(lines)]
+        hyps = [_edited(rng, ref, alphabet) if rng.random() < 0.5
+                else random_string(rng, 14, alphabet) for ref in refs]
+        assert chrf(refs, hyps) == counter_chrf(refs, hyps)
+
+
+def test_chrf_equals_the_counter_chrf_on_a_corpus_of_edited_sentences():
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "eta", "theta", "iota", "kappa"]
+    refs = [" ".join(rng.choice(words, int(rng.integers(1, 12)))) for _ in range(400)]
+    hyps = [_edited(rng, ref, "abcdegiklmpt ") for ref in refs]
+    assert chrf(refs, hyps) == counter_chrf(refs, hyps)
+
+
+def test_chrf_of_an_empty_corpus_is_zero_as_before():
+    assert chrf([], []) == counter_chrf([], []) == 0.0
+
+
+def test_chrf_of_all_whitespace_lines_equals_the_counter_chrf():
+    refs, hyps = [" ", "\t\n", "", "  \u3000 "], ["", "   ", "\n", " "]
+    assert chrf(refs, hyps) == counter_chrf(refs, hyps) == 0.0
+    assert chrf(refs + ["ab c"], hyps + ["a bc"]) == counter_chrf(refs + ["ab c"], hyps + ["a bc"])
+
+
+def test_chrf_over_a_3000_code_point_alphabet_equals_the_counter_chrf():
+    # six codes packed in base 3000 alone exceed int64; renumbering each order
+    # keeps the keys below the corpus length
+    alphabet = "".join(chr(0x4E00 + i) for i in range(3000))
+    assert 3000 ** 6 > 2 ** 63
+    rng = np.random.default_rng(11)
+    refs = [random_string(rng, 40, alphabet) for _ in range(600)]
+    hyps = [_edited(rng, ref, alphabet) if rng.random() < 0.7
+            else random_string(rng, 40, alphabet) for ref in refs]
+    assert len(set("".join(refs + hyps))) > 2900
+    assert chrf(refs, hyps) == counter_chrf(refs, hyps)
+
+
+def test_chrf_finds_no_false_match_where_packed_keys_would_wrap():
+    # 2048 codes: six packed without renumbering reach 2048 ** 6 = 2 ** 66, so
+    # two 6-grams whose first codes differ by 512 would wrap to one int64 key
+    alphabet = "".join(chr(0x4E00 + i) for i in range(2048))
+    tail = alphabet[1:6]
+    refs, hyps = [alphabet, alphabet[0] + tail], ["", alphabet[512] + tail]
+    assert 512 * 2048 ** 5 == 2 ** 64
+    assert chrf(refs, hyps) == counter_chrf(refs, hyps)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
