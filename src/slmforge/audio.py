@@ -7,6 +7,12 @@ bank per (n_mels, FFT size, rate) in ``mel_filterbank`` and the Hann window
 per frame length. ``frame_signal`` returns a read-only view of its input, not
 a copy.
 
+The front end has one path: frames addressed by their start sample ->
+Hann -> ``rfft`` -> magnitude (``frame_magnitudes``), then the mel bank
+product and the floored log (``mel_log``). ``log_mel`` runs it on the
+regular starts 0, hop, 2 hop, ...; diarization runs the first half once per
+span on the starts its windows share, and the second half per window.
+
 WAV support covers RIFF little-endian containers with PCM16 or IEEE float32
 samples. Multichannel files are downmixed by averaging, never rejected.
 
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .errors import ConfigError, TruncatedWavError, UnsupportedWavError
 from .fileio import atomic_open
@@ -247,11 +252,40 @@ def _hann_window(frame: int) -> np.ndarray:
     return window
 
 
-def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> np.ndarray:
-    frames = frame_signal(samples, frame, hop)
-    if frames.shape[0] == 0:
+def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int,
+                     fft_size: int) -> np.ndarray:
+    """|rfft| of the Hann-windowed ``frame``-sample frames of ``samples``
+    that begin at the sample indices ``starts``: (len(starts), fft_size//2 + 1).
+
+    Each row depends only on its own frame, so rows shared by overlapping
+    callers can be computed once and gathered.
+    """
+    if len(starts) == 0:
         return np.zeros((0, fft_size // 2 + 1))
-    return np.abs(np.fft.rfft(frames * _hann_window(frame), n=fft_size, axis=1))
+    frames = sliding_window_view(samples, frame)[starts]
+    frames *= _hann_window(frame)
+    return np.abs(np.fft.rfft(frames, n=fft_size, axis=1))
+
+
+def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> np.ndarray:
+    """``frame_magnitudes`` at the regular starts 0, hop, 2 hop, ...: one row
+    per whole frame, none when ``samples`` is shorter than a frame."""
+    starts = np.arange(0, len(samples) - frame + 1, hop)
+    return frame_magnitudes(samples, starts, frame, fft_size)
+
+
+def mel_log(mag: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
+    """(T, n_mels) log mel energies of (T, bins) STFT magnitudes, floored at
+    ``LOG_FLOOR``.
+
+    BLAS picks its product kernel by matrix size, so a row's bits depend on
+    T: callers that want the bits of a given frame set project that set alone.
+    """
+    n_fft = 2 * (mag.shape[1] - 1)
+    # the .T view of the cached (n_mels, bins) bank, as built: a transposed
+    # contiguous copy sends the product down another BLAS path and moves bits
+    mel_energy = mag @ mel_filterbank(n_mels, n_fft, sample_rate).T
+    return np.log(np.maximum(mel_energy, LOG_FLOOR))
 
 
 def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
@@ -261,12 +295,8 @@ def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
     A buffer shorter than one frame yields an empty (0, n_mels) array.
     """
     frame, hop = analysis_frame(buf.sample_rate)
-    n_fft = fft_length(frame)
-    mag = stft_magnitude(buf.samples, frame, hop, n_fft)
-    # the .T view of the cached (n_mels, bins) bank, as built: a transposed
-    # contiguous copy sends the product down another BLAS path and moves bits
-    mel_energy = mag @ mel_filterbank(n_mels, n_fft, buf.sample_rate).T
-    return np.log(np.maximum(mel_energy, LOG_FLOOR))
+    mag = stft_magnitude(buf.samples, frame, hop, fft_length(frame))
+    return mel_log(mag, n_mels, buf.sample_rate)
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
@@ -285,4 +315,6 @@ def mfcc(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
     """First n_mfcc coefficients of an orthonormal type-II DCT per log-mel frame."""
     if n_mfcc > logmel.shape[1]:
         raise ConfigError(f"n_mfcc {n_mfcc} exceeds mel dimension {logmel.shape[1]}")
+    from scipy.fft import dct  # here, not at import: scipy.fft is most of the CLI's import time
+
     return dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]

@@ -9,10 +9,12 @@ manifest is byte-deterministic for given inputs and config.
 Separation and quality scoring are pluggable: a deterministic built-in
 proxy, or an external subprocess that reads WAV on stdin and writes WAV
 (separator) or a decimal score (scorer) on stdout, exiting 0 on success.
-Speaker embeddings for diarization are built-in log-mel statistics. VAD and
-scoring frame the signal with the package's one analysis frame
-(``audio.analysis_frame``), so ``PipelineConfig`` rejects a ``sample_rate``
-too low to hold a hop before any file is read.
+Speaker embeddings for diarization are built-in log-mel statistics over
+half-overlapping windows; each span's STFT runs once over the frames its
+windows share. VAD, scoring and diarization frame the signal with the
+package's one analysis frame (``audio.analysis_frame``), so
+``PipelineConfig`` rejects a ``sample_rate`` too low to hold a hop, and a
+``window_s`` shorter than one frame, before any file is read.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import numpy as np
 from .audio import (
     AudioBuffer,
     analysis_frame,
+    fft_length,
+    frame_magnitudes,
     frame_signal,
-    log_mel,
+    mel_log,
     parse_wav_bytes,
     read_wav,
     resample,
@@ -123,9 +127,14 @@ class PipelineConfig:
         if not (1.0 <= self.quality_threshold <= 5.0):
             raise ConfigError("quality_threshold must lie in [1, 5]")
         try:
-            analysis_frame(self.sample_rate)
+            frame, _ = analysis_frame(self.sample_rate)
         except ConfigError as exc:
             raise ConfigError(f"'sample_rate': {exc}") from None
+        # diarization steps by half a window: a window of no length never ends
+        if not self.window_s >= frame / self.sample_rate:
+            raise ConfigError(f"'window_s' must be at least one {frame}-sample analysis "
+                              f"frame at {self.sample_rate} Hz "
+                              f"({frame / self.sample_rate:g} s), got {self.window_s}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +247,13 @@ def vad_segments(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> li
         return []
     speech = _speech_frames(e_db, cfg)
 
-    spans = []
-    start = None
-    for i, flag in enumerate(speech):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(speech) - 1))
+    # run i covers frames first[i] ..= last[i]
+    edges = np.diff(speech.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1).tolist()
+    last = (np.flatnonzero(edges == -1) - 1).tolist()
 
     duration = buf.duration_s
-    raw = [(i0 * hop_s, min(i1 * hop_s + frame_s, duration)) for i0, i1 in spans]
+    raw = [(i0 * hop_s, min(i1 * hop_s + frame_s, duration)) for i0, i1 in zip(first, last)]
 
     merged = []
     hangover_s = cfg.hangover_ms / 1000.0
@@ -281,9 +284,9 @@ def trim_to_speech(buf: AudioBuffer) -> AudioBuffer:
     return buf.slice_seconds(spans[0].start_s, spans[-1].end_s)
 
 
-def logmel_stats_embedder(buf: AudioBuffer) -> np.ndarray:
-    """Built-in proxy speaker embedding: 40-band log-mel mean and std, L2-normalized."""
-    feats = log_mel(buf, 40)
+def _stats_embedding(feats: np.ndarray) -> np.ndarray:
+    """Proxy speaker embedding of (T, n_mels) log-mel rows: per-band mean and
+    std, L2-normalised; the zero vector when there are no rows."""
     if feats.shape[0] == 0:
         vec = np.zeros(2 * feats.shape[1])
     else:
@@ -303,10 +306,12 @@ def _average_linkage_clusters(vectors: np.ndarray, threshold: float) -> np.ndarr
     every other entry is ``+inf``. ``np.argmin`` scans in row-major order,
     so it returns the lexicographically first smallest pair. Merging ``b``
     into ``a`` deletes row and column ``b`` and recomputes only the means
-    that involve ``a``, each as ``np.mean`` over the same block of distances
-    in the same order, so every stored mean is the double a full recompute
-    gives. A Lance-Williams update of the means would round differently and
-    could flip a merge, so there is none.
+    that involve ``a``. Their rows and columns of ``dist`` are gathered once
+    per merge; each mean is then the sum of the C-ordered block
+    ``dist[np.ix_(lo members, hi members)]`` over its size, the sum and the
+    division ``np.mean`` makes, so every stored mean is the double a full
+    recompute gives. A Lance-Williams update of the means would round
+    differently and could flip a merge, so there is none.
     """
     n = len(vectors)
     sims = vectors @ vectors.T
@@ -321,56 +326,75 @@ def _average_linkage_clusters(vectors: np.ndarray, threshold: float) -> np.ndarr
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
         means = np.delete(np.delete(means, b, axis=0), b, axis=1)
-        for other in range(len(clusters)):
-            if other != a:
-                lo, hi = min(a, other), max(a, other)
-                means[lo, hi] = float(np.mean(dist[np.ix_(clusters[lo], clusters[hi])]))
+        members = clusters[a]
+        to_a = dist[:, members]  # row m: distances from m to a's members
+        from_a = dist[members]  # column m: distances from a's members to m
+        for other, others in enumerate(clusters):
+            if other < a:
+                block = to_a[others]
+                means[other, a] = block.sum() / block.size
+            elif other > a:
+                block = from_a.take(others, axis=1)
+                means[a, other] = block.sum() / block.size
     labels = np.zeros(n, dtype=int)
     for ci, members in enumerate(clusters):
         labels[members] = ci
     return labels
 
 
+def _span_windows(span: Span, window_s: float, sample_rate: int, n_samples: int) -> list:
+    """[i0, i1) sample bounds of the ``window_s`` windows (hop = half a
+    window) inside ``span``, at least one, cut short at the span's end."""
+    starts = []
+    t = span.start_s
+    while t + window_s <= span.end_s + 1e-9:
+        starts.append(t)
+        t += window_s / 2.0
+    if not starts:
+        starts = [span.start_s]
+    return [(max(0, int(round(s * sample_rate))),
+             min(n_samples, int(round(min(s + window_s, span.end_s) * sample_rate))))
+            for s in starts]
+
+
 def diarize(buf: AudioBuffer, spans, cfg: PipelineConfig = PipelineConfig()) -> list:
     """Label spans by speaker via clustered sliding-window embeddings.
 
-    Windows of ``window_s`` (hop = half a window) are cut inside each span
-    and embedded by ``logmel_stats_embedder``; average-linkage clustering under
-    cosine distance is cut at ``cluster_distance_threshold``. Each span takes
-    the majority cluster of its windows. Labels are "S0", "S1", ... in order
-    of first appearance.
+    Windows of ``window_s`` (hop = half a window) are cut inside each span.
+    Each span's STFT runs once, over every distinct frame start its windows
+    use; a window gathers its own frames' rows, projects them onto a 40-band
+    mel bank and takes their per-band mean and std, L2-normalised.
+    Average-linkage clustering under cosine distance is cut at
+    ``cluster_distance_threshold``. Each span takes the majority cluster of
+    its windows. Labels are "S0", "S1", ... in order of first appearance.
     """
     if not spans:
         return []
 
+    rate = buf.sample_rate
+    frame, hop = analysis_frame(rate)
+    n_fft = fft_length(frame)
     window_vecs = []
-    owners = []
-    for si, span in enumerate(spans):
-        t = span.start_s
-        hop = cfg.window_s / 2.0
-        starts = []
-        while t + cfg.window_s <= span.end_s + 1e-9:
-            starts.append(t)
-            t += hop
-        if not starts:
-            starts = [span.start_s]
-        for s in starts:
-            e = min(s + cfg.window_s, span.end_s)
-            window_vecs.append(logmel_stats_embedder(buf.slice_seconds(s, e)))
-            owners.append(si)
+    bounds = [0]  # span si owns windows bounds[si] .. bounds[si + 1] - 1
+    for span in spans:
+        # frame k of a window starting at sample i0 starts at i0 + k * hop
+        window_frames = [np.arange(i0, i1 - frame + 1, hop)
+                         for i0, i1 in _span_windows(span, cfg.window_s, rate, len(buf.samples))]
+        starts, row = np.unique(np.concatenate(window_frames), return_inverse=True)
+        mag = frame_magnitudes(buf.samples, starts, frame, n_fft)
+        at = 0
+        for f in window_frames:
+            rows = mag[row[at:at + len(f)]]
+            window_vecs.append(_stats_embedding(mel_log(rows, 40, rate)))
+            at += len(f)
+        bounds.append(len(window_vecs))
 
-    vectors = np.stack(window_vecs)
-    labels = _average_linkage_clusters(vectors, cfg.cluster_distance_threshold)
-
-    span_cluster = []
-    for si in range(len(spans)):
-        mine = labels[[i for i, o in enumerate(owners) if o == si]]
-        counts = np.bincount(mine)
-        span_cluster.append(int(np.argmax(counts)))
+    labels = _average_linkage_clusters(np.stack(window_vecs), cfg.cluster_distance_threshold)
 
     rename = {}
     out = []
-    for span, cluster in zip(spans, span_cluster):
+    for si, span in enumerate(spans):
+        cluster = int(np.argmax(np.bincount(labels[bounds[si]:bounds[si + 1]])))
         if cluster not in rename:
             rename[cluster] = f"S{len(rename)}"
         out.append(Span(span.start_s, span.end_s, speaker=rename[cluster]))

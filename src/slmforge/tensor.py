@@ -12,7 +12,6 @@ parameters therefore never accumulate gradients.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GraphError, NonFiniteError
 
@@ -269,6 +268,8 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
+    from scipy.special import erf  # here, not at import: commands without a model skip scipy
+
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     out = x * cdf

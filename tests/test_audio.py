@@ -12,6 +12,7 @@ from slmforge.audio import (
     AudioBuffer,
     analysis_frame,
     fft_length,
+    frame_magnitudes,
     frame_signal,
     log_mel,
     mel_filterbank,
@@ -269,6 +270,25 @@ def test_log_mel_is_byte_equal_to_the_uncached_front_end(rate, n_mels):
         want = _uncached_log_mel(buf, n_mels)
         assert feats.shape == want.shape == (max(0, 1 + (n - frame) // hop), n_mels)
         assert feats.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rate", [8000, 22050])
+def test_frame_magnitudes_rows_depend_only_on_their_own_frame(rate):
+    frame, hop = analysis_frame(rate)
+    n_fft = fft_length(frame)
+    rng = np.random.default_rng(rate)
+    samples = 0.3 * rng.standard_normal(rate // 2)
+    # unsorted, repeated and hop-unaligned starts, the last frame ending at the end
+    starts = np.array([7, 0, 3 * hop + 1, 7, len(samples) - frame, hop])
+    mag = frame_magnitudes(samples, starts, frame, n_fft)
+    assert mag.shape == (len(starts), n_fft // 2 + 1)
+    for row, s in zip(mag, starts):
+        one = np.abs(np.fft.rfft(samples[s:s + frame] * np.hanning(frame), n=n_fft))
+        assert row.tobytes() == one.tobytes()
+    regular = np.arange(0, len(samples) - frame + 1, hop)
+    assert frame_magnitudes(samples, regular, frame, n_fft).tobytes() == \
+        stft_magnitude(samples, frame, hop, n_fft).tobytes()
+    assert stft_magnitude(samples[:frame - 1], frame, hop, n_fft).shape == (0, n_fft // 2 + 1)
 
 
 def test_the_cached_front_end_arrays_and_the_frames_are_read_only():

@@ -122,6 +122,24 @@ def test_curate_too_low_sample_rate_exits_2_naming_the_key_before_reading(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("window_s", [0, -0.5, 0.01])
+def test_curate_window_shorter_than_a_frame_exits_2_naming_the_key_before_reading(
+        tmp_path, monkeypatch, capsys, window_s):
+    # a window of no length would step diarization's window starts forever
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    monkeypatch.setattr("slmforge.curate.read_wav", no_read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window_s": window_s}))
+    assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
+                 str(tmp_path / "in.wav")]) == 2
+    err = capsys.readouterr().err
+    assert f"'window_s' must be at least one 400-sample analysis frame at 16000 Hz " \
+           f"(0.025 s), got {window_s}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 @pytest.mark.parametrize("rate", [22050, 48000])
 def test_curate_at_rates_whose_frame_exceeds_512_samples(tmp_path, rate):
     wav, out, cfg = tmp_path / "in.wav", tmp_path / "m.jsonl", tmp_path / "cfg.json"
@@ -215,6 +233,15 @@ def test_import_pins_blas_threads_unless_set(preset):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.split() == [preset or "1", "1", "1"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.fft (MFCC) and scipy.special (GELU) load at their first use
+    code = ("import sys, slmforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_eval_and_report_round_trip(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slmforge import curate
-from slmforge.audio import read_wav, resample, write_wav
+from slmforge.audio import AudioBuffer, analysis_frame, log_mel, read_wav, resample, write_wav
 from slmforge.curate import (
     Manifest,
     PipelineConfig,
@@ -156,6 +156,77 @@ def test_vad_shift_by_k_hops_shifts_interior_spans():
     assert b[0].end_s - a[0].end_s == pytest.approx(k * hop_s, abs=1e-9)
 
 
+def _reference_vad_segments(buf, cfg=PipelineConfig()):
+    """The VAD as it was with a per-frame loop over the speech flags (kept
+    as the equivalence reference)."""
+    e_db, frame_s, hop_s = curate._frame_energies_db(buf)
+    if e_db.size == 0:
+        return []
+    speech = curate._speech_frames(e_db, cfg)
+
+    spans = []
+    start = None
+    for i, flag in enumerate(speech):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            spans.append((start, i - 1))
+            start = None
+    if start is not None:
+        spans.append((start, len(speech) - 1))
+
+    duration = buf.duration_s
+    raw = [(i0 * hop_s, min(i1 * hop_s + frame_s, duration)) for i0, i1 in spans]
+
+    merged = []
+    hangover_s = cfg.hangover_ms / 1000.0
+    for s, e in raw:
+        if merged and s - merged[-1][1] < hangover_s:
+            merged[-1][1] = e
+        else:
+            merged.append([s, e])
+
+    min_s = cfg.min_speech_ms / 1000.0
+    return [Span(s, e) for s, e in merged if e - s >= min_s]
+
+
+def _flag_patterns(rng, n):
+    """All-speech, no-speech, single frames at either end, and random runs."""
+    yield np.ones(n, dtype=bool)
+    yield np.zeros(n, dtype=bool)
+    for i in (0, n - 1):
+        one = np.zeros(n, dtype=bool)
+        one[i] = True
+        yield one
+        yield ~one
+    for p_switch in (0.02, 0.1, 0.5, 0.9):
+        switches = rng.random(n) < p_switch
+        flags = (np.cumsum(switches) % 2).astype(bool)
+        yield flags
+        yield ~flags
+
+
+@pytest.mark.parametrize("cfg", [
+    PipelineConfig(),
+    PipelineConfig(hangover_ms=0.0, min_speech_ms=0.0),
+    PipelineConfig(hangover_ms=35.0, min_speech_ms=50.0),
+], ids=["default", "no-merge", "short"])
+@pytest.mark.parametrize("rate", [8000, 16000])
+def test_vad_runs_equal_the_per_frame_loop(monkeypatch, cfg, rate):
+    rng = np.random.default_rng([rate, int(cfg.hangover_ms)])
+    frame, hop = analysis_frame(rate)
+    for n_frames in (1, 2, 3, 50, 301):
+        # a partial hop of samples past the last frame, so end_s is capped
+        buf = AudioBuffer(np.zeros(frame + (n_frames - 1) * hop + hop // 2), rate)
+        for flags in _flag_patterns(rng, n_frames):
+            monkeypatch.setattr(curate, "_speech_frames", lambda e_db, cfg, f=flags: f)
+            want = _reference_vad_segments(buf, cfg)
+            got = vad_segments(buf, cfg)
+            assert got == want
+            assert [(type(sp.start_s), type(sp.end_s)) for sp in got] == \
+                [(type(sp.start_s), type(sp.end_s)) for sp in want]
+
+
 # ---------------------------------------------------------------------------
 # Diarization
 
@@ -256,6 +327,210 @@ def test_diarize_spans_equal_those_of_the_full_recompute(monkeypatch, threshold)
                         _reference_average_linkage_clusters)
     assert got == diarize(buf, spans, cfg)
     assert len({s.speaker for s in got}) == 2
+
+
+def _reference_logmel_stats_embedder(buf):
+    """The window embedding as it was: one ``log_mel`` call per window
+    buffer (kept as the equivalence reference)."""
+    feats = log_mel(buf, 40)
+    if feats.shape[0] == 0:
+        vec = np.zeros(2 * feats.shape[1])
+    else:
+        vec = np.concatenate([feats.mean(axis=0), feats.std(axis=0)])
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def _reference_window_vectors(buf, spans, cfg):
+    """Every window embedding as ``diarize`` made them with a sliced buffer
+    and a front-end call per window."""
+    window_vecs = []
+    for span in spans:
+        t = span.start_s
+        hop = cfg.window_s / 2.0
+        starts = []
+        while t + cfg.window_s <= span.end_s + 1e-9:
+            starts.append(t)
+            t += hop
+        if not starts:
+            starts = [span.start_s]
+        for s in starts:
+            e = min(s + cfg.window_s, span.end_s)
+            window_vecs.append(_reference_logmel_stats_embedder(buf.slice_seconds(s, e)))
+    return np.stack(window_vecs)
+
+
+def _window_vectors(monkeypatch, buf, spans, cfg):
+    """The window embeddings that ``diarize`` hands to the clustering."""
+    seen = []
+    real = curate._average_linkage_clusters
+
+    def spy(vectors, threshold):
+        seen.append(vectors.copy())
+        return real(vectors, threshold)
+
+    monkeypatch.setattr(curate, "_average_linkage_clusters", spy)
+    diarize(buf, spans, cfg)
+    monkeypatch.setattr(curate, "_average_linkage_clusters", real)
+    (vectors,) = seen
+    return vectors
+
+
+def _speakers_buffer(rate, seconds, seed):
+    """Alternating tones under noise at ``rate``, with a louder stretch."""
+    parts = []
+    for i in range(int(seconds)):
+        tone = sine(300.0 + 900.0 * (i % 2), 1.0, sample_rate=rate, amplitude=0.2 + 0.1 * i)
+        parts.append(mix(tone, white_noise(1.0, sample_rate=rate, amplitude=0.03, seed=seed + i)))
+    return concat_buffers(parts)
+
+
+def _diarize_spans(duration_s):
+    """Spans that exercise every window case: several windows, two shorter
+    than a window (of 19 and 21 frames at any rate), one shorter than an
+    analysis frame, one ending at the buffer's end and one running past it."""
+    return [Span(0.0, 2.37), Span(2.41, 2.62), Span(2.65, 2.88), Span(3.0, 3.012),
+            Span(3.1, duration_s - 1.03), Span(duration_s - 1.0, duration_s),
+            Span(duration_s - 0.4, duration_s + 0.5)]
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+def test_window_embeddings_are_byte_equal_to_the_per_window_front_end(monkeypatch, rate):
+    buf = _speakers_buffer(rate, 6, seed=rate)
+    spans = _diarize_spans(buf.duration_s)
+    cfg = PipelineConfig(sample_rate=rate)
+    got = _window_vectors(monkeypatch, buf, spans, cfg)
+    assert got.tobytes() == _reference_window_vectors(buf, spans, cfg).tobytes()
+
+
+@pytest.mark.parametrize("window_s", [0.05, 0.37, 1.0, 1.3])
+@pytest.mark.parametrize("rate", [16000, 22050])
+def test_window_embeddings_are_byte_equal_at_hop_unaligned_window_starts(
+        monkeypatch, rate, window_s):
+    # window starts every window_s / 2: 0.37 s and 0.05 s fall between hops
+    buf = _speakers_buffer(rate, 5, seed=7)
+    spans = _diarize_spans(buf.duration_s)
+    if window_s < 0.1:
+        spans = [Span(sp.start_s, min(sp.end_s, sp.start_s + 0.6)) for sp in spans]
+    cfg = PipelineConfig(sample_rate=rate, window_s=window_s)
+    got = _window_vectors(monkeypatch, buf, spans, cfg)
+    want = _reference_window_vectors(buf, spans, cfg)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _reference_stored_means_linkage(vectors, threshold, record):
+    """The stored-means clustering as it was, with one ``np.mean`` over
+    ``dist[np.ix_(..)]`` per recomputed pair; ``record`` gets the means
+    before every ``argmin`` (kept as the equivalence reference)."""
+    n = len(vectors)
+    sims = vectors @ vectors.T
+    dist = 1.0 - sims
+    clusters = [[i] for i in range(n)]
+    means = np.where(np.triu(np.ones((n, n), dtype=bool), 1), dist, np.inf)
+    while len(clusters) > 1:
+        record(means)
+        a, b = divmod(int(np.argmin(means)), len(clusters))
+        if means[a, b] > threshold:
+            break
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+        means = np.delete(np.delete(means, b, axis=0), b, axis=1)
+        for other in range(len(clusters)):
+            if other != a:
+                lo, hi = min(a, other), max(a, other)
+                means[lo, hi] = float(np.mean(dist[np.ix_(clusters[lo], clusters[hi])]))
+    labels = np.zeros(n, dtype=int)
+    for ci, members in enumerate(clusters):
+        labels[members] = ci
+    return labels
+
+
+class _ArgminRecorder:
+    """Stands in for numpy inside ``curate``, copying every array that
+    ``np.argmin`` scans: the stored means before each merge decision."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmin(self, a):
+        self.seen.append(a.copy())
+        return np.argmin(a)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stored_means_are_byte_equal_to_the_per_pair_mean_after_every_merge(
+        monkeypatch, seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(2, 70))
+    if seed % 2:
+        vectors = _grid_vectors(rng, n)
+    else:
+        vectors = rng.normal(size=(n, int(rng.integers(2, 9))))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    threshold = float(rng.uniform(0.2, 2.5))
+    want_means = []
+    want = _reference_stored_means_linkage(vectors, threshold,
+                                           lambda m: want_means.append(m.copy()))
+    recorder = _ArgminRecorder()
+    monkeypatch.setattr(curate, "np", recorder)
+    got = curate._average_linkage_clusters(vectors, threshold)
+    monkeypatch.setattr(curate, "np", np)
+    assert np.array_equal(got, want)
+    assert len(recorder.seen) == len(want_means) > 1
+    for g, w in zip(recorder.seen, want_means):
+        assert g.tobytes() == w.tobytes()
+
+
+def _reference_diarize(buf, spans, cfg):
+    """``diarize`` as it was: per-window front end, per-pair means and a
+    majority vote that scans every window's owner."""
+    if not spans:
+        return []
+    vectors, owners = [], []
+    for si, span in enumerate(spans):
+        vecs = _reference_window_vectors(buf, [span], cfg)
+        vectors.extend(vecs)
+        owners.extend([si] * len(vecs))
+    labels = _reference_stored_means_linkage(np.stack(vectors),
+                                             cfg.cluster_distance_threshold, lambda m: None)
+    span_cluster = []
+    for si in range(len(spans)):
+        mine = labels[[i for i, o in enumerate(owners) if o == si]]
+        span_cluster.append(int(np.argmax(np.bincount(mine))))
+    rename = {}
+    out = []
+    for span, cluster in zip(spans, span_cluster):
+        if cluster not in rename:
+            rename[cluster] = f"S{len(rename)}"
+        out.append(Span(span.start_s, span.end_s, speaker=rename[cluster]))
+    return out
+
+
+@pytest.mark.parametrize("threshold", [0.02, 0.15, 0.5])
+@pytest.mark.parametrize("window_s", [0.37, 1.0])
+def test_diarize_equals_the_per_window_reference(threshold, window_s):
+    buf = _speakers_buffer(16000, 8, seed=3)
+    spans = _diarize_spans(buf.duration_s) + [Span(7.2, 7.9)]
+    cfg = PipelineConfig(window_s=window_s, cluster_distance_threshold=threshold)
+    got = diarize(buf, spans, cfg)
+    assert got == _reference_diarize(buf, spans, cfg)
+
+
+@pytest.mark.parametrize("window_s", [0.0, -1.0, 0.02, float("nan")])
+def test_window_shorter_than_one_analysis_frame_is_config_error(window_s):
+    with pytest.raises(ConfigError, match="'window_s' must be at least one 400-sample"):
+        PipelineConfig(window_s=window_s)
+
+
+def test_window_of_one_analysis_frame_is_accepted():
+    for rate in (8000, 16000, 44100):
+        frame, _ = analysis_frame(rate)
+        assert PipelineConfig(sample_rate=rate, window_s=frame / rate).window_s == frame / rate
+    with pytest.raises(ConfigError, match="'window_s'.*8000 Hz"):
+        PipelineConfig(sample_rate=8000, window_s=0.0249)
 
 
 # ---------------------------------------------------------------------------
