@@ -16,30 +16,3 @@ import os
 # before the first numpy import, which is when BLAS reads these variables.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
-
-from .audio import AudioBuffer, log_mel, mfcc, read_wav, resample, standardize, write_wav
-from .curate import Manifest, PipelineConfig, SegmentRecord, Span, run_pipeline
-from .metrics import cer, chrf, render_report, wer
-from .tensor import Tensor, no_grad
-
-__all__ = [
-    "__version__",
-    "AudioBuffer",
-    "log_mel",
-    "mfcc",
-    "read_wav",
-    "resample",
-    "standardize",
-    "write_wav",
-    "Manifest",
-    "PipelineConfig",
-    "SegmentRecord",
-    "Span",
-    "run_pipeline",
-    "wer",
-    "cer",
-    "chrf",
-    "render_report",
-    "Tensor",
-    "no_grad",
-]

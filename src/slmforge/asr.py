@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .config import require_at_least
 from .errors import ConfigError, GraphError
-from .fileio import atomic_open, parse_field, read_json, read_text
+from .fileio import parse_field, read_json, read_text
 from .metrics import wer
 from .nn import Adam, Linear, Module, train_step
 from .pretrain import SpeechEncoder
@@ -73,10 +74,6 @@ class Vocab:
             return cls(lines)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-    def to_file(self, path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.symbols) + "\n")
 
     def encode(self, text: str) -> list:
         out = []
@@ -392,6 +389,9 @@ class FinetuneConfig:
     lr: float = 3e-3
     batch_size: int = 2
     eval_every: int = 50
+
+    def __post_init__(self):
+        require_at_least(self, steps=0, batch_size=1, eval_every=1)
 
 
 def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,

@@ -13,8 +13,9 @@ product and the floored log (``mel_log``). ``log_mel`` runs it on the
 regular starts 0, hop, 2 hop, ...; diarization runs the first half once per
 span on the starts its windows share, and the second half per window.
 
-WAV support covers RIFF little-endian containers with PCM16 or IEEE float32
-samples. Multichannel files are downmixed by averaging, never rejected.
+WAV reading covers RIFF little-endian containers with PCM16 or IEEE float32
+samples; multichannel files are downmixed by averaging, never rejected. WAV
+writing is mono PCM16 only.
 
 The front end is fixed: Hann-windowed frames of ``FRAME_MS`` every
 ``HOP_MS`` (``analysis_frame`` gives their sample counts, for log-mel and
@@ -139,31 +140,20 @@ def parse_wav_bytes(raw: bytes) -> AudioBuffer:
     return AudioBuffer(samples, sample_rate)
 
 
-def wav_bytes(buf: AudioBuffer, encoding: str = "pcm16") -> bytes:
-    """Serialize a buffer as a RIFF/WAVE byte string (PCM16 or float32)."""
-    if encoding == "pcm16":
-        fmt_code, bits = 1, 16
-        clipped = np.clip(buf.samples, -1.0, 1.0)
-        payload = (np.round(clipped * 32767.0)).astype("<i2").tobytes()
-    elif encoding == "float32":
-        fmt_code, bits = 3, 32
-        payload = np.clip(buf.samples, -1.0, 1.0).astype("<f4").tobytes()
-    else:
-        raise ConfigError(f"unknown wav encoding {encoding!r}")
-
-    block_align = bits // 8
-    byte_rate = buf.sample_rate * block_align
+def wav_bytes(buf: AudioBuffer) -> bytes:
+    """Serialize a buffer as a mono PCM16 RIFF/WAVE byte string."""
+    payload = np.round(np.clip(buf.samples, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     fmt_chunk = b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_code, 1, buf.sample_rate, byte_rate, block_align, bits
+        "<IHHIIHH", 16, 1, 1, buf.sample_rate, buf.sample_rate * 2, 2, 16
     )
     data_chunk = b"data" + struct.pack("<I", len(payload)) + payload
     return header + fmt_chunk + data_chunk
 
 
-def write_wav(path, buf: AudioBuffer, encoding: str = "pcm16") -> None:
+def write_wav(path, buf: AudioBuffer) -> None:
     with atomic_open(path, "wb") as fh:
-        fh.write(wav_bytes(buf, encoding))
+        fh.write(wav_bytes(buf))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def read_config(cls, obj):
     return cls(**given)
 
 
+def require_at_least(cfg, **lows) -> None:
+    """A ConfigError naming the first field of ``cfg`` that is below its
+    bound in ``lows``; a None field has no bound."""
+    for name, low in lows.items():
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def config_hash(cfg: dict) -> str:
     """First 16 hex digits of the sha256 of ``cfg`` as sorted-key JSON."""
     blob = json.dumps(cfg, sort_keys=True).encode("utf-8")

@@ -187,7 +187,8 @@ class MetricRow:
             raise ConfigError("not a JSON object with a string 'name'")
         metrics = {key: d[key] for key, _, _ in METRIC_COLUMNS if key in d}
         for key, value in metrics.items():
-            if value is not None and not isinstance(value, (int, float)):
+            # exact types, as config_fields checks them: a JSON true is no number
+            if value is not None and type(value) not in (int, float):
                 raise ConfigError(f"{key} must be a number or null, got {value!r}")
         extra = {k: v for k, v in d.items() if k != "name" and k not in metrics}
         return cls(name=d["name"], extra=extra, **metrics)

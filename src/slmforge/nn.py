@@ -46,8 +46,8 @@ _DTYPE_CODES = {0: "<f8"}
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor; ``freeze``/``unfreeze`` set ``requires_grad``
-    and clear any gradient."""
+    """A trainable leaf tensor; ``freeze`` clears ``requires_grad`` and any
+    gradient."""
 
     __slots__ = ()
 
@@ -56,10 +56,6 @@ class Parameter(Tensor):
 
     def freeze(self):
         self.requires_grad = False
-        self.grad = None
-
-    def unfreeze(self):
-        self.requires_grad = True
         self.grad = None
 
 
@@ -93,11 +89,6 @@ class Module:
     def freeze(self):
         for p in self.parameters():
             p.freeze()
-        return self
-
-    def unfreeze(self):
-        for p in self.parameters():
-            p.unfreeze()
         return self
 
     def zero_grad(self):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import HOP_MS, analysis_frame, mfcc
-from .config import read_config
+from .config import read_config, require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field
 from .nn import (
@@ -305,8 +305,7 @@ class PretrainConfig:
             raise ConfigError("batch_seconds must be positive")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ConfigError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
-        if self.span_len < 1:
-            raise ConfigError(f"span_len must be >= 1, got {self.span_len}")
+        require_at_least(self, k=1, span_len=1)
         if self.refresh_schedule is None:
             self.refresh_schedule = (self.epochs // 2,) if self.epochs >= 2 else ()
         self.refresh_schedule = tuple(self.refresh_schedule)

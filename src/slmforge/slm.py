@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .config import read_config
+from .config import read_config, require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_jsonl, write_jsonl
 from .nn import (
@@ -168,28 +168,7 @@ def completion_mask(ids, tokenizer: CharTokenizer) -> list:
     return mask
 
 
-def rule_table_phonemizer(table: dict):
-    """Grapheme -> phoneme rewriting by longest-match table lookup."""
-
-    def phonemize(text: str) -> str:
-        out = []
-        pos = 0
-        keys = sorted(table, key=len, reverse=True)
-        while pos < len(text):
-            for key in keys:
-                if key and text.startswith(key, pos):
-                    out.append(table[key])
-                    pos += len(key)
-                    break
-            else:
-                out.append(text[pos])
-                pos += 1
-        return "".join(out)
-
-    return phonemize
-
-
-def build_instruction_dataset(records, modes, phonemizer=None):
+def build_instruction_dataset(records, modes):
     """Render one InstructionExample per record x mode.
 
     A record x mode is skipped with a logged reason, never fatally, when a
@@ -198,8 +177,8 @@ def build_instruction_dataset(records, modes, phonemizer=None):
     skipped); the tokenizer is built from the rendered texts and encodes
     each, since the template puts ``": "`` before a field and a newline or
     the end marker after it, so no marker forms across a boundary. The
-    paraphrase step (and the phonemize step without a ``phonemizer``)
-    restates the transcript as it is.
+    phonemize and paraphrase steps restate the transcript as it is: no
+    grapheme-to-phoneme table or paraphraser ships with the package.
     """
 
     examples = []
@@ -215,9 +194,6 @@ def build_instruction_dataset(records, modes, phonemizer=None):
                 reason = f"missing {missing[0]}"
             else:
                 steps = [(name, getattr(rec, _STEP_FIELDS[name])) for name in step_names]
-                if phonemizer:
-                    steps = [(name, phonemizer(text) if name == "phonemize" else text)
-                             for name, text in steps]
                 final = getattr(rec, final_field)
                 texts = [text for _, text in steps] + [final]
                 held = [m for m in ChatTemplate.specials if any(m in t for t in texts)]
@@ -436,6 +412,9 @@ class FusionTrainConfig:
     lm_lr: float = 3e-3
     aligner_hidden: int | None = None
 
+    def __post_init__(self):
+        require_at_least(self, steps=0, batch_size=1, lm_steps=0, aligner_hidden=1)
+
 
 def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
                   tokenizer: CharTokenizer,
@@ -564,6 +543,11 @@ class ParsedCot:
 _STEP_RE = re.compile(r"^STEP\[(.+?)\]:\s?(.*)$")
 _FINAL_RE = re.compile(r"^FINAL:\s?(.*)$")
 
+# a generation ends in a loop when its last LOOP_NGRAM tokens repeat
+# LOOP_REPEATS times in a row
+LOOP_NGRAM = 3
+LOOP_REPEATS = 3
+
 
 def parse_cot_output(text: str) -> ParsedCot:
     """Parse STEP/FINAL lines; diagnostics instead of exceptions.
@@ -588,18 +572,13 @@ def parse_cot_output(text: str) -> ParsedCot:
     return ParsedCot(steps, non_empty[-1] if non_empty else "", malformed=True)
 
 
-def detect_repetition_loop(text: str, n: int = 3, k: int = 3) -> bool:
-    """True iff the last n*k whitespace tokens are one n-gram repeated k times."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
+def detect_repetition_loop(text: str) -> bool:
+    """True iff the last ``LOOP_NGRAM`` * ``LOOP_REPEATS`` whitespace tokens
+    are one ``LOOP_NGRAM``-gram repeated ``LOOP_REPEATS`` times."""
     tokens = text.split()
-    if len(tokens) < n * k:
+    span = LOOP_NGRAM * LOOP_REPEATS
+    if len(tokens) < span:
         return False
-    gram = tokens[-n:]
-    for i in range(2, k + 1):
-        lo = len(tokens) - i * n
-        if tokens[lo : lo + n] != gram:
-            return False
-    return True
+    gram = tokens[-LOOP_NGRAM:]
+    return all(tokens[lo : lo + LOOP_NGRAM] == gram
+               for lo in range(len(tokens) - span, len(tokens), LOOP_NGRAM))

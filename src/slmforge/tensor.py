@@ -44,17 +44,6 @@ class Tensor:
         self._backward_fn = None
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError(f"item() on tensor of shape {self.data.shape}")
@@ -64,23 +53,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), Tensor(-1.0)))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Tensor):
@@ -209,10 +183,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
-    out = np.transpose(a.data, perm)
-    inverse = np.argsort(perm)
+def transpose(a: Tensor, axes) -> Tensor:
+    out = np.transpose(a.data, axes)
+    inverse = np.argsort(axes)
 
     def backward(grad):
         _accumulate(a, np.transpose(grad, inverse))
@@ -244,15 +217,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), backward, "concat")
 
 
-def tsum(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def backward(grad):
-        _accumulate(a, np.broadcast_to(grad, a.data.shape).copy())
-
-    return _make(out, (a,), backward, "sum")
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities and normalization
 
@@ -279,19 +243,6 @@ def gelu(a: Tensor) -> Tensor:
         _accumulate(a, grad * (cdf + x * pdf))
 
     return _make(out, (a,), backward, "gelu")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; rows sum to one."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(grad):
-        dot = (grad * out).sum(axis=-1, keepdims=True)
-        _accumulate(a, out * (grad - dot))
-
-    return _make(out, (a,), backward, "softmax")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:

@@ -1,11 +1,12 @@
-"""Shared test helpers: finite-difference oracle and synthetic signals."""
+"""Shared test helpers: finite-difference oracle, the reference graph ops
+the tests build losses and attention from, and subprocess environments."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 
-from slmforge.tensor import Tensor, tsum
+from slmforge.tensor import Tensor, _accumulate, _make
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,6 +19,30 @@ def cli_env():
     """
     pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, the scalar loss of most gradient tests."""
+    out = np.asarray(a.data.sum())
+
+    def backward(grad):
+        _accumulate(a, np.broadcast_to(grad, a.data.shape).copy())
+
+    return _make(out, (a,), backward, "sum")
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis; rows sum to one. ``tensor.attention``'s
+    reference composition uses it."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(grad):
+        dot = (grad * out).sum(axis=-1, keepdims=True)
+        _accumulate(a, out * (grad - dot))
+
+    return _make(out, (a,), backward, "softmax")
 
 
 def finite_diff_grad(f, x, h=1e-5):

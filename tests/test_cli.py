@@ -321,6 +321,7 @@ def test_report_renders_rows_file(tmp_path, capsys):
     ({"wer": 1.0}, "string 'name'"),
     (["ours", 1.0], "not a JSON object"),
     ({"name": "ours", "wer": "x"}, "wer must be a number"),
+    ({"name": "ours", "cer": True}, "cer must be a number or null, got True"),
 ])
 def test_report_bad_row_is_runtime_error_naming_its_index(tmp_path, capsys, row, cause):
     path = tmp_path / "rows.json"
@@ -561,6 +562,24 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
         assert main([command, "--config", str(cfg), *NEEDED_ARGS[command]]) == 2
         err = capsys.readouterr().err
         assert f"{key!r} must be {expected}, got {json.dumps(value)}" in err
+
+
+@pytest.mark.parametrize("command, key, value, shown", [
+    ("pretrain", "k", 0, "k must be >= 1, got 0"),
+    ("finetune-asr", "steps", -1, "steps must be >= 0, got -1"),
+    ("finetune-asr", "batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("finetune-asr", "eval_every", 0, "eval_every must be >= 1, got 0"),
+    ("train-aligner", "steps", -1, "steps must be >= 0, got -1"),
+    ("train-aligner", "lm_steps", -1, "lm_steps must be >= 0, got -1"),
+    ("train-aligner", "batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("train-aligner", "aligner_hidden", 0, "aligner_hidden must be >= 1, got 0"),
+])
+def test_training_config_value_out_of_range_exits_2_naming_the_key_before_reading(
+        tmp_path, monkeypatch, capsys, command, key, value, shown):
+    monkeypatch.chdir(tmp_path)  # none of the files NEEDED_ARGS names exists here
+    Path("cfg.json").write_text(json.dumps({key: value}))
+    assert main([command, "--config", "cfg.json", *NEEDED_ARGS[command]]) == 2
+    assert capsys.readouterr().err == f"slmforge {command}: {shown}\n"
 
 
 def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):

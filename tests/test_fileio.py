@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from slmforge import fileio
-from slmforge.asr import Vocab
 from slmforge.audio import AudioBuffer, wav_bytes, write_wav
 from slmforge.cli import main
 from slmforge.curate import Manifest, SegmentRecord
@@ -112,7 +111,6 @@ WRITERS = {
         lambda p: write_wav(p, AudioBuffer(np.zeros(16), 16000))),
     "manifest": _raises(lambda p: Manifest([], {"v": 1}).write(p)),
     "sft": _raises(lambda p: write_instruction_dataset(p, [], CharTokenizer("ab"))),
-    "vocab": _raises(lambda p: Vocab.from_texts(["ab"]).to_file(p)),
     "eval_out": _eval_out,  # the CLI reports the OSError as exit 2
     "report_out": _report_out,
 }
@@ -139,8 +137,6 @@ def test_writers_produce_the_same_bytes_as_their_serialisers(tmp_path):
     buf = AudioBuffer(np.linspace(-1, 1, 32), 16000)
     write_wav(tmp_path / "a.wav", buf)
     assert (tmp_path / "a.wav").read_bytes() == wav_bytes(buf)
-    Vocab(["<blank>", "a", "é"]).to_file(tmp_path / "vocab.txt")
-    assert (tmp_path / "vocab.txt").read_bytes() == "<blank>\na\né\n".encode("utf-8")
 
 
 def test_missing_directory_error_names_the_target_not_the_temp_file(tmp_path):

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import tsum
+
 from slmforge import tensor as T
 from slmforge.audio import mfcc
 from slmforge.errors import ConfigError, GraphError
@@ -254,10 +256,10 @@ def test_front_end_equals_the_stride_2_convolution_with_the_relaid_kernel(t):
     cotangent = Tensor(rng.standard_normal((t // 2, TOY_CFG.dim)))
 
     got = enc.forward(feats)[0]
-    T.tsum(got * cotangent).backward()
+    tsum(got * cotangent).backward()
     ref_w, ref_b = Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)
     want = T.gelu(_reference_conv1d(Tensor(feats), ref_w, ref_b, stride=2))
-    T.tsum(want * cotangent).backward()
+    tsum(want * cotangent).backward()
 
     assert got.data.shape == want.data.shape == (t // 2, TOY_CFG.dim)
     assert _rel_err(got.data, want.data) < 1e-12

@@ -1,0 +1,72 @@
+"""Static check that no definition in ``src/slmforge`` exists only for tests.
+
+Every top-level function and class, and every method whose name is not a
+dunder, must have its name referenced somewhere in ``src/`` outside its own
+definition, or in ``demos/`` or ``bench/``. References are read from the
+AST: names, attribute accesses and imported names. A definition that only
+the tests reach belongs in ``tests/``; the one other way to pass is an
+entry in ``KEPT`` with its reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# "module.name" or "module.Class.method" -> why it stays without a reference
+KEPT = {
+    "cli._Parser.error": "argparse calls it by name to report a usage error (exit 1)",
+    "synth.mix": "one of the synthetic-signal helpers (sine, silence, white_noise, mix, ...) "
+                 "that demos, the bench and tests build audio from; the curation tests "
+                 "mix noise into speech with it",
+}
+
+
+def _references(tree):
+    """Counter of every name ``tree`` reads, as a name, an attribute or an
+    imported name."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
+def _definitions(tree, module):
+    """(qualified name, bare name, node) of each top-level function and
+    class and each non-dunder method in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_every_src_definition_is_reached_from_src_demos_or_bench():
+    src = _trees("src")
+    assert src, "no source files found"
+    refs = Counter()
+    for tree in [*src.values(), *_trees("demos", "bench").values()]:
+        refs += _references(tree)
+    defined = set()
+    unreached = []
+    for path, tree in src.items():
+        for qualname, name, node in _definitions(tree, path.stem):
+            defined.add(qualname)
+            if refs[name] - _references(node)[name] <= 0 and qualname not in KEPT:
+                unreached.append(qualname)
+    assert not unreached, f"definitions reached only from tests (or not at all): {unreached}"
+    assert set(KEPT) <= defined, "a KEPT entry names no definition"

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import check_grad_against_fd, finite_diff_grad, max_rel_error
+from conftest import check_grad_against_fd, finite_diff_grad, max_rel_error, softmax, tsum
 
 from slmforge import nn
 from slmforge import tensor as T
@@ -78,7 +78,7 @@ def test_concat_last_dim_shape():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    out = T.softmax(Tensor(rand(rng, 6, 9))).data
+    out = softmax(Tensor(rand(rng, 6, 9))).data
     assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-9
 
 
@@ -86,7 +86,7 @@ def test_log_softmax_is_log_of_softmax():
     rng = np.random.default_rng(4)
     x = rand(rng, 5, 7)
     assert np.max(np.abs(T.log_softmax(Tensor(x)).data
-                         - np.log(T.softmax(Tensor(x)).data))) < 1e-9
+                         - np.log(softmax(Tensor(x)).data))) < 1e-9
 
 
 def test_layer_norm_statistics_before_affine():
@@ -175,7 +175,7 @@ def test_op_gradients_match_finite_differences(op_name):
                 [rand(rng, 3, 2), rand(rng, 3, 3)], seed=trial))
         elif op_name == "softmax":
             worst = max(worst, check_grad_against_fd(
-                T.softmax, [rand(rng, 4, 5)], seed=trial))
+                softmax, [rand(rng, 4, 5)], seed=trial))
         elif op_name == "log_softmax":
             worst = max(worst, check_grad_against_fd(
                 T.log_softmax, [rand(rng, 4, 5)], seed=trial))
@@ -213,14 +213,14 @@ def test_composite_graph_gradient_matches_fd():
         x = Tensor(x_arr)
         w = Tensor(w_data)
         h = T.gelu(T.matmul(x, w))
-        s = T.softmax(h)
-        return float(T.tsum(s * s).data)
+        s = softmax(h)
+        return float(tsum(s * s).data)
 
     x = Tensor(x_data, requires_grad=True)
     w = Tensor(w_data)
     h = T.gelu(T.matmul(x, w))
-    s = T.softmax(h)
-    loss = T.tsum(s * s)
+    s = softmax(h)
+    loss = tsum(s * s)
     loss.backward()
     numeric = finite_diff_grad(network, x_data.copy())
     assert max_rel_error(x.grad, numeric) < 1e-4
@@ -278,22 +278,22 @@ def test_adam_skips_parameter_without_requires_grad():
     assert mod.b.data[0] == 1.0
 
 
-def test_freeze_and_unfreeze_set_requires_grad_and_clear_grad():
+def test_freeze_clears_requires_grad_and_grad():
     net = _Net()
     for p in net.parameters():
         p.grad = np.ones_like(p.data)
     net.fc1.freeze()
     assert [p.requires_grad for p in net.parameters()] == [False, False, True, True]
     assert [p.grad is None for p in net.parameters()] == [True, True, False, False]
-    net.freeze().unfreeze()
-    assert all(p.requires_grad and p.grad is None for p in net.parameters())
+    assert net.freeze() is net
+    assert not any(p.requires_grad or p.grad is not None for p in net.parameters())
 
 
 def test_frozen_parameter_gets_no_grad():
     w = Parameter(np.array([[2.0]]))
     w.freeze()
     x = Tensor(np.array([[3.0]]), requires_grad=True)
-    loss = T.tsum(T.matmul(x, w))
+    loss = tsum(T.matmul(x, w))
     loss.backward()
     assert w.grad is None
     assert x.grad is not None
@@ -550,7 +550,7 @@ def _losses(net, n):
     out = []
     for _ in range(n):
         y = net.fc2(T.relu(net.fc1(Tensor(rng.standard_normal((3, 4))))))
-        out.append(T.tsum(y * y))
+        out.append(tsum(y * y))
     return out
 
 
@@ -595,7 +595,7 @@ def test_seeded_init_reproducible_training_trajectory():
         losses = []
         for _ in range(5):
             out = net.fc2(T.relu(net.fc1(Tensor(xs))))
-            loss = T.tsum(out * out) / out.data.size
+            loss = tsum(out * out) / out.data.size
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -609,7 +609,7 @@ def test_transformer_layer_gradients_flow():
     rng = np.random.default_rng(13)
     layer = TransformerLayer(8, 2, causal=True, rng=rng)
     x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-    loss = T.tsum(layer(x))
+    loss = tsum(layer(x))
     loss.backward()
     assert x.grad is not None and np.all(np.isfinite(x.grad))
     for _, p in layer.named_parameters():
@@ -626,7 +626,7 @@ def _reference_attention(q, k, v, bias=None):
     scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(q.data.shape[-1]))
     if bias is not None:
         scores = scores + Tensor(bias)
-    return T.matmul(T.softmax(scores), v)
+    return T.matmul(softmax(scores), v)
 
 
 def _heads(rng, t, h, dh=3):
@@ -649,7 +649,7 @@ def test_attention_is_byte_equal_to_the_six_node_composition(t, h, causal):
         rng = np.random.default_rng(1000 * t + 10 * h + causal)
         q, k, v = (_heads(rng, t, h) for _ in range(3))
         out = op(q, k, v, _causal_bias(t) if causal else None)
-        T.tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+        tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
         results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
     assert results[0] == results[1]
 
@@ -662,7 +662,7 @@ def _layer_grads(seed, causal, steps=2):
     opt = Adam(layer, lr=1e-2)
     xs = [Tensor(rng.standard_normal((t, 8)), requires_grad=True) for t in (5, 9)]
     for _ in range(steps):
-        train_step(opt, [T.tsum(layer(x) * layer(x)) for x in xs])
+        train_step(opt, [tsum(layer(x) * layer(x)) for x in xs])
     return ([p.data.tobytes() for p in layer.parameters()]
             + [x.grad.tobytes() for x in xs])
 
@@ -730,7 +730,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     h = T.gelu(x)
-    loss = T.tsum(h * h)
+    loss = tsum(h * h)
     loss.backward()
     assert x.grad is not None
     for node in (h, loss):
@@ -739,7 +739,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 
 def test_a_second_backward_on_the_same_loss_is_a_graph_error():
     x = Tensor(np.arange(3.0), requires_grad=True)
-    loss = T.tsum(x * x)
+    loss = tsum(x * x)
     loss.backward()
     with pytest.raises(GraphError, match="op 'sum'.*already released"):
         loss.backward()
@@ -748,9 +748,9 @@ def test_a_second_backward_on_the_same_loss_is_a_graph_error():
 def test_a_second_loss_on_a_released_shared_subgraph_is_a_graph_error():
     x = Tensor(np.arange(3.0), requires_grad=True)
     shared = T.relu(x)
-    T.tsum(shared).backward()
+    tsum(shared).backward()
     with pytest.raises(GraphError, match="op 'relu'.*already released"):
-        T.tsum(shared * shared).backward()
+        tsum(shared * shared).backward()
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -766,8 +766,8 @@ def _two_losses_own_graphs():
     rng = np.random.default_rng(6)
     layer = TransformerLayer(8, 2, causal=True, rng=rng)
     x = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
-    T.tsum(layer(x)).backward()
-    T.tsum(T.gelu(layer(x))).backward()
+    tsum(layer(x)).backward()
+    tsum(T.gelu(layer(x))).backward()
     return [p.grad.tobytes() for p in layer.parameters()] + [x.grad.tobytes()]
 
 
