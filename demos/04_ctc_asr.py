@@ -21,9 +21,9 @@ from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.synth import tone_sequence
 
 # normalization as applied to every transcript before training
-rules = builtin_rules("en")
+lexicon = builtin_rules("en")
 for text in ("Hello, World!", "We saw 23 birds."):
-    print(f"normalize({text!r}) -> {normalize_text(text, rules)!r}")
+    print(f"normalize({text!r}) -> {normalize_text(text, lexicon)!r}")
 
 # ten utterances: three tone segments each, one tone per character
 alphabet = "abcde"

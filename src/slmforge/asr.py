@@ -19,12 +19,11 @@ encoder's followed by the vocabulary.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -271,17 +270,11 @@ def ctc_beam_decode(log_probs, beam_width: int) -> list:
 # Transcription normalization
 
 
-DEFAULT_PUNCTUATION = string.punctuation + "¡¿‘’“”…«»"
+# deletes ASCII punctuation and the common typographic marks
+_PUNCTUATION_TABLE = str.maketrans("", "", string.punctuation + "¡¿‘’“”…«»")
 
 
-@dataclass
-class NormalizationRules:
-    lowercase: bool = True
-    punctuation: str = DEFAULT_PUNCTUATION
-    lexicon: dict = field(default_factory=dict)
-
-
-def load_lexicon(path) -> NormalizationRules:
+def load_lexicon(path) -> dict:
     """Load a digit-string -> words lexicon (plain JSON object); errors name
     the file and the offending keys."""
     entries = read_json(path)
@@ -291,10 +284,11 @@ def load_lexicon(path) -> NormalizationRules:
     if bad:
         raise ConfigError(f"lexicon {path}: entries must map digit strings to words, "
                           f"got {bad[:3]}")
-    return NormalizationRules(lexicon=entries)
+    return entries
 
 
-def builtin_rules(language: str = "en") -> NormalizationRules:
+def builtin_rules(language: str = "en") -> dict:
+    """The built-in digit lexicon of ``language``."""
     path = Path(__file__).parent / "data" / f"number_lexicon_{language}.json"
     if not path.exists():
         raise ConfigError(f"no built-in lexicon for language {language!r}")
@@ -317,26 +311,17 @@ def _verbalize_run(run: str, lexicon: dict) -> str:
     return " ".join(words)
 
 
-@functools.lru_cache(maxsize=None)
-def _deletion_table(chars: str) -> dict:
-    """The ``str.translate`` table that deletes ``chars``, built once per string."""
-    return str.maketrans("", "", chars)
-
-
-def normalize_text(text: str, rules: NormalizationRules) -> str:
+def normalize_text(text: str, lexicon: dict) -> str:
     """Lowercase, strip punctuation, verbalize digit runs, collapse whitespace.
 
-    Digit runs are replaced greedily by the longest lexicon key, falling
+    Digit runs are replaced greedily by the longest ``lexicon`` key, falling
     back digit by digit; a run that cannot be covered at all raises an
     error naming it. The function is idempotent.
     """
-    if rules.lowercase:
-        text = text.lower()
-    if rules.punctuation:
-        text = text.translate(_deletion_table(rules.punctuation))
+    text = text.lower().translate(_PUNCTUATION_TABLE)
 
     def sub(match):
-        return " " + _verbalize_run(match.group(0), rules.lexicon) + " "
+        return " " + _verbalize_run(match.group(0), lexicon) + " "
 
     text = re.sub(r"\d+", sub, text)
     return " ".join(text.split())

@@ -33,7 +33,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .audio import log_mel, read_wav, resample, standardize
@@ -162,9 +162,9 @@ def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
                                   (rec.offset_s, rec.offset_s + rec.duration_s))
 
 
-def _normalization_rules(args):
-    """The rules of ``--lexicon``, else of the built-in ``--language`` table
-    (English when neither is given); the parser makes them exclusive."""
+def _normalization_lexicon(args) -> dict:
+    """The digit lexicon of ``--lexicon``, else the built-in ``--language``
+    one (English when neither is given); the parser makes them exclusive."""
     if args.lexicon:
         return asr_mod.load_lexicon(args.lexicon)
     return asr_mod.builtin_rules(args.language or "en")
@@ -204,6 +204,13 @@ def cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
     given = _config_fields(args)
     train_cfg = PretrainConfig(**given[PretrainConfig])
+    encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
+    if encoder_cfg.input_dim < train_cfg.n_mfcc:
+        raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
+                          f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
+    if not 0 <= train_cfg.target_layer <= encoder_cfg.n_layers:
+        raise ConfigError(f"config {args.config}: 'target_layer' {train_cfg.target_layer} "
+                          f"is outside [0, {encoder_cfg.n_layers}], the encoder's layers")
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
@@ -214,12 +221,9 @@ def cmd_pretrain(args) -> int:
                           f"{other.sample_rate} Hz, record {manifest.records[0].id!r} at "
                           f"{rate} Hz; an encoder is trained at one sample rate")
     try:
-        encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig], sample_rate=rate)
+        encoder_cfg = replace(encoder_cfg, sample_rate=rate)
     except ConfigError as exc:
         raise ConfigError(f"manifest {args.manifest}: {exc}") from None
-    if encoder_cfg.input_dim < train_cfg.n_mfcc:
-        raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
-                          f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
     if args.init is None:
         encoder = SpeechEncoder(encoder_cfg, train_cfg.k, seed=seed)
     else:
@@ -246,12 +250,12 @@ def cmd_finetune_asr(args) -> int:
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
-    rules = _normalization_rules(args)
+    lexicon = _normalization_lexicon(args)
     train, heldout, train_ids = [], [], []
     for rec, features in _records_with_audio(args.manifest, manifest, encoder.cfg):
         if not rec.transcript:
             continue
-        text = asr_mod.normalize_text(rec.transcript, rules)
+        text = asr_mod.normalize_text(rec.transcript, lexicon)
         if rec.split == "test":
             heldout.append((features, text))
         else:
@@ -305,9 +309,14 @@ def cmd_train_aligner(args) -> int:
     seed = _resolve_seed(args)
     given = _config_fields(args)
     fusion_cfg = slm_mod.FusionTrainConfig(**given[slm_mod.FusionTrainConfig])
+    # the vocabulary size comes from the SFT file; the LM's shape is checked
+    # before that file is read
+    lm_cfg = slm_mod.CausalLMConfig(vocab_size=1, **given[slm_mod.CausalLMConfig])
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
+    lm_cfg = replace(lm_cfg, vocab_size=tokenizer.vocab_size)
+    lm = slm_mod.CausalLM(lm_cfg, seed=seed)
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
@@ -320,9 +329,6 @@ def cmd_train_aligner(args) -> int:
             raise ConfigError(f"sft example references unknown audio id {ex.audio_id!r}")
         pairs.append((feature_cache[ex.audio_id], ex))
 
-    lm_cfg = slm_mod.CausalLMConfig(vocab_size=tokenizer.vocab_size,
-                                    **given[slm_mod.CausalLMConfig])
-    lm = slm_mod.CausalLM(lm_cfg, seed=seed)
     if fusion_cfg.lm_steps:
         corpus = slm_mod.lm_stand_in_sequences(examples, tokenizer, feature_cache)
         slm_mod.train_lm(lm, corpus, steps=fusion_cfg.lm_steps,
@@ -387,9 +393,9 @@ def cmd_eval(args) -> int:
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"
         )
     if not args.no_normalize:
-        rules = _normalization_rules(args)
-        refs = [asr_mod.normalize_text(t, rules) for t in refs]
-        hyps = [asr_mod.normalize_text(t, rules) for t in hyps]
+        lexicon = _normalization_lexicon(args)
+        refs = [asr_mod.normalize_text(t, lexicon) for t in refs]
+        hyps = [asr_mod.normalize_text(t, lexicon) for t in hyps]
 
     row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:

@@ -126,6 +126,13 @@ class PipelineConfig:
             raise ConfigError("min_dur_s must be below max_dur_s")
         if not (1.0 <= self.quality_threshold <= 5.0):
             raise ConfigError("quality_threshold must lie in [1, 5]")
+        for key, builtins in (("separator", ("passthrough", "spectral-gate")),
+                              ("scorer", ("snr-proxy",))):
+            name = getattr(self, key)
+            external = name.startswith("external:") and name[len("external:"):].strip()
+            if name not in builtins and not external:
+                raise ConfigError(f"{key!r} must be {', '.join(map(repr, builtins))} or "
+                                  f"'external:<command>', got {name!r}")
         try:
             frame, _ = analysis_frame(self.sample_rate)
         except ConfigError as exc:

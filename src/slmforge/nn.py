@@ -169,6 +169,11 @@ def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
 
 
 class MultiHeadSelfAttention(Module):
+    """Projects the rows of its input to queries, keys and values, runs
+    ``tensor.attention`` over ``n_heads`` heads on them and projects the
+    result back: one call records its four ``Linear``s and one attention
+    node."""
+
     def __init__(self, dim: int, n_heads: int, causal: bool, rng: np.random.Generator):
         super().__init__()
         if dim % n_heads != 0:
@@ -184,30 +189,19 @@ class MultiHeadSelfAttention(Module):
         """Self-attention over the rows of ``x``. Given a ``cache`` (a list,
         empty at first), the rows of ``x`` follow those of earlier calls with
         that cache and attend to their keys and values too; the cache then
-        holds ``[k, v]`` of every row so far, each (heads, rows, head dim)."""
-        t, d = x.data.shape
-        h = self.n_heads
-        dh = d // h
-
-        def split_heads(m):
-            return T.transpose(T.reshape(m, (t, h, dh)), (1, 0, 2))  # (h, t, dh)
-
-        q = split_heads(self.wq(x))
-        k = split_heads(self.wk(x))
-        v = split_heads(self.wv(x))
+        holds ``[k, v]`` of every row so far, each (rows, dim)."""
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is not None:
             if cache:
-                k = T.concat([cache[0], k], axis=1)
-                v = T.concat([cache[1], v], axis=1)
+                k = T.concat([cache[0], k])
+                v = T.concat([cache[1], v])
             cache[:] = [k, v]
+        t, t_all = x.data.shape[0], k.data.shape[0]
         bias = None
         if self.causal and t > 1:
             # large negative bias keeps every intermediate value finite
-            t_all = k.data.shape[1]
             bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
-        ctx = T.attention(q, k, v, bias)  # (h, t, dh)
-        merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (t, d))
-        return self.wo(merged)
+        return self.wo(T.attention(q, k, v, self.n_heads, bias))
 
 
 class FeedForward(Module):

@@ -143,6 +143,7 @@ class SpeechEncoderConfig:
     sample_rate: int = 16000
 
     def __post_init__(self):
+        require_at_least(self, dim=1, n_layers=1, n_heads=1)
         try:
             analysis_frame(self.sample_rate)
         except ConfigError as exc:
@@ -204,7 +205,7 @@ class SpeechEncoder(Module):
             if mask.any():
                 keep = Tensor((~mask).astype(np.float64)[:, None])
                 fill = Tensor(mask.astype(np.float64)[:, None])
-                h = h * keep + T.reshape(self.mask_embed, (1, self.cfg.dim)) * fill
+                h = h * keep + self.mask_embed * fill
         h = h + Tensor(sinusoidal_positions(t_out, self.cfg.dim))
         for layer in self.layers:
             h = layer(h)
@@ -305,10 +306,15 @@ class PretrainConfig:
             raise ConfigError("batch_seconds must be positive")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ConfigError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
-        require_at_least(self, k=1, span_len=1)
+        require_at_least(self, k=1, span_len=1, max_steps=1)
         if self.refresh_schedule is None:
             self.refresh_schedule = (self.epochs // 2,) if self.epochs >= 2 else ()
         self.refresh_schedule = tuple(self.refresh_schedule)
+        outside = [e for e in self.refresh_schedule
+                   if not (type(e) is int and 1 <= e < self.epochs)]
+        if outside:
+            raise ConfigError(f"refresh_schedule epochs must be integers in "
+                              f"[1, {self.epochs}), got {outside[0]!r}")
 
 
 def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: int):
@@ -355,7 +361,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
     refresh_at = set(cfg.refresh_schedule)
 
     for epoch in range(cfg.epochs):
-        if epoch in refresh_at and epoch > 0:
+        if epoch in refresh_at:
             _, labels = refresh_targets(
                 encoder, dataset, cfg.target_layer, cfg.k, seed=seed + 100 + epoch
             )

@@ -234,6 +234,9 @@ class CausalLMConfig:
     n_layers: int = 2
     n_heads: int = 2
 
+    def __post_init__(self):
+        require_at_least(self, dim=1, n_heads=1)
+
 
 class CausalLM(Module):
     """Decoder-only transformer over characters; greedy decoding is
@@ -259,7 +262,7 @@ class CausalLM(Module):
         rows of earlier calls, take the positions after theirs and attend to
         them, so a sequence fed in pieces gives the logits of the whole.
         """
-        start = caches[0][0].data.shape[1] if caches and caches[0] else 0
+        start = caches[0][0].data.shape[0] if caches and caches[0] else 0
         h = emb + Tensor(sinusoidal_positions(emb.data.shape[0], self.cfg.dim, start))
         for block, cache in zip(self.blocks, caches or [None] * self.cfg.n_layers):
             h = block(h, cache)

@@ -4,6 +4,8 @@ A Tensor wraps a numpy array plus an optional gradient. Ops record a dynamic
 graph; ``backward`` on a scalar loss walks it in reverse topological order
 and frees it as it goes, so one graph is walked once.
 Any op producing NaN/Inf aborts immediately with an error naming the op.
+Multi-head attention is one op over (rows, dim) tensors that splits and
+joins the heads inside.
 
 Gradient flow stops at tensors with ``requires_grad=False``; frozen model
 parameters therefore never accumulate gradients.
@@ -183,25 +185,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    out = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
-
-    def backward(grad):
-        _accumulate(a, np.transpose(grad, inverse))
-
-    return _make(out, (a,), backward, "transpose")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(grad):
-        _accumulate(a, grad.reshape(a.data.shape))
-
-    return _make(out, (a,), backward, "reshape")
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -245,32 +228,47 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward, "gelu")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias=None) -> Tensor:
-    """Scaled dot-product attention over (heads, rows, head dim) tensors:
-    softmax(q kᵀ / sqrt(head dim) + ``bias``) v, with ``bias`` an optional
-    (rows of q, rows of k) array added to every head's scores.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention over (rows, dim) tensors.
 
-    One graph node that saves only the probabilities P, in place of the six
-    nodes of its composition (matmul, transpose, scale, bias add, softmax,
-    matmul); each array operation runs in that composition's order, so
-    outputs and gradients are bit-identical to it.
+    Each of ``n_heads`` heads takes its own dim / ``n_heads`` columns of q,
+    k and v and computes softmax(q kᵀ / sqrt(head dim) + ``bias``) v, with
+    ``bias`` an optional (rows of q, rows of k) array added to every head's
+    scores; the heads' outputs side by side are the (rows of q, dim) result.
+
+    One graph node that saves only the probabilities P, in place of the
+    composition of head split, matmul, transpose, scale, bias add, softmax,
+    matmul and head join; the split and join are numpy views, and each array
+    operation runs in that composition's order, so outputs and gradients are
+    bit-identical to it.
     """
-    scale = np.asarray(1.0 / np.sqrt(q.data.shape[-1]))
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    d = q.data.shape[1]
+    dh = d // n_heads
+
+    def split(m):  # (rows, dim) -> (heads, rows, head dim)
+        return m.reshape(m.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    def join(m):  # (heads, rows, head dim) -> (rows, dim)
+        return m.transpose(1, 0, 2).reshape(m.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / np.sqrt(dh))
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
     if bias is not None:
         scores = scores + bias
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, v.data)
+    out = join(np.matmul(p, vh))
 
     def backward(grad):
+        grad = split(grad)
         d_v = np.matmul(np.swapaxes(p, -1, -2), grad)
-        d_p = np.matmul(grad, np.swapaxes(v.data, -1, -2))
+        d_p = np.matmul(grad, np.swapaxes(vh, -1, -2))
         d_s = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True)) * scale
-        _accumulate(q, np.matmul(d_s, k.data))
-        _accumulate(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), d_s), -1, -2))
-        _accumulate(v, d_v)
+        _accumulate(q, join(np.matmul(d_s, kh)))
+        _accumulate(k, join(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), d_s), -1, -2)))
+        _accumulate(v, join(d_v))
 
     return _make(out, (q, k, v), backward, "attention")
 

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
-the tests build losses and attention from, and subprocess environments."""
+the tests build losses and the reference attention path from, and
+subprocess environments."""
 
 import os
 from pathlib import Path
@@ -43,6 +44,29 @@ def softmax(a: Tensor) -> Tensor:
         _accumulate(a, out * (grad - dot))
 
     return _make(out, (a,), backward, "softmax")
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    """``a`` with its axes permuted; the reference attention path splits
+    and merges heads with it."""
+    out = np.transpose(a.data, axes)
+    inverse = np.argsort(axes)
+
+    def backward(grad):
+        _accumulate(a, np.transpose(grad, inverse))
+
+    return _make(out, (a,), backward, "transpose")
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """``a`` in a new shape; the reference attention path splits and merges
+    heads with it."""
+    out = a.data.reshape(shape)
+
+    def backward(grad):
+        _accumulate(a, grad.reshape(a.data.shape))
+
+    return _make(out, (a,), backward, "reshape")
 
 
 def finite_diff_grad(f, x, h=1e-5):

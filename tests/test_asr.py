@@ -12,7 +12,6 @@ from slmforge.asr import (
     BLANK,
     CtcModel,
     FinetuneConfig,
-    NormalizationRules,
     Vocab,
     builtin_rules,
     collapse_path,
@@ -371,46 +370,36 @@ def test_beam_rejects_zero_width():
 
 
 def test_normalize_lowercase_and_punctuation():
-    rules = NormalizationRules()
-    assert normalize_text("Hello, World!", rules) == "hello world"
-
-
-def test_normalize_deletes_the_punctuation_of_each_rule_set_in_turn():
-    commas, bangs = NormalizationRules(punctuation=","), NormalizationRules(punctuation="!¡")
-    for _ in range(2):
-        assert normalize_text("¡Hi, there!", commas) == "¡hi there!"
-        assert normalize_text("¡Hi, there!", bangs) == "hi, there"
-        assert normalize_text("¡Hi, there!", NormalizationRules(punctuation="")) == "¡hi, there!"
+    assert normalize_text("Hello, World!", {}) == "hello world"
+    assert normalize_text("¡Hi, «there»… ¿OK?", {}) == "hi there ok"
 
 
 def test_normalize_digits_via_lexicon():
-    rules = NormalizationRules(lexicon={"23": "twenty three", "2": "two", "3": "three"})
-    assert normalize_text("23", rules) == "twenty three"
+    lexicon = {"23": "twenty three", "2": "two", "3": "three"}
+    assert normalize_text("23", lexicon) == "twenty three"
 
 
 def test_normalize_digit_fallback_digit_by_digit():
-    rules = NormalizationRules(lexicon={"4": "four", "7": "seven"})
-    assert normalize_text("47", rules) == "four seven"
+    assert normalize_text("47", {"4": "four", "7": "seven"}) == "four seven"
 
 
 def test_normalize_uncovered_digit_run_errors_naming_run():
-    rules = NormalizationRules(lexicon={})
     with pytest.raises(ConfigError, match="404"):
-        normalize_text("got 404 here", rules)
+        normalize_text("got 404 here", {})
 
 
 def test_normalize_idempotent():
-    rules = builtin_rules("en")
+    lexicon = builtin_rules("en")
     texts = ["Hello, World!", "We saw 23 birds.", "  spaced   out  ", "MiXeD 7"]
     for text in texts:
-        once = normalize_text(text, rules)
-        assert normalize_text(once, rules) == once
+        once = normalize_text(text, lexicon)
+        assert normalize_text(once, lexicon) == once
 
 
 def test_builtin_english_lexicon_composites():
-    rules = builtin_rules("en")
-    assert normalize_text("42", rules) == "forty two"
-    assert normalize_text("107", rules) == "ten seven"  # greedy longest then fallback
+    lexicon = builtin_rules("en")
+    assert normalize_text("42", lexicon) == "forty two"
+    assert normalize_text("107", lexicon) == "ten seven"  # greedy longest then fallback
 
 
 def test_vocab_round_trip_and_blank(tmp_path):

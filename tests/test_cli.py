@@ -140,6 +140,30 @@ def test_curate_window_shorter_than_a_frame_exits_2_naming_the_key_before_readin
     assert not (tmp_path / "m.jsonl").exists()
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("separator", "bogus",
+     "'separator' must be 'passthrough', 'spectral-gate' or 'external:<command>', "
+     "got 'bogus'"),
+    ("separator", "external: ",
+     "'separator' must be 'passthrough', 'spectral-gate' or 'external:<command>', "
+     "got 'external: '"),
+    ("scorer", "bogus", "'scorer' must be 'snr-proxy' or 'external:<command>', got 'bogus'"),
+    ("scorer", "external:",
+     "'scorer' must be 'snr-proxy' or 'external:<command>', got 'external:'"),
+])
+def test_curate_unknown_plug_in_exits_2_naming_the_key_before_reading(
+        tmp_path, monkeypatch, capsys, key, value, shown):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    monkeypatch.setattr("slmforge.curate.read_wav", no_read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
+                 str(tmp_path / "in.wav")]) == 2
+    assert capsys.readouterr().err == f"slmforge curate: {shown}\n"
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 @pytest.mark.parametrize("rate", [22050, 48000])
 def test_curate_at_rates_whose_frame_exceeds_512_samples(tmp_path, rate):
     wav, out, cfg = tmp_path / "in.wav", tmp_path / "m.jsonl", tmp_path / "cfg.json"
@@ -566,6 +590,19 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
 
 @pytest.mark.parametrize("command, key, value, shown", [
     ("pretrain", "k", 0, "k must be >= 1, got 0"),
+    ("pretrain", "dim", 0, "dim must be >= 1, got 0"),
+    ("pretrain", "n_layers", 0, "n_layers must be >= 1, got 0"),
+    ("pretrain", "n_heads", 0, "n_heads must be >= 1, got 0"),
+    ("pretrain", "max_steps", 0, "max_steps must be >= 1, got 0"),
+    ("pretrain", "max_steps", -1, "max_steps must be >= 1, got -1"),
+    ("pretrain", "refresh_schedule", [-3],
+     "refresh_schedule epochs must be integers in [1, 33), got -3"),
+    ("pretrain", "refresh_schedule", [5, 33],
+     "refresh_schedule epochs must be integers in [1, 33), got 33"),
+    ("pretrain", "target_layer", 7,
+     "config cfg.json: 'target_layer' 7 is outside [0, 2], the encoder's layers"),
+    ("pretrain", "target_layer", -1,
+     "config cfg.json: 'target_layer' -1 is outside [0, 2], the encoder's layers"),
     ("finetune-asr", "steps", -1, "steps must be >= 0, got -1"),
     ("finetune-asr", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("finetune-asr", "eval_every", 0, "eval_every must be >= 1, got 0"),
@@ -573,6 +610,8 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("train-aligner", "lm_steps", -1, "lm_steps must be >= 0, got -1"),
     ("train-aligner", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("train-aligner", "aligner_hidden", 0, "aligner_hidden must be >= 1, got 0"),
+    ("train-aligner", "d_lm", 0, "dim must be >= 1, got 0"),
+    ("train-aligner", "lm_heads", 0, "n_heads must be >= 1, got 0"),
 ])
 def test_training_config_value_out_of_range_exits_2_naming_the_key_before_reading(
         tmp_path, monkeypatch, capsys, command, key, value, shown):

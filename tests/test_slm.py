@@ -581,7 +581,7 @@ def test_a_sequence_fed_in_pieces_gives_the_logits_of_the_whole():
         pieces = [lm.forward_embeddings(Tensor(emb.data[lo:hi]), caches).data
                   for lo, hi in [(0, 11), (11, 14), (14, 15), (15, 30)]]
     np.testing.assert_allclose(np.concatenate(pieces), whole, rtol=0, atol=1e-12)
-    assert [layer[0].data.shape for layer in caches] == [(4, 30, 8)] * 2
+    assert [layer[0].data.shape for layer in caches] == [(30, 32)] * 2
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -600,7 +600,7 @@ def test_a_non_finite_cached_key_raises_naming_the_op():
         fused, _ = _fused_sequence(lm, aligner.align(speech), prompt_ids,
                                    tok.token_id("<|audio|>"))
         lm.forward_embeddings(fused, caches)
-        caches[1][0].data[0, 3] = np.nan  # one key row of layer 1, head 0
+        caches[1][0].data[3, 0] = np.nan  # key row 3 of layer 1, in head 0's columns
         with pytest.raises(NonFiniteError, match="op 'concat'"):
             lm.forward_embeddings(lm.embed([4]), caches)
 

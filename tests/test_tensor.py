@@ -6,7 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import check_grad_against_fd, finite_diff_grad, max_rel_error, softmax, tsum
+from conftest import (
+    check_grad_against_fd, finite_diff_grad, max_rel_error, reshape, softmax, transpose, tsum,
+)
 
 from slmforge import nn
 from slmforge import tensor as T
@@ -16,6 +18,7 @@ from slmforge.nn import (
     Adam,
     Linear,
     Module,
+    MultiHeadSelfAttention,
     Parameter,
     TransformerLayer,
     checkpoint_bytes,
@@ -165,10 +168,10 @@ def test_op_gradients_match_finite_differences(op_name):
                 T.matmul, [rand(rng, 3, 4), rand(rng, 4, 2)], seed=trial))
         elif op_name == "transpose":
             worst = max(worst, check_grad_against_fd(
-                lambda a: T.transpose(a, (1, 0)), [rand(rng, 3, 4)], seed=trial))
+                lambda a: transpose(a, (1, 0)), [rand(rng, 3, 4)], seed=trial))
         elif op_name == "reshape":
             worst = max(worst, check_grad_against_fd(
-                lambda a: T.reshape(a, (2, 6)), [rand(rng, 3, 4)], seed=trial))
+                lambda a: reshape(a, (2, 6)), [rand(rng, 3, 4)], seed=trial))
         elif op_name == "concat_last_dim":
             worst = max(worst, check_grad_against_fd(
                 lambda a, b: T.concat([a, b], axis=-1),
@@ -617,23 +620,57 @@ def test_transformer_layer_gradients_flow():
 
 
 # ---------------------------------------------------------------------------
-# The attention op against the six-node composition it replaced
+# The attention op against the graph path it replaced: heads split and merged
+# by graph ops around a six-node composition
 
 
 def _reference_attention(q, k, v, bias=None):
-    """The composition ``T.attention`` replaced: matmul, transpose, scale,
-    bias add, softmax and matmul, one graph node each."""
-    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(q.data.shape[-1]))
+    """The composition the one-node attention replaced, over (heads, rows,
+    head dim) tensors: matmul, transpose, scale, bias add, softmax and
+    matmul, one graph node each."""
+    scores = T.matmul(q, transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(q.data.shape[-1]))
     if bias is not None:
         scores = scores + Tensor(bias)
     return T.matmul(softmax(scores), v)
 
 
-def _heads(rng, t, h, dh=3):
-    """A (h, t, dh) leaf laid out as ``MultiHeadSelfAttention`` splits its
-    heads: a transposed view of a (t, h * dh) array."""
-    return Tensor(np.transpose(rng.standard_normal((t, h * dh)).reshape(t, h, dh), (1, 0, 2)),
-                  requires_grad=True)
+def _split_heads(m, n_heads):
+    """(rows, dim) -> (heads, rows, head dim) by graph ops."""
+    rows, d = m.data.shape
+    return transpose(reshape(m, (rows, n_heads, d // n_heads)), (1, 0, 2))
+
+
+def _merge_heads(m):
+    """(heads, rows, head dim) -> (rows, dim) by graph ops."""
+    h, rows, dh = m.data.shape
+    return reshape(transpose(m, (1, 0, 2)), (rows, h * dh))
+
+
+def _reference_multi_head(q, k, v, n_heads, bias=None):
+    """``T.attention`` as graph ops around the six-node composition."""
+    return _merge_heads(_reference_attention(
+        *(_split_heads(m, n_heads) for m in (q, k, v)), bias))
+
+
+def _reference_self_attention(self, x, cache=None):
+    """``MultiHeadSelfAttention.__call__`` before attention took rows: heads
+    split and merged by graph ops, and a cache that holds ``[k, v]`` each
+    (heads, rows, head dim)."""
+    q, k, v = (_split_heads(lin(x), self.n_heads) for lin in (self.wq, self.wk, self.wv))
+    if cache is not None:
+        if cache:
+            k = T.concat([cache[0], k], axis=1)
+            v = T.concat([cache[1], v], axis=1)
+        cache[:] = [k, v]
+    t, t_all = x.data.shape[0], k.data.shape[1]
+    bias = None
+    if self.causal and t > 1:
+        bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
+    return self.wo(_merge_heads(_reference_attention(q, k, v, bias)))
+
+
+def _rows(rng, t, h, dh=3):
+    return Tensor(rng.standard_normal((t, h * dh)), requires_grad=True)
 
 
 def _causal_bias(t):
@@ -645,13 +682,34 @@ def _causal_bias(t):
 @pytest.mark.parametrize("t", [1, 2, 7, 33])
 def test_attention_is_byte_equal_to_the_six_node_composition(t, h, causal):
     results = []
-    for op in (T.attention, _reference_attention):
+    for op in (T.attention, _reference_multi_head):
         rng = np.random.default_rng(1000 * t + 10 * h + causal)
-        q, k, v = (_heads(rng, t, h) for _ in range(3))
-        out = op(q, k, v, _causal_bias(t) if causal else None)
+        q, k, v = (_rows(rng, t, h) for _ in range(3))
+        out = op(q, k, v, h, _causal_bias(t) if causal else None)
         tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
         results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
     assert results[0] == results[1]
+
+
+def _graph_nodes(out):
+    """The op nodes of the graph that ends at ``out``."""
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if node._op != "leaf" and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("module, count", [
+    (MultiHeadSelfAttention, 9), (TransformerLayer, 18),
+], ids=["attention", "layer"])
+def test_one_call_records_its_linears_and_one_attention_node(module, count):
+    rng = np.random.default_rng(4)
+    nodes = _graph_nodes(module(8, 2, causal=True, rng=rng)(Tensor(rng.standard_normal((5, 8)))))
+    assert len(nodes) == count
+    assert [n._op for n in nodes].count("attention") == 1
 
 
 def _layer_grads(seed, causal, steps=2):
@@ -670,35 +728,42 @@ def _layer_grads(seed, causal, steps=2):
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
 def test_transformer_training_is_byte_equal_to_the_six_node_composition(monkeypatch, causal):
     got = _layer_grads(3, causal)
-    monkeypatch.setattr(T, "attention", _reference_attention)
+    monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
     assert got == _layer_grads(3, causal)
 
 
-def _cached_rows(seed):
-    """A causal layer's output for a 6-row prefill, then 4 single rows, with
-    a cache, under no_grad."""
+def _cached_rows(seed, pieces):
+    """A causal layer's output for 12 rows fed with a cache in ``pieces``
+    (row bounds), under no_grad."""
     rng = np.random.default_rng(seed)
     layer = TransformerLayer(8, 2, causal=True, rng=rng)
-    x = rng.standard_normal((10, 8))
+    x = rng.standard_normal((12, 8))
     cache = []
     with T.no_grad():
-        outs = [layer(Tensor(x[:6]), cache).data]
-        outs += [layer(Tensor(x[i:i + 1]), cache).data for i in range(6, 10)]
+        outs = [layer(Tensor(x[lo:hi]), cache).data for lo, hi in pieces]
     return [o.tobytes() for o in outs]
 
 
 def test_cached_prefill_and_single_rows_are_byte_equal_to_the_composition(monkeypatch):
-    got = _cached_rows(8)
-    monkeypatch.setattr(T, "attention", _reference_attention)
-    assert got == _cached_rows(8)
+    pieces = [(0, 6)] + [(i, i + 1) for i in range(6, 12)]
+    got = _cached_rows(8, pieces)
+    monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
+    assert got == _cached_rows(8, pieces)
+
+
+def test_cached_multi_row_pieces_are_byte_equal_to_the_composition(monkeypatch):
+    pieces = [(0, 5), (5, 8), (8, 9), (9, 12)]
+    got = _cached_rows(9, pieces)
+    monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
+    assert got == _cached_rows(9, pieces)
 
 
 def test_non_finite_attention_input_names_attention():
     rng = np.random.default_rng(0)
-    q, k, v = (_heads(rng, 4, 2) for _ in range(3))
-    q.data[0, 1, 2] = np.nan
+    q, k, v = (_rows(rng, 4, 2) for _ in range(3))
+    q.data[1, 2] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="'attention'"):
-        T.attention(q, k, v)
+        T.attention(q, k, v, 2)
 
 
 # ---------------------------------------------------------------------------
