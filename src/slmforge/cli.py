@@ -204,6 +204,9 @@ def cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
     given = _config_fields(args)
     train_cfg = PretrainConfig(**given[PretrainConfig])
+    # here, not in PretrainConfig: continued_pretrain with no epochs is a no-op
+    if train_cfg.epochs < 1:
+        raise ConfigError(f"config {args.config}: 'epochs' must be >= 1, got {train_cfg.epochs}")
     encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
     if encoder_cfg.input_dim < train_cfg.n_mfcc:
         raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "

@@ -4,8 +4,12 @@ Discrete targets come from KMeans codebooks: first over MFCCs of the input
 features, later refreshed from an intermediate transformer layer of the
 partially trained encoder. Each codebook is fitted on the stacked frames of
 the whole corpus, and the fit's own labels (nearest centroid, lowest index on
-ties) are split back per utterance. Training minimizes cross-entropy of the
-prediction head against those pseudo-labels at masked frame positions only.
+ties) are split back per utterance. Lloyd keeps its row-to-centroid distance
+matrix across iterations and recomputes only stale columns, those of
+clusters whose members changed or that were re-seeded, so the fit is
+byte-identical to recomputing every column. Training minimizes
+cross-entropy of the prediction head against those pseudo-labels at masked
+frame positions only.
 One flat ``PretrainConfig`` holds every setting, span masking's included.
 
 Continued pretraining trains an encoder whose weights the caller built or
@@ -54,14 +58,29 @@ class Codebook:
     inertia: float
 
 
+# elements of the (rows, centroids, D) difference buffer that
+# ``_pairwise_sq_dist`` reuses for every chunk of rows: about 256 KB
+_DIFF_BUFFER = 32_768
+
+
 def _pairwise_sq_dist(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Exact squared distances via explicit differences, chunked over rows."""
-    n = features.shape[0]
+    """Exact squared distances via explicit differences, chunked over rows.
+
+    Each chunk goes through one reused buffer: subtract, square in place,
+    then sum over D into the result. Every entry is the sum of its own D
+    squared differences, so it does not depend on the chunk size or on
+    which other centroids are passed: a column subset of ``centroids``
+    gives the same bytes as those columns of the full call.
+    """
+    n, dim = features.shape
     out = np.empty((n, centroids.shape[0]))
-    step = max(1, 2_000_000 // max(1, centroids.size))
+    step = max(1, _DIFF_BUFFER // max(1, centroids.size))
+    buf = np.empty((min(step, n), centroids.shape[0], dim))
     for lo in range(0, n, step):
-        diff = features[lo : lo + step, None, :] - centroids[None, :, :]
-        out[lo : lo + step] = (diff * diff).sum(axis=2)
+        diff = buf[: min(step, n - lo)]
+        np.subtract(features[lo : lo + step, None, :], centroids[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=2, out=out[lo : lo + step])
     return out
 
 
@@ -70,46 +89,67 @@ def kmeans_fit(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> 
 
     The codebook's ``labels`` are each row's nearest returned centroid, ties
     going to the lowest index: Lloyd's own last assignment when it settles,
-    else one more assignment after the ``iters`` cap. Empty clusters are
-    re-seeded with the point farthest from its assigned centroid. Inertia is
-    non-increasing across iterations. Raises when the data holds fewer than
-    k distinct vectors.
+    else the assignment to the centroids the ``iters`` cap left. Empty
+    clusters are re-seeded with the point farthest from its assigned
+    centroid. Inertia is non-increasing across iterations. Raises when the
+    data holds fewer than k distinct vectors.
+
+    The (N, k) distance matrix lives across iterations, its columns filled
+    by the k-means++ picks. An update recomputes only stale columns: those
+    of clusters that gained or lost a row, and of re-seeded ones. A cluster
+    whose members did not change would get back the same mean, so its mean
+    and its column are skipped, with the same bytes as recomputing them.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be (N, D), got {features.shape}")
-    if np.unique(features, axis=0).shape[0] < k:
-        raise ValueError(f"need at least {k} distinct vectors to fit {k} clusters")
+    # prefixes of doubling length: a prefix's distinct rows are a lower bound
+    m = 2 * k
+    while np.unique(features[:m], axis=0).shape[0] < k:
+        if m >= features.shape[0]:
+            raise ValueError(f"need at least {k} distinct vectors to fit {k} clusters")
+        m *= 2
 
     rng = np.random.default_rng(seed)
     n = features.shape[0]
     centroids = np.empty((k, features.shape[1]))
+    dists = np.empty((n, k))
     centroids[0] = features[rng.integers(n)]
-    closest = _pairwise_sq_dist(features, centroids[:1]).min(axis=1)
+    dists[:, :1] = _pairwise_sq_dist(features, centroids[:1])
+    closest = dists[:, 0].copy()
     for j in range(1, k):
         total = closest.sum()
         probs = closest / total
         centroids[j] = features[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, _pairwise_sq_dist(features, centroids[j : j + 1])[:, 0])
+        dists[:, j : j + 1] = _pairwise_sq_dist(features, centroids[j : j + 1])
+        closest = np.minimum(closest, dists[:, j])
 
+    rows = np.arange(n)
     labels = None
     inertia = float(closest.sum())
     for _ in range(iters):
-        dists = _pairwise_sq_dist(features, centroids)
         new_labels = dists.argmin(axis=1)
-        inertia = float(dists[np.arange(n), new_labels].sum())
-        if labels is not None and np.array_equal(new_labels, labels):
-            return Codebook(centroids, new_labels, inertia)
+        inertia = float(dists[rows, new_labels].sum())
+        if labels is None:
+            stale = np.ones(k, dtype=bool)  # k-means++ picks are not member means
+        else:
+            moved = new_labels != labels
+            if not moved.any():
+                return Codebook(centroids, new_labels, inertia)
+            stale = np.zeros(k, dtype=bool)
+            stale[labels[moved]] = True
+            stale[new_labels[moved]] = True
         labels = new_labels
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                centroids[j] = features[members].mean(axis=0)
-            else:
-                worst = int(dists[np.arange(n), labels].argmax())
-                centroids[j] = features[worst]
+        empty = np.bincount(labels, minlength=k) == 0
+        if empty.any():
+            worst = features[int(dists[rows, labels].argmax())]
+            stale |= empty
+        cols = np.flatnonzero(stale)
+        for j in cols:
+            centroids[j] = worst if empty[j] else features[labels == j].mean(axis=0)
+        dists[:, cols] = _pairwise_sq_dist(features, centroids[cols])
     # the cap ended Lloyd after a centroid update
-    return Codebook(centroids, _pairwise_sq_dist(features, centroids).argmin(axis=1), inertia)
+    return Codebook(centroids, dists.argmin(axis=1), inertia)
 
 
 # ---------------------------------------------------------------------------

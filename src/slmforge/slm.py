@@ -235,7 +235,7 @@ class CausalLMConfig:
     n_heads: int = 2
 
     def __post_init__(self):
-        require_at_least(self, dim=1, n_heads=1)
+        require_at_least(self, dim=1, n_layers=1, n_heads=1)
 
 
 class CausalLM(Module):

@@ -240,7 +240,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tenso
     composition of head split, matmul, transpose, scale, bias add, softmax,
     matmul and head join; the split and join are numpy views, and each array
     operation runs in that composition's order, so outputs and gradients are
-    bit-identical to it.
+    bit-identical to it. The (heads, rows, rows) steps run in place in the
+    arrays the op's own matmuls return: the forward turns the scores into
+    P, and the backward turns dP = dO vᵀ into dS. No input, bias or
+    incoming gradient is written.
     """
     d = q.data.shape[1]
     dh = d // n_heads
@@ -253,19 +256,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tenso
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = np.asarray(1.0 / np.sqrt(dh))
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # scores, then P in place
+    p *= scale
     if bias is not None:
-        scores = scores + bias
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+        p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = join(np.matmul(p, vh))
 
     def backward(grad):
         grad = split(grad)
         d_v = np.matmul(np.swapaxes(p, -1, -2), grad)
-        d_p = np.matmul(grad, np.swapaxes(vh, -1, -2))
-        d_s = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True)) * scale
+        d_s = np.matmul(grad, np.swapaxes(vh, -1, -2))  # dP, then dS in place
+        d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+        d_s *= p
+        d_s *= scale
         _accumulate(q, join(np.matmul(d_s, kh)))
         _accumulate(k, join(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), d_s), -1, -2)))
         _accumulate(v, join(d_v))

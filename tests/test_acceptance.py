@@ -215,6 +215,47 @@ def test_every_graph_op_has_a_finite_difference_check():
     assert not set(TEST_SIDE_ROWS) & ops, "a test-side row names a graph op in src"
 
 
+# Rows beyond AUTODIFF_CHECKS for the no-aliasing check, each
+# rng -> (input arrays, op, other arrays the op reads): the graph op that
+# AUTODIFF_CHECKED_ELSEWHERE exempts, and attention's bias.
+NO_ALIASING_EXTRA = {
+    "ctc_loss": lambda rng: ([random_lattice(rng, 6, 4)], lambda x: ctc_loss(x, [1, 2, 2]), []),
+    "attention_bias": lambda rng, bias=np.triu(np.full((4, 5), -1e9), k=2): (
+        [_u(rng, 4, 4), _u(rng, 5, 4), _u(rng, 5, 4)],
+        lambda q, k, v: T.attention(q, k, v, 2, bias), [bias]),
+}
+
+
+@pytest.mark.parametrize("name", [*AUTODIFF_CHECKS, *NO_ALIASING_EXTRA])
+def test_no_op_writes_into_its_inputs_or_incoming_gradient(name):
+    """Forward then backward of each graph op leaves the bytes of every array
+    it was given unchanged: its inputs, the arrays it reads besides them and
+    the gradient passed to its backward. The op must be one graph node, so
+    its own backward gives every input a gradient."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    if name in NO_ALIASING_EXTRA:
+        arrays, op, held = NO_ALIASING_EXTRA[name](rng)
+    else:
+        (arrays, op), held = AUTODIFF_CHECKS[name](rng), []
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    assert all(t.data is a for t, a in zip(tensors, arrays))  # the op sees these arrays
+    before = [a.tobytes() for a in [*arrays, *held]]
+    out = op(*tensors)
+    incoming = rng.standard_normal(out.data.shape)
+    sent = incoming.tobytes()
+    out._backward_fn(incoming)
+    assert all(t.grad is not None for t in tensors)
+    assert [a.tobytes() for a in [*arrays, *held]] == before
+    assert incoming.tobytes() == sent
+
+
+def test_the_no_aliasing_check_covers_every_graph_op():
+    rows = [*AUTODIFF_CHECKS, *NO_ALIASING_EXTRA]
+    unchecked = {op for op in _graph_op_names()
+                 if not any(row == op or row.startswith(op + "_") for row in rows)}
+    assert not unchecked, f"graph ops without a no-aliasing row: {sorted(unchecked)}"
+
+
 def _away_from_kink(x):
     x = x.copy()
     x[np.abs(x) < 1e-3] = 0.5

@@ -595,6 +595,8 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("pretrain", "n_heads", 0, "n_heads must be >= 1, got 0"),
     ("pretrain", "max_steps", 0, "max_steps must be >= 1, got 0"),
     ("pretrain", "max_steps", -1, "max_steps must be >= 1, got -1"),
+    ("pretrain", "epochs", 0, "config cfg.json: 'epochs' must be >= 1, got 0"),
+    ("pretrain", "epochs", -2, "config cfg.json: 'epochs' must be >= 1, got -2"),
     ("pretrain", "refresh_schedule", [-3],
      "refresh_schedule epochs must be integers in [1, 33), got -3"),
     ("pretrain", "refresh_schedule", [5, 33],
@@ -612,6 +614,7 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("train-aligner", "aligner_hidden", 0, "aligner_hidden must be >= 1, got 0"),
     ("train-aligner", "d_lm", 0, "dim must be >= 1, got 0"),
     ("train-aligner", "lm_heads", 0, "n_heads must be >= 1, got 0"),
+    ("train-aligner", "lm_layers", 0, "n_layers must be >= 1, got 0"),
 ])
 def test_training_config_value_out_of_range_exits_2_naming_the_key_before_reading(
         tmp_path, monkeypatch, capsys, command, key, value, shown):

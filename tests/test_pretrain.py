@@ -7,11 +7,13 @@ import pytest
 
 from conftest import tsum
 
+from slmforge import pretrain
 from slmforge import tensor as T
 from slmforge.audio import mfcc
 from slmforge.errors import ConfigError, GraphError
 from slmforge.nn import load_checkpoint, save_checkpoint, trunc_normal
 from slmforge.pretrain import (
+    Codebook,
     PretrainConfig,
     SpeechEncoder,
     SpeechEncoderConfig,
@@ -151,6 +153,165 @@ def test_kmeans_labels_on_duplicate_rows_and_exact_ties(data, k, seed, iters):
     assert np.array_equal(book.labels, reference_assign_labels(book.centroids, data))
     for row in np.flatnonzero(tied):
         assert book.labels[row] == np.flatnonzero(dists[row] == dists[row].min())[0]
+
+
+def reference_pairwise_sq_dist(features, centroids):
+    """``pretrain._pairwise_sq_dist`` as it was before its reused buffer:
+    a fresh (rows, K, D) difference array per chunk of 2,000,000 elements."""
+    n = features.shape[0]
+    out = np.empty((n, centroids.shape[0]))
+    step = max(1, 2_000_000 // max(1, centroids.size))
+    for lo in range(0, n, step):
+        diff = features[lo : lo + step, None, :] - centroids[None, :, :]
+        out[lo : lo + step] = (diff * diff).sum(axis=2)
+    return out
+
+
+def reference_kmeans_fit(features, k, iters=50, seed=0):
+    """``pretrain.kmeans_fit`` as it was before it kept its distance matrix
+    across Lloyd iterations: every assignment recomputes all k columns and
+    every update all k means. Returns (Codebook, number of assignments,
+    number of re-seeded clusters)."""
+    features = np.asarray(features, dtype=np.float64)
+    if np.unique(features, axis=0).shape[0] < k:
+        raise ValueError(f"need at least {k} distinct vectors to fit {k} clusters")
+    rng = np.random.default_rng(seed)
+    n = features.shape[0]
+    centroids = np.empty((k, features.shape[1]))
+    centroids[0] = features[rng.integers(n)]
+    closest = reference_pairwise_sq_dist(features, centroids[:1]).min(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        probs = closest / total
+        centroids[j] = features[rng.choice(n, p=probs)]
+        closest = np.minimum(closest,
+                             reference_pairwise_sq_dist(features, centroids[j : j + 1])[:, 0])
+    labels = None
+    inertia = float(closest.sum())
+    reseeded = 0
+    for it in range(iters):
+        dists = reference_pairwise_sq_dist(features, centroids)
+        new_labels = dists.argmin(axis=1)
+        inertia = float(dists[np.arange(n), new_labels].sum())
+        if labels is not None and np.array_equal(new_labels, labels):
+            return Codebook(centroids, new_labels, inertia), it + 1, reseeded
+        labels = new_labels
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                centroids[j] = features[members].mean(axis=0)
+            else:
+                reseeded += 1
+                worst = int(dists[np.arange(n), labels].argmax())
+                centroids[j] = features[worst]
+    labels = reference_pairwise_sq_dist(features, centroids).argmin(axis=1)
+    return Codebook(centroids, labels, inertia), iters + 1, reseeded
+
+
+def _assert_same_codebook(got, want):
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.inertia == want.inertia
+
+
+def _blobs(n, dim, n_blobs, seed):
+    """n rows around n_blobs centres: Lloyd takes several iterations and
+    most clusters settle before the last."""
+    rng = np.random.default_rng(seed)
+    centres = 4.0 * rng.standard_normal((n_blobs, dim))
+    return centres[rng.integers(n_blobs, size=n)] + rng.standard_normal((n, dim))
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 13, 16, 32, 127, 128])
+def test_kmeans_is_byte_equal_to_the_reference(dim, k):
+    # two full buffers of rows and a partial third in the all-centroid call
+    step = max(1, pretrain._DIFF_BUFFER // (k * dim))
+    data = _blobs(2 * step + 3, dim, 5, seed=dim * 100 + k)
+    want, _, _ = reference_kmeans_fit(data, k, seed=k)
+    _assert_same_codebook(kmeans_fit(data, k, seed=k), want)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 13])
+def test_kmeans_stopped_by_the_cap_is_byte_equal_to_the_reference(dim, iters):
+    data = _blobs(3001, dim, 6, seed=iters)
+    want, assignments, _ = reference_kmeans_fit(data, 8, iters=iters, seed=4)
+    assert assignments == iters + 1  # the cap, not settling, ended Lloyd
+    _assert_same_codebook(kmeans_fit(data, 8, iters=iters, seed=4), want)
+
+
+@pytest.mark.parametrize("data, k, seed, iters", _TIED_FITS)
+def test_kmeans_on_duplicate_rows_and_exact_ties_is_byte_equal_to_the_reference(
+        data, k, seed, iters):
+    want, _, _ = reference_kmeans_fit(np.asarray(data), k, iters=iters, seed=seed)
+    _assert_same_codebook(kmeans_fit(np.asarray(data), k, iters=iters, seed=seed), want)
+
+
+# a fit whose second assignment leaves a cluster empty
+_RESEEDED = np.array([[-2.0, 0.0], [-1.0, 2.0], [0.0, 1.0], [-1.0, 2.0], [-2.0, 2.0],
+                      [-2.0, -1.0]])
+
+
+@pytest.mark.parametrize("iters", [2, 3, 50])
+def test_kmeans_with_an_empty_cluster_is_byte_equal_to_the_reference(iters):
+    want, _, reseeded = reference_kmeans_fit(_RESEEDED, 3, iters=iters, seed=6)
+    assert reseeded == 1
+    _assert_same_codebook(kmeans_fit(_RESEEDED, 3, iters=iters, seed=6), want)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 13, 127])
+def test_distance_columns_of_a_centroid_subset_equal_the_full_call(dim):
+    rng = np.random.default_rng(dim)
+    data = rng.standard_normal((5003, dim))
+    centroids = rng.standard_normal((16, dim))
+    full = pretrain._pairwise_sq_dist(data, centroids)
+    assert full.tobytes() == reference_pairwise_sq_dist(data, centroids).tobytes()
+    for cols in ([0], [15], [2, 3, 9], list(range(1, 16, 2))):
+        part = pretrain._pairwise_sq_dist(data, centroids[cols])
+        assert part.tobytes() == np.ascontiguousarray(full[:, cols]).tobytes()
+
+
+def test_lloyd_recomputes_fewer_distance_columns_than_a_full_pass_per_assignment(
+        monkeypatch):
+    columns = []
+    kernel = pretrain._pairwise_sq_dist
+
+    def counting(features, centroids):
+        columns.append(centroids.shape[0])
+        return kernel(features, centroids)
+
+    data = _blobs(2000, 5, 8, seed=3)
+    want, assignments, _ = reference_kmeans_fit(data, 12, seed=2)
+    monkeypatch.setattr(pretrain, "_pairwise_sq_dist", counting)
+    _assert_same_codebook(kmeans_fit(data, 12, seed=2), want)
+    # k-means++ computes one column per centroid, then the old path k per
+    # assignment after the first
+    assert assignments > 3
+    assert sum(columns) < 12 * assignments
+
+
+def test_kmeans_counts_distinct_rows_on_doubling_prefixes(monkeypatch):
+    sizes = []
+    unique = np.unique
+
+    def spy(ar, **kwargs):
+        sizes.append(len(ar))
+        return unique(ar, **kwargs)
+
+    monkeypatch.setattr(pretrain.np, "unique", spy)
+    kmeans_fit(_blobs(1000, 3, 4, seed=0), 4, seed=0)
+    assert sizes == [8]
+    sizes.clear()
+    # the only rows that differ come last: every prefix up to the whole matrix
+    data = np.zeros((100, 2))
+    data[-2:] = [[1.0, 0.0], [0.0, 1.0]]
+    kmeans_fit(data, 3, seed=0)
+    assert sizes == [6, 12, 24, 48, 96, 100]
+    sizes.clear()
+    with pytest.raises(ValueError, match="distinct"):
+        kmeans_fit(data, 4, seed=0)
+    assert sizes == [8, 16, 32, 64, 100]
 
 
 # ---------------------------------------------------------------------------
