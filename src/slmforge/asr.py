@@ -32,7 +32,7 @@ from . import tensor as T
 from .config import require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_json, read_text
-from .metrics import wer
+from .metrics import cer, wer
 from .nn import Adam, Linear, Module, train_step
 from .pretrain import SpeechEncoder
 from .tensor import Tensor, _accumulate, _make
@@ -381,14 +381,15 @@ class FinetuneConfig:
 
 def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
                  cfg: FinetuneConfig = FinetuneConfig(), heldout=None,
-                 stop_at_zero_wer: bool = False, seed: int = 0):
+                 stop_at_zero_wer: bool = False, seed: int = 0, heldout_scores=None):
     """CTC fine-tuning over (features, transcript) pairs.
 
     Transcripts must already be normalized; a symbol outside the vocab is an
-    error naming it. ``heldout`` pairs, when given, are scored with WER at
-    every evaluation point. ``seed`` draws the CTC head and the batches.
-    Returns (model, history) with history rows of (step, loss,
-    train_wer_or_None).
+    error naming it. ``heldout`` pairs, when given, are decoded at every
+    evaluation point and their corpus CER and WER logged; a
+    ``heldout_scores`` list also gets (step, CER, WER) appended. ``seed``
+    draws the CTC head and the batches. Returns (model, history) with
+    history rows of (step, loss, train_wer_or_None).
     """
     encoded = []
     for features, transcript in examples:
@@ -412,7 +413,10 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
             if heldout:
                 held_refs = [t for _, t in heldout]
                 held_hyps = [model.transcribe(np.asarray(f)) for f, _ in heldout]
-                log.info("step %d heldout WER %.3f", step, wer(held_refs, held_hyps))
+                scores = (step, cer(held_refs, held_hyps), wer(held_refs, held_hyps))
+                log.info("step %d heldout CER %.3f WER %.3f", *scores)
+                if heldout_scores is not None:
+                    heldout_scores.append(scores)
             history.append((step, loss, train_wer))
             if stop_at_zero_wer and train_wer == 0.0:
                 break

@@ -277,11 +277,15 @@ def cmd_finetune_asr(args) -> int:
                                   f"{rec_id!r}") from None
     else:
         vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout])
+    held_scores = []
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
-                                          heldout=heldout or None, seed=seed)
+                                          heldout=heldout or None, seed=seed,
+                                          heldout_scores=held_scores)
     save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
     evals = [(s, w) for s, _, w in history if w is not None]
     tail = f", train WER {evals[-1][1]:.3f}" if evals else ""
+    if held_scores:
+        tail += f", held-out CER {held_scores[-1][1]:.3f} WER {held_scores[-1][2]:.3f}"
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
     return 0
 

@@ -185,23 +185,28 @@ class MultiHeadSelfAttention(Module):
         self.n_heads = n_heads
         self.causal = causal
 
-    def __call__(self, x: Tensor, cache=None) -> Tensor:
+    def __call__(self, x: Tensor, cache=None, rows=None) -> Tensor:
         """Self-attention over the rows of ``x``. Given a ``cache`` (a list,
         empty at first), the rows of ``x`` follow those of earlier calls with
         that cache and attend to their keys and values too; the cache then
-        holds ``[k, v]`` of every row so far, each (rows, dim)."""
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        holds ``[k, v]`` of every row so far, each (rows, dim). Given
+        ``rows``, indices into ``x``, only those rows query: keys and values
+        still come from every row, and the result has one row per entry of
+        ``rows``."""
+        q = self.wq(x if rows is None else T.embedding_lookup(x, rows))
+        k, v = self.wk(x), self.wv(x)
         if cache is not None:
             if cache:
                 k = T.concat([cache[0], k])
                 v = T.concat([cache[1], v])
             cache[:] = [k, v]
         t, t_all = x.data.shape[0], k.data.shape[0]
-        bias = None
-        if self.causal and t > 1:
-            # large negative bias keeps every intermediate value finite
-            bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
-        return self.wo(T.attention(q, k, v, self.n_heads, bias))
+        positions = None
+        if self.causal and rows is not None:
+            positions = t_all - t + np.asarray(rows)
+        elif self.causal and t > 1:
+            positions = np.arange(t_all - t, t_all)
+        return self.wo(T.attention(q, k, v, self.n_heads, positions))
 
 
 class FeedForward(Module):
@@ -217,7 +222,12 @@ class FeedForward(Module):
 
 
 class TransformerLayer(Module):
-    """Pre-norm transformer block with residual connections."""
+    """Pre-norm transformer block with residual connections.
+
+    Called with ``rows``, indices into its input, the block returns its
+    output at those rows only: keys and values (and ``cache``) still cover
+    every row, while the queries, the residual and the FFN run at ``rows``.
+    """
 
     def __init__(self, dim: int, n_heads: int, causal: bool, rng: np.random.Generator):
         super().__init__()
@@ -226,8 +236,9 @@ class TransformerLayer(Module):
         self.ln2 = LayerNorm(dim)
         self.ff = FeedForward(dim, rng)
 
-    def __call__(self, x: Tensor, cache=None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache)
+    def __call__(self, x: Tensor, cache=None, rows=None) -> Tensor:
+        h = self.attn(self.ln1(x), cache, rows)
+        x = (x if rows is None else T.embedding_lookup(x, rows)) + h
         return x + self.ff(self.ln2(x))
 
 

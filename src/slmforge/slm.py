@@ -254,18 +254,25 @@ class CausalLM(Module):
         self.final_norm = LayerNorm(cfg.dim)
         self.head = Linear(cfg.dim, cfg.vocab_size, rng)
 
-    def forward_embeddings(self, emb: Tensor, caches=None) -> Tensor:
+    def forward_embeddings(self, emb: Tensor, caches=None, rows=None) -> Tensor:
         """Logits from raw input embeddings; positions are added here.
 
         ``caches``, one list per layer (empty at first), keeps each layer's
         keys and values across calls: the rows of ``emb`` then follow the
         rows of earlier calls, take the positions after theirs and attend to
         them, so a sequence fed in pieces gives the logits of the whole.
+        ``rows``, indices into ``emb``, asks for the logits of those rows
+        only, in that order: every block still computes keys and values at
+        every row, but the last one computes its queries, residual and FFN,
+        and then the final norm and head, at ``rows`` alone.
         """
         start = caches[0][0].data.shape[0] if caches and caches[0] else 0
         h = emb + Tensor(sinusoidal_positions(emb.data.shape[0], self.cfg.dim, start))
-        for block, cache in zip(self.blocks, caches or [None] * self.cfg.n_layers):
+        *early, last = self.blocks
+        caches = caches or [None] * self.cfg.n_layers
+        for block, cache in zip(early, caches):
             h = block(h, cache)
+        h = last(h, caches[-1], rows)
         return self.head(self.final_norm(h))
 
     def forward_tokens(self, ids) -> Tensor:
@@ -378,8 +385,10 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     positions of everything after it by T' - 1. Targets are the original
     token ids (or ``targets_override``, which must agree wherever the mask
     is 1); predictions come from the fused lattice rows immediately before
-    each target. Loss and gradients are bit-invariant to target values at
-    mask-0 positions.
+    each target, and the LM computes logits at those rows only. Loss and
+    gradients are bit-invariant to target values at mask-0 positions. With
+    no position scored the loss is a constant 0, which gives the aligner no
+    gradient, and the LM does not run.
     """
     ids = list(ids)
     if len(ids) != len(loss_mask):
@@ -388,7 +397,6 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     t_prime = speech.data.shape[0]
     fused, p = _fused_sequence(lm, speech, ids,
                                tokenizer.token_id(ChatTemplate.audio_marker))
-    logits = lm.forward_embeddings(fused)
 
     targets = np.asarray(targets_override if targets_override is not None else ids,
                          dtype=np.int64)
@@ -397,11 +405,13 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     # every position but the first and the placeholder is predicted by the
     # fused row before it; rows after the placeholder sit T' - 1 further on
+    mask = np.asarray(loss_mask, dtype=np.float64)
     j = np.arange(1, len(ids))
-    j = j[j != p]
+    j = j[(j != p) & (mask[j] != 0.0)]
+    if not len(j):
+        return Tensor(0.0)  # nothing scored: loss 0, no aligner gradient
     rows = np.where(j < p, j - 1, j + t_prime - 2)
-    picked = T.embedding_lookup(logits, rows)
-    return T.cross_entropy(picked, targets[j], np.asarray(loss_mask, dtype=np.float64)[j])
+    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows), targets[j], mask[j])
 
 
 @dataclass
@@ -508,11 +518,12 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
     """Greedy decoding of the assistant turn until the end marker.
 
     The first step runs the LM over the fused prompt (the prefill) and
-    keeps every layer's keys and values; each later step runs it over the
-    last generated token's embedding alone, against that cache, so a
-    generated audio marker is an ordinary token. Deterministic for fixed
-    inputs. Returns the raw assistant text; the truncated flag is set when
-    max_tokens ran out before the end marker.
+    keeps every layer's keys and values, computing logits at the prompt's
+    last row only; each later step runs it over the last generated token's
+    embedding alone, against that cache, so a generated audio marker is an
+    ordinary token. Deterministic for fixed inputs. Returns the raw
+    assistant text; the truncated flag is set when max_tokens ran out
+    before the end marker.
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -522,17 +533,18 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        rows, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        emb, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
         caches = [[] for _ in lm.blocks]
+        last = [emb.data.shape[0] - 1]  # the prefill's one scored row
         generated = []
         truncated = True
         for _ in range(max_tokens):
-            nxt = int(np.argmax(lm.forward_embeddings(rows, caches).data[-1]))
+            nxt = int(np.argmax(lm.forward_embeddings(emb, caches, last).data[-1]))
             if nxt == end_id:
                 truncated = False
                 break
             generated.append(nxt)
-            rows = lm.embed([nxt])
+            emb, last = lm.embed([nxt]), None
     return GenerationResult(tokenizer.decode(generated), truncated)
 
 

@@ -228,22 +228,26 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward, "gelu")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions=None) -> Tensor:
     """Multi-head scaled dot-product attention over (rows, dim) tensors.
 
     Each of ``n_heads`` heads takes its own dim / ``n_heads`` columns of q,
-    k and v and computes softmax(q kᵀ / sqrt(head dim) + ``bias``) v, with
-    ``bias`` an optional (rows of q, rows of k) array added to every head's
-    scores; the heads' outputs side by side are the (rows of q, dim) result.
+    k and v and computes softmax(q kᵀ / sqrt(head dim)) v; the heads'
+    outputs side by side are the (rows of q, dim) result. ``positions``,
+    one integer in [0, rows of k) per row of q, makes the attention causal:
+    query row i sees key rows 0 .. ``positions[i]`` only. Its scores at
+    later keys are set to -inf before the row max, so exp gives exactly 0.0
+    there, the bytes the softmax of a -1e9 bias gave. ``None`` lets every
+    query see every key.
 
     One graph node that saves only the probabilities P, in place of the
-    composition of head split, matmul, transpose, scale, bias add, softmax,
+    composition of head split, matmul, transpose, scale, mask, softmax,
     matmul and head join; the split and join are numpy views, and each array
     operation runs in that composition's order, so outputs and gradients are
     bit-identical to it. The (heads, rows, rows) steps run in place in the
     arrays the op's own matmuls return: the forward turns the scores into
-    P, and the backward turns dP = dO vᵀ into dS. No input, bias or
-    incoming gradient is written.
+    P, and the backward turns dP = dO vᵀ into dS. No input or incoming
+    gradient is written.
     """
     d = q.data.shape[1]
     dh = d // n_heads
@@ -254,12 +258,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tenso
     def join(m):  # (heads, rows, head dim) -> (rows, dim)
         return m.transpose(1, 0, 2).reshape(m.shape[1], d)
 
+    t, t_all = q.data.shape[0], k.data.shape[0]
+    if positions is not None:
+        positions = np.asarray(positions)
+        if positions.shape != (t,):
+            raise GraphError(f"attention positions shape {positions.shape} does not "
+                             f"match {t} query rows")
+        if t and (positions.min() < 0 or positions.max() >= t_all):
+            raise GraphError(f"attention position out of range [0, {t_all}) of the key rows")
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = np.asarray(1.0 / np.sqrt(dh))
     p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # scores, then P in place
     p *= scale
-    if bias is not None:
-        p += bias
+    if positions is not None:
+        np.copyto(p, -np.inf, where=np.arange(t_all) > positions[:, None])
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -146,9 +146,17 @@ AUTODIFF_CHECKS = {
     "attention": lambda rng: (
         [_u(rng, 3, 4), _u(rng, 4, 4), _u(rng, 4, 4)],
         lambda q, k, v: T.attention(q, k, v, 2)),
+    # causal by query position: square, cached (3 new rows after 2 cached
+    # ones) and a scored-row subset out of order
     "attention_causal": lambda rng: (
         [_u(rng, 4, 4), _u(rng, 4, 4), _u(rng, 4, 4)],
-        lambda q, k, v: T.attention(q, k, v, 2, np.triu(np.full((4, 4), -1e9), k=1))),
+        lambda q, k, v: T.attention(q, k, v, 2, np.arange(4))),
+    "attention_causal_cached": lambda rng: (
+        [_u(rng, 3, 4), _u(rng, 5, 4), _u(rng, 5, 4)],
+        lambda q, k, v: T.attention(q, k, v, 2, np.arange(2, 5))),
+    "attention_causal_rows": lambda rng: (
+        [_u(rng, 2, 4), _u(rng, 5, 4), _u(rng, 5, 4)],
+        lambda q, k, v: T.attention(q, k, v, 2, np.array([3, 1]))),
     "embedding_lookup": lambda rng: (
         [_u(rng, 5, 4)],
         lambda t, ids=tuple(rng.integers(0, 5, size=7)): T.embedding_lookup(t, list(ids))),
@@ -217,12 +225,12 @@ def test_every_graph_op_has_a_finite_difference_check():
 
 # Rows beyond AUTODIFF_CHECKS for the no-aliasing check, each
 # rng -> (input arrays, op, other arrays the op reads): the graph op that
-# AUTODIFF_CHECKED_ELSEWHERE exempts, and attention's bias.
+# AUTODIFF_CHECKED_ELSEWHERE exempts, and attention's query positions.
 NO_ALIASING_EXTRA = {
     "ctc_loss": lambda rng: ([random_lattice(rng, 6, 4)], lambda x: ctc_loss(x, [1, 2, 2]), []),
-    "attention_bias": lambda rng, bias=np.triu(np.full((4, 5), -1e9), k=2): (
-        [_u(rng, 4, 4), _u(rng, 5, 4), _u(rng, 5, 4)],
-        lambda q, k, v: T.attention(q, k, v, 2, bias), [bias]),
+    "attention_positions": lambda rng, positions=np.array([4, 1, 2]): (
+        [_u(rng, 3, 4), _u(rng, 5, 4), _u(rng, 5, 4)],
+        lambda q, k, v: T.attention(q, k, v, 2, positions), [positions]),
 }
 
 

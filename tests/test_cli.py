@@ -21,6 +21,7 @@ from slmforge.asr import CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
 from slmforge.curate import Manifest
+from slmforge.metrics import cer, wer
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
@@ -1023,6 +1024,28 @@ def test_a_json_input_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{bad}: invalid JSON: Expecting property name" in captured.err
+
+
+def test_finetune_asr_prints_held_out_cer_and_wer_of_the_test_records(trained, monkeypatch,
+                                                                       capsys):
+    monkeypatch.chdir(trained)
+    argv = ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json"]
+    assert main([*argv, "--manifest", "m.jsonl", "--out", "plain.ckpt"]) == 0
+    assert "held-out" not in capsys.readouterr().out  # no test records, no scores
+    m = Manifest.read("m.jsonl")
+    m.records.append(replace(m.records[0], id="held", split="test"))  # the same span
+    m.write("split.jsonl")
+    assert main([*argv, "--manifest", "split.jsonl", "--out", "held.ckpt"]) == 0
+    out = capsys.readouterr().out
+    got = re.fullmatch(r"finetune-asr: 1 steps, train WER \d+\.\d{3}, "
+                       r"held-out CER (\d+\.\d{3}) WER (\d+\.\d{3}) -> held\.ckpt\n", out)
+    assert got, out
+    # the scores of the written model on the test record
+    model = load_checkpoint("held.ckpt", CtcModel)
+    [features] = [f for rec, f in cli._records_with_audio("split.jsonl", m, model.encoder.cfg)
+                  if rec.split == "test"]
+    hyp = model.transcribe(features)
+    assert got.groups() == (f"{cer(['ab'], [hyp]):.3f}", f"{wer(['ab'], [hyp]):.3f}")
 
 
 def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monkeypatch,

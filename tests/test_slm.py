@@ -605,6 +605,160 @@ def test_a_non_finite_cached_key_raises_naming_the_op():
             lm.forward_embeddings(lm.embed([4]), caches)
 
 
+# ---------------------------------------------------------------------------
+# Logits at the scored rows only, against the full pass they replaced
+#
+# The LM's last block multiplies only the rows asked for, and BLAS rounds a
+# row by the row count it multiplies, so the loss and gradients match the
+# full pass to 1e-12 relative, not bit for bit; greedy text must be the same.
+
+
+def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer):
+    """fusion_loss as it was before it asked the LM for the scored rows only:
+    logits at every fused row, then the rows before each target picked."""
+    ids = list(ids)
+    speech = aligner.align(speech_features)
+    t_prime = speech.data.shape[0]
+    fused, p = _fused_sequence(lm, speech, ids,
+                               tokenizer.token_id(ChatTemplate.audio_marker))
+    logits = lm.forward_embeddings(fused)
+    targets = np.asarray(ids, dtype=np.int64)
+    j = np.arange(1, len(ids))
+    j = j[j != p]
+    rows = np.where(j < p, j - 1, j + t_prime - 2)
+    picked = T.embedding_lookup(logits, rows)
+    return T.cross_entropy(picked, targets[j], np.asarray(loss_mask, dtype=np.float64)[j])
+
+
+def _full_pass_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
+    """generate as it was before its prefill asked for the last row only."""
+    prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
+    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    end_id = tokenizer.token_id(ChatTemplate.end_marker)
+    with T.no_grad():
+        speech = aligner.align(np.asarray(speech_features))
+        rows, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        caches = [[] for _ in lm.blocks]
+        generated, truncated = [], True
+        for _ in range(max_tokens):
+            nxt = int(np.argmax(lm.forward_embeddings(rows, caches).data[-1]))
+            if nxt == end_id:
+                truncated = False
+                break
+            generated.append(nxt)
+            rows = lm.embed([nxt])
+    return tokenizer.decode(generated), truncated
+
+
+def _scored_fusion_setup(seed, n_layers):
+    """A bench-sized fusion case: 150 speech frames, a completion of a few
+    dozen tokens, an LM of ``n_layers`` blocks."""
+    rec = _record(transcript="wa aw deed waaw ta wee da", translation="yes ok")
+    examples, tok, _ = build_instruction_dataset([rec], ["transcribe_translate"])
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=n_layers,
+                                 n_heads=2), seed=seed)
+    lm.freeze()
+    aligner = SpeechAligner(24, 32, hidden=64, seed=seed + 1)
+    speech = np.random.default_rng(seed).standard_normal((150, 24))
+    ids = tok.encode(examples[0].text)
+    return lm, aligner, tok, speech, ids
+
+
+def _loss_and_grads(loss_fn, lm, aligner, speech, ids, mask, tok):
+    aligner.zero_grad()
+    loss = loss_fn(lm, aligner, speech, ids, mask, tok)
+    loss.backward()
+    return loss.item(), [p.grad for p in aligner.parameters()]
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_fusion_loss_at_scored_rows_matches_the_full_pass(n_layers, seed):
+    lm, aligner, tok, speech, ids = _scored_fusion_setup(seed, n_layers)
+    mask = completion_mask(ids, tok)
+    assert 0 < sum(mask) < (len(ids) + len(speech)) // 2  # most fused rows unscored
+    loss, grads = _loss_and_grads(fusion_loss, lm, aligner, speech, ids, mask, tok)
+    want_loss, want_grads = _loss_and_grads(_full_pass_fusion_loss, lm, aligner, speech,
+                                            ids, mask, tok)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(grads, want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fusion_loss_with_nothing_scored_is_zero_and_runs_no_lm(monkeypatch):
+    """An all-zero mask: loss 0 and no aligner gradient, as cross_entropy
+    gives the full pass, without running the LM on an empty row set."""
+    lm, aligner, tok, speech, ids = _scored_fusion_setup(0, 1)
+    mask = [0] * len(ids)
+    assert _full_pass_fusion_loss(lm, aligner, speech, ids, mask, tok).item() == 0.0
+
+    def no_lm(*args, **kwargs):
+        raise AssertionError("the LM ran")
+
+    monkeypatch.setattr(CausalLM, "forward_embeddings", no_lm)
+    aligner.zero_grad()
+    loss = fusion_loss(lm, aligner, speech, ids, mask, tok)
+    loss.backward()
+    assert loss.item() == 0.0
+    assert all(p.grad is None for p in aligner.parameters())
+
+
+def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
+    lm, aligner, tok, speech, ids = _scored_fusion_setup(1, 2)
+    asked = []
+    forward = CausalLM.forward_embeddings
+
+    def recording(self, emb, caches=None, rows=None):
+        asked.append((emb.data.shape[0], None if rows is None else list(rows)))
+        return forward(self, emb, caches, rows)
+
+    monkeypatch.setattr(CausalLM, "forward_embeddings", recording)
+    mask = completion_mask(ids, tok)
+    fusion_loss(lm, aligner, speech, ids, mask, tok)
+    p = ids.index(tok.token_id(ChatTemplate.audio_marker))
+    scored = [j for j in range(1, len(ids)) if mask[j] and j != p]
+    assert asked == [(len(ids) - 1 + len(speech), [j + len(speech) - 2 for j in scored])]
+    asked.clear()
+    generate(lm, aligner, speech, "transcribe", tok, max_tokens=3)
+    prompt_rows = len(tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))) - 1 + len(speech)
+    assert asked[0] == (prompt_rows, [prompt_rows - 1])
+    assert all(step == (1, None) for step in asked[1:])
+
+
+@pytest.mark.parametrize("cached", [0, 9], ids=["prefill", "after-cache"])
+def test_forward_at_rows_keeps_every_rows_keys_and_values(cached):
+    """Logits at ``rows`` match the full pass's rows to 1e-12, and the
+    caches hold the same key and value bytes as after the full pass."""
+    lm, aligner, tok, speech = _cache_setup(6)
+    emb = lm.embed(np.random.default_rng(6).integers(0, tok.vocab_size, 50))
+    rows = [40, 3, 20]  # into the 41 or 50 rows of the second call
+    results = []
+    with T.no_grad():
+        for ask in (rows, None):
+            caches = _fresh_caches(lm)
+            if cached:
+                lm.forward_embeddings(Tensor(emb.data[:cached]), caches)
+            logits = lm.forward_embeddings(Tensor(emb.data[cached:]), caches, ask).data
+            results.append((logits, [[a.data.tobytes() for a in c] for c in caches]))
+    (got, got_caches), (full, want_caches) = results
+    want = full[rows]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got_caches == want_caches
+
+
+@pytest.mark.parametrize("setup, seed", [
+    *(("small", s) for s in (0, 3, 7, 11)), *(("larger", s) for s in (0, 5)),
+])
+def test_generate_matches_the_full_prefill_text(setup, seed):
+    if setup == "small":
+        lm, aligner, tok, _, speech = _fusion_setup(seed=seed)
+    else:
+        lm, aligner, tok, speech = _cache_setup(seed)
+    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=30)
+    assert (got.text, got.truncated) == _full_pass_generate(lm, aligner, speech,
+                                                            "transcribe", tok, 30)
+
+
 def test_lm_causality_future_tokens_do_not_change_past_logits():
     tok = _tok(["abcdef"])
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=2,

@@ -29,7 +29,7 @@ from slmforge.nn import (
 )
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
-from slmforge.tensor import Tensor
+from slmforge.tensor import Tensor, _accumulate, _make
 
 
 def rand(rng, *shape):
@@ -652,10 +652,11 @@ def _reference_multi_head(q, k, v, n_heads, bias=None):
         *(_split_heads(m, n_heads) for m in (q, k, v)), bias))
 
 
-def _reference_self_attention(self, x, cache=None):
+def _reference_self_attention(self, x, cache=None, rows=None):
     """``MultiHeadSelfAttention.__call__`` before attention took rows: heads
-    split and merged by graph ops, and a cache that holds ``[k, v]`` each
-    (heads, rows, head dim)."""
+    split and merged by graph ops, a cache that holds ``[k, v]`` each
+    (heads, rows, head dim) and a causal -1e9 bias. Given ``rows``, every
+    row queries and the output rows at ``rows`` are picked afterwards."""
     q, k, v = (_split_heads(lin(x), self.n_heads) for lin in (self.wq, self.wk, self.wv))
     if cache is not None:
         if cache:
@@ -666,7 +667,8 @@ def _reference_self_attention(self, x, cache=None):
     bias = None
     if self.causal and t > 1:
         bias = np.triu(np.full((t, t_all), -1e9), k=t_all - t + 1)
-    return self.wo(_merge_heads(_reference_attention(q, k, v, bias)))
+    out = self.wo(_merge_heads(_reference_attention(q, k, v, bias)))
+    return out if rows is None else T.embedding_lookup(out, rows)
 
 
 def _rows(rng, t, h, dh=3):
@@ -681,14 +683,102 @@ def _causal_bias(t):
 @pytest.mark.parametrize("h", [1, 2])
 @pytest.mark.parametrize("t", [1, 2, 7, 33])
 def test_attention_is_byte_equal_to_the_six_node_composition(t, h, causal):
+    """The causal op masks by query position; the composition adds -1e9."""
     results = []
-    for op in (T.attention, _reference_multi_head):
+    for op, mask in ((T.attention, np.arange(t) if causal and t > 1 else None),
+                     (_reference_multi_head, _causal_bias(t) if causal else None)):
         rng = np.random.default_rng(1000 * t + 10 * h + causal)
         q, k, v = (_rows(rng, t, h) for _ in range(3))
-        out = op(q, k, v, h, _causal_bias(t) if causal else None)
+        out = op(q, k, v, h, mask)
         tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
         results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
     assert results[0] == results[1]
+
+
+def _bias_attention(q, k, v, n_heads, bias=None):
+    """``tensor.attention`` as it was when it took an additive (rows of q,
+    rows of k) ``bias``, the causal callers passing -1e9 above the diagonal."""
+    d = q.data.shape[1]
+    dh = d // n_heads
+
+    def split(m):
+        return m.reshape(m.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    def join(m):
+        return m.transpose(1, 0, 2).reshape(m.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / np.sqrt(dh))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p *= scale
+    if bias is not None:
+        p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = join(np.matmul(p, vh))
+
+    def backward(grad):
+        grad = split(grad)
+        d_v = np.matmul(np.swapaxes(p, -1, -2), grad)
+        d_s = np.matmul(grad, np.swapaxes(vh, -1, -2))
+        d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+        d_s *= p
+        d_s *= scale
+        _accumulate(q, join(np.matmul(d_s, kh)))
+        _accumulate(k, join(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), d_s), -1, -2)))
+        _accumulate(v, join(d_v))
+
+    return _make(out, (q, k, v), backward, "attention")
+
+
+def _masked_cases(shape, n=22):
+    """``n`` seeded (t_all, heads, positions) cases of one query shape, with
+    t_all up to 700 taking every residue mod 8, so every SIMD tail length of
+    the masked rows occurs."""
+    rng = np.random.default_rng(zlib.crc32(shape.encode()))
+    cases = []
+    for i in range(n):
+        t_all = max(8 * int(rng.integers(0, 88)) + i % 8, 2)
+        if shape == "square":
+            positions = np.arange(t_all)
+        elif shape == "cached":  # the new rows after cached ones
+            positions = np.arange(int(rng.integers(1, t_all)), t_all)
+        else:  # a scored subset of the rows, as fusion asks for
+            positions = rng.choice(t_all, size=int(rng.integers(1, min(t_all, 80) + 1)),
+                                   replace=False)
+        cases.append((t_all, (1, 2, 4)[i % 3], positions))
+    return cases
+
+
+@pytest.mark.parametrize("shape", ["square", "cached", "rows"])
+def test_causal_positions_are_byte_equal_to_the_bias_path(shape):
+    """On this host: output and q/k/v gradients of the masked op equal those
+    of the -1e9 bias it replaced, byte for byte, in 22 cases per shape."""
+    for t_all, h, positions in _masked_cases(shape):
+        bias = np.where(np.arange(t_all) > positions[:, None], -1e9, 0.0)
+        results = []
+        for op, mask in ((T.attention, positions), (_bias_attention, bias)):
+            rng = np.random.default_rng(t_all)
+            q = _rows(rng, len(positions), h, dh=4)
+            k, v = _rows(rng, t_all, h, dh=4), _rows(rng, t_all, h, dh=4)
+            out = op(q, k, v, h, mask)
+            tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+            results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
+        assert results[0] == results[1], (t_all, h, len(positions))
+
+
+@pytest.mark.parametrize("positions, message", [
+    (np.arange(4), r"attention positions shape \(4,\) does not match 3 query rows"),
+    (np.arange(3)[:, None], r"attention positions shape \(3, 1\) does not match 3"),
+    (np.array([0, -1, 2]), r"attention position out of range \[0, 5\)"),
+    (np.array([0, 5, 2]), r"attention position out of range \[0, 5\)"),
+], ids=["long", "2-D", "negative", "past-the-keys"])
+def test_bad_positions_are_a_graph_error_naming_attention(positions, message):
+    rng = np.random.default_rng(1)
+    q, k, v = _rows(rng, 3, 2), _rows(rng, 5, 2), _rows(rng, 5, 2)
+    with pytest.raises(GraphError, match=message):
+        T.attention(q, k, v, 2, positions)
 
 
 def _graph_nodes(out):
@@ -756,6 +846,37 @@ def test_cached_multi_row_pieces_are_byte_equal_to_the_composition(monkeypatch):
     got = _cached_rows(9, pieces)
     monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
     assert got == _cached_rows(9, pieces)
+
+
+def _scored_rows(seed, rows, cached=0):
+    """Output and input gradient of a causal layer over 20 rows (after
+    ``cached`` rows fed first), returned at ``rows``, plus the cache."""
+    rng = np.random.default_rng(seed)
+    layer = TransformerLayer(8, 2, causal=True, rng=rng)
+    x = Tensor(rng.standard_normal((20, 8)), requires_grad=True)
+    cache = []
+    if cached:
+        with T.no_grad():
+            layer(Tensor(rng.standard_normal((cached, 8))), cache)
+    out = layer(x, cache, rows)
+    tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+    return out.data, x.grad, [c.data for c in cache]
+
+
+@pytest.mark.parametrize("cached", [0, 6], ids=["prefill", "after-cache"])
+@pytest.mark.parametrize("rows", [[19], [3, 4, 5, 11], [12, 0, 7]], ids=["last", "run", "any"])
+def test_a_layer_at_scored_rows_matches_the_full_layer_at_those_rows(monkeypatch, rows, cached):
+    """Queries, residual and FFN at ``rows`` only: the output and input
+    gradient agree with the full layer's rows to 1e-12 (BLAS rounds a row
+    by the row count it multiplies), and the cache is the same bytes."""
+    got = _scored_rows(7, rows, cached)
+    monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
+    want = _scored_rows(7, rows, cached)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+    # the reference cache holds (heads, rows, head dim), the layer's (rows, dim)
+    assert [c.tobytes() for c in got[2]] == [
+        _merge_heads(Tensor(c)).data.tobytes() for c in want[2]]
 
 
 def test_non_finite_attention_input_names_attention():
