@@ -128,28 +128,35 @@ def _resolved_metadata(seed: int, *configs) -> dict:
             "config_hash": config_hash(resolved)}
 
 
-def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None):
+def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None, min_frames=1):
     """The encoder's input from audio, a standardized (T, ``input_dim``)
     log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` (unless
     it is at that rate already) and cut to ``span`` (start_s, end_s), or
     without a span to its speech extent, so that a decoded file matches the
     curated segments models trained on. Audio that gives the encoder no
-    output frame is a ConfigError naming ``source``."""
+    output frame, or fewer than the speech aligner's ``min_frames``, is a
+    ConfigError naming ``source``."""
     if buf.sample_rate != cfg.sample_rate:
         buf = resample(buf, cfg.sample_rate)
     buf = trim_to_speech(buf) if span is None else buf.slice_seconds(*span)
     features = standardize(log_mel(buf, cfg.input_dim))
-    if not SpeechEncoder.output_len(len(features)):
+    frames = SpeechEncoder.output_len(len(features))
+    if not frames:
         raise ConfigError(f"{source} gives {len(features)} log-mel frames at "
                           f"{cfg.sample_rate} Hz; the encoder needs at least 2")
+    if frames < min_frames:
+        raise ConfigError(f"{source} gives {len(features)} log-mel frames at "
+                          f"{cfg.sample_rate} Hz, {frames} encoder frame(s); the speech "
+                          f"aligner needs at least {min_frames}")
     return features
 
 
-def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
+def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig, min_frames=1):
     """Yield (record, encoder input) per record of manifest ``path``, reading
     each source WAV once and resampling it once if it is not at the encoder's
-    rate; a record whose span gives the encoder no output frame is a
-    ConfigError naming the manifest and the record."""
+    rate; a record whose span gives the encoder no output frame, or fewer
+    than ``min_frames``, is a ConfigError naming the manifest and the
+    record."""
     wavs = {}
     for rec in manifest.records:
         if rec.source_path not in wavs:
@@ -159,7 +166,7 @@ def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig):
             wavs[rec.source_path] = buf
         yield rec, _encoder_input(wavs[rec.source_path], cfg,
                                   f"manifest {path}: record {rec.id!r}",
-                                  (rec.offset_s, rec.offset_s + rec.duration_s))
+                                  (rec.offset_s, rec.offset_s + rec.duration_s), min_frames)
 
 
 def _normalization_lexicon(args) -> dict:
@@ -260,6 +267,10 @@ def cmd_finetune_asr(args) -> int:
             continue
         text = asr_mod.normalize_text(rec.transcript, lexicon)
         if rec.split == "test":
+            if not text:
+                raise ConfigError(f"manifest {args.manifest}: test record {rec.id!r} has a "
+                                  f"transcript with no text once normalized: "
+                                  f"{rec.transcript!r}; held-out scores need one")
             heldout.append((features, text))
         else:
             train.append((features, text))
@@ -327,9 +338,11 @@ def cmd_train_aligner(args) -> int:
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
-    feature_cache = {}
-    for rec, features in _records_with_audio(args.manifest, manifest, encoder.cfg):
-        feature_cache[rec.id] = slm_mod.extract_multilayer_features(encoder, features)
+    # every record's audio is read and checked before the encoder runs on any
+    feature_cache = {rec.id: features for rec, features in _records_with_audio(
+        args.manifest, manifest, encoder.cfg, slm_mod.FRAME_STACK)}
+    for rec_id, features in feature_cache.items():
+        feature_cache[rec_id] = slm_mod.extract_multilayer_features(encoder, features)
     pairs = []
     for ex in examples:
         if ex.audio_id not in feature_cache:
@@ -369,7 +382,8 @@ def cmd_infer(args) -> int:
         if checkpoint_bytes(given.state_arrays(), given.record()) != checkpoint_bytes(
                 fusion.encoder.state_arrays(), fusion.encoder.record()):
             raise ConfigError(f"{args.encoder} is not the encoder in {args.fusion}")
-    features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg, f"--wav {args.wav}")
+    features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg, f"--wav {args.wav}",
+                              min_frames=slm_mod.FRAME_STACK)
     speech = slm_mod.extract_multilayer_features(fusion.encoder, features)
     result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
                               max_tokens=args.max_tokens)

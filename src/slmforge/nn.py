@@ -98,6 +98,11 @@ class Module:
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
+    def shape_advice(self, name: str) -> str:
+        """Text ``load_checkpoint`` appends to its error when a checkpoint's
+        tensor ``name`` has another shape than this module's; none here."""
+        return ""
+
 
 class ModuleList(Module):
     """Submodules registered as "0", "1", ... and iterated in that order."""
@@ -406,8 +411,9 @@ def load_checkpoint(path, cls):
 
     The file's ``kind`` entry must be ``cls.kind``; ``cls.from_record(path,
     metadata)`` builds the untrained module, and the file's tensors must
-    match its parameters exactly in names and shapes. Every error names
-    ``path``.
+    match its parameters exactly in names and shapes; a shape mismatch error
+    ends with the module's ``shape_advice`` for the tensor. Every error
+    names ``path``.
     """
     arrays, metadata = read_checkpoint(path)
     if metadata.get("kind") != cls.kind:
@@ -424,6 +430,7 @@ def load_checkpoint(path, cls):
             raise CheckpointError(
                 f"{path}: shape mismatch for parameter '{name}': "
                 f"checkpoint {tuple(arr.shape)} vs module {tuple(p.data.shape)}"
+                f"{model.shape_advice(name)}"
             )
         p.data = arr.astype(np.float64)
     if params:

@@ -3,9 +3,11 @@ chain-of-thought instruction data, generation, and output parsing.
 
 Speech enters the LM as a block of aligner-projected embeddings spliced in
 place of a single audio-placeholder token; the fused sequence is therefore
-text_tokens - 1 + T' positions long, and ``_fused_sequence`` builds it for
-both the fusion loss and generation. The speech features are the hidden
-states of every encoder transformer layer, concatenated per frame. The chat
+text_tokens - 1 + T' positions long, T' being the number of speech rows, and
+``_fused_sequence`` builds it for both the fusion loss and generation. A
+speech row holds the hidden states of every encoder transformer layer for
+``FRAME_STACK`` consecutive encoder frames, so T' is the encoder's frame
+count divided by ``FRAME_STACK``, rounded down. The chat
 markers are fixed (``ChatTemplate``), so instruction sets and fusion
 checkpoints store only the tokenizer's charset. During fusion training the
 encoder and LM stay frozen and the loss covers assistant-completion tokens
@@ -283,10 +285,10 @@ def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, speech) -> list:
     """Text-only pretraining corpus for the toy stand-in LM.
 
     Each example's audio placeholder is replaced by its final-answer tokens
-    tiled to that audio's frame count, so the sequence geometry matches the
-    fused one and the LM learns to read the block the aligner later fills.
-    ``speech`` maps an example's audio_id to its speech features, one row
-    per frame.
+    tiled to that audio's speech-row count, so the sequence geometry matches
+    the fused one and the LM learns to read the block the aligner later
+    fills. ``speech`` maps an example's audio_id to its speech rows, as
+    ``extract_multilayer_features`` returns them.
     """
     audio_id = tokenizer.token_id(ChatTemplate.audio_marker)
     seqs = []
@@ -322,6 +324,11 @@ def train_lm(lm: CausalLM, token_seqs, steps: int, lr: float = 1e-3,
 # Aligner and fusion
 
 
+# encoder output frames per aligner input row: frames 2j and 2j + 1 side by
+# side, the projector input stacking of SLAM-ASR (arXiv:2402.08846)
+FRAME_STACK = 2
+
+
 class SpeechAligner(Module):
     """Single-hidden-layer MLP with ReLU mapping concatenated encoder-layer
     features into the LM embedding space. The only trainable piece during
@@ -345,18 +352,26 @@ class SpeechAligner(Module):
 
 
 def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) -> np.ndarray:
-    """Concatenate the hidden states of every encoder transformer layer
-    (1..L, not the front end) per frame. No further time downsampling
-    is applied."""
+    """The aligner's speech rows: per encoder output frame, the hidden states
+    of every transformer layer (1..L, not the front end) side by side, and
+    row j holds frames 2j and 2j + 1 (``FRAME_STACK``) side by side. The rows
+    therefore come at half the encoder's frame rate; as in the encoder's
+    front end, an odd last frame is dropped. Fewer than ``FRAME_STACK``
+    output frames is a GraphError."""
     with T.no_grad():
         states = encoder.forward(np.asarray(features, dtype=np.float64), mask=None)
-    return np.concatenate([state.data for state in states[1:]], axis=1)
+    frames = np.concatenate([state.data for state in states[1:]], axis=1)
+    rows = len(frames) // FRAME_STACK
+    if not rows:
+        raise GraphError(f"the speech aligner needs at least {FRAME_STACK} encoder "
+                         f"frames, got {len(frames)}")
+    return frames[: FRAME_STACK * rows].reshape(rows, -1)
 
 
 def speech_feature_dim(encoder: SpeechEncoder) -> int:
     """Width of an ``extract_multilayer_features`` row, the aligner's input:
-    ``dim`` per transformer layer."""
-    return encoder.cfg.dim * encoder.cfg.n_layers
+    ``dim`` per transformer layer for each of ``FRAME_STACK`` frames."""
+    return FRAME_STACK * encoder.cfg.dim * encoder.cfg.n_layers
 
 
 def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int):
@@ -486,6 +501,16 @@ class FusionModel(Module):
             "charset": self.tokenizer.charset(),
             "aligner_hidden": str(self.aligner.fc1.bias.data.shape[0]),
         }
+
+    def shape_advice(self, name: str) -> str:
+        """For ``aligner.fc1.weight``: the width the aligner reads, which a
+        checkpoint written before the aligner read stacked frames lacks."""
+        if name != "aligner.fc1.weight":
+            return ""
+        cfg = self.encoder.cfg
+        return (f"; the aligner reads {self.aligner.d_in}-wide rows, {FRAME_STACK} "
+                f"stacked encoder frames of {cfg.n_layers} layer(s) x {cfg.dim}; re-run "
+                "train-aligner to write a fusion checkpoint at that width")
 
     @classmethod
     def from_record(cls, path, meta: dict) -> "FusionModel":

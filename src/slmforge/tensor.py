@@ -236,9 +236,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions=None) -> 
     outputs side by side are the (rows of q, dim) result. ``positions``,
     one integer in [0, rows of k) per row of q, makes the attention causal:
     query row i sees key rows 0 .. ``positions[i]`` only. Its scores at
-    later keys are set to -inf before the row max, so exp gives exactly 0.0
-    there, the bytes the softmax of a -1e9 bias gave. ``None`` lets every
-    query see every key.
+    later keys are set to -inf before the row max, and its probabilities
+    there to 0.0 in place of their exp, the bytes the softmax of a -1e9 bias
+    gave. ``None`` lets every query see every key.
 
     One graph node that saves only the probabilities P, in place of the
     composition of head split, matmul, transpose, scale, mask, softmax,
@@ -270,10 +270,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions=None) -> 
     scale = np.asarray(1.0 / np.sqrt(dh))
     p = np.matmul(qh, np.swapaxes(kh, -1, -2))  # scores, then P in place
     p *= scale
-    if positions is not None:
-        np.copyto(p, -np.inf, where=np.arange(t_all) > positions[:, None])
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
+    if positions is None:
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+    else:
+        masked = np.arange(t_all) > positions[:, None]
+        np.copyto(p, -np.inf, where=masked)
+        p -= p.max(axis=-1, keepdims=True)
+        # exp(-inf) takes numpy's slow special-value path; its 0.0 is written
+        np.exp(p, out=p, where=~masked)
+        np.copyto(p, 0.0, where=masked)
     p /= p.sum(axis=-1, keepdims=True)
     out = join(np.matmul(p, vh))
 

@@ -401,7 +401,8 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
     encoder = SpeechEncoder(ENC_CFG, n_classes=4, seed=1).freeze()
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
                                  n_heads=2), seed=2).freeze()
-    aligner = SpeechAligner(ENC_CFG.n_layers * ENC_CFG.dim, 16, hidden=8, seed=3)
+    # a speech row is encoder frames 2j and 2j + 1, each every layer's state
+    aligner = SpeechAligner(2 * ENC_CFG.n_layers * ENC_CFG.dim, 16, hidden=8, seed=3)
     feats = {ex.audio_id: rng.standard_normal((20, 8)) for ex in examples}
 
     encoder_before = checkpoint_bytes(encoder.state_arrays())

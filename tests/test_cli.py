@@ -752,8 +752,9 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    # the aligner reads two stacked frames of the encoder's one 8-wide layer
     save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
-                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+                                SpeechAligner(16, 8, hidden=4), tok), fusion, {})
     argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
             Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
             "--max-tokens", "5"]
@@ -766,6 +767,26 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     fusion.write_bytes(checkpoint_bytes(arrays, meta))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_a_fusion_checkpoint_at_the_unstacked_width_asks_for_train_aligner(
+        tmp_path, manifest, capsys):
+    fusion = tmp_path / "fusion.ckpt"
+    tok = CharTokenizer("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    # written before the aligner stacked frames: one 8-wide frame per row
+    save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
+                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+    assert main(["infer", "--fusion", str(fusion), "--wav",
+                 Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
+                 "--max-tokens", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"slmforge infer: {fusion}: shape mismatch for parameter 'aligner.fc1.weight': "
+        "checkpoint (8, 4) vs module (16, 4); the aligner reads 16-wide rows, 2 stacked "
+        "encoder frames of 1 layer(s) x 8; re-run train-aligner to write a fusion "
+        "checkpoint at that width\n")
 
 
 @pytest.mark.parametrize("extra", ["ÀÁÂÃÄÅÆÇÈÉ", "0123456789"])
@@ -1048,6 +1069,23 @@ def test_finetune_asr_prints_held_out_cer_and_wer_of_the_test_records(trained, m
     assert got.groups() == (f"{cer(['ab'], [hyp]):.3f}", f"{wer(['ab'], [hyp]):.3f}")
 
 
+def test_finetune_asr_test_record_with_no_text_exits_2_before_training(trained, monkeypatch,
+                                                                        capsys):
+    monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.asr.finetune_ctc", _no_training)
+    m = Manifest.read("m.jsonl")
+    m.records.append(replace(m.records[0], id="held", split="test", transcript="?!"))
+    m.write("empty.jsonl")
+    assert main(["finetune-asr", "--manifest", "empty.jsonl", "--encoder", "encoder.ckpt",
+                 "--config", "ft.json", "--out", "e.ckpt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "slmforge finetune-asr: manifest empty.jsonl: test record 'held' has a transcript "
+        "with no text once normalized: '?!'; held-out scores need one\n")
+    assert not Path("e.ckpt").exists()
+
+
 def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monkeypatch,
                                                                    capsys):
     monkeypatch.chdir(trained)
@@ -1217,6 +1255,34 @@ def test_a_record_past_the_end_of_its_wav_exits_2_naming_manifest_and_record(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration_s, frames", [(0.04, 2), (0.05, 3)])
+def test_a_record_too_short_for_a_speech_row_exits_2_in_train_aligner_naming_it(
+        trained, tmp_path, monkeypatch, capsys, duration_s, frames):
+    # one encoder frame makes no stacked speech row; the last record is the
+    # short one, so the check must come before the encoder runs on any
+    monkeypatch.chdir(trained)
+    for trainer in ("slmforge.slm.extract_multilayer_features", "slmforge.slm.train_lm",
+                    "slmforge.slm.train_aligner"):
+        monkeypatch.setattr(trainer, _no_training)
+    m = Manifest.read("m.jsonl")
+    m.records[-1].duration_s = duration_s
+    short = tmp_path / "short.jsonl"
+    m.write(short)
+    out = tmp_path / "fusion.ckpt"
+    assert main([*TRAINING_ARGV[3][:-1], str(out), "--manifest", str(short)]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge train-aligner: manifest {short}: record {m.records[-1].id!r} gives "
+        f"{frames} log-mel frames at 16000 Hz, 1 encoder frame(s); the speech aligner "
+        "needs at least 2\n")
+    assert not out.exists()
+    # the other commands still take it: it gives the encoder one frame
+    for trainer in ("slmforge.cli.continued_pretrain", "slmforge.asr.finetune_ctc"):
+        monkeypatch.setattr(trainer, _no_training)
+    for argv in TRAINING_ARGV[:2]:
+        with pytest.raises(AssertionError, match="training started"):
+            main([*argv[:-1], str(tmp_path / "x.ckpt"), "--manifest", str(short)])
+
+
 @pytest.mark.parametrize("argv", TRAINING_ARGV[1::2], ids=lambda argv: argv[0])
 def test_finetune_asr_and_train_aligner_compute_features_at_the_encoders_rate(
         trained, tmp_path, monkeypatch, argv):
@@ -1297,6 +1363,25 @@ def test_records_already_at_the_encoder_rate_make_no_resample_call(manifest, mon
     got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
     assert calls == []
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("duration_s, frames", [(0.035, 2), (0.045, 3)])
+def test_a_wav_too_short_for_a_speech_row_exits_2_in_infer_naming_the_file(
+        trained, tmp_path, monkeypatch, capsys, duration_s, frames):
+    monkeypatch.chdir(trained)
+    for step in ("slmforge.slm.extract_multilayer_features", "slmforge.slm.generate"):
+        monkeypatch.setattr(step, _no_training)
+    wav = tmp_path / "short.wav"
+    write_wav(wav, sine(440.0, duration_s))
+    assert main(["infer", "--fusion", "fusion.ckpt", "--task", "transcribe",
+                 "--wav", str(wav)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"slmforge infer: --wav {wav} gives {frames} log-mel frames at 16000 Hz, 1 encoder "
+        "frame(s); the speech aligner needs at least 2\n")
+    # transcribe still decodes it: the encoder needs 2 log-mel frames
+    assert main(["transcribe", "--ckpt", "asr.ckpt", "--wav", str(wav)]) == 0
 
 
 @pytest.mark.parametrize("argv", [["transcribe", "--ckpt", "asr.ckpt"],

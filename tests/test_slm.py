@@ -33,6 +33,7 @@ from slmforge.slm import (
     parse_cot_output,
     read_instruction_dataset,
     render_chat,
+    speech_feature_dim,
     train_aligner,
     train_lm,
     write_instruction_dataset,
@@ -258,12 +259,15 @@ ENC_CFG = SpeechEncoderConfig(input_dim=8, dim=16, n_layers=3, n_heads=2)
 
 
 def test_multilayer_feature_dim_is_layers_times_dim():
-    # the features are the transformer layers' hidden states side by side
+    # a row is the transformer layers' hidden states side by side, for
+    # encoder frames 2j and then 2j + 1; the 15th frame has no pair
     enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
     feats = np.random.default_rng(0).standard_normal((30, 8))
     out = extract_multilayer_features(enc, feats)
     states = enc.forward(feats)
-    assert np.array_equal(out, np.concatenate([s.data for s in states[1:]], axis=1))
+    frames = np.concatenate([s.data for s in states[1:]], axis=1)
+    assert len(frames) == 15
+    assert np.array_equal(out, np.concatenate([frames[0:14:2], frames[1:14:2]], axis=1))
 
 
 def test_single_layer_selection_equals_hidden_states():
@@ -272,17 +276,53 @@ def test_single_layer_selection_equals_hidden_states():
     feats = np.random.default_rng(1).standard_normal((30, 8))
     out = extract_multilayer_features(enc, feats)
     states = enc.forward(feats)
-    dim = ENC_CFG.dim
+    dim, width = ENC_CFG.dim, ENC_CFG.n_layers * ENC_CFG.dim
     for layer in range(1, ENC_CFG.n_layers + 1):
         block = out[:, (layer - 1) * dim : layer * dim]
-        assert np.array_equal(block, states[layer].data)
+        assert np.array_equal(block, states[layer].data[0:14:2])
+        block = out[:, width + (layer - 1) * dim : width + layer * dim]
+        assert np.array_equal(block, states[layer].data[1:14:2])
 
 
-def test_default_selection_all_transformer_layers_no_extra_downsampling():
+def test_default_selection_all_transformer_layers_at_half_the_encoder_frame_rate():
     enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
     feats = np.random.default_rng(2).standard_normal((30, 8))
     out = extract_multilayer_features(enc, feats)
-    assert out.shape == (enc.output_len(30), ENC_CFG.n_layers * 16)
+    assert out.shape == (enc.output_len(30) // 2, 2 * ENC_CFG.n_layers * 16)
+
+
+def _unstacked_multilayer_features(encoder, features):
+    """``extract_multilayer_features`` before it stacked frame pairs: one row
+    per encoder frame, every transformer layer's state side by side."""
+    with T.no_grad():
+        states = encoder.forward(np.asarray(features, dtype=np.float64), mask=None)
+    return np.concatenate([state.data for state in states[1:]], axis=1)
+
+
+@pytest.mark.parametrize("n_in", [4, 5, 6, 7, 8, 9, 30, 31, 46])
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_stacked_rows_are_byte_equal_to_unstacked_frame_pairs(n_in, n_layers):
+    # n_in log-mel frames give T' = n_in // 2 encoder frames: even and odd
+    # T', 2 and 3 among them; an odd T' loses its last frame
+    enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16, n_layers=n_layers),
+                        n_classes=4, seed=n_in)
+    feats = np.random.default_rng(n_in).standard_normal((n_in, 8))
+    ref = _unstacked_multilayer_features(enc, feats)
+    assert len(ref) == n_in // 2
+    out = extract_multilayer_features(enc, feats)
+    assert out.shape == (len(ref) // 2, 2 * n_layers * 16) == (
+        len(ref) // 2, speech_feature_dim(enc))
+    for j, row in enumerate(out):
+        assert row.tobytes() == np.concatenate([ref[2 * j], ref[2 * j + 1]]).tobytes()
+
+
+@pytest.mark.parametrize("n_in", [2, 3])
+def test_one_encoder_frame_makes_no_speech_row(n_in):
+    enc = SpeechEncoder(ENC_CFG, n_classes=4, seed=0)
+    feats = np.random.default_rng(0).standard_normal((n_in, 8))
+    with pytest.raises(GraphError, match="the speech aligner needs at least 2 encoder "
+                                         "frames, got 1"):
+        extract_multilayer_features(enc, feats)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +411,7 @@ def test_fusion_loss_on_example_runs_through_encoder():
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
                                  n_heads=2), seed=0)
     lm.freeze()
-    aligner = SpeechAligner(2 * 16, 16, hidden=8, seed=2)
+    aligner = SpeechAligner(2 * 2 * 16, 16, hidden=8, seed=2)  # 2 frames x 2 layers
     feats = np.random.default_rng(3).standard_normal((20, 8))
     speech = extract_multilayer_features(enc, feats)
     ids = tok.encode(examples[0].text)
@@ -868,7 +908,8 @@ def test_repetition_loop_boundary_exactly_k():
 def test_fusion_save_load_round_trip(tmp_path):
     lm, aligner, tok, examples, speech = _fusion_setup(seed=11)
     path = tmp_path / "fusion.ckpt"
-    encoder = SpeechEncoder(SpeechEncoderConfig(dim=12, n_layers=1), 3)
+    # two stacked frames of one 6-wide layer fill the aligner's 12 inputs
+    encoder = SpeechEncoder(SpeechEncoderConfig(dim=6, n_layers=1), 3)
     save_checkpoint(FusionModel(encoder, lm, aligner, tok), path, {})
     back = load_checkpoint(path, FusionModel)
     assert back.tokenizer.symbols == tok.symbols

@@ -376,7 +376,8 @@ def _asr():
 def _fusion():
     tok = CharTokenizer("ab")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1), seed=3)
-    return FusionModel(_encoder(), lm, SpeechAligner(8, 8, hidden=4, seed=4), tok)
+    # two stacked frames of the encoder's one 8-wide layer
+    return FusionModel(_encoder(), lm, SpeechAligner(16, 8, hidden=4, seed=4), tok)
 
 
 # kind -> (model class, a small model of it, the metadata entry holding its
