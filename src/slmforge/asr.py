@@ -340,10 +340,11 @@ class CtcModel(Module):
 
     kind = "asr"
 
-    def __init__(self, encoder: SpeechEncoder, vocab: Vocab, seed: int = 0):
+    def __init__(self, encoder: SpeechEncoder, vocab: Vocab, seed: int | None = 0):
         super().__init__()
         self.encoder = encoder
-        self.head = Linear(encoder.cfg.dim, len(vocab), np.random.default_rng(seed + 17))
+        self.head = Linear(encoder.cfg.dim, len(vocab),
+                           None if seed is None else np.random.default_rng(seed + 17))
         self.vocab = vocab
         encoder.mask_embed.freeze()
         encoder.head.freeze()
@@ -365,7 +366,7 @@ class CtcModel(Module):
     @classmethod
     def from_record(cls, path, meta: dict) -> "CtcModel":
         return cls(SpeechEncoder.from_record(path, meta),
-                   parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))))
+                   parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))), seed=None)
 
 
 @dataclass

@@ -21,7 +21,8 @@ Checkpoint byte layout (little-endian throughout):
 A checkpointed model class (``pretrain.SpeechEncoder``, ``asr.CtcModel``,
 ``slm.FusionModel``) holds its ``kind``, a ``record()`` of the metadata
 entries that rebuild it and a ``from_record(path, metadata)`` classmethod
-that builds it untrained; a ``CtcModel`` or ``FusionModel`` record starts
+that builds it with ``seed=None``, which draws no weights (they stay zero
+until the load sets them); a ``CtcModel`` or ``FusionModel`` record starts
 with its ``SpeechEncoder``'s. ``save_checkpoint`` and ``load_checkpoint`` are
 the one save and load path of every kind. Loading checks the kind, is
 strict (names and shapes must match the module tree exactly), names the
@@ -116,8 +117,11 @@ class ModuleList(Module):
         return iter(self._modules.values())
 
 
-def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal(0, 0.02) with rejection outside two standard deviations."""
+def trunc_normal(rng: np.random.Generator | None, shape) -> np.ndarray:
+    """Normal(0, 0.02) with rejection outside two standard deviations; zeros,
+    with no draw, when ``rng`` is None (a module a checkpoint load fills)."""
+    if rng is None:
+        return np.zeros(shape)
     std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
@@ -410,10 +414,10 @@ def load_checkpoint(path, cls):
     """The ``cls`` model stored at ``path``.
 
     The file's ``kind`` entry must be ``cls.kind``; ``cls.from_record(path,
-    metadata)`` builds the untrained module, and the file's tensors must
-    match its parameters exactly in names and shapes; a shape mismatch error
-    ends with the module's ``shape_advice`` for the tensor. Every error
-    names ``path``.
+    metadata)`` builds the module without drawing weights, and the file's
+    tensors must match its parameters exactly in names and shapes; a shape
+    mismatch error ends with the module's ``shape_advice`` for the tensor.
+    Every error names ``path``.
     """
     arrays, metadata = read_checkpoint(path)
     if metadata.get("kind") != cls.kind:

@@ -201,9 +201,9 @@ class SpeechEncoder(Module):
 
     kind = "encoder"
 
-    def __init__(self, cfg: SpeechEncoderConfig, n_classes: int, seed: int = 0):
+    def __init__(self, cfg: SpeechEncoderConfig, n_classes: int, seed: int | None = 0):
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.cfg = cfg
         self.n_classes = n_classes
         self.conv = Linear(2 * cfg.input_dim, cfg.dim, rng)
@@ -263,12 +263,13 @@ class SpeechEncoder(Module):
 
     @classmethod
     def from_record(cls, path, meta: dict) -> "SpeechEncoder":
-        """An untrained encoder built from the ``record`` entries of checkpoint
-        ``path``'s metadata; errors name the path and the entry."""
+        """An encoder built from the ``record`` entries of checkpoint ``path``'s
+        metadata, with no weights drawn; errors name the path and the entry."""
         return cls(
             parse_field(path, meta, "encoder_cfg",
                         lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
             parse_field(path, meta, "n_classes", int),
+            seed=None,
         )
 
 

@@ -79,6 +79,10 @@ class ChatTemplate:
     specials = (user_marker, assistant_marker, end_marker, audio_marker)
 
 
+# one token of a text: a chat marker, tried in ``specials`` order, else one character
+_TOKEN = re.compile("|".join(map(re.escape, ChatTemplate.specials)) + "|.", re.DOTALL)
+
+
 class CharTokenizer:
     """Character tokenizer whose chat markers are single atomic tokens, the
     first ids of its vocabulary."""
@@ -105,21 +109,10 @@ class CharTokenizer:
         return self._index[symbol]
 
     def encode(self, text: str) -> list:
-        ids = []
-        pos = 0
-        while pos < len(text):
-            for marker in ChatTemplate.specials:
-                if text.startswith(marker, pos):
-                    ids.append(self._index[marker])
-                    pos += len(marker)
-                    break
-            else:
-                ch = text[pos]
-                if ch not in self._index:
-                    raise ConfigError(f"character {ch!r} not in tokenizer charset")
-                ids.append(self._index[ch])
-                pos += 1
-        return ids
+        try:
+            return [self._index[token] for token in _TOKEN.findall(text)]
+        except KeyError as exc:
+            raise ConfigError(f"character {exc.args[0]!r} not in tokenizer charset") from None
 
     def decode(self, ids) -> str:
         return "".join(self.symbols[i] for i in ids)
@@ -244,9 +237,9 @@ class CausalLM(Module):
     """Decoder-only transformer over characters; greedy decoding is
     deterministic and attention is strictly causal."""
 
-    def __init__(self, cfg: CausalLMConfig, seed: int = 0):
+    def __init__(self, cfg: CausalLMConfig, seed: int | None = 0):
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.cfg = cfg
         self.embed = Embedding(cfg.vocab_size, cfg.dim, rng)
         self.blocks = ModuleList(
@@ -334,9 +327,10 @@ class SpeechAligner(Module):
     features into the LM embedding space. The only trainable piece during
     fusion training."""
 
-    def __init__(self, d_in: int, d_lm: int, hidden: int | None = None, seed: int = 0):
+    def __init__(self, d_in: int, d_lm: int, hidden: int | None = None,
+                 seed: int | None = 0):
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         hidden = hidden or 4 * d_lm
         self.fc1 = Linear(d_in, hidden, rng)
         self.fc2 = Linear(hidden, d_lm, rng)
@@ -514,16 +508,18 @@ class FusionModel(Module):
 
     @classmethod
     def from_record(cls, path, meta: dict) -> "FusionModel":
-        """An untrained bundle whose aligner maps the encoder's layers into the
-        LM's width and whose tokenizer has the LM's ``vocab_size`` symbols."""
+        """A bundle, with no weights drawn, whose aligner maps the encoder's
+        layers into the LM's width and whose tokenizer has the LM's
+        ``vocab_size`` symbols."""
         if "encoder_cfg" not in meta:
             raise ConfigError(f"{path}: missing key 'encoder_cfg'; re-run train-aligner to "
                               "write a fusion checkpoint that holds its encoder")
         encoder = SpeechEncoder.from_record(path, meta)
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
-                                  lambda blob: read_config(CausalLMConfig, json.loads(blob))))
+                                  lambda blob: read_config(CausalLMConfig, json.loads(blob))),
+                      seed=None)
         aligner = SpeechAligner(speech_feature_dim(encoder), lm.cfg.dim,
-                                hidden=parse_field(path, meta, "aligner_hidden", int))
+                                hidden=parse_field(path, meta, "aligner_hidden", int), seed=None)
         tokenizer = parse_field(path, meta, "charset", CharTokenizer)
         if tokenizer.vocab_size != lm.cfg.vocab_size:
             raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "

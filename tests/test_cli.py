@@ -7,7 +7,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from slmforge.audio import log_mel, read_wav, resample, write_wav
 from slmforge.asr import CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
-from slmforge.curate import Manifest
+from slmforge.curate import Manifest, PipelineConfig
 from slmforge.metrics import cer, wer
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
@@ -162,6 +162,25 @@ def test_curate_unknown_plug_in_exits_2_naming_the_key_before_reading(
     assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
                  str(tmp_path / "in.wav")]) == 2
     assert capsys.readouterr().err == f"slmforge curate: {shown}\n"
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)
+                                 if isinstance(f.default, float)])
+def test_curate_non_finite_float_exits_2_naming_the_key_before_reading(
+        tmp_path, monkeypatch, capsys, key, literal):
+    # json.loads takes NaN and Infinity; a NaN cluster threshold merged every window
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+    monkeypatch.setattr("slmforge.curate.read_wav", no_read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {literal}}}')
+    assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
+                 str(tmp_path / "in.wav")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("slmforge curate: ") and key in err
+    assert "Traceback" not in err
     assert not (tmp_path / "m.jsonl").exists()
 
 

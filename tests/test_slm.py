@@ -1,13 +1,17 @@
 """Fusion model: instruction data, aligner, splicing, generation, parsing."""
 
+import importlib.util
 import json
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_grad, max_rel_error, tsum
 
-from slmforge.curate import SegmentRecord
+from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
@@ -68,6 +72,74 @@ def test_tokenizer_unknown_char_errors():
     tok = _tok(["abc"])
     with pytest.raises(ConfigError, match="'z'"):
         tok.encode("z")
+
+
+def _reference_encode(tok, text):
+    """``CharTokenizer.encode`` as it was: every chat marker tried in turn at
+    every position (kept as the equivalence reference)."""
+    ids = []
+    pos = 0
+    while pos < len(text):
+        for marker in ChatTemplate.specials:
+            if text.startswith(marker, pos):
+                ids.append(tok._index[marker])
+                pos += len(marker)
+                break
+        else:
+            ch = text[pos]
+            if ch not in tok._index:
+                raise ConfigError(f"character {ch!r} not in tokenizer charset")
+            ids.append(tok._index[ch])
+            pos += 1
+    return ids
+
+
+def _bench_sft_texts(tmp_path, monkeypatch, seed):
+    """The texts of every SFT file the benchmark builds at ``seed``: from the
+    train and decode corpora and from the data workload's kept segments."""
+    # bench/bootstrap.py pins BLAS threads for a fresh benchmark process
+    monkeypatch.setitem(sys.modules, "bootstrap", types.ModuleType("bootstrap"))
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    records = []
+    for name, corpus in (("train", inputs.TRAIN_SPEC), ("decode", inputs.DECODE_SPEC)):
+        inputs.make_corpus(tmp_path / name, seed, corpus)
+        records += Manifest.read(tmp_path / name / "manifest.jsonl").records
+    for i, kept in enumerate(inputs.make_recordings(tmp_path / "data", seed)["kept"]):
+        records.append(_record(id=f"kept{i}", transcript=kept["transcript"],
+                               translation=inputs.translate(kept["transcript"])))
+    examples, tok, skipped = build_instruction_dataset(records, list(inputs.SFT_MODES))
+    assert not skipped and len(examples) == len(records) * len(inputs.SFT_MODES)
+    return tok, [ex.text for ex in examples]
+
+
+def test_encode_equals_the_marker_loop_on_every_bench_sft_text(tmp_path, monkeypatch):
+    tok, texts = _bench_sft_texts(tmp_path, monkeypatch, seed=1)
+    assert any("\n" in text for text in texts)
+    for text in texts:
+        assert tok.encode(text) == _reference_encode(tok, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "<|aud", "<|audio|", "<|", "|>", "<|end", "a<|audio|b", "<<|end|>>", "<|<|user|>",
+    "<|user|><|audio|><|assistant|><|end|>", "<|end|><|end|>", "x\n<|end|>\n", "<|audi<|audio|>",
+])
+def test_encode_equals_the_marker_loop_on_marker_fragments(text):
+    tok = _tok(["<|user|audio assistant end>\nbx"])
+    assert tok.encode(text) == _reference_encode(tok, text)
+
+
+@pytest.mark.parametrize("text", ["abz", "<|end|>é", "<|aud\t"])
+def test_encode_names_the_first_unknown_character_as_the_marker_loop_did(text):
+    tok = _tok(["<|aud>b"])
+    with pytest.raises(ConfigError) as want:
+        _reference_encode(tok, text)
+    with pytest.raises(ConfigError) as got:
+        tok.encode(text)
+    assert str(got.value) == str(want.value)
 
 
 def test_render_contains_exactly_one_placeholder_and_final():

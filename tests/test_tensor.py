@@ -431,6 +431,20 @@ def test_model_round_trip_rebuilds_the_record_and_the_exact_weights(tmp_path, ki
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
+def test_model_loaders_draw_no_initial_weights(tmp_path, monkeypatch, kind):
+    # the load sets every parameter, so initial draws would be thrown away
+    cls = MODELS[kind][0]
+    path = tmp_path / f"{kind}.ckpt"
+    model = _save(kind, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a checkpoint load made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    _assert_same_model(model, load_checkpoint(path, cls))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
 def test_a_checkpoint_with_a_seed_in_its_config_dataclasses_still_loads(tmp_path, kind):
     # the `config` entry is provenance that no loader reads
     cls, _, _, config = MODELS[kind]
