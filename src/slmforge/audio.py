@@ -41,6 +41,8 @@ FRAME_MS = 25.0
 HOP_MS = 10.0
 MIN_FFT_SIZE = 512
 LOG_FLOOR = 1e-10
+# rows of one rfft call in frame_magnitudes: about 1 MB of complex spectrum
+FFT_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -248,13 +250,20 @@ def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int,
     that begin at the sample indices ``starts``: (len(starts), fft_size//2 + 1).
 
     Each row depends only on its own frame, so rows shared by overlapping
-    callers can be computed once and gathered.
+    callers can be computed once and gathered. The rows are transformed
+    ``FFT_BLOCK_ROWS`` at a time into the one output array, so the windowed
+    frames and the complex spectrum never exist for a whole recording at
+    once; a row's bytes do not depend on the block it falls in.
     """
+    out = np.empty((len(starts), fft_size // 2 + 1))
     if len(starts) == 0:
-        return np.zeros((0, fft_size // 2 + 1))
-    frames = sliding_window_view(samples, frame)[starts]
-    frames *= _hann_window(frame)
-    return np.abs(np.fft.rfft(frames, n=fft_size, axis=1))
+        return out
+    view = sliding_window_view(samples, frame)
+    window = _hann_window(frame)
+    for i in range(0, len(starts), FFT_BLOCK_ROWS):
+        frames = view[starts[i:i + FFT_BLOCK_ROWS]] * window
+        np.abs(np.fft.rfft(frames, n=fft_size, axis=1), out=out[i:i + FFT_BLOCK_ROWS])
+    return out
 
 
 def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> np.ndarray:

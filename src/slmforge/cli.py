@@ -29,6 +29,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -463,6 +464,8 @@ def cmd_report(args) -> int:
 # Parser
 
 
+# built at the first call, not at import; main reuses it for every later call
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="slmforge", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"slmforge {__version__}")

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import typing
 
 from .errors import ConfigError
@@ -29,10 +30,10 @@ def config_fields(cls, obj, keys: dict | None = None) -> dict:
     """{field: value} of dataclass ``cls`` from the JSON object ``obj``, whose
     keys ``keys`` maps to fields (default: the field names). Types are exact:
     an int field takes an int but not a bool, a float field an int or a
-    float, a tuple field a list, and null only a field whose
-    annotation allows None; values are stored as given. A
-    non-object, an unknown key or a misfit is a ConfigError naming the key
-    and the field."""
+    finite float (``json.loads`` takes NaN and Infinity), a tuple field a
+    list, and null only a field whose annotation allows None; values are
+    stored as given. A non-object, an unknown key or a misfit is a
+    ConfigError naming the key and the field."""
     if keys is None:
         keys = {f.name: f.name for f in dataclasses.fields(cls)}
     if not isinstance(obj, dict):
@@ -50,6 +51,9 @@ def config_fields(cls, obj, keys: dict | None = None) -> dict:
         if not any(type(value) in types for _, types in kinds):
             expected = " or ".join(json_name for json_name, _ in kinds)
             raise ConfigError(f"{key!r} must be {expected}, got {json.dumps(value)} "
+                              f"({cls.__name__}.{name})")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be a finite number, got {json.dumps(value)} "
                               f"({cls.__name__}.{name})")
         out[name] = value
     return out

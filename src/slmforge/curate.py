@@ -17,12 +17,13 @@ count, so an hour of speech (7,200 one-second windows) clusters in seconds.
 VAD, scoring and diarization frame the signal with the package's one
 analysis frame (``audio.analysis_frame``), so ``PipelineConfig`` rejects a
 ``sample_rate`` too low to hold a hop, and a ``window_s`` shorter than one
-frame, before any file is read; it rejects a non-finite float field too.
+frame, before any file is read. A non-finite float field is rejected by the
+one config reader (``config.config_fields``), before ``PipelineConfig`` is
+built.
 """
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 from collections import Counter
@@ -146,10 +147,6 @@ class PipelineConfig:
             raise ConfigError(f"'window_s' must be at least one {frame}-sample analysis "
                               f"frame at {self.sample_rate} Hz "
                               f"({frame / self.sample_rate:g} s), got {self.window_s}")
-        # JSON configs may spell NaN and Infinity, and most bounds above let them by
-        for key, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{key!r} must be a finite number, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +234,11 @@ def separate_sources(buf: AudioBuffer, separator: str = "passthrough") -> AudioB
 
 def _frame_energies_db(buf: AudioBuffer):
     frame, hop = analysis_frame(buf.sample_rate)
-    frames = frame_signal(buf.samples, frame, hop)
+    # frames of the squared signal: each sample is squared once, not per frame
+    frames = frame_signal(buf.samples * buf.samples, frame, hop)
     if frames.shape[0] == 0:
         return np.zeros(0), frame / buf.sample_rate, hop / buf.sample_rate
-    energy = (frames * frames).mean(axis=1)
+    energy = frames.mean(axis=1)
     return 10.0 * np.log10(energy + _ENERGY_FLOOR), frame / buf.sample_rate, hop / buf.sample_rate
 
 

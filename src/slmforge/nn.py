@@ -164,17 +164,28 @@ class Embedding(Module):
         return T.embedding_lookup(self.table, ids)
 
 
+# dim -> the read-only sin/cos table of that width, grown by doubling
+_position_tables: dict = {}
+
+
 def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
     """Rows ``start .. start + n`` of the fixed sin/cos position table, shape
-    (n, dim); a row's values do not depend on ``n`` or ``start``."""
-    pos = np.arange(start, start + n)[:, None]
-    half = (dim + 1) // 2
-    i = np.arange(half)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * i / dim)
-    table = np.zeros((n, dim))
-    table[:, 0::2] = np.sin(angles)
-    table[:, 1::2] = np.cos(angles[:, : dim // 2])
-    return table
+    (n, dim); a row's values do not depend on ``n`` or ``start``. The rows
+    are a read-only view of one table per ``dim``, built once and rebuilt at
+    twice the length when a call reads past its end; a view returned earlier
+    keeps the table it was cut from."""
+    table = _position_tables.get(dim)
+    if table is None or len(table) < start + n:
+        rows = max(start + n, 2 * len(table) if table is not None else 64)
+        pos = np.arange(rows)[:, None]
+        i = np.arange((dim + 1) // 2)[None, :]
+        angles = pos / np.power(10000.0, 2.0 * i / dim)
+        table = np.zeros((rows, dim))
+        table[:, 0::2] = np.sin(angles)
+        table[:, 1::2] = np.cos(angles[:, : dim // 2])
+        table.flags.writeable = False
+        _position_tables[dim] = table
+    return table[start:start + n]
 
 
 class MultiHeadSelfAttention(Module):

@@ -317,10 +317,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {d}"
         )
-    mean = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    # the ufunc calls of numpy's mean and var, with the row centred once
+    centred = a.data - np.add.reduce(a.data, -1, keepdims=True) / d
+    var = np.add.reduce(np.square(centred), -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-8)
-    xhat = (a.data - mean) * inv
+    xhat = centred * inv
     out = gain.data * xhat + bias.data
 
     def backward(grad):
@@ -328,8 +329,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accumulate(gain, (grad * xhat).sum(axis=lead))
         _accumulate(bias, grad.sum(axis=lead))
         gx = grad * gain.data
-        gmean = gx.mean(axis=-1, keepdims=True)
-        gproj = (gx * xhat).mean(axis=-1, keepdims=True)
+        gmean = np.add.reduce(gx, -1, keepdims=True) / d
+        gproj = np.add.reduce(gx * xhat, -1, keepdims=True) / d
         _accumulate(a, inv * (gx - gmean - xhat * gproj))
 
     return _make(out, (a, gain, bias), backward, "layer_norm")

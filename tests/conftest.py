@@ -1,8 +1,11 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
-the tests build losses and the reference attention path from, and
-subprocess environments."""
+the tests build losses and the reference attention path from, subprocess
+environments, and the benchmark's input writer."""
 
+import importlib.util
 import os
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import numpy as np
 from slmforge.tensor import Tensor, _accumulate, _make
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 
 def cli_env():
@@ -20,6 +24,18 @@ def cli_env():
     """
     pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def bench_inputs(monkeypatch):
+    """``bench/inputs.py``, the benchmark's seeded input writer, loaded as a
+    module for the length of one test."""
+    # bench/bootstrap.py pins BLAS threads for a fresh benchmark process
+    monkeypatch.setitem(sys.modules, "bootstrap", types.ModuleType("bootstrap"))
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 """Audio I/O and spectral features against independent DSP oracles."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,42 @@ def test_frame_magnitudes_rows_depend_only_on_their_own_frame(rate):
     assert frame_magnitudes(samples, regular, frame, n_fft).tobytes() == \
         stft_magnitude(samples, frame, hop, n_fft).tobytes()
     assert stft_magnitude(samples[:frame - 1], frame, hop, n_fft).shape == (0, n_fft // 2 + 1)
+
+
+def _unblocked_frame_magnitudes(samples, starts, frame, n_fft):
+    """frame_magnitudes with every row in one rfft call."""
+    frames = np.lib.stride_tricks.sliding_window_view(samples, frame)[starts] * np.hanning(frame)
+    return np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+
+
+def test_frame_magnitudes_blocks_keep_the_bytes_of_one_call():
+    frame, hop = analysis_frame(16000)
+    n_fft = fft_length(frame)
+    block = audio.FFT_BLOCK_ROWS
+    samples = 0.3 * np.random.default_rng(3).standard_normal(frame + (2 * block + 3) * hop)
+    for n_rows in (1, block - 1, block, block + 1, 2 * block + 4):
+        starts = np.arange(n_rows) * hop
+        mag = frame_magnitudes(samples, starts, frame, n_fft)
+        assert mag.tobytes() == _unblocked_frame_magnitudes(samples, starts, frame, n_fft).tobytes()
+    starts = np.random.default_rng(4).integers(0, len(samples) - frame + 1, 3 * block)
+    assert frame_magnitudes(samples, starts, frame, n_fft).tobytes() == \
+        _unblocked_frame_magnitudes(samples, starts, frame, n_fft).tobytes()
+
+
+def test_frame_magnitudes_of_a_long_span_allocate_about_the_output():
+    frame, hop = analysis_frame(16000)
+    n_fft = fft_length(frame)
+    samples = 0.3 * np.random.default_rng(5).standard_normal(30 * 16000)
+    starts = np.arange(0, len(samples) - frame + 1, hop)
+    tracemalloc.start()
+    try:
+        mag = frame_magnitudes(samples, starts, frame, n_fft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all rows at once would also hold (rows, frame) frames and a complex
+    # (rows, bins) spectrum: about 4.5 times the output for a 30 s span
+    assert peak < mag.nbytes + (4 << 20)
 
 
 def test_the_cached_front_end_arrays_and_the_frames_are_read_only():

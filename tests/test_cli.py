@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import typing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -286,6 +287,93 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=cli_env(), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built at the first cli.main call, so an import pays nothing for it
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]; "
+            "import slmforge.cli; print(len(built), slmforge.cli.build_parser.cache_info())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), check=True)
+    assert proc.stdout.split(" ", 1) == [
+        "0", "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"]
+
+
+@pytest.fixture
+def fresh_parser():
+    """No parser built yet in this process, and none left over afterwards."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def _mixed_calls(tmp_path):
+    """(argv, exit code) of cheap ``cli.main`` calls across the subcommands,
+    usage errors, help and version."""
+    refs, hyps, rows = tmp_path / "refs.txt", tmp_path / "hyps.txt", tmp_path / "rows.json"
+    refs.write_text("one two\nthree\n")
+    hyps.write_text("one too\nthree\n")
+    rows.write_text(json.dumps([{"name": "a", "wer": 1.0}]))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"min_dur_s": NaN}')
+    return [
+        (["eval", "--refs", str(refs), "--hyps", str(hyps)], 0),
+        (["report", "--rows", str(rows)], 0),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["transcribe", "--help"], 0),
+        (["bogus"], 1),
+        ([], 1),
+        (["transcribe", "--ckpt", "asr.ckpt"], 1),
+        (["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", "bleu"], 2),
+        (["curate", "--config", str(bad), "--out", str(tmp_path / "m.jsonl"), "in.wav"], 2),
+        (["build-sft", "--manifest", str(tmp_path / "none.jsonl"), "--out", "x"], 2),
+        (["pretrain", "--manifest", "m.jsonl", "--out", "e.ckpt", "--seed", "x"], 1),
+    ]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys,
+                                                fresh_parser):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    calls = _mixed_calls(tmp_path) * 2
+    for argv, code in calls:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert len(calls) >= 10 and built.count("slmforge") == 1
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["eval", "--refs", "r.txt"],
+    ["--help"],
+    ["infer", "--help"],
+    ["--version"],
+    ["infer", "--fusion", "f.ckpt", "--wav", "in.wav", "--task", "transcribe",
+     "--max-tokens", "0"],
+], ids=["unknown-command", "missing-flag", "help", "command-help", "version",
+        "config-error"])
+def test_a_reused_parser_prints_and_exits_as_a_fresh_one(tmp_path, monkeypatch, capsys,
+                                                        fresh_parser, argv):
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", _no_read)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    fresh = main(argv), *capsys.readouterr()
+    for other, code in _mixed_calls(tmp_path):
+        assert main(other) == code, other
+    capsys.readouterr()
+    reused = main(argv), *capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert fresh[0] in (0, 1, 2) and fresh[1] + fresh[2]
 
 
 def test_eval_and_report_round_trip(tmp_path, capsys):
@@ -642,6 +730,57 @@ def test_training_config_value_out_of_range_exits_2_naming_the_key_before_readin
     Path("cfg.json").write_text(json.dumps({key: value}))
     assert main([command, "--config", "cfg.json", *NEEDED_ARGS[command]]) == 2
     assert capsys.readouterr().err == f"slmforge {command}: {shown}\n"
+
+
+def _float_keys(command):
+    """The config keys of ``command`` that set a float field."""
+    keys = []
+    for key, (cls, name) in CONFIG_KEYS[command].items():
+        hint = typing.get_type_hints(cls)[name]
+        if float in (typing.get_args(hint) or (hint,)):
+            keys.append(key)
+    return keys
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in ("curate", *sorted(NEEDED_ARGS))
+    for key in _float_keys(command)])
+def test_a_non_finite_float_in_a_config_exits_2_naming_key_and_file_before_reading(
+        tmp_path, monkeypatch, capsys, command, key, literal):
+    # json.loads takes NaN and Infinity; a NaN lr trained until the first update
+    monkeypatch.chdir(tmp_path)  # none of the input files named here exists
+    for name in ("cli.read_wav", "curate.read_wav", "cli.load_checkpoint",
+                 "cli.Manifest.read", "slm.read_instruction_dataset"):
+        monkeypatch.setattr(f"slmforge.{name}", _no_read)
+    Path("cfg.json").write_text(f'{{"{key}": {literal}}}')
+    needed = NEEDED_ARGS.get(command, ["--out", "m.jsonl", "in.wav"])
+    assert main([command, "--config", "cfg.json", *needed]) == 2
+    cls, name = CONFIG_KEYS[command][key]
+    assert capsys.readouterr().err == (
+        f"slmforge {command}: config cfg.json: {key!r} must be a finite number, "
+        f"got {literal} ({cls.__name__}.{name})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_float_config_keys_per_command():
+    assert {command: len(_float_keys(command)) for command in CONFIG_KEYS} == {
+        "curate": 8, "pretrain": 3, "finetune-asr": 1, "train-aligner": 2}
+
+
+def test_a_manifest_row_with_a_non_finite_offset_exits_2_naming_manifest_and_key(
+        tmp_path, monkeypatch, capsys, manifest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    header, row, *rest = manifest.read_text().splitlines()
+    Path("nan.jsonl").write_text(
+        "\n".join([header, json.dumps({**json.loads(row), "offset_s": float("nan")}),
+                   *rest]) + "\n")
+    assert main(["pretrain", "--manifest", "nan.jsonl", "--out", "enc.ckpt"]) == 2
+    assert capsys.readouterr().err == (
+        "slmforge pretrain: nan.jsonl line 2: 'offset_s' must be a finite number, "
+        "got NaN (SegmentRecord.offset_s)\n")
+    assert not Path("enc.ckpt").exists()
 
 
 def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):

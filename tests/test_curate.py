@@ -6,8 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import bench_inputs
+
 from slmforge import curate
-from slmforge.audio import AudioBuffer, analysis_frame, log_mel, read_wav, resample, write_wav
+from slmforge.audio import (
+    AudioBuffer, analysis_frame, frame_signal, log_mel, read_wav, resample, write_wav,
+)
 from slmforge.curate import (
     Manifest,
     PipelineConfig,
@@ -227,6 +231,43 @@ def test_vad_runs_equal_the_per_frame_loop(monkeypatch, cfg, rate):
             assert got == want
             assert [(type(sp.start_s), type(sp.end_s)) for sp in got] == \
                 [(type(sp.start_s), type(sp.end_s)) for sp in want]
+
+
+def _reference_frame_energies_db(buf):
+    """``curate._frame_energies_db`` as it was written, squaring each frame
+    of the strided view."""
+    frame, hop = analysis_frame(buf.sample_rate)
+    frames = frame_signal(buf.samples, frame, hop)
+    if frames.shape[0] == 0:
+        return np.zeros(0), frame / buf.sample_rate, hop / buf.sample_rate
+    energy = (frames * frames).mean(axis=1)
+    return (10.0 * np.log10(energy + curate._ENERGY_FLOOR), frame / buf.sample_rate,
+            hop / buf.sample_rate)
+
+
+def _assert_energies_equal_the_reference(buf):
+    (got, *got_s), (want, *want_s) = (curate._frame_energies_db(buf),
+                                      _reference_frame_energies_db(buf))
+    assert got.tobytes() == want.tobytes() and got_s == want_s
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_frame_energies_equal_the_per_frame_squares_around_one_frame(rate):
+    frame, hop = analysis_frame(rate)
+    rng = np.random.default_rng(rate)
+    for n in (0, 1, frame - 1, frame, frame + 1, frame + hop - 1, frame + hop,
+              frame + hop + 1, frame + 37 * hop + 5):
+        _assert_energies_equal_the_reference(AudioBuffer(rng.uniform(-1, 1, n), rate))
+
+
+def test_frame_energies_equal_the_per_frame_squares_on_every_bench_wav(tmp_path, monkeypatch):
+    inputs = bench_inputs(monkeypatch)
+    inputs.make_recordings(tmp_path / "data", seed=1)
+    inputs.make_corpus(tmp_path / "decode", 1, inputs.DECODE_SPEC, inputs.HELDOUT_DURATIONS)
+    wavs = sorted(tmp_path.rglob("*.wav"))
+    assert len(wavs) > len(inputs.RECORDINGS)
+    for path in wavs:
+        _assert_energies_equal_the_reference(read_wav(path))
 
 
 # ---------------------------------------------------------------------------

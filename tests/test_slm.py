@@ -1,15 +1,11 @@
 """Fusion model: instruction data, aligner, splicing, generation, parsing."""
 
-import importlib.util
 import json
-import sys
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, max_rel_error, tsum
+from conftest import bench_inputs, finite_diff_grad, max_rel_error, tsum
 
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
@@ -97,13 +93,7 @@ def _reference_encode(tok, text):
 def _bench_sft_texts(tmp_path, monkeypatch, seed):
     """The texts of every SFT file the benchmark builds at ``seed``: from the
     train and decode corpora and from the data workload's kept segments."""
-    # bench/bootstrap.py pins BLAS threads for a fresh benchmark process
-    monkeypatch.setitem(sys.modules, "bootstrap", types.ModuleType("bootstrap"))
-    spec = importlib.util.spec_from_file_location(
-        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)
-    spec.loader.exec_module(inputs)
+    inputs = bench_inputs(monkeypatch)
     records = []
     for name, corpus in (("train", inputs.TRAIN_SPEC), ("decode", inputs.DECODE_SPEC)):
         inputs.make_corpus(tmp_path / name, seed, corpus)

@@ -100,6 +100,96 @@ def test_layer_norm_statistics_before_affine():
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-6
 
 
+def _reference_layer_norm(a, gain, bias):
+    """``tensor.layer_norm`` as it was written with numpy's ``mean`` and
+    ``var``, which centre each row twice."""
+    mean = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-8)
+    xhat = (a.data - mean) * inv
+    out = gain.data * xhat + bias.data
+
+    def backward(grad):
+        lead = tuple(range(grad.ndim - 1))
+        _accumulate(gain, (grad * xhat).sum(axis=lead))
+        _accumulate(bias, grad.sum(axis=lead))
+        gx = grad * gain.data
+        gmean = gx.mean(axis=-1, keepdims=True)
+        gproj = (gx * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(a, inv * (gx - gmean - xhat * gproj))
+
+    return _make(out, (a, gain, bias), backward, "layer_norm")
+
+
+@pytest.mark.parametrize("shape, offset, constant", [
+    ((1, 32), 0.0, False),
+    ((7, 64), 0.0, False),
+    ((600, 32), 0.0, False),
+    ((2, 5, 16), 0.0, False),
+    ((9, 1), 0.0, False),
+    ((6, 24), 0.0, True),
+    ((8, 48), 1e8, False),
+], ids=["one-token", "7x64", "600x32", "3-D", "d=1", "constant-rows", "offset-1e8"])
+def test_layer_norm_is_byte_equal_to_the_mean_and_var_reference(shape, offset, constant):
+    results = []
+    for op in (T.layer_norm, _reference_layer_norm):
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        x = rand(rng, *shape)
+        if constant:
+            x = np.repeat(x[..., :1], shape[-1], axis=-1)
+        args = [Tensor(x + offset, requires_grad=True),
+                Tensor(rand(rng, shape[-1]), requires_grad=True),
+                Tensor(rand(rng, shape[-1]), requires_grad=True)]
+        out = op(*args)
+        tsum(out * Tensor(rng.standard_normal(shape))).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in args])
+    assert results[0] == results[1]
+
+
+def _reference_positions(n, dim, start=0):
+    """``nn.sinusoidal_positions`` as it was written, computing its rows per call."""
+    pos = np.arange(start, start + n)[:, None]
+    half = (dim + 1) // 2
+    i = np.arange(half)[None, :]
+    angles = pos / np.power(10000.0, 2.0 * i / dim)
+    table = np.zeros((n, dim))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles[:, : dim // 2])
+    return table
+
+
+@pytest.fixture
+def fresh_position_tables(monkeypatch):
+    """An empty table cache, so each test sees the tables grow from nothing."""
+    monkeypatch.setattr(nn, "_position_tables", {})
+    return nn._position_tables
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 32, 64, 128])
+def test_position_rows_are_byte_equal_to_the_per_call_formula(fresh_position_tables, dim):
+    # small calls first, then calls that grow the table past them
+    for n, start in [(0, 0), (1, 0), (5, 0), (1, 31), (3, 62), (0, 300), (40, 25),
+                     (129, 0), (1, 500), (600, 7), (2, 1300)]:
+        got = nn.sinusoidal_positions(n, dim, start)
+        assert got.shape == (n, dim)
+        assert got.tobytes() == _reference_positions(n, dim, start).tobytes(), (n, start)
+    assert len(fresh_position_tables[dim]) >= 1302
+
+
+def test_position_rows_are_read_only(fresh_position_tables):
+    rows = nn.sinusoidal_positions(4, 8, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+
+
+def test_position_rows_keep_their_bytes_when_the_table_grows(fresh_position_tables):
+    rows = nn.sinusoidal_positions(3, 16, 5)
+    before, table = rows.tobytes(), fresh_position_tables[16]
+    nn.sinusoidal_positions(10 * len(table), 16)
+    assert fresh_position_tables[16] is not table
+    assert rows.tobytes() == before == _reference_positions(3, 16, 5).tobytes()
+
+
 def test_cross_entropy_uniform_logits_is_log_k():
     logits = Tensor(np.zeros((5, 4)))
     loss = T.cross_entropy(logits, np.array([0, 1, 2, 3, 0]))
