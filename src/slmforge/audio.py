@@ -1,11 +1,10 @@
 """Audio I/O, resampling, framing and the one speech front end (log-mel, MFCC).
 
-Everything here is pure: functions never mutate their inputs, so buffers and
-feature arrays can be shared read-only across threads. The front end's fixed
-arrays are built once and shared read-only (``flags.writeable`` off): the mel
-bank per (n_mels, FFT size, rate) in ``mel_filterbank`` and the Hann window
-per frame length. ``frame_signal`` returns a read-only view of its input, not
-a copy.
+Everything here is pure: functions never mutate their inputs. Shared arrays
+are read-only (``flags.writeable`` off): an ``AudioBuffer``'s samples, a view
+of the array given (which keeps its own flags), so a stage with nothing to
+change returns its input and a slice is a view; the mel bank and Hann window,
+built once per key; and the frames of ``frame_signal``, a view of its input.
 
 The front end has one path: frames addressed by their start sample ->
 Hann -> ``rfft`` -> magnitude (``frame_magnitudes``), then the mel bank
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, TruncatedWavError, UnsupportedWavError
+from .errors import ConfigError, SlmforgeError, TruncatedWavError, UnsupportedWavError
 from .fileio import atomic_open
 
 FRAME_MS = 25.0
@@ -47,13 +46,14 @@ FFT_BLOCK_ROWS = 256
 
 @dataclass
 class AudioBuffer:
-    """Mono audio: float64 samples in [-1, 1] plus a sample rate in Hz."""
+    """Mono audio: read-only float64 samples in [-1, 1] plus a sample rate in Hz."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.asarray(self.samples, dtype=np.float64).view()
+        self.samples.flags.writeable = False
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
@@ -69,7 +69,7 @@ class AudioBuffer:
     def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
         i0 = max(0, int(round(start_s * self.sample_rate)))
         i1 = min(len(self.samples), int(round(end_s * self.sample_rate)))
-        return AudioBuffer(self.samples[i0:i1].copy(), self.sample_rate)
+        return AudioBuffer(self.samples[i0:i1], self.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +81,15 @@ def read_wav(path) -> AudioBuffer:
 
     PCM16 and IEEE float32 encodings are accepted; multichannel audio is
     downmixed by averaging. Raises FileNotFoundError for a missing file,
-    UnsupportedWavError for containers/encodings outside that set, and
-    TruncatedWavError when the data chunk is shorter than declared.
+    and, naming ``path``, UnsupportedWavError for containers/encodings
+    outside that set and TruncatedWavError for a short data chunk.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    return parse_wav_bytes(raw)
+    try:
+        return parse_wav_bytes(raw)
+    except SlmforgeError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_wav_bytes(raw: bytes) -> AudioBuffer:
@@ -120,16 +123,17 @@ def parse_wav_bytes(raw: bytes) -> AudioBuffer:
     audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if n_channels < 1:
         raise UnsupportedWavError("zero channels")
+    if sample_rate < 1:
+        raise UnsupportedWavError(f"sample rate {sample_rate} Hz is not positive")
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
+        raise UnsupportedWavError(f"unsupported encoding: format={audio_format}, bits={bits}")
+    if declared % (bits // 8):
+        raise UnsupportedWavError(f"data chunk of {declared} bytes is not a whole "
+                                  f"number of {bits}-bit samples")
 
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data[:declared], dtype="<i2").astype(np.float64)
+    samples = np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4").astype(np.float64)
+    if bits == 16:
         samples /= 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data[:declared], dtype="<f4").astype(np.float64)
-    else:
-        raise UnsupportedWavError(
-            f"unsupported encoding: format={audio_format}, bits={bits}"
-        )
 
     if not np.all(np.isfinite(samples)):
         raise UnsupportedWavError("sample data contains non-finite values")
@@ -163,7 +167,7 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Linear-interpolation resampling; identical rates return a bit-exact copy.
+    """Linear-interpolation resampling; identical rates return the buffer itself.
 
     Output length is round(len * target / source). Linear interpolation is
     lossy above the toy scale this package targets; good enough for speech
@@ -172,7 +176,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if target_rate == buf.sample_rate:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+        return buf
     n_in = len(buf.samples)
     n_out = int(round(n_in * target_rate / buf.sample_rate))
     if n_in == 0 or n_out == 0:

@@ -131,14 +131,12 @@ def _resolved_metadata(seed: int, *configs) -> dict:
 
 def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None, min_frames=1):
     """The encoder's input from audio, a standardized (T, ``input_dim``)
-    log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` (unless
-    it is at that rate already) and cut to ``span`` (start_s, end_s), or
-    without a span to its speech extent, so that a decoded file matches the
-    curated segments models trained on. Audio that gives the encoder no
-    output frame, or fewer than the speech aligner's ``min_frames``, is a
-    ConfigError naming ``source``."""
-    if buf.sample_rate != cfg.sample_rate:
-        buf = resample(buf, cfg.sample_rate)
+    log-mel array: ``buf`` resampled to the encoder's ``sample_rate`` and cut
+    to ``span`` (start_s, end_s), or without a span to its speech extent, so
+    that a decoded file matches the curated segments models trained on.
+    Audio that gives the encoder no output frame, or fewer than the speech
+    aligner's ``min_frames``, is a ConfigError naming ``source``."""
+    buf = resample(buf, cfg.sample_rate)
     buf = trim_to_speech(buf) if span is None else buf.slice_seconds(*span)
     features = standardize(log_mel(buf, cfg.input_dim))
     frames = SpeechEncoder.output_len(len(features))
@@ -154,17 +152,13 @@ def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None, min_fr
 
 def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig, min_frames=1):
     """Yield (record, encoder input) per record of manifest ``path``, reading
-    each source WAV once and resampling it once if it is not at the encoder's
-    rate; a record whose span gives the encoder no output frame, or fewer
-    than ``min_frames``, is a ConfigError naming the manifest and the
-    record."""
+    and resampling each source WAV once, not once per record; a record whose
+    span gives the encoder no output frame, or fewer than ``min_frames``, is
+    a ConfigError naming the manifest and the record."""
     wavs = {}
     for rec in manifest.records:
         if rec.source_path not in wavs:
-            buf = read_wav(rec.source_path)
-            if buf.sample_rate != cfg.sample_rate:
-                buf = resample(buf, cfg.sample_rate)
-            wavs[rec.source_path] = buf
+            wavs[rec.source_path] = resample(read_wav(rec.source_path), cfg.sample_rate)
         yield rec, _encoder_input(wavs[rec.source_path], cfg,
                                   f"manifest {path}: record {rec.id!r}",
                                   (rec.offset_s, rec.offset_s + rec.duration_s), min_frames)
@@ -408,8 +402,9 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     metrics = _choices("--metrics", args.metrics, ("wer", "cer", "chrf"))
-    refs = read_text(args.refs).splitlines()
-    hyps = read_text(args.hyps).splitlines()
+    texts = [read_text(path) for path in (args.refs, args.hyps)]
+    # "\n" is the one line break read_text leaves; U+2028 and the like are text
+    refs, hyps = (text.removesuffix("\n").split("\n") if text else [] for text in texts)
     if len(refs) != len(hyps):
         raise ConfigError(
             f"refs ({len(refs)} lines) and hyps ({len(hyps)} lines) differ"

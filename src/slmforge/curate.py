@@ -34,6 +34,7 @@ import numpy as np
 
 from .audio import (
     AudioBuffer,
+    _hann_window,
     analysis_frame,
     fft_length,
     frame_magnitudes,
@@ -178,13 +179,12 @@ def spectral_gate(buf: AudioBuffer) -> AudioBuffer:
     n = len(buf.samples)
     frame, hop = 512, 128
     if n < frame:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+        return buf
     n_frames = 1 + (n - frame + hop - 1) // hop
     padded = np.zeros((n_frames - 1) * hop + frame)
     padded[:n] = buf.samples
-    window = np.hanning(frame)
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    spec = np.fft.rfft(padded[idx] * window, axis=1)
+    window = _hann_window(frame)
+    spec = np.fft.rfft(frame_signal(padded, frame, hop) * window, axis=1)
     mag = np.abs(spec)
 
     floor = np.percentile(mag, 20)
@@ -206,11 +206,11 @@ def spectral_gate(buf: AudioBuffer) -> AudioBuffer:
 def separate_sources(buf: AudioBuffer, separator: str = "passthrough") -> AudioBuffer:
     """Run the source-separation stage; output keeps the input duration/rate.
 
-    ``separator`` is "passthrough", "spectral-gate", or "external:<command>"
-    where the command reads WAV on stdin and writes WAV on stdout.
+    ``separator`` is "passthrough" (returns ``buf``), "spectral-gate", or
+    "external:<command>", a command reading WAV on stdin and writing it on stdout.
     """
     if separator == "passthrough":
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+        return buf
     if separator == "spectral-gate":
         return spectral_gate(buf)
     if separator.startswith("external:"):
@@ -289,11 +289,11 @@ def trim_to_speech(buf: AudioBuffer) -> AudioBuffer:
 
     Decoding paths use this so ad-hoc input files see the same geometry as
     the curated segments models were trained on. A buffer with no detected
-    speech is returned unchanged.
+    speech is returned itself.
     """
     spans = vad_segments(buf)
     if not spans:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+        return buf
     return buf.slice_seconds(spans[0].start_s, spans[-1].end_s)
 
 
@@ -469,6 +469,8 @@ def quality_score(buf: AudioBuffer, scorer: str = "snr-proxy",
             raw = float(text)
         except ValueError:
             raise StageError(f"external scorer output not a decimal: {text[:80]!r}") from None
+        if not np.isfinite(raw):
+            raise StageError(f"external scorer output not finite: {text[:80]!r}")
         return float(np.clip(raw, 1.0, 5.0))
     if scorer != "snr-proxy":
         raise ConfigError(f"unknown scorer {scorer!r}")
@@ -531,10 +533,8 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
     try:
         buf = read_wav(path)
     except (OSError, SlmforgeError) as exc:
-        return None, f"{path}: {exc}"
-    if buf.sample_rate != cfg.sample_rate:
-        buf = resample(buf, cfg.sample_rate)
-    buf = separate_sources(buf, cfg.separator)
+        return None, str(exc)
+    buf = separate_sources(resample(buf, cfg.sample_rate), cfg.separator)
     spans = vad_segments(buf, cfg)
     spans = diarize(buf, spans, cfg)
 

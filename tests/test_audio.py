@@ -91,6 +91,32 @@ def test_not_riff_is_unsupported():
         parse_wav_bytes(b"OGGS" + b"\x00" * 100)
 
 
+@pytest.mark.parametrize("fmt_code, rate, bits, payload, message", [
+    (1, 0, 16, b"\x00" * 64, "sample rate 0 Hz is not positive"),
+    (1, 8000, 16, b"\x00" * 63, "data chunk of 63 bytes is not a whole number of 16-bit "
+                                 "samples"),
+    (3, 8000, 32, b"\x00" * 66, "data chunk of 66 bytes is not a whole number of 32-bit "
+                                 "samples"),
+], ids=["zero-rate", "odd-pcm16", "partial-float32"])
+def test_a_zero_rate_or_a_partial_sample_is_unsupported(fmt_code, rate, bits, payload,
+                                                         message):
+    with pytest.raises(UnsupportedWavError, match=f"^{message}$"):
+        parse_wav_bytes(_riff(fmt_code, 1, rate, bits, payload))
+
+
+@pytest.mark.parametrize("raw, error, message", [
+    (b"not audio\n", UnsupportedWavError, "not a RIFF/WAVE container"),
+    (wav_bytes(sine(200.0, 0.1, 8000))[:-100], TruncatedWavError,
+     "data chunk declares 1600 bytes but only 1500 present"),
+], ids=["not-riff", "truncated"])
+def test_read_wav_errors_name_the_file(tmp_path, raw, error, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(error) as info:
+        read_wav(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_float32_round_trip(tmp_path):
     buf = sine(500.0, 0.2, 16000, amplitude=0.9)
     path = tmp_path / "f.wav"
@@ -106,6 +132,7 @@ def test_float32_round_trip(tmp_path):
 def test_resample_identity_bit_exact():
     buf = sine(440.0, 0.5, 16000)
     out = resample(buf, 16000)
+    assert out is buf
     assert out.samples.tobytes() == buf.samples.tobytes()
 
 
@@ -353,7 +380,23 @@ def test_log_mel_leaves_its_input_samples_unchanged():
     log_mel(buf, 40)
     log_mel(buf, 40)
     assert buf.samples.tobytes() == before.tobytes()
-    assert buf.samples.flags.writeable
+    assert not buf.samples.flags.writeable
+
+
+def test_buffer_samples_are_a_read_only_view_of_the_callers_array(tmp_path):
+    samples = np.linspace(-1.0, 1.0, 16000)
+    buf = AudioBuffer(samples, 16000)
+    part = buf.slice_seconds(0.25, 0.5)
+    assert np.shares_memory(buf.samples, samples)
+    assert np.shares_memory(part.samples, samples)
+    assert part.samples.tobytes() == samples[4000:8000].tobytes()
+    path = tmp_path / "a.wav"
+    write_wav(path, buf)
+    for out in (buf, part, read_wav(path), resample(buf, 16000), resample(buf, 8000)):
+        with pytest.raises(ValueError, match="read-only"):
+            out.samples[0] = 0.5
+    samples[0] = 0.5  # the caller's array keeps its own flags
+    assert buf.samples[0] == 0.5
 
 
 def test_repeated_log_mel_calls_build_the_mel_bank_once_per_key(monkeypatch):

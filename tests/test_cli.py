@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import re
+import struct
 import subprocess
 import sys
 import typing
@@ -89,6 +90,30 @@ def test_curate_writes_manifest(tmp_path, capsys):
     header = json.loads(lines[0])
     assert header["__header__"] is True
     assert header["n_kept"] == len(lines) - 1 >= 1
+
+
+def _pcm16_wav(rate, payload):
+    return (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, 2 * rate, 2, 16)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+
+
+def test_curate_warns_of_a_zero_rate_or_a_partial_sample_naming_the_file_once(
+        tmp_path, capsys):
+    good, zero, odd = tmp_path / "good.wav", tmp_path / "zero.wav", tmp_path / "odd.wav"
+    _speechy(good)
+    zero.write_bytes(_pcm16_wav(0, b"\x00" * 64))
+    odd.write_bytes(_pcm16_wav(16000, b"\x00" * 3))
+    out = tmp_path / "m.jsonl"
+    assert main(["curate", "--out", str(out), str(good), str(zero), str(odd)]) == 0
+    assert "2 warnings" in capsys.readouterr().out
+    manifest = Manifest.read(out)
+    assert manifest.header["warnings"] == [
+        f"{zero}: sample rate 0 Hz is not positive",
+        f"{odd}: data chunk of 3 bytes is not a whole number of 16-bit samples",
+    ]
+    assert manifest.records
+    assert {rec.source_path for rec in manifest.records} == {str(good)}
 
 
 def test_curate_reproducible_byte_identical(tmp_path):
@@ -390,6 +415,23 @@ def test_eval_and_report_round_trip(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["wer"] == 0.0
     assert "config_hash" in payload
+
+
+@pytest.mark.parametrize("refs_text, hyps_text, want_refs, want_hyps", [
+    ("one\u2028two\nthree\n", "one two\nthree\n", ["one two", "three"], ["one two", "three"]),
+    ("one\u2028two\nthree four\n", "one two\x85three\nfour\n",
+     ["one two", "three four"], ["one two three", "four"]),
+], ids=["in-refs", "in-both"])
+def test_eval_splits_lines_at_newlines_only(tmp_path, refs_text, hyps_text, want_refs,
+                                            want_hyps):
+    refs, hyps, out = tmp_path / "refs.txt", tmp_path / "hyps.txt", tmp_path / "r.json"
+    refs.write_text(refs_text, encoding="utf-8")
+    hyps.write_text(hyps_text, encoding="utf-8")
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", "wer",
+                 "--out", str(out)]) == 0
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["n_utterances"] == 2
+    assert row["wer"] == pytest.approx(wer(want_refs, want_hyps))
 
 
 def test_eval_normalization_off_switch(tmp_path, capsys):
@@ -1479,6 +1521,20 @@ def test_an_encoder_pretrained_at_22050_hz_carries_its_rate_to_decoding(
     assert rates == [22050, 22050]
 
 
+def _resample_calls(monkeypatch) -> list:
+    """Log (input rate, target rate, whether it returned its input) per
+    ``cli.resample`` call."""
+    calls = []
+
+    def logging_resample(buf, rate):
+        out = resample(buf, rate)
+        calls.append((buf.sample_rate, rate, out is buf))
+        return out
+
+    monkeypatch.setattr("slmforge.cli.resample", logging_resample)
+    return calls
+
+
 def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
         manifest, monkeypatch):
     first = Manifest.read(manifest).records[0]
@@ -1488,39 +1544,51 @@ def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
     want = [cli._encoder_input(read_wav(first.source_path), cfg, rec.id,
                                (rec.offset_s, rec.offset_s + rec.duration_s))
             for rec in three.records]
-    calls = []
-
-    def counting_resample(buf, rate):
-        calls.append(rate)
-        return resample(buf, rate)
-
-    monkeypatch.setattr("slmforge.cli.resample", counting_resample)
+    calls = _resample_calls(monkeypatch)
     got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
-    assert calls == [22050]
+    # the WAV is resampled once; each record's call finds it at the rate
+    assert calls == [(16000, 22050, False)] + [(22050, 22050, True)] * 3
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def test_records_already_at_the_encoder_rate_make_no_resample_call(manifest, monkeypatch):
+def test_records_already_at_the_encoder_rate_use_the_wav_as_read(manifest, monkeypatch):
     first = Manifest.read(manifest).records[0]
     three = Manifest([replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
                       for i, lo in enumerate((0.4, 1.0, 1.7))])
     cfg = SpeechEncoderConfig()
     wav = read_wav(first.source_path)
     assert wav.sample_rate == cfg.sample_rate == first.sample_rate
-    # the features of the resampled copy every WAV used to go through
-    want = [cli._encoder_input(resample(wav, cfg.sample_rate), cfg, rec.id,
+    want = [cli._encoder_input(wav, cfg, rec.id,
                                (rec.offset_s, rec.offset_s + rec.duration_s))
             for rec in three.records]
-    calls = []
-
-    def counting_resample(buf, rate):
-        calls.append(rate)
-        return resample(buf, rate)
-
-    monkeypatch.setattr("slmforge.cli.resample", counting_resample)
+    calls = _resample_calls(monkeypatch)
     got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
-    assert calls == []
+    assert calls == [(16000, 16000, True)] * 4
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("argv", [*TRAINING_ARGV[:2], TRAINING_ARGV[3],
+                                  ["transcribe", "--ckpt", "asr.ckpt"],
+                                  ["infer", "--fusion", "fusion.ckpt", "--task", "transcribe"]],
+                         ids=lambda argv: argv[0])
+def test_a_file_that_is_not_a_wav_exits_2_naming_it(trained, tmp_path, monkeypatch, capsys,
+                                                   argv):
+    monkeypatch.chdir(trained)
+    text = tmp_path / "notes.wav"
+    text.write_text("not audio\n")
+    out = tmp_path / "out.ckpt"
+    if argv[0] in ("transcribe", "infer"):
+        argv = [*argv, "--wav", str(text)]
+    else:
+        m = Manifest.read("m.jsonl")
+        m.records[0].source_path = str(text)
+        m.write(tmp_path / "m.jsonl")
+        argv = [*argv[:-1], str(out), "--manifest", str(tmp_path / "m.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"slmforge {argv[0]}: {text}: not a RIFF/WAVE container\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("duration_s, frames", [(0.035, 2), (0.045, 3)])

@@ -48,9 +48,50 @@ def _projection_snr_db(observed, clean):
 
 def test_passthrough_returns_identical_audio():
     buf = sine(440.0, 0.5)
-    out = separate_sources(buf, "passthrough")
-    assert np.array_equal(out.samples, buf.samples)
-    assert out.sample_rate == buf.sample_rate
+    assert separate_sources(buf, "passthrough") is buf
+
+
+@pytest.mark.parametrize("separator", ["passthrough", "spectral-gate", "external:cat"])
+def test_every_separator_returns_read_only_samples(separator):
+    for seconds in (0.01, 0.5):  # the gate passes input shorter than its frame through
+        buf = sine(440.0, seconds)
+        out = separate_sources(buf, separator)
+        with pytest.raises(ValueError, match="read-only"):
+            out.samples[0] = 0.0
+
+
+def _reference_spectral_gate(buf):
+    """``spectral_gate`` as it framed the signal before ``frame_signal``: an
+    explicit index grid and an uncached Hann window."""
+    n = len(buf.samples)
+    frame, hop = 512, 128
+    n_frames = 1 + (n - frame + hop - 1) // hop
+    padded = np.zeros((n_frames - 1) * hop + frame)
+    padded[:n] = buf.samples
+    window = np.hanning(frame)
+    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+    spec = np.fft.rfft(padded[idx] * window, axis=1)
+    mag = np.abs(spec)
+    floor = np.percentile(mag, 20)
+    gain = np.where(mag >= 2.5 * floor, 1.0, 0.1)
+    bin_freqs = np.arange(spec.shape[1]) * buf.sample_rate / frame
+    gain[:, bin_freqs < 80.0] = 0.0
+    frames_out = np.fft.irfft(spec * gain, n=frame, axis=1) * window
+    out = np.zeros_like(padded)
+    norm = np.zeros_like(padded)
+    wsq = window * window
+    for t in range(n_frames):
+        out[t * hop : t * hop + frame] += frames_out[t]
+        norm[t * hop : t * hop + frame] += wsq
+    out = out / np.maximum(norm, 1e-8)
+    return np.clip(out[:n], -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [512, 513, 640, 8000, 11025])
+def test_spectral_gate_is_byte_equal_to_the_index_grid_framing(n):
+    noisy = mix(sine(440.0, 1.0, amplitude=0.3), white_noise(1.0, amplitude=0.2, seed=n))
+    buf = AudioBuffer(noisy.samples[:n], 16000)
+    assert spectral_gate(buf).samples.tobytes() == _reference_spectral_gate(buf).tobytes()
 
 
 def test_spectral_gate_improves_snr_of_noisy_sine():
@@ -73,6 +114,8 @@ def test_spectral_gate_preserves_duration_and_rate():
     out = spectral_gate(buf)
     assert len(out.samples) == len(buf.samples)
     assert out.sample_rate == buf.sample_rate
+    short = white_noise(0.01, seed=5)  # shorter than one 512-sample frame
+    assert spectral_gate(short) is short
 
 
 def test_external_separator_false_command_stage_error():
@@ -142,8 +185,15 @@ def test_trim_to_speech_matches_vad_extent():
 
 def test_trim_to_speech_silence_passthrough():
     buf = silence(1.0)
+    assert trim_to_speech(buf) is buf
+
+
+def test_trim_to_speech_returns_a_read_only_view():
+    buf = concat_buffers([silence(0.8), sine(440.0, 1.0), silence(0.8)])
     trimmed = trim_to_speech(buf)
-    assert np.array_equal(trimmed.samples, buf.samples)
+    assert np.shares_memory(trimmed.samples, buf.samples)
+    with pytest.raises(ValueError, match="read-only"):
+        trimmed.samples[0] = 0.0
 
 
 def test_vad_empty_buffer():
@@ -708,6 +758,13 @@ def test_quality_external_scorer_bad_output_is_stage_error():
         quality_score(buf, "external:sh -c 'cat > /dev/null; echo not-a-number'")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_quality_external_scorer_non_finite_output_is_stage_error(value):
+    buf = sine(440.0, 0.2)
+    with pytest.raises(StageError, match=f"external scorer output not finite: '{value}'"):
+        quality_score(buf, f"external:sh -c 'cat > /dev/null; echo {value}'")
+
+
 # ---------------------------------------------------------------------------
 # Filtering
 
@@ -825,13 +882,15 @@ def test_pipeline_resamples_only_the_files_off_its_rate(tmp_path, monkeypatch):
     write_wav(off_rate, resample(read_wav(at_rate), 22050))
     calls = []
 
-    def counting_resample(buf, rate):
-        calls.append((buf.sample_rate, rate))
-        return resample(buf, rate)
+    def logging_resample(buf, rate):
+        out = resample(buf, rate)
+        calls.append((buf.sample_rate, rate, out is buf))
+        return out
 
-    monkeypatch.setattr(curate, "resample", counting_resample)
+    monkeypatch.setattr(curate, "resample", logging_resample)
     manifest = run_pipeline([at_rate, off_rate], PipelineConfig())
-    assert calls == [(22050, 16000)]
+    # the file at the pipeline's rate goes through as read
+    assert calls == [(16000, 16000, True), (22050, 16000, False)]
     assert [rec.source_path for rec in manifest.records] == [str(at_rate), str(off_rate)]
 
 
