@@ -56,10 +56,7 @@ for feats, text in examples[:5]:
     print(f"   ref {text} -> hyp {model.transcribe(feats)}")
 
 # greedy vs beam on the decoded lattice of the first utterance
-from slmforge import tensor as T
-
-with T.no_grad():
-    lattice = model.log_probs(examples[0][0])
+lattice = model.log_probs(examples[0][0])
 greedy = vocab.decode(ctc_greedy_decode(lattice))
 beam = vocab.decode(ctc_beam_decode(lattice, beam_width=4))
 print(f"\ngreedy: {greedy!r}   beam(4): {beam!r}")

@@ -1,10 +1,13 @@
 """CTC fine-tuning, CTC decoding, and transcription normalization.
 
-The CTC loss is the standard forward algorithm in log space over the
-blank-interleaved target; its gradient with respect to the log-probability
-lattice is the negated state-posterior, computed by the alpha-beta
-recursion, so it plugs directly into the autodiff graph as a custom op.
-Both recursions (Graves et al., ICML 2006) step over frames and are
+The CTC loss takes the CTC head's logits, normalises them to a
+log-probability lattice itself, and runs the standard forward algorithm in
+log space over the blank-interleaved target. Its gradient with respect to
+the logits is the softmax minus the state posterior, so it plugs directly
+into the autodiff graph as one custom op. One recursion (Graves et al.,
+ICML 2006) gives the path log-sums into every state before each frame's
+emission: on the lattice it is alpha less the emission, and on the lattice
+reversed in time and state it is beta. It steps over frames and is
 vectorised over the lattice states: each frame is a few array operations on
 the previous row, with the states that may skip a blank found once. Each
 state adds its stay/advance term first and its skip term second, the
@@ -104,56 +107,37 @@ def ctc_required_frames(target) -> int:
     return len(target) + repeats
 
 
-def _skip_states(ext) -> np.ndarray:
-    """Indices of the states that may also be entered from two states back:
-    a symbol that differs from the symbol before the blank between them."""
+def _ctc_paths(lp: np.ndarray, ext) -> np.ndarray:
+    """Log-sum of the paths into each state of ``ext`` before frame t's
+    emission, over the (T, states) emission lattice ``lp``."""
+    t_len, s_len = lp.shape
+    # the states that may also be entered from two states back: a symbol
+    # that differs from the symbol before the blank between them
     ext = np.asarray(ext)
-    return np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2])) + 2
-
-
-def _ctc_alpha(logp: np.ndarray, ext) -> np.ndarray:
-    lp = logp[:, ext]
-    t_len, s_len = lp.shape
-    skip = _skip_states(ext)
-    alpha = np.full((t_len, s_len), _NEG_INF)
-    alpha[0, :2] = lp[0, :2]
+    skip = np.flatnonzero((ext[2:] != BLANK) & (ext[2:] != ext[:-2])) + 2
+    paths = np.full((t_len, s_len), _NEG_INF)
+    paths[0, :2] = 0.0
     for t in range(1, t_len):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(prev[1:], prev[:-1])
+        prev = paths[t - 1] + lp[t - 1]
+        acc = paths[t]
+        acc[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=acc[1:])
         acc[skip] = np.logaddexp(acc[skip], prev[skip - 2])
-        alpha[t] = acc + lp[t]
-    return alpha
+    return paths
 
 
-def _ctc_beta(logp: np.ndarray, ext) -> np.ndarray:
-    lp = logp[:, ext]
-    t_len, s_len = lp.shape
-    skip = _skip_states(ext)
-    beta = np.full((t_len, s_len), _NEG_INF)
-    beta[t_len - 1, -2:] = 0.0
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(nxt[:-1], nxt[1:])
-        acc[skip - 2] = np.logaddexp(acc[skip - 2], nxt[skip])
-        beta[t] = acc
-    return beta
-
-
-def ctc_loss(log_probs: Tensor, target) -> Tensor:
+def ctc_loss(logits: Tensor, target) -> Tensor:
     """Negative log probability of ``target`` under the CTC path sum.
 
-    ``log_probs`` is a (T, V) lattice with blank at column 0; the target
-    must contain no blanks. Raises (rather than returning infinity) when T
-    is too short to emit the target.
+    ``logits`` is the (T, V) output of a CTC head with blank at column 0;
+    its log-softmax is the lattice. The target must contain no blanks.
+    Raises (rather than returning infinity) when T is too short to emit the
+    target.
     """
     target = [int(t) for t in target]
-    if not isinstance(log_probs, Tensor):
-        log_probs = Tensor(log_probs)
-    if log_probs.data.ndim != 2:
-        raise GraphError(f"log_probs must be (T, V), got {log_probs.data.shape}")
-    t_len, v = log_probs.data.shape
+    if logits.data.ndim != 2:
+        raise GraphError(f"logits must be (T, V), got {logits.data.shape}")
+    t_len, v = logits.data.shape
     if any(t == BLANK for t in target):
         raise ConfigError("target contains the blank symbol")
     if any(not (0 < t < v) for t in target):
@@ -165,23 +149,25 @@ def ctc_loss(log_probs: Tensor, target) -> Tensor:
         )
 
     ext = _extend_with_blanks(target)
-    logp = log_probs.data
-    alpha = _ctc_alpha(logp, ext)
-    s_len = len(ext)
-    total = alpha[t_len - 1, s_len - 1]
-    if s_len > 1:
-        total = np.logaddexp(total, alpha[t_len - 1, s_len - 2])
-    loss = -total
+    logp = T.log_softmax(logits.data)
+    lp = logp[:, ext]
+    alpha = _ctc_paths(lp, ext) + lp
+    total = alpha[-1, -1]
+    if len(ext) > 1:
+        total = np.logaddexp(total, alpha[-1, -2])
 
     def backward(grad):
-        beta = _ctc_beta(logp, ext)
+        # beta is the same recursion on the lattice reversed in time and state
+        beta = _ctc_paths(np.ascontiguousarray(lp[::-1, ::-1]), ext[::-1])[::-1, ::-1]
         occupancy = alpha + beta - total  # log posterior per (t, state)
         gamma = np.zeros_like(logp)
         for s, sym in enumerate(ext):
             gamma[:, sym] += np.exp(occupancy[:, s])
-        _accumulate(log_probs, grad * (-gamma))
+        # d loss / d logp is -gamma; through the log-softmax to the logits
+        g = grad * (-gamma)
+        _accumulate(logits, g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
 
-    return _make(np.asarray(loss), (log_probs,), backward, "ctc_loss")
+    return _make(np.asarray(-total), (logits,), backward, "ctc_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +186,7 @@ def collapse_path(path) -> list:
 
 def ctc_greedy_decode(log_probs) -> list:
     """Per-frame argmax, collapse adjacent repeats, drop blanks."""
-    data = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    return collapse_path(data.argmax(axis=1))
+    return collapse_path(np.asarray(log_probs).argmax(axis=1))
 
 
 def ctc_beam_decode(log_probs, beam_width: int) -> list:
@@ -222,7 +207,7 @@ def ctc_beam_decode(log_probs, beam_width: int) -> list:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
     if beam_width == 1:
         return ctc_greedy_decode(log_probs)
-    data = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
+    data = np.asarray(log_probs)
     symbols = np.arange(1, data.shape[1])
 
     # live beams, best first: prefix, log P ending in blank, in its last symbol
@@ -349,14 +334,18 @@ class CtcModel(Module):
         encoder.mask_embed.freeze()
         encoder.head.freeze()
 
-    def log_probs(self, features: np.ndarray) -> Tensor:
+    def logits(self, features: np.ndarray) -> Tensor:
+        """The CTC head's (frames, vocab) logits, which ``ctc_loss`` takes."""
         states = self.encoder.forward(features, mask=None)
-        return T.log_softmax(self.head(self.encoder.final_norm(states[-1])))
+        return self.head(self.encoder.final_norm(states[-1]))
+
+    def log_probs(self, features: np.ndarray) -> np.ndarray:
+        """The decoding lattice: log-softmax of the logits, with no graph."""
+        with T.no_grad():
+            return T.log_softmax(self.logits(features).data)
 
     def transcribe(self, features: np.ndarray, beam_width: int = 1) -> str:
-        with T.no_grad():
-            lattice = self.log_probs(features)
-        return self.vocab.decode(ctc_beam_decode(lattice, beam_width))
+        return self.vocab.decode(ctc_beam_decode(self.log_probs(features), beam_width))
 
     def record(self) -> dict:
         """The encoder's checkpoint record, then ``vocab``, the CTC symbol list."""
@@ -404,7 +393,7 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
     for step in range(1, cfg.steps + 1):
         picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
                            replace=False)
-        loss = train_step(opt, [ctc_loss(model.log_probs(encoded[i][0]), encoded[i][2])
+        loss = train_step(opt, [ctc_loss(model.logits(encoded[i][0]), encoded[i][2])
                                 for i in picks])
 
         if step % cfg.eval_every == 0 or step == cfg.steps:

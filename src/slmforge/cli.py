@@ -174,8 +174,9 @@ def _normalization_lexicon(args) -> dict:
 
 def _choices(flag: str, value: str, choices) -> list:
     """The names that ``value``, the comma-separated list given to ``flag``,
-    holds. None, or one not in ``choices``, is a ConfigError naming the flag
-    and listing the choices; the flag's name less its final "s" names one."""
+    holds. None, one not in ``choices`` or one named twice is a ConfigError
+    naming the flag (and listing the choices, or the repeated name); the
+    flag's name less its final "s" names one."""
     names = [name.strip() for name in value.split(",") if name.strip()]
     noun, listed = flag[2:-1], ", ".join(choices)
     if not names:
@@ -183,6 +184,9 @@ def _choices(flag: str, value: str, choices) -> list:
     unknown = [name for name in names if name not in choices]
     if unknown:
         raise ConfigError(f"{flag}: unknown {noun}s: {unknown}; choose from {listed}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{flag}: {noun}s named more than once: {repeated}")
     return names
 
 
@@ -421,6 +425,8 @@ def cmd_eval(args) -> int:
         if type(bs_f1) not in (int, float):
             raise ConfigError(f"{args.external_scores}: external scores must be a JSON "
                               f"object with a number 'bs_f1', got {json.dumps(scores)}")
+        if not abs(bs_f1) <= sys.float_info.max:  # NaN, infinite, or an int too big
+            raise ConfigError(f"{args.external_scores}: 'bs_f1' must be finite, got {bs_f1!r}")
         row.bs_f1 = float(bs_f1)
 
     print(render_report([row]), end="")

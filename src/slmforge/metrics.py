@@ -17,6 +17,7 @@ their minima. These are the integer counts that per-line counters give.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,9 @@ class MetricRow:
             # exact types, as config_fields checks them: a JSON true is no number
             if value is not None and type(value) not in (int, float):
                 raise ConfigError(f"{key} must be a number or null, got {value!r}")
+            # NaN and the infinities fail this, and so do ints no float holds
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         extra = {k: v for k, v in d.items() if k != "name" and k not in metrics}
         return cls(name=d["name"], extra=extra, **metrics)
 

@@ -278,7 +278,8 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
     """Cross-entropy of head logits vs pseudo-labels at masked positions only.
 
     Masked frames are replaced by the learned mask embedding before the
-    transformer, so the loss is bit-invariant both to input features at
+    transformer, and the rows of the masked frames are gathered from the
+    head's logits, so the loss is bit-invariant both to input features at
     masked positions and to labels at unmasked positions. An all-false mask
     yields loss 0 with no gradient.
     """
@@ -291,9 +292,9 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
         )
     if not mask.any():
         return Tensor(0.0)
-    states = encoder.forward(features, mask=mask)
-    logits = encoder.logits(states)
-    return T.cross_entropy(logits, labels, mask.astype(np.float64))
+    rows = np.flatnonzero(mask)
+    logits = encoder.logits(encoder.forward(features, mask=mask))
+    return T.cross_entropy(T.embedding_lookup(logits, rows), labels[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +305,13 @@ def downsample_labels(labels: np.ndarray, encoder: SpeechEncoder) -> np.ndarray:
     """Map input-frame labels to output-frame labels: the label of frame 2j,
     the first of output frame j's pair."""
     return np.asarray(labels)[: 2 * encoder.output_len(len(labels)) : 2]
+
+
+def _fit_codebook(mats, k: int, seed: int):
+    """(codebook, per-matrix labels): KMeans fitted on the rows of ``mats``
+    stacked, and the fit's labels split back into one array per matrix."""
+    codebook = kmeans_fit(np.concatenate(mats, axis=0), k, seed=seed)
+    return codebook, np.split(codebook.labels, np.cumsum([len(m) for m in mats])[:-1])
 
 
 def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
@@ -321,12 +329,9 @@ def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
         raise ConfigError(
             f"target_layer {target_layer} outside [0, {encoder.cfg.n_layers}]"
         )
-    collected = []
     with T.no_grad():
-        for features in dataset:
-            collected.append(encoder.forward(features)[target_layer].data)
-    codebook = kmeans_fit(np.concatenate(collected, axis=0), k, seed=seed)
-    return codebook, np.split(codebook.labels, np.cumsum([len(c) for c in collected])[:-1])
+        states = [encoder.forward(features)[target_layer].data for features in dataset]
+    return _fit_codebook(states, k, seed)
 
 
 @dataclass
@@ -360,9 +365,8 @@ class PretrainConfig:
 
 def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: int):
     """First-iteration pseudo-labels: KMeans over MFCCs of the log-mel inputs."""
-    mats = [mfcc(features, cfg.n_mfcc) for features in dataset]
-    codebook = kmeans_fit(np.concatenate(mats, axis=0), cfg.k, seed=seed)
-    per_utt = np.split(codebook.labels, np.cumsum([len(m) for m in mats])[:-1])
+    codebook, per_utt = _fit_codebook([mfcc(features, cfg.n_mfcc) for features in dataset],
+                                      cfg.k, seed)
     return codebook, [downsample_labels(labels, encoder) for labels in per_utt]
 
 

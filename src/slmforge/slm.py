@@ -393,11 +393,13 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
     The aligned speech block replaces the placeholder token, shifting
     positions of everything after it by T' - 1. Targets are the original
     token ids (or ``targets_override``, which must agree wherever the mask
-    is 1); predictions come from the fused lattice rows immediately before
-    each target, and the LM computes logits at those rows only. Loss and
-    gradients are bit-invariant to target values at mask-0 positions. With
-    no position scored the loss is a constant 0, which gives the aligner no
-    gradient, and the LM does not run.
+    is nonzero). ``loss_mask`` selects the scored positions and does not
+    weight them: predictions come from the fused rows immediately before
+    each selected target, the LM computes logits at those rows only, and
+    cross-entropy gets those rows alone. Loss and gradients are therefore
+    bit-invariant to target values at mask-0 positions. With no position
+    scored the loss is a constant 0, which gives the aligner no gradient,
+    and the LM does not run.
     """
     ids = list(ids)
     if len(ids) != len(loss_mask):
@@ -414,13 +416,12 @@ def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     # every position but the first and the placeholder is predicted by the
     # fused row before it; rows after the placeholder sit T' - 1 further on
-    mask = np.asarray(loss_mask, dtype=np.float64)
     j = np.arange(1, len(ids))
-    j = j[(j != p) & (mask[j] != 0.0)]
+    j = j[(j != p) & (np.asarray(loss_mask)[j] != 0)]
     if not len(j):
         return Tensor(0.0)  # nothing scored: loss 0, no aligner gradient
     rows = np.where(j < p, j - 1, j + t_prime - 2)
-    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows), targets[j], mask[j])
+    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows), targets[j])
 
 
 @dataclass

@@ -5,7 +5,9 @@ graph; ``backward`` on a scalar loss walks it in reverse topological order
 and frees it as it goes, so one graph is walked once.
 Any op producing NaN/Inf aborts immediately with an error naming the op.
 Multi-head attention is one op over (rows, dim) tensors that splits and
-joins the heads inside.
+joins the heads inside. Loss ops take logits and exactly the rows they
+score, and normalise them with ``log_softmax``, a plain array helper that
+records no graph node.
 
 Gradient flow stops at tensors with ``requires_grad=False``; frozen model
 parameters therefore never accumulate gradients.
@@ -297,16 +299,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions=None) -> 
     return _make(out, (q, k, v), backward, "attention")
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def backward(grad):
-        _accumulate(a, grad - soft * grad.sum(axis=-1, keepdims=True))
-
-    return _make(out, (a,), backward, "log_softmax")
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of an array; no graph node."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -360,13 +356,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), backward, "embedding_lookup")
 
 
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
-    """Masked cross-entropy, averaged over mask=1 positions only.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean cross-entropy of (N, K) ``logits`` against N integer class ids.
 
-    logits: (N, K); targets: N integer class ids; mask: N of {0, 1} or None
-    for all-ones. An all-zero mask yields a defined loss of 0 with zero
-    gradient. Loss and gradients are bit-invariant to target values at
-    positions where mask is 0.
+    Every row is scored: a caller that scores some positions only passes
+    those rows. No rows at all is a GraphError.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2:
@@ -376,31 +370,17 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
         raise GraphError(
             f"cross_entropy targets shape {targets.shape} does not match logits rows {n}"
         )
-    if mask is None:
-        mask = np.ones(n, dtype=np.float64)
-    else:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (n,):
-            raise GraphError(
-                f"cross_entropy mask shape {mask.shape} does not match targets {targets.shape}"
-            )
-    n_active = mask.sum()
-    if n_active == 0.0:
-        return _make(np.asarray(0.0), (logits,), lambda grad: None, "cross_entropy")
-
-    active = mask > 0
-    if targets[active].min() < 0 or targets[active].max() >= k:
+    if n == 0:
+        raise GraphError("cross_entropy needs at least one row")
+    if targets.min() < 0 or targets.max() >= k:
         raise GraphError(f"cross_entropy target out of range for {k} classes")
-    safe_targets = np.where(active, targets, 0)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    picked = logp[np.arange(n), safe_targets]
-    out = np.asarray(-(picked * mask).sum() / n_active)
+    logp = log_softmax(logits.data)
+    out = np.asarray(-logp[np.arange(n), targets].sum() / n)
 
     def backward(grad):
         soft = np.exp(logp)
         onehot = np.zeros_like(soft)
-        onehot[np.arange(n), safe_targets] = 1.0
-        _accumulate(logits, grad * mask[:, None] * (soft - onehot) / n_active)
+        onehot[np.arange(n), targets] = 1.0
+        _accumulate(logits, grad * (soft - onehot) / n)
 
     return _make(out, (logits,), backward, "cross_entropy")

@@ -1,6 +1,7 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
-the tests build losses and the reference attention path from, subprocess
-environments, and the benchmark's input writer."""
+the tests build losses and the reference attention path from (the
+log-softmax op and masked cross-entropy the loss ops once took among
+them), subprocess environments, and the benchmark's input writer."""
 
 import importlib.util
 import os
@@ -60,6 +61,47 @@ def softmax(a: Tensor) -> Tensor:
         _accumulate(a, out * (grad - dot))
 
     return _make(out, (a,), backward, "softmax")
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis as a graph op, the CTC lattice the
+    reference ``ctc_loss`` composition in ``test_asr`` reads."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = shifted - lse
+    soft = np.exp(out)
+
+    def backward(grad):
+        _accumulate(a, grad - soft * grad.sum(axis=-1, keepdims=True))
+
+    return _make(out, (a,), backward, "log_softmax")
+
+
+def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
+    """Cross-entropy averaged over the rows where ``mask`` is nonzero, each
+    row weighted by its mask value; an all-zero mask is loss 0 with no
+    gradient. The reference for losses that now pass only their scored
+    rows to ``tensor.cross_entropy``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
+    n = logits.data.shape[0]
+    assert targets.shape == mask.shape == (n,)
+    n_active = mask.sum()
+    if n_active == 0.0:
+        return _make(np.asarray(0.0), (logits,), lambda grad: None, "cross_entropy")
+    safe_targets = np.where(mask > 0, targets, 0)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = logp[np.arange(n), safe_targets]
+    out = np.asarray(-(picked * mask).sum() / n_active)
+
+    def backward(grad):
+        soft = np.exp(logp)
+        onehot = np.zeros_like(soft)
+        onehot[np.arange(n), safe_targets] = 1.0
+        _accumulate(logits, grad * mask[:, None] * (soft - onehot) / n_active)
+
+    return _make(out, (logits,), backward, "cross_entropy")
 
 
 def transpose(a: Tensor, axes) -> Tensor:

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_grad_against_fd, cli_env, finite_diff_grad, max_rel_error, softmax
+from conftest import (
+    check_grad_against_fd, cli_env, finite_diff_grad, log_softmax, max_rel_error, softmax,
+)
 from test_asr import random_lattice
 from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
 
@@ -137,9 +139,10 @@ AUTODIFF_CHECKS = {
     "matmul": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2)], T.matmul),
     "concat_last_dim": lambda rng: (
         [_u(rng, 3, 2), _u(rng, 3, 3)], lambda a, b: T.concat([a, b], axis=-1)),
-    # the tests-side softmax, which tensor.attention's reference composition uses
+    # the tests-side softmax, which tensor.attention's reference composition
+    # uses, and log-softmax, which the reference CTC loss reads
     "softmax": lambda rng: ([_u(rng, 4, 5)], softmax),
-    "log_softmax": lambda rng: ([_u(rng, 4, 5)], T.log_softmax),
+    "log_softmax": lambda rng: ([_u(rng, 4, 5)], log_softmax),
     "relu": lambda rng: ([_away_from_kink(_u(rng, 4, 5))], T.relu),
     "gelu": lambda rng: ([_u(rng, 4, 5)], T.gelu),
     "layer_norm": lambda rng: ([_u(rng, 3, 6), _u(rng, 6), _u(rng, 6)], T.layer_norm),
@@ -162,9 +165,7 @@ AUTODIFF_CHECKS = {
         lambda t, ids=tuple(rng.integers(0, 5, size=7)): T.embedding_lookup(t, list(ids))),
     "cross_entropy": lambda rng: (
         [_u(rng, 6, 5)],
-        lambda lg, tg=tuple(rng.integers(0, 5, size=6)),
-               mk=tuple((rng.random(6) < 0.7).astype(float)):
-            T.cross_entropy(lg, list(tg), np.maximum(mk, _one_hot_first(mk)))),
+        lambda lg, tg=tuple(rng.integers(0, 5, size=6)): T.cross_entropy(lg, list(tg))),
 }
 
 # Graph ops with no AUTODIFF_CHECKS row, each with the test that checks its
@@ -177,6 +178,7 @@ AUTODIFF_CHECKED_ELSEWHERE = {
 # ``_make``, each with the reason it is checked.
 TEST_SIDE_ROWS = {
     "softmax": "tensor.attention's reference composition is built on it",
+    "log_softmax": "the reference CTC loss in test_asr reads its lattice",
 }
 
 
@@ -268,12 +270,6 @@ def _away_from_kink(x):
     x = x.copy()
     x[np.abs(x) < 1e-3] = 0.5
     return x
-
-
-def _one_hot_first(mask):
-    out = np.zeros(len(mask))
-    out[0] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------

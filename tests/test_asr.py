@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, max_rel_error
+from conftest import finite_diff_grad, log_softmax, max_rel_error
 
 from slmforge import asr
+from slmforge import tensor as T
 from slmforge.asr import (
     BLANK,
     CtcModel,
@@ -25,7 +26,7 @@ from slmforge.asr import (
 from slmforge.errors import ConfigError
 from slmforge.nn import load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
-from slmforge.tensor import Tensor
+from slmforge.tensor import Tensor, _accumulate, _make
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +160,49 @@ def scalar_ctc_beta(logp, ext):
     return beta
 
 
-def _loss_and_grad(logp, target):
-    x = Tensor(logp.copy(), requires_grad=True)
-    loss = ctc_loss(x, target)
-    loss.backward()
+def reference_ctc_loss(log_probs, target):
+    """ctc_loss as it was when it took the lattice of the log_softmax graph
+    op, on the scalar loops."""
+    ext = asr._extend_with_blanks(target)
+    logp = log_probs.data
+    alpha = scalar_ctc_alpha(logp, ext)
+    total = alpha[-1, -1]
+    if len(ext) > 1:
+        total = np.logaddexp(total, alpha[-1, -2])
+
+    def backward(grad):
+        beta = scalar_ctc_beta(logp, ext)
+        occupancy = alpha + beta - total
+        gamma = np.zeros_like(logp)
+        for s, sym in enumerate(ext):
+            gamma[:, sym] += np.exp(occupancy[:, s])
+        _accumulate(log_probs, grad * (-gamma))
+
+    return _make(np.asarray(-total), (log_probs,), backward, "ctc_loss")
+
+
+def _loss_and_grad(loss_fn, logits, target):
+    x = Tensor(logits.copy(), requires_grad=True)
+    loss = loss_fn(x, target)
+    (loss / 3).backward()
     return loss.data, x.grad
 
 
-def assert_bit_identical_to_scalar(monkeypatch, logp, target):
+def assert_bit_identical_to_scalar(logits, target):
     ext = asr._extend_with_blanks(target)
-    assert np.array_equal(asr._ctc_alpha(logp, ext), scalar_ctc_alpha(logp, ext))
-    assert np.array_equal(asr._ctc_beta(logp, ext), scalar_ctc_beta(logp, ext))
-    loss, grad = _loss_and_grad(logp, target)
-    monkeypatch.setattr(asr, "_ctc_alpha", scalar_ctc_alpha)
-    monkeypatch.setattr(asr, "_ctc_beta", scalar_ctc_beta)
-    ref_loss, ref_grad = _loss_and_grad(logp, target)
-    assert np.array_equal(loss, ref_loss)
-    assert np.array_equal(grad, ref_grad)
+    logp = T.log_softmax(logits)
+    lp = logp[:, ext]
+    # alpha is the path recursion plus the emission; beta is the recursion
+    # on the lattice reversed in time and state, reversed back
+    alpha = asr._ctc_paths(lp, ext) + lp
+    beta = asr._ctc_paths(np.ascontiguousarray(lp[::-1, ::-1]), ext[::-1])[::-1, ::-1]
+    assert np.array_equal(alpha, scalar_ctc_alpha(logp, ext))
+    assert np.array_equal(beta, scalar_ctc_beta(logp, ext))
+    loss, grad = _loss_and_grad(ctc_loss, logits, target)
+    ref_loss, ref_grad = _loss_and_grad(
+        lambda x, tg: reference_ctc_loss(log_softmax(x), tg), logits, target)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -192,17 +219,43 @@ def assert_bit_identical_to_scalar(monkeypatch, logp, target):
         (40, 8, [1, 2, 3, 1, 2, 3, 7, 7, 6]),
     ],
 )
-def test_ctc_recursion_bit_identical_to_scalar_loops(monkeypatch, t_len, v, target):
+def test_ctc_recursion_bit_identical_to_scalar_loops(t_len, v, target):
+    """The recursion against the scalar loops, and the loss and gradient on
+    logits against the old lattice loss after the log_softmax graph op:
+    on a normalised lattice and on raw logits."""
     assert t_len >= ctc_required_frames(target)
     rng = np.random.default_rng(1000 * t_len + 10 * v + len(target))
-    assert_bit_identical_to_scalar(monkeypatch, random_lattice(rng, t_len, v), target)
+    assert_bit_identical_to_scalar(random_lattice(rng, t_len, v), target)
+    assert_bit_identical_to_scalar(3.0 * rng.standard_normal((t_len, v)), target)
 
 
-def test_ctc_recursion_bit_identical_to_scalar_loops_large(monkeypatch):
+def test_ctc_recursion_bit_identical_to_scalar_loops_large():
     rng = np.random.default_rng(7)
     target = [int(c) for c in rng.integers(1, 30, size=60)]
     target[10:13] = [5, 5, 5]  # some skips disabled
-    assert_bit_identical_to_scalar(monkeypatch, random_lattice(rng, 200, 30), target)
+    assert_bit_identical_to_scalar(random_lattice(rng, 200, 30), target)
+
+
+def test_ctc_model_loss_on_logits_bit_identical_to_the_log_softmax_op_path():
+    """Fine-tuning's loss on the head's logits gives every parameter the
+    gradient bytes of the old loss on the log_softmax op's lattice, and the
+    decoding lattice is that op's output."""
+    enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=0)
+    model = CtcModel(enc, Vocab.from_texts(["abc"]), seed=1)
+    feats = np.random.default_rng(3).standard_normal((30, 8))
+    target = [1, 2, 2, 3]
+
+    def run(loss_fn):
+        model.zero_grad()
+        loss = loss_fn(model.logits(feats), target)
+        (loss / 3).backward()
+        return loss.data.tobytes(), [None if p.grad is None else p.grad.tobytes()
+                                     for p in model.parameters()]
+
+    got = run(ctc_loss)
+    assert got == run(lambda lg, tg: reference_ctc_loss(log_softmax(lg), tg))
+    assert sum(g is not None for g in got[1]) > 2
+    assert model.log_probs(feats).tobytes() == log_softmax(model.logits(feats)).data.tobytes()
 
 
 # ---------------------------------------------------------------------------

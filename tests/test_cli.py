@@ -290,6 +290,22 @@ def test_build_sft_modes_naming_no_known_mode_exits_2_naming_the_flag(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["build-sft", "--manifest", "m.jsonl", "--out", "sft.jsonl",
+      "--modes", "transcribe,transcribe"], "--modes: modes named more than once: ['transcribe']"),
+    (["eval", "--refs", "refs.txt", "--hyps", "hyps.txt", "--metrics", "wer, cer,wer,cer"],
+     "--metrics: metrics named more than once: ['cer', 'wer']"),
+])
+def test_a_name_given_twice_exits_2_naming_the_flag_and_the_name(
+        monkeypatch, capsys, argv, cause):
+    monkeypatch.setattr("slmforge.cli.Manifest.read", _no_read)
+    monkeypatch.setattr("slmforge.cli.read_text", _no_read)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err
+    assert captured.out == ""
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -479,6 +495,20 @@ def test_eval_external_scores_without_a_number_bs_f1_names_file_and_key(
     assert f"{scores}: " in captured.err and "'bs_f1'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_eval_external_scores_non_finite_bs_f1_names_file_and_key(tmp_path, capsys, value):
+    refs = tmp_path / "refs.txt"
+    refs.write_text("waaw\n")
+    scores = tmp_path / "bs.json"
+    scores.write_text(f'{{"bs_f1": {value}}}')
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--refs", str(refs), "--hyps", str(refs),
+                 "--external-scores", str(scores), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"{scores}: 'bs_f1' must be finite" in captured.err
+
+
 def test_report_renders_rows_file(tmp_path, capsys):
     rows = [
         {"name": "ours", "wer": 35.65, "hours": "960 -> 860"},
@@ -496,6 +526,10 @@ def test_report_renders_rows_file(tmp_path, capsys):
     (["ours", 1.0], "not a JSON object"),
     ({"name": "ours", "wer": "x"}, "wer must be a number"),
     ({"name": "ours", "cer": True}, "cer must be a number or null, got True"),
+    ({"name": "ours", "wer": float("nan")}, "wer must be finite, got nan"),
+    ({"name": "ours", "chrf": float("inf")}, "chrf must be finite, got inf"),
+    ({"name": "ours", "bs_f1": -float("inf")}, "bs_f1 must be finite, got -inf"),
+    ({"name": "ours", "cer": 10**400}, "cer must be finite, got 1000"),
 ])
 def test_report_bad_row_is_runtime_error_naming_its_index(tmp_path, capsys, row, cause):
     path = tmp_path / "rows.json"

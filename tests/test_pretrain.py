@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import tsum
+from conftest import masked_cross_entropy, tsum
 
 from slmforge import pretrain
 from slmforge import tensor as T
@@ -510,6 +510,41 @@ def test_masked_loss_invariant_to_unmasked_labels_and_masked_features():
     loss3, grads3 = run(feats3, labels)
     assert loss3 == base_loss
     assert np.array_equal(base_grads, grads3)
+
+
+def _reference_masked_prediction_loss(encoder, features, labels, mask):
+    """masked_prediction_loss as it was: every frame's logits, weighted by
+    the 0/1 mask in the cross-entropy."""
+    logits = encoder.logits(encoder.forward(features, mask=mask))
+    return masked_cross_entropy(logits, labels, mask.astype(np.float64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
+def test_masked_loss_on_gathered_rows_keeps_the_masked_reference_gradients(seed, density):
+    """Gathering the masked rows after the head gives every parameter the
+    gradient bytes of the masked cross-entropy over all frames; the loss,
+    summed over fewer terms, stays within 4 ulps."""
+    enc = SpeechEncoder(TOY_CFG, n_classes=5, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    feats = rng.standard_normal((41, 8))
+    t_out = enc.output_len(41)
+    labels = rng.integers(0, 5, size=t_out)
+    mask = rng.random(t_out) < density
+    mask[rng.integers(t_out)] = True
+
+    def run(loss_fn):
+        enc.zero_grad()
+        loss = loss_fn(enc, feats, labels, mask)
+        (loss / 3).backward()
+        return loss.item(), [None if p.grad is None else p.grad.tobytes()
+                             for p in enc.parameters()]
+
+    loss, grads = run(masked_prediction_loss)
+    ref_loss, ref_grads = run(_reference_masked_prediction_loss)
+    assert grads == ref_grads
+    assert sum(g is not None for g in grads) > 2
+    assert abs(loss - ref_loss) <= 4 * np.spacing(abs(ref_loss))
 
 
 def test_masked_loss_all_false_mask_is_zero():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, finite_diff_grad, max_rel_error, tsum
+from conftest import bench_inputs, finite_diff_grad, masked_cross_entropy, max_rel_error, tsum
 
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
@@ -459,6 +459,17 @@ def test_fusion_loss_bit_invariant_to_masked_out_targets():
     assert np.array_equal(base_grads, grads2)
 
 
+def test_fusion_loss_mask_selects_rows_and_does_not_weight_them():
+    lm, aligner, tok, examples, speech = _fusion_setup(seed=2)
+    ids = tok.encode(examples[0].text)
+    mask = completion_mask(ids, tok)
+    weighted = [3 * m if j % 2 else m for j, m in enumerate(mask)]
+    assert weighted != mask
+    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, weighted, tok)
+    want = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, mask, tok)
+    assert got == want
+
+
 def test_fusion_loss_requires_single_placeholder():
     lm, aligner, tok, examples, speech = _fusion_setup()
     bad = tok.encode("FINAL: waaw<|end|>")
@@ -508,8 +519,7 @@ def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
         target_ids.append(ids[j])
         mask.append(loss_mask[j])
     picked = T.embedding_lookup(logits, np.asarray(rows, dtype=np.int64))
-    return T.cross_entropy(picked, np.asarray(target_ids, dtype=np.int64),
-                           np.asarray(mask, dtype=np.float64))
+    return masked_cross_entropy(picked, target_ids, mask)
 
 
 def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
@@ -729,7 +739,7 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     j = j[j != p]
     rows = np.where(j < p, j - 1, j + t_prime - 2)
     picked = T.embedding_lookup(logits, rows)
-    return T.cross_entropy(picked, targets[j], np.asarray(loss_mask, dtype=np.float64)[j])
+    return masked_cross_entropy(picked, targets[j], np.asarray(loss_mask)[j])
 
 
 def _full_pass_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
@@ -788,8 +798,9 @@ def test_fusion_loss_at_scored_rows_matches_the_full_pass(n_layers, seed):
 
 
 def test_fusion_loss_with_nothing_scored_is_zero_and_runs_no_lm(monkeypatch):
-    """An all-zero mask: loss 0 and no aligner gradient, as cross_entropy
-    gives the full pass, without running the LM on an empty row set."""
+    """An all-zero mask: loss 0 and no aligner gradient, as the masked
+    cross-entropy gives the full pass, without running the LM on an empty
+    row set."""
     lm, aligner, tok, speech, ids = _scored_fusion_setup(0, 1)
     mask = [0] * len(ids)
     assert _full_pass_fusion_loss(lm, aligner, speech, ids, mask, tok).item() == 0.0

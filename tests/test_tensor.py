@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    check_grad_against_fd, finite_diff_grad, max_rel_error, reshape, softmax, transpose, tsum,
+    check_grad_against_fd, finite_diff_grad, log_softmax, masked_cross_entropy, max_rel_error,
+    reshape, softmax, transpose, tsum,
 )
 
 from slmforge import nn
@@ -88,8 +89,7 @@ def test_softmax_rows_sum_to_one():
 def test_log_softmax_is_log_of_softmax():
     rng = np.random.default_rng(4)
     x = rand(rng, 5, 7)
-    assert np.max(np.abs(T.log_softmax(Tensor(x)).data
-                         - np.log(softmax(Tensor(x)).data))) < 1e-9
+    assert np.max(np.abs(T.log_softmax(x) - np.log(softmax(Tensor(x)).data))) < 1e-9
 
 
 def test_layer_norm_statistics_before_affine():
@@ -196,32 +196,34 @@ def test_cross_entropy_uniform_logits_is_log_k():
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
 
-def test_cross_entropy_invariant_to_masked_targets():
-    rng = np.random.default_rng(6)
-    logits_data = rand(rng, 6, 5)
-    mask = np.array([1, 0, 1, 0, 1, 0], dtype=np.float64)
-    base_targets = np.array([1, 2, 3, 4, 0, 1])
-    perturbed = base_targets.copy()
-    perturbed[mask == 0] = [4, 2, 3]
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_entropy_bit_identical_to_the_all_ones_masked_reference(seed):
+    """What the next-token losses pass, every row scored, gives the loss and
+    gradient bytes of the masked cross-entropy with an all-ones mask."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    logits_data = 3.0 * rng.standard_normal((n, 7))
+    targets = rng.integers(0, 7, size=n)
 
-    losses, grads = [], []
-    for targets in (base_targets, perturbed):
+    def run(loss_fn):
         logits = Tensor(logits_data.copy(), requires_grad=True)
-        loss = T.cross_entropy(logits, targets, mask)
-        loss.backward()
-        losses.append(loss.item())
-        grads.append(logits.grad.copy())
-    assert losses[0] == losses[1]
-    assert np.array_equal(grads[0], grads[1])
+        loss = loss_fn(logits)
+        (loss / 3).backward()
+        return loss.data.tobytes(), logits.grad.tobytes()
+
+    assert run(lambda lg: T.cross_entropy(lg, targets)) == run(
+        lambda lg: masked_cross_entropy(lg, targets, np.ones(n)))
 
 
-def test_cross_entropy_all_zero_mask_is_zero_loss_no_grad():
-    logits = Tensor(np.random.default_rng(7).standard_normal((4, 3)),
-                    requires_grad=True)
-    loss = T.cross_entropy(logits, np.array([0, 1, 2, 0]), np.zeros(4))
-    assert loss.item() == 0.0
-    loss.backward()
-    assert logits.grad is None or not np.any(logits.grad)
+@pytest.mark.parametrize("logits, targets, cause", [
+    (np.zeros((0, 3)), [], "at least one row"),
+    (np.zeros((2, 3)), [0, 3], "out of range for 3 classes"),
+    (np.zeros((2, 3)), [-1, 0], "out of range for 3 classes"),
+    (np.zeros((2, 3)), [0], r"targets shape \(1,\) does not match logits rows 2"),
+])
+def test_cross_entropy_rejects_no_rows_and_bad_targets(logits, targets, cause):
+    with pytest.raises(GraphError, match=cause):
+        T.cross_entropy(Tensor(logits), targets)
 
 
 def test_non_finite_forward_names_op():
@@ -271,7 +273,7 @@ def test_op_gradients_match_finite_differences(op_name):
                 softmax, [rand(rng, 4, 5)], seed=trial))
         elif op_name == "log_softmax":
             worst = max(worst, check_grad_against_fd(
-                T.log_softmax, [rand(rng, 4, 5)], seed=trial))
+                log_softmax, [rand(rng, 4, 5)], seed=trial))
         elif op_name == "relu":
             x = rand(rng, 4, 5)
             x[np.abs(x) < 1e-3] = 0.5  # keep FD away from the kink
@@ -289,10 +291,8 @@ def test_op_gradients_match_finite_differences(op_name):
                 lambda t: T.embedding_lookup(t, ids), [rand(rng, 5, 4)], seed=trial))
         elif op_name == "cross_entropy":
             targets = rng.integers(0, 5, size=6)
-            mask = (rng.random(6) < 0.7).astype(np.float64)
-            mask[0] = 1.0
             worst = max(worst, check_grad_against_fd(
-                lambda lg: T.cross_entropy(lg, targets, mask),
+                lambda lg: T.cross_entropy(lg, targets),
                 [rand(rng, 6, 5)], seed=trial))
     assert worst < 1e-4, f"{op_name}: worst relative error {worst}"
 
