@@ -59,6 +59,11 @@ class Vocab:
             raise ConfigError(f"vocab must start with {BLANK_SYMBOL!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigError("vocab symbols are not unique")
+        # encode reads a text one character at a time, so no other symbol is emitted
+        wide = [s for s in self.symbols[1:] if not (isinstance(s, str) and len(s) == 1)]
+        if wide:
+            raise ConfigError(f"vocab symbol {wide[0]!r} after {BLANK_SYMBOL!r} is not "
+                              "one character")
         self._index = {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self):

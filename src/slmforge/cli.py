@@ -332,21 +332,22 @@ def cmd_train_aligner(args) -> int:
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
+    manifest = Manifest.read(args.manifest)
+    known = {rec.id for rec in manifest.records}
+    unknown = next((ex for ex in examples if ex.audio_id not in known), None)
+    if unknown is not None:
+        raise ConfigError(f"{args.sft}: example {unknown.audio_id!r} ({unknown.mode}): "
+                          f"audio id not in manifest {args.manifest}")
     lm_cfg = replace(lm_cfg, vocab_size=tokenizer.vocab_size)
     lm = slm_mod.CausalLM(lm_cfg, seed=seed)
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
-    manifest = Manifest.read(args.manifest)
 
     # every record's audio is read and checked before the encoder runs on any
     feature_cache = {rec.id: features for rec, features in _records_with_audio(
         args.manifest, manifest, encoder.cfg, slm_mod.FRAME_STACK)}
     for rec_id, features in feature_cache.items():
         feature_cache[rec_id] = slm_mod.extract_multilayer_features(encoder, features)
-    pairs = []
-    for ex in examples:
-        if ex.audio_id not in feature_cache:
-            raise ConfigError(f"sft example references unknown audio id {ex.audio_id!r}")
-        pairs.append((feature_cache[ex.audio_id], ex))
+    pairs = [(feature_cache[ex.audio_id], ex) for ex in examples]
 
     if fusion_cfg.lm_steps:
         corpus = slm_mod.lm_stand_in_sequences(examples, tokenizer, feature_cache)

@@ -183,7 +183,8 @@ class MetricRow:
     @classmethod
     def from_dict(cls, d) -> "MetricRow":
         """Row from one report JSON object: ``name`` and the metric columns
-        are typed fields, every other key goes to ``extra``."""
+        are typed fields, every other key goes to ``extra``. A non-finite
+        number in any key is a ConfigError naming the key."""
         if not isinstance(d, dict) or not isinstance(d.get("name"), str):
             raise ConfigError("not a JSON object with a string 'name'")
         metrics = {key: d[key] for key, _, _ in METRIC_COLUMNS if key in d}
@@ -195,6 +196,11 @@ class MetricRow:
             if value is not None and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         extra = {k: v for k, v in d.items() if k != "name" and k not in metrics}
+        for key, value in extra.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ConfigError(f"{key} must hold finite numbers only, got {value!r}") from None
         return cls(name=d["name"], extra=extra, **metrics)
 
 

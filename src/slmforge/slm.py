@@ -9,10 +9,12 @@ speech row holds the hidden states of every encoder transformer layer for
 ``FRAME_STACK`` consecutive encoder frames, so T' is the encoder's frame
 count divided by ``FRAME_STACK``, rounded down. The chat
 markers are fixed (``ChatTemplate``), so instruction sets and fusion
-checkpoints store only the tokenizer's charset. During fusion training the
-encoder and LM stay frozen and the loss covers assistant-completion tokens
-only. ``FusionModel`` bundles the encoder, LM, aligner and tokenizer into
-the one model that ``nn.save_checkpoint`` and ``nn.load_checkpoint`` store.
+checkpoints store only the tokenizer's charset. ``completion_start`` is the
+one rule for which tokens of an example are trained on, checked as an
+instruction set is read; fusion training scores those completion tokens
+only, with the encoder and LM frozen. ``FusionModel`` bundles the encoder,
+LM, aligner and tokenizer into the one model that ``nn.save_checkpoint`` and
+``nn.load_checkpoint`` store.
 """
 
 from __future__ import annotations
@@ -146,21 +148,30 @@ def render_chat(instruction: str, steps, final: str) -> str:
     return f"{chat_prompt(instruction)}{body}FINAL: {final}{ChatTemplate.end_marker}"
 
 
-def completion_mask(ids, tokenizer: CharTokenizer) -> list:
-    """1 exactly on assistant-completion positions (after the assistant
-    marker, through the end marker inclusive)."""
-    assistant = tokenizer.token_id(ChatTemplate.assistant_marker)
+def completion_start(ids, tokenizer: CharTokenizer) -> int:
+    """Index of the first completion token of the encoded example ``ids``.
+
+    The example holds exactly one audio placeholder and exactly one
+    assistant marker, and the completion is every token after that marker:
+    some text, then the end marker, and no other chat marker (so the
+    placeholder comes before it). Anything else is a ConfigError naming the
+    cause.
+    """
+    for marker in (ChatTemplate.audio_marker, ChatTemplate.assistant_marker):
+        n = ids.count(tokenizer.token_id(marker))
+        if n != 1:
+            raise ConfigError(f"holds {n} {marker} markers, not one")
+    completion = ids[ids.index(tokenizer.token_id(ChatTemplate.assistant_marker)) + 1 :]
     end = tokenizer.token_id(ChatTemplate.end_marker)
-    mask = [0] * len(ids)
-    try:
-        start = ids.index(assistant) + 1
-    except ValueError:
-        return mask
-    for i in range(start, len(ids)):
-        mask[i] = 1
-        if ids[i] == end:
-            break
-    return mask
+    if completion in ([], [end]):
+        raise ConfigError(f"its completion after {ChatTemplate.assistant_marker} is empty")
+    if completion[-1] != end:
+        raise ConfigError(f"its completion does not end with {ChatTemplate.end_marker}")
+    held = [tokenizer.symbols[t] for t in completion[:-1]
+            if tokenizer.symbols[t] in ChatTemplate.specials]
+    if held:
+        raise ConfigError(f"its completion holds the chat marker {held[0]}")
+    return len(ids) - len(completion)
 
 
 def build_instruction_dataset(records, modes):
@@ -212,9 +223,17 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 
 def read_instruction_dataset(path):
     """(examples, tokenizer, header) of an instruction-set file; a header
-    without ``charset`` is a ConfigError naming the file and the key."""
+    without ``charset`` is a ConfigError naming the file and the key. Every
+    example is encoded and checked by ``completion_start``: an unknown
+    character or a broken completion is a ConfigError naming the file, the
+    example's ``audio_id`` and ``mode``, and the cause."""
     header, examples = read_jsonl(path, InstructionExample)
     tokenizer = parse_field(path, header, "charset", CharTokenizer)
+    for ex in examples:
+        try:
+            completion_start(tokenizer.encode(ex.text), tokenizer)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: example {ex.audio_id!r} ({ex.mode}): {exc}") from None
     return examples, tokenizer, header
 
 
@@ -368,60 +387,33 @@ def speech_feature_dim(encoder: SpeechEncoder) -> int:
     return FRAME_STACK * encoder.cfg.dim * encoder.cfg.n_layers
 
 
-def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int):
-    """Return ([embed(before), speech, embed(after)], placeholder position)
-    for the one audio placeholder in ``ids``, empty text parts left out."""
-    positions = [i for i, t in enumerate(ids) if t == placeholder_id]
-    if len(positions) != 1:
-        raise GraphError(
-            f"example must contain exactly one audio placeholder, found {len(positions)}"
-        )
-    p = positions[0]
-    before, after = ids[:p], ids[p + 1 :]
-    parts = [lm.embed(np.asarray(before, dtype=np.int64))] if before else []
-    parts.append(speech)
-    if after:
-        parts.append(lm.embed(np.asarray(after, dtype=np.int64)))
-    return T.concat(parts, axis=0), p
+def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int) -> Tensor:
+    """The embeddings of ``ids`` with ``speech`` in place of its first
+    audio placeholder."""
+    p = ids.index(placeholder_id)
+    return T.concat([lm.embed(np.asarray(ids[:p], dtype=np.int64)), speech,
+                     lm.embed(np.asarray(ids[p + 1 :], dtype=np.int64))], axis=0)
 
 
 def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
-                ids, loss_mask, tokenizer: CharTokenizer,
-                targets_override=None) -> Tensor:
-    """Next-token loss of the fused sequence over assistant-completion tokens.
+                ids, tokenizer: CharTokenizer) -> Tensor:
+    """Next-token loss of the fused sequence over the example's completion.
 
     The aligned speech block replaces the placeholder token, shifting
-    positions of everything after it by T' - 1. Targets are the original
-    token ids (or ``targets_override``, which must agree wherever the mask
-    is nonzero). ``loss_mask`` selects the scored positions and does not
-    weight them: predictions come from the fused rows immediately before
-    each selected target, the LM computes logits at those rows only, and
-    cross-entropy gets those rows alone. Loss and gradients are therefore
-    bit-invariant to target values at mask-0 positions. With no position
-    scored the loss is a constant 0, which gives the aligner no gradient,
-    and the LM does not run.
+    positions of everything after it by T' - 1. The targets are
+    ``ids[start:]``, ``start`` being ``completion_start(ids, tokenizer)``
+    (which rejects an example that breaks the completion rule), and each
+    is predicted from the fused row before it, rows ``start - 1 + T' - 1``
+    onwards: the LM computes logits at those rows only, and cross-entropy
+    gets those rows alone.
     """
     ids = list(ids)
-    if len(ids) != len(loss_mask):
-        raise GraphError("ids and loss_mask lengths differ")
+    start = completion_start(ids, tokenizer)
     speech = aligner.align(speech_features)
-    t_prime = speech.data.shape[0]
-    fused, p = _fused_sequence(lm, speech, ids,
-                               tokenizer.token_id(ChatTemplate.audio_marker))
-
-    targets = np.asarray(targets_override if targets_override is not None else ids,
-                         dtype=np.int64)
-    if len(targets) != len(ids):
-        raise GraphError("targets length differs from ids")
-
-    # every position but the first and the placeholder is predicted by the
-    # fused row before it; rows after the placeholder sit T' - 1 further on
-    j = np.arange(1, len(ids))
-    j = j[(j != p) & (np.asarray(loss_mask)[j] != 0)]
-    if not len(j):
-        return Tensor(0.0)  # nothing scored: loss 0, no aligner gradient
-    rows = np.where(j < p, j - 1, j + t_prime - 2)
-    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows), targets[j])
+    fused = _fused_sequence(lm, speech, ids, tokenizer.token_id(ChatTemplate.audio_marker))
+    rows = np.arange(start - 1, len(ids) - 1) + speech.data.shape[0] - 1
+    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows),
+                           np.asarray(ids[start:], dtype=np.int64))
 
 
 @dataclass
@@ -446,16 +438,13 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
 
     ``examples`` are (speech_features, InstructionExample) pairs with
     speech features precomputed by extract_multilayer_features; each
-    example's loss mask is the ``completion_mask`` of its encoded text.
+    example's encoded text is scored by ``fusion_loss`` over its completion.
     ``seed`` draws the batches. Returns a history of (step, loss).
     """
     trainable = [name for name, p in lm.named_parameters() if p.requires_grad]
     if trainable:
         raise ConfigError(f"LM must be frozen during fusion training: {trainable[:3]}")
-    prepared = []
-    for features, ex in examples:
-        ids = tokenizer.encode(ex.text)
-        prepared.append((np.asarray(features), ids, completion_mask(ids, tokenizer)))
+    prepared = [(np.asarray(features), tokenizer.encode(ex.text)) for features, ex in examples]
 
     opt = Adam(aligner, lr=cfg.lr)
     rng = np.random.default_rng(seed)
@@ -555,7 +544,7 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
 
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        emb, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        emb = _fused_sequence(lm, speech, prompt_ids, placeholder)
         caches = [[] for _ in lm.blocks]
         last = [emb.data.shape[0] - 1]  # the prefill's one scored row
         generated = []

@@ -1,7 +1,8 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
 the tests build losses and the reference attention path from (the
 log-softmax op and masked cross-entropy the loss ops once took among
-them), subprocess environments, and the benchmark's input writer."""
+them), the completion mask and masked fusion loss that the completion rule
+replaced, subprocess environments, and the benchmark's input writer."""
 
 import importlib.util
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from slmforge import tensor as T
+from slmforge.slm import ChatTemplate
 from slmforge.tensor import Tensor, _accumulate, _make
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,6 +105,56 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
         _accumulate(logits, grad * mask[:, None] * (soft - onehot) / n_active)
 
     return _make(out, (logits,), backward, "cross_entropy")
+
+
+def completion_mask(ids, tokenizer) -> list:
+    """1 exactly on assistant-completion positions (after the assistant
+    marker, through the end marker inclusive): the 0/1 list the fusion loss
+    once took in place of ``slm.completion_start``."""
+    assistant = tokenizer.token_id(ChatTemplate.assistant_marker)
+    end = tokenizer.token_id(ChatTemplate.end_marker)
+    mask = [0] * len(ids)
+    try:
+        start = ids.index(assistant) + 1
+    except ValueError:
+        return mask
+    for i in range(start, len(ids)):
+        mask[i] = 1
+        if ids[i] == end:
+            break
+    return mask
+
+
+def masked_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer,
+                       targets_override=None) -> Tensor:
+    """``slm.fusion_loss`` as it was when it took a loss mask: the mask
+    selects the scored positions (every one but the first and the
+    placeholder is predicted by the fused row before it), the targets are
+    ``ids`` or ``targets_override``, and nothing scored is a loss of 0 with
+    no gradient."""
+    ids = list(ids)
+    assert len(ids) == len(loss_mask)
+    speech = aligner.align(speech_features)
+    t_prime = speech.data.shape[0]
+    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    positions = [i for i, t in enumerate(ids) if t == placeholder]
+    assert len(positions) == 1
+    p = positions[0]
+    before, after = ids[:p], ids[p + 1 :]
+    parts = [lm.embed(np.asarray(before, dtype=np.int64))] if before else []
+    parts.append(speech)
+    if after:
+        parts.append(lm.embed(np.asarray(after, dtype=np.int64)))
+    fused = T.concat(parts, axis=0)
+    targets = np.asarray(targets_override if targets_override is not None else ids,
+                         dtype=np.int64)
+    assert len(targets) == len(ids)
+    j = np.arange(1, len(ids))
+    j = j[(j != p) & (np.asarray(loss_mask)[j] != 0)]
+    if not len(j):
+        return Tensor(0.0)
+    rows = np.where(j < p, j - 1, j + t_prime - 2)
+    return T.cross_entropy(lm.forward_embeddings(fused, rows=rows), targets[j])
 
 
 def transpose(a: Tensor, axes) -> Tensor:

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    check_grad_against_fd, cli_env, finite_diff_grad, log_softmax, max_rel_error, softmax,
+    check_grad_against_fd, cli_env, completion_mask, finite_diff_grad, log_softmax,
+    masked_fusion_loss, max_rel_error, softmax,
 )
 from test_asr import random_lattice
 from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
@@ -60,7 +61,6 @@ from slmforge.slm import (
     FusionTrainConfig,
     SpeechAligner,
     build_instruction_dataset,
-    completion_mask,
     extract_multilayer_features,
     fusion_loss,
     generate,
@@ -357,20 +357,19 @@ def test_criterion_04_masking_contracts_bit_invariance():
         ids = tok.encode(examples[0].text)
         mask = completion_mask(ids, tok)
 
-        def run_fusion(targets):
+        def run_fusion(loss_fn, *args):
             aligner.zero_grad()
-            loss = fusion_loss(lm, aligner, speech, ids, mask, tok,
-                               targets_override=targets)
+            loss = loss_fn(lm, aligner, speech, ids, *args)
             loss.backward()
             return loss.item(), np.concatenate(
                 [p.grad.reshape(-1) for p in aligner.parameters()])
 
-        base_loss, base_grads = run_fusion(None)
-        perturbed = list(ids)
-        for j, m in enumerate(mask):
-            if not m:
-                perturbed[j] = int(rng.integers(0, tok.vocab_size))
-        loss2, grads2 = run_fusion(perturbed)
+        # the loss scores the completion alone: it equals the masked
+        # reference run with random targets everywhere off the completion
+        base_loss, base_grads = run_fusion(fusion_loss, tok)
+        perturbed = [t if m else int(rng.integers(0, tok.vocab_size))
+                     for t, m in zip(ids, mask)]
+        loss2, grads2 = run_fusion(masked_fusion_loss, mask, tok, perturbed)
         assert loss2 == base_loss
         assert np.array_equal(base_grads, grads2)
 
@@ -411,7 +410,7 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
         ex = examples[step % len(examples)]
         speech = extract_multilayer_features(encoder, feats[ex.audio_id])
         ids = tok.encode(ex.text)
-        loss = fusion_loss(lm, aligner, speech, ids, completion_mask(ids, tok), tok)
+        loss = fusion_loss(lm, aligner, speech, ids, tok)
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -539,6 +539,23 @@ def test_report_bad_row_is_runtime_error_naming_its_index(tmp_path, capsys, row,
     assert f"{path} row 1: " in err and cause in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value, shown", [
+    ("NaN", "nan"), ("-Infinity", "-inf"), ("[1, Infinity]", "[1, inf]"),
+    ('{"h": NaN}', "{'h': nan}"),
+])
+def test_report_non_finite_extra_value_exits_2_naming_row_and_key(tmp_path, capsys, fmt,
+                                                                  value, shown):
+    path = tmp_path / "rows.json"
+    path.write_text(f'[{{"name": "fine", "hours": 1e300}}, '
+                    f'{{"name": "x", "wer": 1.0, "hours": {value}}}]')
+    assert main(["report", "--rows", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"slmforge report: {path} row 1: hours must hold finite "
+                            f"numbers only, got {shown}\n")
+
+
 def test_eval_out_into_missing_directory_names_the_given_path(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name in ("refs.txt", "hyps.txt"):
@@ -572,6 +589,44 @@ def test_train_aligner_sft_without_a_charset_exits_2_naming_file_and_key(
     assert main(["train-aligner", "--sft", str(sft), "--manifest", "none.jsonl",
                  "--encoder", "none.ckpt", "--out", str(tmp_path / "f.ckpt")]) == 2
     assert capsys.readouterr().err == f"slmforge train-aligner: {sft}: missing key 'charset'\n"
+
+
+GOOD_TEXT = "<|user|><|audio|> Transcribe the audio.<|assistant|>FINAL: ab<|end|>"
+
+
+@pytest.mark.parametrize("audio_id, text, cause", [
+    pytest.param(None, GOOD_TEXT.replace("<|assistant|>", ""),
+                 "holds 0 <|assistant|> markers, not one", id="no-assistant-marker"),
+    pytest.param(None, GOOD_TEXT.replace("FINAL: ab<|end|>", ""),
+                 "its completion after <|assistant|> is empty", id="no-completion"),
+    pytest.param(None, GOOD_TEXT.replace("FINAL: ab", ""),
+                 "its completion after <|assistant|> is empty", id="end-marker-only"),
+    pytest.param(None, GOOD_TEXT.replace(" Transcribe", "<|audio|>Transcribe"),
+                 "holds 2 <|audio|> markers, not one", id="two-audio-markers"),
+    pytest.param(None, GOOD_TEXT.replace("<|audio|>", "").replace("FINAL:", "FINAL:<|audio|>"),
+                 "its completion holds the chat marker <|audio|>", id="audio-in-completion"),
+    pytest.param(None, GOOD_TEXT.replace("ab<|end|>", "a<|end|>b"),
+                 "its completion does not end with <|end|>", id="text-after-end-marker"),
+    pytest.param(None, GOOD_TEXT.replace("ab", "az"),
+                 "character 'z' not in tokenizer charset", id="unknown-character"),
+    pytest.param("nope", GOOD_TEXT, "audio id not in manifest m.jsonl", id="unknown-audio-id"),
+])
+def test_a_malformed_sft_example_exits_2_naming_file_and_example_before_reading_audio(
+        tmp_path, monkeypatch, capsys, manifest, audio_id, text, cause):
+    monkeypatch.chdir(tmp_path)
+    first = _transcribed(manifest, "m.jsonl")
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    rows = [{"__header__": True, "charset": CharTokenizer.from_texts([GOOD_TEXT]).charset()},
+            {"audio_id": first, "mode": "transcribe", "text": GOOD_TEXT, "final": "ab"},
+            {"audio_id": audio_id or first, "mode": "translate", "text": text, "final": "ab"}]
+    Path("sft.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    # no encoder file exists: the check comes before it is loaded
+    assert main(["train-aligner", "--sft", "sft.jsonl", "--manifest", "m.jsonl",
+                 "--encoder", "enc.ckpt", "--out", "f.ckpt"]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge train-aligner: sft.jsonl: example {audio_id or first!r} (translate): "
+        f"{cause}\n")
+    assert not Path("f.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1328,6 +1383,26 @@ def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monk
                  "--config", "ft.json", "--vocab", "bad.vocab", "--out", "v.ckpt"]) == 2
     assert "bad.vocab: vocab must start with '<blank>'" in capsys.readouterr().err
     assert not Path("v.ckpt").exists()
+
+
+@pytest.mark.parametrize("symbol", ["ab", "", " a"])
+def test_a_vocab_symbol_of_other_than_one_character_exits_2_naming_file_and_symbol(
+        trained, tmp_path, monkeypatch, capsys, symbol):
+    monkeypatch.chdir(trained)
+    vocab, ckpt, out = tmp_path / "wide.vocab", tmp_path / "wide.ckpt", tmp_path / "v.ckpt"
+    vocab.write_text(f"<blank>\na\n{symbol}\nb\n")
+    assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
+                 "--config", "ft.json", "--vocab", str(vocab), "--out", str(out)]) == 2
+    cause = f"vocab symbol {symbol!r} after '<blank>' is not one character"
+    assert capsys.readouterr().err == f"slmforge finetune-asr: {vocab}: {cause}\n"
+    assert not out.exists()
+    # the checkpoint's vocab entry is read by the same check
+    arrays, meta = read_checkpoint("asr.ckpt")
+    meta["vocab"] = json.dumps([*json.loads(meta["vocab"]), symbol])
+    ckpt.write_bytes(checkpoint_bytes(arrays, meta))
+    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", "in.wav"]) == 2
+    assert capsys.readouterr().err == (
+        f"slmforge transcribe: {ckpt}: bad value for 'vocab': {cause}\n")
 
 
 @pytest.mark.parametrize("flag", ["--refs", "--hyps", "--manifest", "--sft", "--vocab",

@@ -70,3 +70,40 @@ def test_every_src_definition_is_reached_from_src_demos_or_bench():
                 unreached.append(qualname)
     assert not unreached, f"definitions reached only from tests (or not at all): {unreached}"
     assert set(KEPT) <= defined, "a KEPT entry names no definition"
+
+
+# settable values in src/slmforge by the count below; lower it when a change
+# removes some, so that none comes back unnoticed
+SETTABLE_VALUES = 580
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_settable_values_do_not_exceed_the_recorded_count():
+    """Dataclass fields, function and lambda parameters other than self and
+    cls, ``--`` flags and ``cli.CONFIG_KEYS`` entries: the AST count that
+    the ``settable_values_ast_count`` of the ``BENCH_*.json`` records holds."""
+    from slmforge.cli import CONFIG_KEYS
+
+    fields = params = flags = 0
+    for tree in _trees("src").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                         a.vararg, a.kwarg] if x]
+                params += sum(name not in ("self", "cls") for name in names)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                flags += sum(isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+                             for arg in node.args)
+    keys = sum(map(len, CONFIG_KEYS.values()))
+    count = fields + params + flags + keys
+    assert count <= SETTABLE_VALUES, (
+        f"{fields} + {params} + {flags} + {keys} = {count} settable values, "
+        f"more than {SETTABLE_VALUES}")

@@ -1,11 +1,15 @@
 """Fusion model: instruction data, aligner, splicing, generation, parsing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import bench_inputs, finite_diff_grad, masked_cross_entropy, max_rel_error, tsum
+from conftest import (
+    bench_inputs, completion_mask, finite_diff_grad, masked_cross_entropy, masked_fusion_loss,
+    max_rel_error, tsum,
+)
 
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
@@ -25,7 +29,7 @@ from slmforge.slm import (
     SpeechAligner,
     build_instruction_dataset,
     chat_prompt,
-    completion_mask,
+    completion_start,
     detect_repetition_loop,
     extract_multilayer_features,
     fusion_loss,
@@ -139,15 +143,13 @@ def test_render_contains_exactly_one_placeholder_and_final():
     assert "FINAL: waaw<|end|>" in text
 
 
-def test_completion_mask_covers_assistant_tokens_only():
+def test_completion_starts_after_the_assistant_marker_and_runs_to_the_end():
     text = render_chat("Transcribe the audio.", [], "waaw")
     tok = _tok([text])
     ids = tok.encode(text)
-    mask = completion_mask(ids, tok)
-    start = ids.index(tok.token_id(ChatTemplate.assistant_marker))
-    assert all(m == 0 for m in mask[: start + 1])
-    assert all(m == 1 for m in mask[start + 1 :])
-    assert tok.decode([i for i, m in zip(ids, mask) if m]) == "FINAL: waaw<|end|>"
+    start = completion_start(ids, tok)
+    assert ids[start - 1] == tok.token_id(ChatTemplate.assistant_marker)
+    assert tok.decode(ids[start:]) == "FINAL: waaw<|end|>"
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +165,7 @@ def test_transcribe_mode_renders_final_line_by_hand():
                 "FINAL: waaw<|end|>")
     assert ex.text == expected
     ids = tok.encode(ex.text)
-    masked_text = tok.decode([i for i, m in zip(ids, completion_mask(ids, tok)) if m])
-    assert masked_text == "FINAL: waaw<|end|>"
+    assert tok.decode(ids[completion_start(ids, tok):]) == "FINAL: waaw<|end|>"
 
 
 def test_missing_translation_skips_with_reason():
@@ -207,7 +208,7 @@ def test_a_field_holding_a_marker_fragment_is_kept_and_encodes(transcript):
     for ex in examples:
         ids = tok.encode(ex.text)
         assert tok.decode(ids) == ex.text
-        completion = tok.decode([i for i, m in zip(ids, completion_mask(ids, tok)) if m])
+        completion = tok.decode(ids[completion_start(ids, tok):])
         assert completion.endswith(f"FINAL: {transcript}<|end|>")
 
 
@@ -426,8 +427,7 @@ def test_fused_sequence_length_arithmetic():
 def test_fusion_loss_trains_only_aligner():
     lm, aligner, tok, examples, speech = _fusion_setup()
     enc_before = {n: p.data.copy() for n, p in lm.named_parameters()}
-    ids = tok.encode(examples[0].text)
-    loss = fusion_loss(lm, aligner, speech, ids, completion_mask(ids, tok), tok)
+    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text), tok)
     loss.backward()
     for name, p in lm.named_parameters():
         assert p.grad is None
@@ -435,46 +435,24 @@ def test_fusion_loss_trains_only_aligner():
     assert any(p.grad is not None for p in aligner.parameters())
 
 
-def test_fusion_loss_bit_invariant_to_masked_out_targets():
+def test_fusion_loss_equals_the_masked_reference_with_random_targets_off_the_completion():
     lm, aligner, tok, examples, speech = _fusion_setup(seed=3)
     ids = tok.encode(examples[0].text)
     mask = completion_mask(ids, tok)
-
-    def run(targets):
-        aligner.zero_grad()
-        loss = fusion_loss(lm, aligner, speech, ids, mask, tok,
-                           targets_override=targets)
-        loss.backward()
-        grads = np.concatenate([p.grad.reshape(-1) for p in aligner.parameters()])
-        return loss.item(), grads
-
-    base_loss, base_grads = run(None)
-    perturbed = list(ids)
     rng = np.random.default_rng(0)
-    for j, m in enumerate(mask):
-        if not m:
-            perturbed[j] = int(rng.integers(0, tok.vocab_size))
-    loss2, grads2 = run(perturbed)
-    assert loss2 == base_loss
-    assert np.array_equal(base_grads, grads2)
-
-
-def test_fusion_loss_mask_selects_rows_and_does_not_weight_them():
-    lm, aligner, tok, examples, speech = _fusion_setup(seed=2)
-    ids = tok.encode(examples[0].text)
-    mask = completion_mask(ids, tok)
-    weighted = [3 * m if j % 2 else m for j, m in enumerate(mask)]
-    assert weighted != mask
-    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, weighted, tok)
-    want = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, mask, tok)
+    perturbed = [t if m else int(rng.integers(0, tok.vocab_size)) for t, m in zip(ids, mask)]
+    assert perturbed != ids
+    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    want = _loss_and_aligner_grads(masked_fusion_loss, aligner, lm, aligner, speech, ids, mask,
+                                   tok, perturbed)
     assert got == want
 
 
 def test_fusion_loss_requires_single_placeholder():
     lm, aligner, tok, examples, speech = _fusion_setup()
     bad = tok.encode("FINAL: waaw<|end|>")
-    with pytest.raises(GraphError, match="placeholder"):
-        fusion_loss(lm, aligner, speech, bad, [1] * len(bad), tok)
+    with pytest.raises(ConfigError, match=re.escape("holds 0 <|audio|> markers, not one")):
+        fusion_loss(lm, aligner, speech, bad, tok)
 
 
 def test_fusion_loss_on_example_runs_through_encoder():
@@ -487,8 +465,7 @@ def test_fusion_loss_on_example_runs_through_encoder():
     aligner = SpeechAligner(2 * 2 * 16, 16, hidden=8, seed=2)  # 2 frames x 2 layers
     feats = np.random.default_rng(3).standard_normal((20, 8))
     speech = extract_multilayer_features(enc, feats)
-    ids = tok.encode(examples[0].text)
-    loss = fusion_loss(lm, aligner, speech, ids, completion_mask(ids, tok), tok)
+    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text), tok)
     assert np.isfinite(loss.item())
 
 
@@ -497,7 +474,8 @@ def test_fusion_loss_on_example_runs_through_encoder():
 
 
 def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer):
-    """fusion_loss as it assembled the fused sequence before _fused_sequence."""
+    """fusion_loss as it assembled the fused sequence before _fused_sequence,
+    cross-entropy taking the rows of the positions ``loss_mask`` selects."""
     ids = list(ids)
     loss_mask = list(loss_mask)
     placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
@@ -511,15 +489,14 @@ def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     after = lm.embed(after_ids) if len(after_ids) else None
     parts = [x for x in (before, speech, after) if x is not None]
     logits = lm.forward_embeddings(T.concat(parts, axis=0))
-    rows, target_ids, mask = [], [], []
+    rows, target_ids = [], []
     for j in range(1, len(ids)):
-        if j == p:
+        if j == p or not loss_mask[j]:
             continue
         rows.append((j if j < p else j + t_prime - 1) - 1)
         target_ids.append(ids[j])
-        mask.append(loss_mask[j])
     picked = T.embedding_lookup(logits, np.asarray(rows, dtype=np.int64))
-    return masked_cross_entropy(picked, target_ids, mask)
+    return T.cross_entropy(picked, target_ids)
 
 
 def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
@@ -558,11 +535,11 @@ def _loss_and_aligner_grads(loss_fn, aligner, *args):
     return loss.data.tobytes(), [p.grad.tobytes() for p in aligner.parameters()]
 
 
-# normal, placeholder at position 0, and nothing after the placeholder
+# normal, placeholder at position 0, and the assistant marker right after it
 FUSION_TEXTS = [
     None,
     "<|audio|> Transcribe the audio.<|assistant|>FINAL: waaw<|end|>",
-    "<|user|>FINAL: waaw<|end|><|assistant|><|audio|>",
+    "<|user|><|audio|><|assistant|>FINAL: waaw<|end|>",
 ]
 
 
@@ -570,13 +547,31 @@ FUSION_TEXTS = [
 @pytest.mark.parametrize("seed", [0, 5])
 def test_fusion_loss_bit_identical_to_reference_assembly(case, seed):
     lm, aligner, tok, examples, speech = _fusion_setup(seed=seed)
-    text = FUSION_TEXTS[case] or examples[1].text
-    ids = tok.encode(text)
-    mask = [1] * len(ids)
-    args = (lm, aligner, speech, ids, mask, tok)
-    got = _loss_and_aligner_grads(fusion_loss, aligner, *args)
-    want = _loss_and_aligner_grads(_reference_fusion_loss, aligner, *args)
+    ids = tok.encode(FUSION_TEXTS[case] or examples[1].text)
+    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    want = _loss_and_aligner_grads(_reference_fusion_loss, aligner, lm, aligner, speech, ids,
+                                   completion_mask(ids, tok), tok)
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fusion_loss_equals_the_masked_reference_on_every_bench_sft_text(
+        tmp_path, monkeypatch, seed):
+    """Scoring ``ids[completion_start:]`` gives the loss and aligner-gradient
+    bytes the completion mask gave, on every text of every mode the
+    benchmark writes."""
+    tok, texts = _bench_sft_texts(tmp_path, monkeypatch, seed)
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1, n_heads=2),
+                  seed=seed)
+    lm.freeze()
+    aligner = SpeechAligner(12, 16, hidden=8, seed=seed + 1)
+    speech = np.random.default_rng(seed).standard_normal((7, 12))
+    for text in texts:
+        ids = tok.encode(text)
+        got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+        want = _loss_and_aligner_grads(masked_fusion_loss, aligner, lm, aligner, speech, ids,
+                                       completion_mask(ids, tok), tok)
+        assert got == want, text
 
 
 @pytest.mark.parametrize("prompt", [
@@ -593,7 +588,7 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
     with T.no_grad():
         aligned = aligner.align(speech)
         # the fused prompt once, then one embedding appended per token
-        fused, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        fused = _fused_sequence(lm, aligned, prompt_ids, placeholder)
         for step in range(len(generated) + 1):
             got = lm.forward_embeddings(fused).data
             want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder,
@@ -653,7 +648,7 @@ def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
     lm, aligner, tok, speech = _cache_setup(seed)
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     with T.no_grad():
-        fused, _ = _fused_sequence(lm, aligner.align(speech), prompt_ids,
+        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
                                    tok.token_id("<|audio|>"))
         want = lm.forward_embeddings(fused).data
         got = lm.forward_embeddings(fused, _fresh_caches(lm)).data
@@ -669,7 +664,7 @@ def test_cached_steps_match_the_reference_logits(seed):
     generated = [int(t) for t in rng.integers(0, tok.vocab_size, 15)] + [placeholder]
     with T.no_grad():
         aligned = aligner.align(speech)
-        rows, _ = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        rows = _fused_sequence(lm, aligned, prompt_ids, placeholder)
         caches = _fresh_caches(lm)
         for step in range(len(generated) + 1):
             got = lm.forward_embeddings(rows, caches).data[-1]
@@ -709,7 +704,7 @@ def test_a_non_finite_cached_key_raises_naming_the_op():
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     caches = _fresh_caches(lm)
     with T.no_grad():
-        fused, _ = _fused_sequence(lm, aligner.align(speech), prompt_ids,
+        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
                                    tok.token_id("<|audio|>"))
         lm.forward_embeddings(fused, caches)
         caches[1][0].data[3, 0] = np.nan  # key row 3 of layer 1, in head 0's columns
@@ -731,9 +726,9 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     ids = list(ids)
     speech = aligner.align(speech_features)
     t_prime = speech.data.shape[0]
-    fused, p = _fused_sequence(lm, speech, ids,
-                               tokenizer.token_id(ChatTemplate.audio_marker))
-    logits = lm.forward_embeddings(fused)
+    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    p = ids.index(placeholder)
+    logits = lm.forward_embeddings(_fused_sequence(lm, speech, ids, placeholder))
     targets = np.asarray(ids, dtype=np.int64)
     j = np.arange(1, len(ids))
     j = j[j != p]
@@ -749,7 +744,7 @@ def _full_pass_generate(lm, aligner, speech_features, mode, tokenizer, max_token
     end_id = tokenizer.token_id(ChatTemplate.end_marker)
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        rows, _ = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        rows = _fused_sequence(lm, speech, prompt_ids, placeholder)
         caches = [[] for _ in lm.blocks]
         generated, truncated = [], True
         for _ in range(max_tokens):
@@ -776,9 +771,9 @@ def _scored_fusion_setup(seed, n_layers):
     return lm, aligner, tok, speech, ids
 
 
-def _loss_and_grads(loss_fn, lm, aligner, speech, ids, mask, tok):
+def _loss_and_grads(loss_fn, aligner, *args):
     aligner.zero_grad()
-    loss = loss_fn(lm, aligner, speech, ids, mask, tok)
+    loss = loss_fn(*args)
     loss.backward()
     return loss.item(), [p.grad for p in aligner.parameters()]
 
@@ -789,31 +784,12 @@ def test_fusion_loss_at_scored_rows_matches_the_full_pass(n_layers, seed):
     lm, aligner, tok, speech, ids = _scored_fusion_setup(seed, n_layers)
     mask = completion_mask(ids, tok)
     assert 0 < sum(mask) < (len(ids) + len(speech)) // 2  # most fused rows unscored
-    loss, grads = _loss_and_grads(fusion_loss, lm, aligner, speech, ids, mask, tok)
-    want_loss, want_grads = _loss_and_grads(_full_pass_fusion_loss, lm, aligner, speech,
-                                            ids, mask, tok)
+    loss, grads = _loss_and_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    want_loss, want_grads = _loss_and_grads(_full_pass_fusion_loss, aligner, lm, aligner,
+                                            speech, ids, mask, tok)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(grads, want_grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_fusion_loss_with_nothing_scored_is_zero_and_runs_no_lm(monkeypatch):
-    """An all-zero mask: loss 0 and no aligner gradient, as the masked
-    cross-entropy gives the full pass, without running the LM on an empty
-    row set."""
-    lm, aligner, tok, speech, ids = _scored_fusion_setup(0, 1)
-    mask = [0] * len(ids)
-    assert _full_pass_fusion_loss(lm, aligner, speech, ids, mask, tok).item() == 0.0
-
-    def no_lm(*args, **kwargs):
-        raise AssertionError("the LM ran")
-
-    monkeypatch.setattr(CausalLM, "forward_embeddings", no_lm)
-    aligner.zero_grad()
-    loss = fusion_loss(lm, aligner, speech, ids, mask, tok)
-    loss.backward()
-    assert loss.item() == 0.0
-    assert all(p.grad is None for p in aligner.parameters())
 
 
 def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
@@ -826,10 +802,8 @@ def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
         return forward(self, emb, caches, rows)
 
     monkeypatch.setattr(CausalLM, "forward_embeddings", recording)
-    mask = completion_mask(ids, tok)
-    fusion_loss(lm, aligner, speech, ids, mask, tok)
-    p = ids.index(tok.token_id(ChatTemplate.audio_marker))
-    scored = [j for j in range(1, len(ids)) if mask[j] and j != p]
+    fusion_loss(lm, aligner, speech, ids, tok)
+    scored = [j for j, m in enumerate(completion_mask(ids, tok)) if m]
     assert asked == [(len(ids) - 1 + len(speech), [j + len(speech) - 2 for j in scored])]
     asked.clear()
     generate(lm, aligner, speech, "transcribe", tok, max_tokens=3)
