@@ -260,32 +260,32 @@ def cmd_finetune_asr(args) -> int:
     manifest = Manifest.read(args.manifest)
 
     lexicon = _normalization_lexicon(args)
-    train, heldout, train_ids = [], [], []
-    for rec, features in _records_with_audio(args.manifest, manifest, encoder.cfg):
+    vocab = asr_mod.Vocab.from_file(args.vocab) if args.vocab else None
+    texts = []  # each record's normalized transcript, checked before any WAV is read
+    for rec in manifest.records:
+        text = rec.transcript and asr_mod.normalize_text(rec.transcript, lexicon)
+        texts.append(text)
         if not rec.transcript:
             continue
-        text = asr_mod.normalize_text(rec.transcript, lexicon)
         if rec.split == "test":
             if not text:
                 raise ConfigError(f"manifest {args.manifest}: test record {rec.id!r} has a "
                                   f"transcript with no text once normalized: "
                                   f"{rec.transcript!r}; held-out scores need one")
-            heldout.append((features, text))
-        else:
-            train.append((features, text))
-            train_ids.append(rec.id)
-    if not train:
-        raise ConfigError("no records with transcripts to fine-tune on")
-
-    if args.vocab:
-        vocab = asr_mod.Vocab.from_file(args.vocab)
-        for rec_id, (_, text) in zip(train_ids, train):
+        elif vocab is not None:
             try:
                 vocab.encode(text)
             except ConfigError as exc:
                 raise ConfigError(f"{args.vocab}: {exc}, in the transcript of record "
-                                  f"{rec_id!r}") from None
-    else:
+                                  f"{rec.id!r}") from None
+    train, heldout = [], []
+    for text, (rec, features) in zip(texts, _records_with_audio(args.manifest, manifest,
+                                                                 encoder.cfg)):
+        if rec.transcript:
+            (heldout if rec.split == "test" else train).append((features, text))
+    if not train:
+        raise ConfigError("no records with transcripts to fine-tune on")
+    if vocab is None:
         vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout])
     held_scores = []
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,

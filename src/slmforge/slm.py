@@ -224,14 +224,16 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 def read_instruction_dataset(path):
     """(examples, tokenizer, header) of an instruction-set file; a header
     without ``charset`` is a ConfigError naming the file and the key. Every
-    example is encoded and checked by ``completion_start``: an unknown
-    character or a broken completion is a ConfigError naming the file, the
-    example's ``audio_id`` and ``mode``, and the cause."""
+    example's text is encoded and checked by ``completion_start``, and its
+    ``final`` encoded: an unknown character or a broken completion is a
+    ConfigError naming the file, the example's ``audio_id`` and ``mode``,
+    and the cause."""
     header, examples = read_jsonl(path, InstructionExample)
     tokenizer = parse_field(path, header, "charset", CharTokenizer)
     for ex in examples:
         try:
             completion_start(tokenizer.encode(ex.text), tokenizer)
+            tokenizer.encode(ex.final)
         except ConfigError as exc:
             raise ConfigError(f"{path}: example {ex.audio_id!r} ({ex.mode}): {exc}") from None
     return examples, tokenizer, header

@@ -594,31 +594,35 @@ def test_train_aligner_sft_without_a_charset_exits_2_naming_file_and_key(
 GOOD_TEXT = "<|user|><|audio|> Transcribe the audio.<|assistant|>FINAL: ab<|end|>"
 
 
-@pytest.mark.parametrize("audio_id, text, cause", [
-    pytest.param(None, GOOD_TEXT.replace("<|assistant|>", ""),
+@pytest.mark.parametrize("audio_id, text, final, cause", [
+    pytest.param(None, GOOD_TEXT.replace("<|assistant|>", ""), "ab",
                  "holds 0 <|assistant|> markers, not one", id="no-assistant-marker"),
-    pytest.param(None, GOOD_TEXT.replace("FINAL: ab<|end|>", ""),
+    pytest.param(None, GOOD_TEXT.replace("FINAL: ab<|end|>", ""), "ab",
                  "its completion after <|assistant|> is empty", id="no-completion"),
-    pytest.param(None, GOOD_TEXT.replace("FINAL: ab", ""),
+    pytest.param(None, GOOD_TEXT.replace("FINAL: ab", ""), "ab",
                  "its completion after <|assistant|> is empty", id="end-marker-only"),
-    pytest.param(None, GOOD_TEXT.replace(" Transcribe", "<|audio|>Transcribe"),
+    pytest.param(None, GOOD_TEXT.replace(" Transcribe", "<|audio|>Transcribe"), "ab",
                  "holds 2 <|audio|> markers, not one", id="two-audio-markers"),
     pytest.param(None, GOOD_TEXT.replace("<|audio|>", "").replace("FINAL:", "FINAL:<|audio|>"),
-                 "its completion holds the chat marker <|audio|>", id="audio-in-completion"),
-    pytest.param(None, GOOD_TEXT.replace("ab<|end|>", "a<|end|>b"),
+                 "ab", "its completion holds the chat marker <|audio|>",
+                 id="audio-in-completion"),
+    pytest.param(None, GOOD_TEXT.replace("ab<|end|>", "a<|end|>b"), "ab",
                  "its completion does not end with <|end|>", id="text-after-end-marker"),
-    pytest.param(None, GOOD_TEXT.replace("ab", "az"),
+    pytest.param(None, GOOD_TEXT.replace("ab", "az"), "ab",
                  "character 'z' not in tokenizer charset", id="unknown-character"),
-    pytest.param("nope", GOOD_TEXT, "audio id not in manifest m.jsonl", id="unknown-audio-id"),
+    pytest.param(None, GOOD_TEXT, "az", "character 'z' not in tokenizer charset",
+                 id="unknown-character-in-final"),
+    pytest.param("nope", GOOD_TEXT, "ab", "audio id not in manifest m.jsonl",
+                 id="unknown-audio-id"),
 ])
 def test_a_malformed_sft_example_exits_2_naming_file_and_example_before_reading_audio(
-        tmp_path, monkeypatch, capsys, manifest, audio_id, text, cause):
+        tmp_path, monkeypatch, capsys, manifest, audio_id, text, final, cause):
     monkeypatch.chdir(tmp_path)
     first = _transcribed(manifest, "m.jsonl")
     monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     rows = [{"__header__": True, "charset": CharTokenizer.from_texts([GOOD_TEXT]).charset()},
             {"audio_id": first, "mode": "transcribe", "text": GOOD_TEXT, "final": "ab"},
-            {"audio_id": audio_id or first, "mode": "translate", "text": text, "final": "ab"}]
+            {"audio_id": audio_id or first, "mode": "translate", "text": text, "final": final}]
     Path("sft.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
     # no encoder file exists: the check comes before it is loaded
     assert main(["train-aligner", "--sft", "sft.jsonl", "--manifest", "m.jsonl",
@@ -1375,13 +1379,16 @@ def test_finetune_asr_test_record_with_no_text_exits_2_before_training(trained, 
     assert not Path("e.ckpt").exists()
 
 
+@pytest.mark.parametrize("text", ["a\nb\n", "ab"], ids=["two-symbols", "one-wide-symbol"])
 def test_finetune_asr_vocab_without_the_blank_first_names_the_file(trained, monkeypatch,
-                                                                   capsys):
+                                                                   capsys, text):
     monkeypatch.chdir(trained)
-    Path("bad.vocab").write_text("a\nb\n")
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    Path("bad.vocab").write_text(text)
     assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
                  "--config", "ft.json", "--vocab", "bad.vocab", "--out", "v.ckpt"]) == 2
-    assert "bad.vocab: vocab must start with '<blank>'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "slmforge finetune-asr: bad.vocab: vocab must start with '<blank>'\n")
     assert not Path("v.ckpt").exists()
 
 
@@ -1433,6 +1440,7 @@ def test_an_input_file_that_is_not_utf8_exits_2_naming_it(trained, tmp_path, mon
 def test_finetune_asr_vocab_missing_a_transcript_symbol_names_the_file_and_record(
         trained, monkeypatch, capsys):
     monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     Path("a.vocab").write_text("<blank>\na\n")
     first = Manifest.read("m.jsonl").records[0].id  # every transcript reads "ab"
     assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",

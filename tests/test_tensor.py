@@ -780,61 +780,60 @@ def _rows(rng, t, h, dh=3):
     return Tensor(rng.standard_normal((t, h * dh)), requires_grad=True)
 
 
-def _causal_bias(t):
-    return np.triu(np.full((t, t), -1e9), k=1) if t > 1 else None
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def _assert_near(got, want):
+    """Each array of ``got`` within 1e-12 of the largest magnitude of its
+    reference array in ``want``, or of 1 if that is larger. The inputs are
+    of unit scale, and some values are 0 in exact arithmetic, so both sides
+    hold only rounding: dQ and dK at one key row, where the composition
+    gives exactly 0 but g vᵀ and rowsum(g ∘ o) round apart, and a key bias,
+    whose gradient is 0 because a row's softmax ignores a shift of its
+    scores."""
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1.0)
+
+
+def _op_and_composition(t, h, seed, positions=None, t_all=None, dh=3):
+    """Output and q, k, v gradients of ``T.attention`` (masked by
+    ``positions``) and of the six-node composition (masked by a -1e9 bias),
+    on the same seeded (t, h·dh) queries and (t_all, h·dh) keys and values."""
+    t_all = t if t_all is None else t_all
+    bias = None
+    if positions is not None:
+        bias = np.where(np.arange(t_all) > positions[:, None], -1e9, 0.0)
+    results = []
+    for op, mask in ((T.attention, positions), (_reference_multi_head, bias)):
+        rng = np.random.default_rng(seed)
+        q, k, v = _rows(rng, t, h, dh), _rows(rng, t_all, h, dh), _rows(rng, t_all, h, dh)
+        out = op(q, k, v, h, mask)
+        tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    return results
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
 @pytest.mark.parametrize("h", [1, 2])
 @pytest.mark.parametrize("t", [1, 2, 7, 33])
-def test_attention_is_byte_equal_to_the_six_node_composition(t, h, causal):
-    """The causal op masks by query position; the composition adds -1e9."""
-    results = []
-    for op, mask in ((T.attention, np.arange(t) if causal and t > 1 else None),
-                     (_reference_multi_head, _causal_bias(t) if causal else None)):
-        rng = np.random.default_rng(1000 * t + 10 * h + causal)
-        q, k, v = (_rows(rng, t, h) for _ in range(3))
-        out = op(q, k, v, h, mask)
-        tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
-        results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
-    assert results[0] == results[1]
+def test_attention_matches_the_six_node_composition(t, h, causal):
+    _assert_near(*_op_and_composition(t, h, 1000 * t + 10 * h + causal,
+                                      np.arange(t) if causal else None))
 
 
-def _bias_attention(q, k, v, n_heads, bias=None):
-    """``tensor.attention`` as it was when it took an additive (rows of q,
-    rows of k) ``bias``, the causal callers passing -1e9 above the diagonal."""
-    d = q.data.shape[1]
-    dh = d // n_heads
-
-    def split(m):
-        return m.reshape(m.shape[0], n_heads, dh).transpose(1, 0, 2)
-
-    def join(m):
-        return m.transpose(1, 0, 2).reshape(m.shape[1], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = np.asarray(1.0 / np.sqrt(dh))
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    p *= scale
-    if bias is not None:
-        p += bias
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = join(np.matmul(p, vh))
-
-    def backward(grad):
-        grad = split(grad)
-        d_v = np.matmul(np.swapaxes(p, -1, -2), grad)
-        d_s = np.matmul(grad, np.swapaxes(vh, -1, -2))
-        d_s -= (d_s * p).sum(axis=-1, keepdims=True)
-        d_s *= p
-        d_s *= scale
-        _accumulate(q, join(np.matmul(d_s, kh)))
-        _accumulate(k, join(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), d_s), -1, -2)))
-        _accumulate(v, join(d_v))
-
-    return _make(out, (q, k, v), backward, "attention")
+@pytest.mark.parametrize("t, t_all, positions", [
+    (150, 150, None), (300, 300, None), (600, 600, None),
+    (115, 115, np.arange(115)),
+    (1, 116, None),
+    (5, 115, np.array([114, 3, 60, 61, 0])),
+], ids=["encoder-150", "encoder-300", "encoder-600", "causal-prefill", "cached-step", "rows"])
+def test_attention_matches_the_composition_at_the_bench_shapes(t, t_all, positions):
+    """2 heads of 16 columns, as the benchmark's encoder and LM run them:
+    encoder rows, an LM prefill, one decode step after 115 cached rows and
+    a scored subset of an LM's rows."""
+    _assert_near(*_op_and_composition(t, 2, t_all, positions, t_all, dh=16))
 
 
 def _masked_cases(shape, n=22):
@@ -857,20 +856,34 @@ def _masked_cases(shape, n=22):
 
 
 @pytest.mark.parametrize("shape", ["square", "cached", "rows"])
-def test_causal_positions_are_byte_equal_to_the_bias_path(shape):
-    """On this host: output and q/k/v gradients of the masked op equal those
-    of the -1e9 bias it replaced, byte for byte, in 22 cases per shape."""
+def test_causal_positions_match_the_composition_with_a_bias(shape):
+    """Output and q/k/v gradients of the masked op agree with the
+    composition under the -1e9 bias it replaced, in 22 cases per shape."""
     for t_all, h, positions in _masked_cases(shape):
-        bias = np.where(np.arange(t_all) > positions[:, None], -1e9, 0.0)
-        results = []
-        for op, mask in ((T.attention, positions), (_bias_attention, bias)):
-            rng = np.random.default_rng(t_all)
-            q = _rows(rng, len(positions), h, dh=4)
-            k, v = _rows(rng, t_all, h, dh=4), _rows(rng, t_all, h, dh=4)
-            out = op(q, k, v, h, mask)
-            tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
-            results.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)])
-        assert results[0] == results[1], (t_all, h, len(positions))
+        _assert_near(*_op_and_composition(len(positions), h, t_all, positions, t_all, dh=4))
+
+
+@pytest.mark.parametrize("shape", ["square", "cached", "rows"])
+def test_later_keys_and_values_leave_a_query_s_output_and_dq_rows_byte_identical(shape):
+    """Masked keys get e = 0.0 exactly, so new key and value rows after a
+    cut leave the output and dQ rows of every query at or before the cut
+    byte for byte as they were."""
+    for t_all, h, positions in _masked_cases(shape, n=8):
+        rng = np.random.default_rng(t_all)
+        q = rng.standard_normal((len(positions), h * 4))
+        kv = rng.standard_normal((2, t_all, h * 4))
+        grad = rng.standard_normal(q.shape)
+        cut = int(np.median(positions))
+        changed = kv.copy()
+        changed[:, cut + 1:] = rng.standard_normal(changed[:, cut + 1:].shape)
+        seen = positions <= cut
+        rows = []
+        for k, v in (kv, changed):
+            qt = Tensor(q, requires_grad=True)
+            out = T.attention(qt, Tensor(k), Tensor(v), h, positions)
+            tsum(out * Tensor(grad)).backward()
+            rows.append((out.data[seen].tobytes(), qt.grad[seen].tobytes()))
+        assert rows[0] == rows[1], (t_all, h, cut)
 
 
 @pytest.mark.parametrize("positions, message", [
@@ -908,7 +921,7 @@ def test_one_call_records_its_linears_and_one_attention_node(module, count):
 
 
 def _layer_grads(seed, causal, steps=2):
-    """Parameter and input bytes after ``steps`` Adam steps of one
+    """Parameters and input gradients after ``steps`` Adam steps of one
     transformer layer on two losses each."""
     rng = np.random.default_rng(seed)
     layer = TransformerLayer(8, 2, causal=causal, rng=rng)
@@ -916,41 +929,39 @@ def _layer_grads(seed, causal, steps=2):
     xs = [Tensor(rng.standard_normal((t, 8)), requires_grad=True) for t in (5, 9)]
     for _ in range(steps):
         train_step(opt, [tsum(layer(x) * layer(x)) for x in xs])
-    return ([p.data.tobytes() for p in layer.parameters()]
-            + [x.grad.tobytes() for x in xs])
+    return [p.data for p in layer.parameters()] + [x.grad for x in xs]
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-def test_transformer_training_is_byte_equal_to_the_six_node_composition(monkeypatch, causal):
+def test_transformer_training_matches_the_six_node_composition(monkeypatch, causal):
     got = _layer_grads(3, causal)
     monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
-    assert got == _layer_grads(3, causal)
+    _assert_near(got, _layer_grads(3, causal))
 
 
 def _cached_rows(seed, pieces):
-    """A causal layer's output for 12 rows fed with a cache in ``pieces``
+    """A causal layer's outputs for 12 rows fed with a cache in ``pieces``
     (row bounds), under no_grad."""
     rng = np.random.default_rng(seed)
     layer = TransformerLayer(8, 2, causal=True, rng=rng)
     x = rng.standard_normal((12, 8))
     cache = []
     with T.no_grad():
-        outs = [layer(Tensor(x[lo:hi]), cache).data for lo, hi in pieces]
-    return [o.tobytes() for o in outs]
+        return [layer(Tensor(x[lo:hi]), cache).data for lo, hi in pieces]
 
 
 def test_cached_prefill_and_single_rows_are_byte_equal_to_the_composition(monkeypatch):
     pieces = [(0, 6)] + [(i, i + 1) for i in range(6, 12)]
     got = _cached_rows(8, pieces)
     monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
-    assert got == _cached_rows(8, pieces)
+    assert _bytes(got) == _bytes(_cached_rows(8, pieces))
 
 
-def test_cached_multi_row_pieces_are_byte_equal_to_the_composition(monkeypatch):
+def test_cached_multi_row_pieces_match_the_composition(monkeypatch):
     pieces = [(0, 5), (5, 8), (8, 9), (9, 12)]
     got = _cached_rows(9, pieces)
     monkeypatch.setattr(MultiHeadSelfAttention, "__call__", _reference_self_attention)
-    assert got == _cached_rows(9, pieces)
+    _assert_near(got, _cached_rows(9, pieces))
 
 
 def _scored_rows(seed, rows, cached=0):
@@ -1048,7 +1059,7 @@ def test_a_second_loss_on_a_released_shared_subgraph_is_a_graph_error():
 def test_released_training_gives_the_retained_leaf_gradients(monkeypatch, causal):
     got = _layer_grads(4, causal)
     monkeypatch.setattr(Tensor, "backward", _retaining_backward)
-    assert got == _layer_grads(4, causal)
+    assert _bytes(got) == _bytes(_layer_grads(4, causal))
 
 
 def _two_losses_own_graphs():
