@@ -22,7 +22,6 @@ from slmforge.slm import (
     CausalLMConfig,
     FusionModel,
     FusionTrainConfig,
-    SpeechAligner,
     build_instruction_dataset,
     detect_repetition_loop,
     extract_multilayer_features,
@@ -62,18 +61,19 @@ lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,
 corpus = lm_stand_in_sequences(examples, tok, feats)
 hist = train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)
 print(f"LM pretraining loss: {hist[0][1]:.2f} -> {hist[-1][1]:.2f}; freezing the LM")
-lm.freeze()
 
-aligner = SpeechAligner(feats["u0"].shape[1], 48, seed=12)
+# the Speech LLM builds its aligner from the encoder's and the LM's widths;
+# train_aligner freezes the encoder and the LM and trains the aligner alone
+model = FusionModel(encoder, lm, tok, seed=12)
 pairs = [(feats[ex.audio_id], ex) for ex in examples]
-hist = train_aligner(lm, aligner, pairs, tok,
-                     FusionTrainConfig(steps=300, lr=1e-3, batch_size=2), seed=100)
+hist = train_aligner(model, pairs, FusionTrainConfig(steps=300, lr=1e-3, batch_size=2),
+                     seed=100)
 print(f"aligner-only fusion loss: {hist[0][1]:.3f} -> {hist[-1][1]:.3f}")
 
 print("\ngeneration (greedy until <|end|>):")
 correct = 0
 for ex in examples:
-    out = generate(lm, aligner, feats[ex.audio_id], "transcribe", tok, max_tokens=30)
+    out = generate(model, feats[ex.audio_id], "transcribe", max_tokens=30)
     parsed = parse_cot_output(out.text)
     flag = "" if not detect_repetition_loop(out.text) else "  [repetition loop]"
     correct += parsed.final == ex.final
@@ -81,12 +81,11 @@ for ex in examples:
 print(f"FINAL accuracy: {correct}/{len(examples)}")
 
 ckpt = Path(tempfile.mkdtemp(prefix="slmforge-demo-")) / "fusion.ckpt"
-save_checkpoint(FusionModel(encoder, lm, aligner, tok), ckpt, {"note": "demo 05"})
+save_checkpoint(model, ckpt, {"note": "demo 05"})
 back = load_checkpoint(ckpt, FusionModel)
 same = all(
-    generate(back.lm, back.aligner, feats[ex.audio_id], "transcribe", back.tokenizer,
-             max_tokens=30).text
-    == generate(lm, aligner, feats[ex.audio_id], "transcribe", tok, max_tokens=30).text
+    generate(back, feats[ex.audio_id], "transcribe", max_tokens=30).text
+    == generate(model, feats[ex.audio_id], "transcribe", max_tokens=30).text
     for ex in examples
 )
 print(f"\nfusion checkpoint {ckpt}: reloaded model generates the same text: {same}")

@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. ``curate``,
 ``--config`` whose keys are listed per subcommand in ``CONFIG_KEYS``; each
 key sets one dataclass field, whose default applies when the key is absent.
 Any other key, or a value whose JSON type does not fit the field, is an
-error naming the file, key and field (``config.config_fields``). The audio
+error naming the file, key and field (``config.config_fields``), and a value
+a dataclass rule rejects is an error naming the file and the key. The audio
 front end is fixed: ``_encoder_input`` resamples audio to the encoder's
 sample rate and standardizes its ``audio.log_mel``, a plain (T, n_mels)
 array per utterance. The encoder's record holds both numbers: ``pretrain``
@@ -29,10 +30,12 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -85,14 +88,16 @@ CONFIG_KEYS = {
 }
 
 
-def _config_fields(args) -> dict:
-    """Read ``args.config`` into {dataclass: {field: value}}: each key is
-    routed by ``CONFIG_KEYS`` and its value checked by ``config_fields``."""
+@contextlib.contextmanager
+def _config_fields(args):
+    """Read ``args.config`` into {dataclass: {field: value}}, each key routed
+    by ``CONFIG_KEYS`` and its value checked by ``config_fields``, and yield
+    it to the ``with`` block that builds the dataclasses. A ConfigError that
+    block raises, such as a dataclass rule, names the config file, and each
+    field it names is written as the key that sets it."""
     keys = CONFIG_KEYS[args.command]
     fields_by_class = {cls: {} for cls, _ in keys.values()}
-    if args.config is None:
-        return fields_by_class
-    raw = read_json(args.config)
+    raw = {} if args.config is None else read_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigError(f"config {args.config} must hold a JSON object")
     unknown = sorted(set(raw) - set(keys))
@@ -108,7 +113,12 @@ def _config_fields(args) -> dict:
                 cls, {key: value for key, value in raw.items() if key in routed}, routed)
         except ConfigError as exc:
             raise ConfigError(f"config {args.config}: {exc}") from None
-    return fields_by_class
+    try:
+        yield fields_by_class
+    except ConfigError as exc:
+        key_of = {name: key for key, (_, name) in keys.items()}
+        message = "".join(key_of.get(word, word) for word in re.split(r"(\W+)", str(exc)))
+        raise ConfigError(f"config {args.config}: {message}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -195,7 +205,9 @@ def _choices(flag: str, value: str, choices) -> list:
 
 
 def cmd_curate(args) -> int:
-    manifest = run_pipeline(args.paths, PipelineConfig(**_config_fields(args)[PipelineConfig]))
+    with _config_fields(args) as given:
+        cfg = PipelineConfig(**given[PipelineConfig])
+    manifest = run_pipeline(args.paths, cfg)
     manifest.write(args.out)
     h = manifest.header
     print(
@@ -208,18 +220,18 @@ def cmd_curate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
-    given = _config_fields(args)
-    train_cfg = PretrainConfig(**given[PretrainConfig])
-    # here, not in PretrainConfig: continued_pretrain with no epochs is a no-op
-    if train_cfg.epochs < 1:
-        raise ConfigError(f"config {args.config}: 'epochs' must be >= 1, got {train_cfg.epochs}")
-    encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
-    if encoder_cfg.input_dim < train_cfg.n_mfcc:
-        raise ConfigError(f"config {args.config}: 'n_mels' {encoder_cfg.input_dim} is below "
-                          f"the {train_cfg.n_mfcc} MFCCs the pretraining targets need")
-    if not 0 <= train_cfg.target_layer <= encoder_cfg.n_layers:
-        raise ConfigError(f"config {args.config}: 'target_layer' {train_cfg.target_layer} "
-                          f"is outside [0, {encoder_cfg.n_layers}], the encoder's layers")
+    with _config_fields(args) as given:
+        train_cfg = PretrainConfig(**given[PretrainConfig])
+        # here, not in PretrainConfig: continued_pretrain with no epochs is a no-op
+        if train_cfg.epochs < 1:
+            raise ConfigError(f"'epochs' must be >= 1, got {train_cfg.epochs}")
+        encoder_cfg = SpeechEncoderConfig(**given[SpeechEncoderConfig])
+        if encoder_cfg.input_dim < train_cfg.n_mfcc:
+            raise ConfigError(f"'n_mels' {encoder_cfg.input_dim} is below the "
+                              f"{train_cfg.n_mfcc} MFCCs the pretraining targets need")
+        if not 0 <= train_cfg.target_layer <= encoder_cfg.n_layers:
+            raise ConfigError(f"'target_layer' {train_cfg.target_layer} is outside "
+                              f"[0, {encoder_cfg.n_layers}], the encoder's layers")
     manifest = Manifest.read(args.manifest)
     if not manifest.records:
         raise ConfigError(f"manifest {args.manifest} has no records")
@@ -255,7 +267,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune_asr(args) -> int:
     seed = _resolve_seed(args)
-    cfg = asr_mod.FinetuneConfig(**_config_fields(args)[asr_mod.FinetuneConfig])
+    with _config_fields(args) as given:
+        cfg = asr_mod.FinetuneConfig(**given[asr_mod.FinetuneConfig])
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     manifest = Manifest.read(args.manifest)
 
@@ -324,11 +337,11 @@ def cmd_build_sft(args) -> int:
 
 def cmd_train_aligner(args) -> int:
     seed = _resolve_seed(args)
-    given = _config_fields(args)
-    fusion_cfg = slm_mod.FusionTrainConfig(**given[slm_mod.FusionTrainConfig])
-    # the vocabulary size comes from the SFT file; the LM's shape is checked
-    # before that file is read
-    lm_cfg = slm_mod.CausalLMConfig(vocab_size=1, **given[slm_mod.CausalLMConfig])
+    with _config_fields(args) as given:
+        fusion_cfg = slm_mod.FusionTrainConfig(**given[slm_mod.FusionTrainConfig])
+        # the vocabulary size comes from the SFT file; the LM's shape is
+        # checked before that file is read
+        lm_cfg = slm_mod.CausalLMConfig(vocab_size=1, **given[slm_mod.CausalLMConfig])
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
@@ -339,8 +352,9 @@ def cmd_train_aligner(args) -> int:
         raise ConfigError(f"{args.sft}: example {unknown.audio_id!r} ({unknown.mode}): "
                           f"audio id not in manifest {args.manifest}")
     lm_cfg = replace(lm_cfg, vocab_size=tokenizer.vocab_size)
-    lm = slm_mod.CausalLM(lm_cfg, seed=seed)
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
+    model = slm_mod.FusionModel(encoder, slm_mod.CausalLM(lm_cfg, seed=seed), tokenizer,
+                                fusion_cfg.aligner_hidden, seed=seed + 1)
 
     # every record's audio is read and checked before the encoder runs on any
     feature_cache = {rec.id: features for rec, features in _records_with_audio(
@@ -351,15 +365,10 @@ def cmd_train_aligner(args) -> int:
 
     if fusion_cfg.lm_steps:
         corpus = slm_mod.lm_stand_in_sequences(examples, tokenizer, feature_cache)
-        slm_mod.train_lm(lm, corpus, steps=fusion_cfg.lm_steps,
+        slm_mod.train_lm(model.lm, corpus, steps=fusion_cfg.lm_steps,
                          lr=fusion_cfg.lm_lr, seed=seed)
-    lm.freeze()
-
-    aligner = slm_mod.SpeechAligner(slm_mod.speech_feature_dim(encoder), lm_cfg.dim,
-                                    hidden=fusion_cfg.aligner_hidden, seed=seed + 1)
-    history = slm_mod.train_aligner(lm, aligner, pairs, tokenizer, fusion_cfg, seed=seed)
-    save_checkpoint(slm_mod.FusionModel(encoder, lm, aligner, tokenizer), args.out,
-                    _resolved_metadata(seed, lm_cfg, fusion_cfg))
+    history = slm_mod.train_aligner(model, pairs, fusion_cfg, seed=seed)
+    save_checkpoint(model, args.out, _resolved_metadata(seed, lm_cfg, fusion_cfg))
     last = history[-1][1] if history else float("nan")
     print(f"train-aligner: {len(history)} steps, final loss {last:.4f} -> {args.out}")
     return 0
@@ -385,8 +394,7 @@ def cmd_infer(args) -> int:
     features = _encoder_input(read_wav(args.wav), fusion.encoder.cfg, f"--wav {args.wav}",
                               min_frames=slm_mod.FRAME_STACK)
     speech = slm_mod.extract_multilayer_features(fusion.encoder, features)
-    result = slm_mod.generate(fusion.lm, fusion.aligner, speech, mode, fusion.tokenizer,
-                              max_tokens=args.max_tokens)
+    result = slm_mod.generate(fusion, speech, mode, max_tokens=args.max_tokens)
     parsed = slm_mod.parse_cot_output(result.text)
     looping = slm_mod.detect_repetition_loop(result.text)
     print(f"RAW: {result.text!r}")

@@ -3,7 +3,8 @@ checkpoint serialization.
 
 A parameter's ``requires_grad`` is its only trainability flag: ``freeze``
 clears it, so the parameter receives no gradients and the optimizer skips
-it, which is how encoder/LM freezing during fusion training is enforced.
+it; ``slm.train_aligner`` freezes the encoder and LM of the model it trains
+this way.
 Every trainer updates its weights through ``train_step``.
 
 Checkpoint byte layout (little-endian throughout):
@@ -98,11 +99,6 @@ class Module:
 
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def shape_advice(self, name: str) -> str:
-        """Text ``load_checkpoint`` appends to its error when a checkpoint's
-        tensor ``name`` has another shape than this module's; none here."""
-        return ""
 
 
 class ModuleList(Module):
@@ -426,9 +422,8 @@ def load_checkpoint(path, cls):
 
     The file's ``kind`` entry must be ``cls.kind``; ``cls.from_record(path,
     metadata)`` builds the module without drawing weights, and the file's
-    tensors must match its parameters exactly in names and shapes; a shape
-    mismatch error ends with the module's ``shape_advice`` for the tensor.
-    Every error names ``path``.
+    tensors must match its parameters exactly in names and shapes: a shape
+    mismatch names the tensor and both shapes. Every error names ``path``.
     """
     arrays, metadata = read_checkpoint(path)
     if metadata.get("kind") != cls.kind:
@@ -445,7 +440,6 @@ def load_checkpoint(path, cls):
             raise CheckpointError(
                 f"{path}: shape mismatch for parameter '{name}': "
                 f"checkpoint {tuple(arr.shape)} vs module {tuple(p.data.shape)}"
-                f"{model.shape_advice(name)}"
             )
         p.data = arr.astype(np.float64)
     if params:

@@ -184,6 +184,8 @@ class SpeechEncoderConfig:
 
     def __post_init__(self):
         require_at_least(self, dim=1, n_layers=1, n_heads=1)
+        if self.dim % self.n_heads:
+            raise ConfigError(f"dim {self.dim} is not divisible by n_heads {self.n_heads}")
         try:
             analysis_frame(self.sample_rate)
         except ConfigError as exc:
@@ -281,7 +283,7 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
     transformer, and the rows of the masked frames are gathered from the
     head's logits, so the loss is bit-invariant both to input features at
     masked positions and to labels at unmasked positions. An all-false mask
-    yields loss 0 with no gradient.
+    scores no rows, which ``cross_entropy`` rejects with a GraphError.
     """
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -290,8 +292,6 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
         raise GraphError(
             f"labels {labels.shape} / mask {mask.shape} do not match {t_out} output frames"
         )
-    if not mask.any():
-        return Tensor(0.0)
     rows = np.flatnonzero(mask)
     logits = encoder.logits(encoder.forward(features, mask=mask))
     return T.cross_entropy(T.embedding_lookup(logits, rows), labels[rows])

@@ -12,9 +12,10 @@ markers are fixed (``ChatTemplate``), so instruction sets and fusion
 checkpoints store only the tokenizer's charset. ``completion_start`` is the
 one rule for which tokens of an example are trained on, checked as an
 instruction set is read; fusion training scores those completion tokens
-only, with the encoder and LM frozen. ``FusionModel`` bundles the encoder,
-LM, aligner and tokenizer into the one model that ``nn.save_checkpoint`` and
-``nn.load_checkpoint`` store.
+only, with the encoder and LM frozen. ``FusionModel`` is the Speech LLM:
+the encoder, the LM, the aligner it builds between them and the tokenizer.
+``train_aligner``, ``fusion_loss`` and ``generate`` take it, and
+``nn.save_checkpoint`` and ``nn.load_checkpoint`` store it.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ class CausalLMConfig:
 
     def __post_init__(self):
         require_at_least(self, dim=1, n_layers=1, n_heads=1)
+        if self.dim % self.n_heads:
+            raise ConfigError(f"dim {self.dim} is not divisible by n_heads {self.n_heads}")
 
 
 class CausalLM(Module):
@@ -358,7 +361,7 @@ class SpeechAligner(Module):
         self.d_in = d_in
 
     def align(self, features) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
+        x = Tensor(np.asarray(features))
         if x.data.ndim != 2 or x.data.shape[1] != self.d_in:
             raise GraphError(
                 f"aligner expects (T, {self.d_in}) features, got {x.data.shape}"
@@ -383,10 +386,54 @@ def extract_multilayer_features(encoder: SpeechEncoder, features: np.ndarray) ->
     return frames[: FRAME_STACK * rows].reshape(rows, -1)
 
 
-def speech_feature_dim(encoder: SpeechEncoder) -> int:
-    """Width of an ``extract_multilayer_features`` row, the aligner's input:
-    ``dim`` per transformer layer for each of ``FRAME_STACK`` frames."""
-    return FRAME_STACK * encoder.cfg.dim * encoder.cfg.n_layers
+class FusionModel(Module):
+    """The Speech LLM: the encoder, the LM, the speech aligner it builds
+    between them, and the tokenizer that reads the LM's ids; all four
+    serialize into one checkpoint.
+
+    The aligner reads an ``extract_multilayer_features`` row, the encoder's
+    ``dim`` per transformer layer for each of ``FRAME_STACK`` frames, and
+    writes the LM's ``dim``; its hidden layer is ``aligner_hidden`` wide
+    (None: 4 x the LM's ``dim``), and ``seed`` draws its weights (None draws
+    none).
+    """
+
+    kind = "fusion"
+
+    def __init__(self, encoder: SpeechEncoder, lm: CausalLM, tokenizer: CharTokenizer,
+                 aligner_hidden: int | None = None, seed: int | None = 0):
+        super().__init__()
+        self.encoder = encoder
+        self.lm = lm
+        self.aligner = SpeechAligner(FRAME_STACK * encoder.cfg.dim * encoder.cfg.n_layers,
+                                     lm.cfg.dim, aligner_hidden, seed)
+        self.tokenizer = tokenizer
+
+    def record(self) -> dict:
+        """The encoder's checkpoint record, then ``lm_cfg``, ``charset`` and
+        ``aligner_hidden``."""
+        return {
+            **self.encoder.record(),
+            "lm_cfg": json.dumps(asdict(self.lm.cfg), sort_keys=True),
+            "charset": self.tokenizer.charset(),
+            "aligner_hidden": str(self.aligner.fc1.bias.data.shape[0]),
+        }
+
+    @classmethod
+    def from_record(cls, path, meta: dict) -> "FusionModel":
+        """A model, with no weights drawn, whose tokenizer has the LM's
+        ``vocab_size`` symbols."""
+        encoder = SpeechEncoder.from_record(path, meta)
+        lm = CausalLM(parse_field(path, meta, "lm_cfg",
+                                  lambda blob: read_config(CausalLMConfig, json.loads(blob))),
+                      seed=None)
+        hidden = parse_field(path, meta, "aligner_hidden", int)
+        tokenizer = parse_field(path, meta, "charset", CharTokenizer)
+        if tokenizer.vocab_size != lm.cfg.vocab_size:
+            raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
+                              f"{tokenizer.vocab_size} symbols, but lm_cfg has vocab_size "
+                              f"{lm.cfg.vocab_size}")
+        return cls(encoder, lm, tokenizer, hidden, seed=None)
 
 
 def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int) -> Tensor:
@@ -397,21 +444,22 @@ def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int) -> T
                      lm.embed(np.asarray(ids[p + 1 :], dtype=np.int64))], axis=0)
 
 
-def fusion_loss(lm: CausalLM, aligner: SpeechAligner, speech_features,
-                ids, tokenizer: CharTokenizer) -> Tensor:
-    """Next-token loss of the fused sequence over the example's completion.
+def fusion_loss(model: FusionModel, speech_rows, ids) -> Tensor:
+    """Next-token loss of ``model``'s fused sequence over the example's
+    completion.
 
-    The aligned speech block replaces the placeholder token, shifting
+    The aligned ``speech_rows`` replace the placeholder token, shifting
     positions of everything after it by T' - 1. The targets are
-    ``ids[start:]``, ``start`` being ``completion_start(ids, tokenizer)``
-    (which rejects an example that breaks the completion rule), and each
-    is predicted from the fused row before it, rows ``start - 1 + T' - 1``
+    ``ids[start:]``, ``start`` being ``completion_start`` of ``ids`` (which
+    rejects an example that breaks the completion rule), and each is
+    predicted from the fused row before it, rows ``start - 1 + T' - 1``
     onwards: the LM computes logits at those rows only, and cross-entropy
     gets those rows alone.
     """
     ids = list(ids)
+    tokenizer, lm = model.tokenizer, model.lm
     start = completion_start(ids, tokenizer)
-    speech = aligner.align(speech_features)
+    speech = model.aligner.align(speech_rows)
     fused = _fused_sequence(lm, speech, ids, tokenizer.token_id(ChatTemplate.audio_marker))
     rows = np.arange(start - 1, len(ids) - 1) + speech.data.shape[0] - 1
     return T.cross_entropy(lm.forward_embeddings(fused, rows=rows),
@@ -433,29 +481,27 @@ class FusionTrainConfig:
         require_at_least(self, steps=0, batch_size=1, lm_steps=0, aligner_hidden=1)
 
 
-def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
-                  tokenizer: CharTokenizer,
-                  cfg: FusionTrainConfig = FusionTrainConfig(), seed: int = 0):
-    """Aligner-only fusion training; the LM must already be frozen.
+def train_aligner(model: FusionModel, pairs, cfg: FusionTrainConfig = FusionTrainConfig(),
+                  seed: int = 0):
+    """Fusion training of ``model``'s aligner alone: its encoder and LM are
+    frozen first.
 
-    ``examples`` are (speech_features, InstructionExample) pairs with
-    speech features precomputed by extract_multilayer_features; each
-    example's encoded text is scored by ``fusion_loss`` over its completion.
-    ``seed`` draws the batches. Returns a history of (step, loss).
+    ``pairs`` are (speech rows, InstructionExample), the rows precomputed by
+    extract_multilayer_features; each example's encoded text is scored by
+    ``fusion_loss`` over its completion. ``seed`` draws the batches. Returns
+    a history of (step, loss).
     """
-    trainable = [name for name, p in lm.named_parameters() if p.requires_grad]
-    if trainable:
-        raise ConfigError(f"LM must be frozen during fusion training: {trainable[:3]}")
-    prepared = [(np.asarray(features), tokenizer.encode(ex.text)) for features, ex in examples]
+    model.encoder.freeze()
+    model.lm.freeze()
+    prepared = [(rows, model.tokenizer.encode(ex.text)) for rows, ex in pairs]
 
-    opt = Adam(aligner, lr=cfg.lr)
+    opt = Adam(model.aligner, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     history = []
     for step in range(cfg.steps):
         picks = rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
                            replace=False)
-        loss = train_step(opt, [fusion_loss(lm, aligner, *prepared[i], tokenizer)
-                                for i in picks])
+        loss = train_step(opt, [fusion_loss(model, *prepared[i]) for i in picks])
         history.append((step + 1, loss))
     return history
 
@@ -464,71 +510,15 @@ def train_aligner(lm: CausalLM, aligner: SpeechAligner, examples,
 # Generation and CoT parsing
 
 
-class FusionModel(Module):
-    """The Speech LLM: encoder, LM, the aligner between them, and the tokenizer
-    that reads the LM's ids, so all four serialize into one checkpoint."""
-
-    kind = "fusion"
-
-    def __init__(self, encoder: SpeechEncoder, lm: CausalLM, aligner: SpeechAligner,
-                 tokenizer: CharTokenizer):
-        super().__init__()
-        self.encoder = encoder
-        self.lm = lm
-        self.aligner = aligner
-        self.tokenizer = tokenizer
-
-    def record(self) -> dict:
-        """The encoder's checkpoint record, then ``lm_cfg``, ``charset`` and
-        ``aligner_hidden``."""
-        return {
-            **self.encoder.record(),
-            "lm_cfg": json.dumps(asdict(self.lm.cfg), sort_keys=True),
-            "charset": self.tokenizer.charset(),
-            "aligner_hidden": str(self.aligner.fc1.bias.data.shape[0]),
-        }
-
-    def shape_advice(self, name: str) -> str:
-        """For ``aligner.fc1.weight``: the width the aligner reads, which a
-        checkpoint written before the aligner read stacked frames lacks."""
-        if name != "aligner.fc1.weight":
-            return ""
-        cfg = self.encoder.cfg
-        return (f"; the aligner reads {self.aligner.d_in}-wide rows, {FRAME_STACK} "
-                f"stacked encoder frames of {cfg.n_layers} layer(s) x {cfg.dim}; re-run "
-                "train-aligner to write a fusion checkpoint at that width")
-
-    @classmethod
-    def from_record(cls, path, meta: dict) -> "FusionModel":
-        """A bundle, with no weights drawn, whose aligner maps the encoder's
-        layers into the LM's width and whose tokenizer has the LM's
-        ``vocab_size`` symbols."""
-        if "encoder_cfg" not in meta:
-            raise ConfigError(f"{path}: missing key 'encoder_cfg'; re-run train-aligner to "
-                              "write a fusion checkpoint that holds its encoder")
-        encoder = SpeechEncoder.from_record(path, meta)
-        lm = CausalLM(parse_field(path, meta, "lm_cfg",
-                                  lambda blob: read_config(CausalLMConfig, json.loads(blob))),
-                      seed=None)
-        aligner = SpeechAligner(speech_feature_dim(encoder), lm.cfg.dim,
-                                hidden=parse_field(path, meta, "aligner_hidden", int), seed=None)
-        tokenizer = parse_field(path, meta, "charset", CharTokenizer)
-        if tokenizer.vocab_size != lm.cfg.vocab_size:
-            raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
-                              f"{tokenizer.vocab_size} symbols, but lm_cfg has vocab_size "
-                              f"{lm.cfg.vocab_size}")
-        return cls(encoder, lm, aligner, tokenizer)
-
-
 @dataclass
 class GenerationResult:
     text: str
     truncated: bool
 
 
-def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
-             mode: str, tokenizer: CharTokenizer, max_tokens: int = 200) -> GenerationResult:
-    """Greedy decoding of the assistant turn until the end marker.
+def generate(model: FusionModel, speech_rows, mode: str,
+             max_tokens: int = 200) -> GenerationResult:
+    """Greedy decoding by ``model`` of the assistant turn until the end marker.
 
     The first step runs the LM over the fused prompt (the prefill) and
     keeps every layer's keys and values, computing logits at the prompt's
@@ -540,12 +530,13 @@ def generate(lm: CausalLM, aligner: SpeechAligner, speech_features,
     """
     if mode not in _MODE_TABLE:
         raise ConfigError(f"unknown mode {mode!r}")
+    tokenizer, lm = model.tokenizer, model.lm
     prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
     placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
     end_id = tokenizer.token_id(ChatTemplate.end_marker)
 
     with T.no_grad():
-        speech = aligner.align(np.asarray(speech_features))
+        speech = model.aligner.align(speech_rows)
         emb = _fused_sequence(lm, speech, prompt_ids, placeholder)
         caches = [[] for _ in lm.blocks]
         last = [emb.data.shape[0] - 1]  # the prefill's one scored row

@@ -59,7 +59,6 @@ from slmforge.slm import (
     CausalLMConfig,
     FusionModel,
     FusionTrainConfig,
-    SpeechAligner,
     build_instruction_dataset,
     extract_multilayer_features,
     fusion_loss,
@@ -352,24 +351,28 @@ def test_criterion_04_masking_contracts_bit_invariance():
         lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16,
                                      n_layers=1, n_heads=2), seed=trial)
         lm.freeze()
-        aligner = SpeechAligner(10, 16, hidden=8, seed=trial + 1)
+        # 10-wide speech rows: two stacked frames of one 5-wide encoder layer
+        model = FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=5, n_layers=1, n_heads=1), 4),
+                            lm, tok, aligner_hidden=8, seed=trial + 1)
+        aligner = model.aligner
         speech = rng.standard_normal((4, 10))
         ids = tok.encode(examples[0].text)
         mask = completion_mask(ids, tok)
 
         def run_fusion(loss_fn, *args):
             aligner.zero_grad()
-            loss = loss_fn(lm, aligner, speech, ids, *args)
+            loss = loss_fn(*args)
             loss.backward()
             return loss.item(), np.concatenate(
                 [p.grad.reshape(-1) for p in aligner.parameters()])
 
         # the loss scores the completion alone: it equals the masked
         # reference run with random targets everywhere off the completion
-        base_loss, base_grads = run_fusion(fusion_loss, tok)
+        base_loss, base_grads = run_fusion(fusion_loss, model, speech, ids)
         perturbed = [t if m else int(rng.integers(0, tok.vocab_size))
                      for t, m in zip(ids, mask)]
-        loss2, grads2 = run_fusion(masked_fusion_loss, mask, tok, perturbed)
+        loss2, grads2 = run_fusion(masked_fusion_loss, lm, aligner, speech, ids, mask, tok,
+                                   perturbed)
         assert loss2 == base_loss
         assert np.array_equal(base_grads, grads2)
 
@@ -397,20 +400,20 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
                                  n_heads=2), seed=2).freeze()
     # a speech row is encoder frames 2j and 2j + 1, each every layer's state
-    aligner = SpeechAligner(2 * ENC_CFG.n_layers * ENC_CFG.dim, 16, hidden=8, seed=3)
+    bundle = FusionModel(encoder, lm, tok, aligner_hidden=8, seed=3)
+    aligner = bundle.aligner
     feats = {ex.audio_id: rng.standard_normal((20, 8)) for ex in examples}
 
     encoder_before = checkpoint_bytes(encoder.state_arrays())
     lm_before = checkpoint_bytes(lm.state_arrays())
     aligner_before = checkpoint_bytes(aligner.state_arrays())
 
-    bundle = FusionModel(encoder, lm, aligner, tok)
     opt = Adam(bundle, lr=1e-3)
     for step in range(100):
         ex = examples[step % len(examples)]
         speech = extract_multilayer_features(encoder, feats[ex.audio_id])
         ids = tok.encode(ex.text)
-        loss = fusion_loss(lm, aligner, speech, ids, tok)
+        loss = fusion_loss(bundle, speech, ids)
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -515,24 +518,21 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
                                  n_heads=2), seed=11)
     corpus = lm_stand_in_sequences(examples, tok, feats)
     train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)
-    lm.freeze()
 
-    aligner = SpeechAligner(feats["u0"].shape[1], 48, seed=12)
+    model = FusionModel(encoder, lm, tok, seed=12)
     pairs = [(feats[ex.audio_id], ex) for ex in examples]
 
     def accuracy():
         good = 0
         for ex in examples:
-            out = generate(lm, aligner, feats[ex.audio_id], "transcribe", tok,
-                           max_tokens=30)
+            out = generate(model, feats[ex.audio_id], "transcribe", max_tokens=30)
             good += parse_cot_output(out.text).final == ex.final
         return good / len(examples)
 
     steps_done = 0
     acc = 0.0
     while steps_done < 3000:
-        train_aligner(lm, aligner, pairs, tok,
-                      FusionTrainConfig(steps=100, lr=1e-3, batch_size=2),
+        train_aligner(model, pairs, FusionTrainConfig(steps=100, lr=1e-3, batch_size=2),
                       seed=100 + steps_done)
         steps_done += 100
         acc = accuracy()

@@ -27,7 +27,7 @@ from slmforge.metrics import cer, wer
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
-    MODES, CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner,
+    MODES, CausalLM, CausalLMConfig, CharTokenizer, FusionModel,
 )
 from slmforge.synth import concat_buffers, silence, sine
 
@@ -187,7 +187,7 @@ def test_curate_unknown_plug_in_exits_2_naming_the_key_before_reading(
     cfg.write_text(json.dumps({key: value}))
     assert main(["curate", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
                  str(tmp_path / "in.wav")]) == 2
-    assert capsys.readouterr().err == f"slmforge curate: {shown}\n"
+    assert capsys.readouterr().err == f"slmforge curate: config {cfg}: {shown}\n"
     assert not (tmp_path / "m.jsonl").exists()
 
 
@@ -838,16 +838,15 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("pretrain", "n_heads", 0, "n_heads must be >= 1, got 0"),
     ("pretrain", "max_steps", 0, "max_steps must be >= 1, got 0"),
     ("pretrain", "max_steps", -1, "max_steps must be >= 1, got -1"),
-    ("pretrain", "epochs", 0, "config cfg.json: 'epochs' must be >= 1, got 0"),
-    ("pretrain", "epochs", -2, "config cfg.json: 'epochs' must be >= 1, got -2"),
+    ("pretrain", "epochs", 0, "'epochs' must be >= 1, got 0"),
+    ("pretrain", "epochs", -2, "'epochs' must be >= 1, got -2"),
     ("pretrain", "refresh_schedule", [-3],
      "refresh_schedule epochs must be integers in [1, 33), got -3"),
     ("pretrain", "refresh_schedule", [5, 33],
      "refresh_schedule epochs must be integers in [1, 33), got 33"),
-    ("pretrain", "target_layer", 7,
-     "config cfg.json: 'target_layer' 7 is outside [0, 2], the encoder's layers"),
+    ("pretrain", "target_layer", 7, "'target_layer' 7 is outside [0, 2], the encoder's layers"),
     ("pretrain", "target_layer", -1,
-     "config cfg.json: 'target_layer' -1 is outside [0, 2], the encoder's layers"),
+     "'target_layer' -1 is outside [0, 2], the encoder's layers"),
     ("finetune-asr", "steps", -1, "steps must be >= 0, got -1"),
     ("finetune-asr", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("finetune-asr", "eval_every", 0, "eval_every must be >= 1, got 0"),
@@ -855,16 +854,46 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("train-aligner", "lm_steps", -1, "lm_steps must be >= 0, got -1"),
     ("train-aligner", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("train-aligner", "aligner_hidden", 0, "aligner_hidden must be >= 1, got 0"),
-    ("train-aligner", "d_lm", 0, "dim must be >= 1, got 0"),
-    ("train-aligner", "lm_heads", 0, "n_heads must be >= 1, got 0"),
-    ("train-aligner", "lm_layers", 0, "n_layers must be >= 1, got 0"),
+    ("train-aligner", "d_lm", 0, "d_lm must be >= 1, got 0"),
+    ("train-aligner", "lm_heads", 0, "lm_heads must be >= 1, got 0"),
+    ("train-aligner", "lm_layers", 0, "lm_layers must be >= 1, got 0"),
 ])
 def test_training_config_value_out_of_range_exits_2_naming_the_key_before_reading(
         tmp_path, monkeypatch, capsys, command, key, value, shown):
     monkeypatch.chdir(tmp_path)  # none of the files NEEDED_ARGS names exists here
     Path("cfg.json").write_text(json.dumps({key: value}))
     assert main([command, "--config", "cfg.json", *NEEDED_ARGS[command]]) == 2
-    assert capsys.readouterr().err == f"slmforge {command}: {shown}\n"
+    assert capsys.readouterr().err == f"slmforge {command}: config cfg.json: {shown}\n"
+
+
+@pytest.mark.parametrize("command, given, shown", [
+    ("curate", {"min_dur_s": 40}, "min_dur_s must be below max_dur_s"),
+    ("finetune-asr", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ("train-aligner", {"lm_layers": 0}, "lm_layers must be >= 1, got 0"),
+    ("train-aligner", {"d_lm": 30, "lm_heads": 4}, "d_lm 30 is not divisible by lm_heads 4"),
+    ("pretrain", {"dim": 30, "n_heads": 4}, "dim 30 is not divisible by n_heads 4"),
+])
+def test_a_config_rule_error_names_the_file_and_the_key_as_written_before_reading_audio(
+        tmp_path, monkeypatch, capsys, manifest, command, given, shown):
+    for module in ("cli", "curate"):
+        monkeypatch.setattr(f"slmforge.{module}.read_wav", _no_read)
+    monkeypatch.setattr("slmforge.cli.load_checkpoint", _no_read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(given))
+    inputs = {
+        "curate": [Manifest.read(manifest).records[0].source_path],
+        "pretrain": ["--manifest", str(manifest)],
+        "finetune-asr": ["--manifest", str(manifest), "--encoder", "enc.ckpt"],
+        "train-aligner": ["--sft", "sft.jsonl", "--manifest", str(manifest),
+                          "--encoder", "enc.ckpt"],
+    }[command]
+    assert main([command, "--config", str(cfg), *inputs,
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"slmforge {command}: config {cfg}: {shown}\n"
+    assert all(key in shown for key in given)
+    assert not (tmp_path / "out").exists()
 
 
 def _float_keys(command):
@@ -923,8 +952,8 @@ def test_config_values_of_fitting_types_are_kept_as_given(tmp_path):
     given = {"epochs": 2, "lr": 1, "batch_seconds": 2.5, "refresh_schedule": [1],
              "max_steps": None, "mask_prob": 0}
     cfg.write_text(json.dumps(given))
-    got = _config_fields(argparse.Namespace(command="pretrain", config=str(cfg)))
-    merged = got[PretrainConfig]
+    with _config_fields(argparse.Namespace(command="pretrain", config=str(cfg))) as got:
+        merged = got[PretrainConfig]
     assert merged == given
     assert [type(merged[k]) for k in given] == [type(v) for v in given.values()]
 
@@ -1045,9 +1074,8 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-    # the aligner reads two stacked frames of the encoder's one 8-wide layer
     save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
-                                SpeechAligner(16, 8, hidden=4), tok), fusion, {})
+                                tok, aligner_hidden=4), fusion, {})
     argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
             Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
             "--max-tokens", "5"]
@@ -1062,14 +1090,17 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
     assert capsys.readouterr().out == want
 
 
-def test_a_fusion_checkpoint_at_the_unstacked_width_asks_for_train_aligner(
-        tmp_path, manifest, capsys):
+def test_a_fusion_checkpoint_at_the_unstacked_width_names_the_tensor_and_both_shapes(
+        tmp_path, monkeypatch, manifest, capsys):
     fusion = tmp_path / "fusion.ckpt"
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    model = FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm, tok,
+                        aligner_hidden=4)
     # written before the aligner stacked frames: one 8-wide frame per row
-    save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
-                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+    arrays = {**model.state_arrays(), "aligner.fc1.weight": np.zeros((8, 4))}
+    fusion.write_bytes(checkpoint_bytes(arrays, {"kind": "fusion", **model.record()}))
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
     assert main(["infer", "--fusion", str(fusion), "--wav",
                  Manifest.read(manifest).records[0].source_path, "--task", "transcribe",
                  "--max-tokens", "5"]) == 2
@@ -1077,9 +1108,7 @@ def test_a_fusion_checkpoint_at_the_unstacked_width_asks_for_train_aligner(
     assert captured.out == ""
     assert captured.err == (
         f"slmforge infer: {fusion}: shape mismatch for parameter 'aligner.fc1.weight': "
-        "checkpoint (8, 4) vs module (16, 4); the aligner reads 16-wide rows, 2 stacked "
-        "encoder frames of 1 layer(s) x 8; re-run train-aligner to write a fusion "
-        "checkpoint at that width\n")
+        "checkpoint (8, 4) vs module (16, 4)\n")
 
 
 @pytest.mark.parametrize("extra", ["ÀÁÂÃÄÅÆÇÈÉ", "0123456789"])
@@ -1090,7 +1119,7 @@ def test_infer_on_a_charset_that_does_not_fit_the_lm_names_file_and_charset(
     tok = CharTokenizer("Transcribe the audio.")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
     save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
-                                SpeechAligner(8, 8, hidden=4), tok), fusion, {})
+                                tok, aligner_hidden=4), fusion, {})
     arrays, meta = read_checkpoint(fusion)
     meta["charset"] += extra
     fusion.write_bytes(checkpoint_bytes(arrays, meta))
@@ -1125,7 +1154,7 @@ def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
     else:
         tok = CharTokenizer("ab")
         lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
-        model = FusionModel(encoder, lm, SpeechAligner(64, 8, hidden=4), tok)
+        model = FusionModel(encoder, lm, tok, aligner_hidden=4)
     save_checkpoint(model, init, {})
     cfg = tmp_path / "pretrain.json"
     cfg.write_text('{"max_steps": 1, "k": 4}')
@@ -1306,7 +1335,7 @@ def test_infer_with_an_encoder_the_fusion_model_was_not_trained_with_names_both_
 
 
 @pytest.mark.parametrize("encoder", [(), ("--encoder", "encoder.ckpt")])
-def test_infer_on_a_fusion_checkpoint_without_its_encoder_says_to_retrain(
+def test_infer_on_a_fusion_checkpoint_without_its_encoder_names_file_and_key(
         trained, monkeypatch, capsys, encoder):
     monkeypatch.chdir(trained)
     arrays, meta = read_checkpoint("fusion.ckpt")
@@ -1320,7 +1349,7 @@ def test_infer_on_a_fusion_checkpoint_without_its_encoder_says_to_retrain(
     assert main(_infer_argv("old.ckpt", *encoder)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "old.ckpt: missing key 'encoder_cfg'; re-run train-aligner" in captured.err
+    assert captured.err == "slmforge infer: old.ckpt: missing key 'encoder_cfg'\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--external-scores", "--rows", "--lexicon"])

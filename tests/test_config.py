@@ -2,6 +2,7 @@
 dataclass, and every site that reads a config record."""
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -11,7 +12,7 @@ from slmforge.cli import main
 from slmforge.config import config_fields, read_config
 from slmforge.curate import PipelineConfig
 from slmforge.errors import ConfigError
-from slmforge.nn import checkpoint_bytes, read_checkpoint, save_checkpoint
+from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CausalLM,
@@ -19,7 +20,6 @@ from slmforge.slm import (
     CharTokenizer,
     FusionModel,
     FusionTrainConfig,
-    SpeechAligner,
 )
 
 CONFIGS = [
@@ -109,7 +109,7 @@ def _save_fusion(path):
     tok = CharTokenizer("ab")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=6, n_layers=1), 3)
-    save_checkpoint(FusionModel(encoder, lm, SpeechAligner(6, 8, hidden=4), tok), path, {})
+    save_checkpoint(FusionModel(encoder, lm, tok, aligner_hidden=4), path, {})
 
 
 def _config_file(tmp_path, obj):
@@ -164,3 +164,21 @@ def test_every_reader_site_exits_2_naming_file_key_and_field(
     if case == "unknown-key":
         assert "'foo'" in err
 
+
+
+@pytest.mark.parametrize("save, entry, cls", [
+    (_save_encoder, "encoder_cfg", SpeechEncoder),
+    (_save_asr, "encoder_cfg", CtcModel),
+    (_save_fusion, "encoder_cfg", FusionModel),
+    (_save_fusion, "lm_cfg", FusionModel),
+])
+def test_a_model_config_whose_heads_do_not_divide_dim_names_file_and_entry(
+        tmp_path, save, entry, cls):
+    path = tmp_path / "model.ckpt"
+    save(path)
+    arrays, meta = read_checkpoint(path)
+    meta[entry] = json.dumps({**json.loads(meta[entry]), "dim": 30, "n_heads": 4})
+    path.write_bytes(checkpoint_bytes(arrays, meta))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: bad value for {entry!r}: dim 30 is not divisible by n_heads 4")):
+        load_checkpoint(path, cls)

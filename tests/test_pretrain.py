@@ -547,14 +547,14 @@ def test_masked_loss_on_gathered_rows_keeps_the_masked_reference_gradients(seed,
     assert abs(loss - ref_loss) <= 4 * np.spacing(abs(ref_loss))
 
 
-def test_masked_loss_all_false_mask_is_zero():
+def test_masked_loss_on_an_all_false_mask_is_a_graph_error():
+    # no caller passes one: an empty mask scores no rows
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=0)
     feats = np.random.default_rng(5).standard_normal((20, 8))
     t_out = enc.output_len(20)
-    loss = masked_prediction_loss(enc, feats, np.zeros(t_out, dtype=np.int64),
-                                  np.zeros(t_out, dtype=bool))
-    assert loss.item() == 0.0
-    assert not loss.requires_grad
+    with pytest.raises(GraphError, match="cross_entropy needs at least one row"):
+        masked_prediction_loss(enc, feats, np.zeros(t_out, dtype=np.int64),
+                               np.zeros(t_out, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import (
 
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
-from slmforge.nn import load_checkpoint, save_checkpoint
+from slmforge.nn import Module, checkpoint_bytes, load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge import tensor as T
 from slmforge.slm import (
@@ -37,7 +37,6 @@ from slmforge.slm import (
     parse_cot_output,
     read_instruction_dataset,
     render_chat,
-    speech_feature_dim,
     train_aligner,
     train_lm,
     write_instruction_dataset,
@@ -373,8 +372,7 @@ def test_stacked_rows_are_byte_equal_to_unstacked_frame_pairs(n_in, n_layers):
     ref = _unstacked_multilayer_features(enc, feats)
     assert len(ref) == n_in // 2
     out = extract_multilayer_features(enc, feats)
-    assert out.shape == (len(ref) // 2, 2 * n_layers * 16) == (
-        len(ref) // 2, speech_feature_dim(enc))
+    assert out.shape == (len(ref) // 2, 2 * n_layers * 16)
     for j, row in enumerate(out):
         assert row.tobytes() == np.concatenate([ref[2 * j], ref[2 * j + 1]]).tobytes()
 
@@ -392,7 +390,13 @@ def test_one_encoder_frame_makes_no_speech_row(n_in):
 # Fusion loss
 
 
+# an encoder whose speech rows are 12 wide: two stacked frames of one 6-wide layer
+WIDTH_12 = SpeechEncoderConfig(dim=6, n_layers=1)
+
+
 def _fusion_setup(seed=0):
+    """A FusionModel with a frozen one-block LM and an 8-wide aligner, its
+    tokenizer's examples, and 5 speech rows for its 12-wide aligner input."""
     examples, tok, _ = build_instruction_dataset(
         [_record(), _record(id="r1", transcript="deedeet", translation="ok")],
         ["transcribe"],
@@ -400,14 +404,15 @@ def _fusion_setup(seed=0):
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
                                  n_heads=2), seed=seed)
     lm.freeze()
-    aligner = SpeechAligner(12, 16, hidden=8, seed=seed + 1)
+    model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=8, seed=seed + 1)
     rng = np.random.default_rng(seed)
     speech = rng.standard_normal((5, 12))
-    return lm, aligner, tok, examples, speech
+    return model, examples, speech
 
 
 def test_fused_sequence_length_arithmetic():
-    lm, aligner, tok, examples, speech = _fusion_setup()
+    model, examples, speech = _fusion_setup()
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     ids = tok.encode(examples[0].text)
     t_prime = 5
     # probe through the logits row count of a forward pass
@@ -425,34 +430,35 @@ def test_fused_sequence_length_arithmetic():
 
 
 def test_fusion_loss_trains_only_aligner():
-    lm, aligner, tok, examples, speech = _fusion_setup()
-    enc_before = {n: p.data.copy() for n, p in lm.named_parameters()}
-    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text), tok)
+    model, examples, speech = _fusion_setup()
+    lm_before = {n: p.data.copy() for n, p in model.lm.named_parameters()}
+    loss = fusion_loss(model, speech, model.tokenizer.encode(examples[0].text))
     loss.backward()
-    for name, p in lm.named_parameters():
+    for name, p in model.lm.named_parameters():
         assert p.grad is None
-        assert p.data.tobytes() == enc_before[name].tobytes()
-    assert any(p.grad is not None for p in aligner.parameters())
+        assert p.data.tobytes() == lm_before[name].tobytes()
+    assert any(p.grad is not None for p in model.aligner.parameters())
 
 
 def test_fusion_loss_equals_the_masked_reference_with_random_targets_off_the_completion():
-    lm, aligner, tok, examples, speech = _fusion_setup(seed=3)
+    model, examples, speech = _fusion_setup(seed=3)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     ids = tok.encode(examples[0].text)
     mask = completion_mask(ids, tok)
     rng = np.random.default_rng(0)
     perturbed = [t if m else int(rng.integers(0, tok.vocab_size)) for t, m in zip(ids, mask)]
     assert perturbed != ids
-    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    got = _loss_and_aligner_grads(fusion_loss, aligner, model, speech, ids)
     want = _loss_and_aligner_grads(masked_fusion_loss, aligner, lm, aligner, speech, ids, mask,
                                    tok, perturbed)
     assert got == want
 
 
 def test_fusion_loss_requires_single_placeholder():
-    lm, aligner, tok, examples, speech = _fusion_setup()
-    bad = tok.encode("FINAL: waaw<|end|>")
+    model, examples, speech = _fusion_setup()
+    bad = model.tokenizer.encode("FINAL: waaw<|end|>")
     with pytest.raises(ConfigError, match=re.escape("holds 0 <|audio|> markers, not one")):
-        fusion_loss(lm, aligner, speech, bad, tok)
+        fusion_loss(model, speech, bad)
 
 
 def test_fusion_loss_on_example_runs_through_encoder():
@@ -462,10 +468,11 @@ def test_fusion_loss_on_example_runs_through_encoder():
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
                                  n_heads=2), seed=0)
     lm.freeze()
-    aligner = SpeechAligner(2 * 2 * 16, 16, hidden=8, seed=2)  # 2 frames x 2 layers
+    model = FusionModel(enc, lm, tok, aligner_hidden=8, seed=2)
+    assert model.aligner.d_in == 2 * 2 * 16  # 2 frames x 2 layers
     feats = np.random.default_rng(3).standard_normal((20, 8))
     speech = extract_multilayer_features(enc, feats)
-    loss = fusion_loss(lm, aligner, speech, tok.encode(examples[0].text), tok)
+    loss = fusion_loss(model, speech, tok.encode(examples[0].text))
     assert np.isfinite(loss.item())
 
 
@@ -546,9 +553,10 @@ FUSION_TEXTS = [
 @pytest.mark.parametrize("case", range(len(FUSION_TEXTS)))
 @pytest.mark.parametrize("seed", [0, 5])
 def test_fusion_loss_bit_identical_to_reference_assembly(case, seed):
-    lm, aligner, tok, examples, speech = _fusion_setup(seed=seed)
+    model, examples, speech = _fusion_setup(seed=seed)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     ids = tok.encode(FUSION_TEXTS[case] or examples[1].text)
-    got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    got = _loss_and_aligner_grads(fusion_loss, aligner, model, speech, ids)
     want = _loss_and_aligner_grads(_reference_fusion_loss, aligner, lm, aligner, speech, ids,
                                    completion_mask(ids, tok), tok)
     assert got == want
@@ -564,11 +572,12 @@ def test_fusion_loss_equals_the_masked_reference_on_every_bench_sft_text(
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1, n_heads=2),
                   seed=seed)
     lm.freeze()
-    aligner = SpeechAligner(12, 16, hidden=8, seed=seed + 1)
+    model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=8, seed=seed + 1)
+    aligner = model.aligner
     speech = np.random.default_rng(seed).standard_normal((7, 12))
     for text in texts:
         ids = tok.encode(text)
-        got = _loss_and_aligner_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+        got = _loss_and_aligner_grads(fusion_loss, aligner, model, speech, ids)
         want = _loss_and_aligner_grads(masked_fusion_loss, aligner, lm, aligner, speech, ids,
                                        completion_mask(ids, tok), tok)
         assert got == want, text
@@ -581,7 +590,8 @@ def test_fusion_loss_equals_the_masked_reference_on_every_bench_sft_text(
 ])
 @pytest.mark.parametrize("generated", [[], [4, 5, 4]])
 def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, generated):
-    lm, aligner, tok, _, speech = _fusion_setup(seed=2)
+    model, _, speech = _fusion_setup(seed=2)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(prompt)
     placeholder = tok.token_id("<|audio|>")
     generated = generated + [placeholder]  # a generated audio marker is an ordinary token
@@ -600,19 +610,20 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
 def test_generate_matches_reference_loop(seed):
-    lm, aligner, tok, _, speech = _fusion_setup(seed=seed)
-    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=12)
-    assert (got.text, got.truncated) == _reference_generate(lm, aligner, speech,
-                                                            "transcribe", tok, 12)
+    model, _, speech = _fusion_setup(seed=seed)
+    got = generate(model, speech, "transcribe", max_tokens=12)
+    assert (got.text, got.truncated) == _reference_generate(
+        model.lm, model.aligner, speech, "transcribe", model.tokenizer, 12)
 
 
 @pytest.mark.parametrize("forced", ["<|end|>", "<|audio|>"])
 def test_generate_matches_reference_loop_when_one_token_dominates(forced):
     """The end marker stops generation at once; a generated audio marker is an
     ordinary token, not a second placeholder."""
-    lm, aligner, tok, _, speech = _fusion_setup(seed=4)
+    model, _, speech = _fusion_setup(seed=4)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     lm.head.bias.data[tok.token_id(forced)] = 1e3
-    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=5)
+    got = generate(model, speech, "transcribe", max_tokens=5)
     want = _reference_generate(lm, aligner, speech, "transcribe", tok, 5)
     assert (got.text, got.truncated) == want
     assert got.truncated == (forced == "<|audio|>")
@@ -628,15 +639,15 @@ def test_generate_matches_reference_loop_when_one_token_dominates(forced):
 
 
 def _cache_setup(seed):
-    """A two-layer LM and 40 aligned speech frames, so both the cache of a
-    later layer and BLAS's matrix kernels take part."""
+    """A FusionModel with a two-layer LM, and 40 speech rows, so both the
+    cache of a later layer and BLAS's matrix kernels take part."""
     tok = _tok([chat_prompt(_MODE_TABLE["transcribe"][0])])
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=2,
                                  n_heads=4), seed=seed)
     lm.freeze()
-    aligner = SpeechAligner(12, 32, hidden=16, seed=seed + 1)
+    model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=16, seed=seed + 1)
     speech = np.random.default_rng(seed).standard_normal((40, 12))
-    return lm, aligner, tok, speech
+    return model, speech
 
 
 def _fresh_caches(lm):
@@ -645,7 +656,8 @@ def _fresh_caches(lm):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
-    lm, aligner, tok, speech = _cache_setup(seed)
+    model, speech = _cache_setup(seed)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     with T.no_grad():
         fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
@@ -657,7 +669,8 @@ def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_cached_steps_match_the_reference_logits(seed):
-    lm, aligner, tok, speech = _cache_setup(seed)
+    model, speech = _cache_setup(seed)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     placeholder = tok.token_id("<|audio|>")
     rng = np.random.default_rng(seed)
@@ -680,7 +693,8 @@ def test_cached_steps_match_the_reference_logits(seed):
 
 def test_a_sequence_fed_in_pieces_gives_the_logits_of_the_whole():
     """Pieces of several rows after cached ones get the offset causal mask."""
-    lm, _, tok, _ = _cache_setup(5)
+    model, _ = _cache_setup(5)
+    lm, tok = model.lm, model.tokenizer
     emb = lm.embed(np.random.default_rng(5).integers(0, tok.vocab_size, 30))
     caches = _fresh_caches(lm)
     with T.no_grad():
@@ -693,14 +707,15 @@ def test_a_sequence_fed_in_pieces_gives_the_logits_of_the_whole():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_generate_with_a_larger_lm_matches_reference_loop(seed):
-    lm, aligner, tok, speech = _cache_setup(seed)
-    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=30)
-    assert (got.text, got.truncated) == _reference_generate(lm, aligner, speech,
-                                                            "transcribe", tok, 30)
+    model, speech = _cache_setup(seed)
+    got = generate(model, speech, "transcribe", max_tokens=30)
+    assert (got.text, got.truncated) == _reference_generate(
+        model.lm, model.aligner, speech, "transcribe", model.tokenizer, 30)
 
 
 def test_a_non_finite_cached_key_raises_naming_the_op():
-    lm, aligner, tok, speech = _cache_setup(2)
+    model, speech = _cache_setup(2)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     caches = _fresh_caches(lm)
     with T.no_grad():
@@ -765,10 +780,12 @@ def _scored_fusion_setup(seed, n_layers):
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=n_layers,
                                  n_heads=2), seed=seed)
     lm.freeze()
-    aligner = SpeechAligner(24, 32, hidden=64, seed=seed + 1)
+    # two stacked frames of one 12-wide encoder layer: 24-wide speech rows
+    model = FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=12, n_layers=1), 3), lm, tok,
+                        aligner_hidden=64, seed=seed + 1)
     speech = np.random.default_rng(seed).standard_normal((150, 24))
     ids = tok.encode(examples[0].text)
-    return lm, aligner, tok, speech, ids
+    return model, speech, ids
 
 
 def _loss_and_grads(loss_fn, aligner, *args):
@@ -781,10 +798,11 @@ def _loss_and_grads(loss_fn, aligner, *args):
 @pytest.mark.parametrize("seed", [0, 4])
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_fusion_loss_at_scored_rows_matches_the_full_pass(n_layers, seed):
-    lm, aligner, tok, speech, ids = _scored_fusion_setup(seed, n_layers)
+    model, speech, ids = _scored_fusion_setup(seed, n_layers)
+    lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     mask = completion_mask(ids, tok)
     assert 0 < sum(mask) < (len(ids) + len(speech)) // 2  # most fused rows unscored
-    loss, grads = _loss_and_grads(fusion_loss, aligner, lm, aligner, speech, ids, tok)
+    loss, grads = _loss_and_grads(fusion_loss, aligner, model, speech, ids)
     want_loss, want_grads = _loss_and_grads(_full_pass_fusion_loss, aligner, lm, aligner,
                                             speech, ids, mask, tok)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -793,7 +811,8 @@ def test_fusion_loss_at_scored_rows_matches_the_full_pass(n_layers, seed):
 
 
 def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
-    lm, aligner, tok, speech, ids = _scored_fusion_setup(1, 2)
+    model, speech, ids = _scored_fusion_setup(1, 2)
+    tok = model.tokenizer
     asked = []
     forward = CausalLM.forward_embeddings
 
@@ -802,11 +821,11 @@ def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
         return forward(self, emb, caches, rows)
 
     monkeypatch.setattr(CausalLM, "forward_embeddings", recording)
-    fusion_loss(lm, aligner, speech, ids, tok)
+    fusion_loss(model, speech, ids)
     scored = [j for j, m in enumerate(completion_mask(ids, tok)) if m]
     assert asked == [(len(ids) - 1 + len(speech), [j + len(speech) - 2 for j in scored])]
     asked.clear()
-    generate(lm, aligner, speech, "transcribe", tok, max_tokens=3)
+    generate(model, speech, "transcribe", max_tokens=3)
     prompt_rows = len(tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))) - 1 + len(speech)
     assert asked[0] == (prompt_rows, [prompt_rows - 1])
     assert all(step == (1, None) for step in asked[1:])
@@ -816,7 +835,8 @@ def test_fusion_and_prefill_ask_the_lm_for_the_rows_they_read(monkeypatch):
 def test_forward_at_rows_keeps_every_rows_keys_and_values(cached):
     """Logits at ``rows`` match the full pass's rows to 1e-12, and the
     caches hold the same key and value bytes as after the full pass."""
-    lm, aligner, tok, speech = _cache_setup(6)
+    model, _ = _cache_setup(6)
+    lm, tok = model.lm, model.tokenizer
     emb = lm.embed(np.random.default_rng(6).integers(0, tok.vocab_size, 50))
     rows = [40, 3, 20]  # into the 41 or 50 rows of the second call
     results = []
@@ -838,12 +858,12 @@ def test_forward_at_rows_keeps_every_rows_keys_and_values(cached):
 ])
 def test_generate_matches_the_full_prefill_text(setup, seed):
     if setup == "small":
-        lm, aligner, tok, _, speech = _fusion_setup(seed=seed)
+        model, _, speech = _fusion_setup(seed=seed)
     else:
-        lm, aligner, tok, speech = _cache_setup(seed)
-    got = generate(lm, aligner, speech, "transcribe", tok, max_tokens=30)
-    assert (got.text, got.truncated) == _full_pass_generate(lm, aligner, speech,
-                                                            "transcribe", tok, 30)
+        model, speech = _cache_setup(seed)
+    got = generate(model, speech, "transcribe", max_tokens=30)
+    assert (got.text, got.truncated) == _full_pass_generate(
+        model.lm, model.aligner, speech, "transcribe", model.tokenizer, 30)
 
 
 def test_lm_causality_future_tokens_do_not_change_past_logits():
@@ -870,23 +890,53 @@ def test_train_lm_reduces_loss():
     assert history[-1][1] < history[0][1]
 
 
-def test_train_aligner_requires_frozen_lm():
-    lm, aligner, tok, examples, speech = _fusion_setup()
-    for p in lm.parameters():
-        p.requires_grad = True
-    with pytest.raises(ConfigError, match="frozen"):
-        train_aligner(lm, aligner, [(speech, examples[0])], tok,
-                      FusionTrainConfig(steps=1))
+class _FusionBundle(FusionModel):
+    """``FusionModel`` as it was before it built its aligner: the caller
+    sized and drew the aligner and passed it in."""
+
+    def __init__(self, encoder, lm, aligner, tokenizer):
+        Module.__init__(self)
+        self.encoder = encoder
+        self.lm = lm
+        self.aligner = aligner
+        self.tokenizer = tokenizer
 
 
-def test_train_aligner_names_the_first_trainable_lm_parameters():
-    lm, aligner, tok, examples, speech = _fusion_setup()
-    for p in [*lm.final_norm.parameters(), lm.head.bias]:
+@pytest.mark.parametrize("hidden, seed", [(8, 1), (None, 4)])
+def test_a_fusion_model_builds_the_aligner_its_callers_built(hidden, seed):
+    """``FusionModel(encoder, lm, tokenizer, hidden, seed)`` writes the
+    checkpoint bytes of the bundle around ``SpeechAligner(width, dim, hidden,
+    seed=seed)`` that it replaced: the same parameter order, record and
+    aligner draws."""
+    tok = _tok(["waaw deedeet"])
+    encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=6, n_layers=2), 3, seed=2)
+    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1), seed=3)
+    # two stacked frames of two 6-wide layers
+    old = _FusionBundle(encoder, lm, SpeechAligner(2 * 2 * 6, 16, hidden, seed=seed), tok)
+    new = FusionModel(encoder, lm, tok, hidden, seed=seed)
+    assert [name for name, _ in new.named_parameters()] == [
+        name for name, _ in old.named_parameters()]
+    assert checkpoint_bytes(new.state_arrays(), new.record()) == checkpoint_bytes(
+        old.state_arrays(), old.record())
+
+
+def test_train_aligner_freezes_the_encoder_and_lm_and_trains_the_aligner_alone():
+    model, examples, speech = _fusion_setup(seed=6)
+    for p in [*model.encoder.parameters(), *model.lm.parameters()]:
         p.requires_grad = True
-    with pytest.raises(ConfigError) as info:
-        train_aligner(lm, aligner, [(speech, examples[0])], tok,
-                      FusionTrainConfig(steps=1))
-    assert "['final_norm.gain', 'final_norm.bias', 'head.bias']" in str(info.value)
+    frozen = {name: p.data.tobytes() for name, p in model.named_parameters()
+              if not name.startswith("aligner.")}
+    aligner_before = checkpoint_bytes(model.aligner.state_arrays())
+    history = train_aligner(model, [(speech, ex) for ex in examples],
+                            FusionTrainConfig(steps=3, lr=1e-2), seed=1)
+    assert [step for step, _ in history] == [1, 2, 3]
+    for name, p in model.named_parameters():
+        if name.startswith("aligner."):
+            assert p.requires_grad and p.grad is not None, name
+        else:
+            assert not p.requires_grad and p.grad is None, name
+            assert p.data.tobytes() == frozen[name], name
+    assert checkpoint_bytes(model.aligner.state_arrays()) != aligner_before
 
 
 # ---------------------------------------------------------------------------
@@ -894,16 +944,16 @@ def test_train_aligner_names_the_first_trainable_lm_parameters():
 
 
 def test_generate_max_tokens_zero_sets_truncation():
-    lm, aligner, tok, examples, speech = _fusion_setup()
-    out = generate(lm, aligner, speech, "transcribe", tok, max_tokens=0)
+    model, examples, speech = _fusion_setup()
+    out = generate(model, speech, "transcribe", max_tokens=0)
     assert out.text == ""
     assert out.truncated
 
 
 def test_generate_deterministic():
-    lm, aligner, tok, examples, speech = _fusion_setup(seed=7)
-    a = generate(lm, aligner, speech, "transcribe", tok, max_tokens=10)
-    b = generate(lm, aligner, speech, "transcribe", tok, max_tokens=10)
+    model, examples, speech = _fusion_setup(seed=7)
+    a = generate(model, speech, "transcribe", max_tokens=10)
+    b = generate(model, speech, "transcribe", max_tokens=10)
     assert a.text == b.text
     assert a.truncated == b.truncated
 
@@ -953,13 +1003,13 @@ def test_repetition_loop_boundary_exactly_k():
 
 
 def test_fusion_save_load_round_trip(tmp_path):
-    lm, aligner, tok, examples, speech = _fusion_setup(seed=11)
+    model, examples, speech = _fusion_setup(seed=11)
     path = tmp_path / "fusion.ckpt"
-    # two stacked frames of one 6-wide layer fill the aligner's 12 inputs
-    encoder = SpeechEncoder(SpeechEncoderConfig(dim=6, n_layers=1), 3)
-    save_checkpoint(FusionModel(encoder, lm, aligner, tok), path, {})
+    save_checkpoint(model, path, {})
     back = load_checkpoint(path, FusionModel)
-    assert back.tokenizer.symbols == tok.symbols
-    a = generate(lm, aligner, speech, "transcribe", tok, max_tokens=8)
-    b = generate(back.lm, back.aligner, speech, "transcribe", back.tokenizer, max_tokens=8)
+    assert back.tokenizer.symbols == model.tokenizer.symbols
+    assert checkpoint_bytes(back.state_arrays(), back.record()) == checkpoint_bytes(
+        model.state_arrays(), model.record())
+    a = generate(model, speech, "transcribe", max_tokens=8)
+    b = generate(back, speech, "transcribe", max_tokens=8)
     assert a.text == b.text

@@ -29,7 +29,7 @@ from slmforge.nn import (
     train_step,
 )
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
-from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel, SpeechAligner
+from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel
 from slmforge.tensor import Tensor, _accumulate, _make
 
 
@@ -466,8 +466,7 @@ def _asr():
 def _fusion():
     tok = CharTokenizer("ab")
     lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1), seed=3)
-    # two stacked frames of the encoder's one 8-wide layer
-    return FusionModel(_encoder(), lm, SpeechAligner(16, 8, hidden=4, seed=4), tok)
+    return FusionModel(_encoder(), lm, tok, aligner_hidden=4, seed=4)
 
 
 # kind -> (model class, a small model of it, the metadata entry holding its
