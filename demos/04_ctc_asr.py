@@ -8,6 +8,7 @@ digit verbalization) and greedy vs beam decoding.
 import numpy as np
 
 from slmforge.asr import (
+    BLANK_SYMBOL,
     FinetuneConfig,
     Vocab,
     builtin_rules,
@@ -41,7 +42,7 @@ while len(examples) < 10:
     examples.append((feats, text))
 print(f"\ntraining set: {[t for _, t in examples]}")
 
-vocab = Vocab.from_texts([t for _, t in examples])
+vocab = Vocab.from_texts([t for _, t in examples], (BLANK_SYMBOL,))
 encoder = SpeechEncoder(
     SpeechEncoderConfig(input_dim=n_mels, dim=24, n_layers=2, n_heads=2),
     n_classes=8, seed=7,

@@ -56,7 +56,7 @@ print(f"multi-layer speech features per clip: {feats['u0'].shape} "
 examples, tok, _ = build_instruction_dataset(records, ["transcribe"])
 print(f"rendered example: {examples[0].text!r}")
 
-lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,
+lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=48, n_layers=2,
                              n_heads=2), seed=11)
 corpus = lm_stand_in_sequences(examples, tok, feats)
 hist = train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)

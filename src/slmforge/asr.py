@@ -1,4 +1,5 @@
-"""CTC fine-tuning, CTC decoding, and transcription normalization.
+"""CTC fine-tuning, CTC decoding, transcription normalization, and
+``Vocab``, the one character vocabulary of the CTC head and of the LM.
 
 The CTC loss takes the CTC head's logits, normalises them to a
 log-probability lattice itself, and runs the standard forward algorithm in
@@ -50,48 +51,64 @@ _NEG_INF = -np.inf
 
 @dataclass
 class Vocab:
-    """Ordered symbol list with the blank reserved at index 0."""
+    """A list of symbols: the ``reserved`` ones in order, each read as one
+    token, then single characters, none twice. CTC reserves
+    ``(BLANK_SYMBOL,)``, the LM ``slm.ChatTemplate.specials``."""
 
     symbols: list
+    reserved: tuple
 
     def __post_init__(self):
-        if not self.symbols or self.symbols[0] != BLANK_SYMBOL:
-            raise ConfigError(f"vocab must start with {BLANK_SYMBOL!r}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ConfigError("vocab symbols are not unique")
-        # encode reads a text one character at a time, so no other symbol is emitted
-        wide = [s for s in self.symbols[1:] if not (isinstance(s, str) and len(s) == 1)]
+        if not isinstance(self.symbols, list):
+            raise ConfigError(f"vocab must be a list of symbols, not a "
+                              f"{type(self.symbols).__name__}")
+        n = len(self.reserved)
+        if self.symbols[:n] != list(self.reserved):
+            raise ConfigError(f"vocab must start with {', '.join(map(repr, self.reserved))}")
+        # encode reads a text one character at a time between reserved
+        # symbols, so no other symbol is emitted
+        wide = [s for s in self.symbols[n:] if not (isinstance(s, str) and len(s) == 1)]
         if wide:
-            raise ConfigError(f"vocab symbol {wide[0]!r} after {BLANK_SYMBOL!r} is not "
+            raise ConfigError(f"vocab symbol {wide[0]!r} after {self.reserved[-1]!r} is not "
                               "one character")
-        self._index = {s: i for i, s in enumerate(self.symbols)}
+        self._index = {}
+        for i, s in enumerate(self.symbols):
+            if self._index.setdefault(s, i) != i:
+                raise ConfigError(f"vocab symbol {s!r} appears twice")
+        # one token of a text: a reserved symbol, tried in order, else one character
+        self._token = re.compile("|".join([*map(re.escape, self.reserved), "."]), re.DOTALL)
 
     def __len__(self):
         return len(self.symbols)
 
     @classmethod
-    def from_texts(cls, texts) -> "Vocab":
-        chars = sorted({c for text in texts for c in text})
-        return cls([BLANK_SYMBOL] + chars)
+    def from_texts(cls, texts, reserved) -> "Vocab":
+        """``reserved``, then every other character of ``texts``, sorted."""
+        token = cls(list(reserved), reserved)._token
+        chars = {t for text in texts for t in token.findall(text)}.difference(reserved)
+        return cls([*reserved, *sorted(chars)], reserved)
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
+        """The CTC vocabulary in ``path``: one symbol per line, the blank first."""
         lines = read_text(path).removesuffix("\n").split("\n")
         try:
-            return cls(lines)
+            return cls(lines, (BLANK_SYMBOL,))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
     def encode(self, text: str) -> list:
-        out = []
-        for ch in text:
-            if ch not in self._index:
-                raise ConfigError(f"symbol {ch!r} not in vocab")
-            out.append(self._index[ch])
-        return out
+        try:
+            return [self._index[token] for token in self._token.findall(text)]
+        except KeyError as exc:
+            raise ConfigError(f"character {exc.args[0]!r} not in vocab") from None
 
     def decode(self, ids) -> str:
         return "".join(self.symbols[i] for i in ids)
+
+    def charset(self) -> str:
+        """The characters after the reserved symbols, in vocabulary order."""
+        return "".join(self.symbols[len(self.reserved):])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +377,8 @@ class CtcModel(Module):
     @classmethod
     def from_record(cls, path, meta: dict) -> "CtcModel":
         return cls(SpeechEncoder.from_record(path, meta),
-                   parse_field(path, meta, "vocab", lambda v: Vocab(json.loads(v))), seed=None)
+                   parse_field(path, meta, "vocab",
+                               lambda v: Vocab(json.loads(v), (BLANK_SYMBOL,))), seed=None)
 
 
 @dataclass

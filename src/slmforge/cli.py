@@ -299,7 +299,8 @@ def cmd_finetune_asr(args) -> int:
     if not train:
         raise ConfigError("no records with transcripts to fine-tune on")
     if vocab is None:
-        vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout])
+        vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout],
+                                         (asr_mod.BLANK_SYMBOL,))
     held_scores = []
     model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
                                           heldout=heldout or None, seed=seed,
@@ -351,7 +352,7 @@ def cmd_train_aligner(args) -> int:
     if unknown is not None:
         raise ConfigError(f"{args.sft}: example {unknown.audio_id!r} ({unknown.mode}): "
                           f"audio id not in manifest {args.manifest}")
-    lm_cfg = replace(lm_cfg, vocab_size=tokenizer.vocab_size)
+    lm_cfg = replace(lm_cfg, vocab_size=len(tokenizer))
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
     model = slm_mod.FusionModel(encoder, slm_mod.CausalLM(lm_cfg, seed=seed), tokenizer,
                                 fusion_cfg.aligner_hidden, seed=seed + 1)

@@ -7,12 +7,13 @@ text_tokens - 1 + T' positions long, T' being the number of speech rows, and
 ``_fused_sequence`` builds it for both the fusion loss and generation. A
 speech row holds the hidden states of every encoder transformer layer for
 ``FRAME_STACK`` consecutive encoder frames, so T' is the encoder's frame
-count divided by ``FRAME_STACK``, rounded down. The chat
-markers are fixed (``ChatTemplate``), so instruction sets and fusion
-checkpoints store only the tokenizer's charset. ``completion_start`` is the
-one rule for which tokens of an example are trained on, checked as an
-instruction set is read; fusion training scores those completion tokens
-only, with the encoder and LM frozen. ``FusionModel`` is the Speech LLM:
+count divided by ``FRAME_STACK``, rounded down. The LM's tokenizer is an
+``asr.Vocab``, the class CTC uses, whose reserved symbols are the fixed chat
+markers (``ChatTemplate``), so instruction sets and fusion checkpoints
+store only the characters after them, as the ``charset`` string.
+``completion_start`` is the one rule for which tokens of an example are
+trained on, checked as an instruction set is read; fusion training scores
+those completion tokens only, with the encoder and LM frozen. ``FusionModel`` is the Speech LLM:
 the encoder, the LM, the aligner it builds between them and the tokenizer.
 ``train_aligner``, ``fusion_loss`` and ``generate`` take it, and
 ``nn.save_checkpoint`` and ``nn.load_checkpoint`` store it.
@@ -28,6 +29,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
+from .asr import Vocab
 from .config import read_config, require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_jsonl, write_jsonl
@@ -69,7 +71,7 @@ MODES = tuple(_MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and chat template
+# Chat template and vocabulary
 
 
 class ChatTemplate:
@@ -82,46 +84,12 @@ class ChatTemplate:
     specials = (user_marker, assistant_marker, end_marker, audio_marker)
 
 
-# one token of a text: a chat marker, tried in ``specials`` order, else one character
-_TOKEN = re.compile("|".join(map(re.escape, ChatTemplate.specials)) + "|.", re.DOTALL)
-
-
-class CharTokenizer:
-    """Character tokenizer whose chat markers are single atomic tokens, the
-    first ids of its vocabulary."""
-
-    def __init__(self, charset: str):
-        self.chars = sorted(set(charset))
-        self.symbols = list(ChatTemplate.specials) + self.chars
-        self._index = {s: i for i, s in enumerate(self.symbols)}
-
-    @classmethod
-    def from_texts(cls, texts) -> "CharTokenizer":
-        stripped = []
-        for text in texts:
-            for marker in ChatTemplate.specials:
-                text = text.replace(marker, "")
-            stripped.append(text)
-        return cls("".join(stripped))
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.symbols)
-
-    def token_id(self, symbol: str) -> int:
-        return self._index[symbol]
-
-    def encode(self, text: str) -> list:
-        try:
-            return [self._index[token] for token in _TOKEN.findall(text)]
-        except KeyError as exc:
-            raise ConfigError(f"character {exc.args[0]!r} not in tokenizer charset") from None
-
-    def decode(self, ids) -> str:
-        return "".join(self.symbols[i] for i in ids)
-
-    def charset(self) -> str:
-        return "".join(self.chars)
+def chat_vocab(charset: str) -> Vocab:
+    """The LM's vocabulary: the chat markers, each one token and the first
+    ids, then the characters of the string ``charset``, sorted."""
+    if not isinstance(charset, str):
+        raise ConfigError(f"must be a string, got {json.dumps(charset)}")
+    return Vocab([*ChatTemplate.specials, *sorted(set(charset))], ChatTemplate.specials)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +117,7 @@ def render_chat(instruction: str, steps, final: str) -> str:
     return f"{chat_prompt(instruction)}{body}FINAL: {final}{ChatTemplate.end_marker}"
 
 
-def completion_start(ids, tokenizer: CharTokenizer) -> int:
+def completion_start(ids, tokenizer: Vocab) -> int:
     """Index of the first completion token of the encoded example ``ids``.
 
     The example holds exactly one audio placeholder and exactly one
@@ -159,17 +127,16 @@ def completion_start(ids, tokenizer: CharTokenizer) -> int:
     cause.
     """
     for marker in (ChatTemplate.audio_marker, ChatTemplate.assistant_marker):
-        n = ids.count(tokenizer.token_id(marker))
+        n = ids.count(tokenizer.symbols.index(marker))
         if n != 1:
             raise ConfigError(f"holds {n} {marker} markers, not one")
-    completion = ids[ids.index(tokenizer.token_id(ChatTemplate.assistant_marker)) + 1 :]
-    end = tokenizer.token_id(ChatTemplate.end_marker)
+    completion = ids[ids.index(tokenizer.symbols.index(ChatTemplate.assistant_marker)) + 1 :]
+    end = tokenizer.symbols.index(ChatTemplate.end_marker)
     if completion in ([], [end]):
         raise ConfigError(f"its completion after {ChatTemplate.assistant_marker} is empty")
     if completion[-1] != end:
         raise ConfigError(f"its completion does not end with {ChatTemplate.end_marker}")
-    held = [tokenizer.symbols[t] for t in completion[:-1]
-            if tokenizer.symbols[t] in ChatTemplate.specials]
+    held = [tokenizer.symbols[t] for t in completion[:-1] if t < len(ChatTemplate.specials)]
     if held:
         raise ConfigError(f"its completion holds the chat marker {held[0]}")
     return len(ids) - len(completion)
@@ -211,11 +178,11 @@ def build_instruction_dataset(records, modes):
                 continue
             examples.append(InstructionExample(
                 rec.id, mode, render_chat(instruction, steps, final), final))
-    tokenizer = CharTokenizer.from_texts([ex.text for ex in examples])
+    tokenizer = Vocab.from_texts([ex.text for ex in examples], ChatTemplate.specials)
     return examples, tokenizer, skipped
 
 
-def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
+def write_instruction_dataset(path, examples, tokenizer: Vocab,
                               header_extra: dict | None = None) -> None:
     header = {"charset": tokenizer.charset()}
     header.update(header_extra or {})
@@ -224,13 +191,14 @@ def write_instruction_dataset(path, examples, tokenizer: CharTokenizer,
 
 def read_instruction_dataset(path):
     """(examples, tokenizer, header) of an instruction-set file; a header
-    without ``charset`` is a ConfigError naming the file and the key. Every
+    without ``charset``, or whose ``charset`` is not a string, is a
+    ConfigError naming the file and the key. Every
     example's text is encoded and checked by ``completion_start``, and its
     ``final`` encoded: an unknown character or a broken completion is a
     ConfigError naming the file, the example's ``audio_id`` and ``mode``,
     and the cause."""
     header, examples = read_jsonl(path, InstructionExample)
-    tokenizer = parse_field(path, header, "charset", CharTokenizer)
+    tokenizer = parse_field(path, header, "charset", chat_vocab)
     for ex in examples:
         try:
             completion_start(tokenizer.encode(ex.text), tokenizer)
@@ -298,7 +266,7 @@ class CausalLM(Module):
         return self.forward_embeddings(self.embed(ids))
 
 
-def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, speech) -> list:
+def lm_stand_in_sequences(examples, tokenizer: Vocab, speech) -> list:
     """Text-only pretraining corpus for the toy stand-in LM.
 
     Each example's audio placeholder is replaced by its final-answer tokens
@@ -307,7 +275,7 @@ def lm_stand_in_sequences(examples, tokenizer: CharTokenizer, speech) -> list:
     fills. ``speech`` maps an example's audio_id to its speech rows, as
     ``extract_multilayer_features`` returns them.
     """
-    audio_id = tokenizer.token_id(ChatTemplate.audio_marker)
+    audio_id = tokenizer.symbols.index(ChatTemplate.audio_marker)
     seqs = []
     for ex in examples:
         t_prime = len(speech[ex.audio_id])
@@ -400,7 +368,7 @@ class FusionModel(Module):
 
     kind = "fusion"
 
-    def __init__(self, encoder: SpeechEncoder, lm: CausalLM, tokenizer: CharTokenizer,
+    def __init__(self, encoder: SpeechEncoder, lm: CausalLM, tokenizer: Vocab,
                  aligner_hidden: int | None = None, seed: int | None = 0):
         super().__init__()
         self.encoder = encoder
@@ -422,16 +390,18 @@ class FusionModel(Module):
     @classmethod
     def from_record(cls, path, meta: dict) -> "FusionModel":
         """A model, with no weights drawn, whose tokenizer has the LM's
-        ``vocab_size`` symbols."""
+        ``vocab_size`` symbols and whose ``aligner_hidden`` is at least 1."""
         encoder = SpeechEncoder.from_record(path, meta)
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
                                   lambda blob: read_config(CausalLMConfig, json.loads(blob))),
                       seed=None)
-        hidden = parse_field(path, meta, "aligner_hidden", int)
-        tokenizer = parse_field(path, meta, "charset", CharTokenizer)
-        if tokenizer.vocab_size != lm.cfg.vocab_size:
+        # the train-aligner config's bound on the same width
+        hidden = parse_field(path, meta, "aligner_hidden",
+                             lambda v: FusionTrainConfig(aligner_hidden=int(v)).aligner_hidden)
+        tokenizer = parse_field(path, meta, "charset", chat_vocab)
+        if len(tokenizer) != lm.cfg.vocab_size:
             raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
-                              f"{tokenizer.vocab_size} symbols, but lm_cfg has vocab_size "
+                              f"{len(tokenizer)} symbols, but lm_cfg has vocab_size "
                               f"{lm.cfg.vocab_size}")
         return cls(encoder, lm, tokenizer, hidden, seed=None)
 
@@ -460,7 +430,7 @@ def fusion_loss(model: FusionModel, speech_rows, ids) -> Tensor:
     tokenizer, lm = model.tokenizer, model.lm
     start = completion_start(ids, tokenizer)
     speech = model.aligner.align(speech_rows)
-    fused = _fused_sequence(lm, speech, ids, tokenizer.token_id(ChatTemplate.audio_marker))
+    fused = _fused_sequence(lm, speech, ids, tokenizer.symbols.index(ChatTemplate.audio_marker))
     rows = np.arange(start - 1, len(ids) - 1) + speech.data.shape[0] - 1
     return T.cross_entropy(lm.forward_embeddings(fused, rows=rows),
                            np.asarray(ids[start:], dtype=np.int64))
@@ -532,8 +502,8 @@ def generate(model: FusionModel, speech_rows, mode: str,
         raise ConfigError(f"unknown mode {mode!r}")
     tokenizer, lm = model.tokenizer, model.lm
     prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
-    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
-    end_id = tokenizer.token_id(ChatTemplate.end_marker)
+    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
+    end_id = tokenizer.symbols.index(ChatTemplate.end_marker)
 
     with T.no_grad():
         speech = model.aligner.align(speech_rows)

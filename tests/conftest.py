@@ -111,8 +111,8 @@ def completion_mask(ids, tokenizer) -> list:
     """1 exactly on assistant-completion positions (after the assistant
     marker, through the end marker inclusive): the 0/1 list the fusion loss
     once took in place of ``slm.completion_start``."""
-    assistant = tokenizer.token_id(ChatTemplate.assistant_marker)
-    end = tokenizer.token_id(ChatTemplate.end_marker)
+    assistant = tokenizer.symbols.index(ChatTemplate.assistant_marker)
+    end = tokenizer.symbols.index(ChatTemplate.end_marker)
     mask = [0] * len(ids)
     try:
         start = ids.index(assistant) + 1
@@ -136,7 +136,7 @@ def masked_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer,
     assert len(ids) == len(loss_mask)
     speech = aligner.align(speech_features)
     t_prime = speech.data.shape[0]
-    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
     positions = [i for i, t in enumerate(ids) if t == placeholder]
     assert len(positions) == 1
     p = positions[0]

@@ -27,6 +27,7 @@ from test_metrics import brute_force_chrf, random_string, recursive_edit_distanc
 
 from slmforge import tensor as T
 from slmforge.asr import (
+    BLANK_SYMBOL,
     FinetuneConfig,
     Vocab,
     ctc_loss,
@@ -348,7 +349,7 @@ def test_criterion_04_masking_contracts_bit_invariance():
                             speaker=None, quality_score=5.0, sample_rate=16000,
                             transcript="ab")
         examples, tok, _ = build_instruction_dataset([rec], ["transcribe"])
-        lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16,
+        lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16,
                                      n_layers=1, n_heads=2), seed=trial)
         lm.freeze()
         # 10-wide speech rows: two stacked frames of one 5-wide encoder layer
@@ -369,7 +370,7 @@ def test_criterion_04_masking_contracts_bit_invariance():
         # the loss scores the completion alone: it equals the masked
         # reference run with random targets everywhere off the completion
         base_loss, base_grads = run_fusion(fusion_loss, model, speech, ids)
-        perturbed = [t if m else int(rng.integers(0, tok.vocab_size))
+        perturbed = [t if m else int(rng.integers(0, len(tok)))
                      for t, m in zip(ids, mask)]
         loss2, grads2 = run_fusion(masked_fusion_loss, lm, aligner, speech, ids, mask, tok,
                                    perturbed)
@@ -397,7 +398,7 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
     ]
     examples, tok, _ = build_instruction_dataset(records, ["transcribe"])
     encoder = SpeechEncoder(ENC_CFG, n_classes=4, seed=1).freeze()
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1,
                                  n_heads=2), seed=2).freeze()
     # a speech row is encoder frames 2j and 2j + 1, each every layer's state
     bundle = FusionModel(encoder, lm, tok, aligner_hidden=8, seed=3)
@@ -478,7 +479,7 @@ def test_criterion_07_toy_asr_overfit_wer_zero():
         feats = log_mel(tone_sequence([freqs[i] for i in idx], 0.2), 16)
         examples.append((feats, text))
 
-    vocab = Vocab.from_texts([t for _, t in examples])
+    vocab = Vocab.from_texts([t for _, t in examples], (BLANK_SYMBOL,))
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=16, dim=24, n_layers=2,
                                             n_heads=2), n_classes=8, seed=7)
     cfg = FinetuneConfig(steps=2000, lr=3e-3, batch_size=2, eval_every=50)
@@ -514,7 +515,7 @@ def test_criterion_08_toy_fusion_overfit_final_accuracy():
         feats[rec.id] = extract_multilayer_features(encoder, audio)
 
     examples, tok, _ = build_instruction_dataset(records, ["transcribe"])
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=48, n_layers=2,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=48, n_layers=2,
                                  n_heads=2), seed=11)
     corpus = lm_stand_in_sequences(examples, tok, feats)
     train_lm(lm, corpus, steps=400, lr=3e-3, seed=11)

@@ -11,6 +11,7 @@ from slmforge import asr
 from slmforge import tensor as T
 from slmforge.asr import (
     BLANK,
+    BLANK_SYMBOL,
     CtcModel,
     FinetuneConfig,
     Vocab,
@@ -241,7 +242,7 @@ def test_ctc_model_loss_on_logits_bit_identical_to_the_log_softmax_op_path():
     gradient bytes of the old loss on the log_softmax op's lattice, and the
     decoding lattice is that op's output."""
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=0)
-    model = CtcModel(enc, Vocab.from_texts(["abc"]), seed=1)
+    model = CtcModel(enc, Vocab.from_texts(["abc"], (BLANK_SYMBOL,)), seed=1)
     feats = np.random.default_rng(3).standard_normal((30, 8))
     target = [1, 2, 2, 3]
 
@@ -456,17 +457,22 @@ def test_builtin_english_lexicon_composites():
 
 
 def test_vocab_round_trip_and_blank(tmp_path):
-    vocab = Vocab.from_texts(["abc", "cow"])
+    vocab = Vocab.from_texts(["abc", "cow"], (BLANK_SYMBOL,))
     assert vocab.symbols[0] == "<blank>"
     path = tmp_path / "vocab.txt"
     path.write_text("\n".join(vocab.symbols) + "\n", encoding="utf-8")
     assert Vocab.from_file(path).symbols == vocab.symbols
 
 
-def test_vocab_encode_unknown_symbol_names_it():
-    vocab = Vocab.from_texts(["abc"])
-    with pytest.raises(ConfigError, match="'q'"):
-        vocab.encode("aqc")
+def test_a_transcript_spelling_the_blank_encodes_it_and_fails_naming_the_blank():
+    # the CLI deletes "<" and ">" as it normalizes; through the API the
+    # reserved symbol is one token, as in the LM's vocabulary
+    vocab = Vocab.from_texts(["a<blank>b"], (BLANK_SYMBOL,))
+    assert vocab.symbols == ["<blank>", "a", "b"]
+    assert vocab.encode("a<blank>b") == [1, BLANK, 2]
+    enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=0)
+    with pytest.raises(ConfigError, match="target contains the blank symbol"):
+        finetune_ctc(enc, [(np.zeros((20, 8)), "a<blank>b")], vocab, FinetuneConfig(steps=1))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +508,7 @@ def test_finetune_epochs_zero_keeps_encoder_bits():
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=0)
     before = {n: p.data.copy() for n, p in enc.named_parameters()}
     examples = _toy_asr_set(2)
-    vocab = Vocab.from_texts([t for _, t in examples])
+    vocab = Vocab.from_texts([t for _, t in examples], (BLANK_SYMBOL,))
     model, history = finetune_ctc(enc, examples, vocab, FinetuneConfig(steps=0))
     assert history == []
     for name, p in model.encoder.named_parameters():
@@ -511,14 +517,14 @@ def test_finetune_epochs_zero_keeps_encoder_bits():
 
 def test_finetune_rejects_out_of_vocab_transcript():
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=0)
-    vocab = Vocab(["<blank>", "a", "b"])
+    vocab = Vocab(["<blank>", "a", "b"], (BLANK_SYMBOL,))
     with pytest.raises(ConfigError, match="'q'"):
         finetune_ctc(enc, [(np.zeros((20, 8)), "aq")], vocab, FinetuneConfig(steps=1))
 
 
 def test_finetune_small_overfit_reaches_zero_wer(tmp_path):
     examples = _toy_asr_set(4, seed=1)
-    vocab = Vocab.from_texts([t for _, t in examples])
+    vocab = Vocab.from_texts([t for _, t in examples], (BLANK_SYMBOL,))
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16), n_classes=4, seed=1)
     cfg = FinetuneConfig(steps=800, lr=3e-3, batch_size=2, eval_every=25)
     model, history = finetune_ctc(enc, examples, vocab, cfg, stop_at_zero_wer=True, seed=1)

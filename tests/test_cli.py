@@ -19,7 +19,7 @@ from conftest import cli_env
 
 from slmforge import cli
 from slmforge.audio import log_mel, read_wav, resample, write_wav
-from slmforge.asr import CtcModel, Vocab
+from slmforge.asr import BLANK_SYMBOL, CtcModel, Vocab
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
 from slmforge.curate import Manifest, PipelineConfig
@@ -27,7 +27,7 @@ from slmforge.metrics import cer, wer
 from slmforge.nn import checkpoint_bytes, load_checkpoint, read_checkpoint, save_checkpoint
 from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
-    MODES, CausalLM, CausalLMConfig, CharTokenizer, FusionModel,
+    MODES, CausalLM, CausalLMConfig, ChatTemplate, FusionModel, chat_vocab,
 )
 from slmforge.synth import concat_buffers, silence, sine
 
@@ -236,7 +236,7 @@ def _log_mel_rates(monkeypatch):
 def test_transcribe_at_22050_hz(tmp_path, monkeypatch):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
     encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1, sample_rate=22050), 3)
-    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt, {})
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"], (BLANK_SYMBOL,))), ckpt, {})
     _speechy(wav, bursts=3)
     rates = _log_mel_rates(monkeypatch)
     assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav)]) == 0
@@ -609,8 +609,8 @@ GOOD_TEXT = "<|user|><|audio|> Transcribe the audio.<|assistant|>FINAL: ab<|end|
     pytest.param(None, GOOD_TEXT.replace("ab<|end|>", "a<|end|>b"), "ab",
                  "its completion does not end with <|end|>", id="text-after-end-marker"),
     pytest.param(None, GOOD_TEXT.replace("ab", "az"), "ab",
-                 "character 'z' not in tokenizer charset", id="unknown-character"),
-    pytest.param(None, GOOD_TEXT, "az", "character 'z' not in tokenizer charset",
+                 "character 'z' not in vocab", id="unknown-character"),
+    pytest.param(None, GOOD_TEXT, "az", "character 'z' not in vocab",
                  id="unknown-character-in-final"),
     pytest.param("nope", GOOD_TEXT, "ab", "audio id not in manifest m.jsonl",
                  id="unknown-audio-id"),
@@ -620,7 +620,8 @@ def test_a_malformed_sft_example_exits_2_naming_file_and_example_before_reading_
     monkeypatch.chdir(tmp_path)
     first = _transcribed(manifest, "m.jsonl")
     monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
-    rows = [{"__header__": True, "charset": CharTokenizer.from_texts([GOOD_TEXT]).charset()},
+    charset = Vocab.from_texts([GOOD_TEXT], ChatTemplate.specials).charset()
+    rows = [{"__header__": True, "charset": charset},
             {"audio_id": first, "mode": "transcribe", "text": GOOD_TEXT, "final": "ab"},
             {"audio_id": audio_id or first, "mode": "translate", "text": text, "final": final}]
     Path("sft.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -630,6 +631,24 @@ def test_a_malformed_sft_example_exits_2_naming_file_and_example_before_reading_
     assert capsys.readouterr().err == (
         f"slmforge train-aligner: sft.jsonl: example {audio_id or first!r} (translate): "
         f"{cause}\n")
+    assert not Path("f.ckpt").exists()
+
+
+@pytest.mark.parametrize("charset", [{"<|end|>": 1, "a": 2, "b": 3}, ["a", "b"], 5, None])
+def test_an_sft_charset_that_is_not_a_string_exits_2_naming_file_and_key_before_reading_audio(
+        tmp_path, monkeypatch, capsys, manifest, charset):
+    monkeypatch.chdir(tmp_path)
+    first = _transcribed(manifest, "m.jsonl")
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    rows = [{"__header__": True, "charset": charset},
+            {"audio_id": first, "mode": "transcribe", "text": GOOD_TEXT, "final": "ab"}]
+    Path("sft.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    # no encoder file exists: the check comes before it is loaded
+    assert main(["train-aligner", "--sft", "sft.jsonl", "--manifest", "m.jsonl",
+                 "--encoder", "enc.ckpt", "--out", "f.ckpt"]) == 2
+    assert capsys.readouterr().err == (
+        "slmforge train-aligner: sft.jsonl: bad value for 'charset': must be a string, "
+        f"got {json.dumps(charset)}\n")
     assert not Path("f.ckpt").exists()
 
 
@@ -723,7 +742,7 @@ def test_an_encoder_written_before_it_held_a_sample_rate_loads_at_16_khz(tmp_pat
 def test_transcribe_beam_below_one_is_runtime_error(tmp_path, capsys, beam):
     ckpt, wav = tmp_path / "asr.ckpt", tmp_path / "in.wav"
     encoder = SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3)
-    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), ckpt, {})
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"], (BLANK_SYMBOL,))), ckpt, {})
     _speechy(wav, bursts=3)
     assert main(["transcribe", "--ckpt", str(ckpt), "--wav", str(wav),
                  "--beam", beam]) == 2
@@ -1072,8 +1091,8 @@ def test_train_aligner_ignores_a_stale_template_header_entry(tmp_path, manifest)
 def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsys):
     enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
-    tok = CharTokenizer("Transcribe the audio.")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    tok = chat_vocab("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1))
     save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
                                 tok, aligner_hidden=4), fusion, {})
     argv = ["infer", "--fusion", str(fusion), "--encoder", str(enc), "--wav",
@@ -1093,8 +1112,8 @@ def test_infer_ignores_stale_fusion_checkpoint_entries(tmp_path, manifest, capsy
 def test_a_fusion_checkpoint_at_the_unstacked_width_names_the_tensor_and_both_shapes(
         tmp_path, monkeypatch, manifest, capsys):
     fusion = tmp_path / "fusion.ckpt"
-    tok = CharTokenizer("Transcribe the audio.")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    tok = chat_vocab("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1))
     model = FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm, tok,
                         aligner_hidden=4)
     # written before the aligner stacked frames: one 8-wide frame per row
@@ -1116,8 +1135,8 @@ def test_infer_on_a_charset_that_does_not_fit_the_lm_names_file_and_charset(
         tmp_path, manifest, capsys, extra):
     enc, fusion = tmp_path / "enc.ckpt", tmp_path / "fusion.ckpt"
     save_checkpoint(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), enc, {})
-    tok = CharTokenizer("Transcribe the audio.")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    tok = chat_vocab("Transcribe the audio.")
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1))
     save_checkpoint(FusionModel(SpeechEncoder(SpeechEncoderConfig(dim=8, n_layers=1), 3), lm,
                                 tok, aligner_hidden=4), fusion, {})
     arrays, meta = read_checkpoint(fusion)
@@ -1129,8 +1148,8 @@ def test_infer_on_a_charset_that_does_not_fit_the_lm_names_file_and_charset(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert (f"{fusion}: bad value for 'charset': its tokenizer has "
-            f"{tok.vocab_size + len(extra)} symbols, but lm_cfg has vocab_size "
-            f"{tok.vocab_size}") in captured.err
+            f"{len(tok) + len(extra)} symbols, but lm_cfg has vocab_size "
+            f"{len(tok)}") in captured.err
 
 
 def test_pretrain_with_fewer_mels_than_mfccs_fails_before_reading_audio(
@@ -1150,10 +1169,10 @@ def test_pretrain_init_from_another_checkpoint_kind_names_file_and_kind(
     init = tmp_path / f"{kind}.ckpt"
     encoder = SpeechEncoder(SpeechEncoderConfig(), 4)
     if kind == "asr":
-        model = CtcModel(encoder, Vocab.from_texts(["ab"]))
+        model = CtcModel(encoder, Vocab.from_texts(["ab"], (BLANK_SYMBOL,)))
     else:
-        tok = CharTokenizer("ab")
-        lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+        tok = chat_vocab("ab")
+        lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1))
         model = FusionModel(encoder, lm, tok, aligner_hidden=4)
     save_checkpoint(model, init, {})
     cfg = tmp_path / "pretrain.json"
@@ -1334,6 +1353,22 @@ def test_infer_with_an_encoder_the_fusion_model_was_not_trained_with_names_both_
     assert "other.ckpt is not the encoder in fusion.ckpt" in captured.err
 
 
+@pytest.mark.parametrize("hidden", ["-3", "0"])
+def test_infer_on_an_aligner_hidden_below_one_exits_2_naming_file_and_key(
+        trained, tmp_path, monkeypatch, capsys, hidden):
+    monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    arrays, meta = read_checkpoint("fusion.ckpt")
+    meta["aligner_hidden"] = hidden
+    fusion = tmp_path / "narrow.ckpt"
+    fusion.write_bytes(checkpoint_bytes(arrays, meta))
+    assert main(_infer_argv(str(fusion))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"slmforge infer: {fusion}: bad value for 'aligner_hidden': "
+                            f"aligner_hidden must be >= 1, got {hidden}\n")
+
+
 @pytest.mark.parametrize("encoder", [(), ("--encoder", "encoder.ckpt")])
 def test_infer_on_a_fusion_checkpoint_without_its_encoder_names_file_and_key(
         trained, monkeypatch, capsys, encoder):
@@ -1441,6 +1476,23 @@ def test_a_vocab_symbol_of_other_than_one_character_exits_2_naming_file_and_symb
         f"slmforge transcribe: {ckpt}: bad value for 'vocab': {cause}\n")
 
 
+@pytest.mark.parametrize("vocab, kind", [('{"a": 1}', "dict"), ('"<blank>ab"', "str"),
+                                         ("5", "int")])
+def test_an_asr_checkpoint_whose_vocab_is_not_a_list_exits_2_naming_file_and_key(
+        trained, tmp_path, monkeypatch, capsys, vocab, kind):
+    monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    arrays, meta = read_checkpoint("asr.ckpt")
+    meta["vocab"] = vocab
+    ckpt = tmp_path / "object.ckpt"
+    ckpt.write_bytes(checkpoint_bytes(arrays, meta))
+    assert main(["transcribe", "--ckpt", str(ckpt), "--wav", "in.wav"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"slmforge transcribe: {ckpt}: bad value for 'vocab': "
+                            f"vocab must be a list of symbols, not a {kind}\n")
+
+
 @pytest.mark.parametrize("flag", ["--refs", "--hyps", "--manifest", "--sft", "--vocab",
                                   "--config"])
 def test_an_input_file_that_is_not_utf8_exits_2_naming_it(trained, tmp_path, monkeypatch,
@@ -1475,7 +1527,7 @@ def test_finetune_asr_vocab_missing_a_transcript_symbol_names_the_file_and_recor
     assert main(["finetune-asr", "--manifest", "m.jsonl", "--encoder", "encoder.ckpt",
                  "--config", "ft.json", "--vocab", "a.vocab", "--out", "v.ckpt"]) == 2
     err = capsys.readouterr().err
-    assert (f"a.vocab: symbol 'b' not in vocab, in the transcript of record {first!r}"
+    assert (f"a.vocab: character 'b' not in vocab, in the transcript of record {first!r}"
             in err)
     assert not Path("v.ckpt").exists()
 

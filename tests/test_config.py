@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from slmforge.asr import CtcModel, FinetuneConfig, Vocab
+from slmforge.asr import BLANK_SYMBOL, CtcModel, FinetuneConfig, Vocab
 from slmforge.cli import main
 from slmforge.config import config_fields, read_config
 from slmforge.curate import PipelineConfig
@@ -17,9 +17,9 @@ from slmforge.pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
     CausalLM,
     CausalLMConfig,
-    CharTokenizer,
     FusionModel,
     FusionTrainConfig,
+    chat_vocab,
 )
 
 CONFIGS = [
@@ -102,12 +102,12 @@ def _save_encoder(path):
 
 def _save_asr(path):
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=8, n_layers=1), 3)
-    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"])), path, {})
+    save_checkpoint(CtcModel(encoder, Vocab.from_texts(["ab"], (BLANK_SYMBOL,))), path, {})
 
 
 def _save_fusion(path):
-    tok = CharTokenizer("ab")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1))
+    tok = chat_vocab("ab")
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1))
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=4, dim=6, n_layers=1), 3)
     save_checkpoint(FusionModel(encoder, lm, tok, aligner_hidden=4), path, {})
 

@@ -17,8 +17,8 @@ from slmforge.errors import ConfigError
 from slmforge.nn import checkpoint_bytes, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.slm import (
-    CharTokenizer,
     InstructionExample,
+    chat_vocab,
     read_instruction_dataset,
     write_instruction_dataset,
 )
@@ -110,7 +110,7 @@ WRITERS = {
     "write_wav": _raises(
         lambda p: write_wav(p, AudioBuffer(np.zeros(16), 16000))),
     "manifest": _raises(lambda p: Manifest([], {"v": 1}).write(p)),
-    "sft": _raises(lambda p: write_instruction_dataset(p, [], CharTokenizer("ab"))),
+    "sft": _raises(lambda p: write_instruction_dataset(p, [], chat_vocab("ab"))),
     "eval_out": _eval_out,  # the CLI reports the OSError as exit 2
     "report_out": _report_out,
 }
@@ -164,7 +164,7 @@ def _write_manifest(path):
 
 
 def _write_sft(path):
-    write_instruction_dataset(path, [EXAMPLE, EXAMPLE], CharTokenizer("ab"), {"v": 1})
+    write_instruction_dataset(path, [EXAMPLE, EXAMPLE], chat_vocab("ab"), {"v": 1})
     return read_instruction_dataset, "final"
 
 

@@ -11,6 +11,7 @@ from conftest import (
     max_rel_error, tsum,
 )
 
+from slmforge.asr import BLANK_SYMBOL, Vocab
 from slmforge.curate import Manifest, SegmentRecord
 from slmforge.errors import ConfigError, GraphError, NonFiniteError
 from slmforge.nn import Module, checkpoint_bytes, load_checkpoint, save_checkpoint
@@ -22,7 +23,6 @@ from slmforge.slm import (
     _fused_sequence,
     CausalLM,
     CausalLMConfig,
-    CharTokenizer,
     ChatTemplate,
     FusionModel,
     FusionTrainConfig,
@@ -53,44 +53,105 @@ def _record(id="r0", transcript="waaw", translation="yes"):
 
 
 def _tok(texts):
-    return CharTokenizer.from_texts(texts)
+    return Vocab.from_texts(texts, ChatTemplate.specials)
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and template
+# Vocabulary and template
 
 
-def test_special_markers_are_atomic_tokens():
-    tok = _tok(["abc"])
-    ids = tok.encode("<|user|>a<|audio|>b<|assistant|>c<|end|>")
-    assert len(ids) == 7
-    assert tok.decode(ids) == "<|user|>a<|audio|>b<|assistant|>c<|end|>"
-
-
-def test_tokenizer_unknown_char_errors():
-    tok = _tok(["abc"])
-    with pytest.raises(ConfigError, match="'z'"):
-        tok.encode("z")
-
-
-def _reference_encode(tok, text):
-    """``CharTokenizer.encode`` as it was: every chat marker tried in turn at
+def _reference_encode(vocab, text):
+    """``encode`` as it was for the LM: every reserved symbol tried in turn at
     every position (kept as the equivalence reference)."""
     ids = []
     pos = 0
     while pos < len(text):
-        for marker in ChatTemplate.specials:
+        for marker in vocab.reserved:
             if text.startswith(marker, pos):
-                ids.append(tok._index[marker])
+                ids.append(vocab.symbols.index(marker))
                 pos += len(marker)
                 break
         else:
             ch = text[pos]
-            if ch not in tok._index:
-                raise ConfigError(f"character {ch!r} not in tokenizer charset")
-            ids.append(tok._index[ch])
+            if ch not in vocab.symbols:
+                raise ConfigError(f"character {ch!r} not in vocab")
+            ids.append(vocab.symbols.index(ch))
             pos += 1
     return ids
+
+
+def _from_texts(reserved):
+    # the reserved symbols are stripped, the other characters sorted after them
+    first, last = reserved[0], reserved[-1]
+    vocab = Vocab.from_texts([f"b{last}a", "", f"{first}c\n"], reserved)
+    assert vocab.symbols == [*reserved, "\n", "a", "b", "c"]
+    assert len(vocab) == len(reserved) + 4 and vocab.charset() == "\nabc"
+    for i, symbol in enumerate(reserved):
+        assert vocab.encode(symbol) == [vocab.symbols.index(symbol)] == [i]
+
+
+def _every_character_of(reserved):
+    return Vocab([*reserved, *sorted(set("".join(reserved) + " \nbx"))], reserved)
+
+
+def _round_trips(reserved):
+    # fragments of the reserved symbols included, read as the reference reads them
+    vocab = _every_character_of(reserved)
+    first = reserved[0]
+    texts = ["", "".join(reserved), "".join(reversed(reserved)) + "x\n"]
+    for r in reserved:
+        texts += [r[:-1], r[1:], r[:5], r[-2:], r[: len(r) // 2], f"b{r[:-1]}x", f"<{r}>",
+                  f"{r[:-2]}{r}", r + r, f"x\n{r}\n", f"{r[:2]}{first}"]
+    for text in texts:
+        ids = vocab.encode(text)
+        assert ids == _reference_encode(vocab, text), text
+        assert vocab.decode(ids) == text
+
+
+def _unknown_character(reserved):
+    # the first unknown character is named, as the reference names it
+    vocab = _every_character_of(reserved)
+    for text, ch in [("abz", "z"), (f"{reserved[-1]}é", "é"), (f"{reserved[0][:4]}\t", "\t")]:
+        with pytest.raises(ConfigError) as got:
+            vocab.encode(text)
+        with pytest.raises(ConfigError) as want:
+            _reference_encode(vocab, text)
+        assert str(got.value) == str(want.value) == f"character {ch!r} not in vocab"
+
+
+def _rejected(symbols, reserved):
+    with pytest.raises(ConfigError) as err:
+        Vocab(symbols, reserved)
+    return str(err.value)
+
+
+def _duplicate_and_wide_symbols(reserved):
+    first, last = reserved[0], reserved[-1]
+    assert _rejected([*reserved, "a", "b", "a"], reserved) == "vocab symbol 'a' appears twice"
+    for symbol in ["ab", "", first, 7]:
+        assert _rejected([*reserved, "a", symbol], reserved) == (
+            f"vocab symbol {symbol!r} after {last!r} is not one character")
+
+
+def _wrong_prefix(reserved):
+    starts = f"vocab must start with {', '.join(map(repr, reserved))}"
+    for symbols in [["a", *reserved], [reserved[0].upper(), *reserved[1:]],
+                    list(reserved[:-1])]:
+        assert _rejected(symbols, reserved) == starts
+    for symbols, kind in [({"a": 1}, "dict"), ("".join(reserved), "str"),
+                          (tuple(reserved), "tuple")]:
+        assert _rejected(symbols, reserved) == f"vocab must be a list of symbols, not a {kind}"
+
+
+@pytest.mark.parametrize("behaviour", [_from_texts, _round_trips, _unknown_character,
+                                       _duplicate_and_wide_symbols, _wrong_prefix],
+                         ids=lambda behaviour: behaviour.__name__.strip("_"))
+@pytest.mark.parametrize("reserved", [(BLANK_SYMBOL,), ChatTemplate.specials],
+                         ids=["ctc", "chat"])
+def test_one_vocab_class_behaves_alike_for_ctc_and_the_lm(reserved, behaviour):
+    """The behaviour table of the one vocabulary: each row runs with the
+    CTC blank and with the chat markers as the reserved prefix."""
+    behaviour(reserved)
 
 
 def _bench_sft_texts(tmp_path, monkeypatch, seed):
@@ -116,25 +177,6 @@ def test_encode_equals_the_marker_loop_on_every_bench_sft_text(tmp_path, monkeyp
         assert tok.encode(text) == _reference_encode(tok, text)
 
 
-@pytest.mark.parametrize("text", [
-    "", "<|aud", "<|audio|", "<|", "|>", "<|end", "a<|audio|b", "<<|end|>>", "<|<|user|>",
-    "<|user|><|audio|><|assistant|><|end|>", "<|end|><|end|>", "x\n<|end|>\n", "<|audi<|audio|>",
-])
-def test_encode_equals_the_marker_loop_on_marker_fragments(text):
-    tok = _tok(["<|user|audio assistant end>\nbx"])
-    assert tok.encode(text) == _reference_encode(tok, text)
-
-
-@pytest.mark.parametrize("text", ["abz", "<|end|>é", "<|aud\t"])
-def test_encode_names_the_first_unknown_character_as_the_marker_loop_did(text):
-    tok = _tok(["<|aud>b"])
-    with pytest.raises(ConfigError) as want:
-        _reference_encode(tok, text)
-    with pytest.raises(ConfigError) as got:
-        tok.encode(text)
-    assert str(got.value) == str(want.value)
-
-
 def test_render_contains_exactly_one_placeholder_and_final():
     text = render_chat("Transcribe the audio.", [("translate", "hello")], "waaw")
     assert text.count("<|audio|>") == 1
@@ -147,7 +189,7 @@ def test_completion_starts_after_the_assistant_marker_and_runs_to_the_end():
     tok = _tok([text])
     ids = tok.encode(text)
     start = completion_start(ids, tok)
-    assert ids[start - 1] == tok.token_id(ChatTemplate.assistant_marker)
+    assert ids[start - 1] == tok.symbols.index(ChatTemplate.assistant_marker)
     assert tok.decode(ids[start:]) == "FINAL: waaw<|end|>"
 
 
@@ -401,7 +443,7 @@ def _fusion_setup(seed=0):
         [_record(), _record(id="r1", transcript="deedeet", translation="ok")],
         ["transcribe"],
     )
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1,
                                  n_heads=2), seed=seed)
     lm.freeze()
     model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=8, seed=seed + 1)
@@ -446,7 +488,7 @@ def test_fusion_loss_equals_the_masked_reference_with_random_targets_off_the_com
     ids = tok.encode(examples[0].text)
     mask = completion_mask(ids, tok)
     rng = np.random.default_rng(0)
-    perturbed = [t if m else int(rng.integers(0, tok.vocab_size)) for t, m in zip(ids, mask)]
+    perturbed = [t if m else int(rng.integers(0, len(tok))) for t, m in zip(ids, mask)]
     assert perturbed != ids
     got = _loss_and_aligner_grads(fusion_loss, aligner, model, speech, ids)
     want = _loss_and_aligner_grads(masked_fusion_loss, aligner, lm, aligner, speech, ids, mask,
@@ -465,7 +507,7 @@ def test_fusion_loss_on_example_runs_through_encoder():
     enc = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=16, n_layers=2),
                         n_classes=4, seed=1)
     examples, tok, _ = build_instruction_dataset([_record()], ["transcribe"])
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1,
                                  n_heads=2), seed=0)
     lm.freeze()
     model = FusionModel(enc, lm, tok, aligner_hidden=8, seed=2)
@@ -485,7 +527,7 @@ def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     cross-entropy taking the rows of the positions ``loss_mask`` selects."""
     ids = list(ids)
     loss_mask = list(loss_mask)
-    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
     positions = [i for i, t in enumerate(ids) if t == placeholder]
     assert len(positions) == 1
     p = positions[0]
@@ -519,8 +561,8 @@ def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
 def _reference_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
     """generate's loop before _fused_sequence."""
     prompt_ids = tokenizer.encode(f"<|user|><|audio|> {_MODE_TABLE[mode][0]}<|assistant|>")
-    placeholder = tokenizer.token_id("<|audio|>")
-    end_id = tokenizer.token_id("<|end|>")
+    placeholder = tokenizer.symbols.index("<|audio|>")
+    end_id = tokenizer.symbols.index("<|end|>")
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
         generated, truncated = [], True
@@ -569,7 +611,7 @@ def test_fusion_loss_equals_the_masked_reference_on_every_bench_sft_text(
     bytes the completion mask gave, on every text of every mode the
     benchmark writes."""
     tok, texts = _bench_sft_texts(tmp_path, monkeypatch, seed)
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1, n_heads=2),
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1, n_heads=2),
                   seed=seed)
     lm.freeze()
     model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=8, seed=seed + 1)
@@ -593,7 +635,7 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
     model, _, speech = _fusion_setup(seed=2)
     lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(prompt)
-    placeholder = tok.token_id("<|audio|>")
+    placeholder = tok.symbols.index("<|audio|>")
     generated = generated + [placeholder]  # a generated audio marker is an ordinary token
     with T.no_grad():
         aligned = aligner.align(speech)
@@ -622,7 +664,7 @@ def test_generate_matches_reference_loop_when_one_token_dominates(forced):
     ordinary token, not a second placeholder."""
     model, _, speech = _fusion_setup(seed=4)
     lm, aligner, tok = model.lm, model.aligner, model.tokenizer
-    lm.head.bias.data[tok.token_id(forced)] = 1e3
+    lm.head.bias.data[tok.symbols.index(forced)] = 1e3
     got = generate(model, speech, "transcribe", max_tokens=5)
     want = _reference_generate(lm, aligner, speech, "transcribe", tok, 5)
     assert (got.text, got.truncated) == want
@@ -642,7 +684,7 @@ def _cache_setup(seed):
     """A FusionModel with a two-layer LM, and 40 speech rows, so both the
     cache of a later layer and BLAS's matrix kernels take part."""
     tok = _tok([chat_prompt(_MODE_TABLE["transcribe"][0])])
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=2,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=32, n_layers=2,
                                  n_heads=4), seed=seed)
     lm.freeze()
     model = FusionModel(SpeechEncoder(WIDTH_12, 3), lm, tok, aligner_hidden=16, seed=seed + 1)
@@ -661,7 +703,7 @@ def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     with T.no_grad():
         fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
-                                   tok.token_id("<|audio|>"))
+                                   tok.symbols.index("<|audio|>"))
         want = lm.forward_embeddings(fused).data
         got = lm.forward_embeddings(fused, _fresh_caches(lm)).data
     assert got.tobytes() == want.tobytes()
@@ -672,9 +714,9 @@ def test_cached_steps_match_the_reference_logits(seed):
     model, speech = _cache_setup(seed)
     lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
-    placeholder = tok.token_id("<|audio|>")
+    placeholder = tok.symbols.index("<|audio|>")
     rng = np.random.default_rng(seed)
-    generated = [int(t) for t in rng.integers(0, tok.vocab_size, 15)] + [placeholder]
+    generated = [int(t) for t in rng.integers(0, len(tok), 15)] + [placeholder]
     with T.no_grad():
         aligned = aligner.align(speech)
         rows = _fused_sequence(lm, aligned, prompt_ids, placeholder)
@@ -695,7 +737,7 @@ def test_a_sequence_fed_in_pieces_gives_the_logits_of_the_whole():
     """Pieces of several rows after cached ones get the offset causal mask."""
     model, _ = _cache_setup(5)
     lm, tok = model.lm, model.tokenizer
-    emb = lm.embed(np.random.default_rng(5).integers(0, tok.vocab_size, 30))
+    emb = lm.embed(np.random.default_rng(5).integers(0, len(tok), 30))
     caches = _fresh_caches(lm)
     with T.no_grad():
         whole = lm.forward_embeddings(emb).data
@@ -720,7 +762,7 @@ def test_a_non_finite_cached_key_raises_naming_the_op():
     caches = _fresh_caches(lm)
     with T.no_grad():
         fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
-                                   tok.token_id("<|audio|>"))
+                                   tok.symbols.index("<|audio|>"))
         lm.forward_embeddings(fused, caches)
         caches[1][0].data[3, 0] = np.nan  # key row 3 of layer 1, in head 0's columns
         with pytest.raises(NonFiniteError, match="op 'concat'"):
@@ -741,7 +783,7 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     ids = list(ids)
     speech = aligner.align(speech_features)
     t_prime = speech.data.shape[0]
-    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
+    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
     p = ids.index(placeholder)
     logits = lm.forward_embeddings(_fused_sequence(lm, speech, ids, placeholder))
     targets = np.asarray(ids, dtype=np.int64)
@@ -755,8 +797,8 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
 def _full_pass_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
     """generate as it was before its prefill asked for the last row only."""
     prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
-    placeholder = tokenizer.token_id(ChatTemplate.audio_marker)
-    end_id = tokenizer.token_id(ChatTemplate.end_marker)
+    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
+    end_id = tokenizer.symbols.index(ChatTemplate.end_marker)
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
         rows = _fused_sequence(lm, speech, prompt_ids, placeholder)
@@ -777,7 +819,7 @@ def _scored_fusion_setup(seed, n_layers):
     dozen tokens, an LM of ``n_layers`` blocks."""
     rec = _record(transcript="wa aw deed waaw ta wee da", translation="yes ok")
     examples, tok, _ = build_instruction_dataset([rec], ["transcribe_translate"])
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=32, n_layers=n_layers,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=32, n_layers=n_layers,
                                  n_heads=2), seed=seed)
     lm.freeze()
     # two stacked frames of one 12-wide encoder layer: 24-wide speech rows
@@ -837,7 +879,7 @@ def test_forward_at_rows_keeps_every_rows_keys_and_values(cached):
     caches hold the same key and value bytes as after the full pass."""
     model, _ = _cache_setup(6)
     lm, tok = model.lm, model.tokenizer
-    emb = lm.embed(np.random.default_rng(6).integers(0, tok.vocab_size, 50))
+    emb = lm.embed(np.random.default_rng(6).integers(0, len(tok), 50))
     rows = [40, 3, 20]  # into the 41 or 50 rows of the second call
     results = []
     with T.no_grad():
@@ -868,7 +910,7 @@ def test_generate_matches_the_full_prefill_text(setup, seed):
 
 def test_lm_causality_future_tokens_do_not_change_past_logits():
     tok = _tok(["abcdef"])
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=2,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=2,
                                  n_heads=2), seed=5)
     from slmforge import tensor as T
 
@@ -884,7 +926,7 @@ def test_lm_causality_future_tokens_do_not_change_past_logits():
 def test_train_lm_reduces_loss():
     texts = ["FINAL: waaw<|end|>", "FINAL: deedeet<|end|>"]
     tok = _tok(texts)
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1,
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1,
                                  n_heads=2), seed=0)
     history = train_lm(lm, [tok.encode(t) for t in texts], steps=60, lr=3e-3, seed=0)
     assert history[-1][1] < history[0][1]
@@ -910,7 +952,7 @@ def test_a_fusion_model_builds_the_aligner_its_callers_built(hidden, seed):
     aligner draws."""
     tok = _tok(["waaw deedeet"])
     encoder = SpeechEncoder(SpeechEncoderConfig(input_dim=8, dim=6, n_layers=2), 3, seed=2)
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=16, n_layers=1), seed=3)
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=16, n_layers=1), seed=3)
     # two stacked frames of two 6-wide layers
     old = _FusionBundle(encoder, lm, SpeechAligner(2 * 2 * 6, 16, hidden, seed=seed), tok)
     new = FusionModel(encoder, lm, tok, hidden, seed=seed)

@@ -13,7 +13,7 @@ from conftest import (
 
 from slmforge import nn
 from slmforge import tensor as T
-from slmforge.asr import CtcModel, Vocab
+from slmforge.asr import BLANK_SYMBOL, CtcModel, Vocab
 from slmforge.errors import CheckpointError, ConfigError, GraphError, NonFiniteError
 from slmforge.nn import (
     Adam,
@@ -29,7 +29,7 @@ from slmforge.nn import (
     train_step,
 )
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
-from slmforge.slm import CausalLM, CausalLMConfig, CharTokenizer, FusionModel
+from slmforge.slm import CausalLM, CausalLMConfig, FusionModel, chat_vocab
 from slmforge.tensor import Tensor, _accumulate, _make
 
 
@@ -460,12 +460,12 @@ def _encoder():
 
 
 def _asr():
-    return CtcModel(_encoder(), Vocab.from_texts(["ab"]), seed=2)
+    return CtcModel(_encoder(), Vocab.from_texts(["ab"], (BLANK_SYMBOL,)), seed=2)
 
 
 def _fusion():
-    tok = CharTokenizer("ab")
-    lm = CausalLM(CausalLMConfig(vocab_size=tok.vocab_size, dim=8, n_layers=1), seed=3)
+    tok = chat_vocab("ab")
+    lm = CausalLM(CausalLMConfig(vocab_size=len(tok), dim=8, n_layers=1), seed=3)
     return FusionModel(_encoder(), lm, tok, aligner_hidden=4, seed=4)
 
 
