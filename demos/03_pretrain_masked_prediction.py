@@ -51,6 +51,6 @@ print("\ncontinued pretraining (warm weights, fresh optimizer) vs scratch, 100 s
 cfg100 = replace(cfg, max_steps=100)
 warm, _ = continued_pretrain(dataset, cfg100, load_checkpoint(ckpt, SpeechEncoder), seed=5)
 cold, _ = continued_pretrain(dataset, cfg100, SpeechEncoder(enc_cfg, cfg.k, seed=5), seed=5)
-_, labels = initial_labels(dataset, cfg, cold, seed=5)
+_, labels = initial_labels(dataset, cfg, seed=5)
 print(f"   warm start loss @100: {evaluate_masked_loss(warm, dataset, labels):.4f}")
 print(f"   from scratch loss @100: {evaluate_masked_loss(cold, dataset, labels):.4f}")

@@ -24,7 +24,6 @@ encoder's followed by the vocabulary.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import string
 from dataclasses import dataclass
@@ -36,12 +35,10 @@ from . import tensor as T
 from .config import require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_json, read_text
-from .metrics import cer, wer
+from .metrics import wer
 from .nn import Adam, Linear, Module, train_step
 from .pretrain import SpeechEncoder
 from .tensor import Tensor, _accumulate, _make
-
-log = logging.getLogger(__name__)
 
 BLANK = 0
 BLANK_SYMBOL = "<blank>"
@@ -393,16 +390,14 @@ class FinetuneConfig:
 
 
 def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
-                 cfg: FinetuneConfig = FinetuneConfig(), heldout=None,
-                 stop_at_zero_wer: bool = False, seed: int = 0, heldout_scores=None):
+                 cfg: FinetuneConfig = FinetuneConfig(), stop_at_zero_wer: bool = False,
+                 seed: int = 0):
     """CTC fine-tuning over (features, transcript) pairs.
 
     Transcripts must already be normalized; a symbol outside the vocab is an
-    error naming it. ``heldout`` pairs, when given, are decoded at every
-    evaluation point and their corpus CER and WER logged; a
-    ``heldout_scores`` list also gets (step, CER, WER) appended. ``seed``
-    draws the CTC head and the batches. Returns (model, history) with
-    history rows of (step, loss, train_wer_or_None).
+    error naming it. ``seed`` draws the CTC head and the batches. Returns
+    (model, history) with history rows of (step, loss, train_wer_or_None),
+    the training-set WER at every ``cfg.eval_every`` steps and at the last.
     """
     encoded = []
     for features, transcript in examples:
@@ -423,13 +418,6 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
             refs = [t for _, t, _ in encoded]
             hyps = [model.transcribe(f) for f, _, _ in encoded]
             train_wer = wer(refs, hyps)
-            if heldout:
-                held_refs = [t for _, t in heldout]
-                held_hyps = [model.transcribe(np.asarray(f)) for f, _ in heldout]
-                scores = (step, cer(held_refs, held_hyps), wer(held_refs, held_hyps))
-                log.info("step %d heldout CER %.3f WER %.3f", *scores)
-                if heldout_scores is not None:
-                    heldout_scores.append(scores)
             history.append((step, loss, train_wer))
             if stop_at_zero_wer and train_wer == 0.0:
                 break

@@ -248,10 +248,10 @@ def _hann_window(frame: int) -> np.ndarray:
     return window
 
 
-def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int,
-                     fft_size: int) -> np.ndarray:
-    """|rfft| of the Hann-windowed ``frame``-sample frames of ``samples``
-    that begin at the sample indices ``starts``: (len(starts), fft_size//2 + 1).
+def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int) -> np.ndarray:
+    """|rfft| over ``fft_length(frame)`` points of the Hann-windowed
+    ``frame``-sample frames of ``samples`` that begin at the sample indices
+    ``starts``: (len(starts), fft_length(frame)//2 + 1).
 
     Each row depends only on its own frame, so rows shared by overlapping
     callers can be computed once and gathered. The rows are transformed
@@ -259,6 +259,7 @@ def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int,
     frames and the complex spectrum never exist for a whole recording at
     once; a row's bytes do not depend on the block it falls in.
     """
+    fft_size = fft_length(frame)
     out = np.empty((len(starts), fft_size // 2 + 1))
     if len(starts) == 0:
         return out
@@ -268,13 +269,6 @@ def frame_magnitudes(samples: np.ndarray, starts: np.ndarray, frame: int,
         frames = view[starts[i:i + FFT_BLOCK_ROWS]] * window
         np.abs(np.fft.rfft(frames, n=fft_size, axis=1), out=out[i:i + FFT_BLOCK_ROWS])
     return out
-
-
-def stft_magnitude(samples: np.ndarray, frame: int, hop: int, fft_size: int) -> np.ndarray:
-    """``frame_magnitudes`` at the regular starts 0, hop, 2 hop, ...: one row
-    per whole frame, none when ``samples`` is shorter than a frame."""
-    starts = np.arange(0, len(samples) - frame + 1, hop)
-    return frame_magnitudes(samples, starts, frame, fft_size)
 
 
 def mel_log(mag: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
@@ -298,8 +292,9 @@ def log_mel(buf: AudioBuffer, n_mels: int) -> np.ndarray:
     A buffer shorter than one frame yields an empty (0, n_mels) array.
     """
     frame, hop = analysis_frame(buf.sample_rate)
-    mag = stft_magnitude(buf.samples, frame, hop, fft_length(frame))
-    return mel_log(mag, n_mels, buf.sample_rate)
+    # one row per whole frame at the regular starts 0, hop, 2 hop, ...
+    starts = np.arange(0, len(buf.samples) - frame + 1, hop)
+    return mel_log(frame_magnitudes(buf.samples, starts, frame), n_mels, buf.sample_rate)
 
 
 def standardize(features: np.ndarray) -> np.ndarray:

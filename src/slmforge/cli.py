@@ -46,9 +46,7 @@ from .curate import Manifest, PipelineConfig, run_pipeline, trim_to_speech
 from .errors import ConfigError, SlmforgeError
 from .fileio import atomic_open, read_json, read_text
 from .nn import checkpoint_bytes, load_checkpoint, save_checkpoint
-# wer stays bound here although cmd_eval scores through compute_report:
-# bench/test_bench.py checks that span patching reaches from-imported names
-from .metrics import MetricRow, compute_report, render_report, wer  # noqa: F401
+from .metrics import MetricRow, cer, compute_report, render_report, wer
 from .pretrain import PretrainConfig, SpeechEncoder, SpeechEncoderConfig, continued_pretrain
 from . import asr as asr_mod
 from . import slm as slm_mod
@@ -291,25 +289,28 @@ def cmd_finetune_asr(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.vocab}: {exc}, in the transcript of record "
                                   f"{rec.id!r}") from None
+    # fine-tuning needs a word to learn, and the training WER one to score
+    if not any(text for rec, text in zip(manifest.records, texts) if rec.split != "test"):
+        raise ConfigError(f"manifest {args.manifest}: no training record has a transcript "
+                          f"with words once normalized")
     train, heldout = [], []
     for text, (rec, features) in zip(texts, _records_with_audio(args.manifest, manifest,
                                                                  encoder.cfg)):
         if rec.transcript:
             (heldout if rec.split == "test" else train).append((features, text))
-    if not train:
-        raise ConfigError("no records with transcripts to fine-tune on")
     if vocab is None:
         vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout],
                                          (asr_mod.BLANK_SYMBOL,))
-    held_scores = []
-    model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg,
-                                          heldout=heldout or None, seed=seed,
-                                          heldout_scores=held_scores)
+    model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg, seed=seed)
     save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
-    evals = [(s, w) for s, _, w in history if w is not None]
-    tail = f", train WER {evals[-1][1]:.3f}" if evals else ""
-    if held_scores:
-        tail += f", held-out CER {held_scores[-1][1]:.3f} WER {held_scores[-1][2]:.3f}"
+    evals = [w for _, _, w in history if w is not None]
+    tail = ""
+    if evals:
+        tail = f", train WER {evals[-1]:.3f}"
+        if heldout:
+            refs = [t for _, t in heldout]
+            hyps = [model.transcribe(features) for features, _ in heldout]
+            tail += f", held-out CER {cer(refs, hyps):.3f} WER {wer(refs, hyps):.3f}"
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
     return 0
 

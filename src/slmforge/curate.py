@@ -36,7 +36,6 @@ from .audio import (
     AudioBuffer,
     _hann_window,
     analysis_frame,
-    fft_length,
     frame_magnitudes,
     frame_signal,
     mel_log,
@@ -203,29 +202,28 @@ def spectral_gate(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(np.clip(out[:n], -1.0, 1.0), buf.sample_rate)
 
 
-def separate_sources(buf: AudioBuffer, separator: str = "passthrough") -> AudioBuffer:
+def separate_sources(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> AudioBuffer:
     """Run the source-separation stage; output keeps the input duration/rate.
 
-    ``separator`` is "passthrough" (returns ``buf``), "spectral-gate", or
+    ``cfg.separator`` is "passthrough" (returns ``buf``), "spectral-gate", or
     "external:<command>", a command reading WAV on stdin and writing it on stdout.
     """
-    if separator == "passthrough":
+    if cfg.separator == "passthrough":
         return buf
-    if separator == "spectral-gate":
+    if cfg.separator == "spectral-gate":
         return spectral_gate(buf)
-    if separator.startswith("external:"):
-        stdout = _run_external(separator[len("external:"):], buf)
-        try:
-            out = parse_wav_bytes(stdout)
-        except SlmforgeError as exc:
-            raise StageError(f"external separator produced malformed WAV: {exc}") from exc
-        if out.sample_rate != buf.sample_rate or len(out.samples) != len(buf.samples):
-            raise StageError(
-                "external separator changed duration or rate "
-                f"({len(out.samples)}@{out.sample_rate} vs {len(buf.samples)}@{buf.sample_rate})"
-            )
-        return out
-    raise ConfigError(f"unknown separator {separator!r}")
+    # PipelineConfig admits no other name than "external:<command>"
+    stdout = _run_external(cfg.separator[len("external:"):], buf)
+    try:
+        out = parse_wav_bytes(stdout)
+    except SlmforgeError as exc:
+        raise StageError(f"external separator produced malformed WAV: {exc}") from exc
+    if out.sample_rate != buf.sample_rate or len(out.samples) != len(buf.samples):
+        raise StageError(
+            "external separator changed duration or rate "
+            f"({len(out.samples)}@{out.sample_rate} vs {len(buf.samples)}@{buf.sample_rate})"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,6 @@ def diarize(buf: AudioBuffer, spans, cfg: PipelineConfig = PipelineConfig()) -> 
 
     rate = buf.sample_rate
     frame, hop = analysis_frame(rate)
-    n_fft = fft_length(frame)
     window_vecs = []
     bounds = [0]  # span si owns windows bounds[si] .. bounds[si + 1] - 1
     for span in spans:
@@ -429,7 +426,7 @@ def diarize(buf: AudioBuffer, spans, cfg: PipelineConfig = PipelineConfig()) -> 
         window_frames = [np.arange(i0, i1 - frame + 1, hop)
                          for i0, i1 in _span_windows(span, cfg.window_s, rate, len(buf.samples))]
         starts, row = np.unique(np.concatenate(window_frames), return_inverse=True)
-        mag = frame_magnitudes(buf.samples, starts, frame, n_fft)
+        mag = frame_magnitudes(buf.samples, starts, frame)
         at = 0
         for f in window_frames:
             rows = mag[row[at:at + len(f)]]
@@ -453,17 +450,16 @@ def diarize(buf: AudioBuffer, spans, cfg: PipelineConfig = PipelineConfig()) -> 
 # Stage: quality scoring
 
 
-def quality_score(buf: AudioBuffer, scorer: str = "snr-proxy",
-                  cfg: PipelineConfig = PipelineConfig()) -> float:
-    """Speech-quality estimate in [1, 5].
+def quality_score(buf: AudioBuffer, cfg: PipelineConfig = PipelineConfig()) -> float:
+    """Speech-quality estimate in [1, 5] by ``cfg.scorer``.
 
     "snr-proxy" contrasts VAD speech-frame energy against silence-frame
     energy and maps the dB ratio through 1 + 4 / (1 + exp(-(snr - 15) / 5)).
     When the frames cannot be split into both kinds the SNR is taken as
     0 dB. "external:<command>" pipes WAV in and parses a decimal score out.
     """
-    if scorer.startswith("external:"):
-        stdout = _run_external(scorer[len("external:"):], buf)
+    if cfg.scorer.startswith("external:"):
+        stdout = _run_external(cfg.scorer[len("external:"):], buf)
         text = stdout.decode("utf-8", "replace").strip()
         try:
             raw = float(text)
@@ -472,8 +468,6 @@ def quality_score(buf: AudioBuffer, scorer: str = "snr-proxy",
         if not np.isfinite(raw):
             raise StageError(f"external scorer output not finite: {text[:80]!r}")
         return float(np.clip(raw, 1.0, 5.0))
-    if scorer != "snr-proxy":
-        raise ConfigError(f"unknown scorer {scorer!r}")
 
     e_db, _, _ = _frame_energies_db(buf)
     if e_db.size == 0:
@@ -534,7 +528,7 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
         buf = read_wav(path)
     except (OSError, SlmforgeError) as exc:
         return None, str(exc)
-    buf = separate_sources(resample(buf, cfg.sample_rate), cfg.separator)
+    buf = separate_sources(resample(buf, cfg.sample_rate), cfg)
     spans = vad_segments(buf, cfg)
     spans = diarize(buf, spans, cfg)
 
@@ -546,7 +540,7 @@ def _process_file(file_idx: int, path: str, cfg: PipelineConfig):
     records = []
     for k, span in enumerate(candidates):
         segment = buf.slice_seconds(span.start_s, span.end_s)
-        score = quality_score(segment, cfg.scorer, cfg)
+        score = quality_score(segment, cfg)
         records.append(
             SegmentRecord(
                 id=f"{stem}-{file_idx:03d}-{k:03d}",

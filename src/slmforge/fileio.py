@@ -124,3 +124,12 @@ def parse_field(path, record: dict, key: str, parse):
         return parse(record[key])
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
+
+
+def parse_count(text: str) -> int:
+    """The integer that ``text`` spells, such as a checkpoint's width or class
+    count; one below 1 is a ValueError."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value

@@ -279,9 +279,6 @@ class Adam:
         self._m = {}
         self._v = {}
 
-    def zero_grad(self):
-        self.module.zero_grad()
-
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -313,7 +310,7 @@ def train_step(opt: Adam, losses) -> float:
     for extra in losses[1:]:
         loss = loss + extra
     loss = loss / len(losses)
-    opt.zero_grad()
+    opt.module.zero_grad()
     loss.backward()
     opt.step()
     return loss.item()

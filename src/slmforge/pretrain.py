@@ -29,7 +29,7 @@ from . import tensor as T
 from .audio import HOP_MS, analysis_frame, mfcc
 from .config import read_config, require_at_least
 from .errors import ConfigError, GraphError
-from .fileio import parse_field
+from .fileio import parse_count, parse_field
 from .nn import (
     Adam,
     LayerNorm,
@@ -270,7 +270,7 @@ class SpeechEncoder(Module):
         return cls(
             parse_field(path, meta, "encoder_cfg",
                         lambda blob: read_config(SpeechEncoderConfig, json.loads(blob))),
-            parse_field(path, meta, "n_classes", int),
+            parse_field(path, meta, "n_classes", parse_count),
             seed=None,
         )
 
@@ -301,10 +301,10 @@ def masked_prediction_loss(encoder: SpeechEncoder, features: np.ndarray,
 # Target refresh and training
 
 
-def downsample_labels(labels: np.ndarray, encoder: SpeechEncoder) -> np.ndarray:
+def downsample_labels(labels: np.ndarray) -> np.ndarray:
     """Map input-frame labels to output-frame labels: the label of frame 2j,
     the first of output frame j's pair."""
-    return np.asarray(labels)[: 2 * encoder.output_len(len(labels)) : 2]
+    return np.asarray(labels)[: 2 * SpeechEncoder.output_len(len(labels)) : 2]
 
 
 def _fit_codebook(mats, k: int, seed: int):
@@ -314,24 +314,24 @@ def _fit_codebook(mats, k: int, seed: int):
     return codebook, np.split(codebook.labels, np.cumsum([len(m) for m in mats])[:-1])
 
 
-def refresh_targets(encoder: SpeechEncoder, dataset, target_layer: int, k: int,
-                    seed: int = 0):
-    """Fit a fresh codebook on an intermediate layer and relabel the dataset.
+def refresh_targets(encoder: SpeechEncoder, dataset, cfg: PretrainConfig, seed: int = 0):
+    """Fit a fresh ``cfg.k``-centroid codebook on an intermediate layer and
+    relabel the dataset.
 
     Runs the encoder without masking, collects hidden states at
-    ``target_layer`` (0 = front-end output), fits KMeans on them all,
+    ``cfg.target_layer`` (0 = front-end output), fits KMeans on them all,
     and splits the fit's labels back into per-frame labels for every
     utterance. Deterministic under the seed.
     """
     if len(dataset) == 0:
         raise ValueError("refresh_targets needs a non-empty dataset")
-    if not (0 <= target_layer <= encoder.cfg.n_layers):
+    if not (0 <= cfg.target_layer <= encoder.cfg.n_layers):
         raise ConfigError(
-            f"target_layer {target_layer} outside [0, {encoder.cfg.n_layers}]"
+            f"target_layer {cfg.target_layer} outside [0, {encoder.cfg.n_layers}]"
         )
     with T.no_grad():
-        states = [encoder.forward(features)[target_layer].data for features in dataset]
-    return _fit_codebook(states, k, seed)
+        states = [encoder.forward(features)[cfg.target_layer].data for features in dataset]
+    return _fit_codebook(states, cfg.k, seed)
 
 
 @dataclass
@@ -363,11 +363,11 @@ class PretrainConfig:
                               f"[1, {self.epochs}), got {outside[0]!r}")
 
 
-def initial_labels(dataset, cfg: PretrainConfig, encoder: SpeechEncoder, seed: int):
+def initial_labels(dataset, cfg: PretrainConfig, seed: int):
     """First-iteration pseudo-labels: KMeans over MFCCs of the log-mel inputs."""
     codebook, per_utt = _fit_codebook([mfcc(features, cfg.n_mfcc) for features in dataset],
                                       cfg.k, seed)
-    return codebook, [downsample_labels(labels, encoder) for labels in per_utt]
+    return codebook, [downsample_labels(labels) for labels in per_utt]
 
 
 def evaluate_masked_loss(encoder: SpeechEncoder, dataset, labels) -> float:
@@ -398,7 +398,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
     if len(dataset) == 0:
         raise ValueError("continued_pretrain needs a non-empty dataset")
 
-    _, labels = initial_labels(dataset, cfg, encoder, seed)
+    _, labels = initial_labels(dataset, cfg, seed)
     opt = Adam(encoder, lr=cfg.lr)
     rng = np.random.default_rng(seed + 1)
     history = []
@@ -407,9 +407,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
 
     for epoch in range(cfg.epochs):
         if epoch in refresh_at:
-            _, labels = refresh_targets(
-                encoder, dataset, cfg.target_layer, cfg.k, seed=seed + 100 + epoch
-            )
+            _, labels = refresh_targets(encoder, dataset, cfg, seed=seed + 100 + epoch)
             log.info("refreshed pseudo-labels at epoch %d", epoch)
         order = rng.permutation(len(dataset))
         batch = []

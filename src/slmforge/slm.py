@@ -9,8 +9,9 @@ speech row holds the hidden states of every encoder transformer layer for
 ``FRAME_STACK`` consecutive encoder frames, so T' is the encoder's frame
 count divided by ``FRAME_STACK``, rounded down. The LM's tokenizer is an
 ``asr.Vocab``, the class CTC uses, whose reserved symbols are the fixed chat
-markers (``ChatTemplate``), so instruction sets and fusion checkpoints
-store only the characters after them, as the ``charset`` string.
+markers (``ChatTemplate``), so each marker's id is a constant
+(``ASSISTANT_ID``, ``END_ID``, ``AUDIO_ID``) and instruction sets and fusion
+checkpoints store only the characters after them, as the ``charset`` string.
 ``completion_start`` is the one rule for which tokens of an example are
 trained on, checked as an instruction set is read; fusion training scores
 those completion tokens only, with the encoder and LM frozen. ``FusionModel`` is the Speech LLM:
@@ -32,7 +33,7 @@ from . import tensor as T
 from .asr import Vocab
 from .config import read_config, require_at_least
 from .errors import ConfigError, GraphError
-from .fileio import parse_field, read_jsonl, write_jsonl
+from .fileio import parse_count, parse_field, read_jsonl, write_jsonl
 from .nn import (
     Adam,
     Embedding,
@@ -84,6 +85,12 @@ class ChatTemplate:
     specials = (user_marker, assistant_marker, end_marker, audio_marker)
 
 
+# every LM vocabulary starts with ``ChatTemplate.specials``, so each marker's
+# id is its place there
+ASSISTANT_ID, END_ID, AUDIO_ID = (ChatTemplate.specials.index(marker) for marker in (
+    ChatTemplate.assistant_marker, ChatTemplate.end_marker, ChatTemplate.audio_marker))
+
+
 def chat_vocab(charset: str) -> Vocab:
     """The LM's vocabulary: the chat markers, each one token and the first
     ids, then the characters of the string ``charset``, sorted."""
@@ -117,7 +124,7 @@ def render_chat(instruction: str, steps, final: str) -> str:
     return f"{chat_prompt(instruction)}{body}FINAL: {final}{ChatTemplate.end_marker}"
 
 
-def completion_start(ids, tokenizer: Vocab) -> int:
+def completion_start(ids) -> int:
     """Index of the first completion token of the encoded example ``ids``.
 
     The example holds exactly one audio placeholder and exactly one
@@ -126,17 +133,16 @@ def completion_start(ids, tokenizer: Vocab) -> int:
     placeholder comes before it). Anything else is a ConfigError naming the
     cause.
     """
-    for marker in (ChatTemplate.audio_marker, ChatTemplate.assistant_marker):
-        n = ids.count(tokenizer.symbols.index(marker))
+    for marker_id in (AUDIO_ID, ASSISTANT_ID):
+        n = ids.count(marker_id)
         if n != 1:
-            raise ConfigError(f"holds {n} {marker} markers, not one")
-    completion = ids[ids.index(tokenizer.symbols.index(ChatTemplate.assistant_marker)) + 1 :]
-    end = tokenizer.symbols.index(ChatTemplate.end_marker)
-    if completion in ([], [end]):
+            raise ConfigError(f"holds {n} {ChatTemplate.specials[marker_id]} markers, not one")
+    completion = ids[ids.index(ASSISTANT_ID) + 1 :]
+    if completion in ([], [END_ID]):
         raise ConfigError(f"its completion after {ChatTemplate.assistant_marker} is empty")
-    if completion[-1] != end:
+    if completion[-1] != END_ID:
         raise ConfigError(f"its completion does not end with {ChatTemplate.end_marker}")
-    held = [tokenizer.symbols[t] for t in completion[:-1] if t < len(ChatTemplate.specials)]
+    held = [ChatTemplate.specials[t] for t in completion[:-1] if t < len(ChatTemplate.specials)]
     if held:
         raise ConfigError(f"its completion holds the chat marker {held[0]}")
     return len(ids) - len(completion)
@@ -201,7 +207,7 @@ def read_instruction_dataset(path):
     tokenizer = parse_field(path, header, "charset", chat_vocab)
     for ex in examples:
         try:
-            completion_start(tokenizer.encode(ex.text), tokenizer)
+            completion_start(tokenizer.encode(ex.text))
             tokenizer.encode(ex.final)
         except ConfigError as exc:
             raise ConfigError(f"{path}: example {ex.audio_id!r} ({ex.mode}): {exc}") from None
@@ -262,9 +268,6 @@ class CausalLM(Module):
         h = last(h, caches[-1], rows)
         return self.head(self.final_norm(h))
 
-    def forward_tokens(self, ids) -> Tensor:
-        return self.forward_embeddings(self.embed(ids))
-
 
 def lm_stand_in_sequences(examples, tokenizer: Vocab, speech) -> list:
     """Text-only pretraining corpus for the toy stand-in LM.
@@ -275,16 +278,15 @@ def lm_stand_in_sequences(examples, tokenizer: Vocab, speech) -> list:
     fills. ``speech`` maps an example's audio_id to its speech rows, as
     ``extract_multilayer_features`` returns them.
     """
-    audio_id = tokenizer.symbols.index(ChatTemplate.audio_marker)
     seqs = []
     for ex in examples:
         t_prime = len(speech[ex.audio_id])
-        fill = tokenizer.encode(ex.final) or [audio_id]
+        fill = tokenizer.encode(ex.final) or [AUDIO_ID]
         tiled = (fill * (t_prime // len(fill) + 1))[:t_prime]
         ids = tokenizer.encode(ex.text)
         out = []
         for t in ids:
-            out.extend(tiled if t == audio_id else [t])
+            out.extend(tiled if t == AUDIO_ID else [t])
         seqs.append(out)
     return seqs
 
@@ -300,7 +302,8 @@ def train_lm(lm: CausalLM, token_seqs, steps: int, lr: float = 1e-3,
         raise ConfigError("train_lm needs sequences of at least two tokens")
     for step in range(steps):
         ids = seqs[rng.integers(len(seqs))]
-        loss = train_step(opt, [T.cross_entropy(lm.forward_tokens(ids[:-1]), ids[1:])])
+        logits = lm.forward_embeddings(lm.embed(ids[:-1]))
+        loss = train_step(opt, [T.cross_entropy(logits, ids[1:])])
         history.append((step + 1, loss))
     return history
 
@@ -363,7 +366,8 @@ class FusionModel(Module):
     ``dim`` per transformer layer for each of ``FRAME_STACK`` frames, and
     writes the LM's ``dim``; its hidden layer is ``aligner_hidden`` wide
     (None: 4 x the LM's ``dim``), and ``seed`` draws its weights (None draws
-    none).
+    none). The marker ids are constants, so a tokenizer that does not
+    reserve exactly ``ChatTemplate.specials`` is a ConfigError.
     """
 
     kind = "fusion"
@@ -371,6 +375,10 @@ class FusionModel(Module):
     def __init__(self, encoder: SpeechEncoder, lm: CausalLM, tokenizer: Vocab,
                  aligner_hidden: int | None = None, seed: int | None = 0):
         super().__init__()
+        if tokenizer.reserved != ChatTemplate.specials:
+            raise ConfigError(f"the LM's tokenizer must reserve the chat markers "
+                              f"{', '.join(ChatTemplate.specials)}, not "
+                              f"{', '.join(tokenizer.reserved)}")
         self.encoder = encoder
         self.lm = lm
         self.aligner = SpeechAligner(FRAME_STACK * encoder.cfg.dim * encoder.cfg.n_layers,
@@ -395,9 +403,7 @@ class FusionModel(Module):
         lm = CausalLM(parse_field(path, meta, "lm_cfg",
                                   lambda blob: read_config(CausalLMConfig, json.loads(blob))),
                       seed=None)
-        # the train-aligner config's bound on the same width
-        hidden = parse_field(path, meta, "aligner_hidden",
-                             lambda v: FusionTrainConfig(aligner_hidden=int(v)).aligner_hidden)
+        hidden = parse_field(path, meta, "aligner_hidden", parse_count)
         tokenizer = parse_field(path, meta, "charset", chat_vocab)
         if len(tokenizer) != lm.cfg.vocab_size:
             raise ConfigError(f"{path}: bad value for 'charset': its tokenizer has "
@@ -406,10 +412,10 @@ class FusionModel(Module):
         return cls(encoder, lm, tokenizer, hidden, seed=None)
 
 
-def _fused_sequence(lm: CausalLM, speech: Tensor, ids, placeholder_id: int) -> Tensor:
+def _fused_sequence(lm: CausalLM, speech: Tensor, ids) -> Tensor:
     """The embeddings of ``ids`` with ``speech`` in place of its first
     audio placeholder."""
-    p = ids.index(placeholder_id)
+    p = ids.index(AUDIO_ID)
     return T.concat([lm.embed(np.asarray(ids[:p], dtype=np.int64)), speech,
                      lm.embed(np.asarray(ids[p + 1 :], dtype=np.int64))], axis=0)
 
@@ -427,10 +433,10 @@ def fusion_loss(model: FusionModel, speech_rows, ids) -> Tensor:
     gets those rows alone.
     """
     ids = list(ids)
-    tokenizer, lm = model.tokenizer, model.lm
-    start = completion_start(ids, tokenizer)
+    lm = model.lm
+    start = completion_start(ids)
     speech = model.aligner.align(speech_rows)
-    fused = _fused_sequence(lm, speech, ids, tokenizer.symbols.index(ChatTemplate.audio_marker))
+    fused = _fused_sequence(lm, speech, ids)
     rows = np.arange(start - 1, len(ids) - 1) + speech.data.shape[0] - 1
     return T.cross_entropy(lm.forward_embeddings(fused, rows=rows),
                            np.asarray(ids[start:], dtype=np.int64))
@@ -502,19 +508,17 @@ def generate(model: FusionModel, speech_rows, mode: str,
         raise ConfigError(f"unknown mode {mode!r}")
     tokenizer, lm = model.tokenizer, model.lm
     prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
-    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
-    end_id = tokenizer.symbols.index(ChatTemplate.end_marker)
 
     with T.no_grad():
         speech = model.aligner.align(speech_rows)
-        emb = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        emb = _fused_sequence(lm, speech, prompt_ids)
         caches = [[] for _ in lm.blocks]
         last = [emb.data.shape[0] - 1]  # the prefill's one scored row
         generated = []
         truncated = True
         for _ in range(max_tokens):
             nxt = int(np.argmax(lm.forward_embeddings(emb, caches, last).data[-1]))
-            if nxt == end_id:
+            if nxt == END_ID:
                 truncated = False
                 break
             generated.append(nxt)

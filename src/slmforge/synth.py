@@ -31,13 +31,6 @@ def concat_buffers(buffers) -> AudioBuffer:
     return AudioBuffer(np.concatenate([b.samples for b in buffers]), rates.pop())
 
 
-def mix(a: AudioBuffer, b: AudioBuffer) -> AudioBuffer:
-    if a.sample_rate != b.sample_rate:
-        raise ValueError("sample rates differ")
-    n = min(len(a.samples), len(b.samples))
-    return AudioBuffer(np.clip(a.samples[:n] + b.samples[:n], -1.0, 1.0), a.sample_rate)
-
-
 def tone_sequence(freqs, seg_duration_s: float, sample_rate: int = 16000,
                   amplitude: float = 0.5) -> AudioBuffer:
     """One tone segment per frequency, concatenated; the toy utterance shape."""

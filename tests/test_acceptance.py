@@ -415,7 +415,7 @@ def test_criterion_05_frozen_modules_after_100_fusion_steps():
         speech = extract_multilayer_features(encoder, feats[ex.audio_id])
         ids = tok.encode(ex.text)
         loss = fusion_loss(bundle, speech, ids)
-        opt.zero_grad()
+        bundle.zero_grad()
         loss.backward()
         opt.step()
 
@@ -451,7 +451,7 @@ def test_criterion_06_continued_pretraining_benefit(tmp_path):
     enc_cold, _ = continued_pretrain(dataset, cfg100, SpeechEncoder(enc_cfg, cfg.k, seed=5),
                                      seed=5)
 
-    _, labels = initial_labels(dataset, cfg, enc_cold, seed=5)
+    _, labels = initial_labels(dataset, cfg, seed=5)
     loss_warm = evaluate_masked_loss(enc_warm, dataset, labels)
     loss_cold = evaluate_masked_loss(enc_cold, dataset, labels)
     assert loss_warm < loss_cold, f"warm {loss_warm:.4f} !< cold {loss_cold:.4f}"

@@ -1353,20 +1353,32 @@ def test_infer_with_an_encoder_the_fusion_model_was_not_trained_with_names_both_
     assert "other.ckpt is not the encoder in fusion.ckpt" in captured.err
 
 
-@pytest.mark.parametrize("hidden", ["-3", "0"])
-def test_infer_on_an_aligner_hidden_below_one_exits_2_naming_file_and_key(
-        trained, tmp_path, monkeypatch, capsys, hidden):
+@pytest.mark.parametrize("value, cause", [
+    ("-3", "must be >= 1, got -3"),
+    ("0", "must be >= 1, got 0"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+], ids=["-3", "0", "x"])
+@pytest.mark.parametrize("key", ["n_classes", "aligner_hidden"])
+def test_a_checkpoint_count_that_is_not_a_positive_integer_exits_2_naming_file_and_key(
+        trained, tmp_path, monkeypatch, capsys, key, value, cause):
     monkeypatch.chdir(trained)
     monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
-    arrays, meta = read_checkpoint("fusion.ckpt")
-    meta["aligner_hidden"] = hidden
-    fusion = tmp_path / "narrow.ckpt"
-    fusion.write_bytes(checkpoint_bytes(arrays, meta))
-    assert main(_infer_argv(str(fusion))) == 2
+    source = {"n_classes": "encoder.ckpt", "aligner_hidden": "fusion.ckpt"}[key]
+    arrays, meta = read_checkpoint(source)
+    meta[key] = value
+    ckpt = tmp_path / f"bad-{source}"
+    ckpt.write_bytes(checkpoint_bytes(arrays, meta))
+    out = tmp_path / "out.ckpt"
+    command, argv = {
+        "n_classes": ("finetune-asr", ["finetune-asr", "--manifest", "m.jsonl", "--encoder",
+                                       str(ckpt), "--config", "ft.json", "--out", str(out)]),
+        "aligner_hidden": ("infer", _infer_argv(str(ckpt))),
+    }[key]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"slmforge infer: {fusion}: bad value for 'aligner_hidden': "
-                            f"aligner_hidden must be >= 1, got {hidden}\n")
+    assert captured.err == f"slmforge {command}: {ckpt}: bad value for {key!r}: {cause}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("encoder", [(), ("--encoder", "encoder.ckpt")])
@@ -1424,6 +1436,11 @@ def test_finetune_asr_prints_held_out_cer_and_wer_of_the_test_records(trained, m
                   if rec.split == "test"]
     hyp = model.transcribe(features)
     assert got.groups() == (f"{cer(['ab'], [hyp]):.3f}", f"{wer(['ab'], [hyp]):.3f}")
+    # no step scores the training set, so nothing scores the test records either
+    Path("none.json").write_text('{"steps": 0}')
+    assert main(["finetune-asr", "--encoder", "encoder.ckpt", "--config", "none.json",
+                 "--manifest", "split.jsonl", "--out", "none.ckpt"]) == 0
+    assert capsys.readouterr().out == "finetune-asr: 0 steps -> none.ckpt\n"
 
 
 def test_finetune_asr_test_record_with_no_text_exits_2_before_training(trained, monkeypatch,
@@ -1441,6 +1458,24 @@ def test_finetune_asr_test_record_with_no_text_exits_2_before_training(trained, 
         "slmforge finetune-asr: manifest empty.jsonl: test record 'held' has a transcript "
         "with no text once normalized: '?!'; held-out scores need one\n")
     assert not Path("e.ckpt").exists()
+
+
+def test_finetune_asr_with_no_training_words_exits_2_naming_the_manifest_before_reading(
+        trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    monkeypatch.setattr("slmforge.cli.read_wav", _no_read)
+    m = Manifest.read("m.jsonl")
+    m.records = [replace(rec, transcript="?!") for rec in m.records]
+    m.records.append(replace(m.records[0], id="held", split="test", transcript="ab"))
+    m.write("wordless.jsonl")
+    assert main(["finetune-asr", "--manifest", "wordless.jsonl", "--encoder", "encoder.ckpt",
+                 "--config", "ft.json", "--out", "w.ckpt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "slmforge finetune-asr: manifest wordless.jsonl: no training record has a "
+        "transcript with words once normalized\n")
+    assert not Path("w.ckpt").exists()
 
 
 @pytest.mark.parametrize("text", ["a\nb\n", "ab"], ids=["two-symbols", "one-wide-symbol"])

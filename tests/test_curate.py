@@ -28,7 +28,14 @@ from slmforge.curate import (
     vad_segments,
 )
 from slmforge.errors import ConfigError, StageError
-from slmforge.synth import concat_buffers, mix, silence, sine, white_noise
+from slmforge.synth import concat_buffers, silence, sine, white_noise
+
+
+def mix(a, b):
+    """``a`` plus ``b`` sample by sample, cut to the shorter, clipped to [-1, 1]."""
+    assert a.sample_rate == b.sample_rate
+    n = min(len(a.samples), len(b.samples))
+    return AudioBuffer(np.clip(a.samples[:n] + b.samples[:n], -1.0, 1.0), a.sample_rate)
 
 
 def _projection_snr_db(observed, clean):
@@ -48,14 +55,14 @@ def _projection_snr_db(observed, clean):
 
 def test_passthrough_returns_identical_audio():
     buf = sine(440.0, 0.5)
-    assert separate_sources(buf, "passthrough") is buf
+    assert separate_sources(buf, PipelineConfig(separator="passthrough")) is buf
 
 
 @pytest.mark.parametrize("separator", ["passthrough", "spectral-gate", "external:cat"])
 def test_every_separator_returns_read_only_samples(separator):
     for seconds in (0.01, 0.5):  # the gate passes input shorter than its frame through
         buf = sine(440.0, seconds)
-        out = separate_sources(buf, separator)
+        out = separate_sources(buf, PipelineConfig(separator=separator))
         with pytest.raises(ValueError, match="read-only"):
             out.samples[0] = 0.0
 
@@ -103,7 +110,7 @@ def test_spectral_gate_improves_snr_of_noisy_sine():
     noisy = mix(clean, type(noise)(noise.samples * noise_scale, 16000))
 
     snr_in = _projection_snr_db(noisy.samples, clean.samples)
-    out = separate_sources(noisy, "spectral-gate")
+    out = separate_sources(noisy, PipelineConfig(separator="spectral-gate"))
     snr_out = _projection_snr_db(out.samples, clean.samples)
     assert len(out.samples) == len(noisy.samples)
     assert snr_out > snr_in
@@ -121,12 +128,12 @@ def test_spectral_gate_preserves_duration_and_rate():
 def test_external_separator_false_command_stage_error():
     buf = sine(100.0, 0.1)
     with pytest.raises(StageError, match="external tool 'false' exited 1"):
-        separate_sources(buf, "external:false")
+        separate_sources(buf, PipelineConfig(separator="external:false"))
 
 
 def test_external_separator_round_trip_via_cat():
     buf = sine(220.0, 0.2)
-    out = separate_sources(buf, "external:cat")
+    out = separate_sources(buf, PipelineConfig(separator="external:cat"))
     assert out.sample_rate == buf.sample_rate
     assert len(out.samples) == len(buf.samples)
 
@@ -134,12 +141,12 @@ def test_external_separator_round_trip_via_cat():
 def test_external_separator_malformed_output():
     buf = sine(220.0, 0.1)
     with pytest.raises(StageError, match="malformed"):
-        separate_sources(buf, "external:echo nonsense")
+        separate_sources(buf, PipelineConfig(separator="external:echo nonsense"))
 
 
 def test_unknown_separator_is_config_error():
-    with pytest.raises(ConfigError):
-        separate_sources(sine(100, 0.1), "magic")
+    with pytest.raises(ConfigError, match="'separator' must be"):
+        PipelineConfig(separator="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -733,36 +740,39 @@ def test_window_of_one_analysis_frame_is_accepted():
 
 def test_quality_clean_tone_with_silence_gaps_saturates():
     buf = concat_buffers([silence(0.5), sine(440.0, 1.0), silence(0.5)])
-    assert quality_score(buf, "snr-proxy") >= 4.9
+    assert quality_score(buf) >= 4.9
 
 
 def test_quality_pure_white_noise_scores_low():
     buf = white_noise(2.0, amplitude=0.3, seed=11)
-    assert quality_score(buf, "snr-proxy") <= 1.2
+    assert quality_score(buf) <= 1.2
 
 
 def test_quality_always_within_bounds():
     for buf in (silence(1.0), sine(440.0, 1.0), white_noise(1.0, seed=1)):
-        assert 1.0 <= quality_score(buf, "snr-proxy") <= 5.0
+        assert 1.0 <= quality_score(buf) <= 5.0
 
 
 def test_quality_external_scorer_parses_decimal():
     buf = sine(440.0, 0.2)
-    score = quality_score(buf, "external:sh -c 'cat > /dev/null; echo 4.2'")
+    cfg = PipelineConfig(scorer="external:sh -c 'cat > /dev/null; echo 4.2'")
+    score = quality_score(buf, cfg)
     assert score == pytest.approx(4.2)
 
 
 def test_quality_external_scorer_bad_output_is_stage_error():
     buf = sine(440.0, 0.2)
+    cfg = PipelineConfig(scorer="external:sh -c 'cat > /dev/null; echo not-a-number'")
     with pytest.raises(StageError):
-        quality_score(buf, "external:sh -c 'cat > /dev/null; echo not-a-number'")
+        quality_score(buf, cfg)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_quality_external_scorer_non_finite_output_is_stage_error(value):
     buf = sine(440.0, 0.2)
+    cfg = PipelineConfig(scorer=f"external:sh -c 'cat > /dev/null; echo {value}'")
     with pytest.raises(StageError, match=f"external scorer output not finite: '{value}'"):
-        quality_score(buf, f"external:sh -c 'cat > /dev/null; echo {value}'")
+        quality_score(buf, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -566,7 +566,8 @@ def test_refresh_labels_equal_the_reference_per_utterance(target_layer):
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=2)
     rng = np.random.default_rng(10)
     dataset = [rng.standard_normal((n, 8)) for n in (12, 31, 20, 9)]
-    book, labels = refresh_targets(enc, dataset, target_layer, k=4, seed=6)
+    book, labels = refresh_targets(enc, dataset, PretrainConfig(target_layer=target_layer, k=4),
+                                   seed=6)
     assert len(labels) == len(dataset)
     with T.no_grad():
         for features, lab in zip(dataset, labels):
@@ -575,22 +576,22 @@ def test_refresh_labels_equal_the_reference_per_utterance(target_layer):
 
 
 def test_initial_labels_equal_the_reference_per_utterance():
-    enc = SpeechEncoder(TOY_CFG, n_classes=3, seed=0)
     dataset = _toy_dataset(n_utts=3, t=30, seed=4) + _toy_dataset(n_utts=2, t=17, seed=5)
     cfg = PretrainConfig(k=3, n_mfcc=4)
-    book, labels = initial_labels(dataset, cfg, enc, seed=7)
+    book, labels = initial_labels(dataset, cfg, seed=7)
     assert len(labels) == len(dataset)
     for features, lab in zip(dataset, labels):
         want = reference_assign_labels(book.centroids, mfcc(features, cfg.n_mfcc))
-        assert np.array_equal(lab, downsample_labels(want, enc))
+        assert np.array_equal(lab, downsample_labels(want))
 
 
 def test_refresh_deterministic_and_shapes():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=1)
     rng = np.random.default_rng(8)
     dataset = [rng.standard_normal((20 + 2 * i, 8)) for i in range(3)]
-    book1, labels1 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
-    book2, labels2 = refresh_targets(enc, dataset, target_layer=1, k=4, seed=3)
+    cfg = PretrainConfig(target_layer=1, k=4)
+    book1, labels1 = refresh_targets(enc, dataset, cfg, seed=3)
+    book2, labels2 = refresh_targets(enc, dataset, cfg, seed=3)
     assert np.array_equal(book1.centroids, book2.centroids)
     for a, b, data in zip(labels1, labels2, dataset):
         assert np.array_equal(a, b)
@@ -600,15 +601,14 @@ def test_refresh_deterministic_and_shapes():
 def test_refresh_rejects_empty_dataset_and_bad_layer():
     enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=0)
     with pytest.raises(ValueError):
-        refresh_targets(enc, [], 1, 4)
+        refresh_targets(enc, [], PretrainConfig(target_layer=1, k=4))
     with pytest.raises(ConfigError):
-        refresh_targets(enc, [np.zeros((10, 8))], 5, 2)
+        refresh_targets(enc, [np.zeros((10, 8))], PretrainConfig(target_layer=5, k=2))
 
 
 def test_downsample_labels_uses_patch_start():
-    enc = SpeechEncoder(TOY_CFG, n_classes=4, seed=0)
     for n in (20, 21):  # an odd last frame has no output frame
-        assert np.array_equal(downsample_labels(np.arange(n), enc), np.arange(0, 20, 2))
+        assert np.array_equal(downsample_labels(np.arange(n)), np.arange(0, 20, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +647,7 @@ def test_toy_overfit_halves_masked_loss():
     cfg = PretrainConfig(epochs=1000, lr=3e-3, batch_seconds=2.0, k=4, n_mfcc=4)
     enc0, _ = continued_pretrain(dataset, replace(cfg, max_steps=1),
                                  SpeechEncoder(TOY_CFG, 4, seed=4), seed=4)
-    _, labels = initial_labels(dataset, cfg, enc0, seed=4)
+    _, labels = initial_labels(dataset, cfg, seed=4)
     initial = evaluate_masked_loss(enc0, dataset, labels)
 
     enc, history = continued_pretrain(dataset, replace(cfg, max_steps=200),

@@ -19,6 +19,9 @@ from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge import tensor as T
 from slmforge.slm import (
     _MODE_TABLE,
+    ASSISTANT_ID,
+    AUDIO_ID,
+    END_ID,
     MODES,
     _fused_sequence,
     CausalLM,
@@ -188,7 +191,7 @@ def test_completion_starts_after_the_assistant_marker_and_runs_to_the_end():
     text = render_chat("Transcribe the audio.", [], "waaw")
     tok = _tok([text])
     ids = tok.encode(text)
-    start = completion_start(ids, tok)
+    start = completion_start(ids)
     assert ids[start - 1] == tok.symbols.index(ChatTemplate.assistant_marker)
     assert tok.decode(ids[start:]) == "FINAL: waaw<|end|>"
 
@@ -206,7 +209,7 @@ def test_transcribe_mode_renders_final_line_by_hand():
                 "FINAL: waaw<|end|>")
     assert ex.text == expected
     ids = tok.encode(ex.text)
-    assert tok.decode(ids[completion_start(ids, tok):]) == "FINAL: waaw<|end|>"
+    assert tok.decode(ids[completion_start(ids):]) == "FINAL: waaw<|end|>"
 
 
 def test_missing_translation_skips_with_reason():
@@ -249,7 +252,7 @@ def test_a_field_holding_a_marker_fragment_is_kept_and_encodes(transcript):
     for ex in examples:
         ids = tok.encode(ex.text)
         assert tok.decode(ids) == ex.text
-        completion = tok.decode(ids[completion_start(ids, tok):])
+        completion = tok.decode(ids[completion_start(ids):])
         assert completion.endswith(f"FINAL: {transcript}<|end|>")
 
 
@@ -640,7 +643,7 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
     with T.no_grad():
         aligned = aligner.align(speech)
         # the fused prompt once, then one embedding appended per token
-        fused = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        fused = _fused_sequence(lm, aligned, prompt_ids)
         for step in range(len(generated) + 1):
             got = lm.forward_embeddings(fused).data
             want = _reference_generate_logits(lm, aligned, prompt_ids, placeholder,
@@ -702,8 +705,7 @@ def test_forward_with_empty_caches_is_bit_identical_to_forward_without(seed):
     lm, aligner, tok = model.lm, model.aligner, model.tokenizer
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     with T.no_grad():
-        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
-                                   tok.symbols.index("<|audio|>"))
+        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids)
         want = lm.forward_embeddings(fused).data
         got = lm.forward_embeddings(fused, _fresh_caches(lm)).data
     assert got.tobytes() == want.tobytes()
@@ -719,7 +721,7 @@ def test_cached_steps_match_the_reference_logits(seed):
     generated = [int(t) for t in rng.integers(0, len(tok), 15)] + [placeholder]
     with T.no_grad():
         aligned = aligner.align(speech)
-        rows = _fused_sequence(lm, aligned, prompt_ids, placeholder)
+        rows = _fused_sequence(lm, aligned, prompt_ids)
         caches = _fresh_caches(lm)
         for step in range(len(generated) + 1):
             got = lm.forward_embeddings(rows, caches).data[-1]
@@ -761,8 +763,7 @@ def test_a_non_finite_cached_key_raises_naming_the_op():
     prompt_ids = tok.encode(chat_prompt(_MODE_TABLE["transcribe"][0]))
     caches = _fresh_caches(lm)
     with T.no_grad():
-        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids,
-                                   tok.symbols.index("<|audio|>"))
+        fused = _fused_sequence(lm, aligner.align(speech), prompt_ids)
         lm.forward_embeddings(fused, caches)
         caches[1][0].data[3, 0] = np.nan  # key row 3 of layer 1, in head 0's columns
         with pytest.raises(NonFiniteError, match="op 'concat'"):
@@ -785,7 +786,7 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     t_prime = speech.data.shape[0]
     placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
     p = ids.index(placeholder)
-    logits = lm.forward_embeddings(_fused_sequence(lm, speech, ids, placeholder))
+    logits = lm.forward_embeddings(_fused_sequence(lm, speech, ids))
     targets = np.asarray(ids, dtype=np.int64)
     j = np.arange(1, len(ids))
     j = j[j != p]
@@ -797,11 +798,10 @@ def _full_pass_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
 def _full_pass_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
     """generate as it was before its prefill asked for the last row only."""
     prompt_ids = tokenizer.encode(chat_prompt(_MODE_TABLE[mode][0]))
-    placeholder = tokenizer.symbols.index(ChatTemplate.audio_marker)
     end_id = tokenizer.symbols.index(ChatTemplate.end_marker)
     with T.no_grad():
         speech = aligner.align(np.asarray(speech_features))
-        rows = _fused_sequence(lm, speech, prompt_ids, placeholder)
+        rows = _fused_sequence(lm, speech, prompt_ids)
         caches = [[] for _ in lm.blocks]
         generated, truncated = [], True
         for _ in range(max_tokens):
@@ -918,8 +918,8 @@ def test_lm_causality_future_tokens_do_not_change_past_logits():
     changed = list(base)
     changed[-1] = tok.encode("a")[0]
     with T.no_grad():
-        la = lm.forward_tokens(np.asarray(base)).data
-        lb = lm.forward_tokens(np.asarray(changed)).data
+        la = lm.forward_embeddings(lm.embed(base)).data
+        lb = lm.forward_embeddings(lm.embed(changed)).data
     assert np.array_equal(la[:-1], lb[:-1])
 
 
@@ -960,6 +960,20 @@ def test_a_fusion_model_builds_the_aligner_its_callers_built(hidden, seed):
         name for name, _ in old.named_parameters()]
     assert checkpoint_bytes(new.state_arrays(), new.record()) == checkpoint_bytes(
         old.state_arrays(), old.record())
+
+
+def test_a_fusion_model_rejects_a_tokenizer_without_the_chat_markers_first():
+    """The LM's callers take the chat markers' ids as constants, so its
+    tokenizer must reserve ``ChatTemplate.specials``; a CTC vocabulary,
+    which reserves the blank, is refused."""
+    ctc = Vocab.from_texts(["waaw"], (BLANK_SYMBOL,))
+    lm = CausalLM(CausalLMConfig(vocab_size=len(ctc), dim=16, n_layers=1), seed=3)
+    with pytest.raises(ConfigError, match="must reserve the chat markers .*, not <blank>$"):
+        FusionModel(SpeechEncoder(WIDTH_12, 3), lm, ctc)
+    tok = _tok(["waaw"])
+    assert [tok.encode(m) for m in (ChatTemplate.assistant_marker, ChatTemplate.end_marker,
+                                    ChatTemplate.audio_marker)] == [[ASSISTANT_ID], [END_ID],
+                                                                    [AUDIO_ID]]
 
 
 def test_train_aligner_freezes_the_encoder_and_lm_and_trains_the_aligner_alone():

@@ -670,7 +670,7 @@ def test_train_step_matches_inline_step(n):
     for _ in range(3):
         losses = _losses(inline, n)
         loss = losses[0] if n == 1 else (losses[0] + losses[1] + losses[2]) / 3
-        opt_inline.zero_grad()
+        inline.zero_grad()
         loss.backward()
         opt_inline.step()
         got = train_step(opt_stepped, _losses(stepped, n))
@@ -703,7 +703,7 @@ def test_seeded_init_reproducible_training_trajectory():
         for _ in range(5):
             out = net.fc2(T.relu(net.fc1(Tensor(xs))))
             loss = tsum(out * out) / out.data.size
-            opt.zero_grad()
+            net.zero_grad()
             loss.backward()
             opt.step()
             losses.append(loss.item())
