@@ -20,11 +20,15 @@ the checkpoint holding the encoder. Every checkpoint is written by
 ``pretrain --init`` loads must have exactly the model config and class count
 (``k``) the config and manifest resolve to. ``train-aligner`` stores the
 encoder it was given in the fusion checkpoint, which ``infer`` runs; an
-``infer --encoder`` file must hold that same encoder. The training
-subcommands take their seed from ``--seed``, else SLMFORGE_SEED, else 0.
-Every artifact-producing subcommand embeds the fully resolved config and its
-hash in the output, so identical config + seed reproduce outputs
-byte-for-byte.
+``infer --encoder`` file must hold that same encoder. A training subcommand
+reads only the manifest records it uses, chosen before any WAV is read:
+``pretrain`` all, ``train-aligner`` those its SFT examples name, and
+``finetune-asr`` the transcribed ones, holding out and scoring the
+``split == "test"`` ones and, without ``--vocab``, taking the CTC vocabulary
+from the others. The training subcommands take their seed from ``--seed``,
+else SLMFORGE_SEED, else 0. Every artifact-producing subcommand embeds the
+fully resolved config and its hash in the output, so identical config + seed
+reproduce outputs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -158,13 +162,13 @@ def _encoder_input(buf, cfg: SpeechEncoderConfig, source: str, span=None, min_fr
     return features
 
 
-def _records_with_audio(path, manifest: Manifest, cfg: SpeechEncoderConfig, min_frames=1):
-    """Yield (record, encoder input) per record of manifest ``path``, reading
-    and resampling each source WAV once, not once per record; a record whose
-    span gives the encoder no output frame, or fewer than ``min_frames``, is
-    a ConfigError naming the manifest and the record."""
+def _records_with_audio(path, records, cfg: SpeechEncoderConfig, min_frames=1):
+    """Yield (record, encoder input) per record of ``records``, from manifest
+    ``path``, reading and resampling each source WAV once, not once per
+    record; a record whose span gives the encoder no output frame, or fewer
+    than ``min_frames``, is a ConfigError naming the manifest and the record."""
     wavs = {}
-    for rec in manifest.records:
+    for rec in records:
         if rec.source_path not in wavs:
             wavs[rec.source_path] = resample(read_wav(rec.source_path), cfg.sample_rate)
         yield rec, _encoder_input(wavs[rec.source_path], cfg,
@@ -254,7 +258,7 @@ def cmd_pretrain(args) -> int:
                 raise ConfigError(f"{args.init}: encoder {name} {loaded[name]!r} differs "
                                   f"from the {source} {want!r}")
     dataset = [features for _, features in
-               _records_with_audio(args.manifest, manifest, encoder_cfg)]
+               _records_with_audio(args.manifest, manifest.records, encoder_cfg)]
 
     encoder, history = continued_pretrain(dataset, train_cfg, encoder, seed=seed)
     save_checkpoint(encoder, args.out, _resolved_metadata(seed, encoder_cfg, train_cfg))
@@ -268,16 +272,14 @@ def cmd_finetune_asr(args) -> int:
     with _config_fields(args) as given:
         cfg = asr_mod.FinetuneConfig(**given[asr_mod.FinetuneConfig])
     encoder = load_checkpoint(args.encoder, SpeechEncoder)
-    manifest = Manifest.read(args.manifest)
+    records = [rec for rec in Manifest.read(args.manifest).records if rec.transcript]
 
     lexicon = _normalization_lexicon(args)
     vocab = asr_mod.Vocab.from_file(args.vocab) if args.vocab else None
-    texts = []  # each record's normalized transcript, checked before any WAV is read
-    for rec in manifest.records:
-        text = rec.transcript and asr_mod.normalize_text(rec.transcript, lexicon)
-        texts.append(text)
-        if not rec.transcript:
-            continue
+    # record id -> normalized transcript, checked before any WAV is read
+    train, heldout = {}, {}
+    for rec in records:
+        text = asr_mod.normalize_text(rec.transcript, lexicon)
         if rec.split == "test":
             if not text:
                 raise ConfigError(f"manifest {args.manifest}: test record {rec.id!r} has a "
@@ -289,27 +291,24 @@ def cmd_finetune_asr(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.vocab}: {exc}, in the transcript of record "
                                   f"{rec.id!r}") from None
+        (heldout if rec.split == "test" else train)[rec.id] = text
     # fine-tuning needs a word to learn, and the training WER one to score
-    if not any(text for rec, text in zip(manifest.records, texts) if rec.split != "test"):
+    if not any(train.values()):
         raise ConfigError(f"manifest {args.manifest}: no training record has a transcript "
                           f"with words once normalized")
-    train, heldout = [], []
-    for text, (rec, features) in zip(texts, _records_with_audio(args.manifest, manifest,
-                                                                 encoder.cfg)):
-        if rec.transcript:
-            (heldout if rec.split == "test" else train).append((features, text))
     if vocab is None:
-        vocab = asr_mod.Vocab.from_texts([t for _, t in train + heldout],
-                                         (asr_mod.BLANK_SYMBOL,))
-    model, history = asr_mod.finetune_ctc(encoder, train, vocab, cfg, seed=seed)
+        vocab = asr_mod.Vocab.from_texts(train.values(), (asr_mod.BLANK_SYMBOL,))
+    features = {rec.id: f for rec, f in _records_with_audio(args.manifest, records, encoder.cfg)}
+    model, history = asr_mod.finetune_ctc(
+        encoder, [(features[i], text) for i, text in train.items()], vocab, cfg, seed=seed)
     save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
     evals = [w for _, _, w in history if w is not None]
     tail = ""
     if evals:
         tail = f", train WER {evals[-1]:.3f}"
         if heldout:
-            refs = [t for _, t in heldout]
-            hyps = [model.transcribe(features) for features, _ in heldout]
+            refs = list(heldout.values())
+            hyps = [model.transcribe(features[i]) for i in heldout]
             tail += f", held-out CER {cer(refs, hyps):.3f} WER {wer(refs, hyps):.3f}"
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
     return 0
@@ -347,9 +346,10 @@ def cmd_train_aligner(args) -> int:
     examples, tokenizer, _header = slm_mod.read_instruction_dataset(args.sft)
     if not examples:
         raise ConfigError(f"no examples in {args.sft}")
-    manifest = Manifest.read(args.manifest)
-    known = {rec.id for rec in manifest.records}
-    unknown = next((ex for ex in examples if ex.audio_id not in known), None)
+    # the only records read: those the examples name, by id in manifest order
+    named = {ex.audio_id for ex in examples}
+    records = {rec.id: rec for rec in Manifest.read(args.manifest).records if rec.id in named}
+    unknown = next((ex for ex in examples if ex.audio_id not in records), None)
     if unknown is not None:
         raise ConfigError(f"{args.sft}: example {unknown.audio_id!r} ({unknown.mode}): "
                           f"audio id not in manifest {args.manifest}")
@@ -358,9 +358,9 @@ def cmd_train_aligner(args) -> int:
     model = slm_mod.FusionModel(encoder, slm_mod.CausalLM(lm_cfg, seed=seed), tokenizer,
                                 fusion_cfg.aligner_hidden, seed=seed + 1)
 
-    # every record's audio is read and checked before the encoder runs on any
+    # every named record's audio is read and checked before the encoder runs on any
     feature_cache = {rec.id: features for rec, features in _records_with_audio(
-        args.manifest, manifest, encoder.cfg, slm_mod.FRAME_STACK)}
+        args.manifest, records.values(), encoder.cfg, slm_mod.FRAME_STACK)}
     for rec_id, features in feature_cache.items():
         feature_cache[rec_id] = slm_mod.extract_multilayer_features(encoder, features)
     pairs = [(feature_cache[ex.audio_id], ex) for ex in examples]
@@ -446,7 +446,7 @@ def cmd_eval(args) -> int:
         payload = {
             "config": resolved,
             "config_hash": config_hash(resolved),
-            "rows": json.loads(render_report([row], fmt="json")),
+            "rows": [row.to_dict()],
         }
         with atomic_open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

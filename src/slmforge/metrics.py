@@ -203,6 +203,18 @@ class MetricRow:
                 raise ConfigError(f"{key} must hold finite numbers only, got {value!r}") from None
         return cls(name=d["name"], extra=extra, **metrics)
 
+    def to_dict(self) -> dict:
+        """The row as one report JSON object: ``name``, the ``extra`` keys,
+        each set metric rounded to 4 decimals and each set count."""
+        entry = {"name": self.name, **self.extra}
+        for key, _, _ in METRIC_COLUMNS:
+            if getattr(self, key) is not None:
+                entry[key] = round(float(getattr(self, key)), 4)
+        for key in ("n_utterances", "n_ref_words"):
+            if getattr(self, key) is not None:
+                entry[key] = getattr(self, key)
+        return entry
+
 
 def compute_report(name: str, refs, hyps, metrics=("wer", "cer", "chrf")) -> MetricRow:
     row = MetricRow(name=name)
@@ -226,20 +238,8 @@ def render_report(rows, fmt: str = "text") -> str:
     """
     rows = list(rows)
     if fmt == "json":
-        payload = []
-        for row in rows:
-            entry = {"name": row.name}
-            entry.update(row.extra)
-            for key, label, _ in METRIC_COLUMNS:
-                value = getattr(row, key)
-                if value is not None:
-                    entry[key] = round(float(value), 4)
-            if row.n_utterances is not None:
-                entry["n_utterances"] = row.n_utterances
-            if row.n_ref_words is not None:
-                entry["n_ref_words"] = row.n_ref_words
-            payload.append(entry)
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+        return json.dumps([row.to_dict() for row in rows], indent=2, sort_keys=True,
+                          ensure_ascii=False)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 

@@ -192,8 +192,6 @@ class MultiHeadSelfAttention(Module):
 
     def __init__(self, dim: int, n_heads: int, causal: bool, rng: np.random.Generator):
         super().__init__()
-        if dim % n_heads != 0:
-            raise GraphError(f"dim {dim} not divisible by {n_heads} heads")
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)

@@ -1432,8 +1432,8 @@ def test_finetune_asr_prints_held_out_cer_and_wer_of_the_test_records(trained, m
     assert got, out
     # the scores of the written model on the test record
     model = load_checkpoint("held.ckpt", CtcModel)
-    [features] = [f for rec, f in cli._records_with_audio("split.jsonl", m, model.encoder.cfg)
-                  if rec.split == "test"]
+    [(_, features)] = cli._records_with_audio("split.jsonl", m.records[-1:],
+                                               model.encoder.cfg)
     hyp = model.transcribe(features)
     assert got.groups() == (f"{cer(['ab'], [hyp]):.3f}", f"{wer(['ab'], [hyp]):.3f}")
     # no step scores the training set, so nothing scores the test records either
@@ -1476,6 +1476,56 @@ def test_finetune_asr_with_no_training_words_exits_2_naming_the_manifest_before_
         "slmforge finetune-asr: manifest wordless.jsonl: no training record has a "
         "transcript with words once normalized\n")
     assert not Path("w.ckpt").exists()
+
+
+def test_finetune_asr_builds_its_vocab_from_the_training_transcripts_alone(
+        trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    argv = ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json"]
+    assert main([*argv, "--manifest", "m.jsonl", "--out", "plain.ckpt"]) == 0
+    m = Manifest.read("m.jsonl")
+    m.records.append(replace(m.records[0], id="held", split="test", transcript="zq"))
+    m.write("zq.jsonl")
+    capsys.readouterr()
+    assert main([*argv, "--manifest", "zq.jsonl", "--out", "zq.ckpt"]) == 0
+    assert json.loads(read_checkpoint("zq.ckpt")[1]["vocab"]) == [BLANK_SYMBOL, "a", "b"]
+    # the test record shapes nothing the model learns
+    assert Path("zq.ckpt").read_bytes() == Path("plain.ckpt").read_bytes()
+    # characters the model cannot emit are CER errors like any other
+    model = load_checkpoint("zq.ckpt", CtcModel)
+    [(_, features)] = cli._records_with_audio("zq.jsonl", m.records[-1:], model.encoder.cfg)
+    hyp = model.transcribe(features)
+    assert f"held-out CER {cer(['zq'], [hyp]):.3f} " in capsys.readouterr().out
+
+
+def test_finetune_asr_reads_no_untranscribed_record(trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    argv = ["finetune-asr", "--encoder", "encoder.ckpt", "--config", "ft.json"]
+    assert main([*argv, "--manifest", "m.jsonl", "--out", "plain.ckpt"]) == 0
+    m = Manifest.read("m.jsonl")
+    # a span past the end of its WAV gives no log-mel frame if it is read
+    m.records.append(replace(m.records[0], id="untranscribed", offset_s=1000.0,
+                             transcript=None))
+    m.write("untranscribed.jsonl")
+    assert main([*argv, "--manifest", "untranscribed.jsonl", "--out", "u.ckpt"]) == 0
+    assert Path("u.ckpt").read_bytes() == Path("plain.ckpt").read_bytes()
+
+
+def test_train_aligner_reads_no_record_its_examples_do_not_name(trained, monkeypatch):
+    monkeypatch.chdir(trained)
+
+    def refusing_read(path, *args):
+        assert Path(path).name != "b.wav", f"read {path}"
+        return read_wav(path, *args)
+
+    monkeypatch.setattr("slmforge.cli.read_wav", refusing_read)
+    m = Manifest.read("m.jsonl")
+    m.records.append(replace(m.records[0], id="unnamed", source_path="b.wav"))
+    m.write("unnamed.jsonl")
+    assert main(["train-aligner", "--sft", "sft.jsonl", "--manifest", "unnamed.jsonl",
+                 "--encoder", "encoder.ckpt", "--config", "al.json",
+                 "--out", "unnamed.ckpt"]) == 0
+    assert Path("unnamed.ckpt").read_bytes() == Path("fusion.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("text", ["a\nb\n", "ab"], ids=["two-symbols", "one-wide-symbol"])
@@ -1771,12 +1821,12 @@ def _resample_calls(monkeypatch) -> list:
 def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
         manifest, monkeypatch):
     first = Manifest.read(manifest).records[0]
-    three = Manifest([replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
-                      for i, lo in enumerate((0.4, 1.0, 1.7))])
+    three = [replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
+             for i, lo in enumerate((0.4, 1.0, 1.7))]
     cfg = SpeechEncoderConfig(sample_rate=22050)
     want = [cli._encoder_input(read_wav(first.source_path), cfg, rec.id,
                                (rec.offset_s, rec.offset_s + rec.duration_s))
-            for rec in three.records]
+            for rec in three]
     calls = _resample_calls(monkeypatch)
     got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
     # the WAV is resampled once; each record's call finds it at the rate
@@ -1786,14 +1836,14 @@ def test_records_of_one_wav_resample_it_once_to_the_per_record_features(
 
 def test_records_already_at_the_encoder_rate_use_the_wav_as_read(manifest, monkeypatch):
     first = Manifest.read(manifest).records[0]
-    three = Manifest([replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
-                      for i, lo in enumerate((0.4, 1.0, 1.7))])
+    three = [replace(first, id=f"r{i}", offset_s=lo, duration_s=0.6)
+             for i, lo in enumerate((0.4, 1.0, 1.7))]
     cfg = SpeechEncoderConfig()
     wav = read_wav(first.source_path)
     assert wav.sample_rate == cfg.sample_rate == first.sample_rate
     want = [cli._encoder_input(wav, cfg, rec.id,
                                (rec.offset_s, rec.offset_s + rec.duration_s))
-            for rec in three.records]
+            for rec in three]
     calls = _resample_calls(monkeypatch)
     got = [features for _, features in cli._records_with_audio(manifest, three, cfg)]
     assert calls == [(16000, 16000, True)] * 4
