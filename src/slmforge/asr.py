@@ -27,6 +27,7 @@ import json
 import re
 import string
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,10 @@ class CtcModel(Module):
         states = self.encoder.forward(features, mask=None)
         return self.head(self.encoder.final_norm(states[-1]))
 
+    def loss(self, features: np.ndarray, target) -> Tensor:
+        """``ctc_loss`` of ``target`` on the logits of ``features``."""
+        return ctc_loss(self.logits(features), target)
+
     def log_probs(self, features: np.ndarray) -> np.ndarray:
         """The decoding lattice: log-softmax of the logits, with no graph."""
         with T.no_grad():
@@ -411,7 +416,7 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
     for step in range(1, cfg.steps + 1):
         picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
                            replace=False)
-        loss = train_step(opt, [ctc_loss(model.logits(encoded[i][0]), encoded[i][2])
+        loss = train_step(opt, [partial(model.loss, encoded[i][0], encoded[i][2])
                                 for i in picks])
 
         if step % cfg.eval_every == 0 or step == cfg.steps:

@@ -5,7 +5,9 @@ A parameter's ``requires_grad`` is its only trainability flag: ``freeze``
 clears it, so the parameter receives no gradients and the optimizer skips
 it; ``slm.train_aligner`` freezes the encoder and LM of the model it trains
 this way.
-Every trainer updates its weights through ``train_step``.
+Every trainer updates its weights through ``train_step``, which takes a
+batch as one loss builder per item and runs one item's graph at a time, so
+a step's peak memory is that of its largest item, not of the whole batch.
 
 Checkpoint byte layout (little-endian throughout):
 
@@ -138,7 +140,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -297,21 +299,29 @@ class Adam:
 
 
 def train_step(opt: Adam, losses) -> float:
-    """One optimizer step on the mean of ``losses``; returns that mean.
+    """One optimizer step on the mean loss of a batch; returns that mean.
 
-    The losses are added left to right and then divided by their count
-    (division by 1 is exact). ``backward`` frees the graph as it walks it:
-    only the parameters keep their gradients, no interior gradient is kept,
-    and a second ``backward`` through any of ``losses`` is a GraphError.
+    ``losses`` holds one zero-argument callable per batch item, which builds
+    that item's loss. Each loss is built, divided by the batch size n and
+    run backward before the next is built, so one item's graph is alive at
+    a time. The mean is the losses added left to right, times 1/n. These
+    are the bytes of summing the losses into one graph and running one
+    ``backward``: that seeds every item with the same 1/n and walks item 1's
+    subgraph, then item 2's, and so on, since items share only leaves, so
+    each parameter gradient gets the same additions in the same order. An
+    empty batch is a GraphError.
     """
-    loss = losses[0]
-    for extra in losses[1:]:
-        loss = loss + extra
-    loss = loss / len(losses)
+    n = len(losses)
+    if n == 0:
+        raise GraphError("train_step got an empty batch: there is no loss to step on")
     opt.module.zero_grad()
-    loss.backward()
+    total = None
+    for build in losses:
+        loss = build()
+        (loss / n).backward()
+        total = loss.item() if total is None else total + loss.item()
     opt.step()
-    return loss.item()
+    return total * (1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -427,7 +428,7 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
             if masked:
                 step += 1
                 history.append((step, train_step(
-                    opt, [masked_prediction_loss(encoder, *utt) for utt in masked])))
+                    opt, [partial(masked_prediction_loss, encoder, *utt) for utt in masked])))
                 if cfg.max_steps is not None and step >= cfg.max_steps:
                     return encoder, history
             batch = []

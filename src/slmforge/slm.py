@@ -26,6 +26,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -302,8 +303,8 @@ def train_lm(lm: CausalLM, token_seqs, steps: int, lr: float = 1e-3,
         raise ConfigError("train_lm needs sequences of at least two tokens")
     for step in range(steps):
         ids = seqs[rng.integers(len(seqs))]
-        logits = lm.forward_embeddings(lm.embed(ids[:-1]))
-        loss = train_step(opt, [T.cross_entropy(logits, ids[1:])])
+        loss = train_step(opt, [lambda: T.cross_entropy(
+            lm.forward_embeddings(lm.embed(ids[:-1])), ids[1:])])
         history.append((step + 1, loss))
     return history
 
@@ -417,7 +418,7 @@ def _fused_sequence(lm: CausalLM, speech: Tensor, ids) -> Tensor:
     audio placeholder."""
     p = ids.index(AUDIO_ID)
     return T.concat([lm.embed(np.asarray(ids[:p], dtype=np.int64)), speech,
-                     lm.embed(np.asarray(ids[p + 1 :], dtype=np.int64))], axis=0)
+                     lm.embed(np.asarray(ids[p + 1 :], dtype=np.int64))])
 
 
 def fusion_loss(model: FusionModel, speech_rows, ids) -> Tensor:
@@ -477,7 +478,7 @@ def train_aligner(model: FusionModel, pairs, cfg: FusionTrainConfig = FusionTrai
     for step in range(cfg.steps):
         picks = rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
                            replace=False)
-        loss = train_step(opt, [fusion_loss(model, *prepared[i]) for i in picks])
+        loss = train_step(opt, [partial(fusion_loss, model, *prepared[i]) for i in picks])
         history.append((step + 1, loss))
     return history
 

@@ -31,9 +31,7 @@ def concat_buffers(buffers) -> AudioBuffer:
     return AudioBuffer(np.concatenate([b.samples for b in buffers]), rates.pop())
 
 
-def tone_sequence(freqs, seg_duration_s: float, sample_rate: int = 16000,
-                  amplitude: float = 0.5) -> AudioBuffer:
-    """One tone segment per frequency, concatenated; the toy utterance shape."""
-    return concat_buffers(
-        [sine(f, seg_duration_s, sample_rate, amplitude) for f in freqs]
-    )
+def tone_sequence(freqs, seg_duration_s: float) -> AudioBuffer:
+    """One ``sine`` segment per frequency at its default rate and amplitude,
+    concatenated; the toy utterance shape."""
+    return concat_buffers([sine(f, seg_duration_s) for f in freqs])

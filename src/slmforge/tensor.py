@@ -4,6 +4,7 @@ A Tensor wraps a numpy array plus an optional gradient. Ops record a dynamic
 graph; ``backward`` on a scalar loss walks it in reverse topological order
 and frees it as it goes, so one graph is walked once.
 Any op producing NaN/Inf aborts immediately with an error naming the op.
+An affine layer is one op, ``linear``, with the bias added in place.
 Multi-head attention is one op over (rows, dim) tensors that splits and
 joins the heads inside; it divides its output rows, not its probabilities,
 by the softmax row sums, so it matches the op-by-op composition to 1e-12
@@ -170,36 +171,40 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise GraphError("matmul needs at least 1-D operands")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: one graph node for a ``nn.Linear``.
+
+    The forward adds ``b`` in place to the product, and the backward
+    accumulates ``grad @ wᵀ``, ``xᵀ @ grad`` and ``grad``'s column sums. That
+    is the arithmetic of ``add(matmul(x, w), b)``, whose matmul node received
+    ``0.0 + grad``: the two differ only where ``grad`` holds -0.0, and there
+    only in the sign of zeros, which ``_accumulate`` adds onto +0.0 and so
+    writes as +0.0. Every gradient therefore has the two-node path's bytes.
+    """
     try:
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(x.data, w.data)
     except ValueError:
         raise GraphError(
-            f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
+            f"matmul shape mismatch in linear: {x.data.shape} @ {w.data.shape}"
         ) from None
+    out += b.data
 
     def backward(grad):
-        ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        _accumulate(x, np.matmul(grad, np.swapaxes(w.data, -1, -2)))
+        _accumulate(w, np.matmul(np.swapaxes(x.data, -1, -2), grad))
+        _accumulate(b, _unbroadcast(grad, b.data.shape))
 
-    return _make(out, (a, b), backward, "matmul")
+    return _make(out, (x, w, b), backward, "linear")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors) -> Tensor:
+    """The rows of ``tensors``, stacked in order."""
+    out = np.concatenate([t.data for t in tensors])
+    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
 
     def backward(grad):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * grad.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, grad[tuple(sl)])
+            _accumulate(t, grad[lo:hi])
 
     return _make(out, tuple(tensors), backward, "concat")
 

@@ -1,8 +1,10 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
 the tests build losses and the reference attention path from (the
 log-softmax op and masked cross-entropy the loss ops once took among
-them), the completion mask and masked fusion loss that the completion rule
-replaced, subprocess environments, and the benchmark's input writer."""
+them, and the matmul that ``tensor.linear`` replaced), the completion mask
+and masked fusion loss that the completion rule replaced, the joint
+training step that the one-item-at-a-time step replaced, subprocess
+environments, and the benchmark's input writer."""
 
 import importlib.util
 import os
@@ -13,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from slmforge import tensor as T
+from slmforge.errors import GraphError
 from slmforge.slm import ChatTemplate
-from slmforge.tensor import Tensor, _accumulate, _make
+from slmforge.tensor import Tensor, _accumulate, _make, _unbroadcast
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
@@ -50,6 +53,43 @@ def tsum(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(grad, a.data.shape).copy())
 
     return _make(out, (a,), backward, "sum")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product as one graph node: with ``T.add`` for the bias, the
+    two-node path that ``tensor.linear`` replaced, and the products of the
+    reference attention composition."""
+    if a.data.ndim == 0 or b.data.ndim == 0:
+        raise GraphError("matmul needs at least 1-D operands")
+    try:
+        out = np.matmul(a.data, b.data)
+    except ValueError:
+        raise GraphError(
+            f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
+        ) from None
+
+    def backward(grad):
+        ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
+        _accumulate(a, _unbroadcast(ga, a.data.shape))
+        _accumulate(b, _unbroadcast(gb, b.data.shape))
+
+    return _make(out, (a, b), backward, "matmul")
+
+
+def joint_train_step(opt, losses) -> float:
+    """``nn.train_step`` as it was before it built and ran one item's loss
+    at a time: the built ``losses`` added left to right into one graph,
+    divided by their count and run backward once, so every item's graph is
+    alive until that one walk."""
+    loss = losses[0]
+    for extra in losses[1:]:
+        loss = loss + extra
+    loss = loss / len(losses)
+    opt.module.zero_grad()
+    loss.backward()
+    opt.step()
+    return loss.item()
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -145,7 +185,7 @@ def masked_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokenizer,
     parts.append(speech)
     if after:
         parts.append(lm.embed(np.asarray(after, dtype=np.int64)))
-    fused = T.concat(parts, axis=0)
+    fused = T.concat(parts)
     targets = np.asarray(targets_override if targets_override is not None else ids,
                          dtype=np.int64)
     assert len(targets) == len(ids)

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import (
     check_grad_against_fd, cli_env, completion_mask, finite_diff_grad, log_softmax,
-    masked_fusion_loss, max_rel_error, softmax,
+    masked_fusion_loss, matmul, max_rel_error, softmax,
 )
 from test_asr import random_lattice
 from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
@@ -136,11 +136,12 @@ def _u(rng, *shape):
 AUTODIFF_CHECKS = {
     "add": lambda rng: ([_u(rng, 3, 4), _u(rng, 4)], T.add),
     "mul": lambda rng: ([_u(rng, 3, 4), _u(rng, 3, 4)], T.mul),
-    "matmul": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2)], T.matmul),
-    "concat_last_dim": lambda rng: (
-        [_u(rng, 3, 2), _u(rng, 3, 3)], lambda a, b: T.concat([a, b], axis=-1)),
-    # the tests-side softmax, which tensor.attention's reference composition
-    # uses, and log-softmax, which the reference CTC loss reads
+    "linear": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2), _u(rng, 2)], T.linear),
+    "concat": lambda rng: ([_u(rng, 2, 3), _u(rng, 3, 3)], lambda a, b: T.concat([a, b])),
+    # the tests-side matmul, which tensor.linear's reference and tensor.attention's
+    # reference composition use, softmax, which that composition uses, and
+    # log-softmax, which the reference CTC loss reads
+    "matmul": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2)], matmul),
     "softmax": lambda rng: ([_u(rng, 4, 5)], softmax),
     "log_softmax": lambda rng: ([_u(rng, 4, 5)], log_softmax),
     "relu": lambda rng: ([_away_from_kink(_u(rng, 4, 5))], T.relu),
@@ -177,6 +178,8 @@ AUTODIFF_CHECKED_ELSEWHERE = {
 # AUTODIFF_CHECKS rows of test-side ops, which no src code passes to
 # ``_make``, each with the reason it is checked.
 TEST_SIDE_ROWS = {
+    "matmul": "tensor.linear's two-node reference and the reference attention "
+              "composition are built on it",
     "softmax": "tensor.attention's reference composition is built on it",
     "log_softmax": "the reference CTC loss in test_asr reads its lattice",
 }

@@ -469,7 +469,7 @@ def test_fused_sequence_length_arithmetic():
             aligner.align(speech),
             lm.embed(np.asarray(ids[2:])),
         ]
-        fused = T.concat(emb_parts, axis=0)
+        fused = T.concat(emb_parts)
         logits = lm.forward_embeddings(fused)
     assert logits.data.shape[0] == len(ids) - 1 + t_prime
 
@@ -540,7 +540,7 @@ def _reference_fusion_loss(lm, aligner, speech_features, ids, loss_mask, tokeniz
     after_ids = np.asarray(ids[p + 1 :], dtype=np.int64)
     after = lm.embed(after_ids) if len(after_ids) else None
     parts = [x for x in (before, speech, after) if x is not None]
-    logits = lm.forward_embeddings(T.concat(parts, axis=0))
+    logits = lm.forward_embeddings(T.concat(parts))
     rows, target_ids = [], []
     for j in range(1, len(ids)):
         if j == p or not loss_mask[j]:
@@ -558,7 +558,7 @@ def _reference_generate_logits(lm, speech, prompt_ids, placeholder, generated):
     tail = list(prompt_ids[p + 1 :]) + generated
     if tail:
         parts.append(lm.embed(np.asarray(tail, dtype=np.int64)))
-    return lm.forward_embeddings(T.concat(parts, axis=0))
+    return lm.forward_embeddings(T.concat(parts))
 
 
 def _reference_generate(lm, aligner, speech_features, mode, tokenizer, max_tokens):
@@ -650,7 +650,7 @@ def test_fused_sequence_for_generation_bit_identical_to_reference(prompt, genera
                                               generated[:step])
             assert got.tobytes() == want.data.tobytes(), step
             if step < len(generated):
-                fused = T.concat([fused, lm.embed([generated[step]])], axis=0)
+                fused = T.concat([fused, lm.embed([generated[step]])])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
