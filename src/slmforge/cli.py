@@ -299,17 +299,23 @@ def cmd_finetune_asr(args) -> int:
     if vocab is None:
         vocab = asr_mod.Vocab.from_texts(train.values(), (asr_mod.BLANK_SYMBOL,))
     features = {rec.id: f for rec, f in _records_with_audio(args.manifest, records, encoder.cfg)}
+    # CTC emits at most one symbol per encoder frame, and a repeat needs a
+    # blank between; a record too short for its transcript cannot be trained on
+    for i, text in train.items():
+        frames = SpeechEncoder.output_len(len(features[i]))
+        needed = asr_mod.ctc_required_frames(vocab.encode(text))
+        if frames < needed:
+            raise ConfigError(f"manifest {args.manifest}: record {i!r} gives {frames} encoder "
+                              f"frames, but CTC needs at least {needed} for its transcript")
     model, history = asr_mod.finetune_ctc(
         encoder, [(features[i], text) for i, text in train.items()], vocab, cfg, seed=seed)
     save_checkpoint(model, args.out, _resolved_metadata(seed, cfg))
     evals = [w for _, _, w in history if w is not None]
-    tail = ""
-    if evals:
-        tail = f", train WER {evals[-1]:.3f}"
-        if heldout:
-            refs = list(heldout.values())
-            hyps = [model.transcribe(features[i]) for i in heldout]
-            tail += f", held-out CER {cer(refs, hyps):.3f} WER {wer(refs, hyps):.3f}"
+    tail = f", train WER {evals[-1]:.3f}" if evals else ""
+    if heldout:
+        refs = list(heldout.values())
+        hyps = [model.transcribe(features[i]) for i in heldout]
+        tail += f", held-out CER {cer(refs, hyps):.3f} WER {wer(refs, hyps):.3f}"
     print(f"finetune-asr: {len(history)} steps{tail} -> {args.out}")
     return 0
 

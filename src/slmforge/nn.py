@@ -302,14 +302,14 @@ def train_step(opt: Adam, losses) -> float:
     """One optimizer step on the mean loss of a batch; returns that mean.
 
     ``losses`` holds one zero-argument callable per batch item, which builds
-    that item's loss. Each loss is built, divided by the batch size n and
-    run backward before the next is built, so one item's graph is alive at
-    a time. The mean is the losses added left to right, times 1/n. These
-    are the bytes of summing the losses into one graph and running one
-    ``backward``: that seeds every item with the same 1/n and walks item 1's
-    subgraph, then item 2's, and so on, since items share only leaves, so
-    each parameter gradient gets the same additions in the same order. An
-    empty batch is a GraphError.
+    that item's loss. Each loss is built and run backward from 1/n, n being
+    the batch size, before the next is built, so one item's graph is alive
+    at a time. The mean is the losses added left to right, times 1/n. These
+    are the bytes of summing the losses into one graph, dividing by n and
+    running one ``backward``: that seeds every item with the same 1/n and
+    walks item 1's subgraph, then item 2's, and so on, since items share
+    only leaves, so each parameter gradient gets the same additions in the
+    same order. An empty batch is a GraphError.
     """
     n = len(losses)
     if n == 0:
@@ -318,7 +318,7 @@ def train_step(opt: Adam, losses) -> float:
     total = None
     for build in losses:
         loss = build()
-        (loss / n).backward()
+        loss.backward(1.0 / n)
         total = loss.item() if total is None else total + loss.item()
     opt.step()
     return total * (1.0 / n)

@@ -230,7 +230,9 @@ class SpeechEncoder(Module):
         """Return hidden states [front_end_out, layer_1, ..., layer_L].
 
         When ``mask`` is given, masked output-frame positions are replaced by
-        the learned mask embedding before entering the transformer. Fewer
+        the learned mask embedding before entering the transformer: a row
+        gather from the front-end rows with ``mask_embed`` as one more row
+        after them. ``states[0]`` is the unmasked front-end output. Fewer
         than two input frames is a GraphError.
         """
         features = np.asarray(features, dtype=np.float64)
@@ -246,9 +248,8 @@ class SpeechEncoder(Module):
                     f"mask length {mask.shape} does not match {t_out} output frames"
                 )
             if mask.any():
-                keep = Tensor((~mask).astype(np.float64)[:, None])
-                fill = Tensor(mask.astype(np.float64)[:, None])
-                h = h * keep + self.mask_embed * fill
+                h = T.embedding_lookup(T.concat([h, self.mask_embed]),
+                                       np.where(mask, t_out, np.arange(t_out)))
         h = h + Tensor(sinusoidal_positions(t_out, self.cfg.dim))
         for layer in self.layers:
             h = layer(h)

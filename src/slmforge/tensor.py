@@ -1,10 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array plus an optional gradient. Ops record a dynamic
-graph; ``backward`` on a scalar loss walks it in reverse topological order
-and frees it as it goes, so one graph is walked once.
-Any op producing NaN/Inf aborts immediately with an error naming the op.
-An affine layer is one op, ``linear``, with the bias added in place.
+graph; ``backward(scale=1.0)`` on a scalar loss walks it in reverse
+topological order from ``scale`` as the loss's gradient (a batch mean seeds
+each item's loss with 1/n) and frees it as it goes, so one graph is walked
+once. Any op producing NaN/Inf aborts immediately with an error naming the op.
+
+The graph ops are ``add``, ``linear``, ``concat``, ``relu``, ``gelu``,
+``attention``, ``layer_norm``, ``embedding_lookup`` and ``cross_entropy``
+(``asr.ctc_loss`` is the tenth). Each takes (rows, dim) matrices, 1-D
+parameter vectors or scalars, and none broadcasts one graph operand against
+another: ``add`` takes two tensors of one shape, and each backward hands
+every operand a gradient of that operand's own shape. An affine layer is one
+op, ``linear``, with the bias added in place. A row swap, such as a masked
+frame taking a learned embedding, is ``embedding_lookup`` over ``concat``.
 Multi-head attention is one op over (rows, dim) tensors that splits and
 joins the heads inside; it divides its output rows, not its probabilities,
 by the softmax row sums, so it matches the op-by-op composition to 1e-12
@@ -56,30 +65,21 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    # operator sugar -------------------------------------------------------
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise GraphError("tensor/tensor division is not a graph op")
-        return mul(self, Tensor(1.0 / scalar))
-
-    # backward -------------------------------------------------------------
-    def backward(self) -> None:
+    def backward(self, scale: float = 1.0) -> None:
         """Populate grads of every reachable requires_grad leaf tensor.
 
-        The receiver must be a scalar (size-1) loss. The graph is released as
-        the walk goes: once an op node has passed its gradient on, its
-        ``grad``, backward closure and parents are dropped, so interior
-        gradients are not kept and the forward arrays are freed as soon as
-        nothing else holds them. Leaves (parameters, inputs) keep their
-        gradients. A later ``backward()`` that reaches a released node (the
-        same loss again, or another loss built on a shared subgraph) is a
-        GraphError.
+        The receiver must be a scalar (size-1) loss; the walk starts from
+        ``scale`` as its gradient, so the leaves get the gradients of
+        ``scale`` times the loss. The graph is released as the walk goes:
+        once an op node has passed its gradient on, its ``grad``, backward
+        closure and parents are dropped, so interior gradients are not kept
+        and the forward arrays are freed as soon as nothing else holds them.
+        Leaves (parameters, inputs) keep their gradients. A later
+        ``backward()`` that reaches a released node (the same loss again, or
+        another loss built on a shared subgraph) is a GraphError.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -103,7 +103,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.full_like(self.data, scale)
         while topo:
             node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
@@ -111,10 +111,6 @@ class Tensor:
                 node.grad = None
                 node._backward_fn = None
                 node._parents = ()
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -137,42 +133,25 @@ def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # Element-wise and structural ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """The sum of two tensors of one shape; other shapes are a GraphError."""
+    if a.data.shape != b.data.shape:
+        raise GraphError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
     out = a.data + b.data
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad, a.data.shape))
-        _accumulate(b, _unbroadcast(grad, b.data.shape))
+        _accumulate(a, grad)
+        _accumulate(b, grad)
 
     return _make(out, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def backward(grad):
-        _accumulate(a, _unbroadcast(grad * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(grad * a.data, b.data.shape))
-
-    return _make(out, (a, b), backward, "mul")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b``: one graph node for a ``nn.Linear``.
+    """``x @ w + b`` for (rows, in) ``x``: one graph node for a ``nn.Linear``.
 
     The forward adds ``b`` in place to the product, and the backward
     accumulates ``grad @ wᵀ``, ``xᵀ @ grad`` and ``grad``'s column sums. That
@@ -181,30 +160,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     only in the sign of zeros, which ``_accumulate`` adds onto +0.0 and so
     writes as +0.0. Every gradient therefore has the two-node path's bytes.
     """
-    try:
-        out = np.matmul(x.data, w.data)
-    except ValueError:
-        raise GraphError(
-            f"matmul shape mismatch in linear: {x.data.shape} @ {w.data.shape}"
-        ) from None
+    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise GraphError(f"matmul shape mismatch in linear: {x.data.shape} @ {w.data.shape}")
+    out = np.matmul(x.data, w.data)
     out += b.data
 
     def backward(grad):
-        _accumulate(x, np.matmul(grad, np.swapaxes(w.data, -1, -2)))
-        _accumulate(w, np.matmul(np.swapaxes(x.data, -1, -2), grad))
-        _accumulate(b, _unbroadcast(grad, b.data.shape))
+        _accumulate(x, np.matmul(grad, w.data.T))
+        _accumulate(w, np.matmul(x.data.T, grad))
+        _accumulate(b, grad.sum(axis=0))
 
     return _make(out, (x, w, b), backward, "linear")
 
 
 def concat(tensors) -> Tensor:
-    """The rows of ``tensors``, stacked in order."""
-    out = np.concatenate([t.data for t in tensors])
-    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
+    """The rows of ``tensors``, stacked in order; a 1-D tensor is one row,
+    and its gradient is handed back as 1-D."""
+    rows = [np.atleast_2d(t.data) for t in tensors]
+    out = np.concatenate(rows)
+    offsets = np.cumsum([0] + [len(r) for r in rows])
 
     def backward(grad):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, grad[lo:hi])
+            _accumulate(t, grad[lo:hi].reshape(t.data.shape))
 
     return _make(out, tuple(tensors), backward, "concat")
 
@@ -322,13 +300,12 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (eps 1e-8), then affine."""
+    """Normalize each row of (rows, dim) ``a`` to zero mean / unit variance
+    (eps 1e-8), then apply the (dim,) ``gain`` and ``bias``."""
     d = a.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise GraphError(
-            f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
-            f"do not match feature dim {d}"
-        )
+    if a.data.ndim != 2 or gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise GraphError(f"layer_norm takes (rows, dim) input with (dim,) gain and bias, got "
+                         f"{a.data.shape}, {gain.data.shape} and {bias.data.shape}")
     # the ufunc calls of numpy's mean and var, with the row centred once
     centred = a.data - np.add.reduce(a.data, -1, keepdims=True) / d
     var = np.add.reduce(np.square(centred), -1, keepdims=True) / d
@@ -337,9 +314,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = gain.data * xhat + bias.data
 
     def backward(grad):
-        lead = tuple(range(grad.ndim - 1))
-        _accumulate(gain, (grad * xhat).sum(axis=lead))
-        _accumulate(bias, grad.sum(axis=lead))
+        _accumulate(gain, (grad * xhat).sum(axis=0))
+        _accumulate(bias, grad.sum(axis=0))
         gx = grad * gain.data
         gmean = np.add.reduce(gx, -1, keepdims=True) / d
         gproj = np.add.reduce(gx * xhat, -1, keepdims=True) / d

@@ -1,10 +1,12 @@
 """Shared test helpers: finite-difference oracle, the reference graph ops
 the tests build losses and the reference attention path from (the
 log-softmax op and masked cross-entropy the loss ops once took among
-them, and the matmul that ``tensor.linear`` replaced), the completion mask
-and masked fusion loss that the completion rule replaced, the joint
-training step that the one-item-at-a-time step replaced, subprocess
-environments, and the benchmark's input writer."""
+them, the matmul that ``tensor.linear`` replaced, and the broadcasting
+``mul`` and ``add`` that the masked-frame row gather and
+``backward(scale)`` replaced), the completion mask and masked fusion loss
+that the completion rule replaced, the joint training step that the
+one-item-at-a-time step replaced, subprocess environments, and the
+benchmark's input writer."""
 
 import importlib.util
 import os
@@ -17,7 +19,7 @@ import numpy as np
 from slmforge import tensor as T
 from slmforge.errors import GraphError
 from slmforge.slm import ChatTemplate
-from slmforge.tensor import Tensor, _accumulate, _make, _unbroadcast
+from slmforge.tensor import Tensor, _accumulate, _make
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
@@ -55,10 +57,46 @@ def tsum(a: Tensor) -> Tensor:
     return _make(out, (a,), backward, "sum")
 
 
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Broadcasting element-wise product: the cotangent weighting of the
+    ``tsum(mul(out, W))`` checks, the ``h * keep + mask_embed * fill`` masked
+    frames and the ``loss / n`` seed of the references."""
+    out = a.data * b.data
+
+    def backward(grad):
+        _accumulate(a, _unbroadcast(grad * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(grad * a.data, b.data.shape))
+
+    return _make(out, (a, b), backward, "mul")
+
+
+def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
+    """``tensor.add`` as it was when it broadcast: the bias add of the
+    two-node path that ``tensor.linear`` replaced, and the masked-frame
+    reference's sum."""
+    out = a.data + b.data
+
+    def backward(grad):
+        _accumulate(a, _unbroadcast(grad, a.data.shape))
+        _accumulate(b, _unbroadcast(grad, b.data.shape))
+
+    return _make(out, (a, b), backward, "add")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product as one graph node: with ``T.add`` for the bias, the
-    two-node path that ``tensor.linear`` replaced, and the products of the
-    reference attention composition."""
+    """Matrix product as one graph node: with ``broadcast_add`` for the bias,
+    the two-node path that ``tensor.linear`` replaced, and the products of
+    the reference attention composition."""
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise GraphError("matmul needs at least 1-D operands")
     try:
@@ -85,7 +123,7 @@ def joint_train_step(opt, losses) -> float:
     loss = losses[0]
     for extra in losses[1:]:
         loss = loss + extra
-    loss = loss / len(losses)
+    loss = mul(loss, Tensor(1.0 / len(losses)))
     opt.module.zero_grad()
     loss.backward()
     opt.step()
@@ -245,7 +283,7 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 
 
 def check_grad_against_fd(op, arrays, grad_indices=None, rtol=1e-4, seed=0):
-    """Compare analytic grads of sum(op(*tensors) * W) against central FD.
+    """Compare analytic grads of sum(mul(op(*tensors), W)) against central FD.
 
     ``arrays`` are the op's numpy inputs; ``grad_indices`` selects which of
     them to differentiate (default: all). Returns the worst relative error.
@@ -259,7 +297,7 @@ def check_grad_against_fd(op, arrays, grad_indices=None, rtol=1e-4, seed=0):
     out = op(*tensors)
     cotangent = rng.standard_normal(out.data.shape)
 
-    loss = tsum(out * Tensor(cotangent))
+    loss = tsum(mul(out, Tensor(cotangent)))
     loss.backward()
 
     worst = 0.0

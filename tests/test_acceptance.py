@@ -20,7 +20,7 @@ import pytest
 
 from conftest import (
     check_grad_against_fd, cli_env, completion_mask, finite_diff_grad, log_softmax,
-    masked_fusion_loss, matmul, max_rel_error, softmax,
+    masked_fusion_loss, matmul, max_rel_error, mul, softmax,
 )
 from test_asr import random_lattice
 from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
@@ -134,13 +134,17 @@ def _u(rng, *shape):
 # One row per graph op (a row named ``op`` or ``op_<variant>``); see
 # test_every_graph_op_has_a_finite_difference_check.
 AUTODIFF_CHECKS = {
-    "add": lambda rng: ([_u(rng, 3, 4), _u(rng, 4)], T.add),
-    "mul": lambda rng: ([_u(rng, 3, 4), _u(rng, 3, 4)], T.mul),
+    "add": lambda rng: ([_u(rng, 3, 4), _u(rng, 3, 4)], T.add),
     "linear": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2), _u(rng, 2)], T.linear),
     "concat": lambda rng: ([_u(rng, 2, 3), _u(rng, 3, 3)], lambda a, b: T.concat([a, b])),
-    # the tests-side matmul, which tensor.linear's reference and tensor.attention's
-    # reference composition use, softmax, which that composition uses, and
-    # log-softmax, which the reference CTC loss reads
+    # a 1-D part is one row, as the encoder's mask embedding joins its frames
+    "concat_row": lambda rng: (
+        [_u(rng, 3, 4), _u(rng, 4), _u(rng, 2, 4)], lambda a, b, c: T.concat([a, b, c])),
+    # the tests-side mul, which weights every check's output by its cotangent
+    # and is the masked-frame reference, matmul, which tensor.linear's reference
+    # and tensor.attention's reference composition use, softmax, which that
+    # composition uses, and log-softmax, which the reference CTC loss reads
+    "mul": lambda rng: ([_u(rng, 3, 4), _u(rng, 3, 4)], mul),
     "matmul": lambda rng: ([_u(rng, 3, 4), _u(rng, 4, 2)], matmul),
     "softmax": lambda rng: ([_u(rng, 4, 5)], softmax),
     "log_softmax": lambda rng: ([_u(rng, 4, 5)], log_softmax),
@@ -178,6 +182,8 @@ AUTODIFF_CHECKED_ELSEWHERE = {
 # AUTODIFF_CHECKS rows of test-side ops, which no src code passes to
 # ``_make``, each with the reason it is checked.
 TEST_SIDE_ROWS = {
+    "mul": "every check weights its op's output by a cotangent with it, and the "
+           "masked-frame and loss / n references are built on it",
     "matmul": "tensor.linear's two-node reference and the reference attention "
               "composition are built on it",
     "softmax": "tensor.attention's reference composition is built on it",

@@ -185,7 +185,7 @@ def reference_ctc_loss(log_probs, target):
 def _loss_and_grad(loss_fn, logits, target):
     x = Tensor(logits.copy(), requires_grad=True)
     loss = loss_fn(x, target)
-    (loss / 3).backward()
+    loss.backward(1 / 3)
     return loss.data, x.grad
 
 
@@ -249,7 +249,7 @@ def test_ctc_model_loss_on_logits_bit_identical_to_the_log_softmax_op_path():
     def run(loss_fn):
         model.zero_grad()
         loss = loss_fn(model.logits(feats), target)
-        (loss / 3).backward()
+        loss.backward(1 / 3)
         return loss.data.tobytes(), [None if p.grad is None else p.grad.tobytes()
                                      for p in model.parameters()]
 

@@ -1436,11 +1436,48 @@ def test_finetune_asr_prints_held_out_cer_and_wer_of_the_test_records(trained, m
                                                model.encoder.cfg)
     hyp = model.transcribe(features)
     assert got.groups() == (f"{cer(['ab'], [hyp]):.3f}", f"{wer(['ab'], [hyp]):.3f}")
-    # no step scores the training set, so nothing scores the test records either
+
+
+def test_finetune_asr_prints_held_out_scores_after_zero_steps(trained, monkeypatch, capsys):
+    monkeypatch.chdir(trained)
+    m = Manifest.read("m.jsonl")
+    m.records.append(replace(m.records[0], id="held", split="test"))
+    m.write("split.jsonl")
     Path("none.json").write_text('{"steps": 0}')
     assert main(["finetune-asr", "--encoder", "encoder.ckpt", "--config", "none.json",
                  "--manifest", "split.jsonl", "--out", "none.ckpt"]) == 0
-    assert capsys.readouterr().out == "finetune-asr: 0 steps -> none.ckpt\n"
+    # no step scores the training set; the written model still scores the test record
+    model = load_checkpoint("none.ckpt", CtcModel)
+    [(_, features)] = cli._records_with_audio("split.jsonl", m.records[-1:], model.encoder.cfg)
+    hyp = model.transcribe(features)
+    assert capsys.readouterr().out == (
+        f"finetune-asr: 0 steps, held-out CER {cer(['ab'], [hyp]):.3f} "
+        f"WER {wer(['ab'], [hyp]):.3f} -> none.ckpt\n")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finetune_asr_checks_every_training_record_s_ctc_frames_before_step_1(
+        trained, monkeypatch, capsys, seed):
+    """A transcript longer than its record's encoder frames can emit exits 2
+    naming the record, whichever records the seed's first batch picks."""
+    monkeypatch.chdir(trained)
+    m = Manifest.read("m.jsonl")
+    short = replace(m.records[0], id="u3", duration_s=0.6)
+    cfg = load_checkpoint("encoder.ckpt", SpeechEncoder).cfg
+    [(_, features)] = cli._records_with_audio("m.jsonl", [short], cfg)
+    frames = SpeechEncoder.output_len(len(features))
+    short.transcript = ("ab" * frames)[: frames + 7]  # no repeat: one frame a character
+    m.records = [replace(m.records[0], id=f"u{i}") for i in range(3)] + [short]
+    m.write("short.jsonl")
+    Path("one.json").write_text('{"steps": 1, "batch_size": 1}')
+    assert main(["finetune-asr", "--encoder", "encoder.ckpt", "--config", "one.json",
+                 "--manifest", "short.jsonl", "--seed", str(seed), "--out", "short.ckpt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"slmforge finetune-asr: manifest short.jsonl: record 'u3' gives {frames} encoder "
+        f"frames, but CTC needs at least {frames + 7} for its transcript\n")
+    assert not Path("short.ckpt").exists()
 
 
 def test_finetune_asr_test_record_with_no_text_exits_2_before_training(trained, monkeypatch,
@@ -1749,6 +1786,7 @@ def test_a_record_too_short_for_a_speech_row_exits_2_in_train_aligner_naming_it(
         monkeypatch.setattr(trainer, _no_training)
     m = Manifest.read("m.jsonl")
     m.records[-1].duration_s = duration_s
+    m.records[-1].transcript = "a"  # one CTC frame's worth, so finetune-asr can train on it
     short = tmp_path / "short.jsonl"
     m.write(short)
     out = tmp_path / "fusion.ckpt"

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import masked_cross_entropy, tsum
+from conftest import broadcast_add, masked_cross_entropy, mul, tsum
 
 from slmforge import pretrain
 from slmforge import tensor as T
 from slmforge.audio import mfcc
 from slmforge.errors import ConfigError, GraphError
-from slmforge.nn import load_checkpoint, save_checkpoint, trunc_normal
+from slmforge.nn import load_checkpoint, save_checkpoint, sinusoidal_positions, trunc_normal
 from slmforge.pretrain import (
     Codebook,
     PretrainConfig,
@@ -417,10 +417,10 @@ def test_front_end_equals_the_stride_2_convolution_with_the_relaid_kernel(t):
     cotangent = Tensor(rng.standard_normal((t // 2, TOY_CFG.dim)))
 
     got = enc.forward(feats)[0]
-    tsum(got * cotangent).backward()
+    tsum(mul(got, cotangent)).backward()
     ref_w, ref_b = Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)
     want = T.gelu(_reference_conv1d(Tensor(feats), ref_w, ref_b, stride=2))
-    tsum(want * cotangent).backward()
+    tsum(mul(want, cotangent)).backward()
 
     assert got.data.shape == want.data.shape == (t // 2, TOY_CFG.dim)
     assert _rel_err(got.data, want.data) < 1e-12
@@ -536,7 +536,7 @@ def test_masked_loss_on_gathered_rows_keeps_the_masked_reference_gradients(seed,
     def run(loss_fn):
         enc.zero_grad()
         loss = loss_fn(enc, feats, labels, mask)
-        (loss / 3).backward()
+        loss.backward(1 / 3)
         return loss.item(), [None if p.grad is None else p.grad.tobytes()
                              for p in enc.parameters()]
 
@@ -545,6 +545,70 @@ def test_masked_loss_on_gathered_rows_keeps_the_masked_reference_gradients(seed,
     assert grads == ref_grads
     assert sum(g is not None for g in grads) > 2
     assert abs(loss - ref_loss) <= 4 * np.spacing(abs(ref_loss))
+
+
+def _blended_forward(self, features, mask=None):
+    """``SpeechEncoder.forward`` as it was when masked frames were a blend,
+    ``h * keep + mask_embed * fill``: 0/1 columns broadcast over the rows'
+    features and the mask embedding broadcast down the rows."""
+    features = np.asarray(features, dtype=np.float64)
+    t_out = self.output_len(len(features))
+    h = T.gelu(self.conv(Tensor(features[: 2 * t_out].reshape(t_out, -1))))
+    states = [h]
+    if mask is not None and mask.any():
+        keep = Tensor((~mask).astype(np.float64)[:, None])
+        fill = Tensor(mask.astype(np.float64)[:, None])
+        h = broadcast_add(mul(h, keep), mul(self.mask_embed, fill))
+    h = h + Tensor(sinusoidal_positions(t_out, self.cfg.dim))
+    for layer in self.layers:
+        h = layer(h)
+        states.append(h)
+    return states
+
+
+def _gathered_and_blended(monkeypatch, mask, seed=0):
+    """Hidden states, masked-prediction loss and every parameter gradient,
+    as bytes, with masked frames gathered and then with them blended."""
+    t_out = len(mask)
+    results = []
+    for forward in (SpeechEncoder.forward, _blended_forward):
+        monkeypatch.setattr(SpeechEncoder, "forward", forward)
+        enc = SpeechEncoder(TOY_CFG, n_classes=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((2 * t_out + 1, 8))
+        labels = rng.integers(0, 5, size=t_out)
+        states = enc.forward(feats, mask=mask)
+        loss = masked_prediction_loss(enc, feats, labels, mask)
+        loss.backward(1 / 3)
+        results.append([s.data.tobytes() for s in states] + [loss.data.tobytes()] + [
+            None if p.grad is None else p.grad.tobytes() for p in enc.parameters()])
+    return results
+
+
+@pytest.mark.parametrize("rows", [[0], [-1], "all-but-one", "all", [0, -1]],
+                         ids=["first", "last", "all-but-one", "all", "first-and-last"])
+def test_masked_frames_as_a_row_gather_give_the_blend_s_bytes(monkeypatch, rows):
+    t_out = 17
+    mask = np.zeros(t_out, dtype=bool)
+    if rows == "all-but-one":
+        mask[:] = True
+        mask[8] = False
+    elif rows == "all":
+        mask[:] = True
+    else:
+        mask[rows] = True
+    gathered, blended = _gathered_and_blended(monkeypatch, mask)
+    assert gathered == blended
+    assert None not in gathered  # the mask embedding and every weight get a gradient
+
+
+def test_masked_frames_as_a_row_gather_give_the_blend_s_bytes_on_span_masks(monkeypatch):
+    cfg = PretrainConfig()
+    for seed in range(40):
+        mask = span_mask(11 + seed, cfg, seed)
+        mask[seed % len(mask)] = True
+        gathered, blended = _gathered_and_blended(monkeypatch, mask, seed)
+        assert gathered == blended, seed
 
 
 def test_masked_loss_on_an_all_false_mask_is_a_graph_error():

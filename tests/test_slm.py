@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (
     bench_inputs, completion_mask, finite_diff_grad, masked_cross_entropy, masked_fusion_loss,
-    max_rel_error, tsum,
+    max_rel_error, mul, tsum,
 )
 
 from slmforge.asr import BLANK_SYMBOL, Vocab
@@ -336,7 +336,7 @@ def test_aligner_gradient_matches_finite_differences():
     feats = np.random.default_rng(1).standard_normal((4, 5))
     cot = np.random.default_rng(2).standard_normal((4, 3))
 
-    loss = tsum(aligner.align(feats) * Tensor(cot))
+    loss = tsum(mul(aligner.align(feats), Tensor(cot)))
     loss.backward()
 
     for name, p in aligner.named_parameters():

@@ -1,6 +1,7 @@
 """Autodiff core: op gradients vs finite differences, Adam, checkpoints."""
 
 import json
+import re
 import tracemalloc
 import zlib
 from functools import partial
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    check_grad_against_fd, finite_diff_grad, joint_train_step, log_softmax,
-    masked_cross_entropy, matmul, max_rel_error, reshape, softmax, transpose, tsum,
+    broadcast_add, check_grad_against_fd, finite_diff_grad, joint_train_step, log_softmax,
+    masked_cross_entropy, matmul, max_rel_error, mul, reshape, softmax, transpose, tsum,
 )
 
 from slmforge import asr, nn, pretrain, slm
@@ -47,20 +48,28 @@ def rand(rng, *shape):
 
 def test_square_gradient_analytic():
     x = Tensor(3.0, requires_grad=True)
-    loss = x * x
+    loss = mul(x, x)
     loss.backward()
     assert x.grad == pytest.approx(6.0)
 
 
-def test_add_broadcast_gradient():
+def test_add_gradient():
     rng = np.random.default_rng(0)
-    err = check_grad_against_fd(T.add, [rand(rng, 3, 4), rand(rng, 4)])
+    err = check_grad_against_fd(T.add, [rand(rng, 3, 4), rand(rng, 3, 4)])
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("a, b", [((3, 4), (4,)), ((3, 4), (4, 3)), ((1, 4), (3, 4)),
+                                  ((), (2,))],
+                         ids=["bias-row", "transposed", "one-row", "scalar"])
+def test_add_of_two_shapes_is_a_graph_error_naming_both(a, b):
+    with pytest.raises(GraphError, match=re.escape(f"add shape mismatch: {a} + {b}")):
+        T.add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_mul_gradient():
     rng = np.random.default_rng(1)
-    err = check_grad_against_fd(T.mul, [rand(rng, 3, 4), rand(rng, 3, 4)])
+    err = check_grad_against_fd(mul, [rand(rng, 3, 4), rand(rng, 3, 4)])
     assert err < 1e-4
 
 
@@ -105,15 +114,33 @@ def test_linear_gives_the_bytes_of_add_over_matmul(seed):
     incoming = rand(rng, 5, 3)
     incoming[1] = -0.0
     incoming[3, 0] = -0.0
-    two_nodes = lambda x, w, b: T.add(matmul(x, w), b)  # noqa: E731
+    two_nodes = lambda x, w, b: broadcast_add(matmul(x, w), b)  # noqa: E731
     assert _linear_bytes(T.linear, x, w, b, incoming) == _linear_bytes(
         two_nodes, x, w, b, incoming)
+
+
+@pytest.mark.parametrize("x", [(4,), (2, 3, 4), (3, 5)], ids=["1-D", "3-D", "narrow"])
+def test_linear_of_other_than_rows_of_its_input_width_is_a_graph_error(x):
+    with pytest.raises(GraphError, match=re.escape(
+            f"matmul shape mismatch in linear: {x} @ (4, 2)")):
+        T.linear(Tensor(np.zeros(x)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
 def test_concat_joins_rows():
     a = Tensor(np.zeros((3, 4)))
     b = Tensor(np.ones((2, 4)))
     assert T.concat([a, b]).data.tobytes() == np.concatenate([a.data, b.data]).tobytes()
+
+
+def test_concat_reads_a_1d_tensor_as_one_row_and_hands_its_gradient_back_1d():
+    rng = np.random.default_rng(8)
+    a, row = Tensor(rand(rng, 3, 4), requires_grad=True), Tensor(rand(rng, 4), requires_grad=True)
+    out = T.concat([a, row])
+    assert out.data.tobytes() == np.concatenate([a.data, row.data[None]]).tobytes()
+    grad = rand(rng, 4, 4)
+    tsum(mul(out, Tensor(grad))).backward()
+    assert a.grad.tobytes() == grad[:3].tobytes()
+    assert row.grad.shape == (4,) and row.grad.tobytes() == grad[3].tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -161,11 +188,10 @@ def _reference_layer_norm(a, gain, bias):
     ((1, 32), 0.0, False),
     ((7, 64), 0.0, False),
     ((600, 32), 0.0, False),
-    ((2, 5, 16), 0.0, False),
     ((9, 1), 0.0, False),
     ((6, 24), 0.0, True),
     ((8, 48), 1e8, False),
-], ids=["one-token", "7x64", "600x32", "3-D", "d=1", "constant-rows", "offset-1e8"])
+], ids=["one-token", "7x64", "600x32", "d=1", "constant-rows", "offset-1e8"])
 def test_layer_norm_is_byte_equal_to_the_mean_and_var_reference(shape, offset, constant):
     results = []
     for op in (T.layer_norm, _reference_layer_norm):
@@ -177,9 +203,17 @@ def test_layer_norm_is_byte_equal_to_the_mean_and_var_reference(shape, offset, c
                 Tensor(rand(rng, shape[-1]), requires_grad=True),
                 Tensor(rand(rng, shape[-1]), requires_grad=True)]
         out = op(*args)
-        tsum(out * Tensor(rng.standard_normal(shape))).backward()
+        tsum(mul(out, Tensor(rng.standard_normal(shape)))).backward()
         results.append([out.data.tobytes()] + [t.grad.tobytes() for t in args])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("x, gain", [((2, 5, 16), (16,)), ((16,), (16,)), ((5, 16), (8,))],
+                         ids=["3-D", "1-D", "narrow-gain"])
+def test_layer_norm_of_other_than_rows_and_dim_vectors_is_a_graph_error(x, gain):
+    with pytest.raises(GraphError, match=re.escape(
+            f"layer_norm takes (rows, dim) input with (dim,) gain and bias, got {x}, {gain}")):
+        T.layer_norm(Tensor(np.zeros(x)), Tensor(np.ones(gain)), Tensor(np.zeros(gain)))
 
 
 def _reference_positions(n, dim, start=0):
@@ -244,7 +278,7 @@ def test_cross_entropy_bit_identical_to_the_all_ones_masked_reference(seed):
     def run(loss_fn):
         logits = Tensor(logits_data.copy(), requires_grad=True)
         loss = loss_fn(logits)
-        (loss / 3).backward()
+        loss.backward(1 / 3)
         return loss.data.tobytes(), logits.grad.tobytes()
 
     assert run(lambda lg: T.cross_entropy(lg, targets)) == run(
@@ -264,14 +298,25 @@ def test_cross_entropy_rejects_no_rows_and_bad_targets(logits, targets, cause):
 
 def test_non_finite_forward_names_op():
     big = Tensor(np.array([1e308]), requires_grad=True)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
-        _ = big * big
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'add'"):
+        _ = big + big
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25, 1 / 3, -2.0])
+def test_backward_from_a_scale_gives_scale_times_the_unit_gradients(scale):
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    tsum(T.gelu(x)).backward()
+    unit = x.grad
+    x.grad = None
+    tsum(T.gelu(x)).backward(scale)
+    assert x.grad.tobytes() == (unit * scale).tobytes()
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError):
-        (x * x).backward()
+        (x + x).backward()
 
 
 @pytest.mark.parametrize("op_name", [
@@ -290,7 +335,7 @@ def test_op_gradients_match_finite_differences(op_name):
                 T.add, [rand(rng, 3, 4), rand(rng, 3, 4)], seed=trial))
         elif op_name == "mul":
             worst = max(worst, check_grad_against_fd(
-                T.mul, [rand(rng, 3, 4), rand(rng, 4)], seed=trial))
+                mul, [rand(rng, 3, 4), rand(rng, 4)], seed=trial))
         elif op_name == "matmul":
             worst = max(worst, check_grad_against_fd(
                 matmul, [rand(rng, 3, 4), rand(rng, 4, 2)], seed=trial))
@@ -346,13 +391,13 @@ def test_composite_graph_gradient_matches_fd():
         w = Tensor(w_data)
         h = T.gelu(matmul(x, w))
         s = softmax(h)
-        return float(tsum(s * s).data)
+        return float(tsum(mul(s, s)).data)
 
     x = Tensor(x_data, requires_grad=True)
     w = Tensor(w_data)
     h = T.gelu(matmul(x, w))
     s = softmax(h)
-    loss = tsum(s * s)
+    loss = tsum(mul(s, s))
     loss.backward()
     numeric = finite_diff_grad(network, x_data.copy())
     assert max_rel_error(x.grad, numeric) < 1e-4
@@ -698,7 +743,7 @@ def _losses(net, n):
 
     def build(x):
         y = net.fc2(T.relu(net.fc1(x)))
-        return tsum(y * y)
+        return tsum(mul(y, y))
 
     return [partial(build, x) for x in xs]
 
@@ -721,6 +766,53 @@ def test_train_step_matches_inline_step(n):
     for (_, a), (_, b) in zip(inline.named_parameters(), stepped.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     assert _optimizer_bytes(opt_stepped) == _optimizer_bytes(opt_inline)
+
+
+def _divided_train_step(opt, losses) -> float:
+    """``nn.train_step`` as it was before ``backward`` took a scale: each
+    item's loss divided by the batch size n in the graph, ``loss / n``, and
+    run backward from 1."""
+    n = len(losses)
+    opt.module.zero_grad()
+    total = None
+    for build in losses:
+        loss = build()
+        mul(loss, Tensor(1.0 / n)).backward()
+        total = loss.item() if total is None else total + loss.item()
+    opt.step()
+    return total * (1.0 / n)
+
+
+def _masked_batch(encoder, n, step):
+    """``n`` masked-prediction loss builders over seeded utterances of
+    different lengths, as ``continued_pretrain`` batches them."""
+    rng = np.random.default_rng(100 * n + step)
+    losses = []
+    for t in rng.integers(10, 60, size=n):
+        feats = rng.standard_normal((int(t), 8))
+        t_out = encoder.output_len(int(t))
+        mask = rng.random(t_out) < 0.4
+        mask[rng.integers(t_out)] = True
+        labels = rng.integers(0, 5, size=t_out)
+        losses.append(partial(masked_prediction_loss, encoder, feats, labels, mask))
+    return losses
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_train_step_from_a_backward_scale_gives_the_divided_loss_bytes(n):
+    """Each loss run backward from 1/n gives the bytes of ``loss / n`` run
+    backward from 1: parameters, Adam moments and the returned mean loss,
+    over three steps of an encoder's masked-prediction batches."""
+    cfg = SpeechEncoderConfig(input_dim=8, dim=16, n_layers=2, n_heads=2)
+    scaled, divided = SpeechEncoder(cfg, 5, seed=n), SpeechEncoder(cfg, 5, seed=n)
+    opt_scaled, opt_divided = Adam(scaled, lr=1e-2), Adam(divided, lr=1e-2)
+    for step in range(3):
+        got = train_step(opt_scaled, _masked_batch(scaled, n, step))
+        want = _divided_train_step(opt_divided, _masked_batch(divided, n, step))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for (_, a), (_, b) in zip(scaled.named_parameters(), divided.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert _optimizer_bytes(opt_scaled) == _optimizer_bytes(opt_divided)
 
 
 _ENC = SpeechEncoderConfig(input_dim=8, dim=8, n_layers=1, n_heads=2)
@@ -869,7 +961,7 @@ def test_seeded_init_reproducible_training_trajectory():
         losses = []
         for _ in range(5):
             out = net.fc2(T.relu(net.fc1(Tensor(xs))))
-            loss = tsum(out * out) / out.data.size
+            loss = mul(tsum(mul(out, out)), Tensor(1.0 / out.data.size))
             net.zero_grad()
             loss.backward()
             opt.step()
@@ -899,9 +991,9 @@ def _reference_attention(q, k, v, bias=None):
     """The composition the one-node attention replaced, over (heads, rows,
     head dim) tensors: matmul, transpose, scale, bias add, softmax and
     matmul, one graph node each."""
-    scores = matmul(q, transpose(k, (0, 2, 1))) * Tensor(1.0 / np.sqrt(q.data.shape[-1]))
+    scores = mul(matmul(q, transpose(k, (0, 2, 1))), Tensor(1.0 / np.sqrt(q.data.shape[-1])))
     if bias is not None:
-        scores = scores + Tensor(bias)
+        scores = broadcast_add(scores, Tensor(bias))
     return matmul(softmax(scores), v)
 
 
@@ -980,7 +1072,7 @@ def _op_and_composition(t, h, seed, positions=None, t_all=None, dh=3):
         rng = np.random.default_rng(seed)
         q, k, v = _rows(rng, t, h, dh), _rows(rng, t_all, h, dh), _rows(rng, t_all, h, dh)
         out = op(q, k, v, h, mask)
-        tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+        tsum(mul(out, Tensor(rng.standard_normal(out.data.shape)))).backward()
         results.append([out.data, q.grad, k.grad, v.grad])
     return results
 
@@ -1051,7 +1143,7 @@ def test_later_keys_and_values_leave_a_query_s_output_and_dq_rows_byte_identical
         for k, v in (kv, changed):
             qt = Tensor(q, requires_grad=True)
             out = T.attention(qt, Tensor(k), Tensor(v), h, positions)
-            tsum(out * Tensor(grad)).backward()
+            tsum(mul(out, Tensor(grad))).backward()
             rows.append((out.data[seen].tobytes(), qt.grad[seen].tobytes()))
         assert rows[0] == rows[1], (t_all, h, cut)
 
@@ -1098,7 +1190,7 @@ def _layer_grads(seed, causal, steps=2):
     opt = Adam(layer, lr=1e-2)
     xs = [Tensor(rng.standard_normal((t, 8)), requires_grad=True) for t in (5, 9)]
     for _ in range(steps):
-        train_step(opt, [lambda x=x: tsum(layer(x) * layer(x)) for x in xs])
+        train_step(opt, [lambda x=x: tsum(mul(layer(x), layer(x))) for x in xs])
     return [p.data for p in layer.parameters()] + [x.grad for x in xs]
 
 
@@ -1145,7 +1237,7 @@ def _scored_rows(seed, rows, cached=0):
         with T.no_grad():
             layer(Tensor(rng.standard_normal((cached, 8))), cache)
     out = layer(x, cache, rows)
-    tsum(out * Tensor(rng.standard_normal(out.data.shape))).backward()
+    tsum(mul(out, Tensor(rng.standard_normal(out.data.shape)))).backward()
     return out.data, x.grad, [c.data for c in cache]
 
 
@@ -1177,7 +1269,7 @@ def test_non_finite_attention_input_names_attention():
 # Tensor.backward releases the graph it walks
 
 
-def _retaining_backward(self):
+def _retaining_backward(self, scale=1.0):
     """``Tensor.backward`` as it was before it released the graph."""
     topo, seen, stack = [], set(), [(self, False)]
     while stack:
@@ -1192,7 +1284,7 @@ def _retaining_backward(self):
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    self.grad = np.ones_like(self.data)
+    self.grad = np.full_like(self.data, scale)
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
@@ -1202,7 +1294,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     h = T.gelu(x)
-    loss = tsum(h * h)
+    loss = tsum(mul(h, h))
     loss.backward()
     assert x.grad is not None
     for node in (h, loss):
@@ -1211,7 +1303,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 
 def test_a_second_backward_on_the_same_loss_is_a_graph_error():
     x = Tensor(np.arange(3.0), requires_grad=True)
-    loss = tsum(x * x)
+    loss = tsum(mul(x, x))
     loss.backward()
     with pytest.raises(GraphError, match="op 'sum'.*already released"):
         loss.backward()
@@ -1222,7 +1314,7 @@ def test_a_second_loss_on_a_released_shared_subgraph_is_a_graph_error():
     shared = T.relu(x)
     tsum(shared).backward()
     with pytest.raises(GraphError, match="op 'relu'.*already released"):
-        tsum(shared * shared).backward()
+        tsum(mul(shared, shared)).backward()
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
