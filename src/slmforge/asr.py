@@ -37,7 +37,7 @@ from .config import require_at_least
 from .errors import ConfigError, GraphError
 from .fileio import parse_field, read_json, read_text
 from .metrics import wer
-from .nn import Adam, Linear, Module, train_step
+from .nn import Adam, Linear, Module, fit
 from .pretrain import SpeechEncoder
 from .tensor import Tensor, _accumulate, _make
 
@@ -392,6 +392,8 @@ class FinetuneConfig:
 
     def __post_init__(self):
         require_at_least(self, steps=0, batch_size=1, eval_every=1)
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
 
 
 def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
@@ -402,7 +404,8 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
     Transcripts must already be normalized; a symbol outside the vocab is an
     error naming it. ``seed`` draws the CTC head and the batches. Returns
     (model, history) with history rows of (step, loss, train_wer_or_None),
-    the training-set WER at every ``cfg.eval_every`` steps and at the last.
+    the training-set WER after every ``cfg.eval_every``-th step and the
+    last; with ``stop_at_zero_wer``, a WER of 0 ends training.
     """
     encoded = []
     for features, transcript in examples:
@@ -410,22 +413,19 @@ def finetune_ctc(encoder: SpeechEncoder, examples, vocab: Vocab,
         encoded.append((np.asarray(features, dtype=np.float64), transcript, ids))
 
     model = CtcModel(encoder, vocab, seed=seed)
-    opt = Adam(model, lr=cfg.lr)
-    rng = np.random.default_rng(seed)
-    history = []
-    for step in range(1, cfg.steps + 1):
-        picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
-                           replace=False)
-        loss = train_step(opt, [partial(model.loss, encoded[i][0], encoded[i][2])
-                                for i in picks])
+    train_wer = {}  # step -> training-set WER after it
 
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            refs = [t for _, t, _ in encoded]
-            hyps = [model.transcribe(f) for f, _, _ in encoded]
-            train_wer = wer(refs, hyps)
-            history.append((step, loss, train_wer))
-            if stop_at_zero_wer and train_wer == 0.0:
-                break
-        else:
-            history.append((step, loss, None))
-    return model, history
+    def batches():
+        rng = np.random.default_rng(seed)
+        for step in range(1, cfg.steps + 1):
+            picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
+                               replace=False)
+            yield [partial(model.loss, encoded[i][0], encoded[i][2]) for i in picks]
+            if step % cfg.eval_every == 0 or step == cfg.steps:
+                train_wer[step] = wer([t for _, t, _ in encoded],
+                                      [model.transcribe(f) for f, _, _ in encoded])
+                if stop_at_zero_wer and train_wer[step] == 0.0:
+                    return
+
+    history = fit(Adam(model, lr=cfg.lr), batches())
+    return model, [(step, loss, train_wer.get(step)) for step, loss in history]

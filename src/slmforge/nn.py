@@ -1,13 +1,13 @@
-"""Parameter/module tree, neural layers, Adam, the training step, and
+"""Parameter/module tree, neural layers, Adam, the training loop, and
 checkpoint serialization.
 
 A parameter's ``requires_grad`` is its only trainability flag: ``freeze``
 clears it, so the parameter receives no gradients and the optimizer skips
 it; ``slm.train_aligner`` freezes the encoder and LM of the model it trains
 this way.
-Every trainer updates its weights through ``train_step``, which takes a
-batch as one loss builder per item and runs one item's graph at a time, so
-a step's peak memory is that of its largest item, not of the whole batch.
+Every trainer is a generator of batches for ``fit``, the one training loop,
+which takes a batch as one loss builder per item and runs one item's graph
+at a time, so a step's peak memory is that of its largest item.
 
 Checkpoint byte layout (little-endian throughout):
 
@@ -298,30 +298,34 @@ class Adam:
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def train_step(opt: Adam, losses) -> float:
-    """One optimizer step on the mean loss of a batch; returns that mean.
+def fit(opt: Adam, batches) -> list:
+    """One ``opt`` step per batch of ``batches``; returns [(opt.t, mean loss)].
 
-    ``losses`` holds one zero-argument callable per batch item, which builds
-    that item's loss. Each loss is built and run backward from 1/n, n being
-    the batch size, before the next is built, so one item's graph is alive
-    at a time. The mean is the losses added left to right, times 1/n. These
-    are the bytes of summing the losses into one graph, dividing by n and
+    A batch holds one zero-argument callable per item, which builds that
+    item's loss. Each loss is built and run backward from 1/n, n being the
+    batch size, before the next is built, so one item's graph is alive at a
+    time. The mean is the losses added left to right, times 1/n. These are
+    the bytes of summing the losses into one graph, dividing by n and
     running one ``backward``: that seeds every item with the same 1/n and
     walks item 1's subgraph, then item 2's, and so on, since items share
     only leaves, so each parameter gradient gets the same additions in the
-    same order. An empty batch is a GraphError.
+    same order. A generator resumes after each step, so it can read ``opt.t``
+    and the stepped model, or stop. An empty batch is a GraphError.
     """
-    n = len(losses)
-    if n == 0:
-        raise GraphError("train_step got an empty batch: there is no loss to step on")
-    opt.module.zero_grad()
-    total = None
-    for build in losses:
-        loss = build()
-        loss.backward(1.0 / n)
-        total = loss.item() if total is None else total + loss.item()
-    opt.step()
-    return total * (1.0 / n)
+    history = []
+    for losses in batches:
+        n = len(losses)
+        if n == 0:
+            raise GraphError(f"step {opt.t + 1} got an empty batch: no loss to step on")
+        opt.module.zero_grad()
+        total = None
+        for build in losses:
+            loss = build()
+            loss.backward(1.0 / n)
+            total = loss.item() if total is None else total + loss.item()
+        opt.step()
+        history.append((opt.t, total * (1.0 / n)))
+    return history
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .nn import (
     ModuleList,
     Parameter,
     TransformerLayer,
+    fit,
     sinusoidal_positions,
-    train_step,
     trunc_normal,
 )
 from .tensor import Tensor
@@ -350,8 +350,9 @@ class PretrainConfig:
     max_steps: int | None = None  # None -> run every epoch
 
     def __post_init__(self):
-        if self.batch_seconds <= 0:
-            raise ConfigError("batch_seconds must be positive")
+        for name in ("batch_seconds", "lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ConfigError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
         require_at_least(self, k=1, span_len=1, max_steps=1)
@@ -393,45 +394,38 @@ def continued_pretrain(dataset, cfg: PretrainConfig, encoder: SpeechEncoder,
 
     ``dataset`` is a list of log-mel arrays, one row per ``HOP_MS`` hop. The
     encoder is fresh or holds weights loaded from a checkpoint; either way
-    the optimizer starts fresh. Batches greedily fill utterances until ``batch_seconds`` is
-    reached; the loss is the mean of per-utterance losses (no padding across
-    utterances). Returns (encoder, history) where history maps step -> loss.
+    the optimizer starts fresh. Batches greedily fill shuffled utterances
+    until ``batch_seconds`` is reached, leaving out those whose span mask is
+    empty; the loss is the mean of per-utterance losses (no padding across
+    utterances). Training stops right after step ``cfg.max_steps``, before
+    any later refresh. Returns (encoder, history), a list of (step, loss).
     """
     if len(dataset) == 0:
         raise ValueError("continued_pretrain needs a non-empty dataset")
-
-    _, labels = initial_labels(dataset, cfg, seed)
     opt = Adam(encoder, lr=cfg.lr)
-    rng = np.random.default_rng(seed + 1)
-    history = []
-    step = 0
-    refresh_at = set(cfg.refresh_schedule)
 
-    for epoch in range(cfg.epochs):
-        if epoch in refresh_at:
-            _, labels = refresh_targets(encoder, dataset, cfg, seed=seed + 100 + epoch)
-            log.info("refreshed pseudo-labels at epoch %d", epoch)
-        order = rng.permutation(len(dataset))
-        batch = []
-        batch_dur = 0.0
-        for pos, utt in enumerate(order):
-            batch.append(int(utt))
-            batch_dur += len(dataset[utt]) * (HOP_MS / 1000.0)
-            last = pos == len(order) - 1
-            if batch_dur < cfg.batch_seconds and not last:
-                continue
-            masked = []
-            for i in batch:
-                t_out = encoder.output_len(len(dataset[i]))
-                mask = span_mask(t_out, cfg, 7919 * step + i)
-                if mask.any():
-                    masked.append((dataset[i], labels[i], mask))
-            if masked:
-                step += 1
-                history.append((step, train_step(
-                    opt, [partial(masked_prediction_loss, encoder, *utt) for utt in masked])))
-                if cfg.max_steps is not None and step >= cfg.max_steps:
-                    return encoder, history
-            batch = []
-            batch_dur = 0.0
-    return encoder, history
+    def batches():
+        _, labels = initial_labels(dataset, cfg, seed)
+        rng = np.random.default_rng(seed + 1)
+        for epoch in range(cfg.epochs):
+            if epoch in cfg.refresh_schedule:
+                _, labels = refresh_targets(encoder, dataset, cfg, seed=seed + 100 + epoch)
+                log.info("refreshed pseudo-labels at epoch %d", epoch)
+            order = rng.permutation(len(dataset))
+            batch, batch_dur = [], 0.0
+            for pos, utt in enumerate(order):
+                batch.append(int(utt))
+                batch_dur += len(dataset[utt]) * (HOP_MS / 1000.0)
+                if batch_dur < cfg.batch_seconds and pos < len(order) - 1:
+                    continue
+                masks = {i: span_mask(encoder.output_len(len(dataset[i])), cfg, 7919 * opt.t + i)
+                         for i in batch}
+                masked = [partial(masked_prediction_loss, encoder, dataset[i], labels[i], mask)
+                          for i, mask in masks.items() if mask.any()]
+                if masked:
+                    yield masked
+                    if opt.t == cfg.max_steps:
+                        return
+                batch, batch_dur = [], 0.0
+
+    return encoder, fit(opt, batches())

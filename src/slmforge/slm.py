@@ -43,8 +43,8 @@ from .nn import (
     Module,
     ModuleList,
     TransformerLayer,
+    fit,
     sinusoidal_positions,
-    train_step,
 )
 from .pretrain import SpeechEncoder
 from .tensor import Tensor
@@ -294,19 +294,20 @@ def lm_stand_in_sequences(examples, tokenizer: Vocab, speech) -> list:
 
 def train_lm(lm: CausalLM, token_seqs, steps: int, lr: float = 1e-3,
              seed: int = 0) -> list:
-    """Next-token pretraining of the toy LM on raw token sequences."""
-    opt = Adam(lm, lr=lr)
+    """Next-token pretraining of the toy LM on raw token sequences, one
+    drawn per step; returns a history of (step, loss)."""
     rng = np.random.default_rng(seed)
-    history = []
     seqs = [np.asarray(s, dtype=np.int64) for s in token_seqs if len(s) >= 2]
     if not seqs:
         raise ConfigError("train_lm needs sequences of at least two tokens")
-    for step in range(steps):
-        ids = seqs[rng.integers(len(seqs))]
-        loss = train_step(opt, [lambda: T.cross_entropy(
-            lm.forward_embeddings(lm.embed(ids[:-1])), ids[1:])])
-        history.append((step + 1, loss))
-    return history
+
+    def batches():
+        for _ in range(steps):
+            ids = seqs[rng.integers(len(seqs))]
+            # ``fit`` builds this loss before it draws the next ``ids``
+            yield [lambda: T.cross_entropy(lm.forward_embeddings(lm.embed(ids[:-1])), ids[1:])]
+
+    return fit(Adam(lm, lr=lr), batches())
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +457,9 @@ class FusionTrainConfig:
 
     def __post_init__(self):
         require_at_least(self, steps=0, batch_size=1, lm_steps=0, aligner_hidden=1)
+        for name in ("lr", "lm_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def train_aligner(model: FusionModel, pairs, cfg: FusionTrainConfig = FusionTrainConfig(),
@@ -472,15 +476,12 @@ def train_aligner(model: FusionModel, pairs, cfg: FusionTrainConfig = FusionTrai
     model.lm.freeze()
     prepared = [(rows, model.tokenizer.encode(ex.text)) for rows, ex in pairs]
 
-    opt = Adam(model.aligner, lr=cfg.lr)
     rng = np.random.default_rng(seed)
-    history = []
-    for step in range(cfg.steps):
-        picks = rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
-                           replace=False)
-        loss = train_step(opt, [partial(fusion_loss, model, *prepared[i]) for i in picks])
-        history.append((step + 1, loss))
-    return history
+    batches = ([partial(fusion_loss, model, *prepared[i])
+                for i in rng.choice(len(prepared), size=min(cfg.batch_size, len(prepared)),
+                                    replace=False)]
+               for _ in range(cfg.steps))
+    return fit(Adam(model.aligner, lr=cfg.lr), batches)
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
+def reference_train_step(opt, losses) -> float:
+    """``nn.train_step`` as it was when each trainer ran its own loop around
+    it: one optimizer step on the mean loss of the batch ``losses``, one
+    loss builder per item, each item's loss built and run backward from 1/n
+    before the next is built; returns the mean loss."""
+    n = len(losses)
+    opt.module.zero_grad()
+    total = None
+    for build in losses:
+        loss = build()
+        loss.backward(1.0 / n)
+        total = loss.item() if total is None else total + loss.item()
+    opt.step()
+    return total * (1.0 / n)
+
+
+def trained_bytes(opt) -> tuple:
+    """The parameters of ``opt``'s module and its Adam moments, as bytes."""
+    return ([p.data.tobytes() for p in opt.module.parameters()],
+            [(name, opt._m[name].tobytes(), opt._v[name].tobytes()) for name in opt._m])
+
+
 def joint_train_step(opt, losses) -> float:
-    """``nn.train_step`` as it was before it built and ran one item's loss
-    at a time: the built ``losses`` added left to right into one graph,
+    """One step of ``nn.fit`` as it was before it built and ran one item's
+    loss at a time: the built ``losses`` added left to right into one graph,
     divided by their count and run backward once, so every item's graph is
-    alive until that one walk."""
+    alive until that one walk; returns the mean loss."""
     loss = losses[0]
     for extra in losses[1:]:
         loss = loss + extra

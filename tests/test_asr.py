@@ -1,13 +1,16 @@
 """CTC loss against exhaustive path enumeration, decoders, normalization."""
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, log_softmax, max_rel_error
+from conftest import (
+    finite_diff_grad, log_softmax, max_rel_error, reference_train_step, trained_bytes,
+)
 
-from slmforge import asr
+from slmforge import asr, nn
 from slmforge import tensor as T
 from slmforge.asr import (
     BLANK,
@@ -25,7 +28,8 @@ from slmforge.asr import (
     normalize_text,
 )
 from slmforge.errors import ConfigError
-from slmforge.nn import load_checkpoint, save_checkpoint
+from slmforge.metrics import wer
+from slmforge.nn import Adam, load_checkpoint, save_checkpoint
 from slmforge.pretrain import SpeechEncoder, SpeechEncoderConfig
 from slmforge.tensor import Tensor, _accumulate, _make
 
@@ -536,3 +540,59 @@ def test_finetune_small_overfit_reaches_zero_wer(tmp_path):
     back = load_checkpoint(path, CtcModel)
     feats, text = examples[0]
     assert back.transcribe(feats) == text
+
+
+def _reference_finetune_ctc(encoder, examples, vocab, cfg, stop_at_zero_wer, seed):
+    """``finetune_ctc`` as it was when it ran its own loop: its own history
+    list, one ``reference_train_step`` per batch and the training-set WER
+    scored inside the loop. Returns (history, optimizer)."""
+    encoded = []
+    for features, transcript in examples:
+        ids = vocab.encode(transcript)
+        encoded.append((np.asarray(features, dtype=np.float64), transcript, ids))
+
+    model = CtcModel(encoder, vocab, seed=seed)
+    opt = Adam(model, lr=cfg.lr)
+    rng = np.random.default_rng(seed)
+    history = []
+    for step in range(1, cfg.steps + 1):
+        picks = rng.choice(len(encoded), size=min(cfg.batch_size, len(encoded)),
+                           replace=False)
+        loss = reference_train_step(opt, [partial(model.loss, encoded[i][0], encoded[i][2])
+                                          for i in picks])
+
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            refs = [t for _, t, _ in encoded]
+            hyps = [model.transcribe(f) for f, _, _ in encoded]
+            train_wer = wer(refs, hyps)
+            history.append((step, loss, train_wer))
+            if stop_at_zero_wer and train_wer == 0.0:
+                break
+        else:
+            history.append((step, loss, None))
+    return history, opt
+
+
+@pytest.mark.parametrize("stop_at_zero_wer", [False, True])
+def test_finetune_ctc_is_byte_equal_to_its_own_loop(monkeypatch, stop_at_zero_wer):
+    """Scores every third step, and with ``stop_at_zero_wer`` a stop long
+    before ``steps``: history, parameters and Adam moments keep the bytes of
+    the loop ``finetune_ctc`` ran before ``nn.fit`` took its steps."""
+    examples = _toy_asr_set(3, seed=1)
+    vocab = Vocab.from_texts([t for _, t in examples], (BLANK_SYMBOL,))
+    cfg = FinetuneConfig(steps=400 if stop_at_zero_wer else 10, lr=1e-2, batch_size=2,
+                         eval_every=3)
+    encoder_cfg = SpeechEncoderConfig(input_dim=8, dim=16)
+    want, want_opt = _reference_finetune_ctc(SpeechEncoder(encoder_cfg, n_classes=4, seed=1),
+                                             examples, vocab, cfg, stop_at_zero_wer, seed=1)
+    opts = []
+    monkeypatch.setattr(asr, "fit", lambda opt, batches: opts.append(opt) or nn.fit(opt, batches))
+    _, got = finetune_ctc(SpeechEncoder(encoder_cfg, n_classes=4, seed=1), examples, vocab,
+                          cfg, stop_at_zero_wer, seed=1)
+    if stop_at_zero_wer:
+        assert got[-1][2] == 0.0 and len(got) < cfg.steps
+    else:
+        assert [w is not None for *_, w in got] == [s % 3 == 0 or s == 10 for s in range(1, 11)]
+    assert [(s, np.float64(loss).tobytes(), w) for s, loss, w in got] == \
+        [(s, np.float64(loss).tobytes(), w) for s, loss, w in want]
+    assert trained_bytes(opts[0]) == trained_bytes(want_opt)

@@ -866,7 +866,10 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("pretrain", "target_layer", 7, "'target_layer' 7 is outside [0, 2], the encoder's layers"),
     ("pretrain", "target_layer", -1,
      "'target_layer' -1 is outside [0, 2], the encoder's layers"),
+    ("pretrain", "lr", -1, "lr must be > 0, got -1"),
+    ("pretrain", "batch_seconds", 0, "batch_seconds must be > 0, got 0"),
     ("finetune-asr", "steps", -1, "steps must be >= 0, got -1"),
+    ("finetune-asr", "lr", 0, "lr must be > 0, got 0"),
     ("finetune-asr", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("finetune-asr", "eval_every", 0, "eval_every must be >= 1, got 0"),
     ("train-aligner", "steps", -1, "steps must be >= 0, got -1"),
@@ -876,6 +879,8 @@ def test_config_value_of_wrong_type_is_runtime_error_naming_key_and_type(
     ("train-aligner", "d_lm", 0, "d_lm must be >= 1, got 0"),
     ("train-aligner", "lm_heads", 0, "lm_heads must be >= 1, got 0"),
     ("train-aligner", "lm_layers", 0, "lm_layers must be >= 1, got 0"),
+    ("train-aligner", "lr", -1, "lr must be > 0, got -1"),
+    ("train-aligner", "lm_lr", -0.5, "lm_lr must be > 0, got -0.5"),
 ])
 def test_training_config_value_out_of_range_exits_2_naming_the_key_before_reading(
         tmp_path, monkeypatch, capsys, command, key, value, shown):

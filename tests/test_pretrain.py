@@ -1,17 +1,20 @@
 """KMeans codebooks, span masking, masked prediction, and pretraining runs."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import broadcast_add, masked_cross_entropy, mul, tsum
+from conftest import (
+    broadcast_add, masked_cross_entropy, mul, reference_train_step, trained_bytes, tsum,
+)
 
-from slmforge import pretrain
+from slmforge import nn, pretrain
 from slmforge import tensor as T
-from slmforge.audio import mfcc
+from slmforge.audio import HOP_MS, mfcc
 from slmforge.errors import ConfigError, GraphError
-from slmforge.nn import load_checkpoint, save_checkpoint, sinusoidal_positions, trunc_normal
+from slmforge.nn import Adam, load_checkpoint, save_checkpoint, sinusoidal_positions, trunc_normal
 from slmforge.pretrain import (
     Codebook,
     PretrainConfig,
@@ -736,6 +739,85 @@ def test_training_with_refresh_cycle_runs_and_stays_deterministic():
     assert len(h1) > 0
     for (_, a), (_, b) in zip(enc1.named_parameters(), enc2.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def _reference_continued_pretrain(dataset, cfg, encoder, seed=0):
+    """``continued_pretrain`` as it was when it ran its own loop: its own
+    step count and history list, and one ``reference_train_step`` per
+    batch. Returns (history, optimizer)."""
+    _, labels = initial_labels(dataset, cfg, seed)
+    opt = Adam(encoder, lr=cfg.lr)
+    rng = np.random.default_rng(seed + 1)
+    history = []
+    step = 0
+    refresh_at = set(cfg.refresh_schedule)
+
+    for epoch in range(cfg.epochs):
+        if epoch in refresh_at:
+            _, labels = refresh_targets(encoder, dataset, cfg, seed=seed + 100 + epoch)
+        order = rng.permutation(len(dataset))
+        batch = []
+        batch_dur = 0.0
+        for pos, utt in enumerate(order):
+            batch.append(int(utt))
+            batch_dur += len(dataset[utt]) * (HOP_MS / 1000.0)
+            last = pos == len(order) - 1
+            if batch_dur < cfg.batch_seconds and not last:
+                continue
+            masked = []
+            for i in batch:
+                t_out = encoder.output_len(len(dataset[i]))
+                mask = span_mask(t_out, cfg, 7919 * step + i)
+                if mask.any():
+                    masked.append((dataset[i], labels[i], mask))
+            if masked:
+                step += 1
+                history.append((step, reference_train_step(
+                    opt, [partial(masked_prediction_loss, encoder, *utt) for utt in masked])))
+                if cfg.max_steps is not None and step >= cfg.max_steps:
+                    return history, opt
+            batch = []
+            batch_dur = 0.0
+    return history, opt
+
+
+def test_continued_pretrain_is_byte_equal_to_its_own_loop(monkeypatch):
+    """A refresh inside the run and ``max_steps`` in the middle of an epoch:
+    history, parameters and Adam moments keep the bytes of the loop
+    ``continued_pretrain`` ran before ``nn.fit`` took its steps."""
+    dataset = _toy_dataset(n_utts=6, t=40)
+    # 40 frames are 0.4 s: three batches per epoch, a refresh after the
+    # first epoch, and the fifth step in the middle of the second
+    cfg = PretrainConfig(epochs=4, lr=1e-2, batch_seconds=0.8, k=3, n_mfcc=4,
+                         refresh_schedule=(1,), max_steps=5, mask_prob=0.2, span_len=3)
+    want, want_opt = _reference_continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=3),
+                                                   seed=3)
+    opts, refreshes = [], []
+    monkeypatch.setattr(pretrain, "fit",
+                        lambda opt, batches: opts.append(opt) or nn.fit(opt, batches))
+    monkeypatch.setattr(pretrain, "refresh_targets",
+                        lambda *a, **k: refreshes.append(1) or refresh_targets(*a, **k))
+    _, got = continued_pretrain(dataset, cfg, SpeechEncoder(TOY_CFG, 3, seed=3), seed=3)
+    assert [step for step, _ in got] == [1, 2, 3, 4, 5]
+    assert len(refreshes) == 1
+    assert [(step, np.float64(loss).tobytes()) for step, loss in got] == \
+        [(step, np.float64(loss).tobytes()) for step, loss in want]
+    assert trained_bytes(opts[0]) == trained_bytes(want_opt)
+
+
+@pytest.mark.parametrize("max_steps, refreshes", [(1, 0), (2, 1)])
+def test_continued_pretrain_stops_at_max_steps_before_the_next_epoch(
+        monkeypatch, max_steps, refreshes):
+    """One step per epoch and a refresh at epoch 1: the run that stops at
+    step 1 never starts epoch 1, so it refreshes nothing."""
+    calls = []
+    monkeypatch.setattr(pretrain, "refresh_targets",
+                        lambda *a, **k: calls.append(1) or refresh_targets(*a, **k))
+    cfg = PretrainConfig(epochs=3, lr=1e-3, batch_seconds=100.0, k=3, n_mfcc=4,
+                         refresh_schedule=(1,), max_steps=max_steps, mask_prob=1.0)
+    _, history = continued_pretrain(_toy_dataset(), cfg, SpeechEncoder(TOY_CFG, 3), seed=0)
+    assert len(history) == max_steps
+    assert len(calls) == refreshes
 
 
 def test_encoder_save_load_round_trip(tmp_path):

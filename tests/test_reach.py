@@ -69,6 +69,24 @@ def test_every_src_definition_is_reached_from_src_demos_or_bench():
     assert set(KEPT) <= defined, "a KEPT entry names no definition"
 
 
+def test_only_nn_fit_runs_backward_or_steps_an_optimizer():
+    """``.backward(`` and ``.step(`` are called in ``src/slmforge`` only
+    inside ``nn.fit``, the one training loop: a trainer yields its batches
+    to ``fit`` and runs no loop of its own."""
+    inside, outside = [], []
+    for path, tree in _trees("src").items():
+        fits = [node for node in tree.body
+                if path.stem == "nn" and isinstance(node, ast.FunctionDef) and node.name == "fit"]
+        in_fit = {id(node) for fit in fits for node in ast.walk(fit)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("backward", "step")):
+                where = f"{path.stem}.py:{node.lineno} .{node.func.attr}("
+                (inside if id(node) in in_fit else outside).append(where)
+    assert not outside, f"called outside nn.fit: {outside}"
+    assert len(inside) == 2, f"nn.fit should call .backward( and .step( once each: {inside}"
+
+
 # settable values in src/slmforge by the count below; lower it when a change
 # removes some, so that none comes back unnoticed
 SETTABLE_VALUES = 548

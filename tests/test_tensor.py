@@ -11,7 +11,8 @@ import pytest
 
 from conftest import (
     broadcast_add, check_grad_against_fd, finite_diff_grad, joint_train_step, log_softmax,
-    masked_cross_entropy, matmul, max_rel_error, mul, reshape, softmax, transpose, tsum,
+    masked_cross_entropy, matmul, max_rel_error, mul, reshape, softmax, trained_bytes, transpose,
+    tsum,
 )
 
 from slmforge import asr, nn, pretrain, slm
@@ -27,10 +28,10 @@ from slmforge.nn import (
     Parameter,
     TransformerLayer,
     checkpoint_bytes,
+    fit,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
-    train_step,
 )
 from slmforge.pretrain import (
     PretrainConfig, SpeechEncoder, SpeechEncoderConfig, continued_pretrain, masked_prediction_loss,
@@ -748,30 +749,24 @@ def _losses(net, n):
     return [partial(build, x) for x in xs]
 
 
-def _optimizer_bytes(opt):
-    return [(name, opt._m[name].tobytes(), opt._v[name].tobytes()) for name in opt._m]
-
-
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_train_step_matches_inline_step(n):
+def test_fit_matches_inline_step(n):
     """Each item's loss built and run backward in turn gives the bytes of
     the joint step, which sums the items into one graph: parameters, Adam
-    moments and the returned mean loss."""
+    moments and the mean loss in the history."""
     inline, stepped = _Net(seed=2), _Net(seed=2)
     opt_inline, opt_stepped = Adam(inline, lr=1e-2), Adam(stepped, lr=1e-2)
     for _ in range(3):
         want = joint_train_step(opt_inline, [build() for build in _losses(inline, n)])
-        got = train_step(opt_stepped, _losses(stepped, n))
+        [(_, got)] = fit(opt_stepped, [_losses(stepped, n)])
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    for (_, a), (_, b) in zip(inline.named_parameters(), stepped.named_parameters()):
-        assert a.data.tobytes() == b.data.tobytes()
-    assert _optimizer_bytes(opt_stepped) == _optimizer_bytes(opt_inline)
+    assert trained_bytes(opt_stepped) == trained_bytes(opt_inline)
 
 
 def _divided_train_step(opt, losses) -> float:
-    """``nn.train_step`` as it was before ``backward`` took a scale: each
-    item's loss divided by the batch size n in the graph, ``loss / n``, and
-    run backward from 1."""
+    """One step of ``nn.fit`` as it was before ``backward`` took a scale:
+    each item's loss divided by the batch size n in the graph, ``loss / n``,
+    and run backward from 1; returns the mean loss."""
     n = len(losses)
     opt.module.zero_grad()
     total = None
@@ -799,20 +794,18 @@ def _masked_batch(encoder, n, step):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_train_step_from_a_backward_scale_gives_the_divided_loss_bytes(n):
+def test_fit_from_a_backward_scale_gives_the_divided_loss_bytes(n):
     """Each loss run backward from 1/n gives the bytes of ``loss / n`` run
-    backward from 1: parameters, Adam moments and the returned mean loss,
-    over three steps of an encoder's masked-prediction batches."""
+    backward from 1: parameters, Adam moments and the mean loss in the
+    history, over three steps of an encoder's masked-prediction batches."""
     cfg = SpeechEncoderConfig(input_dim=8, dim=16, n_layers=2, n_heads=2)
     scaled, divided = SpeechEncoder(cfg, 5, seed=n), SpeechEncoder(cfg, 5, seed=n)
     opt_scaled, opt_divided = Adam(scaled, lr=1e-2), Adam(divided, lr=1e-2)
     for step in range(3):
-        got = train_step(opt_scaled, _masked_batch(scaled, n, step))
+        [(_, got)] = fit(opt_scaled, [_masked_batch(scaled, n, step)])
         want = _divided_train_step(opt_divided, _masked_batch(divided, n, step))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    for (_, a), (_, b) in zip(scaled.named_parameters(), divided.named_parameters()):
-        assert a.data.tobytes() == b.data.tobytes()
-    assert _optimizer_bytes(opt_scaled) == _optimizer_bytes(opt_divided)
+    assert trained_bytes(opt_scaled) == trained_bytes(opt_divided)
 
 
 _ENC = SpeechEncoderConfig(input_dim=8, dim=8, n_layers=1, n_heads=2)
@@ -852,28 +845,31 @@ def _train_aligner(n, rng):
 
 
 def _trained_bytes(monkeypatch, trainer, n, joint):
-    """Batch sizes, returned losses, parameters and Adam moments, as bytes,
-    after ``trainer`` runs its steps through ``nn.train_step`` or, with
-    ``joint``, through the joint reference step."""
+    """Batch sizes, losses, parameters and Adam moments, as bytes, after
+    ``trainer`` runs its batches through a reference loop in place of its
+    ``fit``: one ``nn.fit`` step per batch or, with ``joint``, the joint
+    reference step."""
     module, run = {"continued_pretrain": (pretrain, _pretrain),
                    "finetune_ctc": (asr, _finetune_ctc),
                    "train_lm": (slm, _train_lm),
                    "train_aligner": (slm, _train_aligner)}[trainer]
     steps = []
 
-    def step(opt, losses):
-        if joint:
-            loss = joint_train_step(opt, [build() for build in losses])
-        else:
-            loss = train_step(opt, losses)
-        steps.append((opt, len(losses), np.float64(loss).tobytes()))
-        return loss
+    def reference_fit(opt, batches):
+        history = []
+        for losses in batches:
+            if joint:
+                loss = joint_train_step(opt, [build() for build in losses])
+            else:
+                [(_, loss)] = fit(opt, [losses])
+            steps.append((opt, len(losses), np.float64(loss).tobytes()))
+            history.append((opt.t, loss))
+        return history
 
-    monkeypatch.setattr(module, "train_step", step)
+    monkeypatch.setattr(module, "fit", reference_fit)
     run(n, np.random.default_rng(n))
     opt = steps[-1][0]
-    return ([size for _, size, _ in steps], [loss for *_, loss in steps],
-            [p.data.tobytes() for p in opt.module.parameters()], _optimizer_bytes(opt))
+    return ([size for _, size, _ in steps], [loss for *_, loss in steps], *trained_bytes(opt))
 
 
 @pytest.mark.parametrize("trainer, n", [
@@ -890,7 +886,7 @@ def test_every_trainer_steps_to_the_bytes_of_the_joint_step(monkeypatch, trainer
 def test_a_step_on_an_empty_batch_names_the_cause():
     net = _Net()
     with pytest.raises(GraphError, match="empty batch"):
-        train_step(Adam(net, lr=1e-2), [])
+        fit(Adam(net, lr=1e-2), [[]])
     assert all(p.grad is None for p in net.parameters())
     vocab = Vocab.from_texts(["ab"], (BLANK_SYMBOL,))
     with pytest.raises(GraphError, match="empty batch"):
@@ -912,7 +908,7 @@ def _encoder_item(encoder, rng, frames):
 
 
 def _step_peak_bytes(n, frames=1200):
-    """tracemalloc peak of one ``train_step`` on ``n`` items of ``frames``
+    """tracemalloc peak of one ``fit`` step on ``n`` items of ``frames``
     input frames each, after one warm-up step on the same items."""
     rng = np.random.default_rng(0)
     # the bench's encoder shape: 24 mel bins, width 32, 2 layers, 16 classes
@@ -920,11 +916,11 @@ def _step_peak_bytes(n, frames=1200):
                             16, seed=0)
     opt = Adam(encoder, lr=1e-3)
     items = [_encoder_item(encoder, rng, frames) for _ in range(n)]
-    train_step(opt, items)
+    fit(opt, [items])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train_step(opt, items)
+        fit(opt, [items])
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1190,7 +1186,7 @@ def _layer_grads(seed, causal, steps=2):
     opt = Adam(layer, lr=1e-2)
     xs = [Tensor(rng.standard_normal((t, 8)), requires_grad=True) for t in (5, 9)]
     for _ in range(steps):
-        train_step(opt, [lambda x=x: tsum(mul(layer(x), layer(x))) for x in xs])
+        fit(opt, [[lambda x=x: tsum(mul(layer(x), layer(x))) for x in xs]])
     return [p.data for p in layer.parameters()] + [x.grad for x in xs]
 
 
