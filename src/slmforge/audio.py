@@ -100,14 +100,15 @@ def parse_wav_bytes(raw: bytes) -> AudioBuffer:
     data = None
     declared = None
     pos = 12
+    view = memoryview(raw)  # chunk bodies are views, not copies
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        body = view[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise UnsupportedWavError("fmt chunk too short")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = struct.unpack_from("<HHIIHH", body)
         elif chunk_id == b"data":
             declared = size
             data = body
@@ -131,18 +132,21 @@ def parse_wav_bytes(raw: bytes) -> AudioBuffer:
         raise UnsupportedWavError(f"data chunk of {declared} bytes is not a whole "
                                   f"number of {bits}-bit samples")
 
-    samples = np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4").astype(np.float64)
     if bits == 16:
-        samples /= 32768.0
-
-    if not np.all(np.isfinite(samples)):
-        raise UnsupportedWavError("sample data contains non-finite values")
+        # one float64 pass: scaling by a power of two is exact, and 16-bit
+        # samples are finite and already in [-1, 1)
+        samples = np.frombuffer(data, dtype="<i2") * 2.0 ** -15
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise UnsupportedWavError("sample data contains non-finite values")
 
     if n_channels > 1:
         usable = (len(samples) // n_channels) * n_channels
         samples = samples[:usable].reshape(-1, n_channels).mean(axis=1)
 
-    samples = np.clip(samples, -1.0, 1.0)
+    if bits == 32:
+        samples = np.clip(samples, -1.0, 1.0)
     return AudioBuffer(samples, sample_rate)
 
 

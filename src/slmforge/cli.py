@@ -434,6 +434,9 @@ def cmd_eval(args) -> int:
         lexicon = _normalization_lexicon(args)
         refs = [asr_mod.normalize_text(t, lexicon) for t in refs]
         hyps = [asr_mod.normalize_text(t, lexicon) for t in hyps]
+    if {"wer", "cer"} & set(metrics) and not any(ref.split() for ref in refs):
+        after = "" if args.no_normalize else " after normalization"
+        raise ConfigError(f"{args.refs}: no words are left in the references{after}")
 
     row = compute_report(args.name, refs, hyps, metrics)
     if args.external_scores:

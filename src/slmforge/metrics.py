@@ -5,13 +5,20 @@ length, not an average of per-utterance rates. chrF is the character
 n-gram F-beta score (n = 1..6, beta = 2) on whitespace-stripped
 text, aggregated over the corpus by summing n-gram counts.
 
+Each metric scores the whole corpus in array passes. WER and CER give each
+token an integer code (a word's first position in the corpus, a character's
+code point) and run one bit-parallel Levenshtein pass over every line at
+once (``_corpus_rate``). Its distances are the integers a per-line dynamic
+program gives.
+
 chrF counts in integer arrays over the whole corpus at once. Each character
 gets a dense code; each order-n key is the order-(n-1) key times the
-alphabet size plus the next code, renumbered densely so that it stays below
-the corpus length. The n-grams that fit inside their line are tagged with
-their pair and side (hypothesis or reference) and sorted once per order;
-each (n-gram, pair) run gives its two counts, and the matches are the sum of
-their minima. These are the integer counts that per-line counters give.
+alphabet size plus the next code. The n-grams that fit inside their line
+are tagged with their pair and side (hypothesis or reference) and sorted
+once per order; each (n-gram, pair) run gives its two counts, and the
+matches are the sum of their minima. Keys are renumbered densely, with a
+second sort, only in an order where a packed key could pass 2**62. These
+are the integer counts that per-line counters give.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 
@@ -34,76 +42,144 @@ METRIC_COLUMNS = (
 _ARROWS = {"down": "↓", "up": "↑"}
 
 
-def edit_distance(ref, hyp) -> int:
-    """Unit-cost Levenshtein distance between two token sequences.
-
-    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's Levenshtein form:
-    bit ``i`` of a Python int stands for reference token ``i``, and each
-    hypothesis token updates one column of the dynamic-programming table
-    as positive and negative vertical deltas (``pv``, ``mv``). ``peq`` maps
-    each reference token to the bitmask of its positions, so tokens must be
-    hashable (callers pass ``str`` characters or words).
-    """
-    m = len(ref)
-    if m == 0:
-        return len(hyp)
-    peq = {}
-    for i, token in enumerate(ref):
-        peq[token] = peq.get(token, 0) | (1 << i)
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, dist = mask, 0, m
-    for token in hyp:
-        eq = peq.get(token, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        # row 0 of the table is 0, 1, 2, ...: a +1 horizontal delta enters at the top
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    return dist
-
-
 def _check_paired(refs, hyps):
     if len(refs) != len(hyps):
         raise ValueError(f"got {len(refs)} references but {len(hyps)} hypotheses")
 
 
-def _corpus_rate(refs, hyps, tokens, unit: str) -> float:
-    """Sum of edit distances over the sum of reference lengths, both counted
-    in the tokens ``tokens(text)`` returns; ``unit`` names them in errors."""
-    _check_paired(refs, hyps)
-    total_dist = 0
-    total_len = 0
-    for ref, hyp in zip(refs, hyps):
-        r, h = tokens(ref), tokens(hyp)
-        total_dist += edit_distance(r, h)
-        total_len += len(r)
-    if total_len == 0:
-        raise ValueError(f"references contain no {unit}")
-    return total_dist / total_len
+def _match_masks(ref_codes, rows, cell_key):
+    """Sorted ``cell_key + code`` keys and, for each, the uint64 mask of the
+    rows where that code stands in that cell's block of ``rows`` reference
+    codes; a last key above every lookup, with mask 0, keeps lookups in range."""
+    # one sort of (cell, code, row) packed in an int64 groups the rows; in
+    # place, as a long corpus makes these the largest arrays of the pass
+    packed = np.repeat(cell_key, rows)
+    packed += ref_codes
+    packed <<= 6
+    packed |= np.arange(len(ref_codes)) - np.repeat(np.cumsum(rows) - rows, rows)
+    packed.sort()
+    keys = packed >> 6
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))[packed & 63]
+    return (np.append(keys[starts], np.iinfo(np.int64).max),
+            np.append(np.bitwise_or.reduceat(bits, starts), np.uint64(0)))
+
+
+def _corpus_rate(codes, lengths) -> float:
+    """Sum over lines of the unit-cost Levenshtein distance between each
+    reference and its hypothesis, over the sum of reference lengths.
+    ``codes`` holds the tokens of every reference, then of every hypothesis,
+    as non-negative integer codes, and ``lengths`` their count per line.
+
+    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's block form (2003),
+    on every line at once in uint64 words. A reference of m tokens takes
+    ceil(m / 64) blocks. A (line, block) pair is a *cell*, and bit i of its
+    words stands for reference token 64 * block + i. Each step updates one
+    hypothesis column of every busy cell as positive and negative vertical
+    deltas (``pv``, ``mv``). The horizontal delta leaving a block's bit 63
+    enters its line's next block at the next step, so cell (line, b) runs
+    column j at step j + b. Before that it spends b steps on a code that
+    matches nothing with no delta entering, which leaves its words as they
+    are.
+    Cells are ordered by the step of their last column, latest first, so a
+    step's busy cells are a prefix and no step touches a finished line.
+    The match masks are held per ``(cell, code)`` key, sorted and looked up
+    once per step, so no table spans the alphabet.
+    """
+    ref_lengths, hyp_lengths = np.split(np.asarray(lengths, dtype=np.int64), 2)
+    if not ref_lengths.any():
+        # no reference words is no reference characters either
+        raise ValueError("references contain no words")
+    ref_codes, hyp_codes = np.split(codes, [ref_lengths.sum()])
+    no_match = int(codes.max()) + 1
+    blocks = -(-ref_lengths // 64)
+    line = np.repeat(np.arange(len(ref_lengths)), blocks)
+    block = np.arange(len(line)) - np.repeat(np.cumsum(blocks) - blocks, blocks)
+    rows = np.minimum(ref_lengths[line] - 64 * block, 64)
+    cells = len(line)
+    cell_key = np.arange(cells) * (no_match + 1)
+    peq_keys, peq_masks = _match_masks(ref_codes, rows, cell_key)
+
+    # each line's hypothesis codes after blocks - 1 copies of ``no_match``,
+    # for the steps its later blocks wait
+    pad = np.maximum(blocks - 1, 0)
+    stream_lengths = pad + hyp_lengths
+    stream_starts = np.cumsum(stream_lengths) - stream_lengths + pad
+    stream = np.full(int(stream_lengths.sum()), no_match, dtype=np.int64)
+    stream[np.repeat(stream_starts - (np.cumsum(hyp_lengths) - hyp_lengths), hyp_lengths)
+           + np.arange(len(hyp_codes))] = hyp_codes
+
+    ends = hyp_lengths[line] + block
+    order = np.argsort(-ends, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(cells)
+    # the cell of each cell's previous block, whose horizontal delta enters
+    # its bit 0; block 0 reads the sentinel ``cells``, the +1 of row 0 of the
+    # table (0, 1, 2, ...)
+    prev = np.where(block > 0, rank[np.arange(cells) - 1], cells)[order]
+    column = (stream_starts[line] - block)[order]
+    cell_key, rows, ends = cell_key[order], rows[order], ends[order]
+    busy = np.searchsorted(-ends, -np.arange(ends[0]))
+
+    pv = np.full(cells, np.iinfo(np.uint64).max, dtype=np.uint64)
+    mv = np.zeros(cells, dtype=np.uint64)
+    hp = np.zeros(cells + 1, dtype=np.uint64)  # horizontal delta +1 out of each cell's bit 63
+    hm = np.zeros(cells + 1, dtype=np.uint64)  # horizontal delta -1 out of each cell's bit 63
+    hp[cells] = 1
+    for step, k in enumerate(busy.tolist()):
+        query = cell_key[:k] + stream[column[:k] + step]
+        at = np.searchsorted(peq_keys, query)
+        eq = np.where(peq_keys[at] == query, peq_masks[at], 0)
+        p, m = pv[:k], mv[:k]
+        hin_p, hin_m = hp[prev[:k]], hm[prev[:k]]
+        xv = eq | m
+        eq |= hin_m
+        xh = (((eq & p) + p) ^ p) | eq
+        ph = m | ~(xh | p)
+        mh = p & xh
+        hp[:k] = ph >> 63
+        hm[:k] = mh >> 63
+        ph = (ph << 1) | hin_p
+        mh = (mh << 1) | hin_m
+        pv[:k] = mh | ~(xv | ph)
+        mv[:k] = ph & xv
+    # a line's distance is its last column's row 0, the hypothesis length,
+    # plus the vertical deltas of its m rows; bits above them are left out
+    valid = np.right_shift(np.iinfo(np.uint64).max, (64 - rows).astype(np.uint64))
+    rises, falls = (int(np.unpackbits((v & valid).view(np.uint8)).sum()) for v in (pv, mv))
+    return (int(hyp_lengths.sum()) + rises - falls) / int(ref_lengths.sum())
 
 
 def wer(refs, hyps) -> float:
-    """Corpus word error rate: sum of word edit distances / total ref words."""
-    return _corpus_rate(refs, hyps, str.split, "words")
+    """Corpus word error rate: sum of word edit distances / total ref words.
 
-
-def _char_tokens(text: str):
-    # collapse whitespace runs to single spaces; space itself counts as a char
-    return list(" ".join(text.split()))
+    One dict over the corpus codes each word by the position where it first
+    occurs, and one batched bit-vector pass scores every line.
+    """
+    _check_paired(refs, hyps)
+    lines = [text.split() for text in [*refs, *hyps]]
+    words = list(chain.from_iterable(lines))
+    codes = np.fromiter(map({}.setdefault, words, count()), np.int64, len(words))
+    return _corpus_rate(codes, list(map(len, lines)))
 
 
 def cer(refs, hyps) -> float:
-    """Corpus character error rate over whitespace-collapsed character tokens."""
-    return _corpus_rate(refs, hyps, _char_tokens, "characters")
+    """Corpus character error rate over whitespace-collapsed characters.
+
+    Whitespace runs collapse to one space, which counts as a character. The
+    codes are the lines' UTF-32 code points, and one batched bit-vector
+    pass scores every line.
+    """
+    _check_paired(refs, hyps)
+    lines = [" ".join(text.split()) for text in [*refs, *hyps]]
+    points = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"), np.uint32)
+    return _corpus_rate(points, list(map(len, lines)))
+
+
+def _renumber(keys):
+    """``keys`` renumbered densely in their order, and the number of distinct keys."""
+    distinct, keys = np.unique(keys, return_inverse=True)
+    return keys, len(distinct)
 
 
 def chrf(refs, hyps) -> float:
@@ -129,12 +205,17 @@ def chrf(refs, hyps) -> float:
     matches = [0] * (max_n + 1)
     hyp_total = [0] * (max_n + 1)
     ref_total = [0] * (max_n + 1)
-    keys = codes.astype(np.int64)
+    keys, bound = codes.astype(np.int64), len(alphabet)  # keys < bound
     for n in range(1, max_n + 1):
+        # extend each (n-1)-gram key by one character, then pack it with the
+        # segment; renumber densely (a second sort) only where either product
+        # could pass 2**62
         if n > 1:
-            # extend each (n-1)-gram key by one character and renumber densely,
-            # so keys stay below the position count and the product cannot overflow
-            keys = np.unique(keys[:-1] * len(alphabet) + codes[n - 1:], return_inverse=True)[1]
+            if bound * len(alphabet) > 2 ** 62:
+                keys, bound = _renumber(keys)
+            keys, bound = keys[:-1] * len(alphabet) + codes[n - 1:], bound * len(alphabet)
+        if bound * len(texts) > 2 ** 62:
+            keys, bound = _renumber(keys)
         inside = room[: len(keys)] >= n
         comp = np.sort(keys[inside] * len(texts) + segment[: len(keys)][inside])
         if comp.size == 0:

@@ -23,7 +23,7 @@ from conftest import (
     masked_fusion_loss, matmul, max_rel_error, mul, softmax,
 )
 from test_asr import random_lattice
-from test_metrics import brute_force_chrf, random_string, recursive_edit_distance
+from test_metrics import brute_force_chrf, edit_distance, random_string, recursive_edit_distance
 
 from slmforge import tensor as T
 from slmforge.asr import (
@@ -36,7 +36,7 @@ from slmforge.asr import (
 )
 from slmforge.audio import log_mel, write_wav
 from slmforge.curate import Manifest, PipelineConfig, run_pipeline
-from slmforge.metrics import MetricRow, cer, chrf, edit_distance, render_report, wer
+from slmforge.metrics import MetricRow, cer, chrf, render_report, wer
 from slmforge.nn import (
     Adam,
     checkpoint_bytes,

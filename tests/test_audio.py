@@ -68,6 +68,39 @@ def test_stereo_identical_channels_downmix_to_either(tmp_path):
     assert np.array_equal(out.samples, pcm.astype(np.float64) / 32768.0)
 
 
+def _old_pcm16(payload, channels):
+    """PCM16 samples as ``parse_wav_bytes`` converted them before its one-pass
+    form: ``astype`` to float64, divide by 32768, downmix, then clip."""
+    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    if channels > 1:
+        usable = (len(samples) // channels) * channels
+        samples = samples[:usable].reshape(-1, channels).mean(axis=1)
+    return np.clip(samples, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_pcm16_samples_equal_the_old_conversion_byte_for_byte(channels):
+    extremes = np.array([-32768, -1, 0, 32767], dtype="<i2")
+    noise = np.random.default_rng(channels).integers(-32768, 32768, size=3000, dtype=np.int64)
+    pcm = np.concatenate([np.repeat(extremes, channels), noise.astype("<i2")])
+    out = parse_wav_bytes(_riff(1, channels, 8000, 16, pcm.tobytes()))
+    assert out.samples.tobytes() == _old_pcm16(pcm.tobytes(), channels).tobytes()
+    if channels == 1:
+        assert out.samples[:4].tolist() == [-1.0, -2.0 ** -15, 0.0, 1.0 - 2.0 ** -15]
+
+
+def test_float32_samples_keep_their_finite_check_and_their_clip():
+    nan = np.array([0.25, np.nan], dtype="<f4").tobytes()
+    with pytest.raises(UnsupportedWavError, match="^sample data contains non-finite values$"):
+        parse_wav_bytes(_riff(3, 1, 8000, 32, nan))
+    loud = parse_wav_bytes(_riff(3, 1, 8000, 32, np.array([1.5, -1.5, 0.5], "<f4").tobytes()))
+    assert loud.samples.tolist() == [1.0, -1.0, 0.5]
+    # two channels average before they clip, as the old conversion did
+    stereo = np.array([1.5, 0.25, -3.0, 0.5], dtype="<f4").tobytes()
+    assert parse_wav_bytes(_riff(3, 2, 8000, 32, stereo)).samples.tolist() == [0.875, -1.0]
+
+
 def test_truncated_data_chunk_is_distinct_error():
     buf = sine(200.0, 0.1, 8000)
     raw = wav_bytes(buf)

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import bench_inputs, cli_env
+from test_metrics import char_tokens, scalar_rate
 
 from slmforge import cli
 from slmforge.audio import log_mel, read_wav, resample, write_wav
-from slmforge.asr import BLANK_SYMBOL, CtcModel, Vocab
+from slmforge.asr import BLANK_SYMBOL, CtcModel, Vocab, builtin_rules, normalize_text
 from slmforge.cli import CONFIG_KEYS, _config_fields, main
 from slmforge.config import config_hash
 from slmforge.curate import Manifest, PipelineConfig
@@ -431,6 +432,45 @@ def test_eval_and_report_round_trip(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["wer"] == 0.0
     assert "config_hash" in payload
+
+
+@pytest.mark.parametrize("refs_text, flags, after", [
+    ("\n\n", [], " after normalization"),
+    ("?!\n, .\n", [], " after normalization"),
+    (" \n\t\n", ["--no-normalize"], ""),
+], ids=["blank", "punctuation-only", "no-normalize"])
+def test_eval_with_no_reference_words_exits_2_naming_the_refs_file(tmp_path, capsys, refs_text,
+                                                                  flags, after):
+    refs, hyps, out = tmp_path / "refs.txt", tmp_path / "hyps.txt", tmp_path / "eval.json"
+    refs.write_text(refs_text, encoding="utf-8")
+    hyps.write_text("a b\nc\n", encoding="utf-8")
+    for metrics in ("wer", "cer", "wer,cer,chrf"):
+        assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", metrics,
+                     "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"slmforge eval: {refs}: no words are left in the references{after}\n"
+        assert not out.exists()
+    # chrF alone scores a corpus with no reference words
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--metrics", "chrf",
+                 "--out", str(out), *flags]) == 0
+
+
+def test_eval_scores_the_bench_corpus_as_its_oracle_and_the_scalar_reference(
+        tmp_path, monkeypatch):
+    """The benchmark's own 3000-line ``eval`` pairs, with one known edit per
+    line: the rates written by ``eval --out`` equal the generator's oracle at
+    their 4 decimals, and the batched pass equals per-line edit distances."""
+    expected = bench_inputs(monkeypatch).make_eval_pairs(tmp_path, seed=1)
+    assert expected["lines"] == 3000
+    refs, hyps, out = tmp_path / expected["refs"], tmp_path / expected["hyps"], tmp_path / "e.json"
+    assert main(["eval", "--refs", str(refs), "--hyps", str(hyps), "--out", str(out)]) == 0
+    [row] = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    lines = [[normalize_text(line, builtin_rules("en")) for line in path.read_text(
+        encoding="utf-8").removesuffix("\n").split("\n")] for path in (refs, hyps)]
+    for key, rate, tokens in (("wer", wer, str.split), ("cer", cer, char_tokens)):
+        scalar = scalar_rate(*lines, tokens)
+        assert rate(*lines) == scalar
+        assert row[key] == round(expected[key], 4) == round(scalar, 4)
 
 
 @pytest.mark.parametrize("refs_text, hyps_text, want_refs, want_hyps", [

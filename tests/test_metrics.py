@@ -2,6 +2,7 @@
 and a brute-force n-gram counter for chrF."""
 
 import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,6 @@ from slmforge.metrics import (
     MetricRow,
     cer,
     chrf,
-    edit_distance,
     render_report,
     wer,
 )
@@ -91,6 +91,45 @@ def reference_edit_distance(ref, hyp) -> int:
     return prev[m]
 
 
+def edit_distance(ref, hyp) -> int:
+    """Unit-cost Levenshtein distance between two token sequences: the scalar
+    reference that the batched corpus pass behind ``wer`` and ``cer`` is
+    checked against.
+
+    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's Levenshtein form:
+    bit ``i`` of a Python int stands for reference token ``i``, and each
+    hypothesis token updates one column of the dynamic-programming table
+    as positive and negative vertical deltas (``pv``, ``mv``). ``peq`` maps
+    each reference token to the bitmask of its positions, so tokens must be
+    hashable (callers pass ``str`` characters or words).
+    """
+    m = len(ref)
+    if m == 0:
+        return len(hyp)
+    peq = {}
+    for i, token in enumerate(ref):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for token in hyp:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the table is 0, 1, 2, ...: a +1 horizontal delta enters at the top
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # WER
 
@@ -108,8 +147,11 @@ def test_wer_deletion_of_only_word():
 
 
 def test_wer_empty_reference_is_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^references contain no words$"):
         wer([""], ["a"])
+    # no reference words is no reference characters either: cer says the same
+    with pytest.raises(ValueError, match="^references contain no words$"):
+        cer([" \t", ""], ["a", "b"])
 
 
 def test_wer_mismatched_lengths_error():
@@ -172,6 +214,120 @@ def test_edit_distance_equals_the_dynamic_program_on_strings_and_near_copies():
             assert edit_distance(ref, hyp) == reference_edit_distance(ref, hyp)
             assert edit_distance(ref.split(), hyp.split()) == reference_edit_distance(
                 ref.split(), hyp.split())
+
+
+# ---------------------------------------------------------------------------
+# The batched corpus pass behind wer and cer against per-line edit_distance
+
+
+def char_tokens(text):
+    """CER's tokens: the characters of ``text`` with whitespace runs collapsed."""
+    return list(" ".join(text.split()))
+
+
+def scalar_rate(refs, hyps, tokens):
+    """A corpus rate from per-line ``edit_distance`` sums over ``tokens(text)``."""
+    dist = sum(edit_distance(tokens(ref), tokens(hyp)) for ref, hyp in zip(refs, hyps))
+    return dist / sum(len(tokens(ref)) for ref in refs)
+
+
+def _mutated(rng, tokens, pool):
+    """``tokens`` after up to five random insertions, deletions or substitutions."""
+    tokens = list(tokens)
+    for _ in range(int(rng.integers(6))):
+        i = int(rng.integers(len(tokens) + 1))
+        new = pool[int(rng.integers(len(pool)))]
+        op = int(rng.integers(3))
+        if op == 0:
+            tokens.insert(i, new)
+        elif i < len(tokens) and op == 1:
+            del tokens[i]
+        elif i < len(tokens):
+            tokens[i] = new
+    return tokens
+
+
+def _corpus(rng, lengths, pool, sep):
+    """Reference lines of ``lengths`` tokens from ``pool`` joined by ``sep``,
+    with hypotheses that are near copies, unrelated lines or empty."""
+    refs, hyps = [], []
+    for n in lengths:
+        ref = [pool[i] for i in rng.integers(0, len(pool), size=n)]
+        kind = int(rng.integers(4))
+        hyp = (_mutated(rng, ref, pool) if kind < 2 else [] if kind == 2 else
+               [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(200)))])
+        refs.append(sep.join(ref))
+        hyps.append(sep.join(hyp))
+    return refs, hyps
+
+
+CHAR_POOL = list("abcd") + ["\U0001d11e", "\u00e9"]  # a non-BMP character among them
+WORD_POOL = ["the", "a", "cat", "sat", "\U0001d11e", "mat"]
+
+
+def test_batched_rates_equal_per_line_edit_distance_sums_on_random_corpora():
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        # lines in no particular length order, up to five 64-token blocks long
+        lengths = rng.integers(0, 300, size=int(rng.integers(1, 12)))
+        refs, hyps = _corpus(rng, lengths, CHAR_POOL + [" "], "")
+        if any(ref.strip() for ref in refs):
+            assert cer(refs, hyps) == scalar_rate(refs, hyps, char_tokens)
+        refs, hyps = _corpus(rng, lengths, WORD_POOL, " ")
+        if any(lengths):
+            assert wer(refs, hyps) == scalar_rate(refs, hyps, str.split)
+
+
+@pytest.mark.parametrize("unit", ["chars", "words"])
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 128, 129, 300])
+def test_batched_rates_equal_the_scalar_reference_at_block_edges(unit, m):
+    """References of m tokens, m on both sides of each 64-token block edge,
+    against hypotheses of every kind, including empty lines."""
+    rng = np.random.default_rng(m)
+    pool, sep, rate, tokens = ((CHAR_POOL, "", cer, char_tokens) if unit == "chars"
+                               else (WORD_POOL, " ", wer, str.split))
+    refs, hyps = _corpus(rng, [m] * 24 + [1], pool, sep)
+    ref = refs[0]
+    refs += [ref] * 4
+    hyps += [ref, "", sep.join(tokens(ref)[::-1]), sep.join(tokens(ref) * 2)]
+    assert [len(tokens(r)) for r in refs[:24]] == [m] * 24
+    assert rate(refs, hyps) == scalar_rate(refs, hyps, tokens)
+
+
+def test_batched_rates_do_not_depend_on_line_order():
+    rng = np.random.default_rng(3)
+    refs, hyps = _corpus(rng, rng.integers(0, 150, size=40), CHAR_POOL + [" "], "")
+    perm = rng.permutation(len(refs))
+    shuffled = [refs[i] for i in perm], [hyps[i] for i in perm]
+    assert cer(refs, hyps) == cer(*shuffled) == scalar_rate(refs, hyps, char_tokens)
+    assert wer(refs, hyps) == wer(*shuffled) == scalar_rate(refs, hyps, str.split)
+
+
+def test_cer_counts_a_non_bmp_character_as_one_token():
+    assert cer(["\U0001d11ea"], ["a"]) == 0.5
+    assert cer(["\U0001d11e\U0001d122"], ["\U0001d122\U0001d11e"]) == 1.0
+    assert wer(["\U0001d11e x"], ["\U0001d122 x"]) == 0.5
+
+
+def test_batched_cer_builds_no_array_of_lines_by_longest_line():
+    """3000 short lines and one of 5000 characters: the pass's peak memory
+    stays a small multiple of the corpus's codes as int64 (0.8 MB), where
+    one byte per (line, position of the longest line) would be 15 MB."""
+    rng = np.random.default_rng(9)
+    refs, hyps = ([random_string(rng, 30, "abcdefgh ") for _ in range(3000)] for _ in "rh")
+    long = "".join(rng.choice(list("abcdefgh"), size=5000))
+    refs.append(long)
+    hyps.append(long[:2500] + "x" + long[2501:])
+    code_bytes = 8 * sum(len(char_tokens(text)) for text in refs + hyps)
+    tracemalloc.start()
+    try:
+        got = cer(refs, hyps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == scalar_rate(refs, hyps, char_tokens)
+    assert 3001 * 5000 > 15 * code_bytes
+    assert peak < 5 * code_bytes, (peak, code_bytes)
 
 
 def test_wer_symmetry_in_edit_units():
@@ -307,8 +463,8 @@ def test_chrf_of_all_whitespace_lines_equals_the_counter_chrf():
 
 
 def test_chrf_over_a_3000_code_point_alphabet_equals_the_counter_chrf():
-    # six codes packed in base 3000 alone exceed int64; renumbering each order
-    # keeps the keys below the corpus length
+    # six codes packed in base 3000 alone exceed int64; renumbering the keys
+    # where a product could pass 2**62 keeps them in range
     alphabet = "".join(chr(0x4E00 + i) for i in range(3000))
     assert 3000 ** 6 > 2 ** 63
     rng = np.random.default_rng(11)
@@ -326,6 +482,18 @@ def test_chrf_finds_no_false_match_where_packed_keys_would_wrap():
     tail = alphabet[1:6]
     refs, hyps = [alphabet, alphabet[0] + tail], ["", alphabet[512] + tail]
     assert 512 * 2048 ** 5 == 2 ** 64
+    assert chrf(refs, hyps) == counter_chrf(refs, hyps)
+
+
+def test_chrf_finds_no_false_match_where_packing_with_the_segment_would_wrap():
+    # 1200 codes: a 6-gram key stays below 2**62, so no renumbering is needed to
+    # extend it, but times the 8 segments of four pairs it passes 2**62; a
+    # hypothesis 6-gram whose key is 2**61 above the reference's would then
+    # share its (n-gram, pair) group
+    alphabet = "".join(chr(0x4E00 + i) for i in range(1200))
+    assert 1200 ** 6 <= 2 ** 62 < 8 * 1200 ** 6
+    far = "".join(alphabet[2 ** 61 // 1200 ** i % 1200] for i in range(5, -1, -1))
+    refs, hyps = [alphabet[0] * 6, alphabet[:600], alphabet[600:], ""], [far, "", "", ""]
     assert chrf(refs, hyps) == counter_chrf(refs, hyps)
 
 
